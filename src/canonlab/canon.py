@@ -3,7 +3,7 @@
 The brute-force definitional computations here are the source of truth;
 the closed forms (product formulas, degree and palindromicity laws,
 gamma interpretations) are the things under test.  Sums over all column
-permutations share one enumeration pass through the kernel, and both the
+permutations share one kernel call on one state graph, and both the
 permutation sums and the edge-subset sweeps parallelize by fanning out
 over independent tasks whose results combine commutatively.
 """
@@ -19,6 +19,7 @@ from canonlab.config import product_cap
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.linext import (
     LinearExtension,
+    _rho_drops,
     descent_count,
     enumerate_linear_extensions,
     is_valid_extension,
@@ -48,7 +49,7 @@ from canonlab.poset import (
     poset_to_json,
     product_with_chain,
     remove_intercopy_covers,
-    rho,
+    rho_parities,
 )
 
 
@@ -328,10 +329,10 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
         raise CanonlabError("canon polynomial is not palindromic over its center")
     gamma = expansion.gamma
     pcheck = checked_product(chain(m), n)
-    parities = [rho(pcheck, v) for v in range(pcheck.element_count)]
+    parities = rho_parities(pcheck)
     by_count: dict[int, list[LinearExtension]] = {}
     for ext in enumerate_linear_extensions(pcheck):
-        drops, doubles = _rho_data(parities, ext.order)
+        drops, doubles = _rho_drops(parities, ext.order)
         if doubles:
             continue
         last, prev = ext.order[-1], ext.order[-2]
@@ -371,17 +372,6 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
         for i in range(len(gamma))
     )
     return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, reps, words)
-
-
-def _rho_data(parities, order):
-    drops = [
-        j
-        for j in range(1, len(order))
-        if (parities[order[j]], order[j]) < (parities[order[j - 1]], order[j - 1])
-    ]
-    dropset = set(drops)
-    doubles = [j for j in drops if j == 1 or j - 1 in dropset]
-    return drops, doubles
 
 
 def gamma_interpretation_counts(m: int, n: int, cap: Optional[int] = None) -> tuple[int, ...]:
@@ -433,12 +423,12 @@ class SweepReport:
     violations: tuple[Certificate, ...]
 
 
-def _sweep_row(args: tuple[int, int, int]) -> SweepRow:
-    m, n, mask = args
+def _sweep_row(args: tuple[int, int, int, Optional[int]]) -> SweepRow:
+    m, n, mask, cap = args
     edges = removable_edges(m, n)
     removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
     spec = AmphibianSpec(m, n, removed)
-    poly = dissonant_polynomial(spec, Labeling.natural(m))
+    poly = dissonant_polynomial(spec, Labeling.natural(m), cap=cap)
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(
@@ -463,7 +453,7 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     """
     _check_product_cap(m, n, cap)
     edges = removable_edges(m, n)
-    tasks = [(m, n, mask) for mask in range(1 << len(edges))]
+    tasks = [(m, n, mask, cap) for mask in range(1 << len(edges))]
     rows = tuple(parallel_map(_sweep_row, tasks, jobs))
     violations = []
     for row in rows:

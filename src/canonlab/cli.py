@@ -31,7 +31,7 @@ from canonlab.canon import (
     removable_edges,
     weak_descent_polynomial,
 )
-from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
+from canonlab.errors import CanonlabError, PosetFormatError
 from canonlab.linext import (
     count_linear_extensions,
     descent_set,
@@ -703,7 +703,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.command == "extensions":
             return _cmd_extensions(cfg)
         raise PosetFormatError(f"unknown command {cfg.command!r}")
-    except (SizeCapError, PosetFormatError) as exc:
+    except ValueError as exc:  # size caps, malformed files and arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CanonlabError as exc:

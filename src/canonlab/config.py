@@ -1,13 +1,16 @@
 """Size caps guarding the exponential enumerations.
 
 Everything downstream of a poset is exponential in its size, so misuse
-should fail loudly instead of hanging.  Two caps exist:
+should fail loudly instead of hanging.  Two caps can be raised:
 
 * the element cap bounds the size of any poset whose linear extensions
   are enumerated (default 64, per-call override);
 * the product cap bounds ``|P| * n`` for sums over all n! column
   labelings (default 12, overridden by the ``CANONLAB_CAP`` environment
   variable or a per-call / ``--force-cap`` value).
+
+The kernel also bounds its own work with a fixed constant,
+``kernel.MAX_LAYER_STATES``, that nothing overrides.
 """
 
 import os

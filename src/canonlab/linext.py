@@ -22,7 +22,7 @@ from canonlab.poset import (
     chain,
     checked_product,
     product_with_chain,
-    rho,
+    rho_parities,
 )
 
 
@@ -109,9 +109,9 @@ def enumerate_linear_extensions(
     return walk()
 
 
-def count_linear_extensions(p: Poset, prefix: Sequence[int] = ()) -> int:
+def count_linear_extensions(p: Poset) -> int:
     """Count extensions without materializing them (kernel fast path)."""
-    return kernel.count_extensions(p, prefix)
+    return kernel.count_extensions(p)
 
 
 def word(ext: LinearExtension, w: Labeling) -> tuple[int, ...]:
@@ -242,9 +242,19 @@ def _checked_chain_dims(p: Poset) -> tuple[int, int]:
     return m, n
 
 
-def _rho_drop(rho_a: int, a: int, rho_b: int, b: int) -> bool:
-    # parity-first comparison: a drop is a strict fall of (parity, label)
-    return (rho_b, b) < (rho_a, a)
+def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The rho-descent positions of an extension and the double ones
+    among them, given every element's rho parity.
+
+    Position j is a rho-descent when the pair (parity, label) strictly
+    falls from letter j to letter j+1; it is double when j-1 is also one,
+    or when j = 1.  The pair is compared as the int parity * n + label.
+    """
+    n = len(parities)
+    keys = [parities[v] * n + v for v in order]
+    drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
+    dropset = set(drops)
+    return drops, [j for j in drops if j == 1 or j - 1 in dropset]
 
 
 def rho_descent_data(
@@ -253,23 +263,14 @@ def rho_descent_data(
     """Rho-descent and double-rho-descent positions of a checked-product
     extension under its natural labeling.
 
-    Position j is a rho-descent when the pair (parity, label) strictly
-    falls from letter j to letter j+1, where the parity is the chain-length
-    parity of the element's principal ideal.  A rho-descent j is double
-    when j-1 is also one, or when j = 1.
+    The parity of an element is the chain-length parity of its principal
+    ideal (``rho``); see ``_rho_drops`` for the rule.
     """
     _checked_chain_dims(pcheck)
     if not is_valid_extension(pcheck, ext.order):
         raise ValueError("not a linear extension of the given poset")
-    parities = [rho(pcheck, v) for v in range(pcheck.element_count)]
-    order = ext.order
-    drops = frozenset(
-        j
-        for j in range(1, len(order))
-        if _rho_drop(parities[order[j - 1]], order[j - 1], parities[order[j]], order[j])
-    )
-    doubles = frozenset(j for j in drops if j == 1 or j - 1 in drops)
-    return drops, doubles
+    drops, doubles = _rho_drops(rho_parities(pcheck), ext.order)
+    return frozenset(drops), frozenset(doubles)
 
 
 def phi(sigma: Labeling) -> Labeling:

@@ -114,18 +114,6 @@ class IntPolynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p + q
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_shift(p: IntPolynomial, k: int) -> IntPolynomial:
-    return p.shift(k)
-
-
 def is_palindromic(p: IntPolynomial, low: int, high: int) -> bool:
     """Coefficient symmetry about the center of the window [low, high]:
     coefficient(low + i) == coefficient(high - i) for every i, with
@@ -251,7 +239,7 @@ def hstar(p: Poset, w: Optional[Labeling] = None, cap: Optional[int] = None) -> 
 
 def hstar_sum(p: Poset, labelings: Sequence[Labeling], cap: Optional[int] = None) -> IntPolynomial:
     """Sum of descent polynomials of one poset under many labelings,
-    sharing a single enumeration pass."""
+    sharing one kernel call."""
     n = p.element_count
     if n > element_cap(cap):
         raise SizeCapError(f"poset has {n} elements, above the cap {element_cap(cap)}")

@@ -333,19 +333,22 @@ def is_graded(p: Poset) -> bool:
     return len(lengths) == 1
 
 
+def rho_parities(pcheck: Poset) -> tuple[int, ...]:
+    """``rho`` of every element, from one pass over the depth sets."""
+    if not is_graded(pcheck):
+        raise ValueError("rho requires a graded poset")
+    # in a graded poset every saturated chain from a minimal element up to
+    # q has the same length, so each depth set is a singleton
+    return tuple(min(lengths) % 2 for lengths in _depth_sets(pcheck))
+
+
 def rho(pcheck: Poset, q: int) -> int:
     """Parity of the length of maximal chains in the principal ideal of q.
 
     Defined for graded posets (such as checked chain products), where the
     length is well defined; 0 for even length, 1 for odd.
     """
-    if not is_graded(pcheck):
-        raise ValueError("rho requires a graded poset")
-    depths = _depth_sets(pcheck)
-    lengths = depths[q]
-    if len(lengths) != 1:
-        raise ValueError(f"maximal chains in the ideal of {q} have unequal lengths")
-    return next(iter(lengths)) % 2
+    return rho_parities(pcheck)[q]
 
 
 def chain_descent_profile(p: Poset, w: Labeling) -> ChainDescentProfile:
@@ -403,10 +406,6 @@ def natural_labeling(p: Poset) -> Labeling:
     for pos, v in enumerate(p.topological_order(), start=1):
         values[v] = pos
     return Labeling(tuple(values))
-
-
-def is_natural(p: Poset, w: Labeling) -> bool:
-    return all(w[a] < w[b] for a, b in p.covers)
 
 
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 from canonlab.cli import VERIFY_CHECKS, RunConfig, load_poset, main, run
 from canonlab.poset import Labeling, canon_labeling, chain, poset_to_json, product_with_chain
@@ -56,6 +57,16 @@ class TestPoly:
         code, out, _ = invoke(capsys, "poly", "canon", "--m", "2", "--n", "2",
                               "--force-cap", "30")
         assert code == 0
+
+    def test_constructor_errors_exit_2(self, capsys):
+        for argv, message in (
+            (("poly", "canon", "--m", "0", "--n", "2"), "chain size"),
+            (("poly", "eulerian", "--n", "0"), "n must be"),
+            (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "5:1"), "out of range"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and message in err, argv
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CANONLAB_CAP", "3")
@@ -126,6 +137,12 @@ class TestSweep:
         assert len(payload["rows"]) == 4
         assert payload["violations"] == []
 
+    def test_force_cap_reaches_rows(self, capsys, monkeypatch):
+        monkeypatch.setenv("CANONLAB_CAP", "3")
+        code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "2",
+                              "--force-cap", "4")
+        assert code == 0 and "4 subposets swept" in out
+
     def test_violation_exits_nonzero_with_certificate(self, capsys, monkeypatch):
         # no gamma-negative subposet exists at desk scale, so exercise the
         # reporting path with a synthetic violation
@@ -164,6 +181,18 @@ class TestExtensions:
     def test_count_only(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "4", "--count-only")
         assert code == 0 and out.strip() == "14"
+
+    def test_count_beyond_64_bits(self, capsys):
+        code, out, _ = invoke(capsys, "extensions", "--m", "8", "--n", "8", "--count-only")
+        assert code == 0 and out.strip() == "22081374992701950398847674830857600"
+
+    def test_wide_poset_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "antichain.json"
+        path.write_text('{"elements": 40, "covers": []}')
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "extensions", "--poset", str(path), "--count-only")
+        assert (code, out) == (2, "") and "too wide" in err
+        assert time.perf_counter() - start < 10
 
     def test_stream_limit(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "2", "--limit", "1")
