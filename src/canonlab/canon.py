@@ -10,12 +10,13 @@ over independent tasks whose results combine commutatively.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from canonlab.config import product_cap
+from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.linext import (
     LinearExtension,
@@ -23,8 +24,6 @@ from canonlab.linext import (
     descent_count,
     enumerate_linear_extensions,
     is_valid_extension,
-    multiset_word,
-    weak_descent_count,
     word,
 )
 from canonlab.polys import (
@@ -130,8 +129,14 @@ def _all_sigma(n: int) -> list[Labeling]:
     return [Labeling(p) for p in permutations(range(1, n + 1))]
 
 
+PRODUCT_CAP = 12
+
+
 def _check_product_cap(size: int, n: int, cap: Optional[int]) -> None:
-    limit = product_cap(cap)
+    """Refuse a sum over all n! column labelings of a poset of ``size``
+    elements when ``size * n`` passes the cap: ``cap`` if given, else the
+    ``CANONLAB_CAP`` environment variable, else ``PRODUCT_CAP``."""
+    limit = int(cap if cap is not None else os.environ.get("CANONLAB_CAP") or PRODUCT_CAP)
     if size * n > limit:
         raise SizeCapError(
             f"|P|*n = {size * n} exceeds the brute-force cap {limit} "
@@ -150,7 +155,7 @@ def canon_polynomial_bruteforce(
     return hstar_sum(prod, labelings)
 
 
-def canon_polynomial_product(p: Poset, w: Labeling, n: int, cap: Optional[int] = None) -> IntPolynomial:
+def canon_polynomial_product(p: Poset, w: Labeling, n: int) -> IntPolynomial:
     """Closed product form: x^k * A_n * h* of the naturally labeled product.
 
     Requires every maximal chain of (p, w) to carry the same number k of
@@ -162,7 +167,7 @@ def canon_polynomial_product(p: Poset, w: Labeling, n: int, cap: Optional[int] =
             "product form needs a labeling with constant chain descents"
         )
     prod = product_with_chain(p, n)
-    base = hstar(prod, canon_labeling(natural_labeling(p), Labeling.natural(n)), cap=cap)
+    base = hstar(prod, canon_labeling(natural_labeling(p), Labeling.natural(n)))
     return (eulerian(n) * base).shift(profile.constant_k)
 
 
@@ -259,23 +264,20 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Labeling, cap: Optional[i
 def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPolynomial:
     """Weak-descent polynomial of canon permutations, computed two ways.
 
-    Route one enumerates weak descents of the canon words directly; route
-    two reuses the canon polynomial under the reversed row labeling.  A
-    mismatch signals a bug, not a mathematical discovery.
+    Route one counts weak descents of the canon words directly, in one
+    kernel call whose labels are the multiset letters ceil(label / m);
+    route two reuses the canon polynomial under the reversed row labeling.
+    A mismatch signals a bug, not a mathematical discovery.
     """
     _check_product_cap(m, n, cap)
     grid = product_with_chain(chain(m), n)
     ident = Labeling.natural(m)
-    counts: dict[int, int] = {}
-    extensions = list(enumerate_linear_extensions(grid))
-    for sigma in _all_sigma(n):
-        lab = canon_labeling(ident, sigma)
-        for ext in extensions:
-            wd = weak_descent_count(multiset_word(ext, lab, m))
-            counts[wd] = counts.get(wd, 0) + 1
-    direct = IntPolynomial(
-        tuple(counts.get(d, 0) for d in range(max(counts, default=0) + 1))
-    )
+    letters = [
+        [(label + m - 1) // m for label in canon_labeling(ident, sigma).values]
+        for sigma in _all_sigma(n)
+    ]
+    rows = kernel.descent_histograms(grid, letters, weak=True)
+    direct = IntPolynomial(tuple(map(sum, zip(*rows))))
     via_reverse = canon_polynomial_bruteforce(chain(m), Labeling.reverse_natural(m), n, cap=cap)
     if direct != via_reverse:
         raise CanonlabError(

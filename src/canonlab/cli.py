@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, permutations
 from typing import Callable, Optional, Sequence
 
 from canonlab import poset
@@ -31,7 +32,7 @@ from canonlab.canon import (
     removable_edges,
     weak_descent_polynomial,
 )
-from canonlab.errors import CanonlabError, PosetFormatError
+from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
 from canonlab.linext import (
     count_linear_extensions,
     descent_set,
@@ -143,9 +144,7 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
         )
     if kind == "canon-product":
         _need(cfg, "m", "n")
-        return canon_polynomial_product(
-            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n, cap=cfg.cap_override
-        )
+        return canon_polynomial_product(chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)
     if kind == "dissonant":
         _need(cfg, "m", "n")
         spec = AmphibianSpec(cfg.m, cfg.n, frozenset(cfg.removed_edges))
@@ -155,7 +154,7 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
         return weak_descent_polynomial(cfg.m, cfg.n, cap=cfg.cap_override)
     if kind == "hstar":
         p, lab = _resolve_poset(cfg)
-        return hstar(p, lab, cap=cfg.cap_override)
+        return hstar(p, lab)
     raise PosetFormatError(f"unknown polynomial kind {kind!r}")
 
 
@@ -165,17 +164,13 @@ def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[Labeling]]:
     _need(cfg, "m", "n")
     if cfg.checked:
         p = checked_product(chain(cfg.m), cfg.n)
-        lab: Optional[Labeling] = checked_labeling_for(cfg)
+        lab: Optional[Labeling] = poset.checked_labeling(_row_labeling(cfg.w, cfg.m), cfg.n)
     else:
         p = product_with_chain(chain(cfg.m), cfg.n)
         lab = canon_labeling(_row_labeling(cfg.w, cfg.m), Labeling.natural(cfg.n))
     if cfg.removed_edges:
         p = poset.remove_intercopy_covers(p, cfg.m, cfg.removed_edges)
     return p, lab
-
-
-def checked_labeling_for(cfg: RunConfig) -> Labeling:
-    return poset.checked_labeling(_row_labeling(cfg.w, cfg.m), cfg.n)
 
 
 def _emit_poly(p: IntPolynomial, cfg: RunConfig) -> None:
@@ -217,7 +212,7 @@ def _check_product_formula(cfg: RunConfig) -> list[IdentityReport]:
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         w = _row_labeling(cfg.w, m)
         lhs = canon_polynomial_bruteforce(chain(m), w, n, cap=cfg.cap_override)
-        rhs = canon_polynomial_product(chain(m), w, n, cap=cfg.cap_override)
+        rhs = canon_polynomial_product(chain(m), w, n)
         out.append(IdentityReport.compare(f"product-formula m={m} n={n} w={cfg.w}", lhs, rhs))
     return out
 
@@ -246,7 +241,7 @@ def _check_poset_zoo(cfg: RunConfig) -> list[IdentityReport]:
             if p.element_count * n > cfg.max_size:
                 continue
             lhs = canon_polynomial_bruteforce(p, w, n, cap=cfg.cap_override)
-            rhs = canon_polynomial_product(p, w, n, cap=cfg.cap_override)
+            rhs = canon_polynomial_product(p, w, n)
             out.append(IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs))
     return out
 
@@ -288,9 +283,7 @@ def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
         base = hstar(grid, canon_labeling(Labeling.natural(m), Labeling.natural(n)))
         ok = True
         detail = ""
-        from itertools import permutations as _perms
-
-        for sig in _perms(range(1, n + 1)):
+        for sig in permutations(range(1, n + 1)):
             sigma = Labeling(sig)
             lhs = hstar(grid, canon_labeling(Labeling.natural(m), sigma))
             des = sum(1 for a, b in zip(sig, sig[1:]) if a > b)
@@ -341,11 +334,9 @@ def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
         k = m - 1
         ok = True
         detail = ""
-        from itertools import permutations as _perms
-
         for spec in _amphibian_specs(m, n):
             q = spec.poset()
-            for sig in _perms(range(1, n + 1)):
+            for sig in permutations(range(1, n + 1)):
                 sigma = Labeling(sig)
                 lhs = hstar(q, canon_labeling(w, sigma))
                 rhs = hstar(q, canon_labeling(Labeling.natural(m), sigma)).shift(k)
@@ -599,23 +590,30 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     return 0 if gi.matches else 1
 
 
+# The most element indices one listing prints: its extensions times |P|.
+MAX_LISTED = 10_000_000
+
+
 def _cmd_extensions(cfg: RunConfig) -> int:
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
         print(count_linear_extensions(p))
         return 0
-    shown = 0
-    rows = []
-    for ext in enumerate_linear_extensions(p, cap=cfg.cap_override):
-        rows.append(ext.order)
-        shown += 1
-        if cfg.limit is not None and shown >= cfg.limit:
-            break
+    n = p.element_count
+    # with a small enough --limit, the enumerator stops early: skip the count
+    if (cfg.limit is None or cfg.limit * n > MAX_LISTED) and (
+        count_linear_extensions(p) * n > MAX_LISTED
+    ):
+        raise SizeCapError(
+            f"listing would print more than {MAX_LISTED} element indices; "
+            "pass a smaller --limit or --count-only"
+        )
+    stream = islice(enumerate_linear_extensions(p), cfg.limit)
     if cfg.output_format == "json":
-        print(json.dumps([list(r) for r in rows]))
+        print(json.dumps([list(ext.order) for ext in stream]))
     else:
-        for r in rows:
-            print(" ".join(str(v) for v in r))
+        for ext in stream:
+            print(" ".join(str(v) for v in ext.order))
     return 0
 
 
@@ -641,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="output_format", default="plain",
                         choices=["json", "csv", "plain"])
     common.add_argument("--jobs", dest="parallelism", type=int, default=1)
-    common.add_argument("--force-cap", dest="cap_override", type=int, default=None)
+    common.add_argument("--force-cap", dest="cap_override", type=int, default=None,
+                        help="raise the |P|*n cap on sums over all column labelings")
     common.add_argument("--max-size", dest="max_size", type=int, default=9,
                         help="bound on |P|*n for default verification grids")
 

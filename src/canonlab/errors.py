@@ -6,7 +6,7 @@ class CanonlabError(Exception):
 
 
 class SizeCapError(CanonlabError, ValueError):
-    """An enumeration was refused because it exceeds the configured size cap."""
+    """A computation was refused because it passes a size cap or work bound."""
 
 
 class PosetFormatError(CanonlabError, ValueError):

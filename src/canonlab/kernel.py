@@ -4,11 +4,13 @@ programming over the lattice of order ideals.
 A state is (I, u): an order ideal I of the poset as a bitmask, and the
 element u placed last (none in the start state).  Placing an element v
 that is minimal outside I moves (I, u) to (I + v, v), a descent of the
-label word when label[v] < label[u].  Only the states of the one ideal I
-lead to (I + v, v), so the states form a layered graph, built once per
-poset and run once per labeling.  Its size is the number of (ideal,
-maximal element) pairs, which grows with the poset's width, not with
-its number e(P) of linear extensions (counting those is #P-complete).
+label word when label[v] < label[u] (a weak descent when label[v] <=
+label[u]); the first step is never one.  Only the states of the one
+ideal I lead to (I + v, v), so the states form a layered graph, built
+once per poset and run once per labeling.  Its size is the number of
+(ideal, maximal element) pairs, which grows with the poset's width, not
+with its number e(P) of linear extensions (counting those is
+#P-complete).
 
 A state carries the descent histogram of the prefixes reaching it as one
 Python int, bin k at bits [k*B, (k+1)*B): a descent is ``h << B``, and
@@ -24,6 +26,8 @@ which bounds the work and memory of any call.
 
 from __future__ import annotations
 
+from operator import le, lt
+
 from canonlab.errors import SizeCapError
 
 MAX_LAYER_STATES = 100_000
@@ -38,7 +42,7 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The state graph: (number of states, transitions, final states).
 
     A transition is (source, target, u * n + v) for the step that places
-    v after u; a first step uses v for u, which is never a descent.
+    v after u; a first step uses n * n, which is never a descent.
     Transitions are listed in layer order, so one pass over them fills
     every state before any transition leaves it.
     """
@@ -57,7 +61,7 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
                 if ideal >> v & 1 or below[v] & ~ideal:
                     continue
                 grown.setdefault(ideal | 1 << v, []).append((states, v))
-                edges.extend((src, states, (v if u < 0 else u) * n + v) for src, u in ends)
+                edges.extend((src, states, n * n if u < 0 else u * n + v) for src, u in ends)
                 states += 1
             if states - first > MAX_LAYER_STATES:
                 raise SizeCapError(
@@ -82,19 +86,23 @@ def count_extensions(poset) -> int:
     return _count(*_transitions(poset))
 
 
-def descent_histograms(poset, labelings) -> list[list[int]]:
+def descent_histograms(poset, labelings, weak: bool = False) -> list[list[int]]:
     """For each labeling (a ``Labeling`` or a sequence of labels indexed
     by element), the histogram of descent counts over all linear
     extensions of ``poset``: entry d counts the extensions whose label
-    word has d descents.  Every row has max(n, 1) entries."""
+    word has d descents, or d weak descents (positions where the word
+    drops or stays level) when ``weak``.  Every row has max(n, 1)
+    entries."""
     n = poset.element_count
+    drop = le if weak else lt
     states, edges, final = _transitions(poset)
     width = _count(states, edges, final).bit_length()
     bins = (1 << width) - 1
     rows = []
     for lab in labelings:
         labels = getattr(lab, "values", lab)
-        shift = [width if labels[v] < labels[u] else 0 for u in range(n) for v in range(n)]
+        shift = [width if drop(lv, lu) else 0 for lu in labels for lv in labels]
+        shift.append(0)  # the first step
         h = [0] * states
         h[0] = 1
         for src, dst, pair in edges:

@@ -3,19 +3,16 @@
 A linear extension is streamed as a sequence of element indices; its
 *word* under a labeling is the sequence of labels, and every descent
 statistic here is defined on words.  Enumeration order is lexicographic
-on element indices, streams can be stopped early, and enumeration is
-resumable from a prefix so work can be partitioned across workers.
+on element indices, and streams can be stopped early.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from canonlab import kernel
-from canonlab.config import element_cap
-from canonlab.errors import SizeCapError
 from canonlab.poset import (
     Labeling,
     Poset,
@@ -64,49 +61,43 @@ def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
     return all(pos[a] < pos[b] for a, b in p.covers)
 
 
-def enumerate_linear_extensions(
-    p: Poset, prefix: Sequence[int] = (), cap: Optional[int] = None
-) -> Iterator[LinearExtension]:
+def enumerate_linear_extensions(p: Poset) -> Iterator[LinearExtension]:
     """Stream every linear extension exactly once, lexicographically.
 
-    ``prefix`` restricts the stream to extensions starting with the given
-    elements, which lets callers partition the search space; aggregating
-    per-prefix results must not depend on order.
+    A loop over an explicit stack, so the depth of a poset is not bounded
+    by the interpreter's recursion limit.  ``ready`` is the set of
+    elements that may come next, as a bitmask; the stack keeps it for
+    every placed element, so stepping back restores it.
     """
     n = p.element_count
-    if n > element_cap(cap):
-        raise SizeCapError(
-            f"poset has {n} elements, above the cap {element_cap(cap)}"
-        )
-    succ = [list(p.successors(v)) for v in range(n)]
-    indeg = [len(p.predecessors(v)) for v in range(n)]
-    used = [False] * n
-    acc = list(prefix)
-    for v in prefix:
-        if used[v] or indeg[v] != 0:
-            raise ValueError(f"prefix {tuple(prefix)} is not a valid extension prefix")
-        used[v] = True
-        for w in succ[v]:
-            indeg[w] -= 1
-
-    def walk() -> Iterator[LinearExtension]:
-        if len(acc) == n:
-            yield LinearExtension(tuple(acc))
+    below = [0] * n
+    for a, b in p.covers:
+        below[b] |= 1 << a
+    succ = [p.successors(v) for v in range(n)]
+    order: list[int] = []
+    readies: list[int] = []
+    placed = 0
+    ready = todo = sum(1 << v for v in range(n) if not below[v])
+    while True:
+        if len(order) == n:
+            yield LinearExtension(tuple(order))
+        if todo:  # place the least untried ready element
+            v = (todo & -todo).bit_length() - 1
+            order.append(v)
+            readies.append(ready)
+            placed |= 1 << v
+            ready ^= 1 << v
+            for w in succ[v]:
+                if not below[w] & ~placed:
+                    ready |= 1 << w
+            todo = ready
+        elif order:  # step back, then try the ready elements after v
+            v = order.pop()
+            ready = readies.pop()
+            placed ^= 1 << v
+            todo = ready >> v + 1 << v + 1
+        else:
             return
-        for v in range(n):
-            if used[v] or indeg[v]:
-                continue
-            used[v] = True
-            acc.append(v)
-            for w in succ[v]:
-                indeg[w] -= 1
-            yield from walk()
-            for w in succ[v]:
-                indeg[w] += 1
-            acc.pop()
-            used[v] = False
-
-    return walk()
 
 
 def count_linear_extensions(p: Poset) -> int:

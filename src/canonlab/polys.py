@@ -14,7 +14,6 @@ from math import comb
 from typing import Optional, Sequence
 
 from canonlab import kernel
-from canonlab.config import element_cap
 from canonlab.errors import SizeCapError
 from canonlab.linext import descent_count, dyck_paths, high_peak_count
 from canonlab.poset import Labeling, Poset, natural_labeling
@@ -223,33 +222,22 @@ def narayana(n: int) -> IntPolynomial:
     return IntPolynomial(tuple(counts))
 
 
-def hstar(p: Poset, w: Optional[Labeling] = None, cap: Optional[int] = None) -> IntPolynomial:
+def hstar(p: Poset, w: Optional[Labeling] = None) -> IntPolynomial:
     """Descent generating polynomial of the labeled linear extensions.
 
     With no labeling given, a natural labeling is used.
     """
-    n = p.element_count
-    if n > element_cap(cap):
-        raise SizeCapError(f"poset has {n} elements, above the cap {element_cap(cap)}")
     if w is None:
         w = natural_labeling(p)
     hist = kernel.descent_histograms(p, [w])[0]
     return IntPolynomial(tuple(hist))
 
 
-def hstar_sum(p: Poset, labelings: Sequence[Labeling], cap: Optional[int] = None) -> IntPolynomial:
+def hstar_sum(p: Poset, labelings: Sequence[Labeling]) -> IntPolynomial:
     """Sum of descent polynomials of one poset under many labelings,
     sharing one kernel call."""
-    n = p.element_count
-    if n > element_cap(cap):
-        raise SizeCapError(f"poset has {n} elements, above the cap {element_cap(cap)}")
     hists = kernel.descent_histograms(p, labelings)
-    width = max((len(h) for h in hists), default=0)
-    totals = [0] * width
-    for h in hists:
-        for i, c in enumerate(h):
-            totals[i] += c
-    return IntPolynomial(tuple(totals))
+    return IntPolynomial(tuple(map(sum, zip(*hists))))
 
 
 def order_polynomial_values(p: Poset, w: Labeling, j_max: int) -> tuple[int, ...]:

@@ -122,28 +122,30 @@ def _topological_order(n, succ, pred):
 
 
 def _find_cycle(n, succ):
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    stack = []
+    """A cycle of the digraph as a closed walk [v, ..., v], or None.
 
-    def dfs(v):
-        color[v] = 1
-        stack.append(v)
-        for w in succ[v]:
-            if color[w] == 1:
-                return stack[stack.index(w):] + [w]
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    for v in range(n):
-        if color[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
+    Depth-first search over an explicit stack, so a long cycle does not
+    hit the interpreter's recursion limit.
+    """
+    color = [0] * n  # 0 unseen, 1 on the path, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        todo = [iter(succ[root])]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):] + [w]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(iter(succ[w]))
+                    break
+            else:
+                color[path.pop()] = 2
+                todo.pop()
     return None
 
 

@@ -68,6 +68,16 @@ class TestPoly:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err, argv
 
+    def test_force_cap_leaves_hstar_alone(self, capsys):
+        argv = ("poly", "hstar", "--m", "3", "--n", "3")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and "coeffs [1, " in out
+        assert invoke(capsys, *argv, "--force-cap", "4") == (0, out, "")
+
+    def test_hstar_past_64_elements(self, capsys):
+        code, out, _ = invoke(capsys, "poly", "hstar", "--m", "9", "--n", "8")
+        assert code == 0 and out.startswith("coeffs [1, ")
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CANONLAB_CAP", "3")
         code, _, err = invoke(capsys, "poly", "canon", "--m", "2", "--n", "2")
@@ -198,6 +208,20 @@ class TestExtensions:
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "2", "--limit", "1")
         assert code == 0 and out.splitlines() == ["0 1 2 3"]
 
+    def test_listing_bound(self, capsys):
+        code, out, _ = invoke(capsys, "extensions", "--m", "9", "--n", "8", "--limit", "1")
+        assert code == 0 and out.splitlines() == [" ".join(map(str, range(72)))]
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "extensions", "--m", "9", "--n", "8")
+        assert (code, out) == (2, "") and "--limit" in err
+        assert time.perf_counter() - start < 10
+
+    def test_long_chain(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(poset_to_json(chain(1100)))
+        code, out, _ = invoke(capsys, "extensions", "--poset", str(path), "--limit", "1")
+        assert code == 0 and out.splitlines() == [" ".join(map(str, range(1100)))]
+
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "2",
                               "--format", "json")
@@ -232,6 +256,14 @@ class TestPosetFiles:
         path.write_text('{"elements": 2, "covers": [[0, 1], [1, 0]]}')
         code, _, err = invoke(capsys, "extensions", "--poset", str(path))
         assert code == 2 and "cyclic" in err
+
+    def test_long_cycle_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cyclic.json"
+        covers = [[v, (v + 1) % 1500] for v in range(1500)]
+        path.write_text(json.dumps({"elements": 1500, "covers": covers}))
+        for repair in ((), ("--repair",)):
+            code, out, err = invoke(capsys, "extensions", "--poset", str(path), *repair)
+            assert (code, out) == (2, "") and "cyclic" in err
 
     def test_repair(self, tmp_path, capsys):
         path = tmp_path / "redundant.json"

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -13,9 +14,19 @@ from canonlab.linext import (
     count_linear_extensions,
     descent_count,
     enumerate_linear_extensions,
+    multiset_word,
+    weak_descent_count,
     word,
 )
-from canonlab.poset import Labeling, Poset, antichain, chain, checked_product, product_with_chain
+from canonlab.poset import (
+    Labeling,
+    Poset,
+    antichain,
+    canon_labeling,
+    chain,
+    checked_product,
+    product_with_chain,
+)
 
 
 def oracle_histogram(p: Poset, w: Labeling) -> list[int]:
@@ -50,6 +61,24 @@ def test_random_posets_match_enumeration():
 ], ids=lambda p: f"n{p.element_count}c{len(p.covers)}")
 def test_fixed_posets_match_enumeration(p):
     check_against_oracle(p, random.Random(p.element_count), 5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weak_histograms_match_enumeration(m, n):
+    grid = product_with_chain(chain(m), n)
+    labelings = [
+        canon_labeling(Labeling.natural(m), Labeling(sigma))
+        for sigma in permutations(range(1, n + 1))
+    ]
+    letters = [[(label + m - 1) // m for label in lab.values] for lab in labelings]
+    expected = []
+    for lab in labelings:
+        hist = [0] * (m * n)
+        for ext in enumerate_linear_extensions(grid):
+            hist[weak_descent_count(multiset_word(ext, lab, m))] += 1
+        expected.append(hist)
+    assert kernel.descent_histograms(grid, letters, weak=True) == expected
 
 
 def test_empty_poset():

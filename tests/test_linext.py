@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import random_poset
 
-from canonlab.errors import SizeCapError
 from canonlab.linext import (
     DyckPath,
     LinearExtension,
@@ -30,6 +29,7 @@ from canonlab.linext import (
 )
 from canonlab.poset import (
     Labeling,
+    Poset,
     antichain,
     canon_labeling,
     chain,
@@ -64,30 +64,19 @@ class TestEnumeration:
             exts = list(enumerate_linear_extensions(p))
             assert len(exts) == count_linear_extensions(p)
             assert len(set(exts)) == len(exts)
+            assert [e.order for e in exts] == sorted(e.order for e in exts)
+            assert all(is_valid_extension(p, e.order) for e in exts)
 
-    def test_prefix_partition(self):
-        p = product_with_chain(chain(2), 3)
-        whole = list(enumerate_linear_extensions(p))
-        pieces = []
-        for v in range(p.element_count):
-            if not p.predecessors(v):
-                pieces.extend(enumerate_linear_extensions(p, prefix=(v,)))
-        assert sorted(pieces, key=lambda e: e.order) == whole
-
-    def test_bad_prefix(self):
-        p = chain(3)
-        with pytest.raises(ValueError, match="prefix"):
-            list(enumerate_linear_extensions(p, prefix=(1,)))
+    def test_empty_poset(self):
+        assert list(enumerate_linear_extensions(Poset(0, frozenset()))) == [
+            LinearExtension(())
+        ]
 
     def test_early_termination(self):
         stream = enumerate_linear_extensions(antichain(6))
         first = next(stream)
         assert first.order == (0, 1, 2, 3, 4, 5)
         stream.close()
-
-    def test_element_cap(self):
-        with pytest.raises(SizeCapError):
-            list(enumerate_linear_extensions(antichain(10), cap=8))
 
 
 class TestWords:
