@@ -58,7 +58,6 @@ from canonlab.canon import (
     dissonant_palindromy_check,
     dissonant_polynomial,
     gamma_interpretation,
-    gamma_interpretation_counts,
     generalized_product_identity,
     weak_descent_polynomial,
 )

@@ -2,19 +2,20 @@
 
 The brute-force definitional computations here are the source of truth;
 the closed forms (product formulas, degree and palindromicity laws,
-gamma interpretations) are the things under test.  Sums over all column
-permutations share one kernel call on one state graph, and both the
-permutation sums and the edge-subset sweeps parallelize by fanning out
-over independent tasks whose results combine commutatively.
+gamma interpretations) are the things under test.  Every sum over column
+labelings sigma takes its sigma list from ``column_labelings``, which
+checks the size caps, and its rows from ``canon_rows``: one kernel call
+per poset and row labeling w, one descent histogram per w x sigma.  The
+edge-subset sweep fans its subposets out over worker processes.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional
+from itertools import accumulate, permutations
+from operator import mul
+from typing import Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
@@ -31,7 +32,6 @@ from canonlab.polys import (
     eulerian,
     gamma_expansion,
     hstar,
-    hstar_sum,
     is_palindromic,
     is_unimodal,
     poly_to_payload,
@@ -119,29 +119,54 @@ class AmphibianSpec:
         edges = removable_edges(self.m, self.n)
         return sum(1 << edges.index(e) for e in self.removed)
 
+    @classmethod
+    def from_mask(cls, m: int, n: int, mask: int) -> "AmphibianSpec":
+        """The spec whose ``edge_mask()`` is ``mask``."""
+        edges = removable_edges(m, n)
+        return cls(m, n, frozenset(e for i, e in enumerate(edges) if mask >> i & 1))
+
 
 def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Inter-copy covers of the m x n grid, row-major (1-based)."""
     return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
 
 
-def _all_sigma(n: int) -> list[Labeling]:
-    return [Labeling(p) for p in permutations(range(1, n + 1))]
-
-
 PRODUCT_CAP = 12
+MAX_LABELINGS = 362_880  # 9!
 
 
-def _check_product_cap(size: int, n: int, cap: Optional[int]) -> None:
-    """Refuse a sum over all n! column labelings of a poset of ``size``
-    elements when ``size * n`` passes the cap: ``cap`` if given, else the
-    ``CANONLAB_CAP`` environment variable, else ``PRODUCT_CAP``."""
-    limit = int(cap if cap is not None else os.environ.get("CANONLAB_CAP") or PRODUCT_CAP)
+def column_labelings(
+    size: int, n: int, cap: Optional[int] = None, pprime: Optional[Poset] = None
+) -> list[Labeling]:
+    """The column labelings of a sum over P x [n], |P| = ``size``: the
+    permutations of 1..n, or the naturally labeled extension words of
+    ``pprime`` (n elements).  Refuses first when ``size * n`` passes
+    ``cap`` (default ``PRODUCT_CAP``) or n! passes ``MAX_LABELINGS``."""
+    limit = PRODUCT_CAP if cap is None else cap
     if size * n > limit:
         raise SizeCapError(
             f"|P|*n = {size * n} exceeds the brute-force cap {limit} "
-            "(raise it with CANONLAB_CAP or an explicit cap override)"
+            "(raise it with --force-cap)"
         )
+    # running products of 1..n: a huge n stops early instead of computing n!
+    if any(count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
+        raise SizeCapError(
+            f"{n}! column labelings exceed the bound {MAX_LABELINGS} on one sum"
+        )
+    if pprime is None:
+        return [Labeling(p) for p in permutations(range(1, n + 1))]
+    nat = natural_labeling(pprime)
+    return [Labeling(word(ext, nat)) for ext in enumerate_linear_extensions(pprime)]
+
+
+def canon_rows(q: Poset, w: Labeling, sigmas: Sequence[Labeling]) -> list[list[int]]:
+    """The descent histogram of ``q`` under each canon labeling w x sigma,
+    one row per sigma, from one kernel call."""
+    return kernel.descent_histograms(q, [canon_labeling(w, sigma) for sigma in sigmas])
+
+
+def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
+    return IntPolynomial(tuple(map(sum, zip(*rows))))
 
 
 def canon_polynomial_bruteforce(
@@ -149,10 +174,8 @@ def canon_polynomial_bruteforce(
 ) -> IntPolynomial:
     """Descent polynomial of all canon permutations of (p, w): the sum of
     the descent polynomials of p x [n] over every column labeling."""
-    _check_product_cap(p.element_count, n, cap)
-    prod = product_with_chain(p, n)
-    labelings = [canon_labeling(w, sigma) for sigma in _all_sigma(n)]
-    return hstar_sum(prod, labelings)
+    sigmas = column_labelings(p.element_count, n, cap)
+    return _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
 
 
 def canon_polynomial_product(p: Poset, w: Labeling, n: int) -> IntPolynomial:
@@ -188,11 +211,9 @@ def generalized_product_identity(
     if profile.constant_k is None:
         raise CanonlabError("factored form needs constant chain descents")
     n = pprime.element_count
-    _check_product_cap(p.element_count, n, cap)
-    nat_prime = natural_labeling(pprime)
-    sigmas = [Labeling(word(ext, nat_prime)) for ext in enumerate_linear_extensions(pprime)]
+    sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
     prod = product_with_chain(p, n)
-    lhs = hstar_sum(prod, [canon_labeling(w, sigma) for sigma in sigmas])
+    lhs = _row_sum(canon_rows(prod, w, sigmas))
     base = hstar(prod, canon_labeling(natural_labeling(p), Labeling.natural(n)))
     rhs = (hstar(pprime) * base).shift(profile.constant_k)
     return IdentityReport.compare(
@@ -203,15 +224,8 @@ def generalized_product_identity(
 def dissonant_polynomial(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
-    _check_product_cap(spec.m, spec.n, cap)
-    q = spec.poset()
-    labelings = [canon_labeling(w, sigma) for sigma in _all_sigma(spec.n)]
-    return hstar_sum(q, labelings)
-
-
-def _chain_descents(w: Labeling) -> int:
-    """Descents of a chain labeling read bottom to top."""
-    return sum(1 for a, b in zip(w.values, w.values[1:]) if a > b)
+    sigmas = column_labelings(spec.m, spec.n, cap)
+    return _row_sum(canon_rows(spec.poset(), w, sigmas))
 
 
 def degree_witness_extension(spec: AmphibianSpec) -> LinearExtension:
@@ -224,7 +238,7 @@ def degree_witness_extension(spec: AmphibianSpec) -> LinearExtension:
 
 def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
     """Assert deg C = m(n-1) + k, carrying the row-block witness word."""
-    k = _chain_descents(w)
+    k = descent_count(w.values)
     poly = dissonant_polynomial(spec, w, cap=cap)
     expected = spec.m * (spec.n - 1) + k
     witness_ext = degree_witness_extension(spec)
@@ -246,7 +260,7 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] 
 
 def dissonant_palindromy_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
     """Palindromicity of the dissonant polynomial over [0, m(n-1)+2k]."""
-    k = _chain_descents(w)
+    k = descent_count(w.values)
     poly = dissonant_polynomial(spec, w, cap=cap)
     top = spec.m * (spec.n - 1) + 2 * k
     holds = is_palindromic(poly, 0, top)
@@ -269,16 +283,15 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     route two reuses the canon polynomial under the reversed row labeling.
     A mismatch signals a bug, not a mathematical discovery.
     """
-    _check_product_cap(m, n, cap)
+    sigmas = column_labelings(m, n, cap)
     grid = product_with_chain(chain(m), n)
     ident = Labeling.natural(m)
     letters = [
         [(label + m - 1) // m for label in canon_labeling(ident, sigma).values]
-        for sigma in _all_sigma(n)
+        for sigma in sigmas
     ]
-    rows = kernel.descent_histograms(grid, letters, weak=True)
-    direct = IntPolynomial(tuple(map(sum, zip(*rows))))
-    via_reverse = canon_polynomial_bruteforce(chain(m), Labeling.reverse_natural(m), n, cap=cap)
+    direct = _row_sum(kernel.descent_histograms(grid, letters, weak=True))
+    via_reverse = _row_sum(canon_rows(grid, Labeling.reverse_natural(m), sigmas))
     if direct != via_reverse:
         raise CanonlabError(
             "weak-descent routes disagree: "
@@ -315,7 +328,6 @@ class GammaInterpretation:
     stated_shift: int
     shift: Optional[int]
     matches: bool
-    representatives: tuple[tuple[tuple[int, ...], ...], ...]
     words: tuple[tuple[tuple[int, ...], ...], ...]
 
 
@@ -360,10 +372,6 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     matches = shift == stated
     base = shift if shift is not None else stated
     counts = tuple(len(by_count.get(base + i, [])) for i in range(len(gamma)))
-    reps = tuple(
-        tuple(sorted(tuple(v + 1 for v in ext.order) for ext in by_count.get(base + i, [])))
-        for i in range(len(gamma))
-    )
     words = tuple(
         tuple(
             sorted(
@@ -373,11 +381,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
         )
         for i in range(len(gamma))
     )
-    return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, reps, words)
-
-
-def gamma_interpretation_counts(m: int, n: int, cap: Optional[int] = None) -> tuple[int, ...]:
-    return gamma_interpretation(m, n, cap=cap).counts
+    return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, words)
 
 
 @dataclass(frozen=True)
@@ -425,17 +429,15 @@ class SweepReport:
     violations: tuple[Certificate, ...]
 
 
-def _sweep_row(args: tuple[int, int, int, Optional[int]]) -> SweepRow:
-    m, n, mask, cap = args
-    edges = removable_edges(m, n)
-    removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-    spec = AmphibianSpec(m, n, removed)
-    poly = dissonant_polynomial(spec, Labeling.natural(m), cap=cap)
+def _sweep_row(args: tuple[int, int, int, list[Labeling]]) -> SweepRow:
+    m, n, mask, sigmas = args
+    spec = AmphibianSpec.from_mask(m, n, mask)
+    poly = _row_sum(canon_rows(spec.poset(), Labeling.natural(m), sigmas))
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(
         mask=mask,
-        removed=tuple(sorted(removed)),
+        removed=tuple(sorted(spec.removed)),
         polynomial=poly,
         degree=poly.degree,
         palindromic=is_palindromic(poly, 0, center),
@@ -453,14 +455,13 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     isomorphism reduction); any gamma-negative subset is reported as a
     counterexample certificate.
     """
-    _check_product_cap(m, n, cap)
-    edges = removable_edges(m, n)
-    tasks = [(m, n, mask, cap) for mask in range(1 << len(edges))]
+    sigmas = column_labelings(m, n, cap)
+    tasks = [(m, n, mask, sigmas) for mask in range(1 << len(removable_edges(m, n)))]
     rows = tuple(parallel_map(_sweep_row, tasks, jobs))
     violations = []
     for row in rows:
         if row.gamma is None or not row.gamma_positive:
-            spec = AmphibianSpec(m, n, frozenset(row.removed))
+            spec = AmphibianSpec.from_mask(m, n, row.mask)
             if row.gamma is None:
                 violation = "not palindromic over the center window"
                 gamma = ()

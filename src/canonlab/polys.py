@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
@@ -231,13 +231,6 @@ def hstar(p: Poset, w: Optional[Labeling] = None) -> IntPolynomial:
         w = natural_labeling(p)
     hist = kernel.descent_histograms(p, [w])[0]
     return IntPolynomial(tuple(hist))
-
-
-def hstar_sum(p: Poset, labelings: Sequence[Labeling]) -> IntPolynomial:
-    """Sum of descent polynomials of one poset under many labelings,
-    sharing one kernel call."""
-    hists = kernel.descent_histograms(p, labelings)
-    return IntPolynomial(tuple(map(sum, zip(*hists))))
 
 
 def order_polynomial_values(p: Poset, w: Labeling, j_max: int) -> tuple[int, ...]:

@@ -61,8 +61,7 @@ class Poset:
 
         topo = _topological_order(n, succ, pred)
         if topo is None:
-            cycle = _find_cycle(n, succ)
-            raise PosetFormatError(f"cover relation is cyclic: {cycle}")
+            raise _cyclic("cover relation", n, succ)
 
         above = [set() for _ in range(n)]
         for v in reversed(topo):
@@ -147,6 +146,18 @@ def _find_cycle(n, succ):
                 color[path.pop()] = 2
                 todo.pop()
     return None
+
+
+CYCLE_SHOWN = 10  # elements of a longer cycle that an error message lists
+
+
+def _cyclic(what: str, n, succ) -> PosetFormatError:
+    """The error naming a cycle of a cyclic digraph; a long one by its head."""
+    cycle = text = _find_cycle(n, succ)
+    if len(cycle) > CYCLE_SHOWN + 1:
+        head = ", ".join(map(str, cycle[:CYCLE_SHOWN]))
+        text = f"[{head}, ...], a cycle of {len(cycle) - 1} elements"
+    return PosetFormatError(f"{what} is cyclic: {text}")
 
 
 @dataclass(frozen=True)
@@ -290,21 +301,17 @@ def remove_intercopy_covers(
 
 
 def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
-    """All maximal chains, as element sequences from a minimal to a maximal element."""
+    """All maximal chains, as element sequences from a minimal to a maximal
+    element, depth first over an explicit stack (no recursion limit)."""
     out = []
-
-    def grow(prefix, v):
-        succ = p.successors(v)
-        if not succ:
-            out.append(tuple(prefix))
-            return
-        for w in succ:
-            prefix.append(w)
-            grow(prefix, w)
-            prefix.pop()
-
-    for v in p.minimal_elements():
-        grow([v], v)
+    stack = [(v,) for v in reversed(p.minimal_elements())]
+    while stack:
+        path = stack.pop()
+        succ = p.successors(path[-1])
+        if succ:
+            stack.extend(path + (w,) for w in reversed(succ))
+        else:
+            out.append(path)
     return tuple(out)
 
 
@@ -419,8 +426,7 @@ def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozen
         succ[a].add(b)
     order = _topological_order(n, [sorted(s) for s in succ], _preds_of(n, succ))
     if order is None:
-        cycle = _find_cycle(n, [sorted(s) for s in succ])
-        raise PosetFormatError(f"relation set is cyclic: {cycle}")
+        raise _cyclic("relation set", n, [sorted(s) for s in succ])
     above = [set() for _ in range(n)]
     for v in reversed(order):
         for w in succ[v]:

@@ -5,19 +5,21 @@ import pytest
 from conftest import vee_poset, wedge_poset
 
 from canonlab.canon import (
+    MAX_LABELINGS,
     AmphibianSpec,
     Certificate,
     IdentityReport,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
+    canon_rows,
     checked_product_identity,
+    column_labelings,
     conjecture_sweep,
     degree_witness_extension,
     dissonant_degree_check,
     dissonant_palindromy_check,
     dissonant_polynomial,
     gamma_interpretation,
-    gamma_interpretation_counts,
     generalized_product_identity,
     removable_edges,
     weak_descent_polynomial,
@@ -127,6 +129,35 @@ class TestCanonPolynomial:
         # explicit override lifts it
         canon_polynomial_bruteforce(chain(2), Labeling.natural(2), 2, cap=20)
 
+    def test_labeling_bound(self):
+        # n! above MAX_LABELINGS is refused whatever the cap, before any
+        # labeling is built
+        assert len(column_labelings(1, 9)) == MAX_LABELINGS
+        with pytest.raises(SizeCapError, match="10!"):
+            column_labelings(1, 10, cap=10**9)
+        with pytest.raises(SizeCapError, match="10!"):
+            canon_polynomial_bruteforce(chain(1), Labeling.natural(1), 10, cap=10**9)
+
+
+class TestColumnLabelings:
+    def test_permutations_in_lexicographic_order(self):
+        assert column_labelings(2, 3) == [Labeling(s) for s in permutations((1, 2, 3))]
+
+    def test_extensions_of_second_poset(self):
+        assert column_labelings(2, 3, pprime=chain(3)) == [Labeling((1, 2, 3))]
+        assert column_labelings(2, 3, pprime=antichain(3)) == column_labelings(2, 3)
+        with pytest.raises(SizeCapError):
+            column_labelings(5, 3, pprime=chain(3))
+
+    def test_rows_match_hstar(self):
+        grid = product_with_chain(chain(2), 3)
+        w = Labeling.reverse_natural(2)
+        sigmas = column_labelings(2, 3)
+        rows = canon_rows(grid, w, sigmas)
+        assert [IntPolynomial(tuple(r)) for r in rows] == [
+            hstar(grid, canon_labeling(w, s)) for s in sigmas
+        ]
+
 
 class TestCheckedProduct:
     def test_holds_on_grid(self):
@@ -203,6 +234,12 @@ class TestDissonant:
             AmphibianSpec(2, 2, frozenset({(3, 1)}))
         with pytest.raises(ValueError):
             AmphibianSpec(2, 2, frozenset({(1, 2)}))
+
+    def test_from_mask_inverts_edge_mask(self):
+        for m, n in ((1, 1), (2, 2), (2, 3), (3, 3)):
+            for mask in range(1 << len(removable_edges(m, n))):
+                assert AmphibianSpec.from_mask(m, n, mask).edge_mask() == mask
+        assert AmphibianSpec.from_mask(2, 3, 0b0110).removed == {(1, 2), (2, 1)}
 
 
 class TestDegreeLaw:
@@ -331,9 +368,6 @@ class TestGammaInterpretation:
         assert [set("".join(map(str, w)) for w in b) for b in gi.words] == [
             {"112122"}, {"111222"}
         ]
-        # representatives as label words of the checked product
-        assert gi.representatives[0] == ((1, 2, 4, 3, 5, 6, 7, 8),)
-        assert gi.representatives[1] == ((1, 2, 3, 4, 5, 6, 7, 8),)
 
     def test_3x3_classes(self):
         gi = gamma_interpretation(3, 3)
@@ -351,7 +385,7 @@ class TestGammaInterpretation:
             assert gi.gamma == gamma_expansion(eulerian(n), n - 1).gamma
 
     def test_counts_helper(self):
-        assert gamma_interpretation_counts(2, 3) == (1, 3, 2)
+        assert gamma_interpretation(2, 3).counts == (1, 3, 2)
 
 
 class TestConjectureSweep:

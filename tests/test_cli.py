@@ -78,13 +78,16 @@ class TestPoly:
         code, out, _ = invoke(capsys, "poly", "hstar", "--m", "9", "--n", "8")
         assert code == 0 and out.startswith("coeffs [1, ")
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANONLAB_CAP", "3")
-        code, _, err = invoke(capsys, "poly", "canon", "--m", "2", "--n", "2")
-        assert code == 2 and "cap" in err
-        monkeypatch.setenv("CANONLAB_CAP", "16")
-        code, out, _ = invoke(capsys, "poly", "canon", "--m", "2", "--n", "2")
-        assert code == 0
+    def test_labeling_bound(self, capsys):
+        # |P|*n = 10 is under the cap, but 10! labelings are above the bound
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "poly", "canon", "--m", "1", "--n", "10")
+        assert (code, out) == (2, "") and "10! column labelings" in err
+        assert time.perf_counter() - start < 1
+
+    def test_canon_product_of_a_long_chain(self, capsys):
+        code, out, _ = invoke(capsys, "poly", "canon-product", "--m", "1100", "--n", "1")
+        assert code == 0 and out.splitlines()[0] == "coeffs [1]"
 
 
 class TestVerify:
@@ -112,6 +115,48 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert all(entry["holds"] for entry in payload)
+
+    def test_one_kernel_call_per_poset_and_row_labeling(self, capsys, monkeypatch):
+        import canonlab.kernel as kernel_mod
+
+        calls = []
+        real = kernel_mod.descent_histograms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "descent_histograms", counted)
+        # cor-3.4 at (2,3): one grid under its 6 labelings
+        assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
+        assert len(calls) == 1
+        # cor-4.1 at (2,2): 4 subposets under two row labelings each
+        calls.clear()
+        assert invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "2")[0] == 0
+        assert len(calls) == 8
+
+    def test_shift_checks_under_the_cap(self, capsys):
+        for name in ("cor-3.4", "cor-4.1"):
+            code, out, err = invoke(capsys, "verify", name, "--m", "2", "--n", "7")
+            assert (code, out) == (2, "") and "cap" in err, name
+        code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "7",
+                              "--force-cap", "14")
+        assert code == 0 and "1/1 checks hold" in out
+
+    def test_shift_law_compares_every_row(self, capsys, monkeypatch):
+        import canonlab.cli as cli_mod
+
+        real = cli_mod.canon_rows
+
+        def perturbed(q, w, sigmas):
+            rows = real(q, w, sigmas)
+            rows[-1] = [rows[-1][0] + 1] + rows[-1][1:]
+            return rows
+
+        monkeypatch.setattr(cli_mod, "canon_rows", perturbed)
+        code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")
+        assert code == 1
+        assert "[FAIL] shift-law m=2 n=3  (failed at sigma=(3, 2, 1))" in out
 
 
 class TestSweep:
@@ -147,11 +192,12 @@ class TestSweep:
         assert len(payload["rows"]) == 4
         assert payload["violations"] == []
 
-    def test_force_cap_reaches_rows(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANONLAB_CAP", "3")
-        code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "2",
-                              "--force-cap", "4")
-        assert code == 0 and "4 subposets swept" in out
+    def test_force_cap_reaches_rows(self, capsys):
+        argv = ("sweep", "gamma", "--m", "13", "--n", "1")
+        code, out, _ = invoke(capsys, *argv, "--force-cap", "13")
+        assert code == 0 and "1 subposets swept" in out
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and "cap 12" in err
 
     def test_violation_exits_nonzero_with_certificate(self, capsys, monkeypatch):
         # no gamma-negative subposet exists at desk scale, so exercise the
@@ -264,6 +310,7 @@ class TestPosetFiles:
         for repair in ((), ("--repair",)):
             code, out, err = invoke(capsys, "extensions", "--poset", str(path), *repair)
             assert (code, out) == (2, "") and "cyclic" in err
+            assert "a cycle of 1500 elements" in err and len(err) < 120
 
     def test_repair(self, tmp_path, capsys):
         path = tmp_path / "redundant.json"

@@ -1,4 +1,3 @@
-from itertools import permutations
 from math import comb
 
 import pytest
@@ -15,7 +14,6 @@ from canonlab.polys import (
     eulerian,
     gamma_expansion,
     hstar,
-    hstar_sum,
     is_palindromic,
     is_unimodal,
     narayana,
@@ -141,14 +139,6 @@ class TestHstar:
                 tuple(counts.get(d, 0) for d in range(max(counts) + 1))
             )
             assert hstar(p, w) == direct
-
-    def test_hstar_sum(self):
-        p = product_with_chain(chain(2), 2)
-        labs = [
-            canon_labeling(Labeling.natural(2), Labeling(sig))
-            for sig in permutations((1, 2))
-        ]
-        assert hstar_sum(p, labs) == hstar(p, labs[0]) + hstar(p, labs[1])
 
 
 class TestOrderPolynomial:

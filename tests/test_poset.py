@@ -42,8 +42,17 @@ class TestConstruction:
         assert count_linear_extensions(p) == 6
 
     def test_rejects_cycle(self):
-        with pytest.raises(PosetFormatError, match="cyclic"):
+        with pytest.raises(PosetFormatError, match=r"cyclic: \[0, 1, 2, 0\]$"):
             Poset(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+
+    def test_long_cycle_message_is_short(self):
+        covers = frozenset((v, (v + 1) % 1500) for v in range(1500))
+        for build in (lambda: Poset(1500, covers), lambda: transitive_reduction(1500, covers)):
+            with pytest.raises(PosetFormatError) as info:
+                build()
+            message = str(info.value)
+            assert "cyclic: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]" in message
+            assert message.endswith("a cycle of 1500 elements") and len(message) < 120
 
     def test_rejects_redundant_cover(self):
         with pytest.raises(PosetFormatError, match="redundant"):
@@ -109,6 +118,15 @@ class TestProducts:
         assert is_graded(p)
         # maximal chains run bottom row, top row, across, then a new top
         assert {len(c) - 1 for c in maximal_chains(p)} == {3}
+
+    def test_maximal_chains_depth_first(self):
+        assert maximal_chains(product_with_chain(chain(2), 2)) == ((0, 1, 3), (0, 2, 3))
+        assert maximal_chains(vee_poset()) == ((0, 1), (0, 2))
+        assert maximal_chains(antichain(2)) == ((0,), (1,))
+        assert maximal_chains(Poset(0, frozenset())) == ()
+
+    def test_maximal_chains_of_a_long_chain(self):
+        assert maximal_chains(chain(1100)) == (tuple(range(1100)),)
 
 
 class TestLabelings:
