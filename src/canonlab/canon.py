@@ -11,7 +11,6 @@ edge-subset sweep fans its subposets out over worker processes.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 from operator import mul
@@ -21,10 +20,10 @@ from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.linext import (
     LinearExtension,
-    _rho_drops,
     descent_count,
     enumerate_linear_extensions,
     is_valid_extension,
+    rho_filtered_extensions,
     word,
 )
 from canonlab.polys import (
@@ -48,7 +47,6 @@ from canonlab.poset import (
     poset_to_json,
     product_with_chain,
     remove_intercopy_covers,
-    rho_parities,
 )
 
 
@@ -136,12 +134,17 @@ MAX_LABELINGS = 362_880  # 9!
 
 
 def column_labelings(
-    size: int, n: int, cap: Optional[int] = None, pprime: Optional[Poset] = None
+    size: int,
+    n: int,
+    cap: Optional[int] = None,
+    pprime: Optional[Poset] = None,
+    subposets: int = 1,
 ) -> list[Labeling]:
     """The column labelings of a sum over P x [n], |P| = ``size``: the
     permutations of 1..n, or the naturally labeled extension words of
     ``pprime`` (n elements).  Refuses first when ``size * n`` passes
-    ``cap`` (default ``PRODUCT_CAP``) or n! passes ``MAX_LABELINGS``."""
+    ``cap`` (default ``PRODUCT_CAP``) or when the labelings of all
+    ``subposets`` sums, ``subposets * n!``, pass ``MAX_LABELINGS``."""
     limit = PRODUCT_CAP if cap is None else cap
     if size * n > limit:
         raise SizeCapError(
@@ -149,10 +152,9 @@ def column_labelings(
             "(raise it with --force-cap)"
         )
     # running products of 1..n: a huge n stops early instead of computing n!
-    if any(count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
-        raise SizeCapError(
-            f"{n}! column labelings exceed the bound {MAX_LABELINGS} on one sum"
-        )
+    if any(subposets * count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
+        what = f"{n}!" if subposets == 1 else f"{subposets} subposets x {n}!"
+        raise SizeCapError(f"{what} column labelings exceed the bound {MAX_LABELINGS}")
     if pprime is None:
         return [Labeling(p) for p in permutations(range(1, n + 1))]
     nat = natural_labeling(pprime)
@@ -342,17 +344,11 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     if expansion is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
     gamma = expansion.gamma
-    pcheck = checked_product(chain(m), n)
-    parities = rho_parities(pcheck)
-    by_count: dict[int, list[LinearExtension]] = {}
-    for ext in enumerate_linear_extensions(pcheck):
-        drops, doubles = _rho_drops(parities, ext.order)
-        if doubles:
-            continue
-        last, prev = ext.order[-1], ext.order[-2]
-        if parities[prev] == parities[last] == 1 and prev > last:
-            continue
-        by_count.setdefault(len(drops), []).append(ext)
+    by_count: dict[int, list[tuple[int, ...]]] = {}
+    for order, drops in rho_filtered_extensions(checked_product(chain(m), n)):
+        by_count.setdefault(drops, []).append(
+            canon_word_of_checked_extension(m, n, LinearExtension(order))
+        )
 
     stated = (m + n - 1) // 2
 
@@ -372,15 +368,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     matches = shift == stated
     base = shift if shift is not None else stated
     counts = tuple(len(by_count.get(base + i, [])) for i in range(len(gamma)))
-    words = tuple(
-        tuple(
-            sorted(
-                canon_word_of_checked_extension(m, n, ext)
-                for ext in by_count.get(base + i, [])
-            )
-        )
-        for i in range(len(gamma))
-    )
+    words = tuple(tuple(sorted(by_count.get(base + i, []))) for i in range(len(gamma)))
     return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, words)
 
 
@@ -455,8 +443,9 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     isomorphism reduction); any gamma-negative subset is reported as a
     counterexample certificate.
     """
-    sigmas = column_labelings(m, n, cap)
-    tasks = [(m, n, mask, sigmas) for mask in range(1 << len(removable_edges(m, n)))]
+    subposets = 1 << m * (n - 1)  # one per subset of removable edges
+    sigmas = column_labelings(m, n, cap, subposets=subposets)
+    tasks = [(m, n, mask, sigmas) for mask in range(subposets)]
     rows = tuple(parallel_map(_sweep_row, tasks, jobs))
     violations = []
     for row in rows:
@@ -482,6 +471,9 @@ def parallel_map(fn, items, jobs: int = 1):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported only here: loading it adds tens of ms to every interpreter start
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (jobs * 4))
         return list(pool.map(fn, items, chunksize=chunk))

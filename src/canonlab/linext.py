@@ -4,6 +4,10 @@ A linear extension is streamed as a sequence of element indices; its
 *word* under a labeling is the sequence of labels, and every descent
 statistic here is defined on words.  Enumeration order is lexicographic
 on element indices, and streams can be stopped early.
+``enumerate_linear_extensions`` streams every extension;
+``rho_filtered_extensions`` runs the same search on a checked product
+but prunes each prefix that ends in a double rho-descent, so it yields
+only the extensions Cor. 5.1 counts.
 """
 
 from __future__ import annotations
@@ -262,6 +266,61 @@ def rho_descent_data(
         raise ValueError("not a linear extension of the given poset")
     drops, doubles = _rho_drops(rho_parities(pcheck), ext.order)
     return frozenset(drops), frozenset(doubles)
+
+
+def rho_filtered_extensions(pcheck: Poset) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The checked-product extensions that Cor. 5.1 counts, each with its
+    number of rho-descents, lexicographically.
+
+    An extension counts when it has no double rho-descent (see
+    ``_rho_drops``) and, when its last two elements both have odd
+    parity, ends on a rise.  The search runs on the stack of
+    ``enumerate_linear_extensions`` but refuses any step that would make
+    a double rho-descent, so no prefix holding one is extended.
+    """
+    _checked_chain_dims(pcheck)
+    n = pcheck.element_count
+    parities = rho_parities(pcheck)
+    keys = [parities[v] * n + v for v in range(n)]
+    below = [0] * n
+    for a, b in pcheck.covers:
+        below[b] |= 1 << a
+    succ = [pcheck.successors(v) for v in range(n)]
+    order: list[int] = []
+    readies: list[int] = []
+    fell: list[bool] = []  # whether the step placing each element dropped
+    drops = 0
+    placed = 0
+    ready = todo = sum(1 << v for v in range(n) if not below[v])
+    while True:
+        if len(order) == n:
+            last, prev = order[-1], order[-2]
+            if not (parities[prev] == parities[last] == 1 and prev > last):
+                yield tuple(order), drops
+        if todo:  # try the least untried ready element
+            v = (todo & -todo).bit_length() - 1
+            todo ^= 1 << v
+            drop = bool(order) and keys[v] < keys[order[-1]]
+            if drop and (len(order) == 1 or fell[-1]):
+                continue  # a double rho-descent: refuse the step
+            order.append(v)
+            readies.append(ready)
+            fell.append(drop)
+            drops += drop
+            placed |= 1 << v
+            ready ^= 1 << v
+            for w in succ[v]:
+                if not below[w] & ~placed:
+                    ready |= 1 << w
+            todo = ready
+        elif order:  # step back, then try the ready elements after v
+            v = order.pop()
+            ready = readies.pop()
+            drops -= fell.pop()
+            placed ^= 1 << v
+            todo = ready >> v + 1 << v + 1
+        else:
+            return
 
 
 def phi(sigma: Labeling) -> Labeling:

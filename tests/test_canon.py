@@ -138,6 +138,18 @@ class TestCanonPolynomial:
         with pytest.raises(SizeCapError, match="10!"):
             canon_polynomial_bruteforce(chain(1), Labeling.natural(1), 10, cap=10**9)
 
+    def test_bound_counts_every_subposet(self):
+        # a sweep sums over 2^(m(n-1)) subposets, each under n! labelings
+        for m, n in ((2, 4), (2, 5), (3, 4), (4, 3)):
+            subposets = 1 << m * (n - 1)
+            assert len(column_labelings(m, n, subposets=subposets)) == len(
+                column_labelings(m, n)
+            )
+        with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
+            column_labelings(2, 6, subposets=1 << 10)
+        with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
+            conjecture_sweep(2, 6)
+
 
 class TestColumnLabelings:
     def test_permutations_in_lexicographic_order(self):
@@ -386,6 +398,23 @@ class TestGammaInterpretation:
 
     def test_counts_helper(self):
         assert gamma_interpretation(2, 3).counts == (1, 3, 2)
+
+    def test_no_full_enumeration(self, monkeypatch):
+        # the pruned search replaces enumerating every extension
+        import canonlab.canon as canon_mod
+        import canonlab.linext as linext_mod
+
+        calls = []
+        real = linext_mod.enumerate_linear_extensions
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linext_mod, "enumerate_linear_extensions", counted)
+        monkeypatch.setattr(canon_mod, "enumerate_linear_extensions", counted)
+        assert gamma_interpretation(2, 4).counts == (1, 11, 24, 0)
+        assert calls == []
 
 
 class TestConjectureSweep:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from canonlab.cli import VERIFY_CHECKS, RunConfig, load_poset, main, run
 from canonlab.poset import Labeling, canon_labeling, chain, poset_to_json, product_with_chain
@@ -192,6 +196,16 @@ class TestSweep:
         assert len(payload["rows"]) == 4
         assert payload["violations"] == []
 
+    def test_subposet_bound(self, capsys):
+        # (2,6) passes the cap, but 1024 subposets x 720 labelings do not
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6")
+        assert (code, out) == (2, "") and "1024 subposets x 6! column labelings" in err
+        assert time.perf_counter() - start < 1
+        code, out, err = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6",
+                                "--force-cap", "20")
+        assert (code, out) == (2, "") and "bound 362880" in err
+
     def test_force_cap_reaches_rows(self, capsys):
         argv = ("sweep", "gamma", "--m", "13", "--n", "1")
         code, out, _ = invoke(capsys, *argv, "--force-cap", "13")
@@ -333,3 +347,13 @@ class TestRunConfig:
 
     def test_unknown_command(self, capsys):
         assert run(RunConfig(command="nope")) == 2
+
+    def test_import_leaves_process_pool_out(self):
+        # only --jobs above 1 needs the process pool, so importing the CLI
+        # must not import it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, canonlab.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "False"

@@ -23,7 +23,9 @@ from canonlab.linext import (
     multiset_word,
     phi,
     phi_on_extension,
+    _rho_drops,
     rho_descent_data,
+    rho_filtered_extensions,
     weak_descent_count,
     word,
 )
@@ -37,6 +39,7 @@ from canonlab.poset import (
     checked_product,
     natural_labeling,
     product_with_chain,
+    rho_parities,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -226,6 +229,24 @@ class TestRhoDescents:
         grid = product_with_chain(chain(2), 2)
         with pytest.raises(ValueError, match="checked"):
             rho_descent_data(grid, LinearExtension((0, 1, 2, 3)))
+        with pytest.raises(ValueError, match="checked"):
+            next(rho_filtered_extensions(grid))
+
+    def test_pruned_search_matches_filtered_enumeration(self):
+        # oracle: every extension, filtered afterwards by the double
+        # rho-descent rule and the final-pair rule, in enumeration order
+        for m in range(1, 16):
+            for n in range(1, 16 // (m + 1) + 1):
+                p = checked_product(chain(m), n)
+                parities = rho_parities(p)
+                expected = []
+                for ext in enumerate_linear_extensions(p):
+                    drops, doubles = _rho_drops(parities, ext.order)
+                    last, prev = ext.order[-1], ext.order[-2]
+                    if doubles or (parities[prev] == parities[last] == 1 and prev > last):
+                        continue
+                    expected.append((ext.order, len(drops)))
+                assert list(rho_filtered_extensions(p)) == expected, (m, n)
 
 
 class TestPhi:
