@@ -11,7 +11,6 @@ from canonlab.poset import (
     chain_descent_profile,
     checked_labeling,
     checked_product,
-    descent_shift_vector,
     is_graded,
     natural_labeling,
     product_with_chain,

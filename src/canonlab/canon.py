@@ -11,10 +11,9 @@ edge-subset sweep fans its subposets out over worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
@@ -36,6 +35,7 @@ from canonlab.polys import (
     poly_to_payload,
 )
 from canonlab.poset import (
+    Frozen,
     Labeling,
     Poset,
     canon_labeling,
@@ -50,20 +50,23 @@ from canonlab.poset import (
 )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one polynomial identity, self-diagnosing on failure."""
+class IdentityReport(NamedTuple):
+    """Outcome of one check, self-diagnosing on failure.
+
+    A polynomial identity carries its two sides in ``lhs`` and ``rhs``; a
+    check whose outcome is only yes or no leaves both ``None``.
+    """
 
     name: str
-    lhs: IntPolynomial
-    rhs: IntPolynomial
     holds: bool
+    lhs: Optional[IntPolynomial] = None
+    rhs: Optional[IntPolynomial] = None
     witness: Optional[str] = None
 
     @classmethod
     def compare(cls, name: str, lhs: IntPolynomial, rhs: IntPolynomial) -> "IdentityReport":
         if lhs == rhs:
-            return cls(name, lhs, rhs, True)
+            return cls(name, True, lhs, rhs)
         top = max(lhs.degree, rhs.degree)
         mismatch = next(
             k for k in range(top + 1) if lhs.coefficient(k) != rhs.coefficient(k)
@@ -72,29 +75,44 @@ class IdentityReport:
             f"coefficient of x^{mismatch}: {lhs.coefficient(mismatch)} != "
             f"{rhs.coefficient(mismatch)}"
         )
-        return cls(name, lhs, rhs, False, witness)
+        return cls(name, False, lhs, rhs, witness)
 
 
-@dataclass(frozen=True)
-class AmphibianSpec:
+class AmphibianSpec(Frozen):
     """A chain product with a chosen set of inter-copy covers removed.
 
     ``removed`` holds 1-based pairs ``(row, j)`` naming the covers
     ``(row, j) < (row, j+1)``; intra-copy covers always stay.
     """
 
-    m: int
-    n: int
-    removed: frozenset[tuple[int, int]]
+    __slots__ = ("m", "n", "removed")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, removed: Iterable[tuple[int, int]]):
+        if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
-        if not isinstance(self.removed, frozenset):
-            object.__setattr__(self, "removed", frozenset(tuple(e) for e in self.removed))
-        for row, j in self.removed:
-            if not (1 <= row <= self.m and 1 <= j <= self.n - 1):
+        if not isinstance(removed, frozenset):
+            removed = frozenset(tuple(e) for e in removed)
+        for row, j in removed:
+            if not (1 <= row <= m and 1 <= j <= n - 1):
                 raise ValueError(f"removable edge (row={row}, j={j}) out of range")
+        init = object.__setattr__
+        init(self, "m", m)
+        init(self, "n", n)
+        init(self, "removed", removed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.removed) == (other.m, other.n, other.removed)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.removed))
+
+    def __repr__(self):
+        return f"AmphibianSpec(m={self.m!r}, n={self.n!r}, removed={self.removed!r})"
+
+    def __reduce__(self):
+        return AmphibianSpec, (self.m, self.n, self.removed)
 
     def poset(self) -> Poset:
         grid = product_with_chain(chain(self.m), self.n)
@@ -257,7 +275,7 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] 
         f"degree {poly.degree} vs m(n-1)+k = {expected}; row-block witness "
         f"{'valid' if valid else 'INVALID'} with {wdes} descents under the reversed columns"
     )
-    return IdentityReport(report.name, report.lhs, report.rhs, report.holds and valid, witness)
+    return report._replace(holds=report.holds and valid, witness=witness)
 
 
 def dissonant_palindromy_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
@@ -270,9 +288,9 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Labeling, cap: Optional[i
     witness = None if holds else f"not symmetric over [0, {top}]"
     return IdentityReport(
         f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.edge_mask()} mode={spec.mode()}",
+        holds,
         poly,
         rhs,
-        holds,
         witness,
     )
 
@@ -312,8 +330,7 @@ def canon_word_of_checked_extension(m: int, n: int, ext: LinearExtension) -> tup
     return tuple(sigma[v // m] for v in order[:mn])
 
 
-@dataclass(frozen=True)
-class GammaInterpretation:
+class GammaInterpretation(NamedTuple):
     """Gamma coordinates of the canon polynomial next to the counts of
     filtered checked-product extensions.
 
@@ -372,8 +389,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, words)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     mask: int
     removed: tuple[tuple[int, int], ...]
     polynomial: IntPolynomial
@@ -385,8 +401,7 @@ class SweepRow:
     mode: str
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained counterexample: the subposet, its polynomial and the
     coordinate that went negative."""
 
@@ -409,8 +424,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     m: int
     n: int
     rows: tuple[SweepRow, ...]

@@ -12,9 +12,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from canonlab import poset
 from canonlab.canon import (
@@ -66,8 +65,7 @@ from canonlab.poset import (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     subcommand: Optional[str] = None
     m: Optional[int] = None
@@ -83,7 +81,7 @@ class RunConfig:
     output_format: str = "plain"
     parallelism: int = 1
     cap_override: Optional[int] = None
-    statements: tuple[str, ...] = field(default_factory=tuple)
+    statements: tuple[str, ...] = ()
 
 
 def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
@@ -205,11 +203,6 @@ def _grid(cfg: RunConfig, default_pairs: Sequence[tuple[int, int]]) -> list[tupl
     return [(m, n) for m, n in default_pairs if m * n <= cfg.max_size]
 
 
-def _report_bool(name: str, ok: bool, detail: str = "") -> IdentityReport:
-    marker = IntPolynomial.one() if ok else IntPolynomial.zero()
-    return IdentityReport(name, marker, IntPolynomial.one(), ok, detail or None)
-
-
 def _check_product_formula(cfg: RunConfig) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
@@ -254,18 +247,17 @@ def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
     top = cfg.n or 6
     for n in range(1, top + 1):
         grid = product_with_chain(chain(2), n)
-        ok = True
-        detail = ""
+        detail = None
         for ext in enumerate_linear_extensions(grid):
             path = dyck_from_linext(grid, ext)
             if linext_from_dyck(path) != ext:
-                ok, detail = False, f"round trip failed at {ext.order}"
+                detail = f"round trip failed at {ext.order}"
                 break
             labels = word(ext, natural_labeling(grid))
             if descent_set(labels) != high_peak_positions(path):
-                ok, detail = False, f"descents != high peaks at {ext.order}"
+                detail = f"descents != high peaks at {ext.order}"
                 break
-        out.append(_report_bool(f"dyck-bijection n={n}", ok, detail))
+        out.append(IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail))
     return out
 
 
@@ -287,8 +279,8 @@ def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
         base = IntPolynomial(rows[0])  # sigma = the identity
         bad = [s.values for s, row in zip(sigmas, rows)
                if IntPolynomial(row) != base.shift(descent_count(s.values))]
-        detail = f"failed at sigma={bad[0]}" if bad else ""
-        out.append(_report_bool(f"shift-law m={m} n={n}", not bad, detail))
+        detail = f"failed at sigma={bad[0]}" if bad else None
+        out.append(IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail))
     return out
 
 
@@ -329,7 +321,7 @@ def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
         sigmas = column_labelings(m, n, cfg.cap_override)
         w = Labeling.reverse_natural(m)
         k = m - 1
-        detail = ""
+        detail = None
         for spec in _amphibian_specs(m, n):
             q = spec.poset()
             lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, Labeling.natural(m), sigmas)
@@ -338,7 +330,7 @@ def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
             if bad:
                 detail = f"mask={spec.edge_mask()} sigma={bad[0]}"
                 break
-        out.append(_report_bool(f"row-shift m={m} n={n}", not detail, detail))
+        out.append(IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail))
     return out
 
 
@@ -367,7 +359,7 @@ def _check_gamma_interpretation(cfg: RunConfig) -> list[IdentityReport]:
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3), (3, 3)]):
         gi = gamma_interpretation(m, n, cap=cfg.cap_override)
         detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
-        out.append(_report_bool(f"gamma-interpretation m={m} n={n}", gi.matches, detail))
+        out.append(IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail))
     return out
 
 
@@ -395,10 +387,10 @@ def _check_fixed_row_palindromy(cfg: RunConfig) -> list[IdentityReport]:
             pu = dissonant_polynomial(spec, Labeling.reverse_natural(m), cap=cfg.cap_override)
             ok_u = is_palindromic(pu, 0, m * (n + 1) - 2)
             out.append(
-                _report_bool(
+                IdentityReport(
                     f"fixed-row-palindromy m={m} n={n} mask={spec.edge_mask()} mode={spec.mode()}",
                     ok_id and ok_u,
-                    "" if ok_id and ok_u else "window symmetry failed",
+                    witness=None if ok_id and ok_u else "window symmetry failed",
                 )
             )
     return out
@@ -423,17 +415,19 @@ VERIFY_CHECKS: dict[str, Checker] = {
 }
 
 
+def _sides(r: IdentityReport) -> dict:
+    """Both sides of a report as JSON.  A yes/no check reads as 1 = 1 when
+    it holds and 0 = 1 when it fails."""
+    if r.lhs is None:
+        return {"lhs": {"coeffs": ["1"] if r.holds else []}, "rhs": {"coeffs": ["1"]}}
+    return {"lhs": poly_to_payload(r.lhs), "rhs": poly_to_payload(r.rhs)}
+
+
 def _emit_reports(reports: list[IdentityReport], cfg: RunConfig) -> int:
     failed = [r for r in reports if not r.holds]
     if cfg.output_format == "json":
         payload = [
-            {
-                "name": r.name,
-                "holds": r.holds,
-                "lhs": poly_to_payload(r.lhs),
-                "rhs": poly_to_payload(r.rhs),
-                "witness": r.witness,
-            }
+            {"name": r.name, "holds": r.holds, **_sides(r), "witness": r.witness}
             for r in reports
         ]
         print(json.dumps(payload))
@@ -452,16 +446,7 @@ def _emit_reports(reports: list[IdentityReport], cfg: RunConfig) -> int:
         print(f"{len(reports) - len(failed)}/{len(reports)} checks hold")
     if failed and cfg.output_format == "plain":
         for r in failed:
-            print(
-                json.dumps(
-                    {
-                        "name": r.name,
-                        "lhs": poly_to_payload(r.lhs),
-                        "rhs": poly_to_payload(r.rhs),
-                        "witness": r.witness,
-                    }
-                )
-            )
+            print(json.dumps({"name": r.name, **_sides(r), "witness": r.witness}))
     return 1 if failed else 0
 
 

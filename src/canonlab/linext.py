@@ -13,11 +13,11 @@ only the extensions Cor. 5.1 counts.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from canonlab import kernel
 from canonlab.poset import (
+    Frozen,
     Labeling,
     Poset,
     chain,
@@ -27,25 +27,40 @@ from canonlab.poset import (
 )
 
 
-@dataclass(frozen=True)
-class LinearExtension:
+class LinearExtension(Frozen):
     """An order-preserving arrangement of all elements of a poset."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
+
+    def __init__(self, order: tuple[int, ...]):
+        object.__setattr__(self, "order", order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self):
+        return hash((self.order,))
+
+    def __repr__(self):
+        return f"LinearExtension(order={self.order!r})"
+
+    def __reduce__(self):
+        return LinearExtension, (self.order,)
 
     def __len__(self) -> int:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Frozen):
     """A lattice path of e/n steps staying weakly below the diagonal."""
 
-    steps: str
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: str):
         x = y = 0
-        for s in self.steps:
+        for s in steps:
             if s == "e":
                 x += 1
             elif s == "n":
@@ -53,9 +68,24 @@ class DyckPath:
             else:
                 raise ValueError(f"invalid step {s!r}")
             if y > x:
-                raise ValueError(f"path {self.steps!r} rises above the diagonal")
+                raise ValueError(f"path {steps!r} rises above the diagonal")
         if x != y:
-            raise ValueError(f"path {self.steps!r} has unbalanced steps")
+            raise ValueError(f"path {steps!r} has unbalanced steps")
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self):
+        return f"DyckPath(steps={self.steps!r})"
+
+    def __reduce__(self):
+        return DyckPath, (self.steps,)
 
 
 def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:

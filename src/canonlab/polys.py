@@ -7,27 +7,39 @@ index = exponent and no trailing zeros; the empty tuple is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
 from canonlab.linext import descent_count, dyck_paths, high_peak_count
-from canonlab.poset import Labeling, Poset, natural_labeling
+from canonlab.poset import Frozen, Labeling, Poset, natural_labeling
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    coefficients: tuple[int, ...]
+class IntPolynomial(Frozen):
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: Iterable[int]):
+        coeffs = tuple(int(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return f"IntPolynomial(coefficients={self.coefficients!r})"
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coefficients,)
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -126,8 +138,7 @@ def is_palindromic(p: IntPolynomial, low: int, high: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(NamedTuple):
     """Coordinates of a palindromic polynomial in the basis
     x^i (1+x)^(d-2i), 0 <= i <= floor(d/2)."""
 

@@ -14,36 +14,44 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from canonlab.errors import PosetFormatError
 
 
-@dataclass(frozen=True)
-class Poset:
+class Frozen:
+    """Base of the value classes: each sets its fields once, in
+    ``__init__``, and assigning or deleting one afterwards raises
+    ``AttributeError``.  A subclass lists its fields in ``__slots__`` and
+    defines its own equality, hash, repr and ``__reduce__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Poset(Frozen):
     """A finite poset stored as its Hasse diagram.
 
     Construction validates that the cover digraph is acyclic and that no
-    cover is implied by transitivity of the others.
+    cover is implied by transitivity of the others.  Equality, hash and
+    repr use ``element_count`` and ``covers`` only; the rest is derived
+    adjacency.
     """
 
-    element_count: int
-    covers: frozenset[tuple[int, int]]
+    __slots__ = ("element_count", "covers", "_succ", "_pred", "_above", "_topo")
 
-    # derived adjacency, excluded from equality/hash/repr
-    _succ: tuple = field(init=False, repr=False, compare=False, default=())
-    _pred: tuple = field(init=False, repr=False, compare=False, default=())
-    _above: tuple = field(init=False, repr=False, compare=False, default=())
-    _topo: tuple = field(init=False, repr=False, compare=False, default=())
-
-    def __post_init__(self):
-        n = self.element_count
+    def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
+        n = element_count
         if n < 0:
             raise PosetFormatError("element_count must be non-negative")
-        if not isinstance(self.covers, frozenset):
-            object.__setattr__(self, "covers", frozenset(tuple(c) for c in self.covers))
-        for a, b in self.covers:
+        if not isinstance(covers, frozenset):
+            covers = frozenset(tuple(c) for c in covers)
+        for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise PosetFormatError(f"cover ({a}, {b}) out of range for {n} elements")
             if a == b:
@@ -51,7 +59,7 @@ class Poset:
 
         succ = [[] for _ in range(n)]
         pred = [[] for _ in range(n)]
-        for a, b in self.covers:
+        for a, b in covers:
             succ[a].append(b)
             pred[b].append(a)
         for lst in succ:
@@ -69,16 +77,33 @@ class Poset:
                 above[v].add(w)
                 above[v] |= above[w]
 
-        for a, b in self.covers:
+        for a, b in covers:
             if any(b in above[c] for c in succ[a] if c != b):
                 raise PosetFormatError(
                     f"cover ({a}, {b}) is redundant (implied by transitivity)"
                 )
 
-        object.__setattr__(self, "_succ", tuple(tuple(s) for s in succ))
-        object.__setattr__(self, "_pred", tuple(tuple(p) for p in pred))
-        object.__setattr__(self, "_above", tuple(frozenset(s) for s in above))
-        object.__setattr__(self, "_topo", tuple(topo))
+        init = object.__setattr__
+        init(self, "element_count", n)
+        init(self, "covers", covers)
+        init(self, "_succ", tuple(tuple(s) for s in succ))
+        init(self, "_pred", tuple(tuple(p) for p in pred))
+        init(self, "_above", tuple(frozenset(s) for s in above))
+        init(self, "_topo", tuple(topo))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.element_count == other.element_count and self.covers == other.covers
+
+    def __hash__(self):
+        return hash((self.element_count, self.covers))
+
+    def __repr__(self):
+        return f"Poset(element_count={self.element_count!r}, covers={self.covers!r})"
+
+    def __reduce__(self):
+        return Poset, (self.element_count, self.covers)
 
     def successors(self, v: int) -> tuple[int, ...]:
         """Elements covering v."""
@@ -160,18 +185,31 @@ def _cyclic(what: str, n, succ) -> PosetFormatError:
     return PosetFormatError(f"{what} is cyclic: {text}")
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Frozen):
     """A bijection from elements onto 1..N, stored as a value vector."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
-            raise PosetFormatError(f"labeling {self.values} is not a bijection onto 1..{n}")
+    def __init__(self, values: Iterable[int]):
+        values = tuple(values)
+        n = len(values)
+        if sorted(values) != list(range(1, n + 1)):
+            raise PosetFormatError(f"labeling {values} is not a bijection onto 1..{n}")
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
+
+    def __repr__(self):
+        return f"Labeling(values={self.values!r})"
+
+    def __reduce__(self):
+        return Labeling, (self.values,)
 
     def __getitem__(self, element: int) -> int:
         return self.values[element]
@@ -192,8 +230,7 @@ class Labeling:
         return cls(tuple(range(n, 0, -1)))
 
 
-@dataclass(frozen=True)
-class ChainDescentProfile:
+class ChainDescentProfile(NamedTuple):
     """Descent counts of every maximal chain under a fixed labeling.
 
     ``constant_k`` is set exactly when all chains agree, and then holds
@@ -202,14 +239,6 @@ class ChainDescentProfile:
 
     per_chain: tuple[tuple[tuple[int, ...], int], ...]
     constant_k: Optional[int]
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Per-element shift ``t`` relating two labelings, with common top value k."""
-
-    t: tuple[int, ...]
-    k: int
 
 
 def chain(m: int) -> Poset:
@@ -369,44 +398,6 @@ def chain_descent_profile(p: Poset, w: Labeling) -> ChainDescentProfile:
     counts = {d for _, d in rows}
     constant = counts.pop() if len(counts) == 1 else None
     return ChainDescentProfile(tuple(rows), constant)
-
-
-def descent_shift_vector(p: Poset, w: Labeling, w2: Labeling) -> Optional[ShiftVector]:
-    """The shift vector relating two labelings, when one exists.
-
-    Propagates ``t = 0`` from the minimal elements across covers (each
-    cover forces the difference ``t_i - t_j`` from how the two labelings
-    order its endpoints), checks consistency on every cover and every
-    maximal chain, and requires a common value k on all maximal elements.
-    Absence is a value, not an error.
-    """
-    n = p.element_count
-    t: list[Optional[int]] = [None] * n
-    for v in p.minimal_elements():
-        t[v] = 0
-    for v in p.topological_order():
-        for i in p.successors(v):
-            delta = int(w[v] > w[i]) - int(w2[v] > w2[i])
-            want = t[v] + delta
-            if t[i] is None:
-                t[i] = want
-            elif t[i] != want:
-                return None
-    tops = {t[v] for v in p.maximal_elements()}
-    if len(tops) != 1:
-        return None
-    k = tops.pop()
-    # full sweep: along every maximal chain, t must equal the running
-    # descent-count difference
-    for c in maximal_chains(p):
-        diff = 0
-        if t[c[0]] != 0:
-            return None
-        for a, b in zip(c, c[1:]):
-            diff += int(w[a] > w[b]) - int(w2[a] > w2[b])
-            if t[b] != diff:
-                return None
-    return ShiftVector(tuple(t), k)  # type: ignore[arg-type]
 
 
 def natural_labeling(p: Poset) -> Labeling:

@@ -357,3 +357,13 @@ class TestRunConfig:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "False"
+
+    def test_start_up_generates_no_code(self):
+        # records are plain classes: building the CLI must not load
+        # dataclasses or the inspect module it pulls in
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, canonlab, canonlab.cli; canonlab.cli.build_parser(); "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "[]"

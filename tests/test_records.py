@@ -1,0 +1,178 @@
+"""The contract of the record types: value equality and hash, normalized
+fields, validation, read-only fields and pickling.
+
+Records are plain classes (``NamedTuple`` or ``__slots__``), so this file
+states what each one promises instead of leaning on a code generator.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from canonlab.canon import (
+    AmphibianSpec,
+    Certificate,
+    GammaInterpretation,
+    IdentityReport,
+    SweepReport,
+    conjecture_sweep,
+)
+from canonlab.cli import RunConfig
+from canonlab.errors import PosetFormatError
+from canonlab.linext import DyckPath, LinearExtension
+from canonlab.polys import GammaExpansion, IntPolynomial
+from canonlab.poset import ChainDescentProfile, Labeling, Poset
+
+
+def _sweep_row(mask: int):
+    return conjecture_sweep(2, 3).rows[mask]
+
+
+# (make, a different value of the same type, a field name)
+RECORDS = {
+    "Poset": (lambda: Poset(3, [(0, 1), (0, 2)]), Poset(3, [(0, 1)]), "covers"),
+    "Labeling": (lambda: Labeling([2, 1, 3]), Labeling((1, 2, 3)), "values"),
+    "IntPolynomial": (lambda: IntPolynomial((1, 2)), IntPolynomial((1, 3)), "coefficients"),
+    "AmphibianSpec": (lambda: AmphibianSpec(2, 3, [(1, 1)]), AmphibianSpec(2, 3, ()), "removed"),
+    "DyckPath": (lambda: DyckPath("eenn"), DyckPath("enen"), "steps"),
+    "LinearExtension": (lambda: LinearExtension((0, 1, 2)), LinearExtension((1, 0, 2)), "order"),
+    "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
+    "GammaExpansion": (lambda: GammaExpansion(2, (1, 0)), GammaExpansion(2, (1, 1)), "gamma"),
+    "ChainDescentProfile": (
+        lambda: ChainDescentProfile((((0, 1), 0),), 0),
+        ChainDescentProfile((((0, 1), 1),), 1),
+        "constant_k",
+    ),
+    "GammaInterpretation": (
+        lambda: GammaInterpretation(2, 2, (1, 1), (1, 1), 1, 1, True, (((1, 2),), ((2, 1),))),
+        GammaInterpretation(2, 2, (1, 1), (1, 0), 1, None, False, ((), ())),
+        "matches",
+    ),
+    "SweepRow": (lambda: _sweep_row(1), _sweep_row(2), "mask"),
+    "Certificate": (
+        lambda: Certificate(AmphibianSpec(2, 2, ()), IntPolynomial((1, 1)), (1,), "v"),
+        Certificate(AmphibianSpec(2, 2, ()), IntPolynomial((1, 1)), (1,), "w"),
+        "violation",
+    ),
+    "SweepReport": (lambda: SweepReport(2, 2, (), ()), SweepReport(2, 3, (), ()), "n"),
+    "RunConfig": (lambda: RunConfig("verify", statements=("all",)), RunConfig("verify"),
+                  "statements"),
+}
+
+SLOTTED = ("Poset", "Labeling", "IntPolynomial", "AmphibianSpec", "DyckPath",
+           "LinearExtension")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equality_and_hash_by_value(name):
+    make, other, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and type(other) is type(a)
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_fields_are_read_only(name):
+    make, other, field = RECORDS[name]
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert record == make()
+
+
+@pytest.mark.parametrize("name", SLOTTED)
+def test_slotted_records_take_no_new_attributes(name):
+    record = RECORDS[name][0]()
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_poset_equality_ignores_derived_adjacency():
+    a = Poset(3, [(0, 1), (0, 2)])
+    b = Poset(3, frozenset({(0, 2), (0, 1)}))
+    assert a == b and hash(a) == hash(b)
+    assert a != Poset(4, a.covers)
+    assert a != (3, a.covers)
+    assert repr(a) == f"Poset(element_count=3, covers={a.covers!r})"
+
+
+def test_reprs():
+    assert repr(Labeling((2, 1))) == "Labeling(values=(2, 1))"
+    assert repr(IntPolynomial((1, 0, 2))) == "IntPolynomial(coefficients=(1, 0, 2))"
+    assert repr(AmphibianSpec(2, 2, ())) == "AmphibianSpec(m=2, n=2, removed=frozenset())"
+    assert repr(DyckPath("en")) == "DyckPath(steps='en')"
+    assert repr(LinearExtension((1, 0))) == "LinearExtension(order=(1, 0))"
+
+
+class TestNormalization:
+    def test_polynomial_drops_trailing_zeros(self):
+        p = IntPolynomial([1, 2, 0, 0])
+        assert p.coefficients == (1, 2)
+        assert p == IntPolynomial((1, 2))
+        assert IntPolynomial((0, 0)).coefficients == () and not IntPolynomial((0,))
+
+    def test_poset_covers_become_a_frozenset(self):
+        p = Poset(3, [[0, 1], [0, 2]])
+        assert p.covers == frozenset({(0, 1), (0, 2)})
+        assert isinstance(p.covers, frozenset)
+
+    def test_spec_removed_becomes_a_frozenset(self):
+        spec = AmphibianSpec(2, 3, [[1, 1], [2, 2]])
+        assert spec.removed == frozenset({(1, 1), (2, 2)})
+        assert isinstance(spec.removed, frozenset)
+
+    def test_labeling_values_become_a_tuple(self):
+        lab = Labeling([3, 1, 2])
+        assert lab.values == (3, 1, 2)
+        assert isinstance(lab.values, tuple)
+        assert Labeling(v for v in (1, 2)) == Labeling.natural(2)
+
+    def test_report_sides_are_optional(self):
+        report = IdentityReport("check", False, witness="why")
+        assert report.lhs is None and report.rhs is None
+        p = IntPolynomial((1,))
+        assert IdentityReport.compare("same", p, p) == IdentityReport("same", True, p, p)
+
+    def test_run_config_defaults(self):
+        cfg = RunConfig("poly")
+        assert cfg.statements == () and cfg.output_format == "plain" and cfg.max_size == 9
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Poset(-1, ()), PosetFormatError, "non-negative"),
+    (lambda: Poset(2, [(0, 2)]), PosetFormatError, "out of range"),
+    (lambda: Poset(2, [(1, 1)]), PosetFormatError, "self-loop"),
+    (lambda: Poset(2, [(0, 1), (1, 0)]), PosetFormatError, "cyclic"),
+    (lambda: Poset(3, [(0, 1), (1, 2), (0, 2)]), PosetFormatError, "redundant"),
+    (lambda: Labeling((1, 3)), PosetFormatError, r"labeling \(1, 3\) is not a bijection"),
+    (lambda: Labeling([1, 1]), PosetFormatError, r"labeling \(1, 1\) is not a bijection"),
+    (lambda: AmphibianSpec(0, 2, ()), ValueError, "must be >= 1"),
+    (lambda: AmphibianSpec(2, 2, [(1, 2)]), ValueError, r"\(row=1, j=2\) out of range"),
+    (lambda: DyckPath("ex"), ValueError, "invalid step"),
+    (lambda: DyckPath("ne"), ValueError, "rises above"),
+    (lambda: DyckPath("ee"), ValueError, "unbalanced"),
+    (lambda: IdentityReport("x"), TypeError, "holds"),
+])
+def test_validation_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize("name", ["Labeling", "IntPolynomial", "AmphibianSpec", "SweepRow",
+                                  "Poset", "DyckPath", "LinearExtension"])
+def test_pickle_and_copy_round_trip(name):
+    record = RECORDS[name][0]()
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert clone == record and type(clone) is type(record)
+
+
+def test_unpickled_poset_keeps_its_adjacency():
+    p = pickle.loads(pickle.dumps(Poset(3, [(0, 1), (1, 2)])))
+    assert p.less(0, 2) and p.successors(1) == (2,) and p.topological_order() == (0, 1, 2)
