@@ -15,23 +15,17 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
     remove_intercopy_covers,
-    rho,
 )
 from canonlab.linext import (
     DyckPath,
-    LinearExtension,
     count_linear_extensions,
     descent_count,
     descent_set,
     dyck_from_linext,
     enumerate_linear_extensions,
-    high_peak_count,
     is_canon_permutation,
     linext_from_dyck,
     multiset_word,
-    phi,
-    phi_on_extension,
-    rho_descent_data,
     weak_descent_count,
     word,
 )

@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.linext import (
-    LinearExtension,
     descent_count,
     enumerate_linear_extensions,
     is_valid_extension,
@@ -27,6 +26,7 @@ from canonlab.linext import (
 )
 from canonlab.polys import (
     IntPolynomial,
+    check_named_n,
     eulerian,
     gamma_expansion,
     hstar,
@@ -204,6 +204,7 @@ def canon_polynomial_product(p: Poset, w: Labeling, n: int) -> IntPolynomial:
     Requires every maximal chain of (p, w) to carry the same number k of
     descents.
     """
+    check_named_n(n)
     profile = chain_descent_profile(p, w)
     if profile.constant_k is None:
         raise CanonlabError(
@@ -248,12 +249,11 @@ def dissonant_polynomial(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = 
     return _row_sum(canon_rows(spec.poset(), w, sigmas))
 
 
-def degree_witness_extension(spec: AmphibianSpec) -> LinearExtension:
+def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
     """The row-block extension: each row's copies in copy order, rows in
     chain order.  Valid in every amphibian subposet."""
     m, n = spec.m, spec.n
-    order = tuple(row + j * m for row in range(m) for j in range(n))
-    return LinearExtension(order)
+    return tuple(row + j * m for row in range(m) for j in range(n))
 
 
 def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
@@ -264,7 +264,7 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] 
     witness_ext = degree_witness_extension(spec)
     rev = Labeling.reverse_natural(spec.n)
     q = spec.poset()
-    valid = is_valid_extension(q, witness_ext.order)
+    valid = is_valid_extension(q, witness_ext)
     wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
     report = IdentityReport.compare(
         f"dissonant-degree m={spec.m} n={spec.n} mask={spec.edge_mask()} mode={spec.mode()}",
@@ -320,12 +320,11 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     return direct
 
 
-def canon_word_of_checked_extension(m: int, n: int, ext: LinearExtension) -> tuple[int, ...]:
+def canon_word_of_checked_extension(m: int, n: int, order: Sequence[int]) -> tuple[int, ...]:
     """Translate an extension of the checked product into a canon
     permutation: the top elements, read in order, give the column
     permutation, and each product element contributes that column value."""
     mn = m * n
-    order = ext.order
     sigma = tuple(v - mn + 1 for v in order[mn:])
     return tuple(sigma[v // m] for v in order[:mn])
 
@@ -363,9 +362,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     gamma = expansion.gamma
     by_count: dict[int, list[tuple[int, ...]]] = {}
     for order, drops in rho_filtered_extensions(checked_product(chain(m), n)):
-        by_count.setdefault(drops, []).append(
-            canon_word_of_checked_extension(m, n, LinearExtension(order))
-        )
+        by_count.setdefault(drops, []).append(canon_word_of_checked_extension(m, n, order))
 
     stated = (m + n - 1) // 2
 

@@ -46,6 +46,7 @@ from canonlab.linext import (
 )
 from canonlab.polys import (
     IntPolynomial,
+    check_named_n,
     eulerian,
     hstar,
     is_palindromic,
@@ -64,6 +65,10 @@ from canonlab.poset import (
     product_with_chain,
 )
 
+# The most element indices one listing prints, or one walk of the
+# thm-2.3 check visits: its extensions times |P|.
+MAX_LISTED = 10_000_000
+
 
 class RunConfig(NamedTuple):
     command: str
@@ -72,7 +77,7 @@ class RunConfig(NamedTuple):
     n: Optional[int] = None
     w: str = "natural"
     poset_file: Optional[str] = None
-    removed_edges: tuple[tuple[int, int], ...] = ()
+    remove: str = ""
     checked: bool = False
     repair: bool = False
     count_only: bool = False
@@ -148,7 +153,7 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
         return canon_polynomial_product(chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)
     if kind == "dissonant":
         _need(cfg, "m", "n")
-        spec = AmphibianSpec(cfg.m, cfg.n, frozenset(cfg.removed_edges))
+        spec = AmphibianSpec(cfg.m, cfg.n, _parse_removed(cfg.remove))
         return dissonant_polynomial(spec, _row_labeling(cfg.w, cfg.m), cap=cfg.cap_override)
     if kind == "weak-descent":
         _need(cfg, "m", "n")
@@ -169,8 +174,9 @@ def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[Labeling]]:
     else:
         p = product_with_chain(chain(cfg.m), cfg.n)
         lab = canon_labeling(_row_labeling(cfg.w, cfg.m), Labeling.natural(cfg.n))
-    if cfg.removed_edges:
-        p = poset.remove_intercopy_covers(p, cfg.m, cfg.removed_edges)
+    removed = _parse_removed(cfg.remove)
+    if removed:
+        p = poset.remove_intercopy_covers(p, cfg.m, removed)
     return p, lab
 
 
@@ -243,19 +249,30 @@ def _check_poset_zoo(cfg: RunConfig) -> list[IdentityReport]:
 
 
 def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
-    out = []
     top = cfg.n or 6
+    grids = []
+    # counted first, through the kernel: the walk grows with n, so this
+    # stops at the first n it would refuse, before any grid is walked
     for n in range(1, top + 1):
         grid = product_with_chain(chain(2), n)
+        listed = count_linear_extensions(grid) * 2 * n
+        if listed > MAX_LISTED:
+            raise SizeCapError(
+                f"the walk at n={n} visits {listed} element indices, "
+                f"more than {MAX_LISTED}; pass a smaller --n"
+            )
+        grids.append(grid)
+    out = []
+    for n, grid in enumerate(grids, start=1):
+        labeling = natural_labeling(grid)
         detail = None
-        for ext in enumerate_linear_extensions(grid):
-            path = dyck_from_linext(grid, ext)
-            if linext_from_dyck(path) != ext:
-                detail = f"round trip failed at {ext.order}"
+        for order in enumerate_linear_extensions(grid):
+            path = dyck_from_linext(grid, order)
+            if linext_from_dyck(path) != order:
+                detail = f"round trip failed at {order}"
                 break
-            labels = word(ext, natural_labeling(grid))
-            if descent_set(labels) != high_peak_positions(path):
-                detail = f"descents != high peaks at {ext.order}"
+            if descent_set(word(order, labeling)) != high_peak_positions(path):
+                detail = f"descents != high peaks at {order}"
                 break
         out.append(IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail))
     return out
@@ -264,6 +281,7 @@ def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
 def _check_narayana_model(cfg: RunConfig) -> list[IdentityReport]:
     out = []
     top = cfg.n or 7
+    check_named_n(top)
     for n in range(1, top + 1):
         lhs = hstar(product_with_chain(chain(2), n))
         rhs = narayana(n)
@@ -568,10 +586,6 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     return 0 if gi.matches else 1
 
 
-# The most element indices one listing prints: its extensions times |P|.
-MAX_LISTED = 10_000_000
-
-
 def _cmd_extensions(cfg: RunConfig) -> int:
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
@@ -588,10 +602,10 @@ def _cmd_extensions(cfg: RunConfig) -> int:
         )
     stream = islice(enumerate_linear_extensions(p), cfg.limit)
     if cfg.output_format == "json":
-        print(json.dumps([list(ext.order) for ext in stream]))
+        print(json.dumps([list(order) for order in stream]))
     else:
-        for ext in stream:
-            print(" ".join(str(v) for v in ext.order))
+        for order in stream:
+            print(" ".join(map(str, order)))
     return 0
 
 
@@ -653,7 +667,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         n=args.n,
         w=args.w,
         poset_file=args.poset_file,
-        removed_edges=_parse_removed(args.remove),
+        remove=args.remove,
         checked=args.checked,
         repair=args.repair,
         count_only=getattr(args, "count_only", False),

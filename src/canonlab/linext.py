@@ -1,8 +1,8 @@
 """Linear extensions, word statistics, and the Dyck-path correspondence.
 
-A linear extension is streamed as a sequence of element indices; its
-*word* under a labeling is the sequence of labels, and every descent
-statistic here is defined on words.  Enumeration order is lexicographic
+A linear extension is a plain tuple of element indices; its *word*
+under a labeling is the sequence of labels, and every descent statistic
+here is defined on words.  Enumeration order is lexicographic
 on element indices, and streams can be stopped early.
 ``enumerate_linear_extensions`` streams every extension;
 ``rho_filtered_extensions`` runs the same search on a checked product
@@ -13,6 +13,7 @@ only the extensions Cor. 5.1 counts.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from canonlab import kernel
@@ -25,32 +26,6 @@ from canonlab.poset import (
     product_with_chain,
     rho_parities,
 )
-
-
-class LinearExtension(Frozen):
-    """An order-preserving arrangement of all elements of a poset."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: tuple[int, ...]):
-        object.__setattr__(self, "order", order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self):
-        return hash((self.order,))
-
-    def __repr__(self):
-        return f"LinearExtension(order={self.order!r})"
-
-    def __reduce__(self):
-        return LinearExtension, (self.order,)
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 class DyckPath(Frozen):
@@ -95,7 +70,7 @@ def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
     return all(pos[a] < pos[b] for a, b in p.covers)
 
 
-def enumerate_linear_extensions(p: Poset) -> Iterator[LinearExtension]:
+def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
     """Stream every linear extension exactly once, lexicographically.
 
     A loop over an explicit stack, so the depth of a poset is not bounded
@@ -114,7 +89,7 @@ def enumerate_linear_extensions(p: Poset) -> Iterator[LinearExtension]:
     ready = todo = sum(1 << v for v in range(n) if not below[v])
     while True:
         if len(order) == n:
-            yield LinearExtension(tuple(order))
+            yield tuple(order)
         if todo:  # place the least untried ready element
             v = (todo & -todo).bit_length() - 1
             order.append(v)
@@ -139,9 +114,9 @@ def count_linear_extensions(p: Poset) -> int:
     return kernel.count_extensions(p)
 
 
-def word(ext: LinearExtension, w: Labeling) -> tuple[int, ...]:
+def word(order: Sequence[int], w: Labeling) -> tuple[int, ...]:
     """The label word of an extension."""
-    return tuple(w[v] for v in ext.order)
+    return tuple(w[v] for v in order)
 
 
 def descent_set(letters: Sequence[int]) -> tuple[int, ...]:
@@ -158,13 +133,13 @@ def weak_descent_count(letters: Sequence[int]) -> int:
     return sum(1 for j in range(1, len(letters)) if letters[j] <= letters[j - 1])
 
 
-def multiset_word(ext: LinearExtension, canon_label: Labeling, m: int) -> tuple[int, ...]:
+def multiset_word(order: Sequence[int], canon_label: Labeling, m: int) -> tuple[int, ...]:
     """Collapse a canon-labeled extension to its multiset permutation.
 
     Letter i is ``ceil(label_i / m)``, i.e. the column value of the copy
     containing the i-th element.
     """
-    return tuple((canon_label[v] + m - 1) // m for v in ext.order)
+    return tuple((canon_label[v] + m - 1) // m for v in order)
 
 
 def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
@@ -185,25 +160,6 @@ def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
     return len(patterns) == 1
 
 
-def dyck_paths(n: int) -> Iterator[DyckPath]:
-    """All Dyck paths with n east and n north steps."""
-
-    def grow(prefix, e, no):
-        if e == n and no == n:
-            yield DyckPath("".join(prefix))
-            return
-        if e < n:
-            prefix.append("e")
-            yield from grow(prefix, e + 1, no)
-            prefix.pop()
-        if no < e:
-            prefix.append("n")
-            yield from grow(prefix, e, no + 1)
-            prefix.pop()
-
-    yield from grow([], 0, 0)
-
-
 def high_peak_positions(path: DyckPath) -> tuple[int, ...]:
     """1-based step indices starting an e,n peak that avoids the diagonal."""
     out = []
@@ -219,10 +175,7 @@ def high_peak_positions(path: DyckPath) -> tuple[int, ...]:
     return tuple(out)
 
 
-def high_peak_count(path: DyckPath) -> int:
-    return len(high_peak_positions(path))
-
-
+@lru_cache(maxsize=1)  # a walk over one grid's extensions checks it once
 def _require_two_row_grid(p: Poset) -> int:
     n, r = divmod(p.element_count, 2)
     if r or n < 1 or p != product_with_chain(chain(2), n):
@@ -230,19 +183,19 @@ def _require_two_row_grid(p: Poset) -> int:
     return n
 
 
-def dyck_from_linext(p: Poset, ext: LinearExtension) -> DyckPath:
+def dyck_from_linext(p: Poset, order: Sequence[int]) -> DyckPath:
     """Encode an extension of the two-row grid as a Dyck path.
 
     Under the natural labeling the bottom row holds the odd labels, so an
     element maps to an east step iff its index is even.
     """
     _require_two_row_grid(p)
-    if not is_valid_extension(p, ext.order):
+    if not is_valid_extension(p, order):
         raise ValueError("not a linear extension of the given poset")
-    return DyckPath("".join("e" if v % 2 == 0 else "n" for v in ext.order))
+    return DyckPath("".join("e" if v % 2 == 0 else "n" for v in order))
 
 
-def linext_from_dyck(path: DyckPath) -> LinearExtension:
+def linext_from_dyck(path: DyckPath) -> tuple[int, ...]:
     """Inverse encoding: east steps emit the bottom row in order, north
     steps the top row."""
     order = []
@@ -254,7 +207,7 @@ def linext_from_dyck(path: DyckPath) -> LinearExtension:
         else:
             order.append(2 * n + 1)
             n += 1
-    return LinearExtension(tuple(order))
+    return tuple(order)
 
 
 def _checked_chain_dims(p: Poset) -> tuple[int, int]:
@@ -280,22 +233,6 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
     drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
     dropset = set(drops)
     return drops, [j for j in drops if j == 1 or j - 1 in dropset]
-
-
-def rho_descent_data(
-    pcheck: Poset, ext: LinearExtension
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Rho-descent and double-rho-descent positions of a checked-product
-    extension under its natural labeling.
-
-    The parity of an element is the chain-length parity of its principal
-    ideal (``rho``); see ``_rho_drops`` for the rule.
-    """
-    _checked_chain_dims(pcheck)
-    if not is_valid_extension(pcheck, ext.order):
-        raise ValueError("not a linear extension of the given poset")
-    drops, doubles = _rho_drops(rho_parities(pcheck), ext.order)
-    return frozenset(drops), frozenset(doubles)
 
 
 def rho_filtered_extensions(pcheck: Poset) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -351,24 +288,3 @@ def rho_filtered_extensions(pcheck: Poset) -> Iterator[tuple[tuple[int, ...], in
             todo = ready >> v + 1 << v + 1
         else:
             return
-
-
-def phi(sigma: Labeling) -> Labeling:
-    """The complementing involution: every entry v becomes n+1-v."""
-    n = sigma.size
-    return Labeling(tuple(n + 1 - v for v in sigma.values))
-
-
-def phi_on_extension(
-    q: Poset, w: Labeling, sigma: Labeling, ext: LinearExtension
-) -> tuple[LinearExtension, Labeling, Labeling]:
-    """Reread an extension of (q, w x sigma) under the complemented labels.
-
-    The element order is unchanged; because the complemented canon
-    labeling is the pointwise complement v -> mn+1-v, the word of the
-    result is the complement of the input word, so descents and ascents
-    swap.
-    """
-    if not is_valid_extension(q, ext.order):
-        raise ValueError("input order violates the poset")
-    return ext, phi(w), phi(sigma)

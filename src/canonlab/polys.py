@@ -8,13 +8,12 @@ index = exponent and no trailing zeros; the empty tuple is zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
-from canonlab.linext import descent_count, dyck_paths, high_peak_count
 from canonlab.poset import Frozen, Labeling, Poset, natural_labeling
 
 
@@ -44,10 +43,6 @@ class IntPolynomial(Frozen):
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
 
     @classmethod
     def x_power(cls, k: int, coefficient: int = 1) -> "IntPolynomial":
@@ -199,38 +194,38 @@ def is_unimodal(p: IntPolynomial) -> bool:
     return True
 
 
-def eulerian(n: int) -> IntPolynomial:
-    """Descent polynomial of the permutations of 1..n.
+# The largest n of A_n, N_n and the product form: it keeps every n the
+# checks use, and A_n's row recurrence stays under a second there.
+MAX_NAMED_N = 1_000
 
-    Brute force up to n = 10, memoized recurrence above.
-    """
+
+def check_named_n(n: int) -> None:
+    """Refuse an n above ``MAX_NAMED_N`` for A_n, N_n and the product form,
+    before any work."""
+    if n > MAX_NAMED_N:
+        raise SizeCapError(f"n = {n} exceeds the bound {MAX_NAMED_N} on named polynomials")
+
+
+def eulerian(n: int) -> IntPolynomial:
+    """Descent polynomial of the permutations of 1..n, row by row:
+    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= 10:
-        counts = [0] * n
-        for perm in permutations(range(n)):
-            counts[descent_count(perm)] += 1
-        return IntPolynomial(tuple(counts))
-    return IntPolynomial(tuple(_eulerian_number(n, k) for k in range(n)))
-
-
-@lru_cache(maxsize=None)
-def _eulerian_number(n: int, k: int) -> int:
-    if k < 0 or k >= n:
-        return 0
-    if n == 1:
-        return 1 if k == 0 else 0
-    return (k + 1) * _eulerian_number(n - 1, k) + (n - k) * _eulerian_number(n - 1, k - 1)
+    check_named_n(n)
+    row = [1]
+    for size in range(2, n + 1):
+        prev = [0, *row, 0]  # prev[k + 1] = A(size - 1, k)
+        row = [(k + 1) * prev[k + 1] + (size - k) * prev[k] for k in range(size)]
+    return IntPolynomial(row)
 
 
 def narayana(n: int) -> IntPolynomial:
-    """High-peak generating polynomial of the Dyck paths of semilength n."""
+    """Narayana polynomial: coefficient k is C(n, k) C(n, k+1) / n, the
+    number of Dyck paths of semilength n with k high peaks."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts = [0] * n
-    for path in dyck_paths(n):
-        counts[high_peak_count(path)] += 1
-    return IntPolynomial(tuple(counts))
+    check_named_n(n)
+    return IntPolynomial(comb(n, k) * comb(n, k + 1) // n for k in range(n))
 
 
 def hstar(p: Poset, w: Optional[Labeling] = None) -> IntPolynomial:
@@ -273,8 +268,3 @@ def order_polynomial_values(p: Poset, w: Labeling, j_max: int) -> tuple[int, ...
 def poly_to_payload(p: IntPolynomial) -> dict:
     """JSON payload with decimal-string coefficients, index = exponent."""
     return {"coeffs": [str(c) for c in p.coefficients]}
-
-
-def poly_from_payload(payload: dict) -> IntPolynomial:
-    coeffs = payload["coeffs"]
-    return IntPolynomial(tuple(int(c) for c in coeffs))

@@ -372,21 +372,17 @@ def is_graded(p: Poset) -> bool:
 
 
 def rho_parities(pcheck: Poset) -> tuple[int, ...]:
-    """``rho`` of every element, from one pass over the depth sets."""
+    """``rho`` of every element: the parity of the length of the maximal
+    chains in its principal ideal, 0 for even and 1 for odd.
+
+    Defined for graded posets (such as checked chain products), where the
+    length is well defined; one pass over the depth sets.
+    """
     if not is_graded(pcheck):
         raise ValueError("rho requires a graded poset")
     # in a graded poset every saturated chain from a minimal element up to
     # q has the same length, so each depth set is a singleton
     return tuple(min(lengths) % 2 for lengths in _depth_sets(pcheck))
-
-
-def rho(pcheck: Poset, q: int) -> int:
-    """Parity of the length of maximal chains in the principal ideal of q.
-
-    Defined for graded posets (such as checked chain products), where the
-    length is well defined; 0 for even length, 1 for odd.
-    """
-    return rho_parities(pcheck)[q]
 
 
 def chain_descent_profile(p: Poset, w: Labeling) -> ChainDescentProfile:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from canonlab.errors import PosetFormatError
+from canonlab.linext import DyckPath
 from canonlab.poset import Labeling, Poset, transitive_reduction
 
 
@@ -41,6 +42,21 @@ def all_posets(n: int) -> list[Poset]:
                 out.append(Poset(n, frozenset(subset)))
             except PosetFormatError:
                 continue
+    return out
+
+
+def dyck_paths(n: int) -> list[DyckPath]:
+    """Every Dyck path of semilength n, by brute force: each placement of
+    n east steps among 2n steps that ``DyckPath`` accepts."""
+    out = []
+    for east in combinations(range(2 * n), n):
+        steps = ["n"] * (2 * n)
+        for i in east:
+            steps[i] = "e"
+        try:
+            out.append(DyckPath("".join(steps)))
+        except ValueError:
+            continue
     return out
 
 

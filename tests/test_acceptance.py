@@ -25,11 +25,8 @@ from canonlab.cli import main
 from canonlab.linext import (
     count_linear_extensions,
     descent_count,
-    dyck_paths,
     enumerate_linear_extensions,
-    high_peak_count,
-    phi,
-    phi_on_extension,
+    high_peak_positions,
     word,
 )
 from canonlab.polys import (
@@ -49,7 +46,7 @@ from canonlab.poset import (
     product_with_chain,
 )
 
-from conftest import random_labeling, random_poset, vee_poset, wedge_poset
+from conftest import dyck_paths, random_labeling, random_poset, vee_poset, wedge_poset
 
 
 def P(*coeffs):
@@ -85,14 +82,12 @@ def test_criterion_03_narayana_model():
     catalan = [1, 2, 5, 14, 42, 132, 429]
     for n in range(1, 8):
         grid = product_with_chain(chain(2), n)
-        peaks = {}
-        for path in dyck_paths(n):
-            h = high_peak_count(path)
-            peaks[h] = peaks.get(h, 0) + 1
-        dyck_poly = IntPolynomial(tuple(peaks.get(d, 0) for d in range(max(peaks) + 1)))
-        assert hstar(grid) == dyck_poly
+        peaks = [0] * n
+        for path in dyck_paths(n):  # brute force: every e/n placement
+            peaks[len(high_peak_positions(path))] += 1
+        assert hstar(grid) == IntPolynomial(peaks) == narayana(n)
         assert count_linear_extensions(grid) == catalan[n - 1]
-    _report(3, "h*([2]x[n]) equals the high-peak polynomial, counts Catalan, n<=7")
+    _report(3, "h*([2]x[n]) equals the high-peak polynomial N_n, counts Catalan, n<=7")
 
 
 def test_criterion_04_labeled_product_formula():
@@ -226,16 +221,18 @@ def test_criterion_11_property_suite(rng, capsys):
                 h.coefficient(i) * comb(n + j - i, n) for i in range(j + 1)
             )
 
-    # phi involution and descent-complement duality at (2, 3)
+    # phi duality at (2, 3): complementing w and sigma (v -> N+1-v)
+    # complements every canon word, so descents and ascents swap
     q = product_with_chain(chain(2), 3)
     w = Labeling.natural(2)
+    pw = Labeling.reverse_natural(2)
     for sig in permutations(range(1, 4)):
         sigma = Labeling(sig)
-        assert phi(phi(sigma)) == sigma
         lab = canon_labeling(w, sigma)
+        flipped_lab = canon_labeling(pw, Labeling(4 - v for v in sig))
+        assert flipped_lab.values == tuple(7 - v for v in lab.values)
         for ext in enumerate_linear_extensions(q):
-            _, pw, ps = phi_on_extension(q, w, sigma, ext)
-            flipped = word(ext, canon_labeling(pw, ps))
+            flipped = word(ext, flipped_lab)
             assert flipped == tuple(7 - v for v in word(ext, lab))
             assert descent_count(word(ext, lab)) + descent_count(flipped) == 5
 

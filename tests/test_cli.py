@@ -67,8 +67,17 @@ class TestPoly:
             (("poly", "canon", "--m", "0", "--n", "2"), "chain size"),
             (("poly", "eulerian", "--n", "0"), "n must be"),
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "5:1"), "out of range"),
+            (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "zz"),
+             "bad --remove entry 'zz'"),
+            (("poly", "eulerian", "--n", "100000"), "exceeds the bound 1000"),
+            (("poly", "narayana", "--n", "100000"), "exceeds the bound 1000"),
+            (("poly", "canon-product", "--m", "1", "--n", "100000"), "exceeds the bound 1000"),
+            (("verify", "thm-2.3", "--n", "30"), "the walk at n=13"),
+            (("verify", "cor-2.4", "--n", "100000"), "exceeds the bound 1000"),
         ):
+            start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err, argv
 

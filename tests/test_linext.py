@@ -4,27 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset
+from conftest import dyck_paths, random_poset
 
 from canonlab.linext import (
     DyckPath,
-    LinearExtension,
     count_linear_extensions,
     descent_count,
     descent_set,
     dyck_from_linext,
-    dyck_paths,
     enumerate_linear_extensions,
-    high_peak_count,
     high_peak_positions,
     is_canon_permutation,
     is_valid_extension,
     linext_from_dyck,
     multiset_word,
-    phi,
-    phi_on_extension,
     _rho_drops,
-    rho_descent_data,
     rho_filtered_extensions,
     weak_descent_count,
     word,
@@ -47,14 +41,12 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 class TestEnumeration:
     def test_chain_single_extension(self):
-        assert list(enumerate_linear_extensions(chain(4))) == [
-            LinearExtension((0, 1, 2, 3))
-        ]
+        assert list(enumerate_linear_extensions(chain(4))) == [(0, 1, 2, 3)]
 
     def test_antichain(self):
         exts = list(enumerate_linear_extensions(antichain(3)))
         assert len(exts) == 6
-        assert exts == sorted(exts, key=lambda e: e.order)  # lexicographic
+        assert exts == sorted(exts)  # lexicographic
 
     def test_two_row_grid_counts(self):
         for n in range(1, 9):
@@ -67,18 +59,17 @@ class TestEnumeration:
             exts = list(enumerate_linear_extensions(p))
             assert len(exts) == count_linear_extensions(p)
             assert len(set(exts)) == len(exts)
-            assert [e.order for e in exts] == sorted(e.order for e in exts)
-            assert all(is_valid_extension(p, e.order) for e in exts)
+            assert all(type(e) is tuple for e in exts)
+            assert exts == sorted(exts)
+            assert all(is_valid_extension(p, e) for e in exts)
 
     def test_empty_poset(self):
-        assert list(enumerate_linear_extensions(Poset(0, frozenset()))) == [
-            LinearExtension(())
-        ]
+        assert list(enumerate_linear_extensions(Poset(0, frozenset()))) == [()]
 
     def test_early_termination(self):
         stream = enumerate_linear_extensions(antichain(6))
         first = next(stream)
-        assert first.order == (0, 1, 2, 3, 4, 5)
+        assert first == (0, 1, 2, 3, 4, 5)
         stream.close()
 
 
@@ -91,8 +82,8 @@ class TestWords:
         # the checked 3x2 poset has an extension reading 1,2,4,3 first
         p = checked_product(chain(3), 2)
         lab = checked_labeling(Labeling.natural(3), 2)
-        ext = LinearExtension((0, 1, 3, 2, 4, 5, 6, 7))
-        assert is_valid_extension(p, ext.order)
+        ext = (0, 1, 3, 2, 4, 5, 6, 7)
+        assert is_valid_extension(p, ext)
         assert word(ext, lab)[:4] == (1, 2, 4, 3)
 
     def test_descents(self):
@@ -178,59 +169,57 @@ class TestDyck:
         assert by_word[(1, 2, 3, 4)] == "enen"
 
     def test_high_peaks(self):
-        assert high_peak_count(DyckPath("enen")) == 0
-        assert high_peak_count(DyckPath("eenn")) == 1
+        assert high_peak_positions(DyckPath("enen")) == ()
+        assert high_peak_positions(DyckPath("eenn")) == (2,)
         assert high_peak_positions(DyckPath("eennen")) == (2,)
 
     def test_round_trip_and_descent_peak_match(self):
         for n in range(1, 7):
             p = product_with_chain(chain(2), n)
             lab = natural_labeling(p)
-            paths = list(dyck_paths(n))
+            paths = dyck_paths(n)
             assert len(paths) == CATALAN[n]
             for path in paths:
                 ext = linext_from_dyck(path)
-                assert is_valid_extension(p, ext.order)
+                assert type(ext) is tuple and is_valid_extension(p, ext)
                 assert dyck_from_linext(p, ext) == path
                 assert descent_set(word(ext, lab)) == high_peak_positions(path)
 
     def test_wrong_poset_shape(self):
         with pytest.raises(ValueError, match="2-chain"):
-            dyck_from_linext(chain(4), LinearExtension((0, 1, 2, 3)))
+            dyck_from_linext(chain(4), (0, 1, 2, 3))
 
 
 class TestRhoDescents:
     def test_example_words(self):
         p = checked_product(chain(3), 2)
-        drops, doubles = rho_descent_data(p, LinearExtension((0, 1, 3, 2, 4, 5, 6, 7)))
-        assert drops == frozenset({3, 6}) and not doubles
-        drops, doubles = rho_descent_data(p, LinearExtension(tuple(range(8))))
-        assert drops == frozenset({2, 4, 6}) and not doubles
+        parities = rho_parities(p)
+        drops, doubles = _rho_drops(parities, (0, 1, 3, 2, 4, 5, 6, 7))
+        assert drops == [3, 6] and not doubles
+        drops, doubles = _rho_drops(parities, tuple(range(8)))
+        assert drops == [2, 4, 6] and not doubles
 
     def test_two_chain(self):
         # the unique extension of the smallest checked product rises in both
         # label and parity, so it has no rho-descents at all
         p = checked_product(chain(1), 1)
-        drops, doubles = rho_descent_data(p, LinearExtension((0, 1)))
-        assert drops == frozenset() and doubles == frozenset()
+        assert _rho_drops(rho_parities(p), (0, 1)) == ([], [])
 
     def test_doubles_including_first_position(self):
         p = checked_product(chain(2), 2)
-        # order 0,2,1,3,... drops parity at position 2 after a label drop at 1?
+        parities = rho_parities(p)
         for ext in enumerate_linear_extensions(p):
-            drops, doubles = rho_descent_data(p, ext)
-            assert doubles == frozenset(
-                j for j in drops if j == 1 or j - 1 in drops
-            )
+            drops, doubles = _rho_drops(parities, ext)
+            assert doubles == [j for j in drops if j == 1 or j - 1 in drops]
 
     def test_wrong_shape(self):
         # a chain IS a checked product of the next-shorter chain with [1],
         # but a two-row grid is not checked at all
         grid = product_with_chain(chain(2), 2)
         with pytest.raises(ValueError, match="checked"):
-            rho_descent_data(grid, LinearExtension((0, 1, 2, 3)))
-        with pytest.raises(ValueError, match="checked"):
             next(rho_filtered_extensions(grid))
+        with pytest.raises(ValueError, match="checked"):
+            next(rho_filtered_extensions(antichain(3)))
 
     def test_pruned_search_matches_filtered_enumeration(self):
         # oracle: every extension, filtered afterwards by the double
@@ -241,30 +230,55 @@ class TestRhoDescents:
                 parities = rho_parities(p)
                 expected = []
                 for ext in enumerate_linear_extensions(p):
-                    drops, doubles = _rho_drops(parities, ext.order)
-                    last, prev = ext.order[-1], ext.order[-2]
+                    drops, doubles = _rho_drops(parities, ext)
+                    last, prev = ext[-1], ext[-2]
                     if doubles or (parities[prev] == parities[last] == 1 and prev > last):
                         continue
-                    expected.append((ext.order, len(drops)))
+                    expected.append((ext, len(drops)))
                 assert list(rho_filtered_extensions(p)) == expected, (m, n)
 
 
+def _phi(lab: Labeling) -> Labeling:
+    """The complement of a labeling: every entry v becomes N+1-v."""
+    return Labeling(len(lab) + 1 - v for v in lab.values)
+
+
 class TestPhi:
+    # complementing both factors complements the canon labeling:
+    # canon_labeling(phi(w), phi(sigma)) = mn+1 - canon_labeling(w, sigma)
+
     def test_entry_complement(self):
-        assert phi(Labeling((1, 3, 4, 2))).values == (4, 2, 1, 3)
+        w, sigma = Labeling.natural(2), Labeling((1, 3, 4, 2))
+        lab = canon_labeling(_phi(w), _phi(sigma))
+        assert lab.values == tuple(9 - v for v in canon_labeling(w, sigma).values)
+        assert lab.values == (8, 7, 4, 3, 2, 1, 6, 5)
 
     def test_identity_reverses(self):
-        assert phi(Labeling.natural(4)) == Labeling.reverse_natural(4)
+        assert canon_labeling(_phi(Labeling.natural(3)), _phi(Labeling.natural(4))) == (
+            Labeling.reverse_natural(12)
+        )
 
     def test_involution_s4(self):
-        for sig in permutations(range(1, 5)):
-            lab = Labeling(sig)
-            assert phi(phi(lab)) == lab
+        for w in (Labeling.natural(2), Labeling.reverse_natural(2), Labeling.natural(3)):
+            for sig in permutations(range(1, 5)):
+                sigma = Labeling(sig)
+                lab = canon_labeling(w, sigma)
+                flipped = canon_labeling(_phi(w), _phi(sigma))
+                assert flipped.values == tuple(len(lab) + 1 - v for v in lab.values)
+                assert canon_labeling(_phi(_phi(w)), _phi(_phi(sigma))) == lab
 
     def test_descent_complement(self):
+        # complementing the labels swaps descents and ascents of every word
+        q = product_with_chain(chain(2), 2)
+        w = Labeling.natural(2)
         for sig in permutations(range(1, 5)):
-            lab = Labeling(sig)
-            assert descent_count(phi(lab).values) == 3 - descent_count(sig)
+            assert descent_count(_phi(Labeling(sig)).values) == 3 - descent_count(sig)
+        for sig in permutations(range(1, 3)):
+            sigma = Labeling(sig)
+            for ext in enumerate_linear_extensions(q):
+                d = descent_count(word(ext, canon_labeling(w, sigma)))
+                flipped = canon_labeling(_phi(w), _phi(sigma))
+                assert descent_count(word(ext, flipped)) == 3 - d
 
     def test_fig3_worked_example(self):
         from canonlab.poset import remove_intercopy_covers
@@ -274,10 +288,9 @@ class TestPhi:
         sigma = Labeling((1, 3, 4, 2))
         lab = canon_labeling(w, sigma)
         by_label = {lab[v]: v for v in range(8)}
-        ext = LinearExtension(tuple(by_label[x] for x in (1, 2, 5, 7, 6, 3, 4, 8)))
-        same, pw, psigma = phi_on_extension(q, w, sigma, ext)
-        assert same == ext
-        out = word(ext, canon_labeling(pw, psigma))
+        ext = tuple(by_label[x] for x in (1, 2, 5, 7, 6, 3, 4, 8))
+        assert is_valid_extension(q, ext)
+        out = word(ext, canon_labeling(_phi(w), _phi(sigma)))
         assert out == (8, 7, 4, 2, 3, 6, 5, 1)
 
     def test_word_complement_and_double_application(self):
@@ -286,20 +299,21 @@ class TestPhi:
         for sig in permutations(range(1, 4)):
             sigma = Labeling(sig)
             lab = canon_labeling(w, sigma)
+            pw, ps = _phi(w), _phi(sigma)
             for ext in enumerate_linear_extensions(q):
-                _, pw, ps = phi_on_extension(q, w, sigma, ext)
                 outward = word(ext, canon_labeling(pw, ps))
                 inward = word(ext, lab)
                 assert outward == tuple(7 - v for v in inward)
                 assert descent_count(inward) + descent_count(outward) == 5
-                _, w2, s2 = phi_on_extension(q, pw, ps, ext)
-                assert (w2, s2) == (w, sigma)
+            assert (_phi(pw), _phi(ps)) == (w, sigma)
 
     def test_invalid_input_rejected(self):
+        # an order that breaks a cover is no extension, so it has no word
+        # to complement; the Dyck encoding refuses it too
         q = product_with_chain(chain(2), 2)
-        with pytest.raises(ValueError, match="violates"):
-            phi_on_extension(q, Labeling.natural(2), Labeling.natural(2),
-                             LinearExtension((1, 0, 2, 3)))
+        assert not is_valid_extension(q, (1, 0, 2, 3))
+        with pytest.raises(ValueError, match="not a linear extension"):
+            dyck_from_linext(q, (1, 0, 2, 3))
 
 
 @settings(deadline=None, max_examples=30)

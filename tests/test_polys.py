@@ -1,16 +1,18 @@
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_labeling, random_poset
+from conftest import dyck_paths, random_labeling, random_poset
 
-from canonlab.linext import descent_count, enumerate_linear_extensions, word
+from canonlab.errors import SizeCapError
+from canonlab.linext import descent_count, enumerate_linear_extensions, high_peak_positions, word
 from canonlab.polys import (
+    MAX_NAMED_N,
     GammaExpansion,
     IntPolynomial,
-    _eulerian_number,
     eulerian,
     gamma_expansion,
     hstar,
@@ -18,7 +20,6 @@ from canonlab.polys import (
     is_unimodal,
     narayana,
     order_polynomial_values,
-    poly_from_payload,
     poly_to_payload,
 )
 from canonlab.poset import (
@@ -61,7 +62,7 @@ class TestArithmetic:
         p = P(1, 4, 4, 1)
         payload = poly_to_payload(p)
         assert payload == {"coeffs": ["1", "4", "4", "1"]}
-        assert poly_from_payload(payload) == p
+        assert IntPolynomial(int(c) for c in payload["coeffs"]) == p
 
     def test_str(self):
         assert str(P(1, 3, 2, 3, 1)) == "1 + 3x + 2x^2 + 3x^3 + x^4"
@@ -76,18 +77,25 @@ class TestEulerian:
         assert eulerian(4) == P(1, 11, 11, 1)
 
     def test_brute_matches_recurrence(self):
-        for n in range(1, 8):
-            rec = IntPolynomial(tuple(_eulerian_number(n, k) for k in range(n)))
-            assert eulerian(n) == rec
+        # the descent counts of all n! permutations, and h* of the
+        # n-antichain, whose linear extensions are those permutations
+        for n in range(1, 9):
+            counts = [0] * n
+            for perm in permutations(range(n)):
+                counts[descent_count(perm)] += 1
+            assert eulerian(n) == IntPolynomial(counts) == hstar(antichain(n)), n
 
     def test_palindromic(self):
         for n in range(1, 7):
             assert is_palindromic(eulerian(n), 0, n - 1)
 
     def test_total_mass(self):
-        import math
+        assert sum(eulerian(6).coefficients) == factorial(6)
 
-        assert sum(eulerian(6).coefficients) == math.factorial(6)
+    def test_large_n(self):
+        a = eulerian(600)
+        assert sum(a.coefficients) == factorial(600)
+        assert is_palindromic(a, 0, 599)
 
 
 class TestNarayana:
@@ -98,12 +106,27 @@ class TestNarayana:
         assert narayana(4) == P(1, 6, 6, 1)
 
     def test_matches_two_row_hstar(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             assert narayana(n) == hstar(product_with_chain(chain(2), n))
+
+    def test_matches_high_peak_brute_force(self):
+        for n in range(1, 8):
+            counts = [0] * n
+            for path in dyck_paths(n):
+                counts[len(high_peak_positions(path))] += 1
+            assert narayana(n) == IntPolynomial(counts), n
 
     def test_palindromic(self):
         for n in range(1, 7):
             assert is_palindromic(narayana(n), 0, n - 1)
+
+
+def test_named_polynomials_refuse_large_n_at_once():
+    assert narayana(MAX_NAMED_N).degree == MAX_NAMED_N - 1
+    for n in (MAX_NAMED_N + 1, 10**18):
+        for build in (eulerian, narayana):
+            with pytest.raises(SizeCapError, match="exceeds the bound"):
+                build(n)
 
 
 class TestHstar:

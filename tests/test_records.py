@@ -20,7 +20,7 @@ from canonlab.canon import (
 )
 from canonlab.cli import RunConfig
 from canonlab.errors import PosetFormatError
-from canonlab.linext import DyckPath, LinearExtension
+from canonlab.linext import DyckPath
 from canonlab.polys import GammaExpansion, IntPolynomial
 from canonlab.poset import ChainDescentProfile, Labeling, Poset
 
@@ -36,7 +36,6 @@ RECORDS = {
     "IntPolynomial": (lambda: IntPolynomial((1, 2)), IntPolynomial((1, 3)), "coefficients"),
     "AmphibianSpec": (lambda: AmphibianSpec(2, 3, [(1, 1)]), AmphibianSpec(2, 3, ()), "removed"),
     "DyckPath": (lambda: DyckPath("eenn"), DyckPath("enen"), "steps"),
-    "LinearExtension": (lambda: LinearExtension((0, 1, 2)), LinearExtension((1, 0, 2)), "order"),
     "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
     "GammaExpansion": (lambda: GammaExpansion(2, (1, 0)), GammaExpansion(2, (1, 1)), "gamma"),
     "ChainDescentProfile": (
@@ -60,8 +59,7 @@ RECORDS = {
                   "statements"),
 }
 
-SLOTTED = ("Poset", "Labeling", "IntPolynomial", "AmphibianSpec", "DyckPath",
-           "LinearExtension")
+SLOTTED = ("Poset", "Labeling", "IntPolynomial", "AmphibianSpec", "DyckPath")
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -108,7 +106,6 @@ def test_reprs():
     assert repr(IntPolynomial((1, 0, 2))) == "IntPolynomial(coefficients=(1, 0, 2))"
     assert repr(AmphibianSpec(2, 2, ())) == "AmphibianSpec(m=2, n=2, removed=frozenset())"
     assert repr(DyckPath("en")) == "DyckPath(steps='en')"
-    assert repr(LinearExtension((1, 0))) == "LinearExtension(order=(1, 0))"
 
 
 class TestNormalization:
@@ -166,7 +163,7 @@ def test_validation_errors(build, error, match):
 
 
 @pytest.mark.parametrize("name", ["Labeling", "IntPolynomial", "AmphibianSpec", "SweepRow",
-                                  "Poset", "DyckPath", "LinearExtension"])
+                                  "Poset", "DyckPath"])
 def test_pickle_and_copy_round_trip(name):
     record = RECORDS[name][0]()
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
