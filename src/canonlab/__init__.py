@@ -3,7 +3,6 @@ labeled-poset descent polynomials."""
 
 from canonlab.kernel import backend as kernel_backend
 from canonlab.poset import (
-    Labeling,
     Poset,
     antichain,
     canon_labeling,

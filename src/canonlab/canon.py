@@ -36,7 +36,6 @@ from canonlab.polys import (
 )
 from canonlab.poset import (
     Frozen,
-    Labeling,
     Poset,
     canon_labeling,
     chain,
@@ -157,11 +156,11 @@ def column_labelings(
     cap: Optional[int] = None,
     pprime: Optional[Poset] = None,
     subposets: int = 1,
-) -> list[Labeling]:
+) -> list[tuple[int, ...]]:
     """The column labelings of a sum over P x [n], |P| = ``size``: the
     permutations of 1..n, or the naturally labeled extension words of
-    ``pprime`` (n elements).  Refuses first when ``size * n`` passes
-    ``cap`` (default ``PRODUCT_CAP``) or when the labelings of all
+    ``pprime`` (n elements), as tuples.  Refuses first when ``size * n``
+    passes ``cap`` (default ``PRODUCT_CAP``) or when the labelings of all
     ``subposets`` sums, ``subposets * n!``, pass ``MAX_LABELINGS``."""
     limit = PRODUCT_CAP if cap is None else cap
     if size * n > limit:
@@ -174,12 +173,14 @@ def column_labelings(
         what = f"{n}!" if subposets == 1 else f"{subposets} subposets x {n}!"
         raise SizeCapError(f"{what} column labelings exceed the bound {MAX_LABELINGS}")
     if pprime is None:
-        return [Labeling(p) for p in permutations(range(1, n + 1))]
+        return list(permutations(range(1, n + 1)))
     nat = natural_labeling(pprime)
-    return [Labeling(word(ext, nat)) for ext in enumerate_linear_extensions(pprime)]
+    return [word(ext, nat) for ext in enumerate_linear_extensions(pprime)]
 
 
-def canon_rows(q: Poset, w: Labeling, sigmas: Sequence[Labeling]) -> list[list[int]]:
+def canon_rows(
+    q: Poset, w: Sequence[int], sigmas: Sequence[Sequence[int]]
+) -> list[list[int]]:
     """The descent histogram of ``q`` under each canon labeling w x sigma,
     one row per sigma, from one kernel call."""
     return kernel.descent_histograms(q, [canon_labeling(w, sigma) for sigma in sigmas])
@@ -190,7 +191,7 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
 
 
 def canon_polynomial_bruteforce(
-    p: Poset, w: Labeling, n: int, cap: Optional[int] = None
+    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None
 ) -> IntPolynomial:
     """Descent polynomial of all canon permutations of (p, w): the sum of
     the descent polynomials of p x [n] over every column labeling."""
@@ -198,7 +199,7 @@ def canon_polynomial_bruteforce(
     return _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
 
 
-def canon_polynomial_product(p: Poset, w: Labeling, n: int) -> IntPolynomial:
+def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomial:
     """Closed product form: x^k * A_n * h* of the naturally labeled product.
 
     Requires every maximal chain of (p, w) to carry the same number k of
@@ -211,11 +212,13 @@ def canon_polynomial_product(p: Poset, w: Labeling, n: int) -> IntPolynomial:
             "product form needs a labeling with constant chain descents"
         )
     prod = product_with_chain(p, n)
-    base = hstar(prod, canon_labeling(natural_labeling(p), Labeling.natural(n)))
+    base = hstar(prod, canon_labeling(natural_labeling(p), range(1, n + 1)))
     return (eulerian(n) * base).shift(profile.constant_k)
 
 
-def checked_product_identity(p: Poset, w: Labeling, n: int, cap: Optional[int] = None) -> IdentityReport:
+def checked_product_identity(
+    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None
+) -> IdentityReport:
     """Brute-force canon polynomial vs the descent polynomial of the
     checked product under the checked labeling."""
     lhs = canon_polynomial_bruteforce(p, w, n, cap=cap)
@@ -224,7 +227,7 @@ def checked_product_identity(p: Poset, w: Labeling, n: int, cap: Optional[int] =
 
 
 def generalized_product_identity(
-    p: Poset, w: Labeling, pprime: Poset, cap: Optional[int] = None
+    p: Poset, w: Sequence[int], pprime: Poset, cap: Optional[int] = None
 ) -> IdentityReport:
     """Sum of product descent polynomials over the extensions of a second
     poset vs the factored form x^k * h*(P') * h*(P x [n])."""
@@ -235,14 +238,16 @@ def generalized_product_identity(
     sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
     prod = product_with_chain(p, n)
     lhs = _row_sum(canon_rows(prod, w, sigmas))
-    base = hstar(prod, canon_labeling(natural_labeling(p), Labeling.natural(n)))
+    base = hstar(prod, canon_labeling(natural_labeling(p), range(1, n + 1)))
     rhs = (hstar(pprime) * base).shift(profile.constant_k)
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
     )
 
 
-def dissonant_polynomial(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IntPolynomial:
+def dissonant_polynomial(
+    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
+) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
     sigmas = column_labelings(spec.m, spec.n, cap)
@@ -256,13 +261,15 @@ def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
     return tuple(row + j * m for row in range(m) for j in range(n))
 
 
-def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
+def dissonant_degree_check(
+    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
+) -> IdentityReport:
     """Assert deg C = m(n-1) + k, carrying the row-block witness word."""
-    k = descent_count(w.values)
+    k = descent_count(w)
     poly = dissonant_polynomial(spec, w, cap=cap)
     expected = spec.m * (spec.n - 1) + k
     witness_ext = degree_witness_extension(spec)
-    rev = Labeling.reverse_natural(spec.n)
+    rev = range(spec.n, 0, -1)
     q = spec.poset()
     valid = is_valid_extension(q, witness_ext)
     wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
@@ -278,9 +285,11 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] 
     return report._replace(holds=report.holds and valid, witness=witness)
 
 
-def dissonant_palindromy_check(spec: AmphibianSpec, w: Labeling, cap: Optional[int] = None) -> IdentityReport:
+def dissonant_palindromy_check(
+    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
+) -> IdentityReport:
     """Palindromicity of the dissonant polynomial over [0, m(n-1)+2k]."""
-    k = descent_count(w.values)
+    k = descent_count(w)
     poly = dissonant_polynomial(spec, w, cap=cap)
     top = spec.m * (spec.n - 1) + 2 * k
     holds = is_palindromic(poly, 0, top)
@@ -305,13 +314,13 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     """
     sigmas = column_labelings(m, n, cap)
     grid = product_with_chain(chain(m), n)
-    ident = Labeling.natural(m)
+    ident = tuple(range(1, m + 1))
     letters = [
-        [(label + m - 1) // m for label in canon_labeling(ident, sigma).values]
+        [(label + m - 1) // m for label in canon_labeling(ident, sigma)]
         for sigma in sigmas
     ]
     direct = _row_sum(kernel.descent_histograms(grid, letters, weak=True))
-    via_reverse = _row_sum(canon_rows(grid, Labeling.reverse_natural(m), sigmas))
+    via_reverse = _row_sum(canon_rows(grid, tuple(range(m, 0, -1)), sigmas))
     if direct != via_reverse:
         raise CanonlabError(
             "weak-descent routes disagree: "
@@ -354,7 +363,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     rho-descents and an increasing final pair when both parities are odd,
     and compare the counts against the gamma vector of the canon
     polynomial."""
-    poly = canon_polynomial_bruteforce(chain(m), Labeling.natural(m), n, cap=cap)
+    poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n, cap=cap)
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     if expansion is None:
@@ -428,10 +437,10 @@ class SweepReport(NamedTuple):
     violations: tuple[Certificate, ...]
 
 
-def _sweep_row(args: tuple[int, int, int, list[Labeling]]) -> SweepRow:
+def _sweep_row(args: tuple[int, int, int, list[tuple[int, ...]]]) -> SweepRow:
     m, n, mask, sigmas = args
     spec = AmphibianSpec.from_mask(m, n, mask)
-    poly = _row_sum(canon_rows(spec.poset(), Labeling.natural(m), sigmas))
+    poly = _row_sum(canon_rows(spec.poset(), tuple(range(1, m + 1)), sigmas))
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(

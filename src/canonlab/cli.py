@@ -54,7 +54,6 @@ from canonlab.polys import (
     poly_to_payload,
 )
 from canonlab.poset import (
-    Labeling,
     Poset,
     antichain,
     canon_labeling,
@@ -107,7 +106,7 @@ def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[Labeling]]:
+def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[int, ...]]]:
     """Read and validate a poset JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,11 +116,11 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[Labelin
     return poset_from_json(text, repair=repair)
 
 
-def _row_labeling(kind: str, m: int) -> Labeling:
+def _row_labeling(kind: str, m: int) -> tuple[int, ...]:
     if kind in ("natural", "id"):
-        return Labeling.natural(m)
+        return tuple(range(1, m + 1))
     if kind in ("reverse", "u"):
-        return Labeling.reverse_natural(m)
+        return tuple(range(m, 0, -1))
     raise PosetFormatError(f"unknown labeling kind {kind!r}")
 
 
@@ -164,16 +163,16 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
     raise PosetFormatError(f"unknown polynomial kind {kind!r}")
 
 
-def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[Labeling]]:
+def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[tuple[int, ...]]]:
     if cfg.poset_file:
         return load_poset(cfg.poset_file, repair=cfg.repair)
     _need(cfg, "m", "n")
     if cfg.checked:
         p = checked_product(chain(cfg.m), cfg.n)
-        lab: Optional[Labeling] = poset.checked_labeling(_row_labeling(cfg.w, cfg.m), cfg.n)
+        lab = poset.checked_labeling(_row_labeling(cfg.w, cfg.m), cfg.n)
     else:
         p = product_with_chain(chain(cfg.m), cfg.n)
-        lab = canon_labeling(_row_labeling(cfg.w, cfg.m), Labeling.natural(cfg.n))
+        lab = canon_labeling(_row_labeling(cfg.w, cfg.m), range(1, cfg.n + 1))
     removed = _parse_removed(cfg.remove)
     if removed:
         p = poset.remove_intercopy_covers(p, cfg.m, removed)
@@ -219,19 +218,19 @@ def _check_product_formula(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _zoo() -> list[tuple[str, Poset, Labeling]]:
+def _zoo() -> list[tuple[str, Poset, tuple[int, ...]]]:
     vee = Poset(3, frozenset({(0, 1), (0, 2)}))
     wedge = Poset(3, frozenset({(0, 2), (1, 2)}))
     zoo = [
-        ("chain1", chain(1), Labeling.natural(1)),
-        ("chain2", chain(2), Labeling.natural(2)),
-        ("chain2-rev", chain(2), Labeling.reverse_natural(2)),
-        ("chain3", chain(3), Labeling.natural(3)),
-        ("chain3-rev", chain(3), Labeling.reverse_natural(3)),
-        ("vee", vee, Labeling.natural(3)),
-        ("vee-k1", vee, Labeling((3, 1, 2))),
-        ("wedge", wedge, Labeling.natural(3)),
-        ("wedge-k1", wedge, Labeling((2, 3, 1))),
+        ("chain1", chain(1), (1,)),
+        ("chain2", chain(2), (1, 2)),
+        ("chain2-rev", chain(2), (2, 1)),
+        ("chain3", chain(3), (1, 2, 3)),
+        ("chain3-rev", chain(3), (3, 2, 1)),
+        ("vee", vee, (1, 2, 3)),
+        ("vee-k1", vee, (3, 1, 2)),
+        ("wedge", wedge, (1, 2, 3)),
+        ("wedge-k1", wedge, (2, 3, 1)),
     ]
     return zoo
 
@@ -249,7 +248,7 @@ def _check_poset_zoo(cfg: RunConfig) -> list[IdentityReport]:
 
 
 def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
-    top = cfg.n or 6
+    top = 6 if cfg.n is None else cfg.n
     grids = []
     # counted first, through the kernel: the walk grows with n, so this
     # stops at the first n it would refuse, before any grid is walked
@@ -280,7 +279,7 @@ def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
 
 def _check_narayana_model(cfg: RunConfig) -> list[IdentityReport]:
     out = []
-    top = cfg.n or 7
+    top = 7 if cfg.n is None else cfg.n
     check_named_n(top)
     for n in range(1, top + 1):
         lhs = hstar(product_with_chain(chain(2), n))
@@ -293,10 +292,10 @@ def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (2, 3)]):
         sigmas = column_labelings(m, n, cfg.cap_override)
-        rows = canon_rows(product_with_chain(chain(m), n), Labeling.natural(m), sigmas)
+        rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
         base = IntPolynomial(rows[0])  # sigma = the identity
-        bad = [s.values for s, row in zip(sigmas, rows)
-               if IntPolynomial(row) != base.shift(descent_count(s.values))]
+        bad = [s for s, row in zip(sigmas, rows)
+               if IntPolynomial(row) != base.shift(descent_count(s))]
         detail = f"failed at sigma={bad[0]}" if bad else None
         out.append(IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail))
     return out
@@ -305,7 +304,8 @@ def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
 def _check_checked_product(cfg: RunConfig) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        out.append(checked_product_identity(chain(m), Labeling.natural(m), n, cap=cfg.cap_override))
+        w = _row_labeling("natural", m)
+        out.append(checked_product_identity(chain(m), w, n, cap=cfg.cap_override))
     return out
 
 
@@ -317,11 +317,11 @@ def _check_generalized_product(cfg: RunConfig) -> list[IdentityReport]:
         ("vee", vee),
     ]
     out = []
-    m = cfg.m or 2
+    m = 2 if cfg.m is None else cfg.m
     for name, pprime in cases:
         out.append(
             generalized_product_identity(
-                chain(m), Labeling.natural(m), pprime, cap=cfg.cap_override
+                chain(m), _row_labeling("natural", m), pprime, cap=cfg.cap_override
             )
         )
     return out
@@ -337,13 +337,13 @@ def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3)]):
         sigmas = column_labelings(m, n, cfg.cap_override)
-        w = Labeling.reverse_natural(m)
+        w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
         k = m - 1
         detail = None
         for spec in _amphibian_specs(m, n):
             q = spec.poset()
-            lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, Labeling.natural(m), sigmas)
-            bad = [s.values for s, a, b in zip(sigmas, lhs, rhs)
+            lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas)
+            bad = [s for s, a, b in zip(sigmas, lhs, rhs)
                    if IntPolynomial(a) != IntPolynomial(b).shift(k)]
             if bad:
                 detail = f"mask={spec.edge_mask()} sigma={bad[0]}"
@@ -386,7 +386,7 @@ def _check_weak_descents(cfg: RunConfig) -> list[IdentityReport]:
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         lhs = weak_descent_polynomial(m, n, cap=cfg.cap_override)
         rhs = canon_polynomial_bruteforce(
-            chain(m), Labeling.natural(m), n, cap=cfg.cap_override
+            chain(m), _row_labeling("natural", m), n, cap=cfg.cap_override
         ).shift(m - 1)
         out.append(IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs))
     return out
@@ -400,9 +400,9 @@ def _check_fixed_row_palindromy(cfg: RunConfig) -> list[IdentityReport]:
         for spec in _amphibian_specs(m, n):
             if spec.mode() == "general":
                 continue
-            pid = dissonant_polynomial(spec, Labeling.natural(m), cap=cfg.cap_override)
+            pid = dissonant_polynomial(spec, _row_labeling("natural", m), cap=cfg.cap_override)
             ok_id = is_palindromic(pid, 0, m * (n - 1))
-            pu = dissonant_polynomial(spec, Labeling.reverse_natural(m), cap=cfg.cap_override)
+            pu = dissonant_polynomial(spec, _row_labeling("reverse", m), cap=cfg.cap_override)
             ok_u = is_palindromic(pu, 0, m * (n + 1) - 2)
             out.append(
                 IdentityReport(
@@ -486,6 +486,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 f"unknown statement {name!r}; choose from "
                 f"{', '.join(sorted(VERIFY_CHECKS))} or all"
             )
+    if not reports:
+        raise PosetFormatError(
+            f"no checks ran for {' '.join(names)}: "
+            "--m, --n and --max-size leave nothing to check"
+        )
     return _emit_reports(reports, cfg)
 
 
@@ -559,7 +564,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 # gamma / extensions
 
 
+def _refuse_csv(cfg: RunConfig) -> None:
+    if cfg.output_format == "csv":
+        raise PosetFormatError(f"{cfg.command} has no csv output; use --format json or plain")
+
+
 def _cmd_gamma(cfg: RunConfig) -> int:
+    _refuse_csv(cfg)
     _need(cfg, "m", "n")
     gi = gamma_interpretation(cfg.m, cfg.n, cap=cfg.cap_override)
     if cfg.output_format == "json":
@@ -587,6 +598,7 @@ def _cmd_gamma(cfg: RunConfig) -> int:
 
 
 def _cmd_extensions(cfg: RunConfig) -> int:
+    _refuse_csv(cfg)
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
         print(count_linear_extensions(p))

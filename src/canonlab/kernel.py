@@ -87,20 +87,18 @@ def count_extensions(poset) -> int:
 
 
 def descent_histograms(poset, labelings, weak: bool = False) -> list[list[int]]:
-    """For each labeling (a ``Labeling`` or a sequence of labels indexed
-    by element), the histogram of descent counts over all linear
-    extensions of ``poset``: entry d counts the extensions whose label
-    word has d descents, or d weak descents (positions where the word
-    drops or stays level) when ``weak``.  Every row has max(n, 1)
-    entries."""
+    """For each labeling (a sequence of labels indexed by element), the
+    histogram of descent counts over all linear extensions of ``poset``:
+    entry d counts the extensions whose label word has d descents, or d
+    weak descents (positions where the word drops or stays level) when
+    ``weak``.  Every row has max(n, 1) entries."""
     n = poset.element_count
     drop = le if weak else lt
     states, edges, final = _transitions(poset)
     width = _count(states, edges, final).bit_length()
     bins = (1 << width) - 1
     rows = []
-    for lab in labelings:
-        labels = getattr(lab, "values", lab)
+    for labels in labelings:
         shift = [width if drop(lv, lu) else 0 for lu in labels for lv in labels]
         shift.append(0)  # the first step
         h = [0] * states

@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 from canonlab import kernel
 from canonlab.poset import (
     Frozen,
-    Labeling,
     Poset,
     chain,
     checked_product,
@@ -114,7 +113,7 @@ def count_linear_extensions(p: Poset) -> int:
     return kernel.count_extensions(p)
 
 
-def word(order: Sequence[int], w: Labeling) -> tuple[int, ...]:
+def word(order: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     """The label word of an extension."""
     return tuple(w[v] for v in order)
 
@@ -133,7 +132,7 @@ def weak_descent_count(letters: Sequence[int]) -> int:
     return sum(1 for j in range(1, len(letters)) if letters[j] <= letters[j - 1])
 
 
-def multiset_word(order: Sequence[int], canon_label: Labeling, m: int) -> tuple[int, ...]:
+def multiset_word(order: Sequence[int], canon_label: Sequence[int], m: int) -> tuple[int, ...]:
     """Collapse a canon-labeled extension to its multiset permutation.
 
     Letter i is ``ceil(label_i / m)``, i.e. the column value of the copy

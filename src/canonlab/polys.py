@@ -10,11 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
-from canonlab.poset import Frozen, Labeling, Poset, natural_labeling
+from canonlab.poset import Frozen, Poset, natural_labeling
 
 
 class IntPolynomial(Frozen):
@@ -228,7 +228,7 @@ def narayana(n: int) -> IntPolynomial:
     return IntPolynomial(comb(n, k) * comb(n, k + 1) // n for k in range(n))
 
 
-def hstar(p: Poset, w: Optional[Labeling] = None) -> IntPolynomial:
+def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
     """Descent generating polynomial of the labeled linear extensions.
 
     With no labeling given, a natural labeling is used.
@@ -239,7 +239,7 @@ def hstar(p: Poset, w: Optional[Labeling] = None) -> IntPolynomial:
     return IntPolynomial(tuple(hist))
 
 
-def order_polynomial_values(p: Poset, w: Labeling, j_max: int) -> tuple[int, ...]:
+def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int, ...]:
     """Values of the labeled order polynomial at 0..j_max, by exhaustive
     enumeration of maps into {0..j}.
 

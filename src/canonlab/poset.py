@@ -6,6 +6,10 @@ copy ``j`` of the chain, ``j`` running 1-based) gets index
 ``p + (j-1) * |P|``.  That contract makes labelings, words and golden
 values reproducible bit for bit.
 
+A labeling is a plain tuple of ints indexed by element, a bijection onto
+``1..N``.  The builders here produce bijections by construction, so only
+the labels of a poset JSON file are checked, by ``poset_from_json``.
+
 All values here are immutable after construction and every operation is a
 pure function, so they are safe to share between worker processes.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from canonlab.errors import PosetFormatError
 
@@ -185,51 +189,6 @@ def _cyclic(what: str, n, succ) -> PosetFormatError:
     return PosetFormatError(f"{what} is cyclic: {text}")
 
 
-class Labeling(Frozen):
-    """A bijection from elements onto 1..N, stored as a value vector."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[int]):
-        values = tuple(values)
-        n = len(values)
-        if sorted(values) != list(range(1, n + 1)):
-            raise PosetFormatError(f"labeling {values} is not a bijection onto 1..{n}")
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash((self.values,))
-
-    def __repr__(self):
-        return f"Labeling(values={self.values!r})"
-
-    def __reduce__(self):
-        return Labeling, (self.values,)
-
-    def __getitem__(self, element: int) -> int:
-        return self.values[element]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def natural(cls, n: int) -> "Labeling":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reverse_natural(cls, n: int) -> "Labeling":
-        return cls(tuple(range(n, 0, -1)))
-
-
 class ChainDescentProfile(NamedTuple):
     """Descent counts of every maximal chain under a fixed labeling.
 
@@ -289,26 +248,21 @@ def checked_product(p: Poset, n: int) -> Poset:
     return Poset(mn + n, frozenset(covers))
 
 
-def canon_labeling(w: Labeling, sigma: Labeling) -> Labeling:
-    """Extend a row labeling to the product: ``(row, j)`` gets ``w(row) + (sigma(j)-1)*m``."""
-    m = w.size
-    n = sigma.size
-    values = [0] * (m * n)
-    for j in range(1, n + 1):
-        off = (sigma[j - 1] - 1) * m
-        for row in range(m):
-            values[row + (j - 1) * m] = w[row] + off
-    return Labeling(tuple(values))
+def canon_labeling(w: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
+    """Extend a row labeling to the product: ``(row, j)`` gets
+    ``w(row) + (sigma(j)-1)*m``.  For bijections w onto 1..m and sigma
+    onto 1..n this is a bijection onto 1..mn: column j takes the block
+    ``(sigma(j)-1)*m + 1 .. sigma(j)*m``."""
+    m = len(w)
+    return tuple(label + (s - 1) * m for s in sigma for label in w)
 
 
-def checked_labeling(w: Labeling, n: int) -> Labeling:
+def checked_labeling(w: Sequence[int], n: int) -> tuple[int, ...]:
     """Labeling of the checked product: the product part carries
     ``canon_labeling(w, id)`` and the top elements get ``mn+1 .. (m+1)n``
     in index order."""
-    m = w.size
-    base = canon_labeling(w, Labeling.natural(n))
-    tops = tuple(m * n + i + 1 for i in range(n))
-    return Labeling(base.values + tops)
+    mn = len(w) * n
+    return canon_labeling(w, range(1, n + 1)) + tuple(range(mn + 1, mn + n + 1))
 
 
 def remove_intercopy_covers(
@@ -385,7 +339,7 @@ def rho_parities(pcheck: Poset) -> tuple[int, ...]:
     return tuple(min(lengths) % 2 for lengths in _depth_sets(pcheck))
 
 
-def chain_descent_profile(p: Poset, w: Labeling) -> ChainDescentProfile:
+def chain_descent_profile(p: Poset, w: Sequence[int]) -> ChainDescentProfile:
     """Descent count of every maximal chain of (p, w)."""
     rows = []
     for c in maximal_chains(p):
@@ -396,12 +350,12 @@ def chain_descent_profile(p: Poset, w: Labeling) -> ChainDescentProfile:
     return ChainDescentProfile(tuple(rows), constant)
 
 
-def natural_labeling(p: Poset) -> Labeling:
+def natural_labeling(p: Poset) -> tuple[int, ...]:
     """An order-preserving labeling (by lexicographic topological order)."""
     values = [0] * p.element_count
     for pos, v in enumerate(p.topological_order(), start=1):
         values[v] = pos
-    return Labeling(tuple(values))
+    return tuple(values)
 
 
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -435,19 +389,24 @@ def _preds_of(n, succ):
     return pred
 
 
-def poset_to_json(p: Poset, labeling: Optional[Labeling] = None) -> str:
+def poset_to_json(p: Poset, labeling: Optional[Sequence[int]] = None) -> str:
     """Serialize to the interchange format, covers in lexicographic order."""
     payload: dict = {
         "elements": p.element_count,
         "covers": [list(c) for c in sorted(p.covers)],
     }
     if labeling is not None:
-        payload["labels"] = list(labeling.values)
+        payload["labels"] = list(labeling)
     return json.dumps(payload)
 
 
-def poset_from_json(text: str, repair: bool = False) -> tuple[Poset, Optional[Labeling]]:
-    """Parse and validate the interchange format.
+def poset_from_json(
+    text: str, repair: bool = False
+) -> tuple[Poset, Optional[tuple[int, ...]]]:
+    """Parse and validate the interchange format.  Optional ``"labels"``
+    must be a bijection onto 1..N, one integer per element, and come
+    back as a tuple; this is the one place labels come from outside the
+    program, so the one place they are checked.
 
     With ``repair=True`` redundant covers are replaced by the transitive
     reduction instead of being rejected.
@@ -476,10 +435,15 @@ def poset_from_json(text: str, repair: bool = False) -> tuple[Poset, Optional[La
     if repair:
         covers = transitive_reduction(n, covers)
     poset = Poset(n, covers)
-    labeling = None
-    if payload.get("labels") is not None:
-        labels = payload["labels"]
-        if not isinstance(labels, list) or len(labels) != n:
-            raise PosetFormatError('"labels" must list one value per element')
-        labeling = Labeling(tuple(labels))
-    return poset, labeling
+    labels = payload.get("labels")
+    if labels is None:
+        return poset, None
+    if not isinstance(labels, list) or len(labels) != n:
+        raise PosetFormatError('"labels" must list one value per element')
+    # JSON true and false parse to bool, which is an int subclass
+    if any(type(v) is not int for v in labels):
+        raise PosetFormatError('"labels" must be integers')
+    labels = tuple(labels)
+    if sorted(labels) != list(range(1, n + 1)):
+        raise PosetFormatError(f"labeling {labels} is not a bijection onto 1..{n}")
+    return poset, labels

@@ -5,7 +5,7 @@ import pytest
 
 from canonlab.errors import PosetFormatError
 from canonlab.linext import DyckPath
-from canonlab.poset import Labeling, Poset, transitive_reduction
+from canonlab.poset import Poset, transitive_reduction
 
 
 def vee_poset() -> Poset:
@@ -60,10 +60,10 @@ def dyck_paths(n: int) -> list[DyckPath]:
     return out
 
 
-def random_labeling(rng: random.Random, n: int) -> Labeling:
+def random_labeling(rng: random.Random, n: int) -> tuple[int, ...]:
     values = list(range(1, n + 1))
     rng.shuffle(values)
-    return Labeling(tuple(values))
+    return tuple(values)
 
 
 @pytest.fixture

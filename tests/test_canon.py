@@ -28,7 +28,6 @@ from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.linext import descent_count
 from canonlab.polys import IntPolynomial, eulerian, gamma_expansion, hstar, narayana
 from canonlab.poset import (
-    Labeling,
     antichain,
     canon_labeling,
     chain,
@@ -62,16 +61,16 @@ def multiset_permutations(letters):
 
 class TestCanonPolynomial:
     def test_2x2(self):
-        p = canon_polynomial_bruteforce(chain(2), Labeling.natural(2), 2)
+        p = canon_polynomial_bruteforce(chain(2), (1, 2), 2)
         assert p == P(1, 2, 1)
 
     def test_3_columns_2(self):
-        p = canon_polynomial_bruteforce(chain(3), Labeling.natural(3), 2)
+        p = canon_polynomial_bruteforce(chain(3), (1, 2, 3), 2)
         assert p == P(1, 4, 4, 1)
 
     def test_single_row_is_eulerian(self):
         for n in range(1, 5):
-            assert canon_polynomial_bruteforce(chain(1), Labeling.natural(1), n) == eulerian(n)
+            assert canon_polynomial_bruteforce(chain(1), (1,), n) == eulerian(n)
 
     def test_matches_oracle_enumeration(self):
         # definitional oracle: all canon words of the multiset, descents counted
@@ -90,28 +89,28 @@ class TestCanonPolynomial:
                     d = descent_count(word)
                     total[d] = total.get(d, 0) + 1
         oracle = IntPolynomial(tuple(total.get(d, 0) for d in range(max(total) + 1)))
-        assert canon_polynomial_bruteforce(chain(m), Labeling.natural(m), n) == oracle
+        assert canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n) == oracle
 
     def test_product_form(self):
-        assert canon_polynomial_product(chain(2), Labeling.natural(2), 3) == \
+        assert canon_polynomial_product(chain(2), (1, 2), 3) == \
             eulerian(3) * narayana(3)
-        assert canon_polynomial_product(chain(2), Labeling.natural(2), 2) == P(1, 2, 1)
+        assert canon_polynomial_product(chain(2), (1, 2), 2) == P(1, 2, 1)
 
     def test_product_form_reverse_shift(self):
         for m, n in [(2, 2), (2, 3), (3, 2)]:
-            rev = canon_polynomial_product(chain(m), Labeling.reverse_natural(m), n)
-            nat = canon_polynomial_product(chain(m), Labeling.natural(m), n)
+            rev = canon_polynomial_product(chain(m), tuple(range(m, 0, -1)), n)
+            nat = canon_polynomial_product(chain(m), tuple(range(1, m + 1)), n)
             assert rev == nat.shift(m - 1)
 
     def test_brute_equals_product_on_zoo(self):
         cases = [
-            (chain(1), Labeling.natural(1)),
-            (chain(2), Labeling.natural(2)),
-            (chain(3), Labeling.natural(3)),
-            (vee_poset(), Labeling.natural(3)),
-            (vee_poset(), Labeling((3, 1, 2))),
-            (wedge_poset(), Labeling.natural(3)),
-            (wedge_poset(), Labeling((2, 3, 1))),
+            (chain(1), (1,)),
+            (chain(2), (1, 2)),
+            (chain(3), (1, 2, 3)),
+            (vee_poset(), (1, 2, 3)),
+            (vee_poset(), (3, 1, 2)),
+            (wedge_poset(), (1, 2, 3)),
+            (wedge_poset(), (2, 3, 1)),
         ]
         for p, w in cases:
             for n in (1, 2, 3):
@@ -121,13 +120,13 @@ class TestCanonPolynomial:
 
     def test_product_form_needs_constant_descents(self):
         with pytest.raises(CanonlabError, match="constant"):
-            canon_polynomial_product(vee_poset(), Labeling((2, 1, 3)), 2)
+            canon_polynomial_product(vee_poset(), (2, 1, 3), 2)
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
-            canon_polynomial_bruteforce(chain(4), Labeling.natural(4), 4)
+            canon_polynomial_bruteforce(chain(4), (1, 2, 3, 4), 4)
         # explicit override lifts it
-        canon_polynomial_bruteforce(chain(2), Labeling.natural(2), 2, cap=20)
+        canon_polynomial_bruteforce(chain(2), (1, 2), 2, cap=20)
 
     def test_labeling_bound(self):
         # n! above MAX_LABELINGS is refused whatever the cap, before any
@@ -136,7 +135,7 @@ class TestCanonPolynomial:
         with pytest.raises(SizeCapError, match="10!"):
             column_labelings(1, 10, cap=10**9)
         with pytest.raises(SizeCapError, match="10!"):
-            canon_polynomial_bruteforce(chain(1), Labeling.natural(1), 10, cap=10**9)
+            canon_polynomial_bruteforce(chain(1), (1,), 10, cap=10**9)
 
     def test_bound_counts_every_subposet(self):
         # a sweep sums over 2^(m(n-1)) subposets, each under n! labelings
@@ -153,17 +152,17 @@ class TestCanonPolynomial:
 
 class TestColumnLabelings:
     def test_permutations_in_lexicographic_order(self):
-        assert column_labelings(2, 3) == [Labeling(s) for s in permutations((1, 2, 3))]
+        assert column_labelings(2, 3) == list(permutations((1, 2, 3)))
 
     def test_extensions_of_second_poset(self):
-        assert column_labelings(2, 3, pprime=chain(3)) == [Labeling((1, 2, 3))]
+        assert column_labelings(2, 3, pprime=chain(3)) == [(1, 2, 3)]
         assert column_labelings(2, 3, pprime=antichain(3)) == column_labelings(2, 3)
         with pytest.raises(SizeCapError):
             column_labelings(5, 3, pprime=chain(3))
 
     def test_rows_match_hstar(self):
         grid = product_with_chain(chain(2), 3)
-        w = Labeling.reverse_natural(2)
+        w = (2, 1)
         sigmas = column_labelings(2, 3)
         rows = canon_rows(grid, w, sigmas)
         assert [IntPolynomial(tuple(r)) for r in rows] == [
@@ -175,45 +174,45 @@ class TestCheckedProduct:
     def test_holds_on_grid(self):
         for m in (1, 2, 3):
             for n in (1, 2, 3):
-                report = checked_product_identity(chain(m), Labeling.natural(m), n)
+                report = checked_product_identity(chain(m), tuple(range(1, m + 1)), n)
                 assert report.holds, report.witness
 
     def test_values(self):
-        r = checked_product_identity(chain(1), Labeling.natural(1), 2)
+        r = checked_product_identity(chain(1), (1,), 2)
         assert r.lhs == P(1, 1)
-        r = checked_product_identity(chain(3), Labeling.natural(3), 2)
+        r = checked_product_identity(chain(3), (1, 2, 3), 2)
         assert r.lhs == P(1, 4, 4, 1)
 
 
 class TestGeneralizedProduct:
     def test_antichain_reduces_to_product_formula(self):
-        r = generalized_product_identity(chain(2), Labeling.natural(2), antichain(3))
+        r = generalized_product_identity(chain(2), (1, 2), antichain(3))
         assert r.holds
         assert r.rhs == eulerian(3) * narayana(3)
 
     def test_chain_factor(self):
-        r = generalized_product_identity(chain(2), Labeling.natural(2), chain(3))
+        r = generalized_product_identity(chain(2), (1, 2), chain(3))
         assert r.holds
         assert r.lhs == narayana(3)
 
     def test_vee_factor(self):
-        r = generalized_product_identity(chain(2), Labeling.natural(2), vee_poset())
+        r = generalized_product_identity(chain(2), (1, 2), vee_poset())
         assert r.holds
 
     def test_reverse_labeling(self):
-        r = generalized_product_identity(chain(2), Labeling.reverse_natural(2), vee_poset())
+        r = generalized_product_identity(chain(2), (2, 1), vee_poset())
         assert r.holds
 
 
 class TestDissonant:
     def test_empty_removal_is_canon(self):
         spec = AmphibianSpec(2, 3, frozenset())
-        assert dissonant_polynomial(spec, Labeling.natural(2)) == \
-            canon_polynomial_bruteforce(chain(2), Labeling.natural(2), 3)
+        assert dissonant_polynomial(spec, (1, 2)) == \
+            canon_polynomial_bruteforce(chain(2), (1, 2), 3)
 
     def test_small_example(self):
         spec = AmphibianSpec(2, 2, frozenset({(2, 1)}))
-        assert dissonant_polynomial(spec, Labeling.natural(2)) == P(1, 4, 1)
+        assert dissonant_polynomial(spec, (1, 2)) == P(1, 4, 1)
 
     def test_fixed_row_gives_multiset_permutations(self):
         # keeping one row chained realizes every multiset permutation once
@@ -225,13 +224,13 @@ class TestDissonant:
             d = descent_count(word)
             counts[d] = counts.get(d, 0) + 1
         oracle = IntPolynomial(tuple(counts.get(d, 0) for d in range(max(counts) + 1)))
-        assert dissonant_polynomial(spec, Labeling.natural(m)) == oracle
+        assert dissonant_polynomial(spec, tuple(range(1, m + 1))) == oracle
 
     def test_single_sigma_pair_counterexample(self):
         g = product_with_chain(chain(2), 3)
-        idw = Labeling.natural(2)
-        pair = hstar(g, canon_labeling(idw, Labeling.natural(3))) + \
-            hstar(g, canon_labeling(idw, Labeling((3, 2, 1))))
+        idw = (1, 2)
+        pair = hstar(g, canon_labeling(idw, (1, 2, 3))) + \
+            hstar(g, canon_labeling(idw, (3, 2, 1)))
         assert pair == P(1, 3, 2, 3, 1)
         ge = gamma_expansion(pair, 4)
         assert ge is not None and not ge.gamma_positive
@@ -257,7 +256,7 @@ class TestDissonant:
 class TestDegreeLaw:
     def test_sweep(self):
         for m, n in [(2, 2), (2, 3), (3, 2)]:
-            for w, k in [(Labeling.natural(m), 0), (Labeling.reverse_natural(m), m - 1)]:
+            for w, k in [(tuple(range(1, m + 1)), 0), (tuple(range(m, 0, -1)), m - 1)]:
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
                     removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
@@ -278,7 +277,7 @@ class TestDegreeLaw:
 class TestPalindromyLaw:
     def test_sweep(self):
         for m, n in [(2, 2), (2, 3), (3, 2)]:
-            for w in (Labeling.natural(m), Labeling.reverse_natural(m)):
+            for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
                     removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
@@ -288,7 +287,7 @@ class TestPalindromyLaw:
     def test_reverse_window(self):
         # reversed rows at (2,2): window reaches m(n-1)+2k = 4
         report = dissonant_palindromy_check(
-            AmphibianSpec(2, 2, frozenset()), Labeling.reverse_natural(2)
+            AmphibianSpec(2, 2, frozenset()), (2, 1)
         )
         assert report.holds
         assert report.lhs.degree == 3
@@ -302,16 +301,15 @@ class TestReciprocity:
         m = 2
         for n in (1, 2, 3):
             mn = m * n
-            for w, k in [(Labeling.natural(m), 0), (Labeling.reverse_natural(m), m - 1)]:
+            for w, k in [(tuple(range(1, m + 1)), 0), (tuple(range(m, 0, -1)), m - 1)]:
                 kphi = (m - 1) - k
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
                     removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
                     q = AmphibianSpec(m, n, removed).poset()
                     for sig in permutations(range(1, n + 1)):
-                        sigma = Labeling(sig)
-                        lhs = hstar(q, canon_labeling(w, sigma)).mirrored(0, mn - 1)
-                        phi = Labeling(n + 1 - v for v in sig)
+                        lhs = hstar(q, canon_labeling(w, sig)).mirrored(0, mn - 1)
+                        phi = tuple(n + 1 - v for v in sig)
                         rhs = hstar(q, canon_labeling(w, phi))
                         if kphi >= k:
                             rhs = rhs.shift(kphi - k)
@@ -327,10 +325,10 @@ class TestShiftLaw:
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 grid = product_with_chain(chain(m), n)
-                base = hstar(grid, canon_labeling(Labeling.natural(m), Labeling.natural(n)))
+                base = hstar(grid, canon_labeling(tuple(range(1, m + 1)), tuple(range(1, n + 1))))
                 for sig in permutations(range(1, n + 1)):
                     des = sum(1 for a, b in zip(sig, sig[1:]) if a > b)
-                    lhs = hstar(grid, canon_labeling(Labeling.natural(m), Labeling(sig)))
+                    lhs = hstar(grid, canon_labeling(tuple(range(1, m + 1)), sig))
                     assert lhs == base.shift(des), (m, n, sig)
 
 
@@ -345,7 +343,7 @@ class TestWeakDescents:
     def test_shifted_canon(self):
         for m in (1, 2, 3):
             for n in (1, 2, 3):
-                canon = canon_polynomial_bruteforce(chain(m), Labeling.natural(m), n)
+                canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
                 assert weak_descent_polynomial(m, n) == canon.shift(m - 1)
 
     def test_two_rows_product_form(self):

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 from canonlab.cli import VERIFY_CHECKS, RunConfig, load_poset, main, run
-from canonlab.poset import Labeling, canon_labeling, chain, poset_to_json, product_with_chain
+from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
 
 
 def invoke(capsys, *argv):
@@ -122,6 +122,20 @@ class TestVerify:
     def test_unknown_statement(self, capsys):
         code, _, err = invoke(capsys, "verify", "thm-9.9")
         assert code == 2 and "unknown statement" in err
+
+    def test_nothing_to_check_exits_2(self, capsys):
+        # a run of zero checks must not read as "0/0 checks hold", and an
+        # explicit --m or --n of 0 is not the default
+        for argv, message in (
+            (("verify", "thm-2.3", "--n", "-1"), "no checks ran for thm-2.3"),
+            (("verify", "thm-1.1", "--max-size", "0"), "no checks ran for thm-1.1"),
+            (("verify", "cor-5.1", "--max-size", "1"), "no checks ran for cor-5.1"),
+            (("verify", "cor-2.4", "--n", "0"), "no checks ran for cor-2.4"),
+            (("verify", "remark-product", "--m", "0"), "chain size must be >= 1"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, argv
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(capsys, "verify", "cor-2.4", "--n", "3", "--format", "json")
@@ -256,6 +270,14 @@ class TestGammaCommand:
         assert payload["gamma"] == [1, 0] and payload["matches"] is True
 
 
+def test_csv_refused_where_not_implemented(capsys):
+    for argv in (("gamma", "--m", "2", "--n", "3"), ("extensions", "--m", "2", "--n", "2"),
+                 ("extensions", "--m", "2", "--n", "2", "--count-only")):
+        code, out, err = invoke(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {argv[0]} has no csv output; use --format json or plain\n"
+
+
 class TestExtensions:
     def test_count_only(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "4", "--count-only")
@@ -301,7 +323,7 @@ class TestExtensions:
 class TestPosetFiles:
     def test_round_trip(self, tmp_path, capsys):
         p = product_with_chain(chain(2), 2)
-        lab = canon_labeling(Labeling.natural(2), Labeling.natural(2))
+        lab = canon_labeling((1, 2), (1, 2))
         path = tmp_path / "grid.json"
         path.write_text(poset_to_json(p, lab))
         loaded, loaded_lab = load_poset(str(path))
@@ -346,6 +368,19 @@ class TestPosetFiles:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "extensions", "--poset", "/nonexistent.json")
         assert code == 2 and "cannot read" in err
+
+    def test_malformed_labels_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "labeled.json"
+        for labels, message in (
+            ('[1, "a"]', '"labels" must be integers'),
+            ("[true, 2]", '"labels" must be integers'),
+            ("[2, 2]", "labeling (2, 2) is not a bijection onto 1..2"),
+            ("[1]", '"labels" must list one value per element'),
+        ):
+            path.write_text(f'{{"elements": 2, "covers": [], "labels": {labels}}}')
+            code, out, err = invoke(capsys, "poly", "hstar", "--poset", str(path))
+            assert (code, out) == (2, ""), labels
+            assert err == f"error: {message}\n", labels
 
 
 class TestRunConfig:

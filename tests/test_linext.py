@@ -24,7 +24,6 @@ from canonlab.linext import (
     word,
 )
 from canonlab.poset import (
-    Labeling,
     Poset,
     antichain,
     canon_labeling,
@@ -76,12 +75,12 @@ class TestEnumeration:
 class TestWords:
     def test_chain_word(self):
         ext = next(enumerate_linear_extensions(chain(3)))
-        assert word(ext, Labeling.natural(3)) == (1, 2, 3)
+        assert word(ext, (1, 2, 3)) == (1, 2, 3)
 
     def test_word_beginning_1243(self):
         # the checked 3x2 poset has an extension reading 1,2,4,3 first
         p = checked_product(chain(3), 2)
-        lab = checked_labeling(Labeling.natural(3), 2)
+        lab = checked_labeling((1, 2, 3), 2)
         ext = (0, 1, 3, 2, 4, 5, 6, 7)
         assert is_valid_extension(p, ext)
         assert word(ext, lab)[:4] == (1, 2, 4, 3)
@@ -101,13 +100,13 @@ class TestWords:
 class TestMultisetWords:
     def test_identity_columns(self):
         p = product_with_chain(chain(2), 2)
-        lab = canon_labeling(Labeling.natural(2), Labeling.natural(2))
+        lab = canon_labeling((1, 2), (1, 2))
         words = {multiset_word(e, lab, 2) for e in enumerate_linear_extensions(p)}
         assert (1, 1, 2, 2) in words
 
     def test_swapped_columns(self):
         p = product_with_chain(chain(2), 2)
-        lab = canon_labeling(Labeling.natural(2), Labeling((2, 1)))
+        lab = canon_labeling((1, 2), (2, 1))
         words = {multiset_word(e, lab, 2) for e in enumerate_linear_extensions(p)}
         assert words == {(2, 2, 1, 1), (2, 1, 2, 1)}
 
@@ -131,7 +130,7 @@ class TestMultisetWords:
             p = product_with_chain(chain(m), n)
             exts = list(enumerate_linear_extensions(p))
             for sig in permutations(range(1, n + 1)):
-                lab = canon_labeling(Labeling.natural(m), Labeling(sig))
+                lab = canon_labeling(tuple(range(1, m + 1)), sig)
                 for ext in exts:
                     w = multiset_word(ext, lab, m)
                     assert is_canon_permutation(w, m)
@@ -238,9 +237,9 @@ class TestRhoDescents:
                 assert list(rho_filtered_extensions(p)) == expected, (m, n)
 
 
-def _phi(lab: Labeling) -> Labeling:
+def _phi(lab: tuple[int, ...]) -> tuple[int, ...]:
     """The complement of a labeling: every entry v becomes N+1-v."""
-    return Labeling(len(lab) + 1 - v for v in lab.values)
+    return tuple(len(lab) + 1 - v for v in lab)
 
 
 class TestPhi:
@@ -248,33 +247,31 @@ class TestPhi:
     # canon_labeling(phi(w), phi(sigma)) = mn+1 - canon_labeling(w, sigma)
 
     def test_entry_complement(self):
-        w, sigma = Labeling.natural(2), Labeling((1, 3, 4, 2))
+        w, sigma = (1, 2), (1, 3, 4, 2)
         lab = canon_labeling(_phi(w), _phi(sigma))
-        assert lab.values == tuple(9 - v for v in canon_labeling(w, sigma).values)
-        assert lab.values == (8, 7, 4, 3, 2, 1, 6, 5)
+        assert lab == tuple(9 - v for v in canon_labeling(w, sigma))
+        assert lab == (8, 7, 4, 3, 2, 1, 6, 5)
 
     def test_identity_reverses(self):
-        assert canon_labeling(_phi(Labeling.natural(3)), _phi(Labeling.natural(4))) == (
-            Labeling.reverse_natural(12)
+        assert canon_labeling(_phi((1, 2, 3)), _phi((1, 2, 3, 4))) == (
+            tuple(range(12, 0, -1))
         )
 
     def test_involution_s4(self):
-        for w in (Labeling.natural(2), Labeling.reverse_natural(2), Labeling.natural(3)):
-            for sig in permutations(range(1, 5)):
-                sigma = Labeling(sig)
+        for w in ((1, 2), (2, 1), (1, 2, 3)):
+            for sigma in permutations(range(1, 5)):
                 lab = canon_labeling(w, sigma)
                 flipped = canon_labeling(_phi(w), _phi(sigma))
-                assert flipped.values == tuple(len(lab) + 1 - v for v in lab.values)
+                assert flipped == tuple(len(lab) + 1 - v for v in lab)
                 assert canon_labeling(_phi(_phi(w)), _phi(_phi(sigma))) == lab
 
     def test_descent_complement(self):
         # complementing the labels swaps descents and ascents of every word
         q = product_with_chain(chain(2), 2)
-        w = Labeling.natural(2)
+        w = (1, 2)
         for sig in permutations(range(1, 5)):
-            assert descent_count(_phi(Labeling(sig)).values) == 3 - descent_count(sig)
-        for sig in permutations(range(1, 3)):
-            sigma = Labeling(sig)
+            assert descent_count(_phi(sig)) == 3 - descent_count(sig)
+        for sigma in permutations(range(1, 3)):
             for ext in enumerate_linear_extensions(q):
                 d = descent_count(word(ext, canon_labeling(w, sigma)))
                 flipped = canon_labeling(_phi(w), _phi(sigma))
@@ -284,8 +281,8 @@ class TestPhi:
         from canonlab.poset import remove_intercopy_covers
 
         q = remove_intercopy_covers(product_with_chain(chain(2), 4), 2, [(2, 3)])
-        w = Labeling.natural(2)
-        sigma = Labeling((1, 3, 4, 2))
+        w = (1, 2)
+        sigma = (1, 3, 4, 2)
         lab = canon_labeling(w, sigma)
         by_label = {lab[v]: v for v in range(8)}
         ext = tuple(by_label[x] for x in (1, 2, 5, 7, 6, 3, 4, 8))
@@ -295,9 +292,8 @@ class TestPhi:
 
     def test_word_complement_and_double_application(self):
         q = product_with_chain(chain(2), 3)
-        w = Labeling.natural(2)
-        for sig in permutations(range(1, 4)):
-            sigma = Labeling(sig)
+        w = (1, 2)
+        for sigma in permutations(range(1, 4)):
             lab = canon_labeling(w, sigma)
             pw, ps = _phi(w), _phi(sigma)
             for ext in enumerate_linear_extensions(q):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from conftest import random_labeling, random_poset, vee_poset, wedge_poset
@@ -7,7 +9,6 @@ from canonlab.linext import count_linear_extensions, enumerate_linear_extensions
 from canonlab.polys import hstar
 from canonlab.poset import (
     ChainDescentProfile,
-    Labeling,
     Poset,
     antichain,
     canon_labeling,
@@ -130,47 +131,63 @@ class TestProducts:
 
 class TestLabelings:
     def test_canon_labeling_fig1(self):
-        lab = canon_labeling(Labeling((2, 1)), Labeling.natural(4))
-        assert lab.values == (2, 1, 4, 3, 6, 5, 8, 7)
+        lab = canon_labeling((2, 1), (1, 2, 3, 4))
+        assert lab == (2, 1, 4, 3, 6, 5, 8, 7)
 
     def test_canon_labeling_identity(self):
-        lab = canon_labeling(Labeling.natural(2), Labeling.natural(3))
-        assert lab.values == tuple(range(1, 7))
+        lab = canon_labeling((1, 2), (1, 2, 3))
+        assert lab == tuple(range(1, 7))
 
     def test_canon_labeling_swapped_columns(self):
-        lab = canon_labeling(Labeling.natural(2), Labeling((2, 1)))
-        assert lab.values == (3, 4, 1, 2)
+        lab = canon_labeling((1, 2), (2, 1))
+        assert lab == (3, 4, 1, 2)
 
     def test_canon_labeling_is_bijection(self):
+        # the invariant that lets canon_rows build its labelings unchecked:
+        # column j takes the label block (sigma(j)-1)*m + 1 .. sigma(j)*m
         for m in range(1, 4):
-            for n in range(1, 4):
-                lab = canon_labeling(Labeling.reverse_natural(m), Labeling.natural(n))
-                assert sorted(lab.values) == list(range(1, m * n + 1))
+            for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
+                for n in range(1, 4):
+                    for sigma in permutations(range(1, n + 1)):
+                        lab = canon_labeling(w, sigma)
+                        assert sorted(lab) == list(range(1, m * n + 1))
+                        # (row, j) sits at index row + (j-1)*m
+                        assert all(lab[row + (j - 1) * m] == w[row] + (sigma[j - 1] - 1) * m
+                                   for row in range(m) for j in range(1, n + 1))
 
     def test_checked_labeling_fig2(self):
-        lab = checked_labeling(Labeling.natural(2), 3)
-        assert lab.values == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        lab = checked_labeling((1, 2), 3)
+        assert lab == (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def test_checked_labeling_single_column(self):
-        lab = checked_labeling(Labeling.natural(3), 1)
-        assert lab.values[-1] == 4
+        lab = checked_labeling((1, 2, 3), 1)
+        assert lab[-1] == 4
 
     def test_top_label_order_does_not_change_hstar(self):
         # any assignment of the large labels to the top antichain gives the
         # same descent polynomial
-        from itertools import permutations
-
         p = checked_product(chain(2), 3)
-        base = checked_labeling(Labeling.natural(2), 3)
+        base = checked_labeling((1, 2), 3)
         polys = set()
         for perm in permutations((7, 8, 9)):
-            lab = Labeling(base.values[:6] + perm)
+            lab = base[:6] + perm
             polys.add(hstar(p, lab))
         assert len(polys) == 1
 
     def test_labeling_validation(self):
-        with pytest.raises(PosetFormatError):
-            Labeling((1, 1, 2))
+        # labels are checked where a poset file supplies them
+        for labels, match in (
+            ("[1, 1, 2]", r"labeling \(1, 1, 2\) is not a bijection onto 1..3"),
+            ("[0, 1, 2]", "not a bijection"),
+            ("[1, 2, 4]", "not a bijection"),
+            ('[1, "a", 3]', '"labels" must be integers'),
+            ("[true, 2, 3]", '"labels" must be integers'),
+            ("[1.0, 2, 3]", '"labels" must be integers'),
+            ("[1, 2]", "one value per element"),
+            ('"123"', "one value per element"),
+        ):
+            with pytest.raises(PosetFormatError, match=match):
+                poset_from_json(f'{{"elements": 3, "covers": [], "labels": {labels}}}')
 
 
 class TestRemoveCovers:
@@ -216,17 +233,17 @@ class TestChainDescentProfile:
 
     def test_grid_with_reversed_columns(self):
         p = product_with_chain(chain(2), 3)
-        lab = canon_labeling(Labeling.natural(2), Labeling((3, 2, 1)))
+        lab = canon_labeling((1, 2), (3, 2, 1))
         assert chain_descent_profile(p, lab).constant_k == 2
 
     def test_grid_2x2_both_columns(self):
         p = product_with_chain(chain(2), 2)
         for sigma, k in [((2, 1), 1), ((1, 2), 0)]:
-            lab = canon_labeling(Labeling.natural(2), Labeling(sigma))
+            lab = canon_labeling((1, 2), sigma)
             assert chain_descent_profile(p, lab).constant_k == k
 
     def test_nonconstant(self):
-        prof = chain_descent_profile(vee_poset(), Labeling((2, 1, 3)))
+        prof = chain_descent_profile(vee_poset(), (2, 1, 3))
         assert prof.constant_k is None
         assert isinstance(prof, ChainDescentProfile)
 
@@ -234,15 +251,12 @@ class TestChainDescentProfile:
         # profile of (P x [n], w x sigma) is the profile of (P, w) plus
         # des(sigma): exhaustive over every poset on <= 3 elements, every
         # row labeling with a constant profile and every sigma up to n = 3
-        from itertools import permutations
-
         from conftest import all_posets
 
         checked = 0
         for size in (1, 2, 3):
             for base in all_posets(size):
-                for values in permutations(range(1, size + 1)):
-                    w = Labeling(values)
+                for w in permutations(range(1, size + 1)):
                     k = chain_descent_profile(base, w).constant_k
                     if k is None:
                         continue
@@ -250,7 +264,7 @@ class TestChainDescentProfile:
                         prod = product_with_chain(base, n)
                         for sig in permutations(range(1, n + 1)):
                             des = sum(1 for a, b in zip(sig, sig[1:]) if a > b)
-                            lab = canon_labeling(w, Labeling(sig))
+                            lab = canon_labeling(w, sig)
                             assert chain_descent_profile(prod, lab).constant_k == k + des
                             checked += 1
         assert checked > 300
@@ -296,7 +310,7 @@ class TestJson:
 
     def test_labels_round_trip(self):
         p = product_with_chain(chain(2), 2)
-        lab = canon_labeling(Labeling.natural(2), Labeling((2, 1)))
+        lab = canon_labeling((1, 2), (2, 1))
         q, lab2 = poset_from_json(poset_to_json(p, lab))
         assert (q, lab2) == (p, lab)
 

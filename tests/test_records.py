@@ -22,17 +22,22 @@ from canonlab.cli import RunConfig
 from canonlab.errors import PosetFormatError
 from canonlab.linext import DyckPath
 from canonlab.polys import GammaExpansion, IntPolynomial
-from canonlab.poset import ChainDescentProfile, Labeling, Poset
+from canonlab.poset import ChainDescentProfile, Poset, poset_from_json
 
 
 def _sweep_row(mask: int):
     return conjecture_sweep(2, 3).rows[mask]
 
 
+def _file_labels(labels: str):
+    """Load a two-element poset file carrying ``labels``: labelings are
+    plain tuples, validated only where a file supplies them."""
+    return poset_from_json(f'{{"elements": 2, "covers": [], "labels": {labels}}}')
+
+
 # (make, a different value of the same type, a field name)
 RECORDS = {
     "Poset": (lambda: Poset(3, [(0, 1), (0, 2)]), Poset(3, [(0, 1)]), "covers"),
-    "Labeling": (lambda: Labeling([2, 1, 3]), Labeling((1, 2, 3)), "values"),
     "IntPolynomial": (lambda: IntPolynomial((1, 2)), IntPolynomial((1, 3)), "coefficients"),
     "AmphibianSpec": (lambda: AmphibianSpec(2, 3, [(1, 1)]), AmphibianSpec(2, 3, ()), "removed"),
     "DyckPath": (lambda: DyckPath("eenn"), DyckPath("enen"), "steps"),
@@ -59,7 +64,7 @@ RECORDS = {
                   "statements"),
 }
 
-SLOTTED = ("Poset", "Labeling", "IntPolynomial", "AmphibianSpec", "DyckPath")
+SLOTTED = ("Poset", "IntPolynomial", "AmphibianSpec", "DyckPath")
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -102,7 +107,6 @@ def test_poset_equality_ignores_derived_adjacency():
 
 
 def test_reprs():
-    assert repr(Labeling((2, 1))) == "Labeling(values=(2, 1))"
     assert repr(IntPolynomial((1, 0, 2))) == "IntPolynomial(coefficients=(1, 0, 2))"
     assert repr(AmphibianSpec(2, 2, ())) == "AmphibianSpec(m=2, n=2, removed=frozenset())"
     assert repr(DyckPath("en")) == "DyckPath(steps='en')"
@@ -126,10 +130,11 @@ class TestNormalization:
         assert isinstance(spec.removed, frozenset)
 
     def test_labeling_values_become_a_tuple(self):
-        lab = Labeling([3, 1, 2])
-        assert lab.values == (3, 1, 2)
-        assert isinstance(lab.values, tuple)
-        assert Labeling(v for v in (1, 2)) == Labeling.natural(2)
+        # a labeling is a plain tuple; the JSON list of a file's labels
+        # becomes one on load
+        _, lab = _file_labels("[2, 1]")
+        assert lab == (2, 1)
+        assert isinstance(lab, tuple)
 
     def test_report_sides_are_optional(self):
         report = IdentityReport("check", False, witness="why")
@@ -148,8 +153,8 @@ class TestNormalization:
     (lambda: Poset(2, [(1, 1)]), PosetFormatError, "self-loop"),
     (lambda: Poset(2, [(0, 1), (1, 0)]), PosetFormatError, "cyclic"),
     (lambda: Poset(3, [(0, 1), (1, 2), (0, 2)]), PosetFormatError, "redundant"),
-    (lambda: Labeling((1, 3)), PosetFormatError, r"labeling \(1, 3\) is not a bijection"),
-    (lambda: Labeling([1, 1]), PosetFormatError, r"labeling \(1, 1\) is not a bijection"),
+    (lambda: _file_labels("[1, 3]"), PosetFormatError, r"labeling \(1, 3\) is not a bijection"),
+    (lambda: _file_labels("[1, 1]"), PosetFormatError, r"labeling \(1, 1\) is not a bijection"),
     (lambda: AmphibianSpec(0, 2, ()), ValueError, "must be >= 1"),
     (lambda: AmphibianSpec(2, 2, [(1, 2)]), ValueError, r"\(row=1, j=2\) out of range"),
     (lambda: DyckPath("ex"), ValueError, "invalid step"),
@@ -162,8 +167,8 @@ def test_validation_errors(build, error, match):
         build()
 
 
-@pytest.mark.parametrize("name", ["Labeling", "IntPolynomial", "AmphibianSpec", "SweepRow",
-                                  "Poset", "DyckPath"])
+@pytest.mark.parametrize("name", ["IntPolynomial", "AmphibianSpec", "SweepRow", "Poset",
+                                  "DyckPath"])
 def test_pickle_and_copy_round_trip(name):
     record = RECORDS[name][0]()
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
