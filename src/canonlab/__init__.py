@@ -16,13 +16,13 @@ from canonlab.poset import (
     remove_intercopy_covers,
 )
 from canonlab.linext import (
-    DyckPath,
     count_linear_extensions,
     descent_count,
     descent_set,
     dyck_from_linext,
     enumerate_linear_extensions,
     is_canon_permutation,
+    is_dyck_path,
     linext_from_dyck,
     multiset_word,
     weak_descent_count,

@@ -35,7 +35,6 @@ from canonlab.polys import (
     poly_to_payload,
 )
 from canonlab.poset import (
-    Frozen,
     Poset,
     canon_labeling,
     chain,
@@ -77,41 +76,40 @@ class IdentityReport(NamedTuple):
         return cls(name, False, lhs, rhs, witness)
 
 
-class AmphibianSpec(Frozen):
-    """A chain product with a chosen set of inter-copy covers removed.
+class AmphibianSpec(NamedTuple):
+    """A chain product with a chosen set of inter-copy covers removed,
+    named by its edge mask.
 
-    ``removed`` holds 1-based pairs ``(row, j)`` naming the covers
-    ``(row, j) < (row, j+1)``; intra-copy covers always stay.
+    Bit i of ``mask`` removes the i-th cover of ``removable_edges(m, n)``,
+    so the cover ``(row, j) < (row, j+1)`` is bit ``(row-1)(n-1) + j-1``;
+    intra-copy covers always stay.
     """
 
-    __slots__ = ("m", "n", "removed")
+    m: int
+    n: int
+    mask: int
 
-    def __init__(self, m: int, n: int, removed: Iterable[tuple[int, int]]):
-        if m < 1 or n < 1:
-            raise ValueError("m and n must be >= 1")
-        if not isinstance(removed, frozenset):
-            removed = frozenset(tuple(e) for e in removed)
-        for row, j in removed:
+    @classmethod
+    def from_removed(
+        cls, m: int, n: int, pairs: Iterable[tuple[int, int]]
+    ) -> "AmphibianSpec":
+        """The spec removing the 1-based covers ``(row, j)`` in ``pairs``."""
+        mask = 0
+        for row, j in pairs:
             if not (1 <= row <= m and 1 <= j <= n - 1):
                 raise ValueError(f"removable edge (row={row}, j={j}) out of range")
-        init = object.__setattr__
-        init(self, "m", m)
-        init(self, "n", n)
-        init(self, "removed", removed)
+            mask |= 1 << (row - 1) * (n - 1) + j - 1
+        return cls(m, n, mask)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.n, self.removed) == (other.m, other.n, other.removed)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.removed))
-
-    def __repr__(self):
-        return f"AmphibianSpec(m={self.m!r}, n={self.n!r}, removed={self.removed!r})"
-
-    def __reduce__(self):
-        return AmphibianSpec, (self.m, self.n, self.removed)
+    @property
+    def removed(self) -> tuple[tuple[int, int], ...]:
+        """The removed covers as 1-based pairs ``(row, j)``, row-major."""
+        k = self.n - 1
+        return tuple(
+            (i // k + 1, i % k + 1)
+            for i in range(self.mask.bit_length())
+            if self.mask >> i & 1
+        )
 
     def poset(self) -> Poset:
         grid = product_with_chain(chain(self.m), self.n)
@@ -122,23 +120,13 @@ class AmphibianSpec(Frozen):
         'canon' keeps everything, 'fixed-row' leaves at least one row
         untouched (its copies stay chained, fixing one subsequence), and
         'general' touches every row."""
-        if not self.removed:
+        if not self.mask:
             return "canon"
-        touched = {row for row, _ in self.removed}
-        if len(touched) < self.m:
-            return "fixed-row"
-        return "general"
-
-    def edge_mask(self) -> int:
-        """Bitmask over removable edges (row, j) in row-major order."""
-        edges = removable_edges(self.m, self.n)
-        return sum(1 << edges.index(e) for e in self.removed)
-
-    @classmethod
-    def from_mask(cls, m: int, n: int, mask: int) -> "AmphibianSpec":
-        """The spec whose ``edge_mask()`` is ``mask``."""
-        edges = removable_edges(m, n)
-        return cls(m, n, frozenset(e for i, e in enumerate(edges) if mask >> i & 1))
+        k = self.n - 1
+        row_bits = (1 << k) - 1
+        if all(self.mask >> row * k & row_bits for row in range(self.m)):
+            return "general"
+        return "fixed-row"
 
 
 def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -274,7 +262,7 @@ def dissonant_degree_check(
     valid = is_valid_extension(q, witness_ext)
     wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
     report = IdentityReport.compare(
-        f"dissonant-degree m={spec.m} n={spec.n} mask={spec.edge_mask()} mode={spec.mode()}",
+        f"dissonant-degree m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
         IntPolynomial.x_power(max(poly.degree, 0)),
         IntPolynomial.x_power(expected),
     )
@@ -296,7 +284,7 @@ def dissonant_palindromy_check(
     rhs = poly.mirrored(0, top) if poly.degree <= top else poly
     witness = None if holds else f"not symmetric over [0, {top}]"
     return IdentityReport(
-        f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.edge_mask()} mode={spec.mode()}",
+        f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
         holds,
         poly,
         rhs,
@@ -397,7 +385,6 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
 
 class SweepRow(NamedTuple):
     mask: int
-    removed: tuple[tuple[int, int], ...]
     polynomial: IntPolynomial
     degree: int
     palindromic: bool
@@ -421,7 +408,7 @@ class Certificate(NamedTuple):
             "spec": {
                 "m": self.spec.m,
                 "n": self.spec.n,
-                "removed": sorted(list(e) for e in self.spec.removed),
+                "removed": [list(e) for e in self.spec.removed],
             },
             "poset": poset_to_json(self.spec.poset()),
             "polynomial": poly_to_payload(self.polynomial),
@@ -439,13 +426,12 @@ class SweepReport(NamedTuple):
 
 def _sweep_row(args: tuple[int, int, int, list[tuple[int, ...]]]) -> SweepRow:
     m, n, mask, sigmas = args
-    spec = AmphibianSpec.from_mask(m, n, mask)
+    spec = AmphibianSpec(m, n, mask)
     poly = _row_sum(canon_rows(spec.poset(), tuple(range(1, m + 1)), sigmas))
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(
         mask=mask,
-        removed=tuple(sorted(spec.removed)),
         polynomial=poly,
         degree=poly.degree,
         palindromic=is_palindromic(poly, 0, center),
@@ -459,9 +445,9 @@ def _sweep_row(args: tuple[int, int, int, list[tuple[int, ...]]]) -> SweepRow:
 def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -> SweepReport:
     """Gamma data for every subset of removable inter-copy edges.
 
-    Subsets are canonicalized only by their removed-edge set (no
-    isomorphism reduction); any gamma-negative subset is reported as a
-    counterexample certificate.
+    Each subposet is named only by its edge mask (no isomorphism
+    reduction); any gamma-negative one is reported as a counterexample
+    certificate.
     """
     subposets = 1 << m * (n - 1)  # one per subset of removable edges
     sigmas = column_labelings(m, n, cap, subposets=subposets)
@@ -470,7 +456,7 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     violations = []
     for row in rows:
         if row.gamma is None or not row.gamma_positive:
-            spec = AmphibianSpec.from_mask(m, n, row.mask)
+            spec = AmphibianSpec(m, n, row.mask)
             if row.gamma is None:
                 violation = "not palindromic over the center window"
                 gamma = ()

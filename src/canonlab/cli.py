@@ -13,7 +13,7 @@ import io
 import json
 import sys
 from itertools import islice
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from canonlab import poset
 from canonlab.canon import (
@@ -41,6 +41,7 @@ from canonlab.linext import (
     dyck_from_linext,
     enumerate_linear_extensions,
     high_peak_positions,
+    is_dyck_path,
     linext_from_dyck,
     word,
 )
@@ -67,25 +68,6 @@ from canonlab.poset import (
 # The most element indices one listing prints, or one walk of the
 # thm-2.3 check visits: its extensions times |P|.
 MAX_LISTED = 10_000_000
-
-
-class RunConfig(NamedTuple):
-    command: str
-    subcommand: Optional[str] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    w: str = "natural"
-    poset_file: Optional[str] = None
-    remove: str = ""
-    checked: bool = False
-    repair: bool = False
-    count_only: bool = False
-    limit: Optional[int] = None
-    max_size: int = 9
-    output_format: str = "plain"
-    parallelism: int = 1
-    cap_override: Optional[int] = None
-    statements: tuple[str, ...] = ()
 
 
 def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
@@ -124,7 +106,7 @@ def _row_labeling(kind: str, m: int) -> tuple[int, ...]:
     raise PosetFormatError(f"unknown labeling kind {kind!r}")
 
 
-def _need(cfg: RunConfig, *names: str) -> None:
+def _need(cfg: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise PosetFormatError(f"--{name} is required for this command")
@@ -134,8 +116,8 @@ def _need(cfg: RunConfig, *names: str) -> None:
 # poly
 
 
-def _poly_for(cfg: RunConfig) -> IntPolynomial:
-    kind = cfg.subcommand
+def _poly_for(cfg: argparse.Namespace) -> IntPolynomial:
+    kind = cfg.kind
     if kind == "eulerian":
         _need(cfg, "n")
         return eulerian(cfg.n)
@@ -152,7 +134,7 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
         return canon_polynomial_product(chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)
     if kind == "dissonant":
         _need(cfg, "m", "n")
-        spec = AmphibianSpec(cfg.m, cfg.n, _parse_removed(cfg.remove))
+        spec = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove))
         return dissonant_polynomial(spec, _row_labeling(cfg.w, cfg.m), cap=cfg.cap_override)
     if kind == "weak-descent":
         _need(cfg, "m", "n")
@@ -163,7 +145,7 @@ def _poly_for(cfg: RunConfig) -> IntPolynomial:
     raise PosetFormatError(f"unknown polynomial kind {kind!r}")
 
 
-def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[tuple[int, ...]]]:
+def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, ...]]]:
     if cfg.poset_file:
         return load_poset(cfg.poset_file, repair=cfg.repair)
     _need(cfg, "m", "n")
@@ -173,13 +155,13 @@ def _resolve_poset(cfg: RunConfig) -> tuple[Poset, Optional[tuple[int, ...]]]:
     else:
         p = product_with_chain(chain(cfg.m), cfg.n)
         lab = canon_labeling(_row_labeling(cfg.w, cfg.m), range(1, cfg.n + 1))
-    removed = _parse_removed(cfg.remove)
-    if removed:
-        p = poset.remove_intercopy_covers(p, cfg.m, removed)
+    spec = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove))
+    if spec.mask:
+        p = poset.remove_intercopy_covers(p, cfg.m, spec.removed)
     return p, lab
 
 
-def _emit_poly(p: IntPolynomial, cfg: RunConfig) -> None:
+def _emit_poly(p: IntPolynomial, cfg: argparse.Namespace) -> None:
     if cfg.output_format == "json":
         print(json.dumps(poly_to_payload(p)))
     elif cfg.output_format == "csv":
@@ -191,7 +173,7 @@ def _emit_poly(p: IntPolynomial, cfg: RunConfig) -> None:
         print(str(p))
 
 
-def _cmd_poly(cfg: RunConfig) -> int:
+def _cmd_poly(cfg: argparse.Namespace) -> int:
     _emit_poly(_poly_for(cfg), cfg)
     return 0
 
@@ -199,16 +181,18 @@ def _cmd_poly(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-Checker = Callable[[RunConfig], list[IdentityReport]]
+Checker = Callable[[argparse.Namespace], list[IdentityReport]]
 
 
-def _grid(cfg: RunConfig, default_pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def _grid(
+    cfg: argparse.Namespace, default_pairs: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
     if cfg.m is not None and cfg.n is not None:
         return [(cfg.m, cfg.n)]
     return [(m, n) for m, n in default_pairs if m * n <= cfg.max_size]
 
 
-def _check_product_formula(cfg: RunConfig) -> list[IdentityReport]:
+def _check_product_formula(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         w = _row_labeling(cfg.w, m)
@@ -235,7 +219,7 @@ def _zoo() -> list[tuple[str, Poset, tuple[int, ...]]]:
     return zoo
 
 
-def _check_poset_zoo(cfg: RunConfig) -> list[IdentityReport]:
+def _check_poset_zoo(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for name, p, w in _zoo():
         for n in (1, 2, 3):
@@ -247,7 +231,7 @@ def _check_poset_zoo(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
+def _check_dyck_bijection(cfg: argparse.Namespace) -> list[IdentityReport]:
     top = 6 if cfg.n is None else cfg.n
     grids = []
     # counted first, through the kernel: the walk grows with n, so this
@@ -267,6 +251,9 @@ def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
         detail = None
         for order in enumerate_linear_extensions(grid):
             path = dyck_from_linext(grid, order)
+            if not is_dyck_path(path):
+                detail = f"{path} is not a Dyck path at {order}"
+                break
             if linext_from_dyck(path) != order:
                 detail = f"round trip failed at {order}"
                 break
@@ -277,7 +264,7 @@ def _check_dyck_bijection(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_narayana_model(cfg: RunConfig) -> list[IdentityReport]:
+def _check_narayana_model(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     top = 7 if cfg.n is None else cfg.n
     check_named_n(top)
@@ -288,7 +275,7 @@ def _check_narayana_model(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
+def _check_shift_law(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (2, 3)]):
         sigmas = column_labelings(m, n, cfg.cap_override)
@@ -301,7 +288,7 @@ def _check_shift_law(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_checked_product(cfg: RunConfig) -> list[IdentityReport]:
+def _check_checked_product(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         w = _row_labeling("natural", m)
@@ -309,7 +296,7 @@ def _check_checked_product(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_generalized_product(cfg: RunConfig) -> list[IdentityReport]:
+def _check_generalized_product(cfg: argparse.Namespace) -> list[IdentityReport]:
     vee = Poset(3, frozenset({(0, 1), (0, 2)}))
     cases = [
         ("antichain", antichain(3)),
@@ -329,10 +316,10 @@ def _check_generalized_product(cfg: RunConfig) -> list[IdentityReport]:
 
 def _amphibian_specs(m: int, n: int):
     for mask in range(1 << len(removable_edges(m, n))):
-        yield AmphibianSpec.from_mask(m, n, mask)
+        yield AmphibianSpec(m, n, mask)
 
 
-def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
+def _check_row_shift(cfg: argparse.Namespace) -> list[IdentityReport]:
     # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
     out = []
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3)]):
@@ -346,13 +333,13 @@ def _check_row_shift(cfg: RunConfig) -> list[IdentityReport]:
             bad = [s for s, a, b in zip(sigmas, lhs, rhs)
                    if IntPolynomial(a) != IntPolynomial(b).shift(k)]
             if bad:
-                detail = f"mask={spec.edge_mask()} sigma={bad[0]}"
+                detail = f"mask={spec.mask} sigma={bad[0]}"
                 break
         out.append(IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail))
     return out
 
 
-def _check_degree_law(cfg: RunConfig) -> list[IdentityReport]:
+def _check_degree_law(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(2, 2), (2, 3), (3, 2)]):
         for kind in ("natural", "reverse"):
@@ -362,7 +349,7 @@ def _check_degree_law(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_palindromy(cfg: RunConfig) -> list[IdentityReport]:
+def _check_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(2, 2), (2, 3), (3, 2)]):
         for kind in ("natural", "reverse"):
@@ -372,7 +359,7 @@ def _check_palindromy(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_gamma_interpretation(cfg: RunConfig) -> list[IdentityReport]:
+def _check_gamma_interpretation(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3), (3, 3)]):
         gi = gamma_interpretation(m, n, cap=cfg.cap_override)
@@ -381,7 +368,7 @@ def _check_gamma_interpretation(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_weak_descents(cfg: RunConfig) -> list[IdentityReport]:
+def _check_weak_descents(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         lhs = weak_descent_polynomial(m, n, cap=cfg.cap_override)
@@ -392,7 +379,7 @@ def _check_weak_descents(cfg: RunConfig) -> list[IdentityReport]:
     return out
 
 
-def _check_fixed_row_palindromy(cfg: RunConfig) -> list[IdentityReport]:
+def _check_fixed_row_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]:
     # fixed-row subposets: identity-labeled window m(n-1), reversed-label
     # window m(n+1)-2
     out = []
@@ -406,7 +393,7 @@ def _check_fixed_row_palindromy(cfg: RunConfig) -> list[IdentityReport]:
             ok_u = is_palindromic(pu, 0, m * (n + 1) - 2)
             out.append(
                 IdentityReport(
-                    f"fixed-row-palindromy m={m} n={n} mask={spec.edge_mask()} mode={spec.mode()}",
+                    f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}",
                     ok_id and ok_u,
                     witness=None if ok_id and ok_u else "window symmetry failed",
                 )
@@ -441,7 +428,7 @@ def _sides(r: IdentityReport) -> dict:
     return {"lhs": poly_to_payload(r.lhs), "rhs": poly_to_payload(r.rhs)}
 
 
-def _emit_reports(reports: list[IdentityReport], cfg: RunConfig) -> int:
+def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int:
     failed = [r for r in reports if not r.holds]
     if cfg.output_format == "json":
         payload = [
@@ -468,8 +455,8 @@ def _emit_reports(reports: list[IdentityReport], cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    names = cfg.statements or ("all",)
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    names = cfg.statements
     reports: list[IdentityReport] = []
     for name in names:
         if name == "all":
@@ -498,7 +485,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 # sweep
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(cfg: argparse.Namespace) -> int:
     _need(cfg, "m", "n")
     report = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.parallelism, cap=cfg.cap_override)
     rows = report.rows
@@ -564,12 +551,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 # gamma / extensions
 
 
-def _refuse_csv(cfg: RunConfig) -> None:
+def _refuse_csv(cfg: argparse.Namespace) -> None:
     if cfg.output_format == "csv":
         raise PosetFormatError(f"{cfg.command} has no csv output; use --format json or plain")
 
 
-def _cmd_gamma(cfg: RunConfig) -> int:
+def _cmd_gamma(cfg: argparse.Namespace) -> int:
     _refuse_csv(cfg)
     _need(cfg, "m", "n")
     gi = gamma_interpretation(cfg.m, cfg.n, cap=cfg.cap_override)
@@ -597,7 +584,7 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     return 0 if gi.matches else 1
 
 
-def _cmd_extensions(cfg: RunConfig) -> int:
+def _cmd_extensions(cfg: argparse.Namespace) -> int:
     _refuse_csv(cfg)
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
@@ -654,58 +641,33 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("kind", choices=[
         "canon", "canon-product", "eulerian", "narayana", "hstar", "dissonant", "weak-descent",
     ])
+    poly.set_defaults(run=_cmd_poly)
 
     verify = sub.add_parser("verify", parents=[common], help="machine-check identities")
     verify.add_argument("statements", nargs="+",
                         help=f"statement ids ({', '.join(sorted(VERIFY_CHECKS))}) or all")
+    verify.set_defaults(run=_cmd_verify)
 
     sweep = sub.add_parser("sweep", parents=[common], help="exhaustive subposet sweeps")
     sweep.add_argument("kind", choices=["gamma"])
+    sweep.set_defaults(run=_cmd_sweep)
 
-    sub.add_parser("gamma", parents=[common], help="gamma-coefficient interpretation counts")
+    gamma = sub.add_parser("gamma", parents=[common],
+                           help="gamma-coefficient interpretation counts")
+    gamma.set_defaults(run=_cmd_gamma)
 
     ext = sub.add_parser("extensions", parents=[common], help="enumerate linear extensions")
     ext.add_argument("--count-only", action="store_true", dest="count_only")
     ext.add_argument("--limit", type=int, default=None)
+    ext.set_defaults(run=_cmd_extensions)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        subcommand=getattr(args, "kind", None),
-        m=args.m,
-        n=args.n,
-        w=args.w,
-        poset_file=args.poset_file,
-        remove=args.remove,
-        checked=args.checked,
-        repair=args.repair,
-        count_only=getattr(args, "count_only", False),
-        limit=getattr(args, "limit", None),
-        max_size=args.max_size,
-        output_format=args.output_format,
-        parallelism=args.parallelism,
-        cap_override=args.cap_override,
-        statements=tuple(getattr(args, "statements", ()) or ()),
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(cfg: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit status."""
     try:
-        if cfg.command == "poly":
-            return _cmd_poly(cfg)
-        if cfg.command == "verify":
-            return _cmd_verify(cfg)
-        if cfg.command == "sweep":
-            return _cmd_sweep(cfg)
-        if cfg.command == "gamma":
-            return _cmd_gamma(cfg)
-        if cfg.command == "extensions":
-            return _cmd_extensions(cfg)
-        raise PosetFormatError(f"unknown command {cfg.command!r}")
+        return cfg.run(cfg)
     except ValueError as exc:  # size caps, malformed files and arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -715,9 +677,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code = run(config_from_args(args))
+    code = run(build_parser().parse_args(argv))
     if argv is None:
         sys.exit(code)
     return code

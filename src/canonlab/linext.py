@@ -7,7 +7,8 @@ on element indices, and streams can be stopped early.
 ``enumerate_linear_extensions`` streams every extension;
 ``rho_filtered_extensions`` runs the same search on a checked product
 but prunes each prefix that ends in a double rho-descent, so it yields
-only the extensions Cor. 5.1 counts.
+only the extensions Cor. 5.1 counts.  A Dyck path is its string of e/n
+steps.
 """
 
 from __future__ import annotations
@@ -18,48 +19,12 @@ from typing import Iterator, Sequence
 
 from canonlab import kernel
 from canonlab.poset import (
-    Frozen,
     Poset,
     chain,
     checked_product,
     product_with_chain,
     rho_parities,
 )
-
-
-class DyckPath(Frozen):
-    """A lattice path of e/n steps staying weakly below the diagonal."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: str):
-        x = y = 0
-        for s in steps:
-            if s == "e":
-                x += 1
-            elif s == "n":
-                y += 1
-            else:
-                raise ValueError(f"invalid step {s!r}")
-            if y > x:
-                raise ValueError(f"path {steps!r} rises above the diagonal")
-        if x != y:
-            raise ValueError(f"path {steps!r} has unbalanced steps")
-        object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.steps,))
-
-    def __repr__(self):
-        return f"DyckPath(steps={self.steps!r})"
-
-    def __reduce__(self):
-        return DyckPath, (self.steps,)
 
 
 def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
@@ -159,11 +124,24 @@ def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
     return len(patterns) == 1
 
 
-def high_peak_positions(path: DyckPath) -> tuple[int, ...]:
+def is_dyck_path(steps: str) -> bool:
+    """True iff ``steps`` is a string of e/n steps, as many of each, that
+    never rises above the diagonal: a Dyck path."""
+    height = 0
+    for s in steps:
+        if s == "e":
+            height += 1
+        elif s == "n" and height:
+            height -= 1
+        else:
+            return False
+    return height == 0
+
+
+def high_peak_positions(steps: str) -> tuple[int, ...]:
     """1-based step indices starting an e,n peak that avoids the diagonal."""
     out = []
     x = y = 0
-    steps = path.steps
     for i, s in enumerate(steps):
         if s == "e":
             x += 1
@@ -182,8 +160,8 @@ def _require_two_row_grid(p: Poset) -> int:
     return n
 
 
-def dyck_from_linext(p: Poset, order: Sequence[int]) -> DyckPath:
-    """Encode an extension of the two-row grid as a Dyck path.
+def dyck_from_linext(p: Poset, order: Sequence[int]) -> str:
+    """Encode an extension of the two-row grid as the steps of a Dyck path.
 
     Under the natural labeling the bottom row holds the odd labels, so an
     element maps to an east step iff its index is even.
@@ -191,15 +169,15 @@ def dyck_from_linext(p: Poset, order: Sequence[int]) -> DyckPath:
     _require_two_row_grid(p)
     if not is_valid_extension(p, order):
         raise ValueError("not a linear extension of the given poset")
-    return DyckPath("".join("e" if v % 2 == 0 else "n" for v in order))
+    return "".join("e" if v % 2 == 0 else "n" for v in order)
 
 
-def linext_from_dyck(path: DyckPath) -> tuple[int, ...]:
+def linext_from_dyck(steps: str) -> tuple[int, ...]:
     """Inverse encoding: east steps emit the bottom row in order, north
     steps the top row."""
     order = []
     e = n = 0
-    for s in path.steps:
+    for s in steps:
         if s == "e":
             order.append(2 * e)
             e += 1

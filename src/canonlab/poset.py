@@ -421,10 +421,11 @@ def poset_from_json(
         raise PosetFormatError('poset JSON needs "elements" and "covers"')
     n = payload["elements"]
     raw = payload["covers"]
-    if not isinstance(n, int) or n < 0:
+    # JSON true and false parse to bool, which is an int subclass
+    if type(n) is not int or n < 0:
         raise PosetFormatError('"elements" must be a non-negative integer')
     if not isinstance(raw, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c)
+        isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
         for c in raw
     ):
         raise PosetFormatError('"covers" must be a list of [a, b] integer pairs')
@@ -440,7 +441,6 @@ def poset_from_json(
         return poset, None
     if not isinstance(labels, list) or len(labels) != n:
         raise PosetFormatError('"labels" must list one value per element')
-    # JSON true and false parse to bool, which is an int subclass
     if any(type(v) is not int for v in labels):
         raise PosetFormatError('"labels" must be integers')
     labels = tuple(labels)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from canonlab.errors import PosetFormatError
-from canonlab.linext import DyckPath
+from canonlab.linext import is_dyck_path
 from canonlab.poset import Poset, transitive_reduction
 
 
@@ -45,18 +45,17 @@ def all_posets(n: int) -> list[Poset]:
     return out
 
 
-def dyck_paths(n: int) -> list[DyckPath]:
+def dyck_paths(n: int) -> list[str]:
     """Every Dyck path of semilength n, by brute force: each placement of
-    n east steps among 2n steps that ``DyckPath`` accepts."""
+    n east steps among 2n steps that ``is_dyck_path`` accepts."""
     out = []
     for east in combinations(range(2 * n), n):
         steps = ["n"] * (2 * n)
         for i in east:
             steps[i] = "e"
-        try:
-            out.append(DyckPath("".join(steps)))
-        except ValueError:
-            continue
+        path = "".join(steps)
+        if is_dyck_path(path):
+            out.append(path)
     return out
 
 

@@ -206,18 +206,18 @@ class TestGeneralizedProduct:
 
 class TestDissonant:
     def test_empty_removal_is_canon(self):
-        spec = AmphibianSpec(2, 3, frozenset())
+        spec = AmphibianSpec(2, 3, 0)
         assert dissonant_polynomial(spec, (1, 2)) == \
             canon_polynomial_bruteforce(chain(2), (1, 2), 3)
 
     def test_small_example(self):
-        spec = AmphibianSpec(2, 2, frozenset({(2, 1)}))
+        spec = AmphibianSpec.from_removed(2, 2, [(2, 1)])
         assert dissonant_polynomial(spec, (1, 2)) == P(1, 4, 1)
 
     def test_fixed_row_gives_multiset_permutations(self):
         # keeping one row chained realizes every multiset permutation once
         m, n = 2, 3
-        spec = AmphibianSpec(m, n, frozenset((2, j) for j in range(1, n)))
+        spec = AmphibianSpec.from_removed(m, n, [(2, j) for j in range(1, n)])
         assert spec.mode() == "fixed-row"
         counts = {}
         for word in multiset_permutations([v for v in range(1, n + 1) for _ in range(m)]):
@@ -236,21 +236,35 @@ class TestDissonant:
         assert ge is not None and not ge.gamma_positive
 
     def test_modes(self):
-        assert AmphibianSpec(2, 3, frozenset()).mode() == "canon"
-        assert AmphibianSpec(2, 3, frozenset({(1, 1)})).mode() == "fixed-row"
-        assert AmphibianSpec(2, 2, frozenset({(1, 1), (2, 1)})).mode() == "general"
+        assert AmphibianSpec(2, 3, 0).mode() == "canon"
+        assert AmphibianSpec.from_removed(2, 3, [(1, 1)]).mode() == "fixed-row"
+        assert AmphibianSpec.from_removed(2, 2, [(1, 1), (2, 1)]).mode() == "general"
+
+    def test_mode_from_bits_follows_the_row_rule(self):
+        for m, n in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)):
+            for mask in range(1 << len(removable_edges(m, n))):
+                spec = AmphibianSpec(m, n, mask)
+                touched = {row for row, _ in spec.removed}
+                expected = ("canon" if not touched
+                            else "general" if len(touched) == m else "fixed-row")
+                assert spec.mode() == expected, (m, n, mask)
 
     def test_bad_edges(self):
-        with pytest.raises(ValueError):
-            AmphibianSpec(2, 2, frozenset({(3, 1)}))
-        with pytest.raises(ValueError):
-            AmphibianSpec(2, 2, frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match=r"\(row=3, j=1\) out of range"):
+            AmphibianSpec.from_removed(2, 2, [(3, 1)])
+        with pytest.raises(ValueError, match=r"\(row=1, j=2\) out of range"):
+            AmphibianSpec.from_removed(2, 2, [(1, 2)])
 
-    def test_from_mask_inverts_edge_mask(self):
-        for m, n in ((1, 1), (2, 2), (2, 3), (3, 3)):
-            for mask in range(1 << len(removable_edges(m, n))):
-                assert AmphibianSpec.from_mask(m, n, mask).edge_mask() == mask
-        assert AmphibianSpec.from_mask(2, 3, 0b0110).removed == {(1, 2), (2, 1)}
+    def test_from_removed_inverts_removed(self):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                edges = removable_edges(m, n)
+                for mask in range(1 << len(edges)):
+                    removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
+                    spec = AmphibianSpec(m, n, mask)
+                    assert spec.removed == removed
+                    assert AmphibianSpec.from_removed(m, n, removed) == spec
+        assert AmphibianSpec(2, 3, 0b0110).removed == ((1, 2), (2, 1))
 
 
 class TestDegreeLaw:
@@ -259,15 +273,15 @@ class TestDegreeLaw:
             for w, k in [(tuple(range(1, m + 1)), 0), (tuple(range(m, 0, -1)), m - 1)]:
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
-                    removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-                    spec = AmphibianSpec(m, n, removed)
+                    removed = [e for i, e in enumerate(edges) if mask >> i & 1]
+                    spec = AmphibianSpec.from_removed(m, n, removed)
                     report = dissonant_degree_check(spec, w)
                     assert report.holds, report.witness
                     poly = dissonant_polynomial(spec, w)
                     assert poly.degree == m * (n - 1) + k
 
     def test_witness_extension_always_valid(self):
-        spec = AmphibianSpec(3, 2, frozenset({(1, 1), (3, 1)}))
+        spec = AmphibianSpec.from_removed(3, 2, [(1, 1), (3, 1)])
         ext = degree_witness_extension(spec)
         from canonlab.linext import is_valid_extension
 
@@ -280,14 +294,15 @@ class TestPalindromyLaw:
             for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
-                    removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-                    report = dissonant_palindromy_check(AmphibianSpec(m, n, removed), w)
+                    removed = [e for i, e in enumerate(edges) if mask >> i & 1]
+                    spec = AmphibianSpec.from_removed(m, n, removed)
+                    report = dissonant_palindromy_check(spec, w)
                     assert report.holds, report.name
 
     def test_reverse_window(self):
         # reversed rows at (2,2): window reaches m(n-1)+2k = 4
         report = dissonant_palindromy_check(
-            AmphibianSpec(2, 2, frozenset()), (2, 1)
+            AmphibianSpec(2, 2, 0), (2, 1)
         )
         assert report.holds
         assert report.lhs.degree == 3
@@ -305,8 +320,8 @@ class TestReciprocity:
                 kphi = (m - 1) - k
                 edges = removable_edges(m, n)
                 for mask in range(1 << len(edges)):
-                    removed = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-                    q = AmphibianSpec(m, n, removed).poset()
+                    removed = [e for i, e in enumerate(edges) if mask >> i & 1]
+                    q = AmphibianSpec.from_removed(m, n, removed).poset()
                     for sig in permutations(range(1, n + 1)):
                         lhs = hstar(q, canon_labeling(w, sig)).mirrored(0, mn - 1)
                         phi = tuple(n + 1 - v for v in sig)
@@ -448,7 +463,7 @@ class TestConjectureSweep:
         assert serial == parallel
 
     def test_certificate_payload(self):
-        spec = AmphibianSpec(2, 2, frozenset({(1, 1)}))
+        spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])
         cert = Certificate(spec, P(1, -1, 1), (1, -3), "gamma-negative at index 1")
         payload = cert.to_payload()
         assert payload["violation"] == "gamma-negative at index 1"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,10 @@ import sys
 import time
 from pathlib import Path
 
-from canonlab.cli import VERIFY_CHECKS, RunConfig, load_poset, main, run
+import pytest
+
+import canonlab.cli as cli_mod
+from canonlab.cli import VERIFY_CHECKS, build_parser, load_poset, main, run
 from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
 
 
@@ -81,6 +85,17 @@ class TestPoly:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err, argv
 
+    def test_bad_edge_same_error_in_every_command(self, capsys):
+        # one check names an out-of-range cover, whatever the command
+        message = "error: removable edge (row=5, j=1) out of range\n"
+        for argv in (
+            ("poly", "dissonant", "--m", "2", "--n", "3"),
+            ("poly", "hstar", "--m", "2", "--n", "3"),
+            ("poly", "hstar", "--m", "2", "--n", "3", "--checked"),
+            ("extensions", "--m", "2", "--n", "3"),
+        ):
+            assert invoke(capsys, *argv, "--remove", "5:1") == (2, "", message), argv
+
     def test_force_cap_leaves_hstar_alone(self, capsys):
         argv = ("poly", "hstar", "--m", "3", "--n", "3")
         code, out, _ = invoke(capsys, *argv)
@@ -136,6 +151,16 @@ class TestVerify:
             code, out, err = invoke(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, argv
+
+    def test_non_dyck_image_is_a_failed_check(self, capsys, monkeypatch):
+        # a counterexample to the bijection is a failed check (exit 1),
+        # not a usage error (exit 2)
+        monkeypatch.setattr(cli_mod, "dyck_from_linext",
+                            lambda p, order: "ne" * (len(order) // 2))
+        code, out, err = invoke(capsys, "verify", "thm-2.3", "--n", "2")
+        assert (code, err) == (1, "")
+        assert "[FAIL] dyck-bijection n=1  (ne is not a Dyck path at (0, 1))" in out
+        assert "0/2 checks hold" in out
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(capsys, "verify", "cor-2.4", "--n", "3", "--format", "json")
@@ -239,11 +264,10 @@ class TestSweep:
     def test_violation_exits_nonzero_with_certificate(self, capsys, monkeypatch):
         # no gamma-negative subposet exists at desk scale, so exercise the
         # reporting path with a synthetic violation
-        import canonlab.cli as cli_mod
         from canonlab.canon import AmphibianSpec, Certificate, SweepReport
         from canonlab.polys import IntPolynomial
 
-        spec = AmphibianSpec(2, 2, frozenset({(1, 1)}))
+        spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])
         cert = Certificate(spec, IntPolynomial((1, -2, 1)), (1, -6),
                            "gamma-negative at index 1")
         fake = SweepReport(2, 2, (), (cert,))
@@ -383,14 +407,35 @@ class TestPosetFiles:
             assert err == f"error: {message}\n", labels
 
 
+    def test_malformed_files_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        for text, message in (
+            ("[]", "poset JSON must be an object"),
+            ('{"elements": 2}', 'poset JSON needs "elements" and "covers"'),
+            ('{"elements": -1, "covers": []}', '"elements" must be a non-negative integer'),
+            # JSON true and false are no integers
+            ('{"elements": true, "covers": []}', '"elements" must be a non-negative integer'),
+            ('{"elements": 2, "covers": [[0, "1"]]}',
+             '"covers" must be a list of [a, b] integer pairs'),
+            ('{"elements": 2, "covers": [[false, true]]}',
+             '"covers" must be a list of [a, b] integer pairs'),
+        ):
+            path.write_text(text)
+            code, out, err = invoke(capsys, "extensions", "--poset", str(path))
+            assert (code, out) == (2, ""), text
+            assert err == f"error: {message}\n", text
+
+
 class TestRunConfig:
     def test_run_directly(self, capsys):
-        cfg = RunConfig(command="poly", subcommand="narayana", n=3)
-        assert run(cfg) == 0
+        assert run(build_parser().parse_args(["poly", "narayana", "--n", "3"])) == 0
         assert "coeffs [1, 3, 1]" in capsys.readouterr().out
 
     def test_unknown_command(self, capsys):
-        assert run(RunConfig(command="nope")) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_import_leaves_process_pool_out(self):
         # only --jobs above 1 needs the process pool, so importing the CLI
@@ -411,3 +456,35 @@ class TestRunConfig:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "[]"
+
+
+# sha256 of stdout for fixed commands: any change to output bytes, in any
+# format, shows here
+STDOUT_DIGESTS = [
+    ("verify all", "86bd0bc70e69b4d3964726e37cd5734b57c768cd68732b7072eddc66bd17f63f"),
+    ("verify all --format json",
+     "29d5d3410f000a5f11c3ef85f843c5d8c3b07702e1b0e4c545aafe078a223a34"),
+    ("verify all --format csv",
+     "aacb64529b3b557b18bc6015d291a00ca08381aea9b8fac62eed71d84ecc4084"),
+    ("sweep gamma --m 2 --n 3",
+     "7d6eab920f212937013d0503a9ca5c203104578db20b39b078d941a0581d1783"),
+    ("sweep gamma --m 2 --n 3 --format json",
+     "61918fc7269d9bf7d9f4826c8e08eb3fd77fdf22276712cf8222a8868a0d7dfb"),
+    ("sweep gamma --m 2 --n 3 --format csv",
+     "c84aead73c5eb1b3d593a259c29db75d9dfb174fd378eff8207879da75761eb0"),
+    ("sweep gamma --m 3 --n 3 --format json",
+     "f11258de7f328a0bd9547e9ab64f07fd75f0d66f0fdbadb98060898bec7470c6"),
+    ("poly dissonant --m 2 --n 3 --remove 2:1,2:2 --format json",
+     "e12ad5a7c9a10dac3817c1ecb1294f7ec507939cdebb75f86709423a7a4daf8e"),
+    ("poly hstar --m 2 --n 3 --remove 2:1 --checked --format json",
+     "8d9d6948614c5d418f4489d2652fe50075c552aa825e307b8f3e64bc65bf0f02"),
+    ("extensions --m 2 --n 3 --remove 1:2",
+     "8a43b58b1af4bf408783e1104bc7f6a3eca793c88e2c5d0c9b548e260d90c454"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS, ids=[a for a, _ in STDOUT_DIGESTS])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = invoke(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import dyck_paths, random_poset
 
 from canonlab.linext import (
-    DyckPath,
     count_linear_extensions,
     descent_count,
     descent_set,
@@ -15,6 +14,7 @@ from canonlab.linext import (
     enumerate_linear_extensions,
     high_peak_positions,
     is_canon_permutation,
+    is_dyck_path,
     is_valid_extension,
     linext_from_dyck,
     multiset_word,
@@ -146,31 +146,29 @@ class TestMultisetWords:
 
 class TestDyck:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DyckPath("ne")
-        with pytest.raises(ValueError):
-            DyckPath("ee")
-        with pytest.raises(ValueError):
-            DyckPath("ex")
+        assert is_dyck_path("") and is_dyck_path("en") and is_dyck_path("eenenn")
+        assert not is_dyck_path("ne")
+        assert not is_dyck_path("ee")
+        assert not is_dyck_path("ex")
 
     def test_single_column(self):
         p = product_with_chain(chain(2), 1)
         ext = next(enumerate_linear_extensions(p))
-        assert dyck_from_linext(p, ext).steps == "en"
+        assert dyck_from_linext(p, ext) == "en"
 
     def test_examples_n2(self):
         p = product_with_chain(chain(2), 2)
         by_word = {
-            word(e, natural_labeling(p)): dyck_from_linext(p, e).steps
+            word(e, natural_labeling(p)): dyck_from_linext(p, e)
             for e in enumerate_linear_extensions(p)
         }
         assert by_word[(1, 3, 2, 4)] == "eenn"
         assert by_word[(1, 2, 3, 4)] == "enen"
 
     def test_high_peaks(self):
-        assert high_peak_positions(DyckPath("enen")) == ()
-        assert high_peak_positions(DyckPath("eenn")) == (2,)
-        assert high_peak_positions(DyckPath("eennen")) == (2,)
+        assert high_peak_positions("enen") == ()
+        assert high_peak_positions("eenn") == (2,)
+        assert high_peak_positions("eennen") == (2,)
 
     def test_round_trip_and_descent_peak_match(self):
         for n in range(1, 7):

@@ -18,9 +18,8 @@ from canonlab.canon import (
     SweepReport,
     conjecture_sweep,
 )
-from canonlab.cli import RunConfig
 from canonlab.errors import PosetFormatError
-from canonlab.linext import DyckPath
+from canonlab.linext import is_dyck_path
 from canonlab.polys import GammaExpansion, IntPolynomial
 from canonlab.poset import ChainDescentProfile, Poset, poset_from_json
 
@@ -39,8 +38,8 @@ def _file_labels(labels: str):
 RECORDS = {
     "Poset": (lambda: Poset(3, [(0, 1), (0, 2)]), Poset(3, [(0, 1)]), "covers"),
     "IntPolynomial": (lambda: IntPolynomial((1, 2)), IntPolynomial((1, 3)), "coefficients"),
-    "AmphibianSpec": (lambda: AmphibianSpec(2, 3, [(1, 1)]), AmphibianSpec(2, 3, ()), "removed"),
-    "DyckPath": (lambda: DyckPath("eenn"), DyckPath("enen"), "steps"),
+    "AmphibianSpec": (lambda: AmphibianSpec.from_removed(2, 3, [(1, 1)]), AmphibianSpec(2, 3, 0),
+                      "mask"),
     "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
     "GammaExpansion": (lambda: GammaExpansion(2, (1, 0)), GammaExpansion(2, (1, 1)), "gamma"),
     "ChainDescentProfile": (
@@ -55,16 +54,14 @@ RECORDS = {
     ),
     "SweepRow": (lambda: _sweep_row(1), _sweep_row(2), "mask"),
     "Certificate": (
-        lambda: Certificate(AmphibianSpec(2, 2, ()), IntPolynomial((1, 1)), (1,), "v"),
-        Certificate(AmphibianSpec(2, 2, ()), IntPolynomial((1, 1)), (1,), "w"),
+        lambda: Certificate(AmphibianSpec(2, 2, 0), IntPolynomial((1, 1)), (1,), "v"),
+        Certificate(AmphibianSpec(2, 2, 0), IntPolynomial((1, 1)), (1,), "w"),
         "violation",
     ),
     "SweepReport": (lambda: SweepReport(2, 2, (), ()), SweepReport(2, 3, (), ()), "n"),
-    "RunConfig": (lambda: RunConfig("verify", statements=("all",)), RunConfig("verify"),
-                  "statements"),
 }
 
-SLOTTED = ("Poset", "IntPolynomial", "AmphibianSpec", "DyckPath")
+SLOTTED = ("Poset", "IntPolynomial", "AmphibianSpec")
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -108,8 +105,7 @@ def test_poset_equality_ignores_derived_adjacency():
 
 def test_reprs():
     assert repr(IntPolynomial((1, 0, 2))) == "IntPolynomial(coefficients=(1, 0, 2))"
-    assert repr(AmphibianSpec(2, 2, ())) == "AmphibianSpec(m=2, n=2, removed=frozenset())"
-    assert repr(DyckPath("en")) == "DyckPath(steps='en')"
+    assert repr(AmphibianSpec(2, 2, 1)) == "AmphibianSpec(m=2, n=2, mask=1)"
 
 
 class TestNormalization:
@@ -124,10 +120,10 @@ class TestNormalization:
         assert p.covers == frozenset({(0, 1), (0, 2)})
         assert isinstance(p.covers, frozenset)
 
-    def test_spec_removed_becomes_a_frozenset(self):
-        spec = AmphibianSpec(2, 3, [[1, 1], [2, 2]])
-        assert spec.removed == frozenset({(1, 1), (2, 2)})
-        assert isinstance(spec.removed, frozenset)
+    def test_spec_removed_pairs_become_a_mask(self):
+        spec = AmphibianSpec.from_removed(2, 3, [[2, 2], [1, 1], [2, 2]])
+        assert spec == AmphibianSpec(2, 3, 0b1001)
+        assert spec.removed == ((1, 1), (2, 2))
 
     def test_labeling_values_become_a_tuple(self):
         # a labeling is a plain tuple; the JSON list of a file's labels
@@ -142,10 +138,6 @@ class TestNormalization:
         p = IntPolynomial((1,))
         assert IdentityReport.compare("same", p, p) == IdentityReport("same", True, p, p)
 
-    def test_run_config_defaults(self):
-        cfg = RunConfig("poly")
-        assert cfg.statements == () and cfg.output_format == "plain" and cfg.max_size == 9
-
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: Poset(-1, ()), PosetFormatError, "non-negative"),
@@ -155,11 +147,9 @@ class TestNormalization:
     (lambda: Poset(3, [(0, 1), (1, 2), (0, 2)]), PosetFormatError, "redundant"),
     (lambda: _file_labels("[1, 3]"), PosetFormatError, r"labeling \(1, 3\) is not a bijection"),
     (lambda: _file_labels("[1, 1]"), PosetFormatError, r"labeling \(1, 1\) is not a bijection"),
-    (lambda: AmphibianSpec(0, 2, ()), ValueError, "must be >= 1"),
-    (lambda: AmphibianSpec(2, 2, [(1, 2)]), ValueError, r"\(row=1, j=2\) out of range"),
-    (lambda: DyckPath("ex"), ValueError, "invalid step"),
-    (lambda: DyckPath("ne"), ValueError, "rises above"),
-    (lambda: DyckPath("ee"), ValueError, "unbalanced"),
+    (lambda: AmphibianSpec(0, 2, 0).poset(), ValueError, "must be >= 1"),
+    (lambda: AmphibianSpec.from_removed(2, 2, [(1, 2)]), ValueError,
+     r"\(row=1, j=2\) out of range"),
     (lambda: IdentityReport("x"), TypeError, "holds"),
 ])
 def test_validation_errors(build, error, match):
@@ -167,8 +157,20 @@ def test_validation_errors(build, error, match):
         build()
 
 
-@pytest.mark.parametrize("name", ["IntPolynomial", "AmphibianSpec", "SweepRow", "Poset",
-                                  "DyckPath"])
+@pytest.mark.parametrize("steps, expected", [
+    ("", True),
+    ("eenn", True),
+    ("ex", False),  # a step that is neither e nor n
+    ("ne", False),  # rises above the diagonal
+    ("ee", False),  # unbalanced
+])
+def test_is_dyck_path(steps, expected):
+    # a Dyck path is its step string; validity is a predicate, not a
+    # constructor that raises
+    assert is_dyck_path(steps) is expected
+
+
+@pytest.mark.parametrize("name", ["IntPolynomial", "AmphibianSpec", "SweepRow", "Poset"])
 def test_pickle_and_copy_round_trip(name):
     record = RECORDS[name][0]()
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
