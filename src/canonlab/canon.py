@@ -11,6 +11,7 @@ edge-subset sweep fans its subposets out over worker processes.
 
 from __future__ import annotations
 
+import os
 from itertools import accumulate, permutations
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -472,14 +473,16 @@ def parallel_map(fn, items, jobs: int = 1):
     """Order-preserving map, fanned out over processes when jobs > 1.
 
     Results are combined in input order, so output is deterministic
-    regardless of scheduling.
+    regardless of scheduling.  The pool may start all its workers at
+    once, so it has at most one per item and per CPU, whatever ``jobs``.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     # imported only here: loading it adds tens of ms to every interpreter start
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 4))
         return list(pool.map(fn, items, chunksize=chunk))

@@ -98,83 +98,53 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[i
     return poset_from_json(text, repair=repair)
 
 
-def _row_labeling(kind: str, m: int) -> tuple[int, ...]:
-    if kind in ("natural", "id"):
-        return tuple(range(1, m + 1))
+def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
+    """The row labeling named by ``--w``; natural when it is not given."""
     if kind in ("reverse", "u"):
         return tuple(range(m, 0, -1))
-    raise PosetFormatError(f"unknown labeling kind {kind!r}")
-
-
-def _need(cfg: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise PosetFormatError(f"--{name} is required for this command")
-
-
-# ---------------------------------------------------------------------------
-# poly
-
-
-def _poly_for(cfg: argparse.Namespace) -> IntPolynomial:
-    kind = cfg.kind
-    if kind == "eulerian":
-        _need(cfg, "n")
-        return eulerian(cfg.n)
-    if kind == "narayana":
-        _need(cfg, "n")
-        return narayana(cfg.n)
-    if kind == "canon":
-        _need(cfg, "m", "n")
-        return canon_polynomial_bruteforce(
-            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n, cap=cfg.cap_override
-        )
-    if kind == "canon-product":
-        _need(cfg, "m", "n")
-        return canon_polynomial_product(chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)
-    if kind == "dissonant":
-        _need(cfg, "m", "n")
-        spec = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove))
-        return dissonant_polynomial(spec, _row_labeling(cfg.w, cfg.m), cap=cfg.cap_override)
-    if kind == "weak-descent":
-        _need(cfg, "m", "n")
-        return weak_descent_polynomial(cfg.m, cfg.n, cap=cfg.cap_override)
-    if kind == "hstar":
-        p, lab = _resolve_poset(cfg)
-        return hstar(p, lab)
-    raise PosetFormatError(f"unknown polynomial kind {kind!r}")
+    return tuple(range(1, m + 1))
 
 
 def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, ...]]]:
-    if cfg.poset_file:
-        return load_poset(cfg.poset_file, repair=cfg.repair)
-    _need(cfg, "m", "n")
+    """The poset of ``--poset``, or the ``--m`` x ``--n`` grid (the checked
+    product with ``--checked``) less its ``--remove`` covers, with its
+    labeling."""
+    given = [f"--{name}" for name in ("m", "n", "w", "checked", "remove")
+             if getattr(cfg, name, None) is not None]
+    if cfg.poset is not None:
+        if given:
+            raise PosetFormatError(f"--poset does not combine with {', '.join(given)}")
+        return load_poset(cfg.poset, repair=cfg.repair)
+    if cfg.repair or cfg.m is None or cfg.n is None:
+        raise PosetFormatError("give --poset FILE (which --repair needs), or --m and --n")
+    w = _row_labeling(getattr(cfg, "w", None), cfg.m)
     if cfg.checked:
         p = checked_product(chain(cfg.m), cfg.n)
-        lab = poset.checked_labeling(_row_labeling(cfg.w, cfg.m), cfg.n)
+        lab = poset.checked_labeling(w, cfg.n)
     else:
         p = product_with_chain(chain(cfg.m), cfg.n)
-        lab = canon_labeling(_row_labeling(cfg.w, cfg.m), range(1, cfg.n + 1))
+        lab = canon_labeling(w, range(1, cfg.n + 1))
     spec = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove))
     if spec.mask:
         p = poset.remove_intercopy_covers(p, cfg.m, spec.removed)
     return p, lab
 
 
-def _emit_poly(p: IntPolynomial, cfg: argparse.Namespace) -> None:
-    if cfg.output_format == "json":
+# ---------------------------------------------------------------------------
+# poly
+
+
+def _cmd_poly(cfg: argparse.Namespace) -> int:
+    p = cfg.make(cfg)
+    if cfg.format == "json":
         print(json.dumps(poly_to_payload(p)))
-    elif cfg.output_format == "csv":
+    elif cfg.format == "csv":
         print("exponent,coefficient")
         for k, c in enumerate(p.coefficients):
             print(f"{k},{c}")
     else:
         print(f"coeffs {list(p.coefficients)}")
         print(str(p))
-
-
-def _cmd_poly(cfg: argparse.Namespace) -> int:
-    _emit_poly(_poly_for(cfg), cfg)
     return 0
 
 
@@ -194,11 +164,12 @@ def _grid(
 
 def _check_product_formula(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
+    kind = cfg.w or "natural"
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        w = _row_labeling(cfg.w, m)
-        lhs = canon_polynomial_bruteforce(chain(m), w, n, cap=cfg.cap_override)
+        w = _row_labeling(kind, m)
+        lhs = canon_polynomial_bruteforce(chain(m), w, n, cap=cfg.force_cap)
         rhs = canon_polynomial_product(chain(m), w, n)
-        out.append(IdentityReport.compare(f"product-formula m={m} n={n} w={cfg.w}", lhs, rhs))
+        out.append(IdentityReport.compare(f"product-formula m={m} n={n} w={kind}", lhs, rhs))
     return out
 
 
@@ -225,7 +196,7 @@ def _check_poset_zoo(cfg: argparse.Namespace) -> list[IdentityReport]:
         for n in (1, 2, 3):
             if p.element_count * n > cfg.max_size:
                 continue
-            lhs = canon_polynomial_bruteforce(p, w, n, cap=cfg.cap_override)
+            lhs = canon_polynomial_bruteforce(p, w, n, cap=cfg.force_cap)
             rhs = canon_polynomial_product(p, w, n)
             out.append(IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs))
     return out
@@ -268,17 +239,18 @@ def _check_narayana_model(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     top = 7 if cfg.n is None else cfg.n
     check_named_n(top)
-    for n in range(1, top + 1):
+    # the top grid first: one the kernel refuses stops the check before any other runs
+    for n in range(top, 0, -1):
         lhs = hstar(product_with_chain(chain(2), n))
         rhs = narayana(n)
         out.append(IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs))
-    return out
+    return out[::-1]
 
 
 def _check_shift_law(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (2, 3)]):
-        sigmas = column_labelings(m, n, cfg.cap_override)
+        sigmas = column_labelings(m, n, cfg.force_cap)
         rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
         base = IntPolynomial(rows[0])  # sigma = the identity
         bad = [s for s, row in zip(sigmas, rows)
@@ -292,7 +264,7 @@ def _check_checked_product(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
         w = _row_labeling("natural", m)
-        out.append(checked_product_identity(chain(m), w, n, cap=cfg.cap_override))
+        out.append(checked_product_identity(chain(m), w, n, cap=cfg.force_cap))
     return out
 
 
@@ -308,7 +280,7 @@ def _check_generalized_product(cfg: argparse.Namespace) -> list[IdentityReport]:
     for name, pprime in cases:
         out.append(
             generalized_product_identity(
-                chain(m), _row_labeling("natural", m), pprime, cap=cfg.cap_override
+                chain(m), _row_labeling("natural", m), pprime, cap=cfg.force_cap
             )
         )
     return out
@@ -323,7 +295,7 @@ def _check_row_shift(cfg: argparse.Namespace) -> list[IdentityReport]:
     # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
     out = []
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3)]):
-        sigmas = column_labelings(m, n, cfg.cap_override)
+        sigmas = column_labelings(m, n, cfg.force_cap)
         w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
         k = m - 1
         detail = None
@@ -345,7 +317,7 @@ def _check_degree_law(cfg: argparse.Namespace) -> list[IdentityReport]:
         for kind in ("natural", "reverse"):
             w = _row_labeling(kind, m)
             for spec in _amphibian_specs(m, n):
-                out.append(dissonant_degree_check(spec, w, cap=cfg.cap_override))
+                out.append(dissonant_degree_check(spec, w, cap=cfg.force_cap))
     return out
 
 
@@ -355,14 +327,14 @@ def _check_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]:
         for kind in ("natural", "reverse"):
             w = _row_labeling(kind, m)
             for spec in _amphibian_specs(m, n):
-                out.append(dissonant_palindromy_check(spec, w, cap=cfg.cap_override))
+                out.append(dissonant_palindromy_check(spec, w, cap=cfg.force_cap))
     return out
 
 
 def _check_gamma_interpretation(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3), (3, 3)]):
-        gi = gamma_interpretation(m, n, cap=cfg.cap_override)
+        gi = gamma_interpretation(m, n, cap=cfg.force_cap)
         detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
         out.append(IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail))
     return out
@@ -371,9 +343,9 @@ def _check_gamma_interpretation(cfg: argparse.Namespace) -> list[IdentityReport]
 def _check_weak_descents(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
     for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        lhs = weak_descent_polynomial(m, n, cap=cfg.cap_override)
+        lhs = weak_descent_polynomial(m, n, cap=cfg.force_cap)
         rhs = canon_polynomial_bruteforce(
-            chain(m), _row_labeling("natural", m), n, cap=cfg.cap_override
+            chain(m), _row_labeling("natural", m), n, cap=cfg.force_cap
         ).shift(m - 1)
         out.append(IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs))
     return out
@@ -387,9 +359,9 @@ def _check_fixed_row_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]
         for spec in _amphibian_specs(m, n):
             if spec.mode() == "general":
                 continue
-            pid = dissonant_polynomial(spec, _row_labeling("natural", m), cap=cfg.cap_override)
+            pid = dissonant_polynomial(spec, _row_labeling("natural", m), cap=cfg.force_cap)
             ok_id = is_palindromic(pid, 0, m * (n - 1))
-            pu = dissonant_polynomial(spec, _row_labeling("reverse", m), cap=cfg.cap_override)
+            pu = dissonant_polynomial(spec, _row_labeling("reverse", m), cap=cfg.force_cap)
             ok_u = is_palindromic(pu, 0, m * (n + 1) - 2)
             out.append(
                 IdentityReport(
@@ -430,13 +402,13 @@ def _sides(r: IdentityReport) -> dict:
 
 def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int:
     failed = [r for r in reports if not r.holds]
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         payload = [
             {"name": r.name, "holds": r.holds, **_sides(r), "witness": r.witness}
             for r in reports
         ]
         print(json.dumps(payload))
-    elif cfg.output_format == "csv":
+    elif cfg.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["name", "holds", "witness"])
@@ -449,7 +421,7 @@ def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int
             extra = f"  ({r.witness})" if (r.witness and not r.holds) else ""
             print(f"[{mark}] {r.name}{extra}")
         print(f"{len(reports) - len(failed)}/{len(reports)} checks hold")
-    if failed and cfg.output_format == "plain":
+    if failed and cfg.format == "plain":
         for r in failed:
             print(json.dumps({"name": r.name, **_sides(r), "witness": r.witness}))
     return 1 if failed else 0
@@ -486,10 +458,9 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(cfg: argparse.Namespace) -> int:
-    _need(cfg, "m", "n")
-    report = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.parallelism, cap=cfg.cap_override)
+    report = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.jobs, cap=cfg.force_cap)
     rows = report.rows
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         payload = {
             "m": report.m,
             "n": report.n,
@@ -509,7 +480,7 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
             "violations": [c.to_payload() for c in report.violations],
         }
         print(json.dumps(payload))
-    elif cfg.output_format == "csv":
+    elif cfg.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(
@@ -551,16 +522,9 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
 # gamma / extensions
 
 
-def _refuse_csv(cfg: argparse.Namespace) -> None:
-    if cfg.output_format == "csv":
-        raise PosetFormatError(f"{cfg.command} has no csv output; use --format json or plain")
-
-
 def _cmd_gamma(cfg: argparse.Namespace) -> int:
-    _refuse_csv(cfg)
-    _need(cfg, "m", "n")
-    gi = gamma_interpretation(cfg.m, cfg.n, cap=cfg.cap_override)
-    if cfg.output_format == "json":
+    gi = gamma_interpretation(cfg.m, cfg.n, cap=cfg.force_cap)
+    if cfg.format == "json":
         payload = {
             "m": gi.m,
             "n": gi.n,
@@ -585,7 +549,6 @@ def _cmd_gamma(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_extensions(cfg: argparse.Namespace) -> int:
-    _refuse_csv(cfg)
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
         print(count_linear_extensions(p))
@@ -600,7 +563,7 @@ def _cmd_extensions(cfg: argparse.Namespace) -> int:
             "pass a smaller --limit or --count-only"
         )
     stream = islice(enumerate_linear_extensions(p), cfg.limit)
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         print(json.dumps([list(order) for order in stream]))
     else:
         for order in stream:
@@ -612,53 +575,90 @@ def _cmd_extensions(cfg: argparse.Namespace) -> int:
 # wiring
 
 
+def _jobs(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command and ``poly`` kind, each taking only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="canonlab",
         description="Enumerate canon permutations and verify descent-polynomial identities",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=None, help="size of the row chain")
-    common.add_argument("--n", type=int, default=None, help="number of chain copies / columns")
-    common.add_argument("--w", default="natural", choices=["natural", "id", "reverse", "u"],
-                        help="row labeling")
-    common.add_argument("--poset", dest="poset_file", default=None, help="poset JSON file")
-    common.add_argument("--remove", default="", help='inter-copy covers to delete, "row:j,row:j"')
-    common.add_argument("--checked", action="store_true", help="use the checked product")
-    common.add_argument("--repair", action="store_true",
+    m_help, n_help = "size of the row chain", "number of chain copies / columns"
+    size = _options()
+    size.add_argument("--n", type=int, required=True, help=n_help)
+    grid = _options(size)
+    grid.add_argument("--m", type=int, required=True, help=m_help)
+    row = _options()
+    row.add_argument("--w", choices=["natural", "id", "reverse", "u"], help="row labeling")
+    remove = _options()
+    remove.add_argument("--remove", help='inter-copy covers to delete, "row:j,row:j"')
+    cap = _options()
+    cap.add_argument("--force-cap", type=int,
+                     help="raise the |P|*n cap on sums over all column labelings")
+    fmt = _options()
+    fmt.add_argument("--format", default="plain", choices=["json", "csv", "plain"])
+    no_csv = _options()
+    no_csv.add_argument("--format", default="plain", choices=["json", "plain"])
+    # --poset or the m x n grid, checked at run time: each grid option is None unless given
+    free = _options()
+    free.add_argument("--m", type=int, help=m_help)
+    free.add_argument("--n", type=int, help=n_help)
+    source = _options(free, remove)
+    source.add_argument("--poset", help="poset JSON file")
+    source.add_argument("--repair", action="store_true",
                         help="repair redundant covers by transitive reduction on load")
-    common.add_argument("--format", dest="output_format", default="plain",
-                        choices=["json", "csv", "plain"])
-    common.add_argument("--jobs", dest="parallelism", type=int, default=1)
-    common.add_argument("--force-cap", dest="cap_override", type=int, default=None,
-                        help="raise the |P|*n cap on sums over all column labelings")
-    common.add_argument("--max-size", dest="max_size", type=int, default=9,
-                        help="bound on |P|*n for default verification grids")
+    source.add_argument("--checked", action="store_true", default=None,
+                        help="use the checked product")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    poly = sub.add_parser("poly", parents=[common], help="compute a named polynomial")
-    poly.add_argument("kind", choices=[
-        "canon", "canon-product", "eulerian", "narayana", "hstar", "dissonant", "weak-descent",
-    ])
-    poly.set_defaults(run=_cmd_poly)
+    kinds = sub.add_parser("poly", help="compute a named polynomial").add_subparsers(
+        dest="kind", required=True)
+    for kind, parents, make in (
+        ("eulerian", [size, fmt], lambda cfg: eulerian(cfg.n)),
+        ("narayana", [size, fmt], lambda cfg: narayana(cfg.n)),
+        ("canon", [grid, row, cap, fmt], lambda cfg: canon_polynomial_bruteforce(
+            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n, cap=cfg.force_cap)),
+        ("canon-product", [grid, row, fmt], lambda cfg: canon_polynomial_product(
+            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
+        ("dissonant", [grid, row, remove, cap, fmt], lambda cfg: dissonant_polynomial(
+            AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove)),
+            _row_labeling(cfg.w, cfg.m), cap=cfg.force_cap)),
+        ("weak-descent", [grid, cap, fmt],
+         lambda cfg: weak_descent_polynomial(cfg.m, cfg.n, cap=cfg.force_cap)),
+        ("hstar", [source, row, fmt], lambda cfg: hstar(*_resolve_poset(cfg))),
+    ):
+        kinds.add_parser(kind, parents=parents).set_defaults(run=_cmd_poly, make=make)
 
-    verify = sub.add_parser("verify", parents=[common], help="machine-check identities")
+    verify = sub.add_parser("verify", parents=[free, row, cap, fmt],
+                            help="machine-check identities")
     verify.add_argument("statements", nargs="+",
                         help=f"statement ids ({', '.join(sorted(VERIFY_CHECKS))}) or all")
+    verify.add_argument("--max-size", type=int, default=9,
+                        help="bound on |P|*n for default verification grids")
     verify.set_defaults(run=_cmd_verify)
 
-    sweep = sub.add_parser("sweep", parents=[common], help="exhaustive subposet sweeps")
+    sweep = sub.add_parser("sweep", parents=[grid, cap, fmt], help="exhaustive subposet sweeps")
     sweep.add_argument("kind", choices=["gamma"])
+    sweep.add_argument("--jobs", type=_jobs, default=1,
+                       help="worker processes, at most one per CPU and per subposet")
     sweep.set_defaults(run=_cmd_sweep)
 
-    gamma = sub.add_parser("gamma", parents=[common],
-                           help="gamma-coefficient interpretation counts")
-    gamma.set_defaults(run=_cmd_gamma)
+    sub.add_parser("gamma", parents=[grid, cap, no_csv],
+                   help="gamma-coefficient interpretation counts").set_defaults(run=_cmd_gamma)
 
-    ext = sub.add_parser("extensions", parents=[common], help="enumerate linear extensions")
-    ext.add_argument("--count-only", action="store_true", dest="count_only")
-    ext.add_argument("--limit", type=int, default=None)
+    ext = sub.add_parser("extensions", parents=[source, no_csv],
+                         help="enumerate linear extensions")
+    ext.add_argument("--count-only", action="store_true")
+    ext.add_argument("--limit", type=int)
     ext.set_defaults(run=_cmd_extensions)
 
     return parser

@@ -19,9 +19,14 @@ exact: every prefix reaching a state extends to a linear extension of P,
 distinct prefixes to distinct extensions, so no bin of any state exceeds
 e(P) < 2**B and no addition carries into the next bin.
 
-A layer (the states of the ideals of one size) above
-``MAX_LAYER_STATES`` raises ``SizeCapError`` while it is being built,
-which bounds the work and memory of any call.
+The states of an ideal grow from the elements minimal outside it, which
+each ideal passes on to the next, so building them costs in proportion
+to the transitions, and a pass moves |P| bins along every transition.
+Two bounds raise ``SizeCapError`` while the states are built, before any
+pass: a layer (the states of the ideals of one size) above
+``MAX_LAYER_STATES`` bounds the memory of a wide poset, and transitions
+times |P| above ``MAX_WORK`` the work of a long, narrow one, where no
+layer is large.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from operator import le, lt
 from canonlab.errors import SizeCapError
 
 MAX_LAYER_STATES = 100_000
+# [9]x[8] (72 elements, 456,886 transitions) still runs; [2]x[n] runs up
+# to n = 215
+MAX_WORK = 40_000_000
 
 
 def backend() -> str:
@@ -48,19 +56,29 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """
     n = poset.element_count
     below = [0] * n
+    above: list[list[int]] = [[] for _ in range(n)]
     for a, b in poset.covers:
         below[b] |= 1 << a
-    layer: dict[int, list[tuple[int, int]]] = {0: [(0, -1)]}  # ideal -> (state, u)
+        above[a].append(b)
+    # ideal -> ([(state, u), ...], the elements minimal outside the ideal)
+    layer = {0: ([(0, -1)], sum(1 << v for v in range(n) if not below[v]))}
     edges = []
     states = 1
     for size in range(1, n + 1):
         first = states
-        grown: dict[int, list[tuple[int, int]]] = {}
-        for ideal, ends in layer.items():
-            for v in range(n):
-                if ideal >> v & 1 or below[v] & ~ideal:
-                    continue
-                grown.setdefault(ideal | 1 << v, []).append((states, v))
+        grown: dict[int, tuple[list[tuple[int, int]], int]] = {}
+        for ideal, (ends, free) in layer.items():
+            rest = free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                nxt = ideal | bit
+                if nxt not in grown:
+                    # only elements above v can become minimal
+                    grown[nxt] = ([], (free ^ bit) | sum(
+                        1 << x for x in above[v] if not below[x] & ~nxt))
+                grown[nxt][0].append((states, v))
                 edges.extend((src, states, n * n if u < 0 else u * n + v) for src, u in ends)
                 states += 1
             if states - first > MAX_LAYER_STATES:
@@ -68,8 +86,13 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
                     f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
                     f"at prefix length {size}: the poset is too wide"
                 )
+            if len(edges) * n > MAX_WORK:
+                raise SizeCapError(
+                    f"the order-ideal DP has more than {MAX_WORK} transitions x elements "
+                    f"at prefix length {size}: the poset is too large"
+                )
         layer = grown
-    return states, edges, [s for ends in layer.values() for s, _ in ends]
+    return states, edges, [s for ends, _ in layer.values() for s, _ in ends]
 
 
 def _count(states: int, edges, final) -> int:

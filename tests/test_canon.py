@@ -21,6 +21,7 @@ from canonlab.canon import (
     dissonant_polynomial,
     gamma_interpretation,
     generalized_product_identity,
+    parallel_map,
     removable_edges,
     weak_descent_polynomial,
 )
@@ -461,6 +462,39 @@ class TestConjectureSweep:
         serial = conjecture_sweep(2, 3, jobs=1)
         parallel = conjecture_sweep(2, 3, jobs=4)
         assert serial == parallel
+
+    def test_workers_bounded_by_items_and_cpus(self, monkeypatch):
+        # a pool may fork all its workers at once: it gets at most one per
+        # item and per CPU, whatever jobs asks for (the fake forks nothing)
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert parallel_map(abs, [-1, -2, -3], jobs=10**9) == [1, 2, 3]
+        assert parallel_map(abs, range(-9, 0), jobs=10**9) == list(range(9, 0, -1))
+        assert parallel_map(abs, range(-9, 0), jobs=2) == list(range(9, 0, -1))
+        assert started == [3, 4, 2]
+        # one worker or one item: no pool at all
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parallel_map(abs, [-1, -2], jobs=8) == [1, 2]
+        assert parallel_map(abs, [-1], jobs=8) == [1]
+        assert started == [3, 4, 2]
 
     def test_certificate_payload(self):
         spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -17,6 +18,15 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of an argv the parser refuses: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, ""), argv
+    return captured.err
 
 
 class TestPoly:
@@ -54,8 +64,14 @@ class TestPoly:
         assert code == 0 and "coeffs [1, 4, 4, 1]" in out
 
     def test_missing_arguments(self, capsys):
-        code, _, err = invoke(capsys, "poly", "canon", "--m", "3")
-        assert code == 2 and "required" in err
+        for argv, missing in (
+            (("poly", "canon", "--m", "3"), "--n"),
+            (("poly", "eulerian"), "--n"),
+            (("sweep", "gamma", "--n", "2"), "--m"),
+            (("gamma", "--m", "2"), "--n"),
+        ):
+            err = usage_error(capsys, *argv)
+            assert f"the following arguments are required: {missing}" in err, argv
 
     def test_cap_exceeded(self, capsys):
         code, _, err = invoke(capsys, "poly", "canon", "--m", "4", "--n", "4")
@@ -96,11 +112,13 @@ class TestPoly:
         ):
             assert invoke(capsys, *argv, "--remove", "5:1") == (2, "", message), argv
 
-    def test_force_cap_leaves_hstar_alone(self, capsys):
+    def test_hstar_takes_no_force_cap(self, capsys):
+        # h* sums over no column labelings, so it has no cap to raise
         argv = ("poly", "hstar", "--m", "3", "--n", "3")
         code, out, _ = invoke(capsys, *argv)
         assert code == 0 and "coeffs [1, " in out
-        assert invoke(capsys, *argv, "--force-cap", "4") == (0, out, "")
+        err = usage_error(capsys, *argv, "--force-cap", "4")
+        assert "unrecognized arguments: --force-cap 4" in err
 
     def test_hstar_past_64_elements(self, capsys):
         code, out, _ = invoke(capsys, "poly", "hstar", "--m", "9", "--n", "8")
@@ -297,9 +315,84 @@ class TestGammaCommand:
 def test_csv_refused_where_not_implemented(capsys):
     for argv in (("gamma", "--m", "2", "--n", "3"), ("extensions", "--m", "2", "--n", "2"),
                  ("extensions", "--m", "2", "--n", "2", "--count-only")):
-        code, out, err = invoke(capsys, *argv, "--format", "csv")
+        err = usage_error(capsys, *argv, "--format", "csv")
+        assert "argument --format: invalid choice: 'csv'" in err, argv
+
+
+# every option each command or poly kind takes; 55 (command, option) pairs
+ACCEPTED_OPTIONS = {
+    "poly eulerian": "--n --format",
+    "poly narayana": "--n --format",
+    "poly canon": "--m --n --w --force-cap --format",
+    "poly canon-product": "--m --n --w --format",
+    "poly dissonant": "--m --n --w --remove --force-cap --format",
+    "poly weak-descent": "--m --n --force-cap --format",
+    "poly hstar": "--poset --repair --m --n --w --checked --remove --format",
+    "verify": "--m --n --w --force-cap --max-size --format",
+    "sweep": "--m --n --jobs --force-cap --format",
+    "gamma": "--m --n --force-cap --format",
+    "extensions": "--poset --repair --m --n --checked --remove --count-only --limit --format",
+}
+
+
+def _accepted_options(parser, prefix=""):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _accepted_options(child, f"{prefix} {name}".strip())
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    accepted = dict(_accepted_options(build_parser()))
+    assert accepted == {k: set(v.split()) for k, v in ACCEPTED_OPTIONS.items()}
+    assert sum(map(len, accepted.values())) == 55
+
+
+@pytest.mark.parametrize("argv", [
+    # options a command does not read, once ignored
+    "sweep gamma --m 2 --n 2 --w reverse --poset /nonexistent --remove 9:9",
+    "poly weak-descent --m 2 --n 2 --w reverse",
+    "gamma --m 2 --n 3 --w reverse --remove 9:9 --jobs 3",
+    "poly canon --m 2 --n 2 --remove 9:9",
+    "poly eulerian --n 3 --m 9",
+    "extensions --poset {file} --remove 5:1",
+    # a poset file or the grid, not both, and --repair only on a file
+    "poly hstar --poset {file} --m 2",
+    "poly hstar --poset {file} --w reverse",
+    "extensions --poset {file} --checked",
+    "extensions --m 2 --n 2 --repair",
+    "extensions --m 2",
+    "poly hstar",
+    # at least one worker
+    "sweep gamma --m 2 --n 2 --jobs 0",
+    "sweep gamma --m 2 --n 2 --jobs -3",
+    "sweep gamma --m 2 --n 2 --jobs x",
+])
+def test_unread_options_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "grid.json"
+    path.write_text(poset_to_json(product_with_chain(chain(2), 2)))
+    argv = argv.format(file=path).split()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("error: ") == 1
+
+
+def test_long_two_row_grids_exit_2(capsys):
+    # the kernel's work bound refuses [2]x[1000] while its states are built;
+    # verify cor-2.4 runs its top grid first, so no smaller grid runs before
+    for argv in ("extensions --m 2 --n 1000 --count-only", "poly hstar --m 2 --n 1000",
+                 "poly canon-product --m 2 --n 1000", "verify cor-2.4 --n 1000"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv.split())
+        assert time.perf_counter() - start < 2, argv
         assert (code, out) == (2, ""), argv
-        assert err == f"error: {argv[0]} has no csv output; use --format json or plain\n"
+        assert "transitions x elements at prefix length 143" in err, argv
 
 
 class TestExtensions:

@@ -3,6 +3,7 @@
 import random
 import time
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -109,3 +110,22 @@ def test_wide_poset_refused_quickly():
         with pytest.raises(SizeCapError, match="too wide"):
             work(antichain(40))
     assert time.perf_counter() - start < 10
+
+
+def test_long_narrow_poset_refused_quickly():
+    # no layer of [2]x[1000] is large, but its transitions x elements are:
+    # the work bound refuses it while the states are built
+    grid = product_with_chain(chain(2), 1000)
+    start = time.perf_counter()
+    for work in (kernel.count_extensions, lambda p: kernel.descent_histograms(p, [])):
+        with pytest.raises(SizeCapError, match="too large"):
+            work(grid)
+    assert time.perf_counter() - start < 1
+
+
+def test_longest_two_row_grid_under_the_work_bound():
+    # e([2]x[n]) is the Catalan number C(2n, n) / (n + 1); n = 215 is the
+    # last n whose transitions x elements stay within MAX_WORK
+    assert count_linear_extensions(product_with_chain(chain(2), 215)) == comb(430, 215) // 216
+    with pytest.raises(SizeCapError, match="too large"):
+        count_linear_extensions(product_with_chain(chain(2), 216))
