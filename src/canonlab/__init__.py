@@ -7,7 +7,7 @@ from canonlab.poset import (
     antichain,
     canon_labeling,
     chain,
-    chain_descent_profile,
+    chain_descents,
     checked_labeling,
     checked_product,
     is_graded,

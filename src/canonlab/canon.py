@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from itertools import accumulate, permutations
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
@@ -39,7 +39,7 @@ from canonlab.poset import (
     Poset,
     canon_labeling,
     chain,
-    chain_descent_profile,
+    chain_descents,
     checked_labeling,
     checked_product,
     natural_labeling,
@@ -188,6 +188,20 @@ def canon_polynomial_bruteforce(
     return _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
 
 
+def _product_form(
+    p: Poset, w: Sequence[int], n: int, first: Callable[[], IntPolynomial]
+) -> IntPolynomial:
+    """x^k * ``first()`` * h* of the naturally labeled product p x [n],
+    where k is the number of descents on every maximal chain of (p, w).
+    The first factor, A_n or h*(P'), is computed last: a product the
+    kernel refuses costs nothing more."""
+    k = chain_descents(p, w)
+    if k is None:
+        raise CanonlabError("product form needs a labeling with constant chain descents")
+    base = hstar(product_with_chain(p, n), canon_labeling(natural_labeling(p), range(1, n + 1)))
+    return (first() * base).shift(k)
+
+
 def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomial:
     """Closed product form: x^k * A_n * h* of the naturally labeled product.
 
@@ -195,14 +209,7 @@ def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomia
     descents.
     """
     check_named_n(n)
-    profile = chain_descent_profile(p, w)
-    if profile.constant_k is None:
-        raise CanonlabError(
-            "product form needs a labeling with constant chain descents"
-        )
-    prod = product_with_chain(p, n)
-    base = hstar(prod, canon_labeling(natural_labeling(p), range(1, n + 1)))
-    return (eulerian(n) * base).shift(profile.constant_k)
+    return _product_form(p, w, n, lambda: eulerian(n))
 
 
 def checked_product_identity(
@@ -220,15 +227,10 @@ def generalized_product_identity(
 ) -> IdentityReport:
     """Sum of product descent polynomials over the extensions of a second
     poset vs the factored form x^k * h*(P') * h*(P x [n])."""
-    profile = chain_descent_profile(p, w)
-    if profile.constant_k is None:
-        raise CanonlabError("factored form needs constant chain descents")
     n = pprime.element_count
     sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
-    prod = product_with_chain(p, n)
-    lhs = _row_sum(canon_rows(prod, w, sigmas))
-    base = hstar(prod, canon_labeling(natural_labeling(p), range(1, n + 1)))
-    rhs = (hstar(pprime) * base).shift(profile.constant_k)
+    rhs = _product_form(p, w, n, lambda: hstar(pprime))
+    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
     )

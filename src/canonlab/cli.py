@@ -47,7 +47,6 @@ from canonlab.linext import (
 )
 from canonlab.polys import (
     IntPolynomial,
-    check_named_n,
     eulerian,
     hstar,
     is_palindromic,
@@ -157,9 +156,13 @@ Checker = Callable[[argparse.Namespace], list[IdentityReport]]
 def _grid(
     cfg: argparse.Namespace, default_pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
+    """The (m, n) grids a check runs: exactly ``--m`` x ``--n`` when both
+    are given, else the default pairs within ``--max-size`` that match a
+    lone ``--m`` or ``--n``."""
     if cfg.m is not None and cfg.n is not None:
         return [(cfg.m, cfg.n)]
-    return [(m, n) for m, n in default_pairs if m * n <= cfg.max_size]
+    return [(m, n) for m, n in default_pairs
+            if m * n <= cfg.max_size and cfg.m in (None, m) and cfg.n in (None, n)]
 
 
 def _check_product_formula(cfg: argparse.Namespace) -> list[IdentityReport]:
@@ -237,14 +240,12 @@ def _check_dyck_bijection(cfg: argparse.Namespace) -> list[IdentityReport]:
 
 def _check_narayana_model(cfg: argparse.Namespace) -> list[IdentityReport]:
     out = []
-    top = 7 if cfg.n is None else cfg.n
-    check_named_n(top)
-    # the top grid first: one the kernel refuses stops the check before any other runs
-    for n in range(top, 0, -1):
+    # --n N checks the one grid n = N, and none for N < 1
+    for n in range(1, 8) if cfg.n is None else [cfg.n] if cfg.n >= 1 else []:
+        rhs = narayana(n)  # refuses an n past the named-polynomial bound first
         lhs = hstar(product_with_chain(chain(2), n))
-        rhs = narayana(n)
         out.append(IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs))
-    return out[::-1]
+    return out
 
 
 def _check_shift_law(cfg: argparse.Namespace) -> list[IdentityReport]:

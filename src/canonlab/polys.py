@@ -248,7 +248,7 @@ def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int
     force, independent of the extension-based route.
     """
     n = p.element_count
-    pairs = [(a, b) for a in range(n) for b in p.strictly_above(a)]
+    pairs = [(a, b) for a in range(n) for b in range(n) if p.less(a, b)]
     strict = [(a, b) for a, b in pairs if w[a] > w[b]]
     weak = [(a, b) for a, b in pairs if w[a] <= w[b]]
     if (j_max + 1) ** n > 50_000_000:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from canonlab.errors import PosetFormatError
 
@@ -43,8 +43,9 @@ class Poset(Frozen):
 
     Construction validates that the cover digraph is acyclic and that no
     cover is implied by transitivity of the others.  Equality, hash and
-    repr use ``element_count`` and ``covers`` only; the rest is derived
-    adjacency.
+    repr use ``element_count`` and ``covers`` only; the rest is derived:
+    adjacency, the topological order and each element's strict up-set as
+    a bitmask.
     """
 
     __slots__ = ("element_count", "covers", "_succ", "_pred", "_above", "_topo")
@@ -71,18 +72,9 @@ class Poset(Frozen):
         for lst in pred:
             lst.sort()
 
-        topo = _topological_order(n, succ, pred)
-        if topo is None:
-            raise _cyclic("cover relation", n, succ)
-
-        above = [set() for _ in range(n)]
-        for v in reversed(topo):
-            for w in succ[v]:
-                above[v].add(w)
-                above[v] |= above[w]
-
+        topo, above = _order_and_up_sets(n, succ, "cover relation")
         for a, b in covers:
-            if any(b in above[c] for c in succ[a] if c != b):
+            if _implied(above, succ[a], b):
                 raise PosetFormatError(
                     f"cover ({a}, {b}) is redundant (implied by transitivity)"
                 )
@@ -92,7 +84,7 @@ class Poset(Frozen):
         init(self, "covers", covers)
         init(self, "_succ", tuple(tuple(s) for s in succ))
         init(self, "_pred", tuple(tuple(p) for p in pred))
-        init(self, "_above", tuple(frozenset(s) for s in above))
+        init(self, "_above", tuple(above))
         init(self, "_topo", tuple(topo))
 
     def __eq__(self, other):
@@ -119,10 +111,7 @@ class Poset(Frozen):
 
     def less(self, a: int, b: int) -> bool:
         """Strict comparability a < b."""
-        return b in self._above[a]
-
-    def strictly_above(self, v: int) -> frozenset[int]:
-        return self._above[v]
+        return bool(self._above[a] >> b & 1)
 
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.element_count) if not self._pred[v])
@@ -134,8 +123,11 @@ class Poset(Frozen):
         return self._topo
 
 
-def _topological_order(n, succ, pred):
-    indeg = [len(p) for p in pred]
+def _topological_order(n, succ):
+    indeg = [0] * n
+    for lst in succ:
+        for w in lst:
+            indeg[w] += 1
     ready = sorted(v for v in range(n) if indeg[v] == 0)
     order = []
     heapq.heapify(ready)
@@ -147,6 +139,26 @@ def _topological_order(n, succ, pred):
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order if len(order) == n else None
+
+
+def _order_and_up_sets(n, succ, what: str) -> tuple[list[int], list[int]]:
+    """The topological order of an acyclic digraph and each vertex's strict
+    up-set as a bitmask (bit ``w`` set when ``w`` is reachable), built
+    in one pass down the order; a cyclic digraph raises."""
+    order = _topological_order(n, succ)
+    if order is None:
+        raise _cyclic(what, n, succ)
+    above = [0] * n
+    for v in reversed(order):
+        for w in succ[v]:
+            above[v] |= above[w] | 1 << w
+    return order, above
+
+
+def _implied(above, succ_a, b) -> bool:
+    """Whether ``a < b`` follows from the relations out of ``a`` other
+    than ``(a, b)``; ``succ_a`` lists the targets of those relations."""
+    return any(above[c] >> b & 1 for c in succ_a if c != b)
 
 
 def _find_cycle(n, succ):
@@ -187,17 +199,6 @@ def _cyclic(what: str, n, succ) -> PosetFormatError:
         head = ", ".join(map(str, cycle[:CYCLE_SHOWN]))
         text = f"[{head}, ...], a cycle of {len(cycle) - 1} elements"
     return PosetFormatError(f"{what} is cyclic: {text}")
-
-
-class ChainDescentProfile(NamedTuple):
-    """Descent counts of every maximal chain under a fixed labeling.
-
-    ``constant_k`` is set exactly when all chains agree, and then holds
-    the common count.
-    """
-
-    per_chain: tuple[tuple[tuple[int, ...], int], ...]
-    constant_k: Optional[int]
 
 
 def chain(m: int) -> Poset:
@@ -283,46 +284,25 @@ def remove_intercopy_covers(
     return Poset(pxn.element_count, frozenset(covers))
 
 
-def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
-    """All maximal chains, as element sequences from a minimal to a maximal
-    element, depth first over an explicit stack (no recursion limit)."""
-    out = []
-    stack = [(v,) for v in reversed(p.minimal_elements())]
-    while stack:
-        path = stack.pop()
-        succ = p.successors(path[-1])
-        if succ:
-            stack.extend(path + (w,) for w in reversed(succ))
-        else:
-            out.append(path)
-    return tuple(out)
-
-
-def _depth_sets(p: Poset) -> list[frozenset[int]]:
-    """For each element, the set of lengths of saturated chains from a
-    minimal element up to it."""
-    depths: list[frozenset[int]] = [frozenset()] * p.element_count
+def _chain_sums(p: Poset, step: Callable[[int, int], int]) -> tuple[list[set[int]], set[int]]:
+    """For each element, the set of sums of ``step(a, b)`` over the covers
+    ``a < b`` of the saturated chains from a minimal element up to it, in
+    one pass over the topological order; and the sums of the maximal
+    chains, the union of those sets over the maximal elements."""
+    sums: list[set[int]] = [set()] * p.element_count
     for v in p.topological_order():
         preds = p.predecessors(v)
-        if not preds:
-            depths[v] = frozenset({0})
-        else:
-            acc = set()
-            for q in preds:
-                acc.update(d + 1 for d in depths[q])
-            depths[v] = frozenset(acc)
-    return depths
+        sums[v] = {s + step(q, v) for q in preds for s in sums[q]} if preds else {0}
+    return sums, set().union(*(sums[v] for v in p.maximal_elements()))
+
+
+def _rank_step(a: int, b: int) -> int:
+    return 1
 
 
 def is_graded(p: Poset) -> bool:
     """True iff every maximal chain has the same length."""
-    if p.element_count == 0:
-        return True
-    depths = _depth_sets(p)
-    lengths = set()
-    for v in p.maximal_elements():
-        lengths |= depths[v]
-    return len(lengths) == 1
+    return len(_chain_sums(p, _rank_step)[1]) <= 1
 
 
 def rho_parities(pcheck: Poset) -> tuple[int, ...]:
@@ -330,24 +310,20 @@ def rho_parities(pcheck: Poset) -> tuple[int, ...]:
     chains in its principal ideal, 0 for even and 1 for odd.
 
     Defined for graded posets (such as checked chain products), where the
-    length is well defined; one pass over the depth sets.
+    length is well defined.
     """
     if not is_graded(pcheck):
         raise ValueError("rho requires a graded poset")
     # in a graded poset every saturated chain from a minimal element up to
     # q has the same length, so each depth set is a singleton
-    return tuple(min(lengths) % 2 for lengths in _depth_sets(pcheck))
+    return tuple(min(d) % 2 for d in _chain_sums(pcheck, _rank_step)[0])
 
 
-def chain_descent_profile(p: Poset, w: Sequence[int]) -> ChainDescentProfile:
-    """Descent count of every maximal chain of (p, w)."""
-    rows = []
-    for c in maximal_chains(p):
-        des = sum(1 for a, b in zip(c, c[1:]) if w[a] > w[b])
-        rows.append((c, des))
-    counts = {d for _, d in rows}
-    constant = counts.pop() if len(counts) == 1 else None
-    return ChainDescentProfile(tuple(rows), constant)
+def chain_descents(p: Poset, w: Sequence[int]) -> Optional[int]:
+    """The number k of descents of (p, w) on every maximal chain, or None
+    when two maximal chains (or none at all) disagree."""
+    counts = _chain_sums(p, lambda a, b: w[a] > w[b])[1]
+    return counts.pop() if len(counts) == 1 else None
 
 
 def natural_labeling(p: Poset) -> tuple[int, ...]:
@@ -360,33 +336,18 @@ def natural_labeling(p: Poset) -> tuple[int, ...]:
 
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Covers of the partial order generated by an acyclic relation set."""
-    succ = [set() for _ in range(n)]
+    targets = [set() for _ in range(n)]
     for a, b in relations:
         if a == b:
             raise PosetFormatError(f"relation ({a}, {b}) is a self-loop")
-        succ[a].add(b)
-    order = _topological_order(n, [sorted(s) for s in succ], _preds_of(n, succ))
-    if order is None:
-        raise _cyclic("relation set", n, [sorted(s) for s in succ])
-    above = [set() for _ in range(n)]
-    for v in reversed(order):
-        for w in succ[v]:
-            above[v].add(w)
-            above[v] |= above[w]
-    covers = set()
-    for a in range(n):
-        for b in above[a]:
-            if not any(b in above[c] for c in above[a] if c != b):
-                covers.add((a, b))
-    return frozenset(covers)
-
-
-def _preds_of(n, succ):
-    pred = [[] for _ in range(n)]
-    for a in range(n):
-        for b in succ[a]:
-            pred[b].append(a)
-    return pred
+        targets[a].add(b)
+    succ = [sorted(s) for s in targets]
+    _, above = _order_and_up_sets(n, succ, "relation set")
+    # a relation implied by no other one out of its lower end is a cover,
+    # and every cover of the closure is one of the given relations
+    return frozenset(
+        (a, b) for a in range(n) for b in succ[a] if not _implied(above, succ[a], b)
+    )
 
 
 def poset_to_json(p: Poset, labeling: Optional[Sequence[int]] = None) -> str:

@@ -170,6 +170,21 @@ class TestVerify:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, argv
 
+    def test_lone_option_narrows_default_grids(self, capsys):
+        # a lone --m or --n keeps the default grids it matches; both name
+        # one grid, and cor-2.4 --n N checks n = N alone
+        for argv, names in (
+            (("cor-3.4", "--n", "3"), ["shift-law m=1 n=3", "shift-law m=2 n=3",
+                                       "shift-law m=3 n=3"]),
+            (("cor-3.4", "--m", "2"), ["shift-law m=2 n=2", "shift-law m=2 n=3"]),
+            (("prop-3.6", "--n", "2"), [f"checked-product m={m} n=2" for m in (1, 2, 3)]),
+            (("prop-3.6", "--m", "3", "--n", "3"), ["checked-product m=3 n=3"]),
+            (("cor-2.4", "--n", "215"), ["narayana-hstar n=215"]),
+        ):
+            code, out, _ = invoke(capsys, "verify", *argv)
+            assert code == 0, argv
+            assert [line[len("[ok] "):] for line in out.splitlines()[:-1]] == names, argv
+
     def test_non_dyck_image_is_a_failed_check(self, capsys, monkeypatch):
         # a counterexample to the bijection is a failed check (exit 1),
         # not a usage error (exit 2)
@@ -385,7 +400,7 @@ def test_unread_options_exit_2(tmp_path, capsys, argv):
 
 def test_long_two_row_grids_exit_2(capsys):
     # the kernel's work bound refuses [2]x[1000] while its states are built;
-    # verify cor-2.4 runs its top grid first, so no smaller grid runs before
+    # verify cor-2.4 --n N checks the one grid n = N
     for argv in ("extensions --m 2 --n 1000 --count-only", "poly hstar --m 2 --n 1000",
                  "poly canon-product --m 2 --n 1000", "verify cor-2.4 --n 1000"):
         start = time.perf_counter()

@@ -1,8 +1,6 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import dyck_paths, random_poset
 
@@ -310,20 +308,19 @@ class TestPhi:
             dyck_from_linext(q, (1, 0, 2, 3))
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=1, max_value=5))
-def test_antichain_extension_count_is_factorial(n):
+def test_antichain_extension_count_is_factorial():
     import math
 
-    assert count_linear_extensions(antichain(n)) == math.factorial(n)
+    for n in range(1, 6):
+        assert count_linear_extensions(antichain(n)) == math.factorial(n)
 
 
-@settings(deadline=None, max_examples=50)
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=8))
-def test_descent_weak_descent_split(letters):
-    pairs = len(letters) - 1
-    strict = descent_count(letters)
-    weak = weak_descent_count(letters)
-    equal = sum(1 for a, b in zip(letters, letters[1:]) if a == b)
-    assert weak == strict + equal
-    assert 0 <= strict <= pairs
+def test_descent_weak_descent_split(rng):
+    for _ in range(50):
+        letters = [rng.randint(1, 6) for _ in range(rng.randint(2, 8))]
+        pairs = len(letters) - 1
+        strict = descent_count(letters)
+        weak = weak_descent_count(letters)
+        equal = sum(1 for a, b in zip(letters, letters[1:]) if a == b)
+        assert weak == strict + equal
+        assert 0 <= strict <= pairs

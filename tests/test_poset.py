@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -8,16 +9,14 @@ from canonlab.errors import PosetFormatError
 from canonlab.linext import count_linear_extensions, enumerate_linear_extensions
 from canonlab.polys import hstar
 from canonlab.poset import (
-    ChainDescentProfile,
     Poset,
     antichain,
     canon_labeling,
     chain,
-    chain_descent_profile,
+    chain_descents,
     checked_labeling,
     checked_product,
     is_graded,
-    maximal_chains,
     natural_labeling,
     poset_from_json,
     poset_to_json,
@@ -58,6 +57,17 @@ class TestConstruction:
         with pytest.raises(PosetFormatError, match="redundant"):
             Poset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
 
+    def test_closure_is_small(self):
+        # up-sets are bitmasks: the 2000-chain's closure holds 2 million
+        # relations in a few hundred kilobytes, not a set per element
+        tracemalloc.start()
+        try:
+            chain(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
     def test_rejects_out_of_range(self):
         with pytest.raises(PosetFormatError, match="out of range"):
             Poset(2, frozenset({(0, 5)}))
@@ -97,10 +107,12 @@ class TestProducts:
     def test_products_are_transitively_reduced(self):
         for base in (chain(2), chain(3), vee_poset(), wedge_poset()):
             for n in (1, 2, 3):
-                p = product_with_chain(base, n)
-                assert transitive_reduction(p.element_count, p.covers) == p.covers
-                c = checked_product(base, n)
-                assert transitive_reduction(c.element_count, c.covers) == c.covers
+                for p in (product_with_chain(base, n), checked_product(base, n)):
+                    size = p.element_count
+                    assert transitive_reduction(size, p.covers) == p.covers
+                    # the whole order reduces to the same covers
+                    order = [(a, b) for a in range(size) for b in range(size) if p.less(a, b)]
+                    assert transitive_reduction(size, order) == p.covers
 
     def test_checked_product_fig2_shape(self):
         p = checked_product(chain(2), 3)
@@ -116,17 +128,18 @@ class TestProducts:
     def test_checked_product_graded(self):
         p = checked_product(chain(2), 2)
         assert is_graded(p)
-        # maximal chains run bottom row, top row, across, then a new top
-        assert {len(c) - 1 for c in maximal_chains(p)} == {3}
+        # maximal chains run bottom row, top row, across, then a new top:
+        # under a labeling that falls on every cover each has 3 descents
+        falling = tuple(p.element_count + 1 - v for v in natural_labeling(p))
+        assert chain_descents(p, falling) == 3
 
-    def test_maximal_chains_depth_first(self):
-        assert maximal_chains(product_with_chain(chain(2), 2)) == ((0, 1, 3), (0, 2, 3))
-        assert maximal_chains(vee_poset()) == ((0, 1), (0, 2))
-        assert maximal_chains(antichain(2)) == ((0,), (1,))
-        assert maximal_chains(Poset(0, frozenset())) == ()
-
-    def test_maximal_chains_of_a_long_chain(self):
-        assert maximal_chains(chain(1100)) == (tuple(range(1100)),)
+    def test_chain_statistics_of_a_long_chain(self):
+        # one pass over the topological order, so no recursion limit
+        p = chain(1100)
+        assert is_graded(p)
+        assert rho_parities(p) == tuple(v % 2 for v in range(1100))
+        assert chain_descents(p, natural_labeling(p)) == 0
+        assert chain_descents(p, tuple(range(1100, 0, -1))) == 1099
 
 
 class TestLabelings:
@@ -224,28 +237,48 @@ class TestGraded:
         p = Poset(3, frozenset({(0, 2)}))
         assert not is_graded(p)
 
+    def test_empty_poset(self):
+        # no maximal chain: graded, with no constant descent count
+        p = Poset(0, frozenset())
+        assert is_graded(p) and rho_parities(p) == ()
+        assert chain_descents(p, ()) is None
+
 
 class TestChainDescentProfile:
     def test_natural_is_constant_zero(self):
         for p in (chain(3), vee_poset(), product_with_chain(chain(2), 2)):
-            prof = chain_descent_profile(p, natural_labeling(p))
-            assert prof.constant_k == 0
+            assert chain_descents(p, natural_labeling(p)) == 0
 
     def test_grid_with_reversed_columns(self):
         p = product_with_chain(chain(2), 3)
         lab = canon_labeling((1, 2), (3, 2, 1))
-        assert chain_descent_profile(p, lab).constant_k == 2
+        assert chain_descents(p, lab) == 2
 
     def test_grid_2x2_both_columns(self):
         p = product_with_chain(chain(2), 2)
         for sigma, k in [((2, 1), 1), ((1, 2), 0)]:
             lab = canon_labeling((1, 2), sigma)
-            assert chain_descent_profile(p, lab).constant_k == k
+            assert chain_descents(p, lab) == k
 
     def test_nonconstant(self):
-        prof = chain_descent_profile(vee_poset(), (2, 1, 3))
-        assert prof.constant_k is None
-        assert isinstance(prof, ChainDescentProfile)
+        assert chain_descents(vee_poset(), (2, 1, 3)) is None
+
+    def test_matches_listed_chains(self):
+        # the one-pass DP against the definition: list every maximal chain
+        # of every poset on <= 3 elements, under every labeling
+        from conftest import all_posets
+
+        def chains(p, path):
+            succ = p.successors(path[-1])
+            return [c for w in succ for c in chains(p, path + (w,))] if succ else [path]
+
+        for size in (1, 2, 3):
+            for p in all_posets(size):
+                listed = [c for v in p.minimal_elements() for c in chains(p, (v,))]
+                assert is_graded(p) == (len({len(c) for c in listed}) == 1)
+                for w in permutations(range(1, size + 1)):
+                    counts = {sum(w[a] > w[b] for a, b in zip(c, c[1:])) for c in listed}
+                    assert chain_descents(p, w) == (counts.pop() if len(counts) == 1 else None)
 
     def test_column_labeling_adds_its_descents(self):
         # profile of (P x [n], w x sigma) is the profile of (P, w) plus
@@ -257,7 +290,7 @@ class TestChainDescentProfile:
         for size in (1, 2, 3):
             for base in all_posets(size):
                 for w in permutations(range(1, size + 1)):
-                    k = chain_descent_profile(base, w).constant_k
+                    k = chain_descents(base, w)
                     if k is None:
                         continue
                     for n in (1, 2, 3):
@@ -265,7 +298,7 @@ class TestChainDescentProfile:
                         for sig in permutations(range(1, n + 1)):
                             des = sum(1 for a, b in zip(sig, sig[1:]) if a > b)
                             lab = canon_labeling(w, sig)
-                            assert chain_descent_profile(prod, lab).constant_k == k + des
+                            assert chain_descents(prod, lab) == k + des
                             checked += 1
         assert checked > 300
 
@@ -275,7 +308,7 @@ class TestChainDescentProfile:
         for _ in range(60):
             p = random_poset(rng)
             w = random_labeling(rng, p.element_count)
-            k = chain_descent_profile(p, w).constant_k
+            k = chain_descents(p, w)
             if k is not None:
                 assert hstar(p, w) == hstar(p, natural_labeling(p)).shift(k)
                 constant += 1

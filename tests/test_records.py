@@ -21,7 +21,7 @@ from canonlab.canon import (
 from canonlab.errors import PosetFormatError
 from canonlab.linext import is_dyck_path
 from canonlab.polys import GammaExpansion, IntPolynomial
-from canonlab.poset import ChainDescentProfile, Poset, poset_from_json
+from canonlab.poset import Poset, poset_from_json
 
 
 def _sweep_row(mask: int):
@@ -42,11 +42,6 @@ RECORDS = {
                       "mask"),
     "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
     "GammaExpansion": (lambda: GammaExpansion(2, (1, 0)), GammaExpansion(2, (1, 1)), "gamma"),
-    "ChainDescentProfile": (
-        lambda: ChainDescentProfile((((0, 1), 0),), 0),
-        ChainDescentProfile((((0, 1), 1),), 1),
-        "constant_k",
-    ),
     "GammaInterpretation": (
         lambda: GammaInterpretation(2, 2, (1, 1), (1, 1), 1, 1, True, (((1, 2),), ((2, 1),))),
         GammaInterpretation(2, 2, (1, 1), (1, 0), 1, None, False, ((), ())),
