@@ -452,6 +452,8 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     reduction); any gamma-negative one is reported as a counterexample
     certificate.
     """
+    if m < 1 or n < 1:  # before the shift below
+        raise ValueError("chain factor must have size >= 1")
     subposets = 1 << m * (n - 1)  # one per subset of removable edges
     sigmas = column_labelings(m, n, cap, subposets=subposets)
     tasks = [(m, n, mask, sigmas) for mask in range(subposets)]

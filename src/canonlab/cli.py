@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from itertools import islice
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from canonlab import poset
@@ -148,143 +149,103 @@ def _cmd_poly(cfg: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
-
-Checker = Callable[[argparse.Namespace], list[IdentityReport]]
-
-
-def _grid(
-    cfg: argparse.Namespace, default_pairs: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The (m, n) grids a check runs: exactly ``--m`` x ``--n`` when both
-    are given, else the default pairs within ``--max-size`` that match a
-    lone ``--m`` or ``--n``."""
-    if cfg.m is not None and cfg.n is not None:
-        return [(cfg.m, cfg.n)]
-    return [(m, n) for m, n in default_pairs
-            if m * n <= cfg.max_size and cfg.m in (None, m) and cfg.n in (None, n)]
+# verify: a check runs one case (m, n, *rest) and returns its reports, none
+# for a case outside its statement; only _select reads --m, --n, --max-size
 
 
-def _check_product_formula(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
+def _select(cfg: argparse.Namespace, cases: Sequence[tuple], sums: bool) -> list[tuple]:
+    """The cases a check runs.  A given ``--m`` or ``--n`` keeps the default
+    cases with that value.  When m and n are both known (each given, or
+    the one value every default case has) and no default case has both,
+    the check runs at that m and n instead, and nothing for m < 1 or n < 1.
+    ``--max-size`` drops the default cases with m*n above it from the
+    checks that ``sums`` over column labelings."""
+    ms = {c[0] for c in cases} if cfg.m is None else {cfg.m}
+    ns = {c[1] for c in cases} if cfg.n is None else {cfg.n}
+    if len(ms) == len(ns) == 1 and not any(c[0] in ms and c[1] in ns for c in cases):
+        (m,), (n,) = ms, ns
+        return list(dict.fromkeys((m, n, *c[2:]) for c in cases)) if m >= 1 and n >= 1 else []
+    return [c for c in cases if c[0] in ms and c[1] in ns
+            and not (sums and c[0] * c[1] > cfg.max_size)]
+
+
+def _check_product_formula(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
     kind = cfg.w or "natural"
-    for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        w = _row_labeling(kind, m)
-        lhs = canon_polynomial_bruteforce(chain(m), w, n, cap=cfg.force_cap)
-        rhs = canon_polynomial_product(chain(m), w, n)
-        out.append(IdentityReport.compare(f"product-formula m={m} n={n} w={kind}", lhs, rhs))
-    return out
+    w = _row_labeling(kind, m)
+    lhs = canon_polynomial_bruteforce(chain(m), w, n, cap=cfg.force_cap)
+    rhs = canon_polynomial_product(chain(m), w, n)
+    return [IdentityReport.compare(f"product-formula m={m} n={n} w={kind}", lhs, rhs)]
 
 
-def _zoo() -> list[tuple[str, Poset, tuple[int, ...]]]:
-    vee = Poset(3, frozenset({(0, 1), (0, 2)}))
-    wedge = Poset(3, frozenset({(0, 2), (1, 2)}))
-    zoo = [
-        ("chain1", chain(1), (1,)),
-        ("chain2", chain(2), (1, 2)),
-        ("chain2-rev", chain(2), (2, 1)),
-        ("chain3", chain(3), (1, 2, 3)),
-        ("chain3-rev", chain(3), (3, 2, 1)),
-        ("vee", vee, (1, 2, 3)),
-        ("vee-k1", vee, (3, 1, 2)),
-        ("wedge", wedge, (1, 2, 3)),
-        ("wedge-k1", wedge, (2, 3, 1)),
-    ]
-    return zoo
+def _check_labeled_product(
+    cfg: argparse.Namespace, m: int, n: int, name: str, covers: tuple, w: tuple[int, ...]
+) -> list[IdentityReport]:
+    if m != len(w):  # m is |P|
+        return []
+    p = Poset(m, frozenset(covers))
+    lhs = canon_polynomial_bruteforce(p, w, n, cap=cfg.force_cap)
+    rhs = canon_polynomial_product(p, w, n)
+    return [IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs)]
 
 
-def _check_poset_zoo(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for name, p, w in _zoo():
-        for n in (1, 2, 3):
-            if p.element_count * n > cfg.max_size:
-                continue
-            lhs = canon_polynomial_bruteforce(p, w, n, cap=cfg.force_cap)
-            rhs = canon_polynomial_product(p, w, n)
-            out.append(IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs))
-    return out
+def _check_dyck_bijection(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    if m != 2:
+        return []
+    # the walk visits the Catalan(k) extensions of [2]x[k], 2k elements
+    # each, a number that grows with k: stop at the first k past the bound,
+    # before any grid is built
+    if any(comb(2 * k, k) // (k + 1) * 2 * k > MAX_LISTED for k in range(1, n + 1)):
+        raise SizeCapError(f"the walk at n={n} visits more than {MAX_LISTED} element "
+                           "indices; pass a smaller --n")
+    grid = product_with_chain(chain(2), n)
+    labeling = natural_labeling(grid)
+    detail = None
+    for order in enumerate_linear_extensions(grid):
+        path = dyck_from_linext(grid, order)
+        if not is_dyck_path(path):
+            detail = f"{path} is not a Dyck path at {order}"
+            break
+        if linext_from_dyck(path) != order:
+            detail = f"round trip failed at {order}"
+            break
+        if descent_set(word(order, labeling)) != high_peak_positions(path):
+            detail = f"descents != high peaks at {order}"
+            break
+    return [IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail)]
 
 
-def _check_dyck_bijection(cfg: argparse.Namespace) -> list[IdentityReport]:
-    top = 6 if cfg.n is None else cfg.n
-    grids = []
-    # counted first, through the kernel: the walk grows with n, so this
-    # stops at the first n it would refuse, before any grid is walked
-    for n in range(1, top + 1):
-        grid = product_with_chain(chain(2), n)
-        listed = count_linear_extensions(grid) * 2 * n
-        if listed > MAX_LISTED:
-            raise SizeCapError(
-                f"the walk at n={n} visits {listed} element indices, "
-                f"more than {MAX_LISTED}; pass a smaller --n"
-            )
-        grids.append(grid)
-    out = []
-    for n, grid in enumerate(grids, start=1):
-        labeling = natural_labeling(grid)
-        detail = None
-        for order in enumerate_linear_extensions(grid):
-            path = dyck_from_linext(grid, order)
-            if not is_dyck_path(path):
-                detail = f"{path} is not a Dyck path at {order}"
-                break
-            if linext_from_dyck(path) != order:
-                detail = f"round trip failed at {order}"
-                break
-            if descent_set(word(order, labeling)) != high_peak_positions(path):
-                detail = f"descents != high peaks at {order}"
-                break
-        out.append(IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail))
-    return out
+def _check_narayana_model(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    if m != 2:
+        return []
+    rhs = narayana(n)  # refuses an n past the named-polynomial bound first
+    lhs = hstar(product_with_chain(chain(2), n))
+    return [IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs)]
 
 
-def _check_narayana_model(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    # --n N checks the one grid n = N, and none for N < 1
-    for n in range(1, 8) if cfg.n is None else [cfg.n] if cfg.n >= 1 else []:
-        rhs = narayana(n)  # refuses an n past the named-polynomial bound first
-        lhs = hstar(product_with_chain(chain(2), n))
-        out.append(IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs))
-    return out
+def _check_shift_law(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    sigmas = column_labelings(m, n, cfg.force_cap)
+    rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
+    base = IntPolynomial(rows[0])  # sigma = the identity
+    bad = [s for s, row in zip(sigmas, rows)
+           if IntPolynomial(row) != base.shift(descent_count(s))]
+    detail = f"failed at sigma={bad[0]}" if bad else None
+    return [IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail)]
 
 
-def _check_shift_law(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (2, 3)]):
-        sigmas = column_labelings(m, n, cfg.force_cap)
-        rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
-        base = IntPolynomial(rows[0])  # sigma = the identity
-        bad = [s for s, row in zip(sigmas, rows)
-               if IntPolynomial(row) != base.shift(descent_count(s))]
-        detail = f"failed at sigma={bad[0]}" if bad else None
-        out.append(IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail))
-    return out
+def _check_checked_product(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    return [checked_product_identity(chain(m), _row_labeling("natural", m), n, cap=cfg.force_cap)]
 
 
-def _check_checked_product(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        w = _row_labeling("natural", m)
-        out.append(checked_product_identity(chain(m), w, n, cap=cfg.force_cap))
-    return out
+def _star(n: int) -> Poset:
+    """One element below n - 1 pairwise-incomparable others."""
+    return Poset(n, frozenset((0, i) for i in range(1, n)))
 
 
-def _check_generalized_product(cfg: argparse.Namespace) -> list[IdentityReport]:
-    vee = Poset(3, frozenset({(0, 1), (0, 2)}))
-    cases = [
-        ("antichain", antichain(3)),
-        ("chain", chain(3)),
-        ("vee", vee),
-    ]
-    out = []
-    m = 2 if cfg.m is None else cfg.m
-    for name, pprime in cases:
-        out.append(
-            generalized_product_identity(
-                chain(m), _row_labeling("natural", m), pprime, cap=cfg.force_cap
-            )
-        )
-    return out
+def _check_generalized_product(
+    cfg: argparse.Namespace, m: int, n: int, second: Callable[[int], Poset]
+) -> list[IdentityReport]:
+    p, w, pprime = chain(m), _row_labeling("natural", m), second(n)  # n is |P'|
+    return [generalized_product_identity(p, w, pprime, cap=cfg.force_cap)]
 
 
 def _amphibian_specs(m: int, n: int):
@@ -292,104 +253,100 @@ def _amphibian_specs(m: int, n: int):
         yield AmphibianSpec(m, n, mask)
 
 
-def _check_row_shift(cfg: argparse.Namespace) -> list[IdentityReport]:
+def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
     # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
+    sigmas = column_labelings(m, n, cfg.force_cap)
+    w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
+    k = m - 1
+    detail = None
+    for spec in _amphibian_specs(m, n):
+        q = spec.poset()
+        lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas)
+        bad = [s for s, a, b in zip(sigmas, lhs, rhs)
+               if IntPolynomial(a) != IntPolynomial(b).shift(k)]
+        if bad:
+            detail = f"mask={spec.mask} sigma={bad[0]}"
+            break
+    return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
+
+
+def _check_dissonant(
+    cfg: argparse.Namespace, m: int, n: int, law: Callable[..., IdentityReport]
+) -> list[IdentityReport]:
+    # lemma-4.2's degree or thm-4.3's palindromy, on every subposet
+    return [law(spec, _row_labeling(kind, m), cap=cfg.force_cap)
+            for kind in ("natural", "reverse") for spec in _amphibian_specs(m, n)]
+
+
+def _check_gamma_interpretation(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    gi = gamma_interpretation(m, n, cap=cfg.force_cap)
+    detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
+    return [IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail)]
+
+
+def _check_weak_descents(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    lhs = weak_descent_polynomial(m, n, cap=cfg.force_cap)
+    rhs = canon_polynomial_bruteforce(
+        chain(m), _row_labeling("natural", m), n, cap=cfg.force_cap
+    ).shift(m - 1)
+    return [IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs)]
+
+
+def _check_fixed_row_palindromy(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    # fixed-row subposets are palindromic in the identity-labeled window
+    # m(n-1) and in the reversed-label window m(n+1)-2
+    windows = ((_row_labeling("natural", m), m * (n - 1)),
+               (_row_labeling("reverse", m), m * (n + 1) - 2))
     out = []
-    for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3)]):
-        sigmas = column_labelings(m, n, cfg.force_cap)
-        w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
-        k = m - 1
-        detail = None
-        for spec in _amphibian_specs(m, n):
-            q = spec.poset()
-            lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas)
-            bad = [s for s, a, b in zip(sigmas, lhs, rhs)
-                   if IntPolynomial(a) != IntPolynomial(b).shift(k)]
-            if bad:
-                detail = f"mask={spec.mask} sigma={bad[0]}"
-                break
-        out.append(IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail))
+    for spec in _amphibian_specs(m, n):
+        if spec.mode() != "general":
+            ok = all(is_palindromic(dissonant_polynomial(spec, w, cap=cfg.force_cap), 0, top)
+                     for w, top in windows)
+            name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
+            out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
     return out
 
 
-def _check_degree_law(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(2, 2), (2, 3), (3, 2)]):
-        for kind in ("natural", "reverse"):
-            w = _row_labeling(kind, m)
-            for spec in _amphibian_specs(m, n):
-                out.append(dissonant_degree_check(spec, w, cap=cfg.force_cap))
-    return out
+_GRIDS = tuple((m, n) for m in (1, 2, 3) for n in (1, 2, 3))
+_SUBPOSET_GRIDS = ((2, 2), (3, 2), (2, 3))
+_DISSONANT_GRIDS = ((2, 2), (2, 3), (3, 2))
+# thm-1.2's labeled posets (name, covers, labels), each at n = 1..3, m = |P|
+_ZOO = tuple(
+    (len(w), n, name, covers, w)
+    for name, covers, w in (
+        ("chain1", (), (1,)),
+        ("chain2", ((0, 1),), (1, 2)),
+        ("chain2-rev", ((0, 1),), (2, 1)),
+        ("chain3", ((0, 1), (1, 2)), (1, 2, 3)),
+        ("chain3-rev", ((0, 1), (1, 2)), (3, 2, 1)),
+        ("vee", ((0, 1), (0, 2)), (1, 2, 3)),
+        ("vee-k1", ((0, 1), (0, 2)), (3, 1, 2)),
+        ("wedge", ((0, 2), (1, 2)), (1, 2, 3)),
+        ("wedge-k1", ((0, 2), (1, 2)), (2, 3, 1)),
+    )
+    for n in (1, 2, 3)
+)
 
-
-def _check_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(2, 2), (2, 3), (3, 2)]):
-        for kind in ("natural", "reverse"):
-            w = _row_labeling(kind, m)
-            for spec in _amphibian_specs(m, n):
-                out.append(dissonant_palindromy_check(spec, w, cap=cfg.force_cap))
-    return out
-
-
-def _check_gamma_interpretation(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3), (3, 3)]):
-        gi = gamma_interpretation(m, n, cap=cfg.force_cap)
-        detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
-        out.append(IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail))
-    return out
-
-
-def _check_weak_descents(cfg: argparse.Namespace) -> list[IdentityReport]:
-    out = []
-    for m, n in _grid(cfg, [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]):
-        lhs = weak_descent_polynomial(m, n, cap=cfg.force_cap)
-        rhs = canon_polynomial_bruteforce(
-            chain(m), _row_labeling("natural", m), n, cap=cfg.force_cap
-        ).shift(m - 1)
-        out.append(IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs))
-    return out
-
-
-def _check_fixed_row_palindromy(cfg: argparse.Namespace) -> list[IdentityReport]:
-    # fixed-row subposets: identity-labeled window m(n-1), reversed-label
-    # window m(n+1)-2
-    out = []
-    for m, n in _grid(cfg, [(2, 2), (3, 2), (2, 3)]):
-        for spec in _amphibian_specs(m, n):
-            if spec.mode() == "general":
-                continue
-            pid = dissonant_polynomial(spec, _row_labeling("natural", m), cap=cfg.force_cap)
-            ok_id = is_palindromic(pid, 0, m * (n - 1))
-            pu = dissonant_polynomial(spec, _row_labeling("reverse", m), cap=cfg.force_cap)
-            ok_u = is_palindromic(pu, 0, m * (n + 1) - 2)
-            out.append(
-                IdentityReport(
-                    f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}",
-                    ok_id and ok_u,
-                    witness=None if ok_id and ok_u else "window symmetry failed",
-                )
-            )
-    return out
-
-
-VERIFY_CHECKS: dict[str, Checker] = {
-    "thm-1.1": _check_product_formula,
-    "thm-main": _check_product_formula,
-    "thm-1.2": _check_poset_zoo,
-    "thm-3.5": _check_poset_zoo,
-    "thm-2.3": _check_dyck_bijection,
-    "cor-2.4": _check_narayana_model,
-    "cor-3.4": _check_shift_law,
-    "prop-3.6": _check_checked_product,
-    "remark-product": _check_generalized_product,
-    "cor-4.1": _check_row_shift,
-    "lemma-4.2": _check_degree_law,
-    "thm-4.3": _check_palindromy,
-    "cor-5.1": _check_gamma_interpretation,
-    "prop-5.2": _check_weak_descents,
-    "cor-5.3": _check_fixed_row_palindromy,
+# id -> (check, default cases, whether it sums over column labelings)
+VERIFY_CHECKS: dict[str, tuple[Callable[..., list[IdentityReport]], tuple, bool]] = {
+    "thm-1.1": (_check_product_formula, _GRIDS, True),
+    "thm-main": (_check_product_formula, _GRIDS, True),
+    "thm-1.2": (_check_labeled_product, _ZOO, True),
+    "thm-3.5": (_check_labeled_product, _ZOO, True),
+    "thm-2.3": (_check_dyck_bijection, tuple((2, n) for n in range(1, 7)), False),
+    "cor-2.4": (_check_narayana_model, tuple((2, n) for n in range(1, 8)), False),
+    "cor-3.4": (_check_shift_law, tuple((m, n) for m in (1, 2, 3) for n in (2, 3)), True),
+    "prop-3.6": (_check_checked_product, _GRIDS, True),
+    "remark-product": (_check_generalized_product,
+                       tuple((2, 3, second) for second in (antichain, chain, _star)), True),
+    "cor-4.1": (_check_row_shift, _SUBPOSET_GRIDS, True),
+    "lemma-4.2": (_check_dissonant,
+                  tuple((m, n, dissonant_degree_check) for m, n in _DISSONANT_GRIDS), True),
+    "thm-4.3": (_check_dissonant,
+                tuple((m, n, dissonant_palindromy_check) for m, n in _DISSONANT_GRIDS), True),
+    "cor-5.1": (_check_gamma_interpretation, ((2, 2), (3, 2), (2, 3), (3, 3)), True),
+    "prop-5.2": (_check_weak_descents, _GRIDS, True),
+    "cor-5.3": (_check_fixed_row_palindromy, _SUBPOSET_GRIDS, True),
 }
 
 
@@ -433,19 +390,17 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     reports: list[IdentityReport] = []
     for name in names:
         if name == "all":
-            seen = set()
-            for key, checker in VERIFY_CHECKS.items():
-                if checker in seen:
-                    continue
-                seen.add(checker)
-                reports.extend(checker(cfg))
+            entries = dict.fromkeys(VERIFY_CHECKS.values())  # each alias once
         elif name in VERIFY_CHECKS:
-            reports.extend(VERIFY_CHECKS[name](cfg))
+            entries = [VERIFY_CHECKS[name]]
         else:
             raise PosetFormatError(
                 f"unknown statement {name!r}; choose from "
                 f"{', '.join(sorted(VERIFY_CHECKS))} or all"
             )
+        for check, cases, sums in entries:
+            for case in _select(cfg, cases, sums):
+                reports.extend(check(cfg, *case))
     if not reports:
         raise PosetFormatError(
             f"no checks ran for {' '.join(names)}: "
@@ -576,10 +531,13 @@ def _cmd_extensions(cfg: argparse.Namespace) -> int:
 # wiring
 
 
-def _jobs(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-    return int(text)
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
+        return int(text)
+    return integer
 
 
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -602,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     remove = _options()
     remove.add_argument("--remove", help='inter-copy covers to delete, "row:j,row:j"')
     cap = _options()
-    cap.add_argument("--force-cap", type=int,
+    cap.add_argument("--force-cap", type=_at_least(1),
                      help="raise the |P|*n cap on sums over all column labelings")
     fmt = _options()
     fmt.add_argument("--format", default="plain", choices=["json", "csv", "plain"])
@@ -649,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", parents=[grid, cap, fmt], help="exhaustive subposet sweeps")
     sweep.add_argument("kind", choices=["gamma"])
-    sweep.add_argument("--jobs", type=_jobs, default=1,
+    sweep.add_argument("--jobs", type=_at_least(1), default=1,
                        help="worker processes, at most one per CPU and per subposet")
     sweep.set_defaults(run=_cmd_sweep)
 
@@ -659,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extensions", parents=[source, no_csv],
                          help="enumerate linear extensions")
     ext.add_argument("--count-only", action="store_true")
-    ext.add_argument("--limit", type=int)
+    ext.add_argument("--limit", type=_at_least(0))
     ext.set_defaults(run=_cmd_extensions)
 
     return parser

@@ -89,10 +89,11 @@ class TestPoly:
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "5:1"), "out of range"),
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "zz"),
              "bad --remove entry 'zz'"),
+            (("sweep", "gamma", "--m", "2", "--n", "0"), "chain factor must have size >= 1"),
             (("poly", "eulerian", "--n", "100000"), "exceeds the bound 1000"),
             (("poly", "narayana", "--n", "100000"), "exceeds the bound 1000"),
             (("poly", "canon-product", "--m", "1", "--n", "100000"), "exceeds the bound 1000"),
-            (("verify", "thm-2.3", "--n", "30"), "the walk at n=13"),
+            (("verify", "thm-2.3", "--n", "30"), "the walk at n=30"),
             (("verify", "cor-2.4", "--n", "100000"), "exceeds the bound 1000"),
         ):
             start = time.perf_counter()
@@ -164,15 +165,16 @@ class TestVerify:
             (("verify", "thm-1.1", "--max-size", "0"), "no checks ran for thm-1.1"),
             (("verify", "cor-5.1", "--max-size", "1"), "no checks ran for cor-5.1"),
             (("verify", "cor-2.4", "--n", "0"), "no checks ran for cor-2.4"),
-            (("verify", "remark-product", "--m", "0"), "chain size must be >= 1"),
+            (("verify", "remark-product", "--m", "0"), "no checks ran for remark-product"),
         ):
             code, out, err = invoke(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, argv
 
     def test_lone_option_narrows_default_grids(self, capsys):
-        # a lone --m or --n keeps the default grids it matches; both name
-        # one grid, and cor-2.4 --n N checks n = N alone
+        # a lone --m or --n keeps the default cases it matches; m and n both
+        # known (given, or shared by every default case) name one grid, and
+        # None marks an argv that leaves nothing to check
         for argv, names in (
             (("cor-3.4", "--n", "3"), ["shift-law m=1 n=3", "shift-law m=2 n=3",
                                        "shift-law m=3 n=3"]),
@@ -180,10 +182,24 @@ class TestVerify:
             (("prop-3.6", "--n", "2"), [f"checked-product m={m} n=2" for m in (1, 2, 3)]),
             (("prop-3.6", "--m", "3", "--n", "3"), ["checked-product m=3 n=3"]),
             (("cor-2.4", "--n", "215"), ["narayana-hstar n=215"]),
+            (("thm-1.2", "--n", "1"), [f"labeled-product {name} n=1" for name in (
+                "chain1", "chain2", "chain2-rev", "chain3", "chain3-rev",
+                "vee", "vee-k1", "wedge", "wedge-k1")]),
+            (("thm-1.2", "--m", "7"), None),
+            (("cor-2.4", "--m", "3", "--n", "2"), None),
+            (("thm-2.3", "--m", "5"), None),
+            (("thm-2.3", "--n", "3"), ["dyck-bijection n=3"]),
+            (("remark-product", "--n", "5"), ["generalized-product m=2 |P'|=5"] * 3),
+            (("remark-product", "--m", "3"), ["generalized-product m=3 |P'|=3"] * 3),
+            (("all", "--max-size", "-1"), [f"dyck-bijection n={n}" for n in range(1, 7)]
+             + [f"narayana-hstar n={n}" for n in range(1, 8)]),
         ):
-            code, out, _ = invoke(capsys, "verify", *argv)
-            assert code == 0, argv
-            assert [line[len("[ok] "):] for line in out.splitlines()[:-1]] == names, argv
+            code, out, err = invoke(capsys, "verify", *argv)
+            if names is None:
+                assert (code, out) == (2, "") and "no checks ran" in err, argv
+            else:
+                assert code == 0, argv
+                assert [line[len("[ok] "):] for line in out.splitlines()[:-1]] == names, argv
 
     def test_non_dyck_image_is_a_failed_check(self, capsys, monkeypatch):
         # a counterexample to the bijection is a failed check (exit 1),
@@ -192,8 +208,8 @@ class TestVerify:
                             lambda p, order: "ne" * (len(order) // 2))
         code, out, err = invoke(capsys, "verify", "thm-2.3", "--n", "2")
         assert (code, err) == (1, "")
-        assert "[FAIL] dyck-bijection n=1  (ne is not a Dyck path at (0, 1))" in out
-        assert "0/2 checks hold" in out
+        assert "[FAIL] dyck-bijection n=2  (nene is not a Dyck path at (0, 1, 2, 3))" in out
+        assert "0/1 checks hold" in out
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(capsys, "verify", "cor-2.4", "--n", "3", "--format", "json")
@@ -380,10 +396,12 @@ def test_each_command_takes_only_the_options_it_reads():
     "extensions --m 2 --n 2 --repair",
     "extensions --m 2",
     "poly hstar",
-    # at least one worker
+    # at least one worker, a cap of at least 1, and a limit of at least 0
     "sweep gamma --m 2 --n 2 --jobs 0",
     "sweep gamma --m 2 --n 2 --jobs -3",
     "sweep gamma --m 2 --n 2 --jobs x",
+    "poly canon --m 2 --n 2 --force-cap 0",
+    "extensions --m 2 --n 2 --limit -1",
 ])
 def test_unread_options_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "grid.json"

@@ -1,8 +1,9 @@
-"""The README's examples run as written.
+"""The README's examples run as written, and its registry is complete.
 
 Every ``canonlab ...`` line of the CLI block runs as ``python -m canonlab``
 and must exit 0; a ``# coeffs [...]`` comment must match the output.  The
 library example runs too, and its first print must match its comment.
+The verification registry has one row per ``verify`` statement.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from canonlab.cli import VERIFY_CHECKS
 from canonlab.poset import chain, poset_to_json, product_with_chain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +53,15 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == expected
+
+
+def test_registry_lists_every_statement():
+    # one row per VERIFY_CHECKS entry, naming its ids (aliases share an entry)
+    table = re.search(r"^### Verification registry\n(.*?)^#", README, re.M | re.S)
+    assert table, "no '### Verification registry' section"
+    rows = [re.findall(r"`([^`]+)`", line.split("|")[1])
+            for line in table.group(1).splitlines() if line.startswith("| `")]
+    entries: dict = {}
+    for name, entry in VERIFY_CHECKS.items():
+        entries.setdefault(entry, []).append(name)
+    assert rows == list(entries.values())
