@@ -13,7 +13,6 @@ from canonlab.poset import (
     is_graded,
     natural_labeling,
     product_with_chain,
-    remove_intercopy_covers,
 )
 from canonlab.linext import (
     count_linear_extensions,

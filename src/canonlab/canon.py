@@ -3,10 +3,11 @@
 The brute-force definitional computations here are the source of truth;
 the closed forms (product formulas, degree and palindromicity laws,
 gamma interpretations) are the things under test.  Every sum over column
-labelings sigma takes its sigma list from ``column_labelings``, which
-checks the size caps, and its rows from ``canon_rows``: one kernel call
-per poset and row labeling w, one descent histogram per w x sigma.  The
-edge-subset sweep fans its subposets out over worker processes.
+labelings sigma, for any labeled P, n and removed covers, is one call of
+``canon_polynomial_bruteforce``: its sigma list from ``column_labelings``,
+which checks the size caps, and its rows from ``canon_rows``: one kernel
+call per poset and row labeling w, one descent histogram per w x sigma.
+The edge-subset sweep fans its subposets out over worker processes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from canonlab.poset import (
     natural_labeling,
     poset_to_json,
     product_with_chain,
-    remove_intercopy_covers,
 )
 
 
@@ -113,8 +113,7 @@ class AmphibianSpec(NamedTuple):
         )
 
     def poset(self) -> Poset:
-        grid = product_with_chain(chain(self.m), self.n)
-        return remove_intercopy_covers(grid, self.m, self.removed)
+        return product_with_chain(chain(self.m), self.n, self.mask)
 
     def mode(self) -> str:
         """How the removals relate to the multiset-permutation picture:
@@ -180,12 +179,15 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
 
 
 def canon_polynomial_bruteforce(
-    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None
+    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None, mask: int = 0,
+    pprime: Optional[Poset] = None,
 ) -> IntPolynomial:
     """Descent polynomial of all canon permutations of (p, w): the sum of
-    the descent polynomials of p x [n] over every column labeling."""
-    sigmas = column_labelings(p.element_count, n, cap)
-    return _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
+    the descent polynomials of ``product_with_chain(p, n, mask)`` under
+    w x sigma over every column labeling sigma, or over the extension
+    words of ``pprime`` (n elements) when it is given."""
+    sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
+    return _row_sum(canon_rows(product_with_chain(p, n, mask), w, sigmas))
 
 
 def _product_form(
@@ -228,9 +230,8 @@ def generalized_product_identity(
     """Sum of product descent polynomials over the extensions of a second
     poset vs the factored form x^k * h*(P') * h*(P x [n])."""
     n = pprime.element_count
-    sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
+    lhs = canon_polynomial_bruteforce(p, w, n, cap, pprime=pprime)
     rhs = _product_form(p, w, n, lambda: hstar(pprime))
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, sigmas))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
     )
@@ -241,8 +242,7 @@ def dissonant_polynomial(
 ) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
-    sigmas = column_labelings(spec.m, spec.n, cap)
-    return _row_sum(canon_rows(spec.poset(), w, sigmas))
+    return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, cap, mask=spec.mask)
 
 
 def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
@@ -299,19 +299,15 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     """Weak-descent polynomial of canon permutations, computed two ways.
 
     Route one counts weak descents of the canon words directly, in one
-    kernel call whose labels are the multiset letters ceil(label / m);
-    route two reuses the canon polynomial under the reversed row labeling.
+    kernel call whose labels are the multiset letters ceil(label / m),
+    sigma(j) at (x, j); route two reuses the canon polynomial under the
+    reversed row labeling.
     A mismatch signals a bug, not a mathematical discovery.
     """
-    sigmas = column_labelings(m, n, cap)
+    letters = [[s for s in sigma for _ in range(m)] for sigma in column_labelings(m, n, cap)]
     grid = product_with_chain(chain(m), n)
-    ident = tuple(range(1, m + 1))
-    letters = [
-        [(label + m - 1) // m for label in canon_labeling(ident, sigma)]
-        for sigma in sigmas
-    ]
     direct = _row_sum(kernel.descent_histograms(grid, letters, weak=True))
-    via_reverse = _row_sum(canon_rows(grid, tuple(range(m, 0, -1)), sigmas))
+    via_reverse = canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n, cap)
     if direct != via_reverse:
         raise CanonlabError(
             "weak-descent routes disagree: "
@@ -361,7 +357,7 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
         raise CanonlabError("canon polynomial is not palindromic over its center")
     gamma = expansion.gamma
     by_count: dict[int, list[tuple[int, ...]]] = {}
-    for order, drops in rho_filtered_extensions(checked_product(chain(m), n)):
+    for order, drops in rho_filtered_extensions(m, n):
         by_count.setdefault(drops, []).append(canon_word_of_checked_extension(m, n, order))
 
     stated = (m + n - 1) // 2
@@ -427,10 +423,10 @@ class SweepReport(NamedTuple):
     violations: tuple[Certificate, ...]
 
 
-def _sweep_row(args: tuple[int, int, int, list[tuple[int, ...]]]) -> SweepRow:
-    m, n, mask, sigmas = args
+def _sweep_row(args: tuple[int, int, int, Optional[int]]) -> SweepRow:
+    m, n, mask, cap = args
     spec = AmphibianSpec(m, n, mask)
-    poly = _row_sum(canon_rows(spec.poset(), tuple(range(1, m + 1)), sigmas))
+    poly = dissonant_polynomial(spec, tuple(range(1, m + 1)), cap)
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(
@@ -455,8 +451,8 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     if m < 1 or n < 1:  # before the shift below
         raise ValueError("chain factor must have size >= 1")
     subposets = 1 << m * (n - 1)  # one per subset of removable edges
-    sigmas = column_labelings(m, n, cap, subposets=subposets)
-    tasks = [(m, n, mask, sigmas) for mask in range(subposets)]
+    column_labelings(m, n, cap, subposets=subposets)  # refuses them all up front
+    tasks = [(m, n, mask, cap) for mask in range(subposets)]
     rows = tuple(parallel_map(_sweep_row, tasks, jobs))
     violations = []
     for row in rows:

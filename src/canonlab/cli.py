@@ -117,17 +117,12 @@ def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, 
         return load_poset(cfg.poset, repair=cfg.repair)
     if cfg.repair or cfg.m is None or cfg.n is None:
         raise PosetFormatError("give --poset FILE (which --repair needs), or --m and --n")
+    mask = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove)).mask
+    p = (checked_product if cfg.checked else product_with_chain)(chain(cfg.m), cfg.n, mask)
     w = _row_labeling(getattr(cfg, "w", None), cfg.m)
     if cfg.checked:
-        p = checked_product(chain(cfg.m), cfg.n)
-        lab = poset.checked_labeling(w, cfg.n)
-    else:
-        p = product_with_chain(chain(cfg.m), cfg.n)
-        lab = canon_labeling(w, range(1, cfg.n + 1))
-    spec = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove))
-    if spec.mask:
-        p = poset.remove_intercopy_covers(p, cfg.m, spec.removed)
-    return p, lab
+        return p, poset.checked_labeling(w, cfg.n)
+    return p, canon_labeling(w, range(1, cfg.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,7 @@ def _check_checked_product(cfg: argparse.Namespace, m: int, n: int) -> list[Iden
 
 def _star(n: int) -> Poset:
     """One element below n - 1 pairwise-incomparable others."""
-    return Poset(n, frozenset((0, i) for i in range(1, n)))
+    return Poset(n, ((0, i) for i in range(1, n)))
 
 
 def _check_generalized_product(

@@ -55,13 +55,10 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     every state before any transition leaves it.
     """
     n = poset.element_count
-    below = [0] * n
-    above: list[list[int]] = [[] for _ in range(n)]
-    for a, b in poset.covers:
-        below[b] |= 1 << a
-        above[a].append(b)
+    below = poset.below
+    above = [poset.successors(v) for v in range(n)]
     # ideal -> ([(state, u), ...], the elements minimal outside the ideal)
-    layer = {0: ([(0, -1)], sum(1 << v for v in range(n) if not below[v]))}
+    layer = {0: ([(0, -1)], sum(1 << v for v in poset.minimal_elements()))}
     edges = []
     states = 1
     for size in range(1, n + 1):

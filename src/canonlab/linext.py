@@ -43,14 +43,12 @@ def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
     every placed element, so stepping back restores it.
     """
     n = p.element_count
-    below = [0] * n
-    for a, b in p.covers:
-        below[b] |= 1 << a
+    below = p.below
     succ = [p.successors(v) for v in range(n)]
     order: list[int] = []
     readies: list[int] = []
     placed = 0
-    ready = todo = sum(1 << v for v in range(n) if not below[v])
+    ready = todo = sum(1 << v for v in p.minimal_elements())
     while True:
         if len(order) == n:
             yield tuple(order)
@@ -187,16 +185,6 @@ def linext_from_dyck(steps: str) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _checked_chain_dims(p: Poset) -> tuple[int, int]:
-    n = len(p.maximal_elements())
-    if n < 1 or p.element_count % n:
-        raise ValueError("expected a checked chain product poset")
-    m = p.element_count // n - 1
-    if m < 1 or p != checked_product(chain(m), n):
-        raise ValueError("expected a checked chain product poset")
-    return m, n
-
-
 def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
     """The rho-descent positions of an extension and the double ones
     among them, given every element's rho parity.
@@ -212,9 +200,10 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
     return drops, [j for j in drops if j == 1 or j - 1 in dropset]
 
 
-def rho_filtered_extensions(pcheck: Poset) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The checked-product extensions that Cor. 5.1 counts, each with its
-    number of rho-descents, lexicographically.
+def rho_filtered_extensions(m: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The extensions of the checked product of ``chain(m)`` and [n] that
+    Cor. 5.1 counts, each with its number of rho-descents,
+    lexicographically.
 
     An extension counts when it has no double rho-descent (see
     ``_rho_drops``) and, when its last two elements both have odd
@@ -222,22 +211,20 @@ def rho_filtered_extensions(pcheck: Poset) -> Iterator[tuple[tuple[int, ...], in
     ``enumerate_linear_extensions`` but refuses any step that would make
     a double rho-descent, so no prefix holding one is extended.
     """
-    _checked_chain_dims(pcheck)
-    n = pcheck.element_count
+    pcheck = checked_product(chain(m), n)
+    size = pcheck.element_count
     parities = rho_parities(pcheck)
-    keys = [parities[v] * n + v for v in range(n)]
-    below = [0] * n
-    for a, b in pcheck.covers:
-        below[b] |= 1 << a
-    succ = [pcheck.successors(v) for v in range(n)]
+    keys = [parities[v] * size + v for v in range(size)]
+    below = pcheck.below
+    succ = [pcheck.successors(v) for v in range(size)]
     order: list[int] = []
     readies: list[int] = []
     fell: list[bool] = []  # whether the step placing each element dropped
     drops = 0
     placed = 0
-    ready = todo = sum(1 << v for v in range(n) if not below[v])
+    ready = todo = sum(1 << v for v in pcheck.minimal_elements())
     while True:
-        if len(order) == n:
+        if len(order) == size:
             last, prev = order[-1], order[-2]
             if not (parities[prev] == parities[last] == 1 and prev > last):
                 yield tuple(order), drops

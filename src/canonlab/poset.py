@@ -1,10 +1,11 @@
 """Finite posets as irredundant cover relations, plus labelings.
 
-Elements are the integers ``0 .. element_count-1``.  Product posets use a
-fixed layout: the element ``(p, j)`` of ``P x [n]`` (row ``p`` of ``P``,
-copy ``j`` of the chain, ``j`` running 1-based) gets index
-``p + (j-1) * |P|``.  That contract makes labelings, words and golden
-values reproducible bit for bit.
+Elements are the integers ``0 .. element_count-1``, at most
+``MAX_ELEMENTS``.  ``product_with_chain(p, n, mask)`` builds ``P x [n]``
+less the inter-copy covers ``(x, j) < (x, j+1)`` named by the bits
+``x*(n-1) + j-1`` of ``mask``, in a fixed layout: ``(x, j)``, ``j``
+1-based, gets index ``x + (j-1) * |P|``.  That contract makes labelings,
+words and golden values reproducible bit for bit.
 
 A labeling is a plain tuple of ints indexed by element, a bijection onto
 ``1..N``.  The builders here produce bijections by construction, so only
@@ -17,10 +18,17 @@ pure function, so they are safe to share between worker processes.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
-from typing import Callable, Iterable, Optional, Sequence
+from math import isqrt
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from canonlab.errors import PosetFormatError
+from canonlab.errors import PosetFormatError, SizeCapError
+from canonlab.kernel import MAX_WORK
+
+# A larger poset has at least |P| kernel transitions, so the kernel's work
+# bound (transitions x |P|) refuses it anyway
+MAX_ELEMENTS = isqrt(MAX_WORK)
 
 
 class Frozen:
@@ -41,19 +49,21 @@ class Frozen:
 class Poset(Frozen):
     """A finite poset stored as its Hasse diagram.
 
-    Construction validates that the cover digraph is acyclic and that no
-    cover is implied by transitivity of the others.  Equality, hash and
-    repr use ``element_count`` and ``covers`` only; the rest is derived:
-    adjacency, the topological order and each element's strict up-set as
-    a bitmask.
+    Construction refuses more than ``MAX_ELEMENTS`` elements before it
+    reads ``covers`` (so they may come lazily), then validates that the
+    cover digraph is acyclic and that no cover is implied by the others.
+    Equality, hash and repr use ``element_count`` and ``covers`` only;
+    the rest is derived: adjacency (``below``: lower covers as bitmasks),
+    the topological order and each element's strict up-set as a bitmask.
     """
 
-    __slots__ = ("element_count", "covers", "_succ", "_pred", "_above", "_topo")
+    __slots__ = ("element_count", "covers", "below", "_succ", "_above", "_topo")
 
     def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
         n = element_count
         if n < 0:
             raise PosetFormatError("element_count must be non-negative")
+        _check_size(n)
         if not isinstance(covers, frozenset):
             covers = frozenset(tuple(c) for c in covers)
         for a, b in covers:
@@ -63,13 +73,11 @@ class Poset(Frozen):
                 raise PosetFormatError(f"cover ({a}, {b}) is a self-loop")
 
         succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
+        below = [0] * n
         for a, b in covers:
             succ[a].append(b)
-            pred[b].append(a)
+            below[b] |= 1 << a
         for lst in succ:
-            lst.sort()
-        for lst in pred:
             lst.sort()
 
         topo, above = _order_and_up_sets(n, succ, "cover relation")
@@ -82,8 +90,8 @@ class Poset(Frozen):
         init = object.__setattr__
         init(self, "element_count", n)
         init(self, "covers", covers)
+        init(self, "below", tuple(below))
         init(self, "_succ", tuple(tuple(s) for s in succ))
-        init(self, "_pred", tuple(tuple(p) for p in pred))
         init(self, "_above", tuple(above))
         init(self, "_topo", tuple(topo))
 
@@ -105,22 +113,23 @@ class Poset(Frozen):
         """Elements covering v."""
         return self._succ[v]
 
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        """Elements covered by v."""
-        return self._pred[v]
-
     def less(self, a: int, b: int) -> bool:
         """Strict comparability a < b."""
         return bool(self._above[a] >> b & 1)
 
     def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.element_count) if not self._pred[v])
+        return tuple(v for v in range(self.element_count) if not self.below[v])
 
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.element_count) if not self._succ[v])
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
 
 
 def _topological_order(n, succ):
@@ -205,7 +214,7 @@ def chain(m: int) -> Poset:
     """The m-element chain 0 < 1 < ... < m-1."""
     if m < 1:
         raise ValueError("chain size must be >= 1")
-    return Poset(m, frozenset((i, i + 1) for i in range(m - 1)))
+    return Poset(m, ((i, i + 1) for i in range(m - 1)))
 
 
 def antichain(n: int) -> Poset:
@@ -215,38 +224,35 @@ def antichain(n: int) -> Poset:
     return Poset(n, frozenset())
 
 
-def product_with_chain(p: Poset, n: int) -> Poset:
-    """The product poset of ``p`` with an n-chain, in the fixed layout.
-
-    Element ``(row, copy)`` has index ``row + (copy-1) * |p|``; covers are
-    the per-copy images of ``p``'s covers plus the inter-copy covers
-    ``(row, j) < (row, j+1)``.
-    """
+def _product_covers(p: Poset, n: int, mask: int) -> Iterator[tuple[int, int]]:
+    """The covers of ``p x [n]`` less those ``mask`` removes, lazily."""
     if n < 1:
         raise ValueError("chain factor must have size >= 1")
-    m = p.element_count
-    covers = set()
-    for j in range(n):
-        off = j * m
-        covers.update((a + off, b + off) for a, b in p.covers)
-    for j in range(n - 1):
-        for row in range(m):
-            covers.add((row + j * m, row + (j + 1) * m))
-    return Poset(m * n, frozenset(covers))
+    m, k = p.element_count, n - 1
+    if mask < 0 or mask >> m * k:
+        raise ValueError(f"mask {mask} is outside [0, 2^{m * k})")
+    intra = ((a + j * m, b + j * m) for j in range(n) for a, b in p.covers)
+    inter = ((x + j * m, x + j * m + m)
+             for x in range(m) for j in range(k) if not mask >> x * k + j & 1)
+    return itertools.chain(intra, inter)
 
 
-def checked_product(p: Poset, n: int) -> Poset:
-    """``p x [n]`` with n new incomparable elements above all its maxima.
+def product_with_chain(p: Poset, n: int, mask: int = 0) -> Poset:
+    """The product poset of ``p`` with an n-chain, in the fixed layout:
+    the per-copy images of ``p``'s covers plus the inter-copy covers
+    ``(x, j) < (x, j+1)`` but those ``mask`` removes, at bit
+    ``x*(n-1) + j-1``.  A removed relation is absent from the result."""
+    return Poset(p.element_count * n, _product_covers(p, n, mask))
 
-    The new elements take the highest n indices.
-    """
-    prod = product_with_chain(p, n)
-    mn = prod.element_count
-    covers = set(prod.covers)
-    maxima = prod.maximal_elements()
-    for t in range(mn, mn + n):
-        covers.update((x, t) for x in maxima)
-    return Poset(mn + n, frozenset(covers))
+
+def checked_product(p: Poset, n: int, mask: int = 0) -> Poset:
+    """``product_with_chain(p, n, mask)`` with n new incomparable elements,
+    the highest n indices, above ``(x, n)`` for every maximal ``x`` of
+    ``p``."""
+    mn = p.element_count * n
+    maxima = [mn - p.element_count + x for x in p.maximal_elements()]  # the (x, n)
+    tops = ((x, t) for t in range(mn, mn + n) for x in maxima)
+    return Poset(mn + n, itertools.chain(_product_covers(p, n, mask), tops))
 
 
 def canon_labeling(w: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
@@ -266,33 +272,16 @@ def checked_labeling(w: Sequence[int], n: int) -> tuple[int, ...]:
     return canon_labeling(w, range(1, n + 1)) + tuple(range(mn + 1, mn + n + 1))
 
 
-def remove_intercopy_covers(
-    pxn: Poset, m: int, removed: Iterable[tuple[int, int]]
-) -> Poset:
-    """Delete inter-copy covers ``(row, j) < (row, j+1)`` from a product poset.
-
-    ``removed`` holds 1-based pairs ``(row, j)``; each must name an existing
-    inter-copy cover.  No transitive re-closure is added: the deleted
-    relation is genuinely absent from the result.
-    """
-    covers = set(pxn.covers)
-    for row, j in removed:
-        edge = ((row - 1) + (j - 1) * m, (row - 1) + j * m)
-        if edge not in covers:
-            raise PosetFormatError(f"unknown inter-copy cover (row={row}, j={j})")
-        covers.discard(edge)
-    return Poset(pxn.element_count, frozenset(covers))
-
-
 def _chain_sums(p: Poset, step: Callable[[int, int], int]) -> tuple[list[set[int]], set[int]]:
     """For each element, the set of sums of ``step(a, b)`` over the covers
     ``a < b`` of the saturated chains from a minimal element up to it, in
     one pass over the topological order; and the sums of the maximal
     chains, the union of those sets over the maximal elements."""
-    sums: list[set[int]] = [set()] * p.element_count
+    sums: list[set[int]] = [set() for _ in range(p.element_count)]
     for v in p.topological_order():
-        preds = p.predecessors(v)
-        sums[v] = {s + step(q, v) for q in preds for s in sums[q]} if preds else {0}
+        sums[v] = own = sums[v] or {0}  # a minimal element starts at 0
+        for b in p.successors(v):
+            sums[b].update(s + step(v, b) for s in own)
     return sums, set().union(*(sums[v] for v in p.maximal_elements()))
 
 
@@ -336,6 +325,7 @@ def natural_labeling(p: Poset) -> tuple[int, ...]:
 
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Covers of the partial order generated by an acyclic relation set."""
+    _check_size(n)
     targets = [set() for _ in range(n)]
     for a, b in relations:
         if a == b:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -428,6 +429,34 @@ def test_long_two_row_grids_exit_2(capsys):
         assert "transitions x elements at prefix length 143" in err, argv
 
 
+# each names a poset of at least 10^5 elements, far past MAX_ELEMENTS
+HUGE_POSETS = (
+    "poly hstar --m 2 --n 100000",
+    "poly canon-product --m 100000 --n 1",
+    "extensions --m 2 --n 100000 --limit 1",
+    "poly canon --m 100000000 --n 1",
+    "verify remark-product --m 100000000",
+)
+
+
+@pytest.mark.parametrize("argv", HUGE_POSETS)
+def test_huge_posets_exit_2_before_they_are_built(argv):
+    # the element bound refuses each before its covers are built, in a
+    # process limited to 1 GiB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "canonlab", *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), argv
+    assert elapsed < 1, argv
+
+
 class TestExtensions:
     def test_count_only(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "4", "--count-only")
@@ -484,9 +513,7 @@ class TestPosetFiles:
     def test_fig3_subposet_loads(self, tmp_path):
         # two-row, four-column grid with one missing inter-copy cover: the
         # full grid has 10 covers, the subposet 9
-        from canonlab.poset import remove_intercopy_covers
-
-        q = remove_intercopy_covers(product_with_chain(chain(2), 4), 2, [(2, 3)])
+        q = product_with_chain(chain(2), 4, 1 << 5)  # less (1, 3) < (1, 4)
         path = tmp_path / "sub.json"
         path.write_text(poset_to_json(q))
         loaded, _ = load_poset(str(path))

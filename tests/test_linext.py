@@ -208,13 +208,11 @@ class TestRhoDescents:
             assert doubles == [j for j in drops if j == 1 or j - 1 in drops]
 
     def test_wrong_shape(self):
-        # a chain IS a checked product of the next-shorter chain with [1],
-        # but a two-row grid is not checked at all
-        grid = product_with_chain(chain(2), 2)
-        with pytest.raises(ValueError, match="checked"):
-            next(rho_filtered_extensions(grid))
-        with pytest.raises(ValueError, match="checked"):
-            next(rho_filtered_extensions(antichain(3)))
+        # the search builds its checked product from (m, n) itself
+        with pytest.raises(ValueError, match="chain size must be >= 1"):
+            next(rho_filtered_extensions(0, 2))
+        with pytest.raises(ValueError, match="chain factor must have size >= 1"):
+            next(rho_filtered_extensions(2, 0))
 
     def test_pruned_search_matches_filtered_enumeration(self):
         # oracle: every extension, filtered afterwards by the double
@@ -230,7 +228,7 @@ class TestRhoDescents:
                     if doubles or (parities[prev] == parities[last] == 1 and prev > last):
                         continue
                     expected.append((ext, len(drops)))
-                assert list(rho_filtered_extensions(p)) == expected, (m, n)
+                assert list(rho_filtered_extensions(m, n)) == expected, (m, n)
 
 
 def _phi(lab: tuple[int, ...]) -> tuple[int, ...]:
@@ -274,9 +272,7 @@ class TestPhi:
                 assert descent_count(word(ext, flipped)) == 3 - d
 
     def test_fig3_worked_example(self):
-        from canonlab.poset import remove_intercopy_covers
-
-        q = remove_intercopy_covers(product_with_chain(chain(2), 4), 2, [(2, 3)])
+        q = product_with_chain(chain(2), 4, 1 << 5)  # less (1, 3) < (1, 4)
         w = (1, 2)
         sigma = (1, 3, 4, 2)
         lab = canon_labeling(w, sigma)

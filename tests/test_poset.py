@@ -5,10 +5,12 @@ import pytest
 
 from conftest import random_labeling, random_poset, vee_poset, wedge_poset
 
-from canonlab.errors import PosetFormatError
+from canonlab import kernel
+from canonlab.errors import PosetFormatError, SizeCapError
 from canonlab.linext import count_linear_extensions, enumerate_linear_extensions
 from canonlab.polys import hstar
 from canonlab.poset import (
+    MAX_ELEMENTS,
     Poset,
     antichain,
     canon_labeling,
@@ -21,7 +23,6 @@ from canonlab.poset import (
     poset_from_json,
     poset_to_json,
     product_with_chain,
-    remove_intercopy_covers,
     rho_parities,
     transitive_reduction,
 )
@@ -73,6 +74,32 @@ class TestConstruction:
             Poset(2, frozenset({(0, 5)}))
         with pytest.raises(PosetFormatError, match="self-loop"):
             Poset(2, frozenset({(1, 1)}))
+
+
+class TestElementBound:
+    def test_bound_is_the_root_of_the_kernel_work_bound(self):
+        # a larger poset has at least |P| transitions, so the kernel would
+        # refuse it anyway
+        assert MAX_ELEMENTS**2 <= kernel.MAX_WORK < (MAX_ELEMENTS + 1) ** 2
+
+    def test_refused_before_covers_are_read(self):
+        def covers():
+            raise AssertionError("the covers were read")
+            yield
+
+        with pytest.raises(SizeCapError, match=f"exceeds the bound {MAX_ELEMENTS}"):
+            Poset(MAX_ELEMENTS + 1, covers())
+        with pytest.raises(SizeCapError):
+            transitive_reduction(MAX_ELEMENTS + 1, covers())
+        assert chain(MAX_ELEMENTS).element_count == MAX_ELEMENTS
+
+    def test_builders_refuse_one_element_past_the_bound(self):
+        past = MAX_ELEMENTS + 1
+        for build in (lambda: chain(past), lambda: antichain(past),
+                      lambda: product_with_chain(chain(2), past // 2 + 1),
+                      lambda: checked_product(chain(2), past // 3 + 1)):
+            with pytest.raises(SizeCapError, match=f"exceeds the bound {MAX_ELEMENTS}"):
+                build()
 
 
 class TestProducts:
@@ -204,25 +231,42 @@ class TestLabelings:
 
 
 class TestRemoveCovers:
+    # bit x*(n-1) + j-1 of the mask removes the cover (x, j) < (x, j+1)
+
     def test_empty_removal(self):
-        p = product_with_chain(chain(2), 2)
-        assert remove_intercopy_covers(p, 2, []) == p
+        assert product_with_chain(chain(2), 2, 0) == product_with_chain(chain(2), 2)
 
     def test_single_removal(self):
-        p = product_with_chain(chain(2), 2)
-        q = remove_intercopy_covers(p, 2, [(2, 1)])
+        q = product_with_chain(chain(2), 2, 0b10)  # (1, 1) < (1, 2)
         assert len(q.covers) == 3
         assert (1, 3) not in q.covers
 
     def test_no_transitive_reclosure(self):
-        p = product_with_chain(chain(2), 2)
-        q = remove_intercopy_covers(p, 2, [(2, 1)])
+        q = product_with_chain(chain(2), 2, 0b10)
         assert not q.less(1, 3)
 
-    def test_unknown_edge(self):
-        p = product_with_chain(chain(2), 2)
-        with pytest.raises(PosetFormatError, match="unknown"):
-            remove_intercopy_covers(p, 2, [(1, 2)])
+    def test_every_mask_removes_exactly_its_covers(self):
+        for base in (chain(1), chain(2), chain(3), vee_poset(), wedge_poset(), antichain(2)):
+            m = base.element_count
+            for n in (1, 2, 3):
+                full = product_with_chain(base, n)
+                tops = {(x + (n - 1) * m, m * n + t)
+                        for t in range(n) for x in base.maximal_elements()}
+                for mask in range(1 << m * (n - 1)):
+                    removed = {(x + (j - 1) * m, x + j * m)
+                               for x in range(m) for j in range(1, n)
+                               if mask >> x * (n - 1) + j - 1 & 1}
+                    assert removed <= full.covers
+                    assert product_with_chain(base, n, mask).covers == full.covers - removed
+                    checked = checked_product(base, n, mask)
+                    assert checked.element_count == (m + 1) * n
+                    assert checked.covers == (full.covers - removed) | tops
+
+    def test_mask_out_of_range(self):
+        for n, mask in ((1, 1), (2, 4), (3, 16), (2, -1)):
+            for build in (product_with_chain, checked_product):
+                with pytest.raises(ValueError, match="mask"):
+                    build(chain(2), n, mask)
 
 
 class TestGraded:
