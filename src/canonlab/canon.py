@@ -7,7 +7,17 @@ labelings sigma, for any labeled P, n and removed covers, is one call of
 ``canon_polynomial_bruteforce``: its sigma list from ``column_labelings``,
 which checks the size caps, and its rows from ``canon_rows``: one kernel
 call per poset and row labeling w, one descent histogram per w x sigma.
-The edge-subset sweep fans its subposets out over worker processes.
+
+Both reductions below are exact, so they change the work, not a result.
+The sum runs one kernel lane per descent class of sigma, not one per
+sigma.  By the theory of (P,w)-partitions, a labeled poset's descent
+polynomial depends only on which of its covers the labeling makes strict
+(w(a) > w(b) for a cover a < b).  Under w x sigma a cover inside a column
+is strict when w falls, and a kept cover (x, j) < (x, j+1) exactly when
+sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
+that keep a cover share one histogram.  The edge-subset sweep computes
+one row per orbit of masks (``_orbit_key``) and fans those out over
+worker processes.
 """
 
 from __future__ import annotations
@@ -178,6 +188,28 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial(tuple(map(sum, zip(*rows))))
 
 
+def _descent_classes(
+    sigmas: Iterable[tuple[int, ...]], size: int, n: int, mask: int
+) -> dict[tuple[bool, ...], list]:
+    """The column labelings grouped by their descents on the gaps j where
+    ``product_with_chain(P, n, mask)``, |P| = ``size``, keeps a cover
+    (x, j) < (x, j+1) for some x: descents -> [its first sigma, the
+    number of sigmas], in order of first appearance."""
+    k = n - 1
+    removed = (1 << k) - 1  # the gaps every element of P has removed
+    for x in range(size):
+        removed &= mask >> x * k
+    gaps = [j for j in range(k) if not removed >> j & 1]
+    classes: dict[tuple[bool, ...], list] = {}
+    for sigma in sigmas:
+        key = tuple(sigma[j] > sigma[j + 1] for j in gaps)
+        if key in classes:
+            classes[key][1] += 1
+        else:
+            classes[key] = [sigma, 1]
+    return classes
+
+
 def canon_polynomial_bruteforce(
     p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None, mask: int = 0,
     pprime: Optional[Poset] = None,
@@ -185,9 +217,14 @@ def canon_polynomial_bruteforce(
     """Descent polynomial of all canon permutations of (p, w): the sum of
     the descent polynomials of ``product_with_chain(p, n, mask)`` under
     w x sigma over every column labeling sigma, or over the extension
-    words of ``pprime`` (n elements) when it is given."""
+    words of ``pprime`` (n elements) when it is given.  The kernel runs
+    one lane per descent class of sigma on the gaps that keep a cover,
+    and each class's row counts once per sigma in it."""
     sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
-    return _row_sum(canon_rows(product_with_chain(p, n, mask), w, sigmas))
+    q = product_with_chain(p, n, mask)
+    firsts, sizes = zip(*_descent_classes(sigmas, p.element_count, n, mask).values())
+    rows = canon_rows(q, w, firsts)
+    return _row_sum([[size * h for h in row] for size, row in zip(sizes, rows)])
 
 
 def _product_form(
@@ -441,19 +478,63 @@ def _sweep_row(args: tuple[int, int, int, Optional[int]]) -> SweepRow:
     )
 
 
+def _column_blocks(m: int, n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The subposet of ``mask`` as its blocks of columns joined by kept
+    covers, sorted: each block lists, gap by gap, the removed bit of
+    every row."""
+    k = n - 1
+    blocks, block = [], []
+    for j in range(k):
+        removed = tuple(mask >> x * k + j & 1 for x in range(m))
+        if all(removed):  # no cover joins columns j+1 and j+2
+            blocks.append(tuple(block))
+            block = []
+        else:
+            block.append(removed)
+    blocks.append(tuple(block))
+    return tuple(sorted(blocks))
+
+
+def _orbit_key(m: int, n: int, mask: int) -> tuple:
+    """A key shared by exactly the masks one gets from ``mask`` by two
+    maps, each of which keeps the summed polynomial under the natural row
+    labeling:
+
+    * permuting the blocks of columns joined by kept covers: a
+      row-preserving isomorphism, and sigma -> sigma o tau^-1 is a
+      bijection of the column labelings;
+    * the dual reflection (row, j) -> (m+1-row, n-j), which reverses the
+      m(n-1) mask bits: reversing an extension and complementing its
+      labels keeps every descent, and the complement of the natural
+      w x sigma is the natural w x sigma' with sigma'(j) = n+1-sigma(n+1-j).
+    """
+    mirror = int(format(mask, f"0{m * (n - 1)}b")[::-1], 2)
+    return min(_column_blocks(m, n, mask), _column_blocks(m, n, mirror))
+
+
 def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -> SweepReport:
     """Gamma data for every subset of removable inter-copy edges.
 
-    Each subposet is named only by its edge mask (no isomorphism
-    reduction); any gamma-negative one is reported as a counterexample
-    certificate.
+    Each subposet is named by its edge mask.  The polynomial is computed
+    once per orbit of masks under ``_orbit_key``'s two maps, for its
+    smallest mask, and every mask of the orbit copies its polynomial
+    fields and keeps its own ``mask`` and ``mode``; any gamma-negative
+    mask is reported as a counterexample certificate.
     """
     if m < 1 or n < 1:  # before the shift below
         raise ValueError("chain factor must have size >= 1")
     subposets = 1 << m * (n - 1)  # one per subset of removable edges
     column_labelings(m, n, cap, subposets=subposets)  # refuses them all up front
-    tasks = [(m, n, mask, cap) for mask in range(subposets)]
-    rows = tuple(parallel_map(_sweep_row, tasks, jobs))
+    keys = [_orbit_key(m, n, mask) for mask in range(subposets)]
+    firsts: dict[tuple, int] = {}
+    for mask, key in enumerate(keys):
+        firsts.setdefault(key, mask)
+    tasks = [(m, n, mask, cap) for mask in firsts.values()]
+    solved = dict(zip(firsts, parallel_map(_sweep_row, tasks, jobs)))
+    rows = tuple(
+        solved[key]._replace(mask=mask, mode=AmphibianSpec(m, n, mask).mode())
+        for mask, key in enumerate(keys)
+    )
     violations = []
     for row in rows:
         if row.gamma is None or not row.gamma_positive:

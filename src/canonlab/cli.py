@@ -99,7 +99,9 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[i
 
 
 def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
-    """The row labeling named by ``--w``; natural when it is not given."""
+    """The row labeling named by ``--w``; natural when it is not given.
+    An m past the poset bound is refused before the m labels are built."""
+    poset._check_size(m)  # private, so per-layer traces do not count it as a build
     if kind in ("reverse", "u"):
         return tuple(range(m, 0, -1))
     return tuple(range(1, m + 1))

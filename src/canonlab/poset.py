@@ -128,6 +128,8 @@ class Poset(Frozen):
 
 
 def _check_size(n: int) -> None:
+    """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``; ``cli``
+    checks a grid's m with it before building anything m long."""
     if n > MAX_ELEMENTS:
         raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
 

@@ -7,6 +7,8 @@ from conftest import vee_poset, wedge_poset
 from canonlab.canon import (
     MAX_LABELINGS,
     AmphibianSpec,
+    _row_sum,
+    _sweep_row,
     Certificate,
     IdentityReport,
     canon_polynomial_bruteforce,
@@ -169,6 +171,37 @@ class TestColumnLabelings:
         assert [IntPolynomial(tuple(r)) for r in rows] == [
             hstar(grid, canon_labeling(w, s)) for s in sigmas
         ]
+
+
+def every_sigma(p, w, n, mask=0, pprime=None):
+    """The oracle for the class sum: one kernel lane per column labeling."""
+    q = product_with_chain(p, n, mask)
+    return _row_sum(canon_rows(q, w, column_labelings(p.element_count, n, pprime=pprime)))
+
+
+class TestDescentClasses:
+    def test_every_mask_of_the_grids(self):
+        for m, n in ((2, 3), (3, 2), (2, 4), (3, 3)):
+            for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
+                for mask in range(1 << m * (n - 1)):
+                    assert canon_polynomial_bruteforce(chain(m), w, n, mask=mask) == (
+                        every_sigma(chain(m), w, n, mask)), (m, n, w, mask)
+
+    def test_extension_words_of_a_second_poset(self):
+        for pprime in (chain(3), antichain(3), vee_poset()):  # vee: the star on 3
+            for w in ((1, 2), (2, 1)):
+                for mask in range(1 << 4):
+                    assert canon_polynomial_bruteforce(
+                        chain(2), w, 3, mask=mask, pprime=pprime
+                    ) == every_sigma(chain(2), w, 3, mask, pprime), (pprime, w, mask)
+
+    def test_labeled_poset_with_falling_covers(self):
+        # vee-k1 of the labeled-product cases: w falls on one cover only
+        vee, w = vee_poset(), (3, 1, 2)
+        for n in (1, 2, 3):
+            for mask in range(1 << 3 * (n - 1)):
+                assert canon_polynomial_bruteforce(vee, w, n, mask=mask) == (
+                    every_sigma(vee, w, n, mask)), (n, mask)
 
 
 class TestCheckedProduct:
@@ -457,6 +490,29 @@ class TestConjectureSweep:
         oracle = IntPolynomial(tuple(counts.get(d, 0) for d in range(max(counts) + 1)))
         assert row.polynomial == oracle
         assert row.mode == "fixed-row"
+
+    def test_each_row_is_its_own_masks(self):
+        # a mask's row copies its orbit representative's polynomial fields
+        for m, n in ((2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
+            rows = conjecture_sweep(m, n).rows
+            assert rows == tuple(
+                _sweep_row((m, n, mask, None)) for mask in range(1 << m * (n - 1))
+            ), (m, n)
+
+    def test_one_row_per_orbit(self, monkeypatch):
+        import canonlab.canon as canon_mod
+
+        computed = []
+
+        def counted(args):
+            computed.append(args[2])
+            return _sweep_row(args)
+
+        monkeypatch.setattr(canon_mod, "_sweep_row", counted)
+        for (m, n), orbits in (((2, 4), 28), ((2, 5), 88)):
+            computed.clear()
+            assert len(conjecture_sweep(m, n).rows) == 1 << m * (n - 1)
+            assert len(computed) == orbits and computed == sorted(computed)
 
     def test_parallel_matches_serial(self):
         serial = conjecture_sweep(2, 3, jobs=1)

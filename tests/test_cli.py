@@ -2,13 +2,17 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import canonlab.cli as cli_mod
 from canonlab.cli import VERIFY_CHECKS, build_parser, load_poset, main, run
@@ -221,21 +225,25 @@ class TestVerify:
     def test_one_kernel_call_per_poset_and_row_labeling(self, capsys, monkeypatch):
         import canonlab.kernel as kernel_mod
 
-        calls = []
+        calls = []  # the labelings of each call
         real = kernel_mod.descent_histograms
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(poset, labelings, *args, **kwargs):
+            calls.append(len(labelings))
+            return real(poset, labelings, *args, **kwargs)
 
         monkeypatch.setattr(kernel_mod, "descent_histograms", counted)
-        # cor-3.4 at (2,3): one grid under its 6 labelings
+        # cor-3.4 at (2,3): one grid under every one of its 6 labelings
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
-        assert len(calls) == 1
-        # cor-4.1 at (2,2): 4 subposets under two row labelings each
+        assert calls == [6]
+        # cor-4.1 at (2,2): 4 subposets under two row labelings, 2 sigmas each
         calls.clear()
         assert invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "2")[0] == 0
-        assert len(calls) == 8
+        assert calls == [2] * 8
+        # a sum runs one lane per descent class: 2^5 of the 720 sigmas at n = 6
+        calls.clear()
+        assert invoke(capsys, "poly", "canon", "--m", "2", "--n", "6")[0] == 0
+        assert calls == [32]
 
     def test_shift_checks_under_the_cap(self, capsys):
         for name in ("cor-3.4", "cor-4.1"):
@@ -279,12 +287,12 @@ class TestSweep:
 
     def test_determinism_across_jobs(self, capsys):
         outputs = []
-        for jobs in ("1", "4"):
+        for jobs in ("1", "2", "4"):
             code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "3",
                                   "--format", "csv", "--jobs", jobs)
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "2",
@@ -436,9 +444,14 @@ HUGE_POSETS = (
     "extensions --m 2 --n 100000 --limit 1",
     "poly canon --m 100000000 --n 1",
     "verify remark-product --m 100000000",
+    # each builds m row labels before any poset: refused before them
+    "poly dissonant --m 100000000 --n 1",
+    "verify thm-1.1 --m 100000000 --n 1",
+    "verify all --m 100000000 --n 1",
 )
 
 
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
 @pytest.mark.parametrize("argv", HUGE_POSETS)
 def test_huge_posets_exit_2_before_they_are_built(argv):
     # the element bound refuses each before its covers are built, in a
@@ -627,6 +640,8 @@ STDOUT_DIGESTS = [
      "c84aead73c5eb1b3d593a259c29db75d9dfb174fd378eff8207879da75761eb0"),
     ("sweep gamma --m 3 --n 3 --format json",
      "f11258de7f328a0bd9547e9ab64f07fd75f0d66f0fdbadb98060898bec7470c6"),
+    ("sweep gamma --m 2 --n 5 --format csv",
+     "ae757debff9f303387165cdf9068cc24d096ed77a0ac65e54f4ba7d116d4699f"),
     ("poly dissonant --m 2 --n 3 --remove 2:1,2:2 --format json",
      "e12ad5a7c9a10dac3817c1ecb1294f7ec507939cdebb75f86709423a7a4daf8e"),
     ("poly hstar --m 2 --n 3 --remove 2:1 --checked --format json",
