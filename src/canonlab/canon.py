@@ -23,8 +23,8 @@ worker processes.
 from __future__ import annotations
 
 import os
-from itertools import accumulate, permutations
-from operator import mul
+from itertools import accumulate, permutations, product
+from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
@@ -33,7 +33,7 @@ from canonlab.linext import (
     descent_count,
     enumerate_linear_extensions,
     is_valid_extension,
-    rho_filtered_extensions,
+    rho_filtered_halves,
     word,
 )
 from canonlab.polys import (
@@ -353,18 +353,10 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     return direct
 
 
-def canon_word_of_checked_extension(m: int, n: int, order: Sequence[int]) -> tuple[int, ...]:
-    """Translate an extension of the checked product into a canon
-    permutation: the top elements, read in order, give the column
-    permutation, and each product element contributes that column value."""
-    mn = m * n
-    sigma = tuple(v - mn + 1 for v in order[mn:])
-    return tuple(sigma[v // m] for v in order[:mn])
-
-
 class GammaInterpretation(NamedTuple):
     """Gamma coordinates of the canon polynomial next to the counts of
-    filtered checked-product extensions.
+    filtered checked-product extensions, which ``halves`` holds as
+    ``rho_filtered_halves(m, n)`` does, in tuples.
 
     ``shift`` is the offset that aligns the filtered rho-descent counts
     with the gamma indices; ``stated_shift`` is floor((m+n-1)/2).  When
@@ -379,7 +371,7 @@ class GammaInterpretation(NamedTuple):
     stated_shift: int
     shift: Optional[int]
     matches: bool
-    words: tuple[tuple[tuple[int, ...], ...], ...]
+    halves: tuple
 
 
 def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInterpretation:
@@ -393,30 +385,37 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     if expansion is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
     gamma = expansion.gamma
-    by_count: dict[int, list[tuple[int, ...]]] = {}
-    for order, drops in rho_filtered_extensions(m, n):
-        by_count.setdefault(drops, []).append(canon_word_of_checked_extension(m, n, order))
-
+    halves = tuple(tuple(map(tuple, half)) for half in rho_filtered_halves(m, n))
+    # the counts by rho-descents: each half's sizes by rho-descents, as a
+    # polynomial, and their product
+    by_drops = IntPolynomial(map(len, halves[0])) * IntPolynomial(map(len, halves[1]))
     stated = (m + n - 1) // 2
 
-    def counts_at(s: int) -> Optional[tuple[int, ...]]:
-        if any(r < s or r >= s + len(gamma) for r in by_count):
-            return None
-        return tuple(len(by_count.get(s + i, [])) for i in range(len(gamma)))
+    def window(s: int) -> tuple[int, ...]:
+        return tuple(by_drops.coefficient(s + i) for i in range(len(gamma)))
 
-    shift: Optional[int] = None
-    if counts_at(stated) == gamma:
-        shift = stated
-    else:
-        for s in range(center + 1):
-            if counts_at(s) == gamma:
-                shift = s
-                break
-    matches = shift == stated
-    base = shift if shift is not None else stated
-    counts = tuple(len(by_count.get(base + i, [])) for i in range(len(gamma)))
-    words = tuple(tuple(sorted(by_count.get(base + i, []))) for i in range(len(gamma)))
-    return GammaInterpretation(m, n, gamma, counts, stated, shift, matches, words)
+    # a window equal to gamma holds every count when the totals agree
+    fits = sum(gamma) == sum(by_drops.coefficients)
+    shift = next((s for s in (stated, *range(center + 1)) if fits and window(s) == gamma), None)
+    base = stated if shift is None else shift
+    return GammaInterpretation(m, n, gamma, window(base), stated, shift, shift == stated, halves)
+
+
+def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:
+    """The sorted canon words of each gamma class i, the extensions
+    g + t with shift + i rho-descents: g's columns looked up in the
+    string of column values t spells."""
+    m, mn = gi.m, gi.m * gi.n
+    value = {mn + j: str(j + 1) for j in range(gi.n)}  # top -> its column value
+    base = gi.stated_shift if gi.shift is None else gi.shift
+    classes = [[] for _ in gi.gamma]
+    grid, tops = gi.halves
+    columns = [[itemgetter(*[v // m for v in g]) for g in gs] for gs in grid]
+    sigmas = [["".join(itemgetter(*t)(value)) for t in ts] for ts in tops]
+    for (dg, cs), (dt, ss) in product(enumerate(columns), enumerate(sigmas)):
+        if 0 <= dg + dt - base < len(classes):
+            classes[dg + dt - base] += ["".join(c(s)) for c in cs for s in ss]
+    return tuple(tuple(sorted(words)) for words in classes)
 
 
 class SweepRow(NamedTuple):

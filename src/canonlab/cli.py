@@ -29,6 +29,7 @@ from canonlab.canon import (
     dissonant_degree_check,
     dissonant_palindromy_check,
     dissonant_polynomial,
+    gamma_class_words,
     gamma_interpretation,
     generalized_product_identity,
     removable_edges,
@@ -66,7 +67,8 @@ from canonlab.poset import (
 )
 
 # The most element indices one listing prints, or one walk of the
-# thm-2.3 check visits: its extensions times |P|.
+# thm-2.3 check visits: its extensions times |P|; or letters of `gamma`'s
+# class words.
 MAX_LISTED = 10_000_000
 
 
@@ -477,27 +479,18 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
 
 def _cmd_gamma(cfg: argparse.Namespace) -> int:
     gi = gamma_interpretation(cfg.m, cfg.n, cap=cfg.force_cap)
-    if cfg.format == "json":
-        payload = {
-            "m": gi.m,
-            "n": gi.n,
-            "gamma": list(gi.gamma),
-            "counts": list(gi.counts),
-            "stated_shift": gi.stated_shift,
-            "shift": gi.shift,
-            "matches": gi.matches,
-            "classes": [
-                ["".join(str(x) for x in w) for w in bucket] for bucket in gi.words
-            ],
-        }
-        print(json.dumps(payload))
+    if sum(gi.counts) * cfg.m * cfg.n > MAX_LISTED:
+        raise SizeCapError(f"the {sum(gi.counts)} class words would print more than "
+                           f"{MAX_LISTED} letters; pass a smaller --m or --n")
+    words = gamma_class_words(gi)
+    if cfg.format == "json":  # the fields but the halves, then the classes
+        print(json.dumps(dict(zip(gi._fields[:-1], gi), classes=words)))
     else:
         print(f"gamma {list(gi.gamma)}")
         print(f"counts {list(gi.counts)} (shift {gi.shift}, stated {gi.stated_shift})")
         print(f"matches: {str(gi.matches).lower()}")
-        for i, bucket in enumerate(gi.words):
-            joined = " ".join("".join(str(x) for x in w) for w in bucket)
-            print(f"gamma[{i}] classes: {joined}")
+        for i, bucket in enumerate(words):
+            print(f"gamma[{i}] classes: {' '.join(bucket)}")
     return 0 if gi.matches else 1
 
 

@@ -5,10 +5,8 @@ under a labeling is the sequence of labels, and every descent statistic
 here is defined on words.  Enumeration order is lexicographic
 on element indices, and streams can be stopped early.
 ``enumerate_linear_extensions`` streams every extension;
-``rho_filtered_extensions`` runs the same search on a checked product
-but prunes each prefix that ends in a double rho-descent, so it yields
-only the extensions Cor. 5.1 counts.  A Dyck path is its string of e/n
-steps.
+``rho_filtered_halves`` lists, in two halves, only those of a checked
+product that Cor. 5.1 counts.  A Dyck path is its string of e/n steps.
 """
 
 from __future__ import annotations
@@ -200,55 +198,60 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
     return drops, [j for j in drops if j == 1 or j - 1 in dropset]
 
 
-def rho_filtered_extensions(m: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The extensions of the checked product of ``chain(m)`` and [n] that
-    Cor. 5.1 counts, each with its number of rho-descents,
-    lexicographically.
-
-    An extension counts when it has no double rho-descent (see
-    ``_rho_drops``) and, when its last two elements both have odd
-    parity, ends on a rise.  The search runs on the stack of
-    ``enumerate_linear_extensions`` but refuses any step that would make
-    a double rho-descent, so no prefix holding one is extended.
+def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:
+    """The extensions of the checked product of ``chain(m)`` and [n]
+    that Cor. 5.1 counts (see ``_rho_drops``; an odd last pair must
+    rise), split at (m, n), the grid's maximum and the one element the
+    tops cover: each is a grid extension g, then an order t of the tops.
+    ``grid[d]`` lists the g with d rho-descents, ``tops[d]`` the t with
+    d after (m, n).  The rules read g and t apart: a step into a top
+    falls only from an odd (m, n), which has the grid's largest key, so
+    no step into it falls.  The grid's search starts at (1, 1) as if
+    placed by a fall (a rho-descent at position 1 is double).
     """
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
-    parities = rho_parities(pcheck)
-    keys = [parities[v] * size + v for v in range(size)]
+    mn = size - n
+    keys = [parity * size + v for v, parity in enumerate(rho_parities(pcheck))]
     below = pcheck.below
     succ = [pcheck.successors(v) for v in range(size)]
-    order: list[int] = []
-    readies: list[int] = []
-    fell: list[bool] = []  # whether the step placing each element dropped
-    drops = 0
-    placed = 0
-    ready = todo = sum(1 << v for v in pcheck.minimal_elements())
-    while True:
-        if len(order) == size:
-            last, prev = order[-1], order[-2]
-            if not (parities[prev] == parities[last] == 1 and prev > last):
-                yield tuple(order), drops
-        if todo:  # try the least untried ready element
-            v = (todo & -todo).bit_length() - 1
-            todo ^= 1 << v
-            drop = bool(order) and keys[v] < keys[order[-1]]
-            if drop and (len(order) == 1 or fell[-1]):
-                continue  # a double rho-descent: refuse the step
-            order.append(v)
-            readies.append(ready)
-            fell.append(drop)
-            drops += drop
-            placed |= 1 << v
-            ready ^= 1 << v
-            for w in succ[v]:
-                if not below[w] & ~placed:
-                    ready |= 1 << w
-            todo = ready
-        elif order:  # step back, then try the ready elements after v
-            v = order.pop()
-            ready = readies.pop()
-            drops -= fell.pop()
-            placed ^= 1 << v
-            todo = ready >> v + 1 << v + 1
-        else:
-            return
+
+    def search(prev: int, fell: bool, count: int) -> list[list[tuple[int, ...]]]:
+        # out[d]: the orders of count elements after prev (placed by a
+        # fall iff fell) with d falls and none right after a fall
+        final = prev + count + 1 == size  # the tops, which leave prev out
+        out = [[] for _ in range(count // 2 + 2)]
+        order, readies, falls = [prev], [], [fell]
+        placed = (2 << prev) - 1  # (1, 1), or the whole grid
+        ready = todo = sum(1 << v for v in range(prev + 1, size) if not below[v] & ~placed)
+        while True:
+            if len(order) > count:
+                # both odd when the fall lands on an odd key
+                if not (final and falls[-1] and keys[order[-1]] >= size):
+                    out[sum(falls) - fell].append(tuple(order[final:]))
+                todo = 0
+            if todo:  # try the least untried ready element
+                v = (todo & -todo).bit_length() - 1
+                todo ^= 1 << v
+                drop = keys[v] < keys[order[-1]]
+                if drop and falls[-1]:
+                    continue  # a fall right after a fall: refuse the step
+                order.append(v)
+                readies.append(ready)
+                falls.append(drop)
+                placed |= 1 << v
+                ready ^= 1 << v
+                for w in succ[v]:
+                    if not below[w] & ~placed:
+                        ready |= 1 << w
+                todo = ready
+            elif readies:  # step back, then try the ready elements after v
+                v = order.pop()
+                ready = readies.pop()
+                falls.pop()
+                placed ^= 1 << v
+                todo = ready >> v + 1 << v + 1
+            else:
+                return out
+
+    return search(0, True, mn - 1), search(mn - 1, False, n)

@@ -17,6 +17,7 @@ from canonlab.canon import (
     conjecture_sweep,
     dissonant_degree_check,
     dissonant_palindromy_check,
+    gamma_class_words,
     gamma_interpretation,
     removable_edges,
     weak_descent_polynomial,
@@ -185,16 +186,14 @@ def test_criterion_09_gamma_interpretation():
     gi = gamma_interpretation(3, 2)
     assert gi.gamma == gi.counts == (1, 1)
     assert gi.matches and gi.shift == gi.stated_shift
-    assert [set("".join(map(str, w)) for w in b) for b in gi.words] == [
-        {"112122"}, {"111222"}
-    ]
+    assert [set(b) for b in gamma_class_words(gi)] == [{"112122"}, {"111222"}]
 
     gi = gamma_interpretation(3, 3)
     assert gi.gamma == gi.counts == (1, 8, 14, 4)
     assert gi.matches and gi.shift == gi.stated_shift
+    words = gamma_class_words(gi)
     for i, expected in GAMMA_CLASS_WORDS_3_3.items():
-        got = {"".join(map(str, w)) for w in gi.words[i]}
-        assert got == expected, f"bucket {i}"
+        assert set(words[i]) == expected, f"bucket {i}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _report(9, f"gamma interpretation (1,1) and (1,8,14,4) with all 27 class words in {elapsed:.3f}s")

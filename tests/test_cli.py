@@ -351,6 +351,36 @@ class TestGammaCommand:
         payload = json.loads(out)
         assert payload["gamma"] == [1, 0] and payload["matches"] is True
 
+    def test_listing_bound(self):
+        # (2,8) passes both caps with --force-cap 16, but its 924,687 class
+        # words of 16 letters would print past MAX_LISTED: refused before
+        # any word is built
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = ["gamma", "--m", "2", "--n", "8", "--force-cap", "16"]
+        done = subprocess.run([sys.executable, "-m", "canonlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == ("error: the 924687 class words would print more than "
+                               "10000000 letters; pass a smaller --m or --n\n")
+
+    def test_counts_build_no_words(self, capsys, monkeypatch):
+        # verify cor-5.1 reads counts, shift and matches only, so it runs
+        # past the listing bound from the halves' sizes alone
+        import canonlab.canon as canon_mod
+
+        def refuse(gi):
+            raise AssertionError("a class word was built")
+
+        monkeypatch.setattr(canon_mod, "gamma_class_words", refuse)
+        monkeypatch.setattr(cli_mod, "gamma_class_words", refuse)
+        code, out, _ = invoke(capsys, "verify", "cor-5.1")
+        assert code == 0 and "4/4 checks hold" in out
+        code, out, _ = invoke(capsys, "verify", "cor-5.1", "--m", "2", "--n", "8",
+                              "--force-cap", "16", "--format", "json")
+        [report] = json.loads(out)
+        assert code == 0 and report["holds"]
+        assert "counts=(1, 261, 8182, 85315, 306768, 385280, 138880, 0)" in report["witness"]
+
 
 def test_csv_refused_where_not_implemented(capsys):
     for argv in (("gamma", "--m", "2", "--n", "3"), ("extensions", "--m", "2", "--n", "2"),

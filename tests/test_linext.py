@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -17,7 +18,7 @@ from canonlab.linext import (
     linext_from_dyck,
     multiset_word,
     _rho_drops,
-    rho_filtered_extensions,
+    rho_filtered_halves,
     weak_descent_count,
     word,
 )
@@ -210,25 +211,30 @@ class TestRhoDescents:
     def test_wrong_shape(self):
         # the search builds its checked product from (m, n) itself
         with pytest.raises(ValueError, match="chain size must be >= 1"):
-            next(rho_filtered_extensions(0, 2))
+            rho_filtered_halves(0, 2)
         with pytest.raises(ValueError, match="chain factor must have size >= 1"):
-            next(rho_filtered_extensions(2, 0))
+            rho_filtered_halves(2, 0)
 
     def test_pruned_search_matches_filtered_enumeration(self):
         # oracle: every extension, filtered afterwards by the double
-        # rho-descent rule and the final-pair rule, in enumeration order
+        # rho-descent rule and the final-pair rule; the split search
+        # gives each once as g + t, with the sum of its halves' counts
+        # (m = 1: a one-chain grid, all the work in the tops)
         for m in range(1, 16):
             for n in range(1, 16 // (m + 1) + 1):
                 p = checked_product(chain(m), n)
                 parities = rho_parities(p)
-                expected = []
+                expected = Counter()
                 for ext in enumerate_linear_extensions(p):
                     drops, doubles = _rho_drops(parities, ext)
                     last, prev = ext[-1], ext[-2]
                     if doubles or (parities[prev] == parities[last] == 1 and prev > last):
                         continue
-                    expected.append((ext, len(drops)))
-                assert list(rho_filtered_extensions(m, n)) == expected, (m, n)
+                    expected[ext, len(drops)] += 1
+                grid, tops = rho_filtered_halves(m, n)
+                got = Counter((g + t, dg + dt) for dg, gs in enumerate(grid) for g in gs
+                              for dt, ts in enumerate(tops) for t in ts)
+                assert got == expected, (m, n)
 
 
 def _phi(lab: tuple[int, ...]) -> tuple[int, ...]:
