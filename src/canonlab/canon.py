@@ -390,15 +390,11 @@ def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInte
     # polynomial, and their product
     by_drops = IntPolynomial(map(len, halves[0])) * IntPolynomial(map(len, halves[1]))
     stated = (m + n - 1) // 2
-
-    def window(s: int) -> tuple[int, ...]:
-        return tuple(by_drops.coefficient(s + i) for i in range(len(gamma)))
-
-    # a window equal to gamma holds every count when the totals agree
-    fits = sum(gamma) == sum(by_drops.coefficients)
-    shift = next((s for s in (stated, *range(center + 1)) if fits and window(s) == gamma), None)
+    aligned = IntPolynomial(gamma).shift
+    shift = next((s for s in (stated, *range(center + 1)) if by_drops == aligned(s)), None)
     base = stated if shift is None else shift
-    return GammaInterpretation(m, n, gamma, window(base), stated, shift, shift == stated, halves)
+    counts = tuple(by_drops.coefficient(base + i) for i in range(len(gamma)))
+    return GammaInterpretation(m, n, gamma, counts, stated, shift, shift == stated, halves)
 
 
 def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:

@@ -201,13 +201,13 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
 def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:
     """The extensions of the checked product of ``chain(m)`` and [n]
     that Cor. 5.1 counts (see ``_rho_drops``; an odd last pair must
-    rise), split at (m, n), the grid's maximum and the one element the
-    tops cover: each is a grid extension g, then an order t of the tops.
-    ``grid[d]`` lists the g with d rho-descents, ``tops[d]`` the t with
-    d after (m, n).  The rules read g and t apart: a step into a top
-    falls only from an odd (m, n), which has the grid's largest key, so
-    no step into it falls.  The grid's search starts at (1, 1) as if
-    placed by a fall (a rho-descent at position 1 is double).
+    rise), split at (m, n), the grid's maximum, which the tops cover:
+    ``grid[d]`` lists the grid extensions g with d rho-descents,
+    ``tops[d]`` the orders t of the tops with d after (m, n), and each
+    g + t counts.  A step into a top falls only from an odd (m, n), the
+    grid's largest key, which no step falls onto, so the search over the
+    tops starts at (m, n) whatever g was.  The grid's search starts at
+    (1, 1) as if placed by a fall: a rho-descent at position 1 is double.
     """
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
