@@ -4,9 +4,8 @@ The brute-force definitional computations here are the source of truth;
 the closed forms (product formulas, degree and palindromicity laws,
 gamma interpretations) are the things under test.  Every sum over column
 labelings sigma, for any labeled P, n and removed covers, is one call of
-``canon_polynomial_bruteforce``: its sigma list from ``column_labelings``,
-which checks the size caps, and its rows from ``canon_rows``: one kernel
-call per poset and row labeling w, one descent histogram per w x sigma.
+``canon_polynomial_bruteforce``, whose rows come from ``canon_rows``: one
+kernel call per poset and row labeling w, one histogram per w x sigma.
 
 Both reductions below are exact, so they change the work, not a result.
 The sum runs one kernel lane per descent class of sigma, not one per
@@ -15,9 +14,9 @@ polynomial depends only on which of its covers the labeling makes strict
 (w(a) > w(b) for a cover a < b).  Under w x sigma a cover inside a column
 is strict when w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
-that keep a cover share one histogram.  The edge-subset sweep computes
-one row per orbit of masks (``_orbit_key``) and fans those out over
-worker processes.
+that keep a cover share one histogram, and a DP counts each class with
+no sigma listed.  The edge-subset sweep computes one row per orbit of
+masks (``_orbit_key``) and fans those out over worker processes.
 """
 
 from __future__ import annotations
@@ -91,9 +90,8 @@ class AmphibianSpec(NamedTuple):
     """A chain product with a chosen set of inter-copy covers removed,
     named by its edge mask.
 
-    Bit i of ``mask`` removes the i-th cover of ``removable_edges(m, n)``,
-    so the cover ``(row, j) < (row, j+1)`` is bit ``(row-1)(n-1) + j-1``;
-    intra-copy covers always stay.
+    Bit ``(row-1)(n-1) + j-1`` of ``mask`` removes the cover
+    ``(row, j) < (row, j+1)``; intra-copy covers always stay.
     """
 
     m: int
@@ -139,33 +137,17 @@ class AmphibianSpec(NamedTuple):
         return "fixed-row"
 
 
-def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Inter-copy covers of the m x n grid, row-major (1-based)."""
-    return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
-
-
-PRODUCT_CAP = 12
 MAX_LABELINGS = 362_880  # 9!
+MAX_SUBPOSETS = 1024
 
 
 def column_labelings(
-    size: int,
-    n: int,
-    cap: Optional[int] = None,
-    pprime: Optional[Poset] = None,
-    subposets: int = 1,
+    n: int, pprime: Optional[Poset] = None, subposets: int = 1
 ) -> list[tuple[int, ...]]:
-    """The column labelings of a sum over P x [n], |P| = ``size``: the
-    permutations of 1..n, or the naturally labeled extension words of
-    ``pprime`` (n elements), as tuples.  Refuses first when ``size * n``
-    passes ``cap`` (default ``PRODUCT_CAP``) or when the labelings of all
-    ``subposets`` sums, ``subposets * n!``, pass ``MAX_LABELINGS``."""
-    limit = PRODUCT_CAP if cap is None else cap
-    if size * n > limit:
-        raise SizeCapError(
-            f"|P|*n = {size * n} exceeds the brute-force cap {limit} "
-            "(raise it with --force-cap)"
-        )
+    """The permutations of 1..n, or the naturally labeled extension words
+    of ``pprime`` (n elements), as tuples.  Refuses first when the
+    labelings of all ``subposets`` sums, ``subposets * n!``, pass
+    ``MAX_LABELINGS``."""
     # running products of 1..n: a huge n stops early instead of computing n!
     if any(subposets * count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
         what = f"{n}!" if subposets == 1 else f"{subposets} subposets x {n}!"
@@ -174,6 +156,18 @@ def column_labelings(
         return list(permutations(range(1, n + 1)))
     nat = natural_labeling(pprime)
     return [word(ext, nat) for ext in enumerate_linear_extensions(pprime)]
+
+
+def subposet_masks(m: int, n: int) -> range:
+    """The edge masks of the m x n grid's subposets, refused first past
+    ``MAX_SUBPOSETS`` or past ``MAX_LABELINGS`` labelings over them all."""
+    if m < 1 or n < 1:
+        raise ValueError("chain factor must have size >= 1")
+    covers = m * (n - 1)
+    if covers >= MAX_SUBPOSETS.bit_length():  # before the shift below
+        raise SizeCapError(f"2^{covers} subposets exceed the bound {MAX_SUBPOSETS}")
+    column_labelings(n, subposets=1 << covers)  # refuses them all up front
+    return range(1 << covers)
 
 
 def canon_rows(
@@ -188,41 +182,42 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial(tuple(map(sum, zip(*rows))))
 
 
-def _descent_classes(
-    sigmas: Iterable[tuple[int, ...]], size: int, n: int, mask: int
-) -> dict[tuple[bool, ...], list]:
-    """The column labelings grouped by their descents on the gaps j where
-    ``product_with_chain(P, n, mask)``, |P| = ``size``, keeps a cover
-    (x, j) < (x, j+1) for some x: descents -> [its first sigma, the
-    number of sigmas], in order of first appearance."""
-    k = n - 1
-    removed = (1 << k) - 1  # the gaps every element of P has removed
-    for x in range(size):
-        removed &= mask >> x * k
-    gaps = [j for j in range(k) if not removed >> j & 1]
-    classes: dict[tuple[bool, ...], list] = {}
-    for sigma in sigmas:
-        key = tuple(sigma[j] > sigma[j + 1] for j in gaps)
-        if key in classes:
-            classes[key][1] += 1
-        else:
-            classes[key] = [sigma, 1]
-    return classes
+def _descent_classes(n: int, gaps: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(sigma, size) per pattern of descents on ``gaps`` (gap j between
+    sigma[j] and sigma[j+1]): size permutations of 1..n have it, and so
+    does sigma, the identity with each run of descents reversed.  Refused
+    first when the DP's work, 2^|gaps| * n^2, passes MAX_WORK."""
+    if (1 << len(gaps)) * n * n > kernel.MAX_WORK:
+        raise SizeCapError(f"2^{len(gaps)} descent classes of {n}! column labelings "
+                           f"exceed the work bound {kernel.MAX_WORK}")
+    kept = set(gaps)
+    # (sigma's closed runs, its open run's start, prefix counts by the rank
+    # of the last value): the next value rises to rank r from ranks < r,
+    # falls from ranks >= r, or either off the gaps; a rise closes a run
+    classes = [((), 0, [1])]
+    for j in range(n - 1):
+        grown = []
+        for runs, start, f in classes:
+            rise = [0, *accumulate(f)]
+            closed = (runs + tuple(range(j + 1, start, -1)), j + 1)
+            if j in kept:
+                grown += [(*closed, rise), (runs, start, [rise[-1] - c for c in rise])]
+            else:
+                grown.append((*closed, [rise[-1]] * (j + 2)))
+        classes = grown
+    return [(runs + tuple(range(n, start, -1)), sum(f)) for runs, start, f in classes]
 
 
-def canon_polynomial_bruteforce(
-    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None, mask: int = 0,
-    pprime: Optional[Poset] = None,
-) -> IntPolynomial:
+def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 0) -> IntPolynomial:
     """Descent polynomial of all canon permutations of (p, w): the sum of
     the descent polynomials of ``product_with_chain(p, n, mask)`` under
-    w x sigma over every column labeling sigma, or over the extension
-    words of ``pprime`` (n elements) when it is given.  The kernel runs
-    one lane per descent class of sigma on the gaps that keep a cover,
-    and each class's row counts once per sigma in it."""
-    sigmas = column_labelings(p.element_count, n, cap, pprime=pprime)
+    w x sigma over every column labeling sigma.  The kernel runs one lane
+    per descent class of sigma on the gaps that keep a cover, and each
+    class's row counts once per sigma in it."""
     q = product_with_chain(p, n, mask)
-    firsts, sizes = zip(*_descent_classes(sigmas, p.element_count, n, mask).values())
+    k = n - 1
+    gaps = [j for j in range(k) if any(~mask >> x * k + j & 1 for x in range(p.element_count))]
+    firsts, sizes = zip(*_descent_classes(n, gaps))
     rows = canon_rows(q, w, firsts)
     return _row_sum([[size * h for h in row] for size, row in zip(sizes, rows)])
 
@@ -251,35 +246,29 @@ def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomia
     return _product_form(p, w, n, lambda: eulerian(n))
 
 
-def checked_product_identity(
-    p: Poset, w: Sequence[int], n: int, cap: Optional[int] = None
-) -> IdentityReport:
+def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityReport:
     """Brute-force canon polynomial vs the descent polynomial of the
     checked product under the checked labeling."""
-    lhs = canon_polynomial_bruteforce(p, w, n, cap=cap)
+    lhs = canon_polynomial_bruteforce(p, w, n)
     rhs = hstar(checked_product(p, n), checked_labeling(w, n))
     return IdentityReport.compare(f"checked-product m={p.element_count} n={n}", lhs, rhs)
 
 
-def generalized_product_identity(
-    p: Poset, w: Sequence[int], pprime: Poset, cap: Optional[int] = None
-) -> IdentityReport:
+def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> IdentityReport:
     """Sum of product descent polynomials over the extensions of a second
     poset vs the factored form x^k * h*(P') * h*(P x [n])."""
     n = pprime.element_count
-    lhs = canon_polynomial_bruteforce(p, w, n, cap, pprime=pprime)
+    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, column_labelings(n, pprime)))
     rhs = _product_form(p, w, n, lambda: hstar(pprime))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
     )
 
 
-def dissonant_polynomial(
-    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
-) -> IntPolynomial:
+def dissonant_polynomial(spec: AmphibianSpec, w: Sequence[int]) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
-    return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, cap, mask=spec.mask)
+    return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, mask=spec.mask)
 
 
 def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
@@ -289,12 +278,10 @@ def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
     return tuple(row + j * m for row in range(m) for j in range(n))
 
 
-def dissonant_degree_check(
-    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
-) -> IdentityReport:
+def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
     """Assert deg C = m(n-1) + k, carrying the row-block witness word."""
     k = descent_count(w)
-    poly = dissonant_polynomial(spec, w, cap=cap)
+    poly = dissonant_polynomial(spec, w)
     expected = spec.m * (spec.n - 1) + k
     witness_ext = degree_witness_extension(spec)
     rev = range(spec.n, 0, -1)
@@ -313,12 +300,10 @@ def dissonant_degree_check(
     return report._replace(holds=report.holds and valid, witness=witness)
 
 
-def dissonant_palindromy_check(
-    spec: AmphibianSpec, w: Sequence[int], cap: Optional[int] = None
-) -> IdentityReport:
+def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
     """Palindromicity of the dissonant polynomial over [0, m(n-1)+2k]."""
     k = descent_count(w)
-    poly = dissonant_polynomial(spec, w, cap=cap)
+    poly = dissonant_polynomial(spec, w)
     top = spec.m * (spec.n - 1) + 2 * k
     holds = is_palindromic(poly, 0, top)
     rhs = poly.mirrored(0, top) if poly.degree <= top else poly
@@ -332,7 +317,7 @@ def dissonant_palindromy_check(
     )
 
 
-def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPolynomial:
+def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
     """Weak-descent polynomial of canon permutations, computed two ways.
 
     Route one counts weak descents of the canon words directly, in one
@@ -341,10 +326,10 @@ def weak_descent_polynomial(m: int, n: int, cap: Optional[int] = None) -> IntPol
     reversed row labeling.
     A mismatch signals a bug, not a mathematical discovery.
     """
-    letters = [[s for s in sigma for _ in range(m)] for sigma in column_labelings(m, n, cap)]
+    letters = [[s for s in sigma for _ in range(m)] for sigma in column_labelings(n)]
     grid = product_with_chain(chain(m), n)
     direct = _row_sum(kernel.descent_histograms(grid, letters, weak=True))
-    via_reverse = canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n, cap)
+    via_reverse = canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n)
     if direct != via_reverse:
         raise CanonlabError(
             "weak-descent routes disagree: "
@@ -374,12 +359,12 @@ class GammaInterpretation(NamedTuple):
     halves: tuple
 
 
-def gamma_interpretation(m: int, n: int, cap: Optional[int] = None) -> GammaInterpretation:
+def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     """Count checked-product extensions with i+d rho-descents, no double
     rho-descents and an increasing final pair when both parities are odd,
     and compare the counts against the gamma vector of the canon
     polynomial."""
-    poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n, cap=cap)
+    poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     if expansion is None:
@@ -455,10 +440,10 @@ class SweepReport(NamedTuple):
     violations: tuple[Certificate, ...]
 
 
-def _sweep_row(args: tuple[int, int, int, Optional[int]]) -> SweepRow:
-    m, n, mask, cap = args
+def _sweep_row(args: tuple[int, int, int]) -> SweepRow:
+    m, n, mask = args
     spec = AmphibianSpec(m, n, mask)
-    poly = dissonant_polynomial(spec, tuple(range(1, m + 1)), cap)
+    poly = dissonant_polynomial(spec, tuple(range(1, m + 1)))
     center = m * (n - 1)
     expansion = gamma_expansion(poly, center)
     return SweepRow(
@@ -507,7 +492,7 @@ def _orbit_key(m: int, n: int, mask: int) -> tuple:
     return min(_column_blocks(m, n, mask), _column_blocks(m, n, mirror))
 
 
-def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -> SweepReport:
+def conjecture_sweep(m: int, n: int, jobs: int = 1) -> SweepReport:
     """Gamma data for every subset of removable inter-copy edges.
 
     Each subposet is named by its edge mask.  The polynomial is computed
@@ -516,15 +501,11 @@ def conjecture_sweep(m: int, n: int, jobs: int = 1, cap: Optional[int] = None) -
     fields and keeps its own ``mask`` and ``mode``; any gamma-negative
     mask is reported as a counterexample certificate.
     """
-    if m < 1 or n < 1:  # before the shift below
-        raise ValueError("chain factor must have size >= 1")
-    subposets = 1 << m * (n - 1)  # one per subset of removable edges
-    column_labelings(m, n, cap, subposets=subposets)  # refuses them all up front
-    keys = [_orbit_key(m, n, mask) for mask in range(subposets)]
+    keys = [_orbit_key(m, n, mask) for mask in subposet_masks(m, n)]
     firsts: dict[tuple, int] = {}
     for mask, key in enumerate(keys):
         firsts.setdefault(key, mask)
-    tasks = [(m, n, mask, cap) for mask in firsts.values()]
+    tasks = [(m, n, mask) for mask in firsts.values()]
     solved = dict(zip(firsts, parallel_map(_sweep_row, tasks, jobs)))
     rows = tuple(
         solved[key]._replace(mask=mask, mode=AmphibianSpec(m, n, mask).mode())

@@ -24,9 +24,9 @@ each ideal passes on to the next, so building them costs in proportion
 to the transitions, and a pass moves |P| bins along every transition.
 Two bounds raise ``SizeCapError`` while the states are built, before any
 pass: a layer (the states of the ideals of one size) above
-``MAX_LAYER_STATES`` bounds the memory of a wide poset, and transitions
-times |P| above ``MAX_WORK`` the work of a long, narrow one, where no
-layer is large.
+``MAX_LAYER_STATES`` bounds the memory of a wide poset, and lanes times
+transitions times |P| above ``MAX_WORK`` the work of many lanes or of a
+long, narrow poset, where no layer is large.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def backend() -> str:
     return "python"
 
 
-def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """The state graph: (number of states, transitions, final states).
+def _transitions(poset, lanes: int = 1) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """The state graph: (number of states, transitions, final states),
+    refused past ``MAX_WORK`` for ``lanes`` passes.
 
     A transition is (source, target, u * n + v) for the step that places
     v after u; a first step uses n * n, which is never a descent.
@@ -83,10 +84,10 @@ def _transitions(poset) -> tuple[int, list[tuple[int, int, int]], list[int]]:
                     f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
                     f"at prefix length {size}: the poset is too wide"
                 )
-            if len(edges) * n > MAX_WORK:
+            if lanes * len(edges) * n > MAX_WORK:
                 raise SizeCapError(
-                    f"the order-ideal DP has more than {MAX_WORK} transitions x elements "
-                    f"at prefix length {size}: the poset is too large"
+                    f"the order-ideal DP has more than {MAX_WORK} lanes x transitions x "
+                    f"elements at prefix length {size}: the poset is too large"
                 )
         layer = grown
     return states, edges, [s for ends, _ in layer.values() for s, _ in ends]
@@ -114,7 +115,7 @@ def descent_histograms(poset, labelings, weak: bool = False) -> list[list[int]]:
     ``weak``.  Every row has max(n, 1) entries."""
     n = poset.element_count
     drop = le if weak else lt
-    states, edges, final = _transitions(poset)
+    states, edges, final = _transitions(poset, max(len(labelings), 1))
     width = _count(states, edges, final).bit_length()
     bins = (1 << width) - 1
     rows = []

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from canonlab import kernel
+from canonlab.errors import SizeCapError
 from canonlab.poset import (
     Poset,
     chain,
@@ -212,6 +214,12 @@ def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
     mn = size - n
+    # mn prefixes per extension of the grid (hook-length formula), n per order of the tops
+    hooks = prod(i + j + 1 for i in range(m) for j in range(n))
+    prefixes = mn * factorial(mn) // hooks + n * factorial(n)
+    if prefixes > kernel.MAX_WORK:
+        raise SizeCapError(f"the Cor. 5.1 search may visit {prefixes} prefixes, "
+                           f"above the work bound {kernel.MAX_WORK}")
     keys = [parity * size + v for v, parity in enumerate(rho_parities(pcheck))]
     below = pcheck.below
     succ = [pcheck.successors(v) for v in range(size)]

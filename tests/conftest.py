@@ -18,6 +18,12 @@ def wedge_poset() -> Poset:
     return Poset(3, frozenset({(0, 2), (1, 2)}))
 
 
+def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Inter-copy covers (row, j) of the m x n grid, 1-based, in the
+    row-major order of the mask bits."""
+    return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
+
+
 def random_poset(rng: random.Random, max_elements: int = 5) -> Poset:
     """A random small poset: random DAG on a shuffled ground set, reduced
     to its covers."""

@@ -9,6 +9,8 @@ import time
 from itertools import permutations
 from math import comb
 
+from conftest import removable_edges
+
 from canonlab.canon import (
     AmphibianSpec,
     canon_polynomial_bruteforce,
@@ -19,7 +21,6 @@ from canonlab.canon import (
     dissonant_palindromy_check,
     gamma_class_words,
     gamma_interpretation,
-    removable_edges,
     weak_descent_polynomial,
 )
 from canonlab.cli import main

@@ -1,12 +1,17 @@
+import inspect
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from conftest import vee_poset, wedge_poset
+from conftest import removable_edges, vee_poset, wedge_poset
 
+from canonlab import canon, cli, kernel, linext, polys, poset
 from canonlab.canon import (
     MAX_LABELINGS,
     AmphibianSpec,
+    _descent_classes,
     _row_sum,
     _sweep_row,
     Certificate,
@@ -25,11 +30,11 @@ from canonlab.canon import (
     gamma_interpretation,
     generalized_product_identity,
     parallel_map,
-    removable_edges,
+    subposet_masks,
     weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, SizeCapError
-from canonlab.linext import descent_count
+from canonlab.linext import count_linear_extensions, descent_count
 from canonlab.polys import IntPolynomial, eulerian, gamma_expansion, hstar, narayana
 from canonlab.poset import (
     antichain,
@@ -127,47 +132,50 @@ class TestCanonPolynomial:
             canon_polynomial_product(vee_poset(), (2, 1, 3), 2)
 
     def test_cap(self):
-        with pytest.raises(SizeCapError):
-            canon_polynomial_bruteforce(chain(4), (1, 2, 3, 4), 4)
-        # explicit override lifts it
-        canon_polynomial_bruteforce(chain(2), (1, 2), 2, cap=20)
+        # no |P|*n cap: (4,4) runs, and no function takes a cap
+        assert canon_polynomial_bruteforce(chain(4), (1, 2, 3, 4), 4) == (
+            canon_polynomial_product(chain(4), (1, 2, 3, 4), 4))
+        assert not hasattr(canon, "PRODUCT_CAP")
+        for module in (canon, cli, kernel, linext, polys, poset):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                assert "cap" not in inspect.signature(fn).parameters, name
 
     def test_labeling_bound(self):
-        # n! above MAX_LABELINGS is refused whatever the cap, before any
-        # labeling is built
-        assert len(column_labelings(1, 9)) == MAX_LABELINGS
+        # n! above MAX_LABELINGS is refused where sigma is listed, before
+        # any labeling is built; a sum lists none
+        assert len(column_labelings(9)) == MAX_LABELINGS
         with pytest.raises(SizeCapError, match="10!"):
-            column_labelings(1, 10, cap=10**9)
-        with pytest.raises(SizeCapError, match="10!"):
-            canon_polynomial_bruteforce(chain(1), (1,), 10, cap=10**9)
+            column_labelings(10)
+        assert canon_polynomial_bruteforce(chain(1), (1,), 10) == eulerian(10)
 
     def test_bound_counts_every_subposet(self):
-        # a sweep sums over 2^(m(n-1)) subposets, each under n! labelings
-        for m, n in ((2, 4), (2, 5), (3, 4), (4, 3)):
-            subposets = 1 << m * (n - 1)
-            assert len(column_labelings(m, n, subposets=subposets)) == len(
-                column_labelings(m, n)
-            )
+        # a loop over the 2^(m(n-1)) subposets runs each under n! labelings
+        for m, n in ((2, 4), (2, 5), (3, 4), (4, 3), (5, 3)):
+            assert subposet_masks(m, n) == range(1 << m * (n - 1))
         with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
-            column_labelings(2, 6, subposets=1 << 10)
+            subposet_masks(2, 6)
         with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
             conjecture_sweep(2, 6)
+        # more than 2^10 subposets, refused before the shift
+        for m, n in ((11, 2), (17, 2), (10**6, 10**5)):
+            with pytest.raises(SizeCapError, match="subposets exceed the bound 1024"):
+                subposet_masks(m, n)
 
 
 class TestColumnLabelings:
     def test_permutations_in_lexicographic_order(self):
-        assert column_labelings(2, 3) == list(permutations((1, 2, 3)))
+        assert column_labelings(3) == list(permutations((1, 2, 3)))
 
     def test_extensions_of_second_poset(self):
-        assert column_labelings(2, 3, pprime=chain(3)) == [(1, 2, 3)]
-        assert column_labelings(2, 3, pprime=antichain(3)) == column_labelings(2, 3)
-        with pytest.raises(SizeCapError):
-            column_labelings(5, 3, pprime=chain(3))
+        assert column_labelings(3, pprime=chain(3)) == [(1, 2, 3)]
+        assert column_labelings(3, pprime=antichain(3)) == column_labelings(3)
+        with pytest.raises(SizeCapError, match="10!"):
+            column_labelings(10, pprime=chain(10))
 
     def test_rows_match_hstar(self):
         grid = product_with_chain(chain(2), 3)
         w = (2, 1)
-        sigmas = column_labelings(2, 3)
+        sigmas = column_labelings(3)
         rows = canon_rows(grid, w, sigmas)
         assert [IntPolynomial(tuple(r)) for r in rows] == [
             hstar(grid, canon_labeling(w, s)) for s in sigmas
@@ -177,7 +185,11 @@ class TestColumnLabelings:
 def every_sigma(p, w, n, mask=0, pprime=None):
     """The oracle for the class sum: one kernel lane per column labeling."""
     q = product_with_chain(p, n, mask)
-    return _row_sum(canon_rows(q, w, column_labelings(p.element_count, n, pprime=pprime)))
+    return _row_sum(canon_rows(q, w, column_labelings(n, pprime=pprime)))
+
+
+def descents_on(sigma, gaps):
+    return tuple(sigma[j] > sigma[j + 1] for j in gaps)
 
 
 class TestDescentClasses:
@@ -191,10 +203,8 @@ class TestDescentClasses:
     def test_extension_words_of_a_second_poset(self):
         for pprime in (chain(3), antichain(3), vee_poset()):  # vee: the star on 3
             for w in ((1, 2), (2, 1)):
-                for mask in range(1 << 4):
-                    assert canon_polynomial_bruteforce(
-                        chain(2), w, 3, mask=mask, pprime=pprime
-                    ) == every_sigma(chain(2), w, 3, mask, pprime), (pprime, w, mask)
+                report = generalized_product_identity(chain(2), w, pprime)
+                assert report.holds and report.lhs == every_sigma(chain(2), w, 3, 0, pprime)
 
     def test_labeled_poset_with_falling_covers(self):
         # vee-k1 of the labeled-product cases: w falls on one cover only
@@ -203,6 +213,51 @@ class TestDescentClasses:
             for mask in range(1 << 3 * (n - 1)):
                 assert canon_polynomial_bruteforce(vee, w, n, mask=mask) == (
                     every_sigma(vee, w, n, mask)), (n, mask)
+
+    def test_dp_equals_grouped_permutations(self):
+        # every gap set for n <= 7: the class sizes of the DP are the
+        # sigmas grouped by their descents on the gaps
+        for n in range(1, 8):
+            sigmas = list(permutations(range(1, n + 1)))
+            for bits in range(1 << n - 1):
+                gaps = [j for j in range(n - 1) if bits >> j & 1]
+                listed = Counter(descents_on(s, gaps) for s in sigmas)
+                classes = _descent_classes(n, gaps)
+                assert {descents_on(s, gaps): size for s, size in classes} == listed, (n, gaps)
+                assert len(classes) == len(listed)
+
+    def test_sizes_and_representatives(self):
+        for n, gaps in ((1, []), (6, [0, 2, 3]), (9, list(range(8))), (12, [1, 5, 6, 10])):
+            classes = _descent_classes(n, gaps)
+            assert sum(size for _, size in classes) == factorial(n)
+            assert len({descents_on(s, gaps) for s, _ in classes}) == 1 << len(gaps)
+            for sigma, _ in classes:
+                assert sorted(sigma) == list(range(1, n + 1))
+                # the identity with each run of descents reversed
+                falls = {j for j in range(n - 1) if sigma[j] > sigma[j + 1]}
+                assert falls <= set(gaps)
+                runs, start = [], 0
+                for j in range(n):
+                    if j not in falls:
+                        runs += range(j + 1, start, -1)
+                        start = j + 1
+                assert tuple(runs) == sigma
+
+    def test_dp_work_bound(self):
+        # 2^|gaps| * n^2 past the kernel's work bound is refused at once
+        with pytest.raises(SizeCapError, match="2\\^39 descent classes"):
+            _descent_classes(40, list(range(39)))
+        with pytest.raises(SizeCapError, match="2\\^17 descent classes"):
+            canon_polynomial_bruteforce(chain(1), (1,), 18)
+
+    @pytest.mark.parametrize("m, n", [(1, 10), (2, 10), (3, 7), (2, 13)])
+    def test_sums_past_nine_factorial(self, m, n):
+        # no sigma is listed, so a sum past 9! labelings runs
+        w = tuple(range(1, m + 1))
+        poly = canon_polynomial_bruteforce(chain(m), w, n)
+        assert poly == canon_polynomial_product(chain(m), w, n)
+        grid = product_with_chain(chain(m), n)
+        assert sum(poly.coefficients) == factorial(n) * count_linear_extensions(grid)
 
 
 class TestCheckedProduct:
@@ -496,7 +551,7 @@ class TestConjectureSweep:
         for m, n in ((2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
             rows = conjecture_sweep(m, n).rows
             assert rows == tuple(
-                _sweep_row((m, n, mask, None)) for mask in range(1 << m * (n - 1))
+                _sweep_row((m, n, mask)) for mask in range(1 << m * (n - 1))
             ), (m, n)
 
     def test_one_row_per_orbit(self, monkeypatch):

@@ -79,13 +79,25 @@ class TestPoly:
             assert f"the following arguments are required: {missing}" in err, argv
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = invoke(capsys, "poly", "canon", "--m", "4", "--n", "4")
-        assert code == 2 and "cap" in err
+        # a sum is bounded by its work, not by |P|*n: (4,4) runs, while
+        # (9,8)'s 128 lanes pass the kernel's work bound
+        code, out, _ = invoke(capsys, "poly", "canon", "--m", "4", "--n", "4")
+        assert (code, out) == (0, invoke(capsys, "poly", "canon-product", "--m", "4", "--n", "4")[1])
+        code, out, err = invoke(capsys, "poly", "canon", "--m", "9", "--n", "8")
+        assert (code, out) == (2, "") and "too large" in err
 
     def test_force_cap(self, capsys):
-        code, out, _ = invoke(capsys, "poly", "canon", "--m", "2", "--n", "2",
-                              "--force-cap", "30")
-        assert code == 0
+        # --force-cap still parses, and changes no byte of any command
+        for argv in (
+            ("poly", "canon", "--m", "2", "--n", "2"),
+            ("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "1:1"),
+            ("poly", "weak-descent", "--m", "2", "--n", "3"),
+            ("verify", "cor-3.4", "--m", "2", "--n", "3"),
+            ("sweep", "gamma", "--m", "2", "--n", "3"),
+            ("gamma", "--m", "3", "--n", "3"),
+            ("poly", "canon", "--m", "1", "--n", "40"),
+        ):
+            assert invoke(capsys, *argv, "--force-cap", "30") == invoke(capsys, *argv), argv
 
     def test_constructor_errors_exit_2(self, capsys):
         for argv, message in (
@@ -100,6 +112,17 @@ class TestPoly:
             (("poly", "canon-product", "--m", "1", "--n", "100000"), "exceeds the bound 1000"),
             (("verify", "thm-2.3", "--n", "30"), "the walk at n=30"),
             (("verify", "cor-2.4", "--n", "100000"), "exceeds the bound 1000"),
+            # each refused by a bound before any sum: unbounded, they run
+            # for minutes to hours or exhaust memory
+            (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6!"),
+            (("verify", "lemma-4.2", "--m", "1", "--n", "9"), "256 subposets x 9!"),
+            (("poly", "canon", "--m", "9", "--n", "8"), "too large"),
+            (("verify", "cor-3.4", "--m", "9", "--n", "8"), "too large"),
+            (("sweep", "gamma", "--m", "17", "--n", "2"), "2^17 subposets exceed the bound 1024"),
+            (("sweep", "gamma", "--m", "1000000", "--n", "100000"), "subposets exceed the bound 1024"),
+            (("verify", "cor-5.1", "--m", "3", "--n", "8"),
+             "the Cor. 5.1 search may visit 561241776 prefixes"),
+            (("poly", "canon", "--m", "1", "--n", "40"), "2^39 descent classes"),
         ):
             start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
@@ -131,11 +154,16 @@ class TestPoly:
         assert code == 0 and out.startswith("coeffs [1, ")
 
     def test_labeling_bound(self, capsys):
-        # |P|*n = 10 is under the cap, but 10! labelings are above the bound
-        start = time.perf_counter()
-        code, out, err = invoke(capsys, "poly", "canon", "--m", "1", "--n", "10")
-        assert (code, out) == (2, "") and "10! column labelings" in err
-        assert time.perf_counter() - start < 1
+        # the oracles that list sigma refuse 10! labelings at once; a sum
+        # lists none, so it runs
+        for argv in (("verify", "cor-3.4", "--m", "1", "--n", "10"),
+                     ("poly", "weak-descent", "--m", "1", "--n", "10")):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "") and "10! column labelings" in err, argv
+            assert time.perf_counter() - start < 1, argv
+        code, out, _ = invoke(capsys, "poly", "canon", "--m", "1", "--n", "10")
+        assert code == 0 and out.startswith("coeffs [1, 1013, 47840, ")
 
     def test_canon_product_of_a_long_chain(self, capsys):
         code, out, _ = invoke(capsys, "poly", "canon-product", "--m", "1100", "--n", "1")
@@ -246,12 +274,12 @@ class TestVerify:
         assert calls == [32]
 
     def test_shift_checks_under_the_cap(self, capsys):
-        for name in ("cor-3.4", "cor-4.1"):
-            code, out, err = invoke(capsys, "verify", name, "--m", "2", "--n", "7")
-            assert (code, out) == (2, "") and "cap" in err, name
-        code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "7",
-                              "--force-cap", "14")
+        # at (2,7), cor-3.4's 5,040 lanes run with no flag, while cor-4.1's
+        # 2^12 subposets pass the subposet bound
+        code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "7")
         assert code == 0 and "1/1 checks hold" in out
+        code, out, err = invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "7")
+        assert (code, out) == (2, "") and "2^12 subposets exceed the bound 1024" in err
 
     def test_shift_law_compares_every_row(self, capsys, monkeypatch):
         import canonlab.cli as cli_mod
@@ -313,11 +341,11 @@ class TestSweep:
         assert (code, out) == (2, "") and "bound 362880" in err
 
     def test_force_cap_reaches_rows(self, capsys):
+        # no |P|*n cap: (13,1) runs, and the flag changes nothing
         argv = ("sweep", "gamma", "--m", "13", "--n", "1")
-        code, out, _ = invoke(capsys, *argv, "--force-cap", "13")
+        code, out, _ = invoke(capsys, *argv)
         assert code == 0 and "1 subposets swept" in out
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (2, "") and "cap 12" in err
+        assert invoke(capsys, *argv, "--force-cap", "13") == (0, out, "")
 
     def test_violation_exits_nonzero_with_certificate(self, capsys, monkeypatch):
         # no gamma-negative subposet exists at desk scale, so exercise the

@@ -129,3 +129,18 @@ def test_longest_two_row_grid_under_the_work_bound():
     assert count_linear_extensions(product_with_chain(chain(2), 215)) == comb(430, 215) // 216
     with pytest.raises(SizeCapError, match="too large"):
         count_linear_extensions(product_with_chain(chain(2), 216))
+
+
+def test_work_bound_counts_lanes():
+    # a pass over [2]x[13] moves 26 bins along 326 transitions, so 4,719
+    # lanes stay within MAX_WORK and 4,720 are refused before any pass
+    grid = product_with_chain(chain(2), 13)
+    labels = canon_labeling((1, 2), range(1, 14))
+    assert 4719 * 326 * 26 <= kernel.MAX_WORK < 4720 * 326 * 26
+    assert len(kernel._transitions(grid)[1]) == 326
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="too large"):
+        kernel.descent_histograms(grid, [labels] * 4720)
+    assert time.perf_counter() - start < 1
+    rows = kernel.descent_histograms(grid, [labels] * 4719)
+    assert rows == [rows[0]] * 4719 and sum(rows[0]) == count_linear_extensions(grid)
