@@ -15,13 +15,15 @@ polynomial depends only on which of its covers the labeling makes strict
 is strict when w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
 that keep a cover share one histogram, and a DP counts each class with
-no sigma listed.  The edge-subset sweep computes one row per orbit of
-masks (``_orbit_key``) and fans those out over worker processes.
+no sigma listed.  The edge-subset sweep computes one polynomial per orbit
+of masks (``_orbit_key``), fanned out over worker processes, and one row
+per mask from its orbit's polynomial.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import accumulate, permutations, product
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -43,7 +45,6 @@ from canonlab.polys import (
     hstar,
     is_palindromic,
     is_unimodal,
-    poly_to_payload,
 )
 from canonlab.poset import (
     Poset,
@@ -53,7 +54,6 @@ from canonlab.poset import (
     checked_labeling,
     checked_product,
     natural_labeling,
-    poset_to_json,
     product_with_chain,
 )
 
@@ -170,12 +170,26 @@ def subposet_masks(m: int, n: int) -> range:
     return range(1 << covers)
 
 
+class _SizedMap:
+    """``map(make, items)`` with a length: the kernel sizes its work bound
+    by the number of labelings, so it can refuse before any is built."""
+
+    def __init__(self, make: Callable, items: Sequence):
+        self._make, self._items = make, items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return map(self._make, self._items)
+
+
 def canon_rows(
     q: Poset, w: Sequence[int], sigmas: Sequence[Sequence[int]]
 ) -> list[list[int]]:
     """The descent histogram of ``q`` under each canon labeling w x sigma,
     one row per sigma, from one kernel call."""
-    return kernel.descent_histograms(q, [canon_labeling(w, sigma) for sigma in sigmas])
+    return kernel.descent_histograms(q, _SizedMap(lambda sigma: canon_labeling(w, sigma), sigmas))
 
 
 def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -318,24 +332,23 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> Identit
 
 
 def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
-    """Weak-descent polynomial of canon permutations, computed two ways.
+    """Weak-descent polynomial of canon permutations: the canon polynomial
+    under the reversed row labeling w = (m, ..., 1).
 
-    Route one counts weak descents of the canon words directly, in one
-    kernel call whose labels are the multiset letters ceil(label / m),
-    sigma(j) at (x, j); route two reuses the canon polynomial under the
-    reversed row labeling.
-    A mismatch signals a bug, not a mathematical discovery.
-    """
-    letters = [[s for s in sigma for _ in range(m)] for sigma in column_labelings(n)]
-    grid = product_with_chain(chain(m), n)
-    direct = _row_sum(kernel.descent_histograms(grid, letters, weak=True))
-    via_reverse = canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n)
-    if direct != via_reverse:
-        raise CanonlabError(
-            "weak-descent routes disagree: "
-            f"{direct.coefficients} vs {via_reverse.coefficients}"
-        )
-    return direct
+    A canon word has letter sigma(j) at (x, j), so letters tie only inside
+    a column, which every extension climbs while w x sigma falls there;
+    labels of different columns compare as their letters do.  So for
+    every sigma and extension, the weak descents are the descents of w x
+    sigma."""
+    return canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n)
+
+
+def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
+    """The weak-descent polynomial by its definition, the oracle for
+    ``weak_descent_polynomial``: one kernel lane per sigma, counting weak
+    descents of the multiset letters ceil(label / m), sigma(j) at (x, j)."""
+    letters = _SizedMap(lambda sigma: [s for s in sigma for _ in range(m)], column_labelings(n))
+    return _row_sum(kernel.descent_histograms(product_with_chain(chain(m), n), letters, weak=True))
 
 
 class GammaInterpretation(NamedTuple):
@@ -410,52 +423,13 @@ class SweepRow(NamedTuple):
     mode: str
 
 
-class Certificate(NamedTuple):
-    """Self-contained counterexample: the subposet, its polynomial and the
-    coordinate that went negative."""
-
-    spec: AmphibianSpec
-    polynomial: IntPolynomial
-    gamma: tuple[int, ...]
-    violation: str
-
-    def to_payload(self) -> dict:
-        return {
-            "spec": {
-                "m": self.spec.m,
-                "n": self.spec.n,
-                "removed": [list(e) for e in self.spec.removed],
-            },
-            "poset": poset_to_json(self.spec.poset()),
-            "polynomial": poly_to_payload(self.polynomial),
-            "gamma": list(self.gamma),
-            "violation": self.violation,
-        }
-
-
-class SweepReport(NamedTuple):
-    m: int
-    n: int
-    rows: tuple[SweepRow, ...]
-    violations: tuple[Certificate, ...]
-
-
-def _sweep_row(args: tuple[int, int, int]) -> SweepRow:
-    m, n, mask = args
-    spec = AmphibianSpec(m, n, mask)
-    poly = dissonant_polynomial(spec, tuple(range(1, m + 1)))
-    center = m * (n - 1)
-    expansion = gamma_expansion(poly, center)
-    return SweepRow(
-        mask=mask,
-        polynomial=poly,
-        degree=poly.degree,
-        palindromic=is_palindromic(poly, 0, center),
-        gamma=None if expansion is None else expansion.gamma,
-        gamma_positive=expansion is not None and expansion.gamma_positive,
-        unimodal=is_unimodal(poly),
-        mode=spec.mode(),
-    )
+def _sweep_row(spec: AmphibianSpec, poly: IntPolynomial) -> SweepRow:
+    """The row of ``spec`` with polynomial ``poly``; its gamma expansion
+    exists exactly when ``poly`` is palindromic over [0, m(n-1)]."""
+    expansion = gamma_expansion(poly, spec.m * (spec.n - 1))
+    gamma = None if expansion is None else expansion.gamma
+    return SweepRow(spec.mask, poly, poly.degree, gamma is not None, gamma,
+                    gamma is not None and expansion.gamma_positive, is_unimodal(poly), spec.mode())
 
 
 def _column_blocks(m: int, n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -492,38 +466,23 @@ def _orbit_key(m: int, n: int, mask: int) -> tuple:
     return min(_column_blocks(m, n, mask), _column_blocks(m, n, mirror))
 
 
-def conjecture_sweep(m: int, n: int, jobs: int = 1) -> SweepReport:
-    """Gamma data for every subset of removable inter-copy edges.
+def conjecture_sweep(m: int, n: int, jobs: int = 1) -> tuple[SweepRow, ...]:
+    """Gamma data for every subset of removable inter-copy edges: one row
+    per edge mask, in mask order.
 
-    Each subposet is named by its edge mask.  The polynomial is computed
+    The dissonant polynomial under the natural row labeling is computed
     once per orbit of masks under ``_orbit_key``'s two maps, for its
-    smallest mask, and every mask of the orbit copies its polynomial
-    fields and keeps its own ``mask`` and ``mode``; any gamma-negative
-    mask is reported as a counterexample certificate.
+    smallest mask, and each mask's row is built from its orbit's.
     """
     keys = [_orbit_key(m, n, mask) for mask in subposet_masks(m, n)]
     firsts: dict[tuple, int] = {}
     for mask, key in enumerate(keys):
         firsts.setdefault(key, mask)
-    tasks = [(m, n, mask) for mask in firsts.values()]
-    solved = dict(zip(firsts, parallel_map(_sweep_row, tasks, jobs)))
-    rows = tuple(
-        solved[key]._replace(mask=mask, mode=AmphibianSpec(m, n, mask).mode())
-        for mask, key in enumerate(keys)
-    )
-    violations = []
-    for row in rows:
-        if row.gamma is None or not row.gamma_positive:
-            spec = AmphibianSpec(m, n, row.mask)
-            if row.gamma is None:
-                violation = "not palindromic over the center window"
-                gamma = ()
-            else:
-                idx = next(i for i, g in enumerate(row.gamma) if g < 0)
-                violation = f"gamma-negative at index {idx}"
-                gamma = row.gamma
-            violations.append(Certificate(spec, row.polynomial, gamma, violation))
-    return SweepReport(m, n, rows, tuple(violations))
+    specs = [AmphibianSpec(m, n, mask) for mask in firsts.values()]
+    natural = partial(dissonant_polynomial, w=tuple(range(1, m + 1)))
+    polys = dict(zip(firsts, parallel_map(natural, specs, jobs)))
+    return tuple(_sweep_row(AmphibianSpec(m, n, mask), polys[key])
+                 for mask, key in enumerate(keys))
 
 
 def parallel_map(fn, items, jobs: int = 1):

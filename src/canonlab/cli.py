@@ -20,6 +20,8 @@ from canonlab import poset
 from canonlab.canon import (
     AmphibianSpec,
     IdentityReport,
+    SweepRow,
+    _weak_descent_lanes,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
@@ -63,6 +65,7 @@ from canonlab.poset import (
     checked_product,
     natural_labeling,
     poset_from_json,
+    poset_to_json,
     product_with_chain,
 )
 
@@ -149,23 +152,20 @@ def _cmd_poly(cfg: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: a check runs one case (m, n, *rest) and returns its reports, none
-# for a case outside its statement; only _select reads --m, --n, --max-size
+# for a case outside its statement; only _select reads --m and --n
 
 
-def _select(cfg: argparse.Namespace, cases: Sequence[tuple], sums: bool) -> list[tuple]:
+def _select(cfg: argparse.Namespace, cases: Sequence[tuple]) -> list[tuple]:
     """The cases a check runs.  A given ``--m`` or ``--n`` keeps the default
     cases with that value.  When m and n are both known (each given, or
     the one value every default case has) and no default case has both,
-    the check runs at that m and n instead, and nothing for m < 1 or n < 1.
-    ``--max-size`` drops the default cases with m*n above it from the
-    checks that ``sums`` over column labelings."""
+    the check runs at that m and n instead, and nothing for m < 1 or n < 1."""
     ms = {c[0] for c in cases} if cfg.m is None else {cfg.m}
     ns = {c[1] for c in cases} if cfg.n is None else {cfg.n}
     if len(ms) == len(ns) == 1 and not any(c[0] in ms and c[1] in ns for c in cases):
         (m,), (n,) = ms, ns
         return list(dict.fromkeys((m, n, *c[2:]) for c in cases)) if m >= 1 and n >= 1 else []
-    return [c for c in cases if c[0] in ms and c[1] in ns
-            and not (sums and c[0] * c[1] > cfg.max_size)]
+    return [c for c in cases if c[0] in ms and c[1] in ns]
 
 
 def _check_product_formula(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
@@ -284,7 +284,7 @@ def _check_gamma_interpretation(cfg: argparse.Namespace, m: int, n: int) -> list
 
 
 def _check_weak_descents(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    lhs = weak_descent_polynomial(m, n)
+    lhs = _weak_descent_lanes(m, n)
     rhs = canon_polynomial_bruteforce(chain(m), _row_labeling("natural", m), n).shift(m - 1)
     return [IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs)]
 
@@ -324,26 +324,26 @@ _ZOO = tuple(
     for n in (1, 2, 3)
 )
 
-# id -> (check, default cases, whether it sums over column labelings)
-VERIFY_CHECKS: dict[str, tuple[Callable[..., list[IdentityReport]], tuple, bool]] = {
-    "thm-1.1": (_check_product_formula, _GRIDS, True),
-    "thm-main": (_check_product_formula, _GRIDS, True),
-    "thm-1.2": (_check_labeled_product, _ZOO, True),
-    "thm-3.5": (_check_labeled_product, _ZOO, True),
-    "thm-2.3": (_check_dyck_bijection, tuple((2, n) for n in range(1, 7)), False),
-    "cor-2.4": (_check_narayana_model, tuple((2, n) for n in range(1, 8)), False),
-    "cor-3.4": (_check_shift_law, tuple((m, n) for m in (1, 2, 3) for n in (2, 3)), True),
-    "prop-3.6": (_check_checked_product, _GRIDS, True),
+# id -> (check, default cases)
+VERIFY_CHECKS: dict[str, tuple[Callable[..., list[IdentityReport]], tuple]] = {
+    "thm-1.1": (_check_product_formula, _GRIDS),
+    "thm-main": (_check_product_formula, _GRIDS),
+    "thm-1.2": (_check_labeled_product, _ZOO),
+    "thm-3.5": (_check_labeled_product, _ZOO),
+    "thm-2.3": (_check_dyck_bijection, tuple((2, n) for n in range(1, 7))),
+    "cor-2.4": (_check_narayana_model, tuple((2, n) for n in range(1, 8))),
+    "cor-3.4": (_check_shift_law, tuple((m, n) for m in (1, 2, 3) for n in (2, 3))),
+    "prop-3.6": (_check_checked_product, _GRIDS),
     "remark-product": (_check_generalized_product,
-                       tuple((2, 3, second) for second in (antichain, chain, _star)), True),
-    "cor-4.1": (_check_row_shift, _SUBPOSET_GRIDS, True),
+                       tuple((2, 3, second) for second in (antichain, chain, _star))),
+    "cor-4.1": (_check_row_shift, _SUBPOSET_GRIDS),
     "lemma-4.2": (_check_dissonant,
-                  tuple((m, n, dissonant_degree_check) for m, n in _DISSONANT_GRIDS), True),
+                  tuple((m, n, dissonant_degree_check) for m, n in _DISSONANT_GRIDS)),
     "thm-4.3": (_check_dissonant,
-                tuple((m, n, dissonant_palindromy_check) for m, n in _DISSONANT_GRIDS), True),
-    "cor-5.1": (_check_gamma_interpretation, ((2, 2), (3, 2), (2, 3), (3, 3)), True),
-    "prop-5.2": (_check_weak_descents, _GRIDS, True),
-    "cor-5.3": (_check_fixed_row_palindromy, _SUBPOSET_GRIDS, True),
+                tuple((m, n, dissonant_palindromy_check) for m, n in _DISSONANT_GRIDS)),
+    "cor-5.1": (_check_gamma_interpretation, ((2, 2), (3, 2), (2, 3), (3, 3))),
+    "prop-5.2": (_check_weak_descents, _GRIDS),
+    "cor-5.3": (_check_fixed_row_palindromy, _SUBPOSET_GRIDS),
 }
 
 
@@ -395,13 +395,13 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
                 f"unknown statement {name!r}; choose from "
                 f"{', '.join(sorted(VERIFY_CHECKS))} or all"
             )
-        for check, cases, sums in entries:
-            for case in _select(cfg, cases, sums):
+        for check, cases in entries:
+            for case in _select(cfg, cases):
                 reports.extend(check(cfg, *case))
     if not reports:
         raise PosetFormatError(
             f"no checks ran for {' '.join(names)}: "
-            "--m, --n and --max-size leave nothing to check"
+            "--m and --n leave nothing to check"
         )
     return _emit_reports(reports, cfg)
 
@@ -410,13 +410,30 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 # sweep
 
 
+def _certificate(m: int, n: int, row: SweepRow) -> dict:
+    """The counterexample a sweep row that is not gamma-positive prints:
+    its subposet, polynomial and the coordinate that fails."""
+    spec = AmphibianSpec(m, n, row.mask)
+    if row.gamma is None:
+        violation = "not palindromic over the center window"
+    else:
+        violation = f"gamma-negative at index {next(i for i, g in enumerate(row.gamma) if g < 0)}"
+    return {
+        "spec": {"m": m, "n": n, "removed": [list(e) for e in spec.removed]},
+        "poset": poset_to_json(spec.poset()),
+        "polynomial": poly_to_payload(row.polynomial),
+        "gamma": list(row.gamma or ()),
+        "violation": violation,
+    }
+
+
 def _cmd_sweep(cfg: argparse.Namespace) -> int:
-    report = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.jobs)
-    rows = report.rows
+    rows = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.jobs)
+    violations = [_certificate(cfg.m, cfg.n, r) for r in rows if not r.gamma_positive]
     if cfg.format == "json":
         payload = {
-            "m": report.m,
-            "n": report.n,
+            "m": cfg.m,
+            "n": cfg.n,
             "rows": [
                 {
                     "removed_edge_mask": r.mask,
@@ -430,7 +447,7 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
                 }
                 for r in rows
             ],
-            "violations": [c.to_payload() for c in report.violations],
+            "violations": violations,
         }
         print(json.dumps(payload))
     elif cfg.format == "csv":
@@ -462,13 +479,11 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
                 f"unimodal={str(r.unimodal).lower()} mode={r.mode}"
             )
         print(
-            f"{len(rows)} subposets swept, {len(report.violations)} gamma-negative"
+            f"{len(rows)} subposets swept, {len(violations)} gamma-negative"
         )
-    if report.violations:
-        for cert in report.violations:
-            print(json.dumps(cert.to_payload()))
-        return 1
-    return 0
+    for cert in violations:
+        print(json.dumps(cert))
+    return 1 if violations else 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="machine-check identities")
     verify.add_argument("statements", nargs="+",
                         help=f"statement ids ({', '.join(sorted(VERIFY_CHECKS))}) or all")
-    verify.add_argument("--max-size", type=int, default=9,
-                        help="bound on |P|*n for default verification grids")
     verify.set_defaults(run=_cmd_verify)
 
     sweep = sub.add_parser("sweep", parents=[grid, cap, fmt], help="exhaustive subposet sweeps")

@@ -14,7 +14,7 @@ from canonlab.canon import (
     _descent_classes,
     _row_sum,
     _sweep_row,
-    Certificate,
+    _weak_descent_lanes,
     IdentityReport,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
@@ -446,10 +446,12 @@ class TestWeakDescents:
             assert weak_descent_polynomial(1, n) == eulerian(n)
 
     def test_shifted_canon(self):
+        # the class route against the one-lane-per-sigma definition
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
-                assert weak_descent_polynomial(m, n) == canon.shift(m - 1)
+                weak = weak_descent_polynomial(m, n)
+                assert weak == _weak_descent_lanes(m, n) == canon.shift(m - 1), (m, n)
 
     def test_two_rows_product_form(self):
         assert weak_descent_polynomial(2, 3) == (eulerian(3) * narayana(3)).shift(1)
@@ -520,24 +522,23 @@ class TestGammaInterpretation:
 
 class TestConjectureSweep:
     def test_2x3_all_positive(self):
-        report = conjecture_sweep(2, 3)
-        assert len(report.rows) == 16
-        assert not report.violations
-        assert all(r.gamma_positive and r.palindromic and r.unimodal for r in report.rows)
+        rows = conjecture_sweep(2, 3)
+        assert len(rows) == 16
+        assert all(r.gamma_positive and r.palindromic and r.unimodal for r in rows)
 
     def test_masks_cover_all_subsets(self):
-        report = conjecture_sweep(2, 2)
-        assert sorted(r.mask for r in report.rows) == list(range(4))
+        # one row per mask, in mask order
+        assert [r.mask for r in conjecture_sweep(2, 2)] == list(range(4))
 
     def test_full_mask_recovers_multiset_row(self):
         # removing everything except one row's rails equals the multiset
         # descent polynomial (fixed-row rows agree with the oracle)
-        report = conjecture_sweep(2, 3)
+        rows = conjecture_sweep(2, 3)
         edges = removable_edges(2, 3)
         target_mask = sum(
             1 << i for i, (row, _) in enumerate(edges) if row == 2
         )
-        row = next(r for r in report.rows if r.mask == target_mask)
+        row = rows[target_mask]
         counts = {}
         for word in multiset_permutations([1, 1, 2, 2, 3, 3]):
             d = descent_count(word)
@@ -547,26 +548,29 @@ class TestConjectureSweep:
         assert row.mode == "fixed-row"
 
     def test_each_row_is_its_own_masks(self):
-        # a mask's row copies its orbit representative's polynomial fields
+        # a mask's row, built from its orbit's polynomial, equals the row
+        # built from its own
         for m, n in ((2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
-            rows = conjecture_sweep(m, n).rows
-            assert rows == tuple(
-                _sweep_row((m, n, mask)) for mask in range(1 << m * (n - 1))
+            natural = tuple(range(1, m + 1))
+            specs = [AmphibianSpec(m, n, mask) for mask in range(1 << m * (n - 1))]
+            assert conjecture_sweep(m, n) == tuple(
+                _sweep_row(spec, dissonant_polynomial(spec, natural)) for spec in specs
             ), (m, n)
 
     def test_one_row_per_orbit(self, monkeypatch):
         import canonlab.canon as canon_mod
 
         computed = []
+        real = canon_mod.dissonant_polynomial
 
-        def counted(args):
-            computed.append(args[2])
-            return _sweep_row(args)
+        def counted(spec, w):
+            computed.append(spec.mask)
+            return real(spec, w)
 
-        monkeypatch.setattr(canon_mod, "_sweep_row", counted)
+        monkeypatch.setattr(canon_mod, "dissonant_polynomial", counted)
         for (m, n), orbits in (((2, 4), 28), ((2, 5), 88)):
             computed.clear()
-            assert len(conjecture_sweep(m, n).rows) == 1 << m * (n - 1)
+            assert len(conjecture_sweep(m, n)) == 1 << m * (n - 1)
             assert len(computed) == orbits and computed == sorted(computed)
 
     def test_parallel_matches_serial(self):
@@ -608,13 +612,23 @@ class TestConjectureSweep:
         assert started == [3, 4, 2]
 
     def test_certificate_payload(self):
+        # the CLI builds a certificate from (m, n, row), keys in this order
         spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])
-        cert = Certificate(spec, P(1, -1, 1), (1, -3), "gamma-negative at index 1")
-        payload = cert.to_payload()
+        row = _sweep_row(spec, P(1, -1, 1))
+        assert row.gamma == (1, -3) and not row.gamma_positive
+        payload = cli._certificate(2, 2, row)
+        assert list(payload) == ["spec", "poset", "polynomial", "gamma", "violation"]
         assert payload["violation"] == "gamma-negative at index 1"
         assert payload["spec"] == {"m": 2, "n": 2, "removed": [[1, 1]]}
+        assert payload["poset"] == poset.poset_to_json(spec.poset())
         assert payload["polynomial"] == {"coeffs": ["1", "-1", "1"]}
-        assert "poset" in payload
+        assert payload["gamma"] == [1, -3]
+        # past the center window m(n-1) = 2: no gamma, so not palindromic
+        row = _sweep_row(spec, P(1, 1, 0, 1))
+        assert (row.palindromic, row.gamma, row.gamma_positive) == (False, None, False)
+        payload = cli._certificate(2, 2, row)
+        assert payload["gamma"] == [] and payload["violation"] == (
+            "not palindromic over the center window")
 
 
 class TestIdentityReport:

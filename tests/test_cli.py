@@ -64,6 +64,12 @@ class TestPoly:
         code, out, _ = invoke(capsys, "poly", "weak-descent", "--m", "2", "--n", "2")
         assert code == 0 and "coeffs [0, 1, 2, 1]" in out
 
+    def test_weak_descent_is_canon_under_reversed_rows(self, capsys):
+        # 9! sigmas as descent classes, past the bound of the n!-lane oracle
+        weak = invoke(capsys, "poly", "weak-descent", "--m", "2", "--n", "9")
+        canon = invoke(capsys, "poly", "canon", "--m", "2", "--n", "9", "--w", "reverse")
+        assert weak[0] == 0 and weak == canon
+
     def test_hstar_checked(self, capsys):
         code, out, _ = invoke(capsys, "poly", "hstar", "--m", "3", "--n", "2", "--checked")
         assert code == 0 and "coeffs [1, 4, 4, 1]" in out
@@ -157,13 +163,14 @@ class TestPoly:
         # the oracles that list sigma refuse 10! labelings at once; a sum
         # lists none, so it runs
         for argv in (("verify", "cor-3.4", "--m", "1", "--n", "10"),
-                     ("poly", "weak-descent", "--m", "1", "--n", "10")):
+                     ("verify", "prop-5.2", "--m", "1", "--n", "10")):
             start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
             assert (code, out) == (2, "") and "10! column labelings" in err, argv
             assert time.perf_counter() - start < 1, argv
-        code, out, _ = invoke(capsys, "poly", "canon", "--m", "1", "--n", "10")
-        assert code == 0 and out.startswith("coeffs [1, 1013, 47840, ")
+        for kind in ("canon", "weak-descent"):
+            code, out, _ = invoke(capsys, "poly", kind, "--m", "1", "--n", "10")
+            assert code == 0 and out.startswith("coeffs [1, 1013, 47840, "), kind
 
     def test_canon_product_of_a_long_chain(self, capsys):
         code, out, _ = invoke(capsys, "poly", "canon-product", "--m", "1100", "--n", "1")
@@ -178,11 +185,11 @@ class TestVerify:
 
     def test_every_registered_statement(self, capsys):
         for name in VERIFY_CHECKS:
-            code, out, _ = invoke(capsys, "verify", name, "--max-size", "6")
+            code, out, _ = invoke(capsys, "verify", name)
             assert code == 0, (name, out)
 
     def test_all(self, capsys):
-        code, out, _ = invoke(capsys, "verify", "all", "--max-size", "6")
+        code, out, _ = invoke(capsys, "verify", "all")
         assert code == 0
         assert "checks hold" in out
 
@@ -195,8 +202,8 @@ class TestVerify:
         # explicit --m or --n of 0 is not the default
         for argv, message in (
             (("verify", "thm-2.3", "--n", "-1"), "no checks ran for thm-2.3"),
-            (("verify", "thm-1.1", "--max-size", "0"), "no checks ran for thm-1.1"),
-            (("verify", "cor-5.1", "--max-size", "1"), "no checks ran for cor-5.1"),
+            (("verify", "thm-1.1", "--m", "0"), "no checks ran for thm-1.1"),
+            (("verify", "cor-5.1", "--n", "0"), "no checks ran for cor-5.1"),
             (("verify", "cor-2.4", "--n", "0"), "no checks ran for cor-2.4"),
             (("verify", "remark-product", "--m", "0"), "no checks ran for remark-product"),
         ):
@@ -224,8 +231,6 @@ class TestVerify:
             (("thm-2.3", "--n", "3"), ["dyck-bijection n=3"]),
             (("remark-product", "--n", "5"), ["generalized-product m=2 |P'|=5"] * 3),
             (("remark-product", "--m", "3"), ["generalized-product m=3 |P'|=3"] * 3),
-            (("all", "--max-size", "-1"), [f"dyck-bijection n={n}" for n in range(1, 7)]
-             + [f"narayana-hstar n={n}" for n in range(1, 8)]),
         ):
             code, out, err = invoke(capsys, "verify", *argv)
             if names is None:
@@ -272,6 +277,25 @@ class TestVerify:
         calls.clear()
         assert invoke(capsys, "poly", "canon", "--m", "2", "--n", "6")[0] == 0
         assert calls == [32]
+
+    def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
+        # the kernel's work bound counts 8! lanes and refuses them before
+        # a canon labeling is built
+        import canonlab.canon as canon_mod
+
+        built = []
+        real = canon_mod.canon_labeling
+
+        def counted(w, sigma):
+            built.append(1)
+            return real(w, sigma)
+
+        monkeypatch.setattr(canon_mod, "canon_labeling", counted)
+        code, out, err = invoke(capsys, "verify", "cor-3.4", "--m", "9", "--n", "8")
+        assert (code, out) == (2, "") and "lanes x transitions x elements" in err
+        assert built == []
+        assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
+        assert len(built) == 6
 
     def test_shift_checks_under_the_cap(self, capsys):
         # at (2,7), cor-3.4's 5,040 lanes run with no flag, while cor-4.1's
@@ -349,20 +373,36 @@ class TestSweep:
 
     def test_violation_exits_nonzero_with_certificate(self, capsys, monkeypatch):
         # no gamma-negative subposet exists at desk scale, so exercise the
-        # reporting path with a synthetic violation
-        from canonlab.canon import AmphibianSpec, Certificate, SweepReport
+        # reporting path with synthetic rows: a gamma-positive one, a
+        # gamma-negative one and one that is not palindromic
+        from canonlab.canon import AmphibianSpec, _sweep_row
         from canonlab.polys import IntPolynomial
 
-        spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])
-        cert = Certificate(spec, IntPolynomial((1, -2, 1)), (1, -6),
-                           "gamma-negative at index 1")
-        fake = SweepReport(2, 2, (), (cert,))
-        monkeypatch.setattr(cli_mod, "conjecture_sweep", lambda *a, **k: fake)
-        code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "2")
-        assert code == 1
-        payload = json.loads(out.splitlines()[-1])
-        assert payload["violation"] == "gamma-negative at index 1"
-        assert payload["polynomial"] == {"coeffs": ["1", "-2", "1"]}
+        polys = ((1, 2, 1), (1, -1, 1), (1, 1, 0, 1))
+        rows = tuple(_sweep_row(AmphibianSpec(2, 2, mask), IntPolynomial(coeffs))
+                     for mask, coeffs in enumerate(polys))
+        monkeypatch.setattr(cli_mod, "conjecture_sweep", lambda *a, **k: rows)
+        expected = [
+            ([[1, 1]], ["1", "-1", "1"], [1, -3], "gamma-negative at index 1"),
+            ([[2, 1]], ["1", "1", "0", "1"], [], "not palindromic over the center window"),
+        ]
+        for fmt in ("plain", "csv", "json"):
+            code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "2",
+                                  "--format", fmt)
+            assert code == 1, fmt
+            certs = [json.loads(line) for line in out.splitlines()[-2:]]
+            if fmt == "json":
+                assert json.loads(out.splitlines()[0])["violations"] == certs
+            elif fmt == "plain":
+                assert "3 subposets swept, 2 gamma-negative" in out
+            for cert, (removed, coeffs, gamma, violation) in zip(certs, expected):
+                assert cert == {
+                    "spec": {"m": 2, "n": 2, "removed": removed},
+                    "poset": poset_to_json(AmphibianSpec.from_removed(2, 2, removed).poset()),
+                    "polynomial": {"coeffs": coeffs},
+                    "gamma": gamma,
+                    "violation": violation,
+                }, fmt
 
 
 class TestGammaCommand:
@@ -417,7 +457,7 @@ def test_csv_refused_where_not_implemented(capsys):
         assert "argument --format: invalid choice: 'csv'" in err, argv
 
 
-# every option each command or poly kind takes; 55 (command, option) pairs
+# every option each command or poly kind takes; 54 (command, option) pairs
 ACCEPTED_OPTIONS = {
     "poly eulerian": "--n --format",
     "poly narayana": "--n --format",
@@ -426,7 +466,7 @@ ACCEPTED_OPTIONS = {
     "poly dissonant": "--m --n --w --remove --force-cap --format",
     "poly weak-descent": "--m --n --force-cap --format",
     "poly hstar": "--poset --repair --m --n --w --checked --remove --format",
-    "verify": "--m --n --w --force-cap --max-size --format",
+    "verify": "--m --n --w --force-cap --format",
     "sweep": "--m --n --jobs --force-cap --format",
     "gamma": "--m --n --force-cap --format",
     "extensions": "--poset --repair --m --n --checked --remove --count-only --limit --format",
@@ -445,7 +485,7 @@ def _accepted_options(parser, prefix=""):
 def test_each_command_takes_only_the_options_it_reads():
     accepted = dict(_accepted_options(build_parser()))
     assert accepted == {k: set(v.split()) for k, v in ACCEPTED_OPTIONS.items()}
-    assert sum(map(len, accepted.values())) == 55
+    assert sum(map(len, accepted.values())) == 54
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,6 +495,7 @@ def test_each_command_takes_only_the_options_it_reads():
     "gamma --m 2 --n 3 --w reverse --remove 9:9 --jobs 3",
     "poly canon --m 2 --n 2 --remove 9:9",
     "poly eulerian --n 3 --m 9",
+    "verify thm-1.1 --max-size 6",
     "extensions --poset {file} --remove 5:1",
     # a poset file or the grid, not both, and --repair only on a file
     "poly hstar --poset {file} --m 2",

@@ -12,10 +12,8 @@ import pytest
 
 from canonlab.canon import (
     AmphibianSpec,
-    Certificate,
     GammaInterpretation,
     IdentityReport,
-    SweepReport,
     conjecture_sweep,
 )
 from canonlab.errors import PosetFormatError
@@ -25,7 +23,7 @@ from canonlab.poset import Poset, poset_from_json
 
 
 def _sweep_row(mask: int):
-    return conjecture_sweep(2, 3).rows[mask]
+    return conjecture_sweep(2, 3)[mask]
 
 
 def _file_labels(labels: str):
@@ -48,12 +46,6 @@ RECORDS = {
         "matches",
     ),
     "SweepRow": (lambda: _sweep_row(1), _sweep_row(2), "mask"),
-    "Certificate": (
-        lambda: Certificate(AmphibianSpec(2, 2, 0), IntPolynomial((1, 1)), (1,), "v"),
-        Certificate(AmphibianSpec(2, 2, 0), IntPolynomial((1, 1)), (1,), "w"),
-        "violation",
-    ),
-    "SweepReport": (lambda: SweepReport(2, 2, (), ()), SweepReport(2, 3, (), ()), "n"),
 }
 
 SLOTTED = ("Poset", "IntPolynomial", "AmphibianSpec")
