@@ -1,5 +1,9 @@
 """Enumeration engine and verification CLI for canon permutations and
-labeled-poset descent polynomials."""
+labeled-poset descent polynomials.
+
+The statement checks and the definitional oracles are in
+``canonlab.verify``, which only the ``verify`` command loads.
+"""
 
 from canonlab.kernel import backend as kernel_backend
 from canonlab.poset import (
@@ -18,13 +22,7 @@ from canonlab.linext import (
     count_linear_extensions,
     descent_count,
     descent_set,
-    dyck_from_linext,
     enumerate_linear_extensions,
-    is_canon_permutation,
-    is_dyck_path,
-    linext_from_dyck,
-    multiset_word,
-    weak_descent_count,
     word,
 )
 from canonlab.polys import (
@@ -36,20 +34,14 @@ from canonlab.polys import (
     is_palindromic,
     is_unimodal,
     narayana,
-    order_polynomial_values,
 )
 from canonlab.canon import (
     AmphibianSpec,
-    IdentityReport,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    checked_product_identity,
     conjecture_sweep,
-    dissonant_degree_check,
-    dissonant_palindromy_check,
     dissonant_polynomial,
     gamma_interpretation,
-    generalized_product_identity,
     weak_descent_polynomial,
 )
 

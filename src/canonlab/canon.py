@@ -1,8 +1,9 @@
-"""Canon, dissonant and weak-descent polynomials, and the identity checks.
+"""Canon, dissonant and weak-descent polynomials, gamma data and sweeps.
 
-The brute-force definitional computations here are the source of truth;
-the closed forms (product formulas, degree and palindromicity laws,
-gamma interpretations) are the things under test.  Every sum over column
+The brute-force sums here are the source of truth; the closed forms
+(product formulas, degree and palindromicity laws, gamma
+interpretations) are the things under test, and ``canonlab.verify``
+holds the checks that compare them.  Every sum over column
 labelings sigma, for any labeled P, n and removed covers, is one call of
 ``canon_polynomial_bruteforce``, whose rows come from ``canon_rows``: one
 kernel call per poset and row labeling w, one histogram per w x sigma.
@@ -25,25 +26,19 @@ from __future__ import annotations
 import os
 from functools import partial
 from itertools import accumulate, permutations, product
+from math import factorial
 from operator import itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
-from canonlab.linext import (
-    descent_count,
-    enumerate_linear_extensions,
-    is_valid_extension,
-    rho_filtered_halves,
-    word,
-)
+from canonlab.linext import enumerate_linear_extensions, rho_filtered_halves, word
 from canonlab.polys import (
     IntPolynomial,
     check_named_n,
     eulerian,
     gamma_expansion,
     hstar,
-    is_palindromic,
     is_unimodal,
 )
 from canonlab.poset import (
@@ -51,39 +46,9 @@ from canonlab.poset import (
     canon_labeling,
     chain,
     chain_descents,
-    checked_labeling,
-    checked_product,
     natural_labeling,
     product_with_chain,
 )
-
-
-class IdentityReport(NamedTuple):
-    """Outcome of one check, self-diagnosing on failure.
-
-    A polynomial identity carries its two sides in ``lhs`` and ``rhs``; a
-    check whose outcome is only yes or no leaves both ``None``.
-    """
-
-    name: str
-    holds: bool
-    lhs: Optional[IntPolynomial] = None
-    rhs: Optional[IntPolynomial] = None
-    witness: Optional[str] = None
-
-    @classmethod
-    def compare(cls, name: str, lhs: IntPolynomial, rhs: IntPolynomial) -> "IdentityReport":
-        if lhs == rhs:
-            return cls(name, True, lhs, rhs)
-        top = max(lhs.degree, rhs.degree)
-        mismatch = next(
-            k for k in range(top + 1) if lhs.coefficient(k) != rhs.coefficient(k)
-        )
-        witness = (
-            f"coefficient of x^{mismatch}: {lhs.coefficient(mismatch)} != "
-            f"{rhs.coefficient(mismatch)}"
-        )
-        return cls(name, False, lhs, rhs, witness)
 
 
 class AmphibianSpec(NamedTuple):
@@ -141,19 +106,35 @@ MAX_LABELINGS = 362_880  # 9!
 MAX_SUBPOSETS = 1024
 
 
+class _Sized:
+    """``length`` items, which ``make()`` yields afresh on every walk: the
+    kernel sizes its work bound by the number of labelings, so it can
+    refuse before any is built."""
+
+    def __init__(self, length: int, make: Callable[[], Iterator]):
+        self._length, self._make = length, make
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return self._make()
+
+
 def column_labelings(
     n: int, pprime: Optional[Poset] = None, subposets: int = 1
-) -> list[tuple[int, ...]]:
+) -> Collection[tuple[int, ...]]:
     """The permutations of 1..n, or the naturally labeled extension words
     of ``pprime`` (n elements), as tuples.  Refuses first when the
     labelings of all ``subposets`` sums, ``subposets * n!``, pass
-    ``MAX_LABELINGS``."""
+    ``MAX_LABELINGS``.  The permutations come as a sized view that lists
+    none until it is walked; the words of ``pprime`` as a list."""
     # running products of 1..n: a huge n stops early instead of computing n!
     if any(subposets * count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
         what = f"{n}!" if subposets == 1 else f"{subposets} subposets x {n}!"
         raise SizeCapError(f"{what} column labelings exceed the bound {MAX_LABELINGS}")
     if pprime is None:
-        return list(permutations(range(1, n + 1)))
+        return _Sized(factorial(n), lambda: permutations(range(1, n + 1)))
     nat = natural_labeling(pprime)
     return [word(ext, nat) for ext in enumerate_linear_extensions(pprime)]
 
@@ -170,26 +151,13 @@ def subposet_masks(m: int, n: int) -> range:
     return range(1 << covers)
 
 
-class _SizedMap:
-    """``map(make, items)`` with a length: the kernel sizes its work bound
-    by the number of labelings, so it can refuse before any is built."""
-
-    def __init__(self, make: Callable, items: Sequence):
-        self._make, self._items = make, items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return map(self._make, self._items)
-
-
 def canon_rows(
-    q: Poset, w: Sequence[int], sigmas: Sequence[Sequence[int]]
+    q: Poset, w: Sequence[int], sigmas: Collection[Sequence[int]]
 ) -> list[list[int]]:
     """The descent histogram of ``q`` under each canon labeling w x sigma,
     one row per sigma, from one kernel call."""
-    return kernel.descent_histograms(q, _SizedMap(lambda sigma: canon_labeling(w, sigma), sigmas))
+    labelings = _Sized(len(sigmas), lambda: (canon_labeling(w, sigma) for sigma in sigmas))
+    return kernel.descent_histograms(q, labelings)
 
 
 def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -260,75 +228,10 @@ def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomia
     return _product_form(p, w, n, lambda: eulerian(n))
 
 
-def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityReport:
-    """Brute-force canon polynomial vs the descent polynomial of the
-    checked product under the checked labeling."""
-    lhs = canon_polynomial_bruteforce(p, w, n)
-    rhs = hstar(checked_product(p, n), checked_labeling(w, n))
-    return IdentityReport.compare(f"checked-product m={p.element_count} n={n}", lhs, rhs)
-
-
-def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> IdentityReport:
-    """Sum of product descent polynomials over the extensions of a second
-    poset vs the factored form x^k * h*(P') * h*(P x [n])."""
-    n = pprime.element_count
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, column_labelings(n, pprime)))
-    rhs = _product_form(p, w, n, lambda: hstar(pprime))
-    return IdentityReport.compare(
-        f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
-    )
-
-
 def dissonant_polynomial(spec: AmphibianSpec, w: Sequence[int]) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
     return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, mask=spec.mask)
-
-
-def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
-    """The row-block extension: each row's copies in copy order, rows in
-    chain order.  Valid in every amphibian subposet."""
-    m, n = spec.m, spec.n
-    return tuple(row + j * m for row in range(m) for j in range(n))
-
-
-def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
-    """Assert deg C = m(n-1) + k, carrying the row-block witness word."""
-    k = descent_count(w)
-    poly = dissonant_polynomial(spec, w)
-    expected = spec.m * (spec.n - 1) + k
-    witness_ext = degree_witness_extension(spec)
-    rev = range(spec.n, 0, -1)
-    q = spec.poset()
-    valid = is_valid_extension(q, witness_ext)
-    wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
-    report = IdentityReport.compare(
-        f"dissonant-degree m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
-        IntPolynomial.x_power(max(poly.degree, 0)),
-        IntPolynomial.x_power(expected),
-    )
-    witness = (
-        f"degree {poly.degree} vs m(n-1)+k = {expected}; row-block witness "
-        f"{'valid' if valid else 'INVALID'} with {wdes} descents under the reversed columns"
-    )
-    return report._replace(holds=report.holds and valid, witness=witness)
-
-
-def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
-    """Palindromicity of the dissonant polynomial over [0, m(n-1)+2k]."""
-    k = descent_count(w)
-    poly = dissonant_polynomial(spec, w)
-    top = spec.m * (spec.n - 1) + 2 * k
-    holds = is_palindromic(poly, 0, top)
-    rhs = poly.mirrored(0, top) if poly.degree <= top else poly
-    witness = None if holds else f"not symmetric over [0, {top}]"
-    return IdentityReport(
-        f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
-        holds,
-        poly,
-        rhs,
-        witness,
-    )
 
 
 def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
@@ -341,14 +244,6 @@ def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
     every sigma and extension, the weak descents are the descents of w x
     sigma."""
     return canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n)
-
-
-def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
-    """The weak-descent polynomial by its definition, the oracle for
-    ``weak_descent_polynomial``: one kernel lane per sigma, counting weak
-    descents of the multiset letters ceil(label / m), sigma(j) at (x, j)."""
-    letters = _SizedMap(lambda sigma: [s for s in sigma for _ in range(m)], column_labelings(n))
-    return _row_sum(kernel.descent_histograms(product_with_chain(chain(m), n), letters, weak=True))
 
 
 class GammaInterpretation(NamedTuple):

@@ -8,62 +8,32 @@ size-cap errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from itertools import islice
-from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from canonlab import poset
 from canonlab.canon import (
     AmphibianSpec,
-    IdentityReport,
     SweepRow,
-    _weak_descent_lanes,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    canon_rows,
-    checked_product_identity,
-    column_labelings,
     conjecture_sweep,
-    dissonant_degree_check,
-    dissonant_palindromy_check,
     dissonant_polynomial,
     gamma_class_words,
     gamma_interpretation,
-    generalized_product_identity,
-    subposet_masks,
     weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
-from canonlab.linext import (
-    count_linear_extensions,
-    descent_count,
-    descent_set,
-    dyck_from_linext,
-    enumerate_linear_extensions,
-    high_peak_positions,
-    is_dyck_path,
-    linext_from_dyck,
-    word,
-)
-from canonlab.polys import (
-    IntPolynomial,
-    eulerian,
-    hstar,
-    is_palindromic,
-    narayana,
-    poly_to_payload,
-)
+from canonlab.linext import count_linear_extensions, enumerate_linear_extensions
+from canonlab.polys import eulerian, hstar, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
-    antichain,
     canon_labeling,
     chain,
     checked_product,
-    natural_labeling,
     poset_from_json,
     poset_to_json,
     product_with_chain,
@@ -73,6 +43,17 @@ from canonlab.poset import (
 # thm-2.3 check visits: its extensions times |P|; or letters of `gamma`'s
 # class words.
 MAX_LISTED = 10_000_000
+
+
+def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a csv table to stdout; only a csv output loads the module."""
+    import csv
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    sys.stdout.write(out.getvalue())
 
 
 def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
@@ -151,259 +132,14 @@ def _cmd_poly(cfg: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: a check runs one case (m, n, *rest) and returns its reports, none
-# for a case outside its statement; only _select reads --m and --n
-
-
-def _select(cfg: argparse.Namespace, cases: Sequence[tuple]) -> list[tuple]:
-    """The cases a check runs.  A given ``--m`` or ``--n`` keeps the default
-    cases with that value.  When m and n are both known (each given, or
-    the one value every default case has) and no default case has both,
-    the check runs at that m and n instead, and nothing for m < 1 or n < 1."""
-    ms = {c[0] for c in cases} if cfg.m is None else {cfg.m}
-    ns = {c[1] for c in cases} if cfg.n is None else {cfg.n}
-    if len(ms) == len(ns) == 1 and not any(c[0] in ms and c[1] in ns for c in cases):
-        (m,), (n,) = ms, ns
-        return list(dict.fromkeys((m, n, *c[2:]) for c in cases)) if m >= 1 and n >= 1 else []
-    return [c for c in cases if c[0] in ms and c[1] in ns]
-
-
-def _check_product_formula(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    kind = cfg.w or "natural"
-    w = _row_labeling(kind, m)
-    lhs = canon_polynomial_bruteforce(chain(m), w, n)
-    rhs = canon_polynomial_product(chain(m), w, n)
-    return [IdentityReport.compare(f"product-formula m={m} n={n} w={kind}", lhs, rhs)]
-
-
-def _check_labeled_product(
-    cfg: argparse.Namespace, m: int, n: int, name: str, covers: tuple, w: tuple[int, ...]
-) -> list[IdentityReport]:
-    if m != len(w):  # m is |P|
-        return []
-    p = Poset(m, frozenset(covers))
-    lhs = canon_polynomial_bruteforce(p, w, n)
-    rhs = canon_polynomial_product(p, w, n)
-    return [IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs)]
-
-
-def _check_dyck_bijection(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    if m != 2:
-        return []
-    # the walk visits the Catalan(k) extensions of [2]x[k], 2k elements
-    # each, a number that grows with k: stop at the first k past the bound,
-    # before any grid is built
-    if any(comb(2 * k, k) // (k + 1) * 2 * k > MAX_LISTED for k in range(1, n + 1)):
-        raise SizeCapError(f"the walk at n={n} visits more than {MAX_LISTED} element "
-                           "indices; pass a smaller --n")
-    grid = product_with_chain(chain(2), n)
-    labeling = natural_labeling(grid)
-    detail = None
-    for order in enumerate_linear_extensions(grid):
-        path = dyck_from_linext(grid, order)
-        if not is_dyck_path(path):
-            detail = f"{path} is not a Dyck path at {order}"
-            break
-        if linext_from_dyck(path) != order:
-            detail = f"round trip failed at {order}"
-            break
-        if descent_set(word(order, labeling)) != high_peak_positions(path):
-            detail = f"descents != high peaks at {order}"
-            break
-    return [IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail)]
-
-
-def _check_narayana_model(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    if m != 2:
-        return []
-    rhs = narayana(n)  # refuses an n past the named-polynomial bound first
-    lhs = hstar(product_with_chain(chain(2), n))
-    return [IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs)]
-
-
-def _check_shift_law(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    sigmas = column_labelings(n)
-    rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
-    base = IntPolynomial(rows[0])  # sigma = the identity
-    bad = [s for s, row in zip(sigmas, rows)
-           if IntPolynomial(row) != base.shift(descent_count(s))]
-    detail = f"failed at sigma={bad[0]}" if bad else None
-    return [IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail)]
-
-
-def _check_checked_product(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    return [checked_product_identity(chain(m), _row_labeling("natural", m), n)]
-
-
-def _star(n: int) -> Poset:
-    """One element below n - 1 pairwise-incomparable others."""
-    return Poset(n, ((0, i) for i in range(1, n)))
-
-
-def _check_generalized_product(
-    cfg: argparse.Namespace, m: int, n: int, second: Callable[[int], Poset]
-) -> list[IdentityReport]:
-    p, w, pprime = chain(m), _row_labeling("natural", m), second(n)  # n is |P'|
-    return [generalized_product_identity(p, w, pprime)]
-
-
-def _amphibian_specs(m: int, n: int):
-    return [AmphibianSpec(m, n, mask) for mask in subposet_masks(m, n)]
-
-
-def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
-    sigmas = column_labelings(n)
-    w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
-    k = m - 1
-    detail = None
-    # the full mask first: it has the most transitions, so it is refused first
-    for spec in reversed(_amphibian_specs(m, n)):
-        q = spec.poset()
-        lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas)
-        bad = [s for s, a, b in zip(sigmas, lhs, rhs)
-               if IntPolynomial(a) != IntPolynomial(b).shift(k)]
-        if bad:
-            detail = f"mask={spec.mask} sigma={bad[0]}"
-            break
-    return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
-
-
-def _check_dissonant(
-    cfg: argparse.Namespace, m: int, n: int, law: Callable[..., IdentityReport]
-) -> list[IdentityReport]:
-    # lemma-4.2's degree or thm-4.3's palindromy, on every subposet
-    return [law(spec, _row_labeling(kind, m))
-            for kind in ("natural", "reverse") for spec in _amphibian_specs(m, n)]
-
-
-def _check_gamma_interpretation(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    gi = gamma_interpretation(m, n)
-    detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
-    return [IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail)]
-
-
-def _check_weak_descents(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    lhs = _weak_descent_lanes(m, n)
-    rhs = canon_polynomial_bruteforce(chain(m), _row_labeling("natural", m), n).shift(m - 1)
-    return [IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs)]
-
-
-def _check_fixed_row_palindromy(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    # fixed-row subposets are palindromic in the identity-labeled window
-    # m(n-1) and in the reversed-label window m(n+1)-2
-    windows = ((_row_labeling("natural", m), m * (n - 1)),
-               (_row_labeling("reverse", m), m * (n + 1) - 2))
-    out = []
-    for spec in _amphibian_specs(m, n):
-        if spec.mode() != "general":
-            ok = all(is_palindromic(dissonant_polynomial(spec, w), 0, top)
-                     for w, top in windows)
-            name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
-            out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
-    return out
-
-
-_GRIDS = tuple((m, n) for m in (1, 2, 3) for n in (1, 2, 3))
-_SUBPOSET_GRIDS = ((2, 2), (3, 2), (2, 3))
-_DISSONANT_GRIDS = ((2, 2), (2, 3), (3, 2))
-# thm-1.2's labeled posets (name, covers, labels), each at n = 1..3, m = |P|
-_ZOO = tuple(
-    (len(w), n, name, covers, w)
-    for name, covers, w in (
-        ("chain1", (), (1,)),
-        ("chain2", ((0, 1),), (1, 2)),
-        ("chain2-rev", ((0, 1),), (2, 1)),
-        ("chain3", ((0, 1), (1, 2)), (1, 2, 3)),
-        ("chain3-rev", ((0, 1), (1, 2)), (3, 2, 1)),
-        ("vee", ((0, 1), (0, 2)), (1, 2, 3)),
-        ("vee-k1", ((0, 1), (0, 2)), (3, 1, 2)),
-        ("wedge", ((0, 2), (1, 2)), (1, 2, 3)),
-        ("wedge-k1", ((0, 2), (1, 2)), (2, 3, 1)),
-    )
-    for n in (1, 2, 3)
-)
-
-# id -> (check, default cases)
-VERIFY_CHECKS: dict[str, tuple[Callable[..., list[IdentityReport]], tuple]] = {
-    "thm-1.1": (_check_product_formula, _GRIDS),
-    "thm-main": (_check_product_formula, _GRIDS),
-    "thm-1.2": (_check_labeled_product, _ZOO),
-    "thm-3.5": (_check_labeled_product, _ZOO),
-    "thm-2.3": (_check_dyck_bijection, tuple((2, n) for n in range(1, 7))),
-    "cor-2.4": (_check_narayana_model, tuple((2, n) for n in range(1, 8))),
-    "cor-3.4": (_check_shift_law, tuple((m, n) for m in (1, 2, 3) for n in (2, 3))),
-    "prop-3.6": (_check_checked_product, _GRIDS),
-    "remark-product": (_check_generalized_product,
-                       tuple((2, 3, second) for second in (antichain, chain, _star))),
-    "cor-4.1": (_check_row_shift, _SUBPOSET_GRIDS),
-    "lemma-4.2": (_check_dissonant,
-                  tuple((m, n, dissonant_degree_check) for m, n in _DISSONANT_GRIDS)),
-    "thm-4.3": (_check_dissonant,
-                tuple((m, n, dissonant_palindromy_check) for m, n in _DISSONANT_GRIDS)),
-    "cor-5.1": (_check_gamma_interpretation, ((2, 2), (3, 2), (2, 3), (3, 3))),
-    "prop-5.2": (_check_weak_descents, _GRIDS),
-    "cor-5.3": (_check_fixed_row_palindromy, _SUBPOSET_GRIDS),
-}
-
-
-def _sides(r: IdentityReport) -> dict:
-    """Both sides of a report as JSON.  A yes/no check reads as 1 = 1 when
-    it holds and 0 = 1 when it fails."""
-    if r.lhs is None:
-        return {"lhs": {"coeffs": ["1"] if r.holds else []}, "rhs": {"coeffs": ["1"]}}
-    return {"lhs": poly_to_payload(r.lhs), "rhs": poly_to_payload(r.rhs)}
-
-
-def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int:
-    failed = [r for r in reports if not r.holds]
-    if cfg.format == "json":
-        payload = [
-            {"name": r.name, "holds": r.holds, **_sides(r), "witness": r.witness}
-            for r in reports
-        ]
-        print(json.dumps(payload))
-    elif cfg.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["name", "holds", "witness"])
-        for r in reports:
-            writer.writerow([r.name, str(r.holds).lower(), r.witness or ""])
-        sys.stdout.write(out.getvalue())
-    else:
-        for r in reports:
-            mark = "ok" if r.holds else "FAIL"
-            extra = f"  ({r.witness})" if (r.witness and not r.holds) else ""
-            print(f"[{mark}] {r.name}{extra}")
-        print(f"{len(reports) - len(failed)}/{len(reports)} checks hold")
-    if failed and cfg.format == "plain":
-        for r in failed:
-            print(json.dumps({"name": r.name, **_sides(r), "witness": r.witness}))
-    return 1 if failed else 0
+# verify
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
-    names = cfg.statements
-    reports: list[IdentityReport] = []
-    for name in names:
-        if name == "all":
-            entries = dict.fromkeys(VERIFY_CHECKS.values())  # each alias once
-        elif name in VERIFY_CHECKS:
-            entries = [VERIFY_CHECKS[name]]
-        else:
-            raise PosetFormatError(
-                f"unknown statement {name!r}; choose from "
-                f"{', '.join(sorted(VERIFY_CHECKS))} or all"
-            )
-        for check, cases in entries:
-            for case in _select(cfg, cases):
-                reports.extend(check(cfg, *case))
-    if not reports:
-        raise PosetFormatError(
-            f"no checks ran for {' '.join(names)}: "
-            "--m and --n leave nothing to check"
-        )
-    return _emit_reports(reports, cfg)
+    # imported here: no other command compiles the statement checks
+    from canonlab import verify
+
+    return verify.run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +187,21 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
         }
         print(json.dumps(payload))
     elif cfg.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(
-            ["removed_edge_mask", "degree", "palindromic", "gamma", "gamma_positive", "unimodal", "mode"]
-        )
-        for r in rows:
-            gamma = " ".join(str(g) for g in r.gamma) if r.gamma is not None else ""
-            writer.writerow(
+        _print_csv(
+            ["removed_edge_mask", "degree", "palindromic", "gamma", "gamma_positive", "unimodal", "mode"],
+            (
                 [
                     r.mask,
                     r.degree,
                     str(r.palindromic).lower(),
-                    gamma,
+                    " ".join(str(g) for g in r.gamma) if r.gamma is not None else "",
                     str(r.gamma_positive).lower(),
                     str(r.unimodal).lower(),
                     r.mode,
                 ]
-            )
-        sys.stdout.write(out.getvalue())
+                for r in rows
+            ),
+        )
     else:
         for r in rows:
             gamma = ",".join(str(g) for g in (r.gamma or ()))
@@ -602,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[free, row, cap, fmt],
                             help="machine-check identities")
     verify.add_argument("statements", nargs="+",
-                        help=f"statement ids ({', '.join(sorted(VERIFY_CHECKS))}) or all")
+                        help="statement ids, as in the README's verification registry, or all")
     verify.set_defaults(run=_cmd_verify)
 
     sweep = sub.add_parser("sweep", parents=[grid, cap, fmt], help="exhaustive subposet sweeps")

@@ -1,4 +1,4 @@
-"""Linear extensions, word statistics, and the Dyck-path correspondence.
+"""Linear extensions and the descent statistics of their words.
 
 A linear extension is a plain tuple of element indices; its *word*
 under a labeling is the sequence of labels, and every descent statistic
@@ -6,32 +6,18 @@ here is defined on words.  Enumeration order is lexicographic
 on element indices, and streams can be stopped early.
 ``enumerate_linear_extensions`` streams every extension;
 ``rho_filtered_halves`` lists, in two halves, only those of a checked
-product that Cor. 5.1 counts.  A Dyck path is its string of e/n steps.
+product that Cor. 5.1 counts.  The word-level oracles and the Dyck-path
+correspondence are in ``canonlab.verify``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Sequence
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
-from canonlab.poset import (
-    Poset,
-    chain,
-    checked_product,
-    product_with_chain,
-    rho_parities,
-)
-
-
-def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
-    if sorted(order) != list(range(p.element_count)):
-        return False
-    pos = {v: i for i, v in enumerate(order)}
-    return all(pos[a] < pos[b] for a, b in p.covers)
+from canonlab.poset import Poset, chain, checked_product, rho_parities
 
 
 def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
@@ -88,101 +74,6 @@ def descent_set(letters: Sequence[int]) -> tuple[int, ...]:
 
 def descent_count(letters: Sequence[int]) -> int:
     return len(descent_set(letters))
-
-
-def weak_descent_count(letters: Sequence[int]) -> int:
-    """Positions where the word drops or stays level."""
-    return sum(1 for j in range(1, len(letters)) if letters[j] <= letters[j - 1])
-
-
-def multiset_word(order: Sequence[int], canon_label: Sequence[int], m: int) -> tuple[int, ...]:
-    """Collapse a canon-labeled extension to its multiset permutation.
-
-    Letter i is ``ceil(label_i / m)``, i.e. the column value of the copy
-    containing the i-th element.
-    """
-    return tuple((canon_label[v] + m - 1) // m for v in order)
-
-
-def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
-    """True iff all m copy-subsequences of the multiset word are identical.
-
-    The j-th copy subsequence collects the j-th occurrence of every letter
-    in position order.
-    """
-    occ = defaultdict(list)
-    for i, v in enumerate(letters):
-        occ[v].append(i)
-    if any(len(positions) != m for positions in occ.values()):
-        return False
-    patterns = set()
-    for copy in range(m):
-        subseq = tuple(v for _, v in sorted((occ[v][copy], v) for v in occ))
-        patterns.add(subseq)
-    return len(patterns) == 1
-
-
-def is_dyck_path(steps: str) -> bool:
-    """True iff ``steps`` is a string of e/n steps, as many of each, that
-    never rises above the diagonal: a Dyck path."""
-    height = 0
-    for s in steps:
-        if s == "e":
-            height += 1
-        elif s == "n" and height:
-            height -= 1
-        else:
-            return False
-    return height == 0
-
-
-def high_peak_positions(steps: str) -> tuple[int, ...]:
-    """1-based step indices starting an e,n peak that avoids the diagonal."""
-    out = []
-    x = y = 0
-    for i, s in enumerate(steps):
-        if s == "e":
-            x += 1
-            if i + 1 < len(steps) and steps[i + 1] == "n" and x - y >= 2:
-                out.append(i + 1)
-        else:
-            y += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=1)  # a walk over one grid's extensions checks it once
-def _require_two_row_grid(p: Poset) -> int:
-    n, r = divmod(p.element_count, 2)
-    if r or n < 1 or p != product_with_chain(chain(2), n):
-        raise ValueError("expected the product of a 2-chain with a chain")
-    return n
-
-
-def dyck_from_linext(p: Poset, order: Sequence[int]) -> str:
-    """Encode an extension of the two-row grid as the steps of a Dyck path.
-
-    Under the natural labeling the bottom row holds the odd labels, so an
-    element maps to an east step iff its index is even.
-    """
-    _require_two_row_grid(p)
-    if not is_valid_extension(p, order):
-        raise ValueError("not a linear extension of the given poset")
-    return "".join("e" if v % 2 == 0 else "n" for v in order)
-
-
-def linext_from_dyck(steps: str) -> tuple[int, ...]:
-    """Inverse encoding: east steps emit the bottom row in order, north
-    steps the top row."""
-    order = []
-    e = n = 0
-    for s in steps:
-        if s == "e":
-            order.append(2 * e)
-            e += 1
-        else:
-            order.append(2 * n + 1)
-            n += 1
-    return tuple(order)
 
 
 def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -8,7 +8,6 @@ index = exponent and no trailing zeros; the empty tuple is zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -237,32 +236,6 @@ def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
         w = natural_labeling(p)
     hist = kernel.descent_histograms(p, [w])[0]
     return IntPolynomial(tuple(hist))
-
-
-def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int, ...]:
-    """Values of the labeled order polynomial at 0..j_max, by exhaustive
-    enumeration of maps into {0..j}.
-
-    A map counts when it is weakly order-preserving and strict on every
-    comparable pair whose labels invert.  This is the definitional brute
-    force, independent of the extension-based route.
-    """
-    n = p.element_count
-    pairs = [(a, b) for a in range(n) for b in range(n) if p.less(a, b)]
-    strict = [(a, b) for a, b in pairs if w[a] > w[b]]
-    weak = [(a, b) for a, b in pairs if w[a] <= w[b]]
-    if (j_max + 1) ** n > 50_000_000:
-        raise SizeCapError("order polynomial brute force is too large")
-    out = []
-    for j in range(j_max + 1):
-        count = 0
-        for values in product(range(j + 1), repeat=n):
-            if all(values[a] <= values[b] for a, b in weak) and all(
-                values[a] < values[b] for a, b in strict
-            ):
-                count += 1
-        out.append(count)
-    return tuple(out)
 
 
 def poly_to_payload(p: IntPolynomial) -> dict:

@@ -368,6 +368,8 @@ def poset_from_json(
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PosetFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise PosetFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise PosetFormatError("poset JSON must be an object")
     if "elements" not in payload or "covers" not in payload:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from canonlab.errors import PosetFormatError
-from canonlab.linext import is_dyck_path
+from canonlab.verify import is_dyck_path
 from canonlab.poset import Poset, transitive_reduction
 
 

@@ -13,13 +13,9 @@ from conftest import removable_edges
 
 from canonlab.canon import (
     AmphibianSpec,
-    _weak_descent_lanes,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    checked_product_identity,
     conjecture_sweep,
-    dissonant_degree_check,
-    dissonant_palindromy_check,
     gamma_class_words,
     gamma_interpretation,
     weak_descent_polynomial,
@@ -29,7 +25,6 @@ from canonlab.linext import (
     count_linear_extensions,
     descent_count,
     enumerate_linear_extensions,
-    high_peak_positions,
     word,
 )
 from canonlab.polys import (
@@ -40,12 +35,19 @@ from canonlab.polys import (
     is_palindromic,
     is_unimodal,
     narayana,
-    order_polynomial_values,
 )
 from canonlab.poset import (
     canon_labeling,
     chain,
     product_with_chain,
+)
+from canonlab.verify import (
+    _weak_descent_lanes,
+    checked_product_identity,
+    dissonant_degree_check,
+    dissonant_palindromy_check,
+    high_peak_positions,
+    order_polynomial_values,
 )
 
 from conftest import dyck_paths, random_labeling, random_poset, vee_poset, wedge_poset

@@ -15,8 +15,10 @@ except ImportError:  # not on every platform
     resource = None
 
 import canonlab.cli as cli_mod
-from canonlab.cli import VERIFY_CHECKS, build_parser, load_poset, main, run
+import canonlab.verify as verify_mod
+from canonlab.cli import build_parser, load_poset, main, run
 from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
+from canonlab.verify import VERIFY_CHECKS
 
 
 def invoke(capsys, *argv):
@@ -242,7 +244,7 @@ class TestVerify:
     def test_non_dyck_image_is_a_failed_check(self, capsys, monkeypatch):
         # a counterexample to the bijection is a failed check (exit 1),
         # not a usage error (exit 2)
-        monkeypatch.setattr(cli_mod, "dyck_from_linext",
+        monkeypatch.setattr(verify_mod, "dyck_from_linext",
                             lambda p, order: "ne" * (len(order) // 2))
         code, out, err = invoke(capsys, "verify", "thm-2.3", "--n", "2")
         assert (code, err) == (1, "")
@@ -279,23 +281,32 @@ class TestVerify:
         assert calls == [32]
 
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
-        # the kernel's work bound counts 8! lanes and refuses them before
-        # a canon labeling is built
+        # the kernel's work bound counts the n! lanes and refuses them
+        # before a sigma is listed or a canon labeling is built
         import canonlab.canon as canon_mod
 
-        built = []
-        real = canon_mod.canon_labeling
+        built, listed = [], []
+        real_labeling, real_permutations = canon_mod.canon_labeling, canon_mod.permutations
 
         def counted(w, sigma):
             built.append(1)
-            return real(w, sigma)
+            return real_labeling(w, sigma)
+
+        def counted_sigmas(values):
+            for sigma in real_permutations(values):
+                listed.append(sigma)
+                yield sigma
 
         monkeypatch.setattr(canon_mod, "canon_labeling", counted)
-        code, out, err = invoke(capsys, "verify", "cor-3.4", "--m", "9", "--n", "8")
-        assert (code, out) == (2, "") and "lanes x transitions x elements" in err
-        assert built == []
+        monkeypatch.setattr(canon_mod, "permutations", counted_sigmas)
+        for argv in (("cor-3.4", "--m", "9", "--n", "8"), ("cor-3.4", "--m", "2", "--n", "9"),
+                     ("prop-5.2", "--m", "2", "--n", "9")):
+            code, out, err = invoke(capsys, "verify", *argv)
+            assert (code, out) == (2, "") and "lanes x transitions x elements" in err, argv
+        assert built == listed == []
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
-        assert len(built) == 6
+        # the kernel walks the 6 sigmas, and the check walks them again
+        assert (len(built), len(listed)) == (6, 12)
 
     def test_shift_checks_under_the_cap(self, capsys):
         # at (2,7), cor-3.4's 5,040 lanes run with no flag, while cor-4.1's
@@ -306,16 +317,14 @@ class TestVerify:
         assert (code, out) == (2, "") and "2^12 subposets exceed the bound 1024" in err
 
     def test_shift_law_compares_every_row(self, capsys, monkeypatch):
-        import canonlab.cli as cli_mod
-
-        real = cli_mod.canon_rows
+        real = verify_mod.canon_rows
 
         def perturbed(q, w, sigmas):
             rows = real(q, w, sigmas)
             rows[-1] = [rows[-1][0] + 1] + rows[-1][1:]
             return rows
 
-        monkeypatch.setattr(cli_mod, "canon_rows", perturbed)
+        monkeypatch.setattr(verify_mod, "canon_rows", perturbed)
         code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")
         assert code == 1
         assert "[FAIL] shift-law m=2 n=3  (failed at sigma=(3, 2, 1))" in out
@@ -684,6 +693,8 @@ class TestPosetFiles:
              '"covers" must be a list of [a, b] integer pairs'),
             ('{"elements": 2, "covers": [[false, true]]}',
              '"covers" must be a list of [a, b] integer pairs'),
+            # past the decoder's recursion limit
+            ("[" * 100_000, "invalid JSON: nested too deeply"),
         ):
             path.write_text(text)
             code, out, err = invoke(capsys, "extensions", "--poset", str(path))
@@ -714,13 +725,27 @@ class TestRunConfig:
 
     def test_start_up_generates_no_code(self):
         # records are plain classes: building the CLI must not load
-        # dataclasses or the inspect module it pulls in
+        # dataclasses or the inspect module it pulls in.  A command loads
+        # every layer the benchmark's tracer reads, and only verify
+        # compiles the statement checks; only a csv output loads csv
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import sys, canonlab, canonlab.cli; canonlab.cli.build_parser(); "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-        assert out.strip() == "[]"
+        layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
+                                                  "kernel")]
+        code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
+                "canonlab.cli.build_parser()\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+                f"print([name for name in {layers!r} if name not in sys.modules])\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    canonlab.cli.main(sys.argv[1:])\n"
+                "print(sorted({'canonlab.verify', 'csv'} & set(sys.modules)))\n")
+        for argv, loaded in ((("poly", "canon", "--m", "2", "--n", "3"), "[]"),
+                             (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]"),
+                             (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"), "[]"),
+                             (("verify", "thm-1.1", "--m", "1", "--n", "1"), "['canonlab.verify']"),
+                             (("verify", "thm-1.1", "--format", "csv"), "['canonlab.verify', 'csv']")):
+            out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                 text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+            assert out.splitlines() == ["[]", "[]", loaded], argv
 
 
 # sha256 of stdout for fixed commands: any change to output bytes, in any

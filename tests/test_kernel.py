@@ -15,8 +15,6 @@ from canonlab.linext import (
     count_linear_extensions,
     descent_count,
     enumerate_linear_extensions,
-    multiset_word,
-    weak_descent_count,
     word,
 )
 from canonlab.poset import (
@@ -27,6 +25,7 @@ from canonlab.poset import (
     checked_product,
     product_with_chain,
 )
+from canonlab.verify import multiset_word, weak_descent_count
 
 
 def oracle_histogram(p: Poset, w: tuple[int, ...]) -> list[int]:

@@ -9,17 +9,9 @@ from canonlab.linext import (
     count_linear_extensions,
     descent_count,
     descent_set,
-    dyck_from_linext,
     enumerate_linear_extensions,
-    high_peak_positions,
-    is_canon_permutation,
-    is_dyck_path,
-    is_valid_extension,
-    linext_from_dyck,
-    multiset_word,
     _rho_drops,
     rho_filtered_halves,
-    weak_descent_count,
     word,
 )
 from canonlab.poset import (
@@ -32,6 +24,16 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
     rho_parities,
+)
+from canonlab.verify import (
+    dyck_from_linext,
+    high_peak_positions,
+    is_canon_permutation,
+    is_dyck_path,
+    is_valid_extension,
+    linext_from_dyck,
+    multiset_word,
+    weak_descent_count,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]

@@ -6,7 +6,7 @@ import pytest
 from conftest import dyck_paths, random_labeling, random_poset
 
 from canonlab.errors import SizeCapError
-from canonlab.linext import descent_count, enumerate_linear_extensions, high_peak_positions, word
+from canonlab.linext import descent_count, enumerate_linear_extensions, word
 from canonlab.polys import (
     MAX_NAMED_N,
     GammaExpansion,
@@ -17,7 +17,6 @@ from canonlab.polys import (
     is_palindromic,
     is_unimodal,
     narayana,
-    order_polynomial_values,
     poly_to_payload,
 )
 from canonlab.poset import (
@@ -26,6 +25,7 @@ from canonlab.poset import (
     chain,
     product_with_chain,
 )
+from canonlab.verify import high_peak_positions, order_polynomial_values
 
 
 def P(*coeffs):

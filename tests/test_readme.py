@@ -15,8 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from canonlab.cli import VERIFY_CHECKS
 from canonlab.poset import chain, poset_to_json, product_with_chain
+from canonlab.verify import VERIFY_CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")

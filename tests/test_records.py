@@ -13,13 +13,12 @@ import pytest
 from canonlab.canon import (
     AmphibianSpec,
     GammaInterpretation,
-    IdentityReport,
     conjecture_sweep,
 )
 from canonlab.errors import PosetFormatError
-from canonlab.linext import is_dyck_path
 from canonlab.polys import GammaExpansion, IntPolynomial
 from canonlab.poset import Poset, poset_from_json
+from canonlab.verify import IdentityReport, is_dyck_path
 
 
 def _sweep_row(mask: int):
