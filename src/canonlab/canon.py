@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from itertools import accumulate, permutations, product
-from math import factorial
-from operator import itemgetter, mul
+from itertools import accumulate, product
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
-from canonlab.linext import enumerate_linear_extensions, rho_filtered_halves, word
+from canonlab.linext import rho_filtered_halves
 from canonlab.polys import (
     IntPolynomial,
     check_named_n,
@@ -102,7 +101,6 @@ class AmphibianSpec(NamedTuple):
         return "fixed-row"
 
 
-MAX_LABELINGS = 362_880  # 9!
 MAX_SUBPOSETS = 1024
 
 
@@ -121,33 +119,14 @@ class _Sized:
         return self._make()
 
 
-def column_labelings(
-    n: int, pprime: Optional[Poset] = None, subposets: int = 1
-) -> Collection[tuple[int, ...]]:
-    """The permutations of 1..n, or the naturally labeled extension words
-    of ``pprime`` (n elements), as tuples.  Refuses first when the
-    labelings of all ``subposets`` sums, ``subposets * n!``, pass
-    ``MAX_LABELINGS``.  The permutations come as a sized view that lists
-    none until it is walked; the words of ``pprime`` as a list."""
-    # running products of 1..n: a huge n stops early instead of computing n!
-    if any(subposets * count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
-        what = f"{n}!" if subposets == 1 else f"{subposets} subposets x {n}!"
-        raise SizeCapError(f"{what} column labelings exceed the bound {MAX_LABELINGS}")
-    if pprime is None:
-        return _Sized(factorial(n), lambda: permutations(range(1, n + 1)))
-    nat = natural_labeling(pprime)
-    return [word(ext, nat) for ext in enumerate_linear_extensions(pprime)]
-
-
 def subposet_masks(m: int, n: int) -> range:
     """The edge masks of the m x n grid's subposets, refused first past
-    ``MAX_SUBPOSETS`` or past ``MAX_LABELINGS`` labelings over them all."""
+    ``MAX_SUBPOSETS``."""
     if m < 1 or n < 1:
         raise ValueError("chain factor must have size >= 1")
     covers = m * (n - 1)
     if covers >= MAX_SUBPOSETS.bit_length():  # before the shift below
         raise SizeCapError(f"2^{covers} subposets exceed the bound {MAX_SUBPOSETS}")
-    column_labelings(n, subposets=1 << covers)  # refuses them all up front
     return range(1 << covers)
 
 

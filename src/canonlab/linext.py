@@ -76,28 +76,13 @@ def descent_count(letters: Sequence[int]) -> int:
     return len(descent_set(letters))
 
 
-def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The rho-descent positions of an extension and the double ones
-    among them, given every element's rho parity.
-
-    Position j is a rho-descent when the pair (parity, label) strictly
-    falls from letter j to letter j+1; it is double when j-1 is also one,
-    or when j = 1.  The pair is compared as the int parity * n + label.
-    """
-    n = len(parities)
-    keys = [parities[v] * n + v for v in order]
-    drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
-    dropset = set(drops)
-    return drops, [j for j in drops if j == 1 or j - 1 in dropset]
-
-
 def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:
     """The extensions of the checked product of ``chain(m)`` and [n]
-    that Cor. 5.1 counts (see ``_rho_drops``; an odd last pair must
-    rise), split at (m, n), the grid's maximum, which the tops cover:
-    ``grid[d]`` lists the grid extensions g with d rho-descents,
-    ``tops[d]`` the orders t of the tops with d after (m, n), and each
-    g + t counts.  A step into a top falls only from an odd (m, n), the
+    that Cor. 5.1 counts (see ``canonlab.verify._rho_drops``; an odd
+    last pair must rise), split at (m, n), the grid's maximum, which the
+    tops cover: ``grid[d]`` lists the grid extensions g with d
+    rho-descents, ``tops[d]`` the orders t of the tops with d after
+    (m, n), and each g + t counts.  A step into a top falls only from an odd (m, n), the
     grid's largest key, which no step falls onto, so the search over the
     tops starts at (m, n) whatever g was.  The grid's search starts at
     (1, 1) as if placed by a fall: a rho-descent at position 1 is double.

@@ -15,8 +15,9 @@ import argparse
 import json
 from collections import defaultdict
 from functools import lru_cache
-from itertools import product
-from math import comb
+from itertools import accumulate, permutations, product
+from math import comb, factorial
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
@@ -28,7 +29,6 @@ from canonlab.canon import (
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
-    column_labelings,
     dissonant_polynomial,
     gamma_interpretation,
     subposet_masks,
@@ -79,6 +79,17 @@ class IdentityReport(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # definitional oracles
+
+MAX_LABELINGS = 362_880  # 9!
+
+
+def column_labelings(n: int) -> _Sized:
+    """The permutations of 1..n as tuples, refused first past
+    ``MAX_LABELINGS``: a sized view that lists none until it is walked."""
+    # running products of 1..n: a huge n stops early instead of computing n!
+    if any(count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
+        raise SizeCapError(f"{n}! column labelings exceed the bound {MAX_LABELINGS}")
+    return _Sized(factorial(n), lambda: permutations(range(1, n + 1)))
 
 
 def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
@@ -144,6 +155,22 @@ def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int
                 count += 1
         out.append(count)
     return tuple(out)
+
+
+def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The rho-descent positions of an extension and the double ones
+    among them, given every element's rho parity: the oracle for
+    ``rho_filtered_halves``.
+
+    Position j is a rho-descent when the pair (parity, label) strictly
+    falls from letter j to letter j+1; it is double when j-1 is also one,
+    or when j = 1.  The pair is compared as the int parity * n + label.
+    """
+    n = len(parities)
+    keys = [parities[v] * n + v for v in order]
+    drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
+    dropset = set(drops)
+    return drops, [j for j in drops if j == 1 or j - 1 in dropset]
 
 
 def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
@@ -238,8 +265,11 @@ def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityRepo
 def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> IdentityReport:
     """Sum of product descent polynomials over the extensions of a second
     poset vs the factored form x^k * h*(P') * h*(P x [n])."""
-    n = pprime.element_count
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, column_labelings(n, pprime)))
+    n, nat = pprime.element_count, natural_labeling(pprime)
+    # sized first, so the kernel can refuse before any word is listed
+    words = _Sized(kernel.count_extensions(pprime),
+                   lambda: (word(ext, nat) for ext in enumerate_linear_extensions(pprime)))
+    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, words))
     rhs = _product_form(p, w, n, lambda: hstar(pprime))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
@@ -388,8 +418,15 @@ def _check_generalized_product(
     return [generalized_product_identity(p, w, pprime)]
 
 
-def _amphibian_specs(m: int, n: int):
-    return [AmphibianSpec(m, n, mask) for mask in subposet_masks(m, n)]
+def _amphibian_specs(m: int, n: int) -> list[AmphibianSpec]:
+    """Every subposet of the m x n grid, for a check that lists the n!
+    column labelings on each: refused first past ``MAX_LABELINGS`` of
+    them over all subposets."""
+    masks = subposet_masks(m, n)
+    if len(masks) * len(column_labelings(n)) > MAX_LABELINGS:
+        raise SizeCapError(f"{len(masks)} subposets x {n}! column labelings exceed "
+                           f"the bound {MAX_LABELINGS}")
+    return [AmphibianSpec(m, n, mask) for mask in masks]
 
 
 def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
@@ -431,15 +468,13 @@ def _check_weak_descents(cfg: argparse.Namespace, m: int, n: int) -> list[Identi
 
 
 def _check_fixed_row_palindromy(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    # fixed-row subposets are palindromic in the identity-labeled window
-    # m(n-1) and in the reversed-label window m(n+1)-2
-    windows = ((_row_labeling("natural", m), m * (n - 1)),
-               (_row_labeling("reverse", m), m * (n + 1) - 2))
+    # fixed-row subposets are palindromic in thm-4.3's windows, m(n-1)
+    # under the identity rows and m(n+1)-2 under the reversed ones
+    labelings = (_row_labeling("natural", m), _row_labeling("reverse", m))
     out = []
     for spec in _amphibian_specs(m, n):
         if spec.mode() != "general":
-            ok = all(is_palindromic(dissonant_polynomial(spec, w), 0, top)
-                     for w, top in windows)
+            ok = all(dissonant_palindromy_check(spec, w).holds for w in labelings)
             name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
             out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
     return out

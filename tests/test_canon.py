@@ -9,7 +9,6 @@ from conftest import removable_edges, vee_poset, wedge_poset
 
 from canonlab import canon, cli, kernel, linext, polys, poset
 from canonlab.canon import (
-    MAX_LABELINGS,
     AmphibianSpec,
     _descent_classes,
     _row_sum,
@@ -17,7 +16,6 @@ from canonlab.canon import (
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
-    column_labelings,
     conjecture_sweep,
     dissonant_polynomial,
     gamma_class_words,
@@ -36,9 +34,12 @@ from canonlab.poset import (
     product_with_chain,
 )
 from canonlab.verify import (
+    MAX_LABELINGS,
     IdentityReport,
+    _amphibian_specs,
     _weak_descent_lanes,
     checked_product_identity,
+    column_labelings,
     degree_witness_extension,
     dissonant_degree_check,
     dissonant_palindromy_check,
@@ -143,21 +144,30 @@ class TestCanonPolynomial:
                 assert "cap" not in inspect.signature(fn).parameters, name
 
     def test_labeling_bound(self):
-        # n! above MAX_LABELINGS is refused where sigma is listed, before
-        # any labeling is built; a sum lists none
+        # n! above MAX_LABELINGS is refused where sigma is listed, in
+        # verify's oracles, before any labeling is built; a sum lists none,
+        # and canon holds no labeling bound
         assert len(column_labelings(9)) == MAX_LABELINGS
         with pytest.raises(SizeCapError, match="10!"):
             column_labelings(10)
         assert canon_polynomial_bruteforce(chain(1), (1,), 10) == eulerian(10)
+        assert not hasattr(canon, "MAX_LABELINGS") and not hasattr(canon, "column_labelings")
+        for name, fn in inspect.getmembers(canon, inspect.isfunction):
+            assert {"pprime", "subposets"}.isdisjoint(inspect.signature(fn).parameters), name
 
     def test_bound_counts_every_subposet(self):
-        # a loop over the 2^(m(n-1)) subposets runs each under n! labelings
-        for m, n in ((2, 4), (2, 5), (3, 4), (4, 3), (5, 3)):
+        # a sweep is bounded by its 2^(m(n-1)) subposets alone, while a
+        # check that lists the n! labelings on each is refused past 9! of
+        # them over all subposets
+        for m, n in ((2, 4), (2, 5), (3, 4), (4, 3), (5, 3), (2, 6), (1, 11)):
             assert subposet_masks(m, n) == range(1 << m * (n - 1))
-        with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
-            subposet_masks(2, 6)
-        with pytest.raises(SizeCapError, match="1024 subposets x 6!"):
-            conjecture_sweep(2, 6)
+        rows = conjecture_sweep(2, 6)
+        assert len(rows) == 1024 and all(r.gamma_positive for r in rows)
+        assert len(_amphibian_specs(2, 5)) == 256
+        for m, n, what in ((2, 6, "1024 subposets x 6!"), (1, 9, "256 subposets x 9!"),
+                           (1, 10, "10!")):
+            with pytest.raises(SizeCapError, match=what):
+                _amphibian_specs(m, n)
         # more than 2^10 subposets, refused before the shift
         for m, n in ((11, 2), (17, 2), (10**6, 10**5)):
             with pytest.raises(SizeCapError, match="subposets exceed the bound 1024"):
@@ -169,10 +179,14 @@ class TestColumnLabelings:
         assert list(column_labelings(3)) == list(permutations((1, 2, 3)))
 
     def test_extensions_of_second_poset(self):
-        assert column_labelings(3, pprime=chain(3)) == [(1, 2, 3)]
-        assert column_labelings(3, pprime=antichain(3)) == list(column_labelings(3))
-        with pytest.raises(SizeCapError, match="10!"):
-            column_labelings(10, pprime=chain(10))
+        # the words of P' are sized by e(P'): the kernel refuses the 9!
+        # lanes of antichain(9) before any is listed, while the one word of
+        # chain(10) runs
+        assert pprime_words(chain(3)) == [(1, 2, 3)]
+        assert pprime_words(antichain(3)) == list(column_labelings(3))
+        with pytest.raises(SizeCapError, match="lanes x transitions x elements"):
+            generalized_product_identity(chain(2), (1, 2), antichain(9))
+        assert generalized_product_identity(chain(2), (1, 2), chain(10)).holds
 
     def test_rows_match_hstar(self):
         grid = product_with_chain(chain(2), 3)
@@ -184,10 +198,18 @@ class TestColumnLabelings:
         ]
 
 
+def pprime_words(pprime):
+    """The naturally labeled extension words of ``pprime``, listed."""
+    nat = poset.natural_labeling(pprime)
+    return [linext.word(ext, nat) for ext in linext.enumerate_linear_extensions(pprime)]
+
+
 def every_sigma(p, w, n, mask=0, pprime=None):
-    """The oracle for the class sum: one kernel lane per column labeling."""
+    """The oracle for the class sum: one kernel lane per column labeling,
+    or per extension word of ``pprime``."""
     q = product_with_chain(p, n, mask)
-    return _row_sum(canon_rows(q, w, column_labelings(n, pprime=pprime)))
+    sigmas = column_labelings(n) if pprime is None else pprime_words(pprime)
+    return _row_sum(canon_rows(q, w, sigmas))
 
 
 def descents_on(sigma, gaps):
@@ -506,8 +528,8 @@ class TestGammaInterpretation:
 
     def test_no_full_enumeration(self, monkeypatch):
         # the pruned search replaces enumerating every extension
-        import canonlab.canon as canon_mod
         import canonlab.linext as linext_mod
+        import canonlab.verify as verify_mod
 
         calls = []
         real = linext_mod.enumerate_linear_extensions
@@ -517,7 +539,7 @@ class TestGammaInterpretation:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(linext_mod, "enumerate_linear_extensions", counted)
-        monkeypatch.setattr(canon_mod, "enumerate_linear_extensions", counted)
+        monkeypatch.setattr(verify_mod, "enumerate_linear_extensions", counted)
         assert gamma_interpretation(2, 4).counts == (1, 11, 24, 0)
         assert calls == []
 

@@ -281,12 +281,14 @@ class TestVerify:
         assert calls == [32]
 
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
-        # the kernel's work bound counts the n! lanes and refuses them
-        # before a sigma is listed or a canon labeling is built
+        # the kernel's work bound counts the n! lanes, or the e(P') words of
+        # the second poset, and refuses them before a sigma or a word is
+        # listed or a canon labeling is built
         import canonlab.canon as canon_mod
 
-        built, listed = [], []
-        real_labeling, real_permutations = canon_mod.canon_labeling, canon_mod.permutations
+        built, listed, extensions = [], [], []
+        real_labeling, real_permutations = canon_mod.canon_labeling, verify_mod.permutations
+        real_extensions = verify_mod.enumerate_linear_extensions
 
         def counted(w, sigma):
             built.append(1)
@@ -297,13 +299,19 @@ class TestVerify:
                 listed.append(sigma)
                 yield sigma
 
+        def counted_extensions(p):
+            for ext in real_extensions(p):
+                extensions.append(ext)
+                yield ext
+
         monkeypatch.setattr(canon_mod, "canon_labeling", counted)
-        monkeypatch.setattr(canon_mod, "permutations", counted_sigmas)
+        monkeypatch.setattr(verify_mod, "permutations", counted_sigmas)
+        monkeypatch.setattr(verify_mod, "enumerate_linear_extensions", counted_extensions)
         for argv in (("cor-3.4", "--m", "9", "--n", "8"), ("cor-3.4", "--m", "2", "--n", "9"),
-                     ("prop-5.2", "--m", "2", "--n", "9")):
+                     ("prop-5.2", "--m", "2", "--n", "9"), ("remark-product", "--n", "9")):
             code, out, err = invoke(capsys, "verify", *argv)
             assert (code, out) == (2, "") and "lanes x transitions x elements" in err, argv
-        assert built == listed == []
+        assert built == listed == extensions == []
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
         # the kernel walks the 6 sigmas, and the check walks them again
         assert (len(built), len(listed)) == (6, 12)
@@ -364,14 +372,21 @@ class TestSweep:
         assert payload["violations"] == []
 
     def test_subposet_bound(self, capsys):
-        # (2,6) passes the cap, but 1024 subposets x 720 labelings do not
-        start = time.perf_counter()
-        code, out, err = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6")
-        assert (code, out) == (2, "") and "1024 subposets x 6! column labelings" in err
-        assert time.perf_counter() - start < 1
-        code, out, err = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6",
-                                "--force-cap", "20")
-        assert (code, out) == (2, "") and "bound 362880" in err
+        # a sweep lists no sigma, so only the 2^10 subposet bound applies:
+        # (2,6)'s 1024 subposets run, while the checks that list 6! sigmas
+        # on each are refused at once
+        code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6")
+        assert code == 0 and "1024 subposets swept, 0 gamma-negative" in out
+        for argv, message in (
+            (("sweep", "gamma", "--m", "2", "--n", "7"), "2^12 subposets exceed the bound 1024"),
+            (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6! column labelings"),
+            (("verify", "lemma-4.2", "--m", "2", "--n", "6"),
+             "1024 subposets x 6! column labelings"),
+        ):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "") and message in err, argv
+            assert time.perf_counter() - start < 1, argv
 
     def test_force_cap_reaches_rows(self, capsys):
         # no |P|*n cap: (13,1) runs, and the flag changes nothing
@@ -766,6 +781,11 @@ STDOUT_DIGESTS = [
      "f11258de7f328a0bd9547e9ab64f07fd75f0d66f0fdbadb98060898bec7470c6"),
     ("sweep gamma --m 2 --n 5 --format csv",
      "ae757debff9f303387165cdf9068cc24d096ed77a0ac65e54f4ba7d116d4699f"),
+    # equal to the rows of one dissonant_polynomial per mask, by any --jobs
+    ("sweep gamma --m 2 --n 6 --format csv",
+     "06ea540e447d4f71b554ca20b27d61261a7c40d3133d2f2b0cedef6b60e9ef18"),
+    ("sweep gamma --m 2 --n 6 --format csv --jobs 2",
+     "06ea540e447d4f71b554ca20b27d61261a7c40d3133d2f2b0cedef6b60e9ef18"),
     ("poly dissonant --m 2 --n 3 --remove 2:1,2:2 --format json",
      "e12ad5a7c9a10dac3817c1ecb1294f7ec507939cdebb75f86709423a7a4daf8e"),
     ("poly hstar --m 2 --n 3 --remove 2:1 --checked --format json",

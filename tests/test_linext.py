@@ -10,7 +10,6 @@ from canonlab.linext import (
     descent_count,
     descent_set,
     enumerate_linear_extensions,
-    _rho_drops,
     rho_filtered_halves,
     word,
 )
@@ -26,6 +25,7 @@ from canonlab.poset import (
     rho_parities,
 )
 from canonlab.verify import (
+    _rho_drops,
     dyck_from_linext,
     high_peak_positions,
     is_canon_permutation,
