@@ -8,7 +8,6 @@ The statement checks and the definitional oracles are in
 from canonlab.kernel import backend as kernel_backend
 from canonlab.poset import (
     Poset,
-    antichain,
     canon_labeling,
     chain,
     chain_descents,
@@ -18,15 +17,8 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
 )
-from canonlab.linext import (
-    count_linear_extensions,
-    descent_count,
-    descent_set,
-    enumerate_linear_extensions,
-    word,
-)
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import (
-    GammaExpansion,
     IntPolynomial,
     eulerian,
     gamma_expansion,

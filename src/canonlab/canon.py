@@ -253,10 +253,9 @@ def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     polynomial."""
     poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
     center = m * (n - 1)
-    expansion = gamma_expansion(poly, center)
-    if expansion is None:
+    gamma = gamma_expansion(poly, center)
+    if gamma is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
-    gamma = expansion.gamma
     halves = tuple(tuple(map(tuple, half)) for half in rho_filtered_halves(m, n))
     # the counts by rho-descents: each half's sizes by rho-descents, as a
     # polynomial, and their product
@@ -300,10 +299,9 @@ class SweepRow(NamedTuple):
 def _sweep_row(spec: AmphibianSpec, poly: IntPolynomial) -> SweepRow:
     """The row of ``spec`` with polynomial ``poly``; its gamma expansion
     exists exactly when ``poly`` is palindromic over [0, m(n-1)]."""
-    expansion = gamma_expansion(poly, spec.m * (spec.n - 1))
-    gamma = None if expansion is None else expansion.gamma
+    gamma = gamma_expansion(poly, spec.m * (spec.n - 1))
     return SweepRow(spec.mask, poly, poly.degree, gamma is not None, gamma,
-                    gamma is not None and expansion.gamma_positive, is_unimodal(poly), spec.mode())
+                    gamma is not None and min(gamma) >= 0, is_unimodal(poly), spec.mode())
 
 
 def _column_blocks(m: int, n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...], ...]:

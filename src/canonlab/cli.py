@@ -27,7 +27,8 @@ from canonlab.canon import (
     weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
-from canonlab.linext import count_linear_extensions, enumerate_linear_extensions
+from canonlab.kernel import count_extensions
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import eulerian, hstar, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
@@ -79,7 +80,7 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[i
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PosetFormatError(f"cannot read {path}: {exc}") from exc
     return poset_from_json(text, repair=repair)
 
@@ -242,12 +243,12 @@ def _cmd_gamma(cfg: argparse.Namespace) -> int:
 def _cmd_extensions(cfg: argparse.Namespace) -> int:
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
-        print(count_linear_extensions(p))
+        print(count_extensions(p))
         return 0
     n = p.element_count
     # with a small enough --limit, the enumerator stops early: skip the count
     if (cfg.limit is None or cfg.limit * n > MAX_LISTED) and (
-        count_linear_extensions(p) * n > MAX_LISTED
+        count_extensions(p) * n > MAX_LISTED
     ):
         raise SizeCapError(
             f"listing would print more than {MAX_LISTED} element indices; "

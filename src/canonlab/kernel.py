@@ -31,8 +31,6 @@ long, narrow poset, where no layer is large.
 
 from __future__ import annotations
 
-from operator import le, lt
-
 from canonlab.errors import SizeCapError
 
 MAX_LAYER_STATES = 100_000
@@ -46,25 +44,27 @@ def backend() -> str:
     return "python"
 
 
-def _transitions(poset, lanes: int = 1) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """The state graph: (number of states, transitions, final states),
-    refused past ``MAX_WORK`` for ``lanes`` passes.
+def _transitions(
+    poset, lanes: int = 1
+) -> tuple[list[int], list[tuple[int, int, int]], list[int]]:
+    """The state graph: (the element placed last by each state after the
+    start, transitions, final states), refused past ``MAX_WORK`` for
+    ``lanes`` passes.
 
-    A transition is (source, target, u * n + v) for the step that places
-    v after u; a first step uses n * n, which is never a descent.
+    A transition is (source, target, v) for the step that places v.
     Transitions are listed in layer order, so one pass over them fills
     every state before any transition leaves it.
     """
     n = poset.element_count
     below = poset.below
     above = [poset.successors(v) for v in range(n)]
-    # ideal -> ([(state, u), ...], the elements minimal outside the ideal)
-    layer = {0: ([(0, -1)], sum(1 << v for v in poset.minimal_elements()))}
+    # ideal -> (its states, the elements minimal outside the ideal)
+    layer = {0: ([0], sum(1 << v for v in poset.minimal_elements()))}
     edges = []
-    states = 1
+    last = []
     for size in range(1, n + 1):
-        first = states
-        grown: dict[int, tuple[list[tuple[int, int]], int]] = {}
+        first = len(last)
+        grown: dict[int, tuple[list[int], int]] = {}
         for ideal, (ends, free) in layer.items():
             rest = free
             while rest:
@@ -76,10 +76,11 @@ def _transitions(poset, lanes: int = 1) -> tuple[int, list[tuple[int, int, int]]
                     # only elements above v can become minimal
                     grown[nxt] = ([], (free ^ bit) | sum(
                         1 << x for x in above[v] if not below[x] & ~nxt))
-                grown[nxt][0].append((states, v))
-                edges.extend((src, states, n * n if u < 0 else u * n + v) for src, u in ends)
-                states += 1
-            if states - first > MAX_LAYER_STATES:
+                last.append(v)
+                state = len(last)
+                grown[nxt][0].append(state)
+                edges.extend((src, state, v) for src in ends)
+            if len(last) - first > MAX_LAYER_STATES:
                 raise SizeCapError(
                     f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
                     f"at prefix length {size}: the poset is too wide"
@@ -90,12 +91,12 @@ def _transitions(poset, lanes: int = 1) -> tuple[int, list[tuple[int, int, int]]
                     f"elements at prefix length {size}: the poset is too large"
                 )
         layer = grown
-    return states, edges, [s for ends, _ in layer.values() for s, _ in ends]
+    return last, edges, [s for ends, _ in layer.values() for s in ends]
 
 
-def _count(states: int, edges, final) -> int:
+def _count(last, edges, final) -> int:
     """e(P): the number of paths from the start state to a final one."""
-    h = [0] * states
+    h = [0] * (len(last) + 1)
     h[0] = 1
     for src, dst, _ in edges:
         h[dst] += h[src]
@@ -112,20 +113,25 @@ def descent_histograms(poset, labelings, weak: bool = False) -> list[list[int]]:
     histogram of descent counts over all linear extensions of ``poset``:
     entry d counts the extensions whose label word has d descents, or d
     weak descents (positions where the word drops or stays level) when
-    ``weak``.  Every row has max(n, 1) entries."""
+    ``weak``.  Every row has max(n, 1) entries.
+
+    A step placing v from a state whose last element is u is a descent
+    when label[v] < key, the state's key label[u] (label[u] + 1 for a weak
+    descent: labels are integers); the start state's key is the least
+    label, which no label falls below."""
     n = poset.element_count
-    drop = le if weak else lt
-    states, edges, final = _transitions(poset, max(len(labelings), 1))
-    width = _count(states, edges, final).bit_length()
+    offset = 1 if weak else 0
+    last, edges, final = _transitions(poset, max(len(labelings), 1))
+    width = _count(last, edges, final).bit_length()
     bins = (1 << width) - 1
     rows = []
     for labels in labelings:
-        shift = [width if drop(lv, lu) else 0 for lu in labels for lv in labels]
-        shift.append(0)  # the first step
-        h = [0] * states
+        keys = [min(labels, default=0)]
+        keys += [labels[u] + offset for u in last]
+        h = [0] * len(keys)
         h[0] = 1
-        for src, dst, pair in edges:
-            h[dst] += h[src] << shift[pair]
+        for src, dst, v in edges:
+            h[dst] += h[src] << width if labels[v] < keys[src] else h[src]
         total = sum(h[s] for s in final)
         rows.append([total >> k * width & bins for k in range(max(n, 1))])
     return rows

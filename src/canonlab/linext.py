@@ -1,19 +1,18 @@
-"""Linear extensions and the descent statistics of their words.
+"""Linear extensions: the enumeration oracle and the Cor. 5.1 filter.
 
-A linear extension is a plain tuple of element indices; its *word*
-under a labeling is the sequence of labels, and every descent statistic
-here is defined on words.  Enumeration order is lexicographic
-on element indices, and streams can be stopped early.
-``enumerate_linear_extensions`` streams every extension;
+A linear extension is a plain tuple of element indices.  Enumeration
+order is lexicographic on element indices, and streams can be stopped
+early.  ``enumerate_linear_extensions`` streams every extension;
 ``rho_filtered_halves`` lists, in two halves, only those of a checked
-product that Cor. 5.1 counts.  The word-level oracles and the Dyck-path
-correspondence are in ``canonlab.verify``.
+product that Cor. 5.1 counts.  Label words and their descent statistics,
+the other word-level oracles and the Dyck-path correspondence are in
+``canonlab.verify``.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
@@ -55,25 +54,6 @@ def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
             todo = ready >> v + 1 << v + 1
         else:
             return
-
-
-def count_linear_extensions(p: Poset) -> int:
-    """Count extensions without materializing them (kernel fast path)."""
-    return kernel.count_extensions(p)
-
-
-def word(order: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
-    """The label word of an extension."""
-    return tuple(w[v] for v in order)
-
-
-def descent_set(letters: Sequence[int]) -> tuple[int, ...]:
-    """1-based positions j with a strict drop between letters j and j+1."""
-    return tuple(j for j in range(1, len(letters)) if letters[j] < letters[j - 1])
-
-
-def descent_count(letters: Sequence[int]) -> int:
-    return len(descent_set(letters))
 
 
 def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:

@@ -7,9 +7,8 @@ index = exponent and no trailing zeros; the empty tuple is zero.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
@@ -39,14 +38,6 @@ class IntPolynomial(Frozen):
     def __reduce__(self):
         return IntPolynomial, (self.coefficients,)
 
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def x_power(cls, k: int, coefficient: int = 1) -> "IntPolynomial":
-        return cls((0,) * k + (coefficient,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for zero."""
@@ -57,22 +48,10 @@ class IntPolynomial(Frozen):
             return self.coefficients[k]
         return 0
 
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coefficients, other.coefficients
         if not a or not b:
-            return IntPolynomial.zero()
+            return IntPolynomial(())
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -87,22 +66,6 @@ class IntPolynomial(Frozen):
         if k < 0:
             raise ValueError("shift amount must be non-negative")
         return IntPolynomial((0,) * k + self.coefficients)
-
-    def mirrored(self, low: int, high: int) -> "IntPolynomial":
-        """Coefficients reflected across the window [low, high].
-
-        Defined only when the support fits below ``low + high``; the
-        polynomial is palindromic over the window iff it equals its
-        mirror image.
-        """
-        if low > high:
-            raise ValueError("window must satisfy low <= high")
-        if self.degree > low + high:
-            raise ValueError("support extends beyond the reflection window")
-        out = [0] * (low + high + 1)
-        for k, c in enumerate(self.coefficients):
-            out[low + high - k] = c
-        return IntPolynomial(tuple(out))
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -132,34 +95,9 @@ def is_palindromic(p: IntPolynomial, low: int, high: int) -> bool:
     )
 
 
-class GammaExpansion(NamedTuple):
-    """Coordinates of a palindromic polynomial in the basis
-    x^i (1+x)^(d-2i), 0 <= i <= floor(d/2)."""
-
-    center_degree: int
-    gamma: tuple[int, ...]
-
-    def reconstruct(self) -> IntPolynomial:
-        total = IntPolynomial.zero()
-        d = self.center_degree
-        for i, g in enumerate(self.gamma):
-            if g:
-                base = _one_plus_x_power(d - 2 * i)
-                total = total + base.shift(i) * IntPolynomial((g,))
-        return total
-
-    @property
-    def gamma_positive(self) -> bool:
-        return all(g >= 0 for g in self.gamma)
-
-
-@lru_cache(maxsize=None)
-def _one_plus_x_power(k: int) -> IntPolynomial:
-    return IntPolynomial(tuple(comb(k, i) for i in range(k + 1)))
-
-
-def gamma_expansion(p: IntPolynomial, d: int) -> Optional[GammaExpansion]:
-    """Gamma coordinates of p over center degree d, by leading-coefficient
+def gamma_expansion(p: IntPolynomial, d: int) -> Optional[tuple[int, ...]]:
+    """Gamma coordinates of p over center degree d: the g_i with p the sum
+    of g_i x^i (1+x)^(d-2i), 0 <= i <= floor(d/2), by leading-coefficient
     peeling; absent when p is not palindromic over [0, d].
 
     Gamma entries may be negative; positivity is a separate question.
@@ -177,7 +115,7 @@ def gamma_expansion(p: IntPolynomial, d: int) -> Optional[GammaExpansion]:
                 work[i + j] -= g * comb(width, j)
     if any(work):
         raise AssertionError("gamma peeling left a nonzero remainder")
-    return GammaExpansion(d, tuple(gamma))
+    return tuple(gamma)
 
 
 def is_unimodal(p: IntPolynomial) -> bool:

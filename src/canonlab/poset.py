@@ -219,13 +219,6 @@ def chain(m: int) -> Poset:
     return Poset(m, ((i, i + 1) for i in range(m - 1)))
 
 
-def antichain(n: int) -> Poset:
-    """n pairwise-incomparable elements."""
-    if n < 1:
-        raise ValueError("antichain size must be >= 1")
-    return Poset(n, frozenset())
-
-
 def _product_covers(p: Poset, n: int, mask: int) -> Iterator[tuple[int, int]]:
     """The covers of ``p x [n]`` less those ``mask`` removes, lazily."""
     if n < 1:

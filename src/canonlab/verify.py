@@ -35,11 +35,10 @@ from canonlab.canon import (
 )
 from canonlab.cli import MAX_LISTED, _print_csv, _row_labeling
 from canonlab.errors import PosetFormatError, SizeCapError
-from canonlab.linext import descent_count, descent_set, enumerate_linear_extensions, word
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
-    antichain,
     canon_labeling,
     chain,
     checked_labeling,
@@ -90,6 +89,36 @@ def column_labelings(n: int) -> _Sized:
     if any(count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
         raise SizeCapError(f"{n}! column labelings exceed the bound {MAX_LABELINGS}")
     return _Sized(factorial(n), lambda: permutations(range(1, n + 1)))
+
+
+def antichain(n: int) -> Poset:
+    """n pairwise-incomparable elements."""
+    if n < 1:
+        raise ValueError("antichain size must be >= 1")
+    return Poset(n, frozenset())
+
+
+def word(order: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
+    """The label word of an extension."""
+    return tuple(w[v] for v in order)
+
+
+def descent_set(letters: Sequence[int]) -> tuple[int, ...]:
+    """1-based positions j with a strict drop between letters j and j+1."""
+    return tuple(j for j in range(1, len(letters)) if letters[j] < letters[j - 1])
+
+
+def descent_count(letters: Sequence[int]) -> int:
+    return len(descent_set(letters))
+
+
+def mirrored(p: IntPolynomial, low: int, high: int) -> IntPolynomial:
+    """The coefficients of p reflected across the window [low, high], k to
+    low + high - k, defined when the support fits below low + high: p is
+    palindromic over the window iff it equals its mirror image."""
+    if p.degree > low + high:
+        raise ValueError("support extends beyond the reflection window")
+    return IntPolynomial(p.coefficient(low + high - k) for k in range(low + high + 1))
 
 
 def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
@@ -295,8 +324,8 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityRep
     wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
     report = IdentityReport.compare(
         f"dissonant-degree m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
-        IntPolynomial.x_power(max(poly.degree, 0)),
-        IntPolynomial.x_power(expected),
+        IntPolynomial((1,)).shift(max(poly.degree, 0)),
+        IntPolynomial((1,)).shift(expected),
     )
     witness = (
         f"degree {poly.degree} vs m(n-1)+k = {expected}; row-block witness "
@@ -311,7 +340,7 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> Identit
     poly = dissonant_polynomial(spec, w)
     top = spec.m * (spec.n - 1) + 2 * k
     holds = is_palindromic(poly, 0, top)
-    rhs = poly.mirrored(0, top) if poly.degree <= top else poly
+    rhs = mirrored(poly, 0, top) if poly.degree <= top else poly
     witness = None if holds else f"not symmetric over [0, {top}]"
     return IdentityReport(
         f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",

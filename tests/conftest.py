@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from canonlab.errors import PosetFormatError
+from canonlab.polys import IntPolynomial
 from canonlab.verify import is_dyck_path
 from canonlab.poset import Poset, transitive_reduction
 
@@ -63,6 +65,21 @@ def dyck_paths(n: int) -> list[str]:
         if is_dyck_path(path):
             out.append(path)
     return out
+
+
+def gamma_polynomial(gamma, d: int) -> IntPolynomial:
+    """The polynomial with gamma vector ``gamma`` over center degree d:
+    the sum of g_i x^i (1+x)^(d-2i), coefficient by coefficient."""
+    return IntPolynomial(
+        sum(g * comb(d - 2 * i, k - i) for i, g in enumerate(gamma) if 0 <= k - i <= d - 2 * i)
+        for k in range(d + 1)
+    )
+
+
+def poly_sum(*polys: IntPolynomial) -> IntPolynomial:
+    """The sum of the polynomials, coefficient by coefficient."""
+    top = max(p.degree for p in polys) + 1
+    return IntPolynomial(sum(p.coefficient(k) for p in polys) for k in range(top))
 
 
 def random_labeling(rng: random.Random, n: int) -> tuple[int, ...]:

@@ -715,6 +715,11 @@ class TestPosetFiles:
             code, out, err = invoke(capsys, "extensions", "--poset", str(path))
             assert (code, out) == (2, ""), text
             assert err == f"error: {message}\n", text
+        # a file that is not UTF-8 is named in the error, as an unreadable one is
+        path.write_bytes(b'{"elements": 1, "covers": []}\xff')
+        code, out, err = invoke(capsys, "extensions", "--poset", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and "0xff" in err
 
 
 class TestRunConfig:

@@ -11,28 +11,23 @@ from conftest import random_labeling, random_poset
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
-from canonlab.linext import (
-    count_linear_extensions,
-    descent_count,
-    enumerate_linear_extensions,
-    word,
-)
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.poset import (
     Poset,
-    antichain,
     canon_labeling,
     chain,
     checked_product,
     product_with_chain,
 )
-from canonlab.verify import multiset_word, weak_descent_count
+from canonlab.verify import antichain, descent_count, multiset_word, weak_descent_count, word
 
 
-def oracle_histogram(p: Poset, w: tuple[int, ...]) -> list[int]:
-    """Descent counts of every label word, one extension at a time."""
+def oracle_histogram(p: Poset, w: tuple[int, ...], count=descent_count) -> list[int]:
+    """Descent counts (or another ``count`` of a word) of every label
+    word, one extension at a time."""
     hist = [0] * max(p.element_count, 1)
     for ext in enumerate_linear_extensions(p):
-        hist[descent_count(word(ext, w))] += 1
+        hist[count(word(ext, w))] += 1
     return hist
 
 
@@ -41,7 +36,7 @@ def check_against_oracle(p: Poset, rng: random.Random, lanes: int) -> None:
     assert kernel.descent_histograms(p, labelings) == [
         oracle_histogram(p, w) for w in labelings
     ]
-    assert count_linear_extensions(p) == len(list(enumerate_linear_extensions(p)))
+    assert kernel.count_extensions(p) == len(list(enumerate_linear_extensions(p)))
 
 
 def test_random_posets_match_enumeration():
@@ -80,10 +75,26 @@ def test_weak_histograms_match_enumeration(m, n):
     assert kernel.descent_histograms(grid, letters, weak=True) == expected
 
 
+def test_histograms_under_labels_with_ties():
+    # any integer labels, negative ones and ties included: a weak descent
+    # is a level step as well as a drop, and the first step is none, even
+    # from the least letter
+    rng = random.Random(20261019)
+    for _ in range(150):
+        p = random_poset(rng, max_elements=7)
+        n = p.element_count
+        labelings = [tuple(rng.randint(-2, 3) for _ in range(n))
+                     for _ in range(rng.randint(1, 4))]
+        for weak, count in ((False, descent_count), (True, weak_descent_count)):
+            assert kernel.descent_histograms(p, labelings, weak=weak) == [
+                oracle_histogram(p, w, count) for w in labelings
+            ]
+
+
 def test_empty_poset():
     p = Poset(0, frozenset())
     assert kernel.descent_histograms(p, [()]) == [[1]]
-    assert count_linear_extensions(p) == 1
+    assert kernel.count_extensions(p) == 1
 
 
 def test_rows_accept_label_sequences():
@@ -97,7 +108,7 @@ def test_bins_hold_counts_above_64_bits():
     # labeling the histogram is palindromic (the grid is graded)
     grid = product_with_chain(chain(8), 8)
     total = 22081374992701950398847674830857600
-    assert count_linear_extensions(grid) == total
+    assert kernel.count_extensions(grid) == total
     hist = kernel.descent_histograms(grid, [tuple(range(1, 65))])[0]
     assert sum(hist) == total and max(hist).bit_length() > 64
     assert hist[:50] == hist[49::-1] and not any(hist[50:])
@@ -125,9 +136,9 @@ def test_long_narrow_poset_refused_quickly():
 def test_longest_two_row_grid_under_the_work_bound():
     # e([2]x[n]) is the Catalan number C(2n, n) / (n + 1); n = 215 is the
     # last n whose transitions x elements stay within MAX_WORK
-    assert count_linear_extensions(product_with_chain(chain(2), 215)) == comb(430, 215) // 216
+    assert kernel.count_extensions(product_with_chain(chain(2), 215)) == comb(430, 215) // 216
     with pytest.raises(SizeCapError, match="too large"):
-        count_linear_extensions(product_with_chain(chain(2), 216))
+        kernel.count_extensions(product_with_chain(chain(2), 216))
 
 
 def test_work_bound_counts_lanes():
@@ -142,4 +153,4 @@ def test_work_bound_counts_lanes():
         kernel.descent_histograms(grid, [labels] * 4720)
     assert time.perf_counter() - start < 1
     rows = kernel.descent_histograms(grid, [labels] * 4719)
-    assert rows == [rows[0]] * 4719 and sum(rows[0]) == count_linear_extensions(grid)
+    assert rows == [rows[0]] * 4719 and sum(rows[0]) == kernel.count_extensions(grid)

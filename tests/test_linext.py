@@ -5,17 +5,10 @@ import pytest
 
 from conftest import dyck_paths, random_poset
 
-from canonlab.linext import (
-    count_linear_extensions,
-    descent_count,
-    descent_set,
-    enumerate_linear_extensions,
-    rho_filtered_halves,
-    word,
-)
+from canonlab.kernel import count_extensions
+from canonlab.linext import enumerate_linear_extensions, rho_filtered_halves
 from canonlab.poset import (
     Poset,
-    antichain,
     canon_labeling,
     chain,
     checked_labeling,
@@ -26,6 +19,9 @@ from canonlab.poset import (
 )
 from canonlab.verify import (
     _rho_drops,
+    antichain,
+    descent_count,
+    descent_set,
     dyck_from_linext,
     high_peak_positions,
     is_canon_permutation,
@@ -34,6 +30,7 @@ from canonlab.verify import (
     linext_from_dyck,
     multiset_word,
     weak_descent_count,
+    word,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -51,13 +48,13 @@ class TestEnumeration:
     def test_two_row_grid_counts(self):
         for n in range(1, 9):
             p = product_with_chain(chain(2), n)
-            assert count_linear_extensions(p) == CATALAN[n]
+            assert count_extensions(p) == CATALAN[n]
 
     def test_stream_matches_count(self, rng):
         for _ in range(20):
             p = random_poset(rng)
             exts = list(enumerate_linear_extensions(p))
-            assert len(exts) == count_linear_extensions(p)
+            assert len(exts) == count_extensions(p)
             assert len(set(exts)) == len(exts)
             assert all(type(e) is tuple for e in exts)
             assert exts == sorted(exts)
@@ -316,7 +313,7 @@ def test_antichain_extension_count_is_factorial():
     import math
 
     for n in range(1, 6):
-        assert count_linear_extensions(antichain(n)) == math.factorial(n)
+        assert count_extensions(antichain(n)) == math.factorial(n)
 
 
 def test_descent_weak_descent_split(rng):

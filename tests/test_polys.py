@@ -3,13 +3,12 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import dyck_paths, random_labeling, random_poset
+from conftest import dyck_paths, gamma_polynomial, random_labeling, random_poset
 
 from canonlab.errors import SizeCapError
-from canonlab.linext import descent_count, enumerate_linear_extensions, word
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import (
     MAX_NAMED_N,
-    GammaExpansion,
     IntPolynomial,
     eulerian,
     gamma_expansion,
@@ -20,12 +19,17 @@ from canonlab.polys import (
     poly_to_payload,
 )
 from canonlab.poset import (
-    antichain,
     canon_labeling,
     chain,
     product_with_chain,
 )
-from canonlab.verify import high_peak_positions, order_polynomial_values
+from canonlab.verify import (
+    antichain,
+    descent_count,
+    high_peak_positions,
+    order_polynomial_values,
+    word,
+)
 
 
 def P(*coeffs):
@@ -41,7 +45,6 @@ class TestArithmetic:
     def test_identity(self):
         p = P(5, -2, 7)
         assert p * P(1) == p
-        assert p + P() == p
 
     def test_shift(self):
         assert P(1, 1).shift(2) == P(0, 0, 1, 1)
@@ -51,9 +54,6 @@ class TestArithmetic:
         assert P(1, 2, 0, 0) == P(1, 2)
         assert P(0, 0).degree == -1
         assert P(1, 2).degree == 1
-
-    def test_add_negative(self):
-        assert P(1, 2) + P(-1, -2) == P()
 
     def test_payload_round_trip(self):
         p = P(1, 4, 4, 1)
@@ -208,23 +208,22 @@ class TestPalindromy:
 
 class TestGamma:
     def test_canon_example(self):
-        ge = gamma_expansion(P(1, 4, 4, 1), 3)
-        assert ge is not None and ge.gamma == (1, 1)
-        assert ge.reconstruct() == P(1, 4, 4, 1)
+        assert gamma_expansion(P(1, 4, 4, 1), 3) == (1, 1)
+        assert gamma_polynomial((1, 1), 3) == P(1, 4, 4, 1)
 
     def test_binomial_row(self):
         for d in range(7):
-            ge = gamma_expansion(IntPolynomial(tuple(comb(d, i) for i in range(d + 1))), d)
-            assert ge.gamma == (1,) + (0,) * (d // 2)
+            gamma = gamma_expansion(IntPolynomial(tuple(comb(d, i) for i in range(d + 1))), d)
+            assert gamma == (1,) + (0,) * (d // 2)
 
     def test_counterexample_is_gamma_negative(self):
         # (1+3x+x^2)(1+x^2): palindromic, neither gamma-positive nor unimodal
         p = P(1, 3, 1) * P(1, 0, 1)
         assert p == P(1, 3, 2, 3, 1)
-        ge = gamma_expansion(p, 4)
-        assert ge is not None and not ge.gamma_positive
+        gamma = gamma_expansion(p, 4)
+        assert gamma is not None and min(gamma) < 0
         assert not is_unimodal(p)
-        assert ge.reconstruct() == p
+        assert gamma_polynomial(gamma, 4) == p
 
     def test_absent_for_non_palindromic(self):
         assert gamma_expansion(P(1, 2), 1) is None
@@ -240,9 +239,9 @@ class TestGamma:
             p = IntPolynomial(tuple(coeffs))
             if p.degree > d:
                 continue
-            ge = gamma_expansion(p, d)
-            assert ge is not None
-            assert ge.reconstruct() == p
+            gamma = gamma_expansion(p, d)
+            assert gamma is not None
+            assert gamma_polynomial(gamma, d) == p
 
 
 class TestUnimodal:
@@ -262,13 +261,11 @@ def test_mul_commutes_and_degree(rng):
         pa, pb = IntPolynomial(coefficients()), IntPolynomial(coefficients())
         assert pa * pb == pb * pa
         prod = pa * pb
-        if pa and pb:
+        if pa.coefficients and pb.coefficients:
             assert prod.degree <= pa.degree + pb.degree
 
 
 def test_gamma_of_reconstruction():
     for d in range(11):
-        ge = GammaExpansion(d, tuple(1 for _ in range(d // 2 + 1)))
-        p = ge.reconstruct()
-        back = gamma_expansion(p, d)
-        assert back is not None and back.gamma == ge.gamma
+        gamma = (1,) * (d // 2 + 1)
+        assert gamma_expansion(gamma_polynomial(gamma, d), d) == gamma

@@ -16,7 +16,7 @@ from canonlab.canon import (
     conjecture_sweep,
 )
 from canonlab.errors import PosetFormatError
-from canonlab.polys import GammaExpansion, IntPolynomial
+from canonlab.polys import IntPolynomial
 from canonlab.poset import Poset, poset_from_json
 from canonlab.verify import IdentityReport, is_dyck_path
 
@@ -38,7 +38,6 @@ RECORDS = {
     "AmphibianSpec": (lambda: AmphibianSpec.from_removed(2, 3, [(1, 1)]), AmphibianSpec(2, 3, 0),
                       "mask"),
     "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
-    "GammaExpansion": (lambda: GammaExpansion(2, (1, 0)), GammaExpansion(2, (1, 1)), "gamma"),
     "GammaInterpretation": (
         lambda: GammaInterpretation(2, 2, (1, 1), (1, 1), 1, 1, True, (((1, 2),), ((2, 1),))),
         GammaInterpretation(2, 2, (1, 1), (1, 0), 1, None, False, ((), ())),
@@ -99,7 +98,7 @@ class TestNormalization:
         p = IntPolynomial([1, 2, 0, 0])
         assert p.coefficients == (1, 2)
         assert p == IntPolynomial((1, 2))
-        assert IntPolynomial((0, 0)).coefficients == () and not IntPolynomial((0,))
+        assert IntPolynomial((0, 0)).coefficients == IntPolynomial((0,)).coefficients == ()
 
     def test_poset_covers_become_a_frozenset(self):
         p = Poset(3, [[0, 1], [0, 2]])
