@@ -13,7 +13,6 @@ from canonlab.poset import (
     chain_descents,
     checked_labeling,
     checked_product,
-    is_graded,
     natural_labeling,
     product_with_chain,
 )

@@ -15,10 +15,13 @@ polynomial depends only on which of its covers the labeling makes strict
 (w(a) > w(b) for a cover a < b).  Under w x sigma a cover inside a column
 is strict when w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
-that keep a cover share one histogram, and a DP counts each class with
-no sigma listed.  The edge-subset sweep computes one polynomial per orbit
-of masks (``_orbit_key``), fanned out over worker processes, and one row
-per mask from its orbit's polynomial.
+that keep a cover share one histogram.  A depth-first walk over those
+patterns counts each class with no sigma listed and hands the kernel one
+sigma per class as it takes the lane, so the kernel's work bound, which
+counts all 2^(kept gaps) lanes, refuses before any class is built.  The
+edge-subset sweep computes one polynomial per orbit of masks
+(``_orbit_key``), fanned out over worker processes, and one row per mask
+from its orbit's polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from itertools import accumulate, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
@@ -42,10 +45,10 @@ from canonlab.polys import (
 )
 from canonlab.poset import (
     Poset,
+    _check_size,
     canon_labeling,
     chain,
     chain_descents,
-    natural_labeling,
     product_with_chain,
 )
 
@@ -143,30 +146,29 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial(tuple(map(sum, zip(*rows))))
 
 
-def _descent_classes(n: int, gaps: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """(sigma, size) per pattern of descents on ``gaps`` (gap j between
-    sigma[j] and sigma[j+1]): size permutations of 1..n have it, and so
-    does sigma, the identity with each run of descents reversed.  Refused
-    first when the DP's work, 2^|gaps| * n^2, passes MAX_WORK."""
-    if (1 << len(gaps)) * n * n > kernel.MAX_WORK:
-        raise SizeCapError(f"2^{len(gaps)} descent classes of {n}! column labelings "
-                           f"exceed the work bound {kernel.MAX_WORK}")
+def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int]) -> Iterator[tuple[int, ...]]:
+    """Depth first, one sigma per pattern of descents on ``gaps`` (gap j
+    between sigma[j] and sigma[j+1]): the identity with each run of
+    descents reversed, after appending to ``sizes`` how many permutations
+    of 1..n have its pattern.  Every pattern occurs, so there are
+    2^|gaps|, the rises first at each gap."""
     kept = set(gaps)
-    # (sigma's closed runs, its open run's start, prefix counts by the rank
-    # of the last value): the next value rises to rank r from ranks < r,
-    # falls from ranks >= r, or either off the gaps; a rise closes a run
-    classes = [((), 0, [1])]
-    for j in range(n - 1):
-        grown = []
-        for runs, start, f in classes:
-            rise = [0, *accumulate(f)]
-            closed = (runs + tuple(range(j + 1, start, -1)), j + 1)
-            if j in kept:
-                grown += [(*closed, rise), (runs, start, [rise[-1] - c for c in rise])]
-            else:
-                grown.append((*closed, [rise[-1]] * (j + 2)))
-        classes = grown
-    return [(runs + tuple(range(n, start, -1)), sum(f)) for runs, start, f in classes]
+    # (next gap, sigma's closed runs, its open run's start, prefix counts by
+    # the rank of the last value): the next value rises to rank r from ranks
+    # < r, falls from ranks >= r, or either off the gaps; a rise closes a run
+    todo = [(0, (), 0, [1])]
+    while todo:
+        j, runs, start, f = todo.pop()
+        if j == n - 1:
+            sizes.append(sum(f))
+            yield runs + tuple(range(n, start, -1))
+            continue
+        rise = [0, *accumulate(f)]
+        closed = (j + 1, runs + tuple(range(j + 1, start, -1)), j + 1)
+        if j in kept:
+            todo += [(j + 1, runs, start, [rise[-1] - c for c in rise]), (*closed, rise)]
+        else:
+            todo.append((*closed, [rise[-1]] * (j + 2)))
 
 
 def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 0) -> IntPolynomial:
@@ -176,11 +178,12 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     per descent class of sigma on the gaps that keep a cover, and each
     class's row counts once per sigma in it."""
     q = product_with_chain(p, n, mask)
+    _check_size(n)  # the walk takes n steps per class even when P is empty
     k = n - 1
     gaps = [j for j in range(k) if any(~mask >> x * k + j & 1 for x in range(p.element_count))]
-    firsts, sizes = zip(*_descent_classes(n, gaps))
-    rows = canon_rows(q, w, firsts)
-    return _row_sum([[size * h for h in row] for size, row in zip(sizes, rows)])
+    sizes: list[int] = []
+    rows = canon_rows(q, w, _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps, sizes)))
+    return IntPolynomial(tuple(sum(map(mul, sizes, column)) for column in zip(*rows)))
 
 
 def _product_form(
@@ -193,7 +196,7 @@ def _product_form(
     k = chain_descents(p, w)
     if k is None:
         raise CanonlabError("product form needs a labeling with constant chain descents")
-    base = hstar(product_with_chain(p, n), canon_labeling(natural_labeling(p), range(1, n + 1)))
+    base = hstar(product_with_chain(p, n))
     return (first() * base).shift(k)
 
 

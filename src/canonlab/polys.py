@@ -82,17 +82,13 @@ class IntPolynomial(Frozen):
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def is_palindromic(p: IntPolynomial, low: int, high: int) -> bool:
-    """Coefficient symmetry about the center of the window [low, high]:
-    coefficient(low + i) == coefficient(high - i) for every i, with
+def is_palindromic(p: IntPolynomial, high: int) -> bool:
+    """Coefficient symmetry about the center of the window [0, high]:
+    coefficient(i) == coefficient(high - i) for every i, with
     out-of-range coefficients treated as zero."""
-    if low > high:
-        raise ValueError("window must satisfy low <= high")
-    if p.degree > low + high:
+    if p.degree > high:
         return False
-    return all(
-        p.coefficient(k) == p.coefficient(low + high - k) for k in range(low + high + 1)
-    )
+    return all(p.coefficient(k) == p.coefficient(high - k) for k in range(high + 1))
 
 
 def gamma_expansion(p: IntPolynomial, d: int) -> Optional[tuple[int, ...]]:
@@ -102,7 +98,7 @@ def gamma_expansion(p: IntPolynomial, d: int) -> Optional[tuple[int, ...]]:
 
     Gamma entries may be negative; positivity is a separate question.
     """
-    if d < 0 or not is_palindromic(p, 0, d):
+    if d < 0 or not is_palindromic(p, d):
         return None
     work = [p.coefficient(k) for k in range(d + 1)]
     gamma = []

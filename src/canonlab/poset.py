@@ -134,7 +134,9 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
 
 
-def _topological_order(n, succ):
+def _topological_order(n, succ) -> list[int]:
+    """The vertices in lexicographic topological order; on a cyclic
+    digraph it stops short, leaving out every vertex on or after a cycle."""
     indeg = [0] * n
     for lst in succ:
         for w in lst:
@@ -149,7 +151,7 @@ def _topological_order(n, succ):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    return order if len(order) == n else None
+    return order
 
 
 def _order_and_up_sets(n, succ, what: str) -> tuple[list[int], list[int]]:
@@ -157,8 +159,8 @@ def _order_and_up_sets(n, succ, what: str) -> tuple[list[int], list[int]]:
     up-set as a bitmask (bit ``w`` set when ``w`` is reachable), built
     in one pass down the order; a cyclic digraph raises."""
     order = _topological_order(n, succ)
-    if order is None:
-        raise _cyclic(what, n, succ)
+    if len(order) < n:
+        raise _cyclic(what, order, succ)
     above = [0] * n
     for v in reversed(order):
         for w in succ[v]:
@@ -172,40 +174,24 @@ def _implied(above, succ_a, b) -> bool:
     return any(above[c] >> b & 1 for c in succ_a if c != b)
 
 
-def _find_cycle(n, succ):
-    """A cycle of the digraph as a closed walk [v, ..., v], or None.
-
-    Depth-first search over an explicit stack, so a long cycle does not
-    hit the interpreter's recursion limit.
-    """
-    color = [0] * n  # 0 unseen, 1 on the path, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        path = [root]
-        todo = [iter(succ[root])]
-        while todo:
-            for w in todo[-1]:
-                if color[w] == 1:
-                    return path[path.index(w):] + [w]
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append(w)
-                    todo.append(iter(succ[w]))
-                    break
-            else:
-                color[path.pop()] = 2
-                todo.pop()
-    return None
-
-
 CYCLE_SHOWN = 10  # elements of a longer cycle that an error message lists
 
 
-def _cyclic(what: str, n, succ) -> PosetFormatError:
-    """The error naming a cycle of a cyclic digraph; a long one by its head."""
-    cycle = text = _find_cycle(n, succ)
+def _cyclic(what: str, order, succ) -> PosetFormatError:
+    """The error naming a cycle among the vertices that the topological
+    ``order`` leaves out, shown from its least vertex; a long one by its
+    head.  Each left-out vertex has a left-out predecessor, so stepping
+    back from the least one repeats a vertex, closing a cycle."""
+    left = set(range(len(succ))).difference(order)
+    pred = {b: a for a in left for b in succ[a] if b in left}
+    seen: dict[int, int] = {}  # vertex -> the steps back to it
+    v = min(left)
+    while v not in seen:
+        seen[v] = len(seen)
+        v = pred[v]
+    cycle = list(seen)[seen[v]:][::-1]  # the steps back from v, forwards
+    low = cycle.index(min(cycle))
+    cycle = text = cycle[low:] + cycle[:low + 1]
     if len(cycle) > CYCLE_SHOWN + 1:
         head = ", ".join(map(str, cycle[:CYCLE_SHOWN]))
         text = f"[{head}, ...], a cycle of {len(cycle) - 1} elements"
@@ -280,27 +266,18 @@ def _chain_sums(p: Poset, step: Callable[[int, int], int]) -> tuple[list[set[int
     return sums, set().union(*(sums[v] for v in p.maximal_elements()))
 
 
-def _rank_step(a: int, b: int) -> int:
-    return 1
-
-
-def is_graded(p: Poset) -> bool:
-    """True iff every maximal chain has the same length."""
-    return len(_chain_sums(p, _rank_step)[1]) <= 1
-
-
 def rho_parities(pcheck: Poset) -> tuple[int, ...]:
     """``rho`` of every element: the parity of the length of the maximal
     chains in its principal ideal, 0 for even and 1 for odd.
 
-    Defined for graded posets (such as checked chain products), where the
-    length is well defined.
+    Defined for graded posets (such as checked chain products), where
+    every saturated chain from a minimal element up to an element has the
+    same length.
     """
-    if not is_graded(pcheck):
+    depths, lengths = _chain_sums(pcheck, lambda a, b: 1)
+    if len(lengths) > 1:
         raise ValueError("rho requires a graded poset")
-    # in a graded poset every saturated chain from a minimal element up to
-    # q has the same length, so each depth set is a singleton
-    return tuple(min(d) % 2 for d in _chain_sums(pcheck, _rank_step)[0])
+    return tuple(min(d) % 2 for d in depths)
 
 
 def chain_descents(p: Poset, w: Sequence[int]) -> Optional[int]:

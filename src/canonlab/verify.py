@@ -112,13 +112,13 @@ def descent_count(letters: Sequence[int]) -> int:
     return len(descent_set(letters))
 
 
-def mirrored(p: IntPolynomial, low: int, high: int) -> IntPolynomial:
-    """The coefficients of p reflected across the window [low, high], k to
-    low + high - k, defined when the support fits below low + high: p is
-    palindromic over the window iff it equals its mirror image."""
-    if p.degree > low + high:
+def mirrored(p: IntPolynomial, high: int) -> IntPolynomial:
+    """The coefficients of p reflected across the window [0, high], k to
+    high - k, defined when the support fits below high: p is palindromic
+    over the window iff it equals its mirror image."""
+    if p.degree > high:
         raise ValueError("support extends beyond the reflection window")
-    return IntPolynomial(p.coefficient(low + high - k) for k in range(low + high + 1))
+    return IntPolynomial(p.coefficient(high - k) for k in range(high + 1))
 
 
 def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
@@ -339,8 +339,8 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> Identit
     k = descent_count(w)
     poly = dissonant_polynomial(spec, w)
     top = spec.m * (spec.n - 1) + 2 * k
-    holds = is_palindromic(poly, 0, top)
-    rhs = mirrored(poly, 0, top) if poly.degree <= top else poly
+    holds = is_palindromic(poly, top)
+    rhs = mirrored(poly, top) if poly.degree <= top else poly
     witness = None if holds else f"not symmetric over [0, {top}]"
     return IdentityReport(
         f"dissonant-palindromy m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",

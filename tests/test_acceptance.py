@@ -164,7 +164,7 @@ def test_criterion_08_gamma_negative_pair():
     pair = poly_sum(hstar(grid, canon_labeling(idw, (1, 2, 3))),
                     hstar(grid, canon_labeling(idw, (3, 2, 1))))
     assert pair == P(1, 3, 2, 3, 1)
-    assert is_palindromic(pair, 0, 4)
+    assert is_palindromic(pair, 4)
     # exact gamma coordinates of 1+3x+2x^2+3x^3+x^4 over center degree 4
     assert gamma_expansion(pair, 4) == (1, -1, -2)
     assert not is_unimodal(pair)

@@ -217,6 +217,13 @@ def descents_on(sigma, gaps):
     return tuple(sigma[j] > sigma[j + 1] for j in gaps)
 
 
+def descent_classes(n, gaps):
+    """The class walk's (sigma, size) pairs, in lane order."""
+    sizes = []
+    sigmas = list(_descent_classes(n, gaps, sizes))
+    return list(zip(sigmas, sizes))
+
+
 class TestDescentClasses:
     def test_every_mask_of_the_grids(self):
         for m, n in ((2, 3), (3, 2), (2, 4), (3, 3)):
@@ -240,20 +247,20 @@ class TestDescentClasses:
                     every_sigma(vee, w, n, mask)), (n, mask)
 
     def test_dp_equals_grouped_permutations(self):
-        # every gap set for n <= 7: the class sizes of the DP are the
-        # sigmas grouped by their descents on the gaps
+        # every gap set for n <= 7: the class sizes of the walk are the
+        # sigmas grouped by their descents on the gaps, one class per pattern
         for n in range(1, 8):
             sigmas = list(permutations(range(1, n + 1)))
             for bits in range(1 << n - 1):
                 gaps = [j for j in range(n - 1) if bits >> j & 1]
                 listed = Counter(descents_on(s, gaps) for s in sigmas)
-                classes = _descent_classes(n, gaps)
+                classes = descent_classes(n, gaps)
                 assert {descents_on(s, gaps): size for s, size in classes} == listed, (n, gaps)
-                assert len(classes) == len(listed)
+                assert len(classes) == len(listed) == 1 << len(gaps)
 
     def test_sizes_and_representatives(self):
         for n, gaps in ((1, []), (6, [0, 2, 3]), (9, list(range(8))), (12, [1, 5, 6, 10])):
-            classes = _descent_classes(n, gaps)
+            classes = descent_classes(n, gaps)
             assert sum(size for _, size in classes) == factorial(n)
             assert len({descents_on(s, gaps) for s, _ in classes}) == 1 << len(gaps)
             for sigma, _ in classes:
@@ -267,13 +274,33 @@ class TestDescentClasses:
                         runs += range(j + 1, start, -1)
                         start = j + 1
                 assert tuple(runs) == sigma
+        # lazily: each class's size is handed back as its sigma is yielded
+        sizes = []
+        for count, _ in enumerate(_descent_classes(6, [0, 2, 3], sizes), start=1):
+            assert len(sizes) == count
 
-    def test_dp_work_bound(self):
-        # 2^|gaps| * n^2 past the kernel's work bound is refused at once
-        with pytest.raises(SizeCapError, match="2\\^39 descent classes"):
-            _descent_classes(40, list(range(39)))
-        with pytest.raises(SizeCapError, match="2\\^17 descent classes"):
-            canon_polynomial_bruteforce(chain(1), (1,), 18)
+    def test_dp_work_bound(self, monkeypatch):
+        # the kernel's work bound counts the 2^|gaps| lanes, so a sum past
+        # it is refused before the class walk yields a single class
+        yielded = []
+        walk = canon._descent_classes
+
+        def counted(*args):
+            for sigma in walk(*args):
+                yielded.append(sigma)
+                yield sigma
+
+        monkeypatch.setattr(canon, "_descent_classes", counted)
+        for m, n in ((2, 17), (1, 18), (1, 40)):
+            with pytest.raises(SizeCapError, match="lanes x transitions x elements"):
+                canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
+        # an empty P gives the kernel no work, so n itself is bounded
+        with pytest.raises(SizeCapError, match="exceeds the bound"):
+            canon_polynomial_bruteforce(poset.Poset(0, ()), (), poset.MAX_ELEMENTS + 1)
+        assert not yielded
+        assert canon_polynomial_bruteforce(chain(2), (1, 2), 3) == eulerian(3) * hstar(
+            product_with_chain(chain(2), 3))
+        assert len(yielded) == 4
 
     @pytest.mark.parametrize("m, n", [(1, 10), (2, 10), (3, 7), (2, 13)])
     def test_sums_past_nine_factorial(self, m, n):
@@ -438,7 +465,7 @@ class TestReciprocity:
                     removed = [e for i, e in enumerate(edges) if mask >> i & 1]
                     q = AmphibianSpec.from_removed(m, n, removed).poset()
                     for sig in permutations(range(1, n + 1)):
-                        lhs = mirrored(hstar(q, canon_labeling(w, sig)), 0, mn - 1)
+                        lhs = mirrored(hstar(q, canon_labeling(w, sig)), mn - 1)
                         phi = tuple(n + 1 - v for v in sig)
                         rhs = hstar(q, canon_labeling(w, phi))
                         if kphi >= k:

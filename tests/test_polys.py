@@ -84,7 +84,7 @@ class TestEulerian:
 
     def test_palindromic(self):
         for n in range(1, 7):
-            assert is_palindromic(eulerian(n), 0, n - 1)
+            assert is_palindromic(eulerian(n), n - 1)
 
     def test_total_mass(self):
         assert sum(eulerian(6).coefficients) == factorial(6)
@@ -92,7 +92,7 @@ class TestEulerian:
     def test_large_n(self):
         a = eulerian(600)
         assert sum(a.coefficients) == factorial(600)
-        assert is_palindromic(a, 0, 599)
+        assert is_palindromic(a, 599)
 
 
 class TestNarayana:
@@ -115,7 +115,7 @@ class TestNarayana:
 
     def test_palindromic(self):
         for n in range(1, 7):
-            assert is_palindromic(narayana(n), 0, n - 1)
+            assert is_palindromic(narayana(n), n - 1)
 
 
 def test_named_polynomials_refuse_large_n_at_once():
@@ -190,20 +190,16 @@ class TestOrderPolynomial:
 
 class TestPalindromy:
     def test_basic(self):
-        assert is_palindromic(P(1, 4, 4, 1), 0, 3)
-        assert is_palindromic(P(0, 1, 3, 1), 0, 4)
-        assert not is_palindromic(P(1, 2), 0, 1)
+        assert is_palindromic(P(1, 4, 4, 1), 3)
+        assert is_palindromic(P(0, 1, 3, 1), 4)
+        assert not is_palindromic(P(1, 2), 1)
 
     def test_zero_padded(self):
-        assert is_palindromic(P(0, 1, 3, 1), 0, 4)
-        assert not is_palindromic(P(0, 1, 3, 1), 0, 3)
+        assert is_palindromic(P(0, 1, 3, 1), 4)
+        assert not is_palindromic(P(0, 1, 3, 1), 3)
 
     def test_support_beyond_window(self):
-        assert not is_palindromic(P(1, 0, 0, 0, 1), 0, 3)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            is_palindromic(P(1), 2, 1)
+        assert not is_palindromic(P(1, 0, 0, 0, 1), 3)
 
 
 class TestGamma:

@@ -17,7 +17,6 @@ from canonlab.poset import (
     chain_descents,
     checked_labeling,
     checked_product,
-    is_graded,
     natural_labeling,
     poset_from_json,
     poset_to_json,
@@ -26,6 +25,16 @@ from canonlab.poset import (
     transitive_reduction,
 )
 from canonlab.verify import antichain
+
+
+def is_graded(p):
+    """Whether every maximal chain of ``p`` has the same length: the case
+    that ``rho_parities`` accepts."""
+    try:
+        rho_parities(p)
+    except ValueError:
+        return False
+    return True
 
 
 class TestConstruction:
