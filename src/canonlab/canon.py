@@ -29,12 +29,13 @@ from __future__ import annotations
 import os
 from functools import partial
 from itertools import accumulate, product
+from math import factorial
 from operator import itemgetter, mul
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError, SizeCapError
-from canonlab.linext import rho_filtered_halves
+from canonlab.linext import rho_halves, rho_orders
 from canonlab.polys import (
     IntPolynomial,
     check_named_n,
@@ -148,10 +149,11 @@ def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
 
 def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int]) -> Iterator[tuple[int, ...]]:
     """Depth first, one sigma per pattern of descents on ``gaps`` (gap j
-    between sigma[j] and sigma[j+1]): the identity with each run of
-    descents reversed, after appending to ``sizes`` how many permutations
-    of 1..n have its pattern.  Every pattern occurs, so there are
-    2^|gaps|, the rises first at each gap."""
+    between sigma[j] and sigma[j+1]), rises first at each gap: the identity
+    with each run of descents reversed, after appending to ``sizes`` how
+    many permutations of 1..n have its pattern, 2^|gaps| in all.  The walk
+    stops after the last gap: later values take any ranks, and sigma rises."""
+    stop = max(gaps, default=-1) + 1
     kept = set(gaps)
     # (next gap, sigma's closed runs, its open run's start, prefix counts by
     # the rank of the last value): the next value rises to rank r from ranks
@@ -159,9 +161,9 @@ def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int]) -> Iterator[
     todo = [(0, (), 0, [1])]
     while todo:
         j, runs, start, f = todo.pop()
-        if j == n - 1:
-            sizes.append(sum(f))
-            yield runs + tuple(range(n, start, -1))
+        if j == stop:
+            sizes.append(sum(f) * factorial(n) // factorial(j + 1))
+            yield runs + tuple(range(j + 1, start, -1)) + tuple(range(j + 2, n + 1))
             continue
         rise = [0, *accumulate(f)]
         closed = (j + 1, runs + tuple(range(j + 1, start, -1)), j + 1)
@@ -178,7 +180,7 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     per descent class of sigma on the gaps that keep a cover, and each
     class's row counts once per sigma in it."""
     q = product_with_chain(p, n, mask)
-    _check_size(n)  # the walk takes n steps per class even when P is empty
+    _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
     k = n - 1
     gaps = [j for j in range(k) if any(~mask >> x * k + j & 1 for x in range(p.element_count))]
     sizes: list[int] = []
@@ -230,13 +232,12 @@ def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
 
 class GammaInterpretation(NamedTuple):
     """Gamma coordinates of the canon polynomial next to the counts of
-    filtered checked-product extensions, which ``halves`` holds as
-    ``rho_filtered_halves(m, n)`` does, in tuples.
+    filtered checked-product extensions (``linext.rho_halves``).
 
-    ``shift`` is the offset that aligns the filtered rho-descent counts
-    with the gamma indices; ``stated_shift`` is floor((m+n-1)/2).  When
-    they differ, or no offset works, ``matches`` is False and the caller
-    sees the empirically correct value instead of a silent pass.
+    ``shift`` aligns the filtered rho-descent counts with the gamma
+    indices; ``stated_shift`` is floor((m+n-1)/2).  When they differ, or
+    no offset works, ``matches`` is False: the caller sees the value that
+    holds instead of a silent pass.
     """
 
     m: int
@@ -246,43 +247,42 @@ class GammaInterpretation(NamedTuple):
     stated_shift: int
     shift: Optional[int]
     matches: bool
-    halves: tuple
 
 
 def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     """Count checked-product extensions with i+d rho-descents, no double
     rho-descents and an increasing final pair when both parities are odd,
-    and compare the counts against the gamma vector of the canon
-    polynomial."""
+    and compare their counts, the product of two halves' with none
+    listed, against the gamma vector of the canon polynomial."""
     poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
     center = m * (n - 1)
     gamma = gamma_expansion(poly, center)
     if gamma is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
-    halves = tuple(tuple(map(tuple, half)) for half in rho_filtered_halves(m, n))
-    # the counts by rho-descents: each half's sizes by rho-descents, as a
-    # polynomial, and their product
-    by_drops = IntPolynomial(map(len, halves[0])) * IntPolynomial(map(len, halves[1]))
+    (grid, _), (tops, _) = rho_halves(m, n)
+    by_drops = IntPolynomial(grid) * IntPolynomial(tops)
     stated = (m + n - 1) // 2
     aligned = IntPolynomial(gamma).shift
     shift = next((s for s in (stated, *range(center + 1)) if by_drops == aligned(s)), None)
     base = stated if shift is None else shift
     counts = tuple(by_drops.coefficient(base + i) for i in range(len(gamma)))
-    return GammaInterpretation(m, n, gamma, counts, stated, shift, shift == stated, halves)
+    return GammaInterpretation(m, n, gamma, counts, stated, shift, shift == stated)
 
 
 def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:
     """The sorted canon words of each gamma class i, the extensions
     g + t with shift + i rho-descents: g's columns looked up in the
     string of column values t spells."""
-    m, mn = gi.m, gi.m * gi.n
-    value = {mn + j: str(j + 1) for j in range(gi.n)}  # top -> its column value
+    m = gi.m
     base = gi.stated_shift if gi.shift is None else gi.shift
     classes = [[] for _ in gi.gamma]
-    grid, tops = gi.halves
-    columns = [[itemgetter(*[v // m for v in g]) for g in gs] for gs in grid]
-    sigmas = [["".join(itemgetter(*t)(value)) for t in ts] for ts in tops]
-    for (dg, cs), (dt, ss) in product(enumerate(columns), enumerate(sigmas)):
+    (_, grid), (_, tops) = rho_halves(m, gi.n)
+    columns, sigmas = {}, {}  # falls -> the half's ways
+    for d, g in rho_orders(grid):
+        columns.setdefault(d, []).append(itemgetter(*[v // m for v in g]))
+    for d, t in rho_orders(tops):  # top j has column value j + 1
+        sigmas.setdefault(d, []).append("".join(str(j + 1) for j in t))
+    for (dg, cs), (dt, ss) in product(columns.items(), sigmas.items()):
         if 0 <= dg + dt - base < len(classes):
             classes[dg + dt - base] += ["".join(c(s)) for c in cs for s in ss]
     return tuple(tuple(sorted(words)) for words in classes)

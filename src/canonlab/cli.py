@@ -229,8 +229,8 @@ def _cmd_gamma(cfg: argparse.Namespace) -> int:
         raise SizeCapError(f"the {sum(gi.counts)} class words would print more than "
                            f"{MAX_LISTED} letters; pass a smaller --m or --n")
     words = gamma_class_words(gi)
-    if cfg.format == "json":  # the fields but the halves, then the classes
-        print(json.dumps(dict(zip(gi._fields[:-1], gi), classes=words)))
+    if cfg.format == "json":  # the fields, then the classes
+        print(json.dumps(dict(gi._asdict(), classes=words)))
     else:
         print(f"gamma {list(gi.gamma)}")
         print(f"counts {list(gi.counts)} (shift {gi.shift}, stated {gi.stated_shift})")

@@ -53,7 +53,8 @@ def _transitions(
 
     A transition is (source, target, v) for the step that places v.
     Transitions are listed in layer order, so one pass over them fills
-    every state before any transition leaves it.
+    every state before any transition leaves it, and a pass over them
+    reversed after all that leave it; one source's place increasing v.
     """
     n = poset.element_count
     below = poset.below
@@ -63,8 +64,9 @@ def _transitions(
     edges = []
     last = []
     for size in range(1, n + 1):
-        first = len(last)
         grown: dict[int, tuple[list[int], int]] = {}
+        steps = []  # (sources, target, v): made transitions once the layer passes both bounds
+        count = len(edges)
         for ideal, (ends, free) in layer.items():
             rest = free
             while rest:
@@ -77,19 +79,20 @@ def _transitions(
                     grown[nxt] = ([], (free ^ bit) | sum(
                         1 << x for x in above[v] if not below[x] & ~nxt))
                 last.append(v)
-                state = len(last)
-                grown[nxt][0].append(state)
-                edges.extend((src, state, v) for src in ends)
-            if len(last) - first > MAX_LAYER_STATES:
+                grown[nxt][0].append(len(last))
+                steps.append((ends, len(last), v))
+                count += len(ends)
+            if len(steps) > MAX_LAYER_STATES:
                 raise SizeCapError(
                     f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
                     f"at prefix length {size}: the poset is too wide"
                 )
-            if lanes * len(edges) * n > MAX_WORK:
+            if lanes * count * n > MAX_WORK:
                 raise SizeCapError(
                     f"the order-ideal DP has more than {MAX_WORK} lanes x transitions x "
                     f"elements at prefix length {size}: the poset is too large"
                 )
+        edges.extend((src, state, v) for ends, state, v in steps for src in ends)
         layer = grown
     return last, edges, [s for ends, _ in layer.values() for s in ends]
 

@@ -2,21 +2,19 @@
 
 A linear extension is a plain tuple of element indices.  Enumeration
 order is lexicographic on element indices, and streams can be stopped
-early.  ``enumerate_linear_extensions`` streams every extension;
-``rho_filtered_halves`` lists, in two halves, only those of a checked
-product that Cor. 5.1 counts.  Label words and their descent statistics,
-the other word-level oracles and the Dyck-path correspondence are in
-``canonlab.verify``.
+early.  ``enumerate_linear_extensions`` streams every extension.  The
+checked-product extensions that Cor. 5.1 counts come in two halves on
+the kernel's state graphs (``rho_halves``), each counted with none listed
+and listed by ``rho_orders``.  Label words, the other word-level oracles
+and the Dyck-path correspondence are in ``canonlab.verify``.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
 from typing import Iterator
 
 from canonlab import kernel
-from canonlab.errors import SizeCapError
-from canonlab.poset import Poset, chain, checked_product, rho_parities
+from canonlab.poset import Poset, chain, checked_product, product_with_chain, rho_parities
 
 
 def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
@@ -56,66 +54,65 @@ def enumerate_linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
             return
 
 
-def rho_filtered_halves(m: int, n: int) -> tuple[list, list]:
-    """The extensions of the checked product of ``chain(m)`` and [n]
-    that Cor. 5.1 counts (see ``canonlab.verify._rho_drops``; an odd
-    last pair must rise), split at (m, n), the grid's maximum, which the
-    tops cover: ``grid[d]`` lists the grid extensions g with d
-    rho-descents, ``tops[d]`` the orders t of the tops with d after
-    (m, n), and each g + t counts.  A step into a top falls only from an odd (m, n), the
-    grid's largest key, which no step falls onto, so the search over the
-    tops starts at (m, n) whatever g was.  The grid's search starts at
-    (1, 1) as if placed by a fall: a rho-descent at position 1 is double.
+def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
+    """The extensions of the checked product of ``chain(m)`` and [n] that
+    Cor. 5.1 counts (``canonlab.verify._rho_drops``) as g + t: g a way of
+    the grid [m]x[n] from (1, 1), the least key, so with no (double) fall
+    at position 1, and t one of the n tops above (m, n), the grid's
+    maximum, with g's falls (rho-descents) plus t's from (m, n) on.  A step
+    into a top falls only from an odd (m, n), the grid's largest key, onto
+    which no step falls, so the tops start at (m, n) as if it rose, and end
+    with no fall onto an odd key (an odd last pair rises).  A half is (its
+    ways counted by falls, its kernel state graph as (transitions, state
+    keys, rose, fell)): ``rose[s]`` (``fell[s]``) counts the ways to finish
+    from state s reached by a rise (a fall), with no fall right after a
+    fall, packed by their falls as the kernel packs its histograms.
     """
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
-    mn = size - n
-    # mn prefixes per extension of the grid (hook-length formula), n per order of the tops
-    hooks = prod(i + j + 1 for i in range(m) for j in range(n))
-    prefixes = mn * factorial(mn) // hooks + n * factorial(n)
-    if prefixes > kernel.MAX_WORK:
-        raise SizeCapError(f"the Cor. 5.1 search may visit {prefixes} prefixes, "
-                           f"above the work bound {kernel.MAX_WORK}")
     keys = [parity * size + v for v, parity in enumerate(rho_parities(pcheck))]
-    below = pcheck.below
-    succ = [pcheck.successors(v) for v in range(size)]
+    return (_rho_half(product_with_chain(chain(m), n), keys[:-n], 0, True),
+            _rho_half(Poset(n, ()), keys[-n:], keys[-n - 1], keys[-1] < size))
 
-    def search(prev: int, fell: bool, count: int) -> list[list[tuple[int, ...]]]:
-        # out[d]: the orders of count elements after prev (placed by a
-        # fall iff fell) with d falls and none right after a fall
-        final = prev + count + 1 == size  # the tops, which leave prev out
-        out = [[] for _ in range(count // 2 + 2)]
-        order, readies, falls = [prev], [], [fell]
-        placed = (2 << prev) - 1  # (1, 1), or the whole grid
-        ready = todo = sum(1 << v for v in range(prev + 1, size) if not below[v] & ~placed)
-        while True:
-            if len(order) > count:
-                # both odd when the fall lands on an odd key
-                if not (final and falls[-1] and keys[order[-1]] >= size):
-                    out[sum(falls) - fell].append(tuple(order[final:]))
-                todo = 0
-            if todo:  # try the least untried ready element
-                v = (todo & -todo).bit_length() - 1
-                todo ^= 1 << v
-                drop = keys[v] < keys[order[-1]]
-                if drop and falls[-1]:
-                    continue  # a fall right after a fall: refuse the step
-                order.append(v)
-                readies.append(ready)
-                falls.append(drop)
-                placed |= 1 << v
-                ready ^= 1 << v
-                for w in succ[v]:
-                    if not below[w] & ~placed:
-                        ready |= 1 << w
-                todo = ready
-            elif readies:  # step back, then try the ready elements after v
-                v = order.pop()
-                ready = readies.pop()
-                falls.pop()
-                placed ^= 1 << v
-                todo = ready >> v + 1 << v + 1
-            else:
-                return out
 
-    return search(0, True, mn - 1), search(mn - 1, False, n)
+def _rho_half(p: Poset, keys: list[int], start: int, fall_ends: bool) -> tuple:
+    last, edges, final = kernel._transitions(p)
+    width = kernel._count(last, edges, final).bit_length()
+    key = [start, *(keys[u] for u in last)]
+    rose, fell = [0] * len(key), [0] * len(key)
+    for s in final:
+        rose[s], fell[s] = 1, int(fall_ends)
+    for src, dst, _ in reversed(edges):  # every state after the steps leaving it
+        if key[dst] < key[src]:
+            rose[src] += fell[dst] << width
+        else:
+            rose[src] += rose[dst]
+            fell[src] += rose[dst]
+    counts = [rose[0] >> k * width & (1 << width) - 1 for k in range(p.element_count + 1)]
+    return counts, (edges, key, rose, fell)
+
+
+def _steps(graph: tuple) -> list[list[tuple[int, int, bool]]]:
+    """Each state's steps (target, element, falls) that a way takes, by decreasing element."""
+    edges, key, rose, fell = graph
+    steps = [[] for _ in key]
+    for src, dst, v in reversed(edges):
+        drop = key[dst] < key[src]
+        if (fell if drop else rose)[dst]:
+            steps[src].append((dst, v, drop))
+    return steps
+
+
+def rho_orders(graph: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every way of a half's graph (``rho_halves``) with its falls, depth
+    first and lexicographically, numbered as the half's poset is; a step
+    is taken only when a way finishes from it, so no walk ends short."""
+    steps = _steps(graph)
+    todo = [(0, False, 0, ())]
+    while todo:
+        s, fell, falls, order = todo.pop()
+        if not steps[s]:
+            yield falls, order
+        for t, v, drop in steps[s]:
+            if not (drop and fell):
+                todo.append((t, drop, falls + drop, order + (v,)))

@@ -188,8 +188,7 @@ def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int
 
 def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
     """The rho-descent positions of an extension and the double ones
-    among them, given every element's rho parity: the oracle for
-    ``rho_filtered_halves``.
+    among them, given every element's rho parity: the oracle for ``linext.rho_halves``.
 
     Position j is a rho-descent when the pair (parity, label) strictly
     falls from letter j to letter j+1; it is double when j-1 is also one,

@@ -279,6 +279,22 @@ class TestDescentClasses:
         for count, _ in enumerate(_descent_classes(6, [0, 2, 3], sizes), start=1):
             assert len(sizes) == count
 
+    def test_walk_stops_after_the_last_kept_gap(self, monkeypatch):
+        # the values after the last kept gap take any ranks, so the walk
+        # takes one prefix-count step per node before that gap and none after
+        steps = []
+        real = canon.accumulate
+        monkeypatch.setattr(canon, "accumulate", lambda f: steps.append(f) or real(f))
+        assert descent_classes(6, []) == [((1, 2, 3, 4, 5, 6), 720)]
+        assert steps == []
+        assert descent_classes(6, [0, 1]) == [
+            ((1, 2, 3, 4, 5, 6), 120), ((1, 3, 2, 4, 5, 6), 240),
+            ((2, 1, 3, 4, 5, 6), 240), ((3, 2, 1, 4, 5, 6), 120)]
+        assert len(steps) == 3
+        # so an empty P's one class of n! sigmas costs no walk at the largest n
+        assert canon_polynomial_bruteforce(poset.Poset(0, ()), (), poset.MAX_ELEMENTS) == (
+            IntPolynomial((factorial(poset.MAX_ELEMENTS),)))
+
     def test_dp_work_bound(self, monkeypatch):
         # the kernel's work bound counts the 2^|gaps| lanes, so a sum past
         # it is refused before the class walk yields a single class
@@ -555,7 +571,7 @@ class TestGammaInterpretation:
         assert gamma_interpretation(2, 3).counts == (1, 3, 2)
 
     def test_no_full_enumeration(self, monkeypatch):
-        # the pruned search replaces enumerating every extension
+        # the halves' counts replace enumerating every extension
         import canonlab.linext as linext_mod
         import canonlab.verify as verify_mod
 

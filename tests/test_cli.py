@@ -128,8 +128,6 @@ class TestPoly:
             (("verify", "cor-3.4", "--m", "9", "--n", "8"), "too large"),
             (("sweep", "gamma", "--m", "17", "--n", "2"), "2^17 subposets exceed the bound 1024"),
             (("sweep", "gamma", "--m", "1000000", "--n", "100000"), "subposets exceed the bound 1024"),
-            (("verify", "cor-5.1", "--m", "3", "--n", "8"),
-             "the Cor. 5.1 search may visit 561241776 prefixes"),
             # the kernel's work bound counts the 2^16 or 2^15 descent
             # classes as lanes, so it refuses before any class is built
             (("poly", "canon", "--m", "1", "--n", "40"), "lanes x transitions x elements"),
@@ -463,14 +461,17 @@ class TestGammaCommand:
 
     def test_counts_build_no_words(self, capsys, monkeypatch):
         # verify cor-5.1 reads counts, shift and matches only, so it runs
-        # past the listing bound from the halves' sizes alone
+        # past the listing bound from the halves' counts alone, with no
+        # extension of either half listed
         import canonlab.canon as canon_mod
+        import canonlab.linext as linext_mod
 
-        def refuse(gi):
-            raise AssertionError("a class word was built")
+        def refuse(*args):
+            raise AssertionError("a class word or an extension was listed")
 
-        monkeypatch.setattr(canon_mod, "gamma_class_words", refuse)
-        monkeypatch.setattr(cli_mod, "gamma_class_words", refuse)
+        for module, name in ((canon_mod, "gamma_class_words"), (cli_mod, "gamma_class_words"),
+                             (canon_mod, "rho_orders"), (linext_mod, "rho_orders")):
+            monkeypatch.setattr(module, name, refuse)
         code, out, _ = invoke(capsys, "verify", "cor-5.1")
         assert code == 0 and "4/4 checks hold" in out
         code, out, _ = invoke(capsys, "verify", "cor-5.1", "--m", "2", "--n", "8",
@@ -478,6 +479,9 @@ class TestGammaCommand:
         [report] = json.loads(out)
         assert code == 0 and report["holds"]
         assert "counts=(1, 261, 8182, 85315, 306768, 385280, 138880, 0)" in report["witness"]
+        # 32 elements, counted on the halves' state graphs under the kernel's bounds
+        code, out, _ = invoke(capsys, "verify", "cor-5.1", "--m", "3", "--n", "8")
+        assert code == 0 and "[ok] gamma-interpretation m=3 n=8" in out
 
 
 def test_csv_refused_where_not_implemented(capsys):

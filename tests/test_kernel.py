@@ -45,6 +45,22 @@ def test_random_posets_match_enumeration():
         check_against_oracle(random_poset(rng, max_elements=7), rng, rng.randint(1, 4))
 
 
+def test_transitions_in_layer_order_by_element():
+    # the Cor. 5.1 halves pass over the transitions backwards and walk a
+    # state's steps in element order: every transition into a state comes
+    # before any that leaves it, and one source's steps place rising elements
+    rng = random.Random(20261019)
+    for _ in range(30):
+        p = random_poset(rng, max_elements=8)
+        last, edges, final = kernel._transitions(p)
+        left: dict[int, int] = {}  # source -> the element its latest step placed
+        for src, dst, v in edges:
+            assert dst not in left and last[dst - 1] == v
+            assert left.get(src, -1) < v
+            left[src] = v
+        assert not left.keys() & set(final)
+
+
 @pytest.mark.parametrize("p", [
     Poset(1, frozenset()),
     antichain(2),

@@ -6,7 +6,8 @@ import pytest
 from conftest import dyck_paths, random_poset
 
 from canonlab.kernel import count_extensions
-from canonlab.linext import enumerate_linear_extensions, rho_filtered_halves
+from canonlab import linext
+from canonlab.linext import enumerate_linear_extensions, rho_halves, rho_orders
 from canonlab.poset import (
     Poset,
     canon_labeling,
@@ -208,17 +209,26 @@ class TestRhoDescents:
             assert doubles == [j for j in drops if j == 1 or j - 1 in drops]
 
     def test_wrong_shape(self):
-        # the search builds its checked product from (m, n) itself
+        # the halves build their checked product from (m, n) themselves
         with pytest.raises(ValueError, match="chain size must be >= 1"):
-            rho_filtered_halves(0, 2)
+            rho_halves(0, 2)
         with pytest.raises(ValueError, match="chain factor must have size >= 1"):
-            rho_filtered_halves(2, 0)
+            rho_halves(2, 0)
 
-    def test_pruned_search_matches_filtered_enumeration(self):
+    def test_halves_match_filtered_enumeration(self, monkeypatch):
         # oracle: every extension, filtered afterwards by the double
-        # rho-descent rule and the final-pair rule; the split search
-        # gives each once as g + t, with the sum of its halves' counts
-        # (m = 1: a one-chain grid, all the work in the tops)
+        # rho-descent rule and the final-pair rule; the halves give each
+        # once as g + t, with the sum of its halves' falls (m = 1: a
+        # one-chain grid, most of the work in the tops)
+        visits = []
+
+        class Steps(list):  # one pass over a state's steps per state the walk visits
+            def __iter__(self):
+                visits.append(len(self))
+                return super().__iter__()
+
+        steps = linext._steps
+        monkeypatch.setattr(linext, "_steps", lambda graph: [Steps(s) for s in steps(graph)])
         for m in range(1, 16):
             for n in range(1, 16 // (m + 1) + 1):
                 p = checked_product(chain(m), n)
@@ -230,9 +240,23 @@ class TestRhoDescents:
                     if doubles or (parities[prev] == parities[last] == 1 and prev > last):
                         continue
                     expected[ext, len(drops)] += 1
-                grid, tops = rho_filtered_halves(m, n)
-                got = Counter((g + t, dg + dt) for dg, gs in enumerate(grid) for g in gs
-                              for dt, ts in enumerate(tops) for t in ts)
+                halves = []
+                for counts, graph in rho_halves(m, n):
+                    visits.clear()
+                    ways = list(rho_orders(graph))
+                    assert ways == sorted(ways, key=lambda way: way[1]), (m, n)
+                    # the walk visits exactly the prefixes of the ways it
+                    # lists, so none of its walks ends short
+                    prefixes = {order[:k] for _, order in ways for k in range(len(order) + 1)}
+                    assert len(visits) == len(prefixes), (m, n)
+                    # the counts, read with no way listed, are the listing's
+                    falls = Counter(d for d, _ in ways)
+                    assert counts == [falls[d] for d in range(len(counts))], (m, n)
+                    assert sum(counts) == len(ways), (m, n)
+                    halves.append(ways)
+                grid, tops = halves
+                got = Counter((g + tuple(m * n + j for j in t), dg + dt)
+                              for dg, g in grid for dt, t in tops)
                 assert got == expected, (m, n)
 
 

@@ -39,8 +39,8 @@ RECORDS = {
                       "mask"),
     "IdentityReport": (lambda: IdentityReport("x", True), IdentityReport("x", False), "holds"),
     "GammaInterpretation": (
-        lambda: GammaInterpretation(2, 2, (1, 1), (1, 1), 1, 1, True, (((1, 2),), ((2, 1),))),
-        GammaInterpretation(2, 2, (1, 1), (1, 0), 1, None, False, ((), ())),
+        lambda: GammaInterpretation(2, 2, (1, 1), (1, 1), 1, 1, True),
+        GammaInterpretation(2, 2, (1, 1), (1, 0), 1, None, False),
         "matches",
     ),
     "SweepRow": (lambda: _sweep_row(1), _sweep_row(2), "mask"),
