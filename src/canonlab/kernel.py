@@ -6,11 +6,11 @@ element u placed last (none in the start state).  Placing an element v
 that is minimal outside I moves (I, u) to (I + v, v), a descent of the
 label word when label[v] < label[u] (a weak descent when label[v] <=
 label[u]); the first step is never one.  Only the states of the one
-ideal I lead to (I + v, v), so the states form a layered graph, built
-once per poset and run once per labeling.  Its size is the number of
-(ideal, maximal element) pairs, which grows with the poset's width, not
-with its number e(P) of linear extensions (counting those is
-#P-complete).
+ideal I lead to (I + v, v), so each state lists the states of one ideal
+as its sources, and the states form a layered graph, built once per
+poset and run once per labeling.  Its size is the number of (ideal,
+maximal element) pairs, which grows with the poset's width, not with its
+number e(P) of linear extensions (counting those is #P-complete).
 
 A state carries the descent histogram of the prefixes reaching it as one
 Python int, bin k at bits [k*B, (k+1)*B): a descent is ``h << B``, and
@@ -21,7 +21,8 @@ e(P) < 2**B and no addition carries into the next bin.
 
 The states of an ideal grow from the elements minimal outside it, which
 each ideal passes on to the next, so building them costs in proportion
-to the transitions, and a pass moves |P| bins along every transition.
+to the transitions.  Only a lane pass unrolls the sources into
+transitions, and it moves |P| bins along every one.
 Two bounds raise ``SizeCapError`` while the states are built, before any
 pass: a layer (the states of the ideals of one size) above
 ``MAX_LAYER_STATES`` bounds the memory of a wide poset, and lanes times
@@ -44,29 +45,25 @@ def backend() -> str:
     return "python"
 
 
-def _transitions(
-    poset, lanes: int = 1
-) -> tuple[list[int], list[tuple[int, int, int]], list[int]]:
-    """The state graph: (the element placed last by each state after the
-    start, transitions, final states), refused past ``MAX_WORK`` for
-    ``lanes`` passes.
-
-    A transition is (source, target, v) for the step that places v.
-    Transitions are listed in layer order, so one pass over them fills
-    every state before any transition leaves it, and a pass over them
-    reversed after all that leave it; one source's place increasing v.
-    """
+def _transitions(poset, lanes: int = 1) -> tuple[list[int], list[list[int]], list[int]]:
+    """The state graph (last, sources, final), refused past ``MAX_WORK``
+    for ``lanes`` passes: state s > 0 places ``last[s - 1]`` and is
+    reached from ``sources[s - 1]``, the states of the ideal it grows from,
+    one list shared by all the states that ideal grows, which place rising
+    elements.  States are numbered in layer order, so a pass upwards fills
+    every state before any step leaves it, and one downwards after all the
+    steps that leave it."""
     n = poset.element_count
     below = poset.below
     above = [poset.successors(v) for v in range(n)]
     # ideal -> (its states, the elements minimal outside the ideal)
     layer = {0: ([0], sum(1 << v for v in poset.minimal_elements()))}
-    edges = []
     last = []
+    sources = []
+    count = 0  # transitions so far
     for size in range(1, n + 1):
         grown: dict[int, tuple[list[int], int]] = {}
-        steps = []  # (sources, target, v): made transitions once the layer passes both bounds
-        count = len(edges)
+        before = len(last)  # states in the layers so far
         for ideal, (ends, free) in layer.items():
             rest = free
             while rest:
@@ -79,10 +76,10 @@ def _transitions(
                     grown[nxt] = ([], (free ^ bit) | sum(
                         1 << x for x in above[v] if not below[x] & ~nxt))
                 last.append(v)
+                sources.append(ends)
                 grown[nxt][0].append(len(last))
-                steps.append((ends, len(last), v))
                 count += len(ends)
-            if len(steps) > MAX_LAYER_STATES:
+            if len(last) - before > MAX_LAYER_STATES:
                 raise SizeCapError(
                     f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
                     f"at prefix length {size}: the poset is too wide"
@@ -92,17 +89,15 @@ def _transitions(
                     f"the order-ideal DP has more than {MAX_WORK} lanes x transitions x "
                     f"elements at prefix length {size}: the poset is too large"
                 )
-        edges.extend((src, state, v) for ends, state, v in steps for src in ends)
         layer = grown
-    return last, edges, [s for ends, _ in layer.values() for s in ends]
+    return last, sources, [s for ends, _ in layer.values() for s in ends]
 
 
-def _count(last, edges, final) -> int:
+def _count(last, sources, final) -> int:
     """e(P): the number of paths from the start state to a final one."""
-    h = [0] * (len(last) + 1)
-    h[0] = 1
-    for src, dst, _ in edges:
-        h[dst] += h[src]
+    h = [1]
+    for ends in sources:
+        h.append(sum(map(h.__getitem__, ends)))
     return sum(h[s] for s in final)
 
 
@@ -124,8 +119,11 @@ def descent_histograms(poset, labelings, weak: bool = False) -> list[list[int]]:
     label, which no label falls below."""
     n = poset.element_count
     offset = 1 if weak else 0
-    last, edges, final = _transitions(poset, max(len(labelings), 1))
-    width = _count(last, edges, final).bit_length()
+    last, sources, final = _transitions(poset, max(len(labelings), 1))
+    width = _count(last, sources, final).bit_length()
+    # flat steps: a lane over grouped sources, mostly of one state, runs slower
+    edges = [(src, dst, v)
+             for dst, (ends, v) in enumerate(zip(sources, last), 1) for src in ends]
     bins = (1 << width) - 1
     rows = []
     for labels in labelings:

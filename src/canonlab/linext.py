@@ -63,10 +63,10 @@ def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
     into a top falls only from an odd (m, n), the grid's largest key, onto
     which no step falls, so the tops start at (m, n) as if it rose, and end
     with no fall onto an odd key (an odd last pair rises).  A half is (its
-    ways counted by falls, its kernel state graph as (transitions, state
-    keys, rose, fell)): ``rose[s]`` (``fell[s]``) counts the ways to finish
-    from state s reached by a rise (a fall), with no fall right after a
-    fall, packed by their falls as the kernel packs its histograms.
+    ways counted by falls, (last, sources, key, rose, fell)): its kernel
+    state graph, each state's key, and the ways to finish from state s
+    reached by a rise, ``rose[s]``, or by a fall, ``fell[s]``, with no fall
+    right after a fall, packed by their falls as the kernel packs them.
     """
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
@@ -76,30 +76,32 @@ def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
 
 
 def _rho_half(p: Poset, keys: list[int], start: int, fall_ends: bool) -> tuple:
-    last, edges, final = kernel._transitions(p)
-    width = kernel._count(last, edges, final).bit_length()
+    last, sources, final = kernel._transitions(p)
+    width = kernel._count(last, sources, final).bit_length()
     key = [start, *(keys[u] for u in last)]
     rose, fell = [0] * len(key), [0] * len(key)
     for s in final:
         rose[s], fell[s] = 1, int(fall_ends)
-    for src, dst, _ in reversed(edges):  # every state after the steps leaving it
-        if key[dst] < key[src]:
-            rose[src] += fell[dst] << width
-        else:
-            rose[src] += rose[dst]
-            fell[src] += rose[dst]
+    for dst in range(len(last), 0, -1):  # every state after the steps leaving it
+        for src in sources[dst - 1]:
+            if key[dst] < key[src]:
+                rose[src] += fell[dst] << width
+            else:
+                rose[src] += rose[dst]
+                fell[src] += rose[dst]
     counts = [rose[0] >> k * width & (1 << width) - 1 for k in range(p.element_count + 1)]
-    return counts, (edges, key, rose, fell)
+    return counts, (last, sources, key, rose, fell)
 
 
 def _steps(graph: tuple) -> list[list[tuple[int, int, bool]]]:
     """Each state's steps (target, element, falls) that a way takes, by decreasing element."""
-    edges, key, rose, fell = graph
+    last, sources, key, rose, fell = graph
     steps = [[] for _ in key]
-    for src, dst, v in reversed(edges):
-        drop = key[dst] < key[src]
-        if (fell if drop else rose)[dst]:
-            steps[src].append((dst, v, drop))
+    for dst in range(len(last), 0, -1):
+        for src in sources[dst - 1]:
+            drop = key[dst] < key[src]
+            if (fell if drop else rose)[dst]:
+                steps[src].append((dst, last[dst - 1], drop))
     return steps
 
 
