@@ -270,9 +270,9 @@ def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
 
 
 def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:
-    """The sorted canon words of each gamma class i, the extensions
-    g + t with shift + i rho-descents: g's columns looked up in the
-    string of column values t spells."""
+    """The canon words of each gamma class i, the extensions g + t with
+    shift + i rho-descents, sorted by their letters: g's columns looked up
+    in the column values t lists, joined by "." from n = 10 on."""
     m = gi.m
     base = gi.stated_shift if gi.shift is None else gi.shift
     classes = [[] for _ in gi.gamma]
@@ -280,12 +280,15 @@ def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:
     columns, sigmas = {}, {}  # falls -> the half's ways
     for d, g in rho_orders(grid):
         columns.setdefault(d, []).append(itemgetter(*[v // m for v in g]))
+    # letter k is the character chr(ord("0") + k): it sorts as k, and is k up to 9
     for d, t in rho_orders(tops):  # top j has column value j + 1
-        sigmas.setdefault(d, []).append("".join(str(j + 1) for j in t))
+        sigmas.setdefault(d, []).append("".join(chr(ord("1") + j) for j in t))
     for (dg, cs), (dt, ss) in product(columns.items(), sigmas.items()):
         if 0 <= dg + dt - base < len(classes):
             classes[dg + dt - base] += ["".join(c(s)) for c in cs for s in ss]
-    return tuple(tuple(sorted(words)) for words in classes)
+    full = {ord("0") + k: f"{k}." for k in range(1, gi.n + 1)}
+    spell = str if gi.n < 10 else lambda w: w.translate(full)[:-1]
+    return tuple(tuple(map(spell, sorted(words))) for words in classes)
 
 
 class SweepRow(NamedTuple):

@@ -66,7 +66,8 @@ def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
     ways counted by falls, (last, sources, key, rose, fell)): its kernel
     state graph, each state's key, and the ways to finish from state s
     reached by a rise, ``rose[s]``, or by a fall, ``fell[s]``, with no fall
-    right after a fall, packed by their falls as the kernel packs them.
+    right after a fall, packed by their falls as the kernel packs them, in
+    bins as wide as the e(P) that the graph's build counts: no pass counts.
     """
     pcheck = checked_product(chain(m), n)
     size = pcheck.element_count
@@ -76,8 +77,8 @@ def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
 
 
 def _rho_half(p: Poset, keys: list[int], start: int, fall_ends: bool) -> tuple:
-    last, sources, final = kernel._transitions(p)
-    width = kernel._count(last, sources, final).bit_length()
+    last, sources, final, count = kernel._transitions(p)
+    width = count.bit_length()
     key = [start, *(keys[u] for u in last)]
     rose, fell = [0] * len(key), [0] * len(key)
     for s in final:

@@ -168,8 +168,7 @@ def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
     """
     if w is None:
         w = natural_labeling(p)
-    hist = kernel.descent_histograms(p, [w])[0]
-    return IntPolynomial(tuple(hist))
+    return IntPolynomial(kernel.descent_histograms(p, [w])[0])
 
 
 def poly_to_payload(p: IntPolynomial) -> dict:

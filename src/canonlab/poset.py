@@ -141,9 +141,8 @@ def _topological_order(n, succ) -> list[int]:
     for lst in succ:
         for w in lst:
             indeg[w] += 1
-    ready = sorted(v for v in range(n) if indeg[v] == 0)
+    ready = sorted(v for v in range(n) if indeg[v] == 0)  # a sorted list is a heap
     order = []
-    heapq.heapify(ready)
     while ready:
         v = heapq.heappop(ready)
         order.append(v)

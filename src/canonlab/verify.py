@@ -203,12 +203,14 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
 
 def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
     """The weak-descent polynomial by its definition, the oracle for
-    ``weak_descent_polynomial``: one kernel lane per sigma, counting weak
-    descents of the multiset letters ceil(label / m), sigma(j) at (x, j)."""
+    ``weak_descent_polynomial``: one kernel lane per sigma, on the multiset
+    letters ceil(label / m) negated, n + 1 - sigma(j) at (x, j), whose
+    descents are the strict ascents, so each row reads backwards."""
     sigmas = column_labelings(n)
     letters = _Sized(len(sigmas),
-                     lambda: ([s for s in sigma for _ in range(m)] for sigma in sigmas))
-    return _row_sum(kernel.descent_histograms(product_with_chain(chain(m), n), letters, weak=True))
+                     lambda: ([n + 1 - s for s in sigma for _ in range(m)] for sigma in sigmas))
+    rows = kernel.descent_histograms(product_with_chain(chain(m), n), letters)
+    return mirrored(_row_sum(rows), m * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +582,6 @@ def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int
             extra = f"  ({r.witness})" if (r.witness and not r.holds) else ""
             print(f"[{mark}] {r.name}{extra}")
         print(f"{len(reports) - len(failed)}/{len(reports)} checks hold")
-    if failed and cfg.format == "plain":
         for r in failed:
             print(json.dumps({"name": r.name, **_sides(r), "witness": r.witness}))
     return 1 if failed else 0

@@ -561,6 +561,19 @@ class TestGammaInterpretation:
             assert set(words[i]) == expected, f"bucket {i}"
             assert list(words[i]) == sorted(expected), f"bucket {i}"
 
+    def test_words_past_nine_columns(self):
+        # from n = 10 on a word writes each letter in full, joined by ".",
+        # and a class is sorted by its letters, not by its characters
+        gi = gamma_interpretation(1, 10)
+        words = gamma_class_words(gi)
+        assert words[0] == ("1.2.3.4.5.6.7.8.9.10",)
+        assert tuple(map(len, words)) == gi.counts
+        for bucket in words:
+            letters = [tuple(map(int, w.split("."))) for w in bucket]
+            assert all(sorted(w) == list(range(1, 11)) for w in letters)
+            assert letters == sorted(set(letters))
+        assert gamma_class_words(gamma_interpretation(1, 1)) == (("1",),)
+
     def test_single_row_matches_eulerian_gamma(self):
         for n in range(1, 6):
             gi = gamma_interpretation(1, n)

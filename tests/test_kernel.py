@@ -13,6 +13,7 @@ from conftest import random_labeling, random_poset
 from canonlab import kernel
 from canonlab.errors import SizeCapError
 from canonlab.linext import enumerate_linear_extensions
+from canonlab.polys import IntPolynomial
 from canonlab.poset import (
     Poset,
     canon_labeling,
@@ -20,7 +21,14 @@ from canonlab.poset import (
     checked_product,
     product_with_chain,
 )
-from canonlab.verify import antichain, descent_count, multiset_word, weak_descent_count, word
+from canonlab.verify import (
+    _weak_descent_lanes,
+    antichain,
+    descent_count,
+    multiset_word,
+    weak_descent_count,
+    word,
+)
 
 
 def oracle_histogram(p: Poset, w: tuple[int, ...], count=descent_count) -> list[int]:
@@ -50,12 +58,14 @@ def test_transitions_in_layer_order_by_element():
     # a state lists as its sources the states of the ideal it grows from,
     # all numbered before it, in one list shared by every state that ideal
     # grows, and those place rising elements: the Cor. 5.1 halves walk the
-    # states downwards and a state's steps in element order
+    # states downwards and a state's steps in element order; the build
+    # counts the extensions
     rng = random.Random(20261019)
     for _ in range(30):
         p = random_poset(rng, max_elements=8)
         n = p.element_count
-        last, sources, final = kernel._transitions(p)
+        last, sources, final, count = kernel._transitions(p)
+        assert count == len(list(enumerate_linear_extensions(p)))
         ideal = [0]  # of each state, read off the first state it grows from
         for ends, v in zip(sources, last):
             ideal.append(ideal[ends[0]] | 1 << v)
@@ -75,6 +85,7 @@ def test_transitions_in_layer_order_by_element():
             assert [v for _, v in grows[i]] == [
                 v for v in range(n) if not i >> v & 1 and not p.below[v] & ~i]
         assert final == states[(1 << n) - 1]
+    assert kernel._transitions(Poset(0, frozenset())) == ([], [], [0], 1)
 
 
 @pytest.mark.parametrize("p", [
@@ -92,35 +103,35 @@ def test_fixed_posets_match_enumeration(p):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weak_histograms_match_enumeration(m, n):
+    # the lanes count weak descents as the descents of n + 1 - sigma(j),
+    # read backwards: against the weak descents of every multiset word
     grid = product_with_chain(chain(m), n)
-    labelings = [
-        canon_labeling(tuple(range(1, m + 1)), sigma)
-        for sigma in permutations(range(1, n + 1))
-    ]
-    letters = [[(label + m - 1) // m for label in lab] for lab in labelings]
-    expected = []
-    for lab in labelings:
-        hist = [0] * (m * n)
+    hist = [0] * (m * n)
+    for sigma in permutations(range(1, n + 1)):
+        lab = canon_labeling(tuple(range(1, m + 1)), sigma)
         for ext in enumerate_linear_extensions(grid):
             hist[weak_descent_count(multiset_word(ext, lab, m))] += 1
-        expected.append(hist)
-    assert kernel.descent_histograms(grid, letters, weak=True) == expected
+    assert _weak_descent_lanes(m, n) == IntPolynomial(hist)
 
 
 def test_histograms_under_labels_with_ties():
-    # any integer labels, negative ones and ties included: a weak descent
-    # is a level step as well as a drop, and the first step is none, even
-    # from the least letter
+    # any integer labels, negative ones and ties included; the first step
+    # is no descent, even from the least letter.  A step is a weak descent
+    # or a strict ascent, a descent under the negated labels, so a weak
+    # histogram is the negated labels' histogram read backwards
     rng = random.Random(20261019)
     for _ in range(150):
         p = random_poset(rng, max_elements=7)
         n = p.element_count
         labelings = [tuple(rng.randint(-2, 3) for _ in range(n))
                      for _ in range(rng.randint(1, 4))]
-        for weak, count in ((False, descent_count), (True, weak_descent_count)):
-            assert kernel.descent_histograms(p, labelings, weak=weak) == [
-                oracle_histogram(p, w, count) for w in labelings
-            ]
+        assert kernel.descent_histograms(p, labelings) == [
+            oracle_histogram(p, w) for w in labelings
+        ]
+        negated = [[-x for x in w] for w in labelings]
+        assert [row[::-1] for row in kernel.descent_histograms(p, negated)] == [
+            oracle_histogram(p, w, weak_descent_count) for w in labelings
+        ]
 
 
 def test_empty_poset():

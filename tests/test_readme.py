@@ -65,3 +65,15 @@ def test_registry_lists_every_statement():
     for name, entry in VERIFY_CHECKS.items():
         entries.setdefault(entry, []).append(name)
     assert rows == list(entries.values())
+
+
+def test_start_up_line_count():
+    # the modules every command but verify compiles, and their lines as wc -l counts them
+    match = re.search(r"compiles\s+the package's\s+(.*?),\s+([\d,]+) lines \(`wc -l`\)",
+                      README, re.S)
+    assert match, "no start-up line count"
+    modules = re.findall(r"`(\w+)`", match.group(1))
+    assert modules == ["__init__", "cli", "canon", "polys", "linext", "poset", "kernel", "errors"]
+    src = ROOT / "src" / "canonlab"
+    lines = sum((src / f"{name}.py").read_bytes().count(b"\n") for name in modules)
+    assert int(match.group(2).replace(",", "")) == lines

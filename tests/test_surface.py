@@ -21,8 +21,8 @@ ALLOWED = {
     "check every canon-labeled extension against",
     "multiset_word": "oracle: the multiset word of an extension, the other side of "
     "those tests",
-    "weak_descent_count": "oracle: the definitional weak-descent count the kernel's "
-    "weak mode is tested against",
+    "weak_descent_count": "oracle: the definitional weak-descent count the lanes "
+    "over negated letters are tested against",
     "order_polynomial_values": "oracle: the definitional order-polynomial brute force "
     "the h* generating-function contract is tested against",
     "backend": "kernel.backend, read by canonbench through canonlab.kernel_backend",
