@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import factorial
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
@@ -136,15 +136,19 @@ def subposet_masks(m: int, n: int) -> range:
 
 def canon_rows(
     q: Poset, w: Sequence[int], sigmas: Collection[Sequence[int]]
-) -> list[list[int]]:
+) -> Iterator[list[int]]:
     """The descent histogram of ``q`` under each canon labeling w x sigma,
-    one row per sigma, from one kernel call."""
+    yielded one row per sigma as one kernel call runs its lane."""
     labelings = _Sized(len(sigmas), lambda: (canon_labeling(w, sigma) for sigma in sigmas))
     return kernel.descent_histograms(q, labelings)
 
 
-def _row_sum(rows: Sequence[Sequence[int]]) -> IntPolynomial:
-    return IntPolynomial(tuple(map(sum, zip(*rows))))
+def _row_sum(rows: Iterable[Sequence[int]], weights: Iterable[int] = repeat(1)) -> IntPolynomial:
+    """The rows, each read before its weight and times it, summed in one running row."""
+    total = ()
+    for row, weight in zip(rows, weights):
+        total = [*map(add, total or repeat(0), map(mul, row, repeat(weight)))]
+    return IntPolynomial(total)
 
 
 def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int]) -> Iterator[tuple[int, ...]]:
@@ -178,14 +182,14 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     the descent polynomials of ``product_with_chain(p, n, mask)`` under
     w x sigma over every column labeling sigma.  The kernel runs one lane
     per descent class of sigma on the gaps that keep a cover, and each
-    class's row counts once per sigma in it."""
+    class's row counts once per sigma in it, read as the class is walked."""
     q = product_with_chain(p, n, mask)
     _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
     k = n - 1
     gaps = [j for j in range(k) if any(~mask >> x * k + j & 1 for x in range(p.element_count))]
     sizes: list[int] = []
     rows = canon_rows(q, w, _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps, sizes)))
-    return IntPolynomial(tuple(sum(map(mul, sizes, column)) for column in zip(*rows)))
+    return _row_sum(rows, sizes)
 
 
 def _product_form(

@@ -25,12 +25,12 @@ exceeds e(P) < 2**B and no addition carries into the next bin.
 The states of an ideal grow from the elements minimal outside it, which
 each ideal passes on to the next, so building them costs in proportion
 to the transitions; only a lane pass unrolls the sources into
-transitions, moving |P| bins along every one.  Two bounds raise
-``SizeCapError`` while the states are built, before any pass: a layer
-(the states of the ideals of one size) above ``MAX_LAYER_STATES`` bounds
-the memory of a wide poset, and lanes times transitions times |P| above
-``MAX_WORK`` the work of many lanes or of a long, narrow poset, where no
-layer is large.
+transitions, moving |P| bins along every one, and yields its row, so a
+sum keeps one row.  Two bounds raise ``SizeCapError`` while the states
+are built, before any labeling is read: a layer (the states of the
+ideals of one size) above ``MAX_LAYER_STATES`` bounds the memory of a
+wide poset, and lanes times transitions times |P| above ``MAX_WORK`` the
+work of many lanes or of a long, narrow poset, where no layer is large.
 """
 
 from __future__ import annotations
@@ -104,17 +104,16 @@ def count_extensions(poset) -> int:
     return _transitions(poset)[3]
 
 
-def descent_histograms(poset, labelings) -> list[list[int]]:
-    """For each labeling (a sequence of integer labels indexed by element),
-    the histogram of descent counts over all linear extensions of
-    ``poset``: entry d counts the extensions whose label word has d
-    descents.  Every row has max(n, 1) entries; a lane packs them in bins
-    as wide as the e(P) that the graph's build counts, with no counting pass.
+def descent_histograms(poset, labelings):
+    """Yield each labeling's row as its lane finishes: entry d counts the
+    linear extensions of ``poset`` whose label word (integer labels indexed
+    by element) has d descents, in max(n, 1) entries packed in bins as wide
+    as the graph's e(P).  The first ``next`` builds the graph for
+    ``len(labelings)`` lanes, so both bounds refuse before any is pulled.
 
     A step placing v from a state whose last element is u is a descent
     exactly when label[v] < key, the state's key label[u]; the start
-    state's key is the least label, which no label falls below.  There is
-    no weak mode: ``verify._weak_descent_lanes`` negates its labels."""
+    state's key is the least label, which no label falls below."""
     n = poset.element_count
     last, sources, final, count = _transitions(poset, max(len(labelings), 1))
     width = count.bit_length()
@@ -122,7 +121,6 @@ def descent_histograms(poset, labelings) -> list[list[int]]:
     edges = [(src, dst, v)
              for dst, (ends, v) in enumerate(zip(sources, last), 1) for src in ends]
     bins = (1 << width) - 1
-    rows = []
     for labels in labelings:
         keys = [min(labels, default=0)]
         keys += [labels[u] for u in last]
@@ -130,5 +128,4 @@ def descent_histograms(poset, labelings) -> list[list[int]]:
         for src, dst, v in edges:
             h[dst] += h[src] << width if labels[v] < keys[src] else h[src]
         total = sum(h[s] for s in final)
-        rows.append([total >> k * width & bins for k in range(max(n, 1))])
-    return rows
+        yield [total >> k * width & bins for k in range(max(n, 1))]

@@ -19,10 +19,10 @@ class IntPolynomial(Frozen):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int]):
-        coeffs = tuple(int(c) for c in coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = [int(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:  # a pop per zero, no copy
+            coeffs.pop()
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -168,7 +168,7 @@ def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
     """
     if w is None:
         w = natural_labeling(p)
-    return IntPolynomial(kernel.descent_histograms(p, [w])[0])
+    return IntPolynomial(next(kernel.descent_histograms(p, [w])))
 
 
 def poly_to_payload(p: IntPolynomial) -> dict:

@@ -423,13 +423,13 @@ def _check_narayana_model(cfg: argparse.Namespace, m: int, n: int) -> list[Ident
 
 
 def _check_shift_law(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    sigmas = column_labelings(n)
-    rows = canon_rows(product_with_chain(chain(m), n), _row_labeling("natural", m), sigmas)
-    base = IntPolynomial(rows[0])  # sigma = the identity
-    bad = [s for s, row in zip(sigmas, rows)
-           if IntPolynomial(row) != base.shift(descent_count(s))]
-    detail = f"failed at sigma={bad[0]}" if bad else None
-    return [IdentityReport(f"shift-law m={m} n={n}", not bad, witness=detail)]
+    sigmas, grid = column_labelings(n), product_with_chain(chain(m), n)
+    # each row comes before its sigma, so a refusal lists no sigma
+    rows = zip(canon_rows(grid, _row_labeling("natural", m), sigmas), sigmas)
+    base = IntPolynomial(next(rows)[0])  # sigma = the identity
+    bad = next((s for row, s in rows if IntPolynomial(row) != base.shift(descent_count(s))), None)
+    detail = None if bad is None else f"failed at sigma={bad}"
+    return [IdentityReport(f"shift-law m={m} n={n}", bad is None, witness=detail)]
 
 
 def _check_checked_product(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
@@ -468,11 +468,10 @@ def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityRe
     # the full mask first: it has the most transitions, so it is refused first
     for spec in reversed(_amphibian_specs(m, n)):
         q = spec.poset()
-        lhs, rhs = canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas)
-        bad = [s for s, a, b in zip(sigmas, lhs, rhs)
-               if IntPolynomial(a) != IntPolynomial(b).shift(k)]
-        if bad:
-            detail = f"mask={spec.mask} sigma={bad[0]}"
+        pairs = zip(canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas), sigmas)
+        bad = next((s for a, b, s in pairs if IntPolynomial(a) != IntPolynomial(b).shift(k)), None)
+        if bad is not None:
+            detail = f"mask={spec.mask} sigma={bad}"
             break
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 

@@ -1,4 +1,5 @@
 import inspect
+import random
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -197,6 +198,20 @@ class TestColumnLabelings:
         assert [IntPolynomial(tuple(r)) for r in rows] == [
             hstar(grid, canon_labeling(w, s)) for s in sigmas
         ]
+
+
+def test_row_sum_weighs_each_row():
+    # one running row against the column-wise weighted sum, rows of one
+    # entry included; the rows and weights come as one-shot iterators
+    rng = random.Random(20261019)
+    for _ in range(200):
+        width, count = rng.choice([1, 1, 2, 5, 9]), rng.randint(1, 6)
+        rows = [[rng.randint(0, 10**20) for _ in range(width)] for _ in range(count)]
+        weights = [rng.randint(0, 10**6) for _ in range(count)]
+        columns = [sum(w * row[k] for w, row in zip(weights, rows)) for k in range(width)]
+        assert _row_sum(iter(rows), iter(weights)) == IntPolynomial(columns)
+        assert _row_sum(iter(rows)) == IntPolynomial(map(sum, zip(*rows)))
+    assert _row_sum(iter(())) == IntPolynomial(())
 
 
 def pprime_words(pprime):

@@ -332,9 +332,12 @@ class TestVerify:
         real = verify_mod.canon_rows
 
         def perturbed(q, w, sigmas):
+            # the last row gains one extension as it passes through the stream
             rows = real(q, w, sigmas)
-            rows[-1] = [rows[-1][0] + 1] + rows[-1][1:]
-            return rows
+            for _ in range(len(sigmas) - 1):
+                yield next(rows)
+            last = next(rows)
+            yield [last[0] + 1] + last[1:]
 
         monkeypatch.setattr(verify_mod, "canon_rows", perturbed)
         code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")

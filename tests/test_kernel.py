@@ -11,9 +11,10 @@ import pytest
 from conftest import random_labeling, random_poset
 
 from canonlab import kernel
+from canonlab.canon import _Sized
 from canonlab.errors import SizeCapError
 from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import IntPolynomial
+from canonlab.polys import IntPolynomial, eulerian
 from canonlab.poset import (
     Poset,
     canon_labeling,
@@ -25,6 +26,7 @@ from canonlab.verify import (
     _weak_descent_lanes,
     antichain,
     descent_count,
+    generalized_product_identity,
     multiset_word,
     weak_descent_count,
     word,
@@ -42,7 +44,7 @@ def oracle_histogram(p: Poset, w: tuple[int, ...], count=descent_count) -> list[
 
 def check_against_oracle(p: Poset, rng: random.Random, lanes: int) -> None:
     labelings = [random_labeling(rng, p.element_count) for _ in range(lanes)]
-    assert kernel.descent_histograms(p, labelings) == [
+    assert list(kernel.descent_histograms(p, labelings)) == [
         oracle_histogram(p, w) for w in labelings
     ]
     assert kernel.count_extensions(p) == len(list(enumerate_linear_extensions(p)))
@@ -125,7 +127,7 @@ def test_histograms_under_labels_with_ties():
         n = p.element_count
         labelings = [tuple(rng.randint(-2, 3) for _ in range(n))
                      for _ in range(rng.randint(1, 4))]
-        assert kernel.descent_histograms(p, labelings) == [
+        assert list(kernel.descent_histograms(p, labelings)) == [
             oracle_histogram(p, w) for w in labelings
         ]
         negated = [[-x for x in w] for w in labelings]
@@ -136,12 +138,12 @@ def test_histograms_under_labels_with_ties():
 
 def test_empty_poset():
     p = Poset(0, frozenset())
-    assert kernel.descent_histograms(p, [()]) == [[1]]
+    assert list(kernel.descent_histograms(p, [()])) == [[1]]
     assert kernel.count_extensions(p) == 1
 
 
 def test_rows_accept_label_sequences():
-    assert kernel.descent_histograms(chain(3), [(3, 1, 2), (1, 2, 3)]) == [
+    assert list(kernel.descent_histograms(chain(3), [(3, 1, 2), (1, 2, 3)])) == [
         [0, 1, 0], [1, 0, 0],
     ]
 
@@ -152,7 +154,7 @@ def test_bins_hold_counts_above_64_bits():
     grid = product_with_chain(chain(8), 8)
     total = 22081374992701950398847674830857600
     assert kernel.count_extensions(grid) == total
-    hist = kernel.descent_histograms(grid, [tuple(range(1, 65))])[0]
+    hist = next(kernel.descent_histograms(grid, [tuple(range(1, 65))]))
     assert sum(hist) == total and max(hist).bit_length() > 64
     assert hist[:50] == hist[49::-1] and not any(hist[50:])
 
@@ -169,9 +171,25 @@ def test_wide_poset_graph_stays_small():
     assert peak < 5_000_000
 
 
+@pytest.mark.parametrize("run", [
+    lambda: generalized_product_identity(chain(1), (1,), antichain(8)).holds,
+    lambda: _weak_descent_lanes(1, 8) == eulerian(8),  # no ties at m = 1
+], ids=["remark-product", "weak-descents"])
+def test_row_sums_keep_one_row(run):
+    # 8! lanes, each row added to one running row as its lane finishes: a
+    # list of the 40,320 rows alone would take about 8 MB
+    tracemalloc.start()
+    try:
+        assert run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_wide_poset_refused_quickly():
     start = time.perf_counter()
-    for work in (kernel.count_extensions, lambda p: kernel.descent_histograms(p, [])):
+    for work in (kernel.count_extensions, lambda p: next(kernel.descent_histograms(p, []))):
         with pytest.raises(SizeCapError, match="too wide"):
             work(antichain(40))
     assert time.perf_counter() - start < 10
@@ -182,7 +200,7 @@ def test_long_narrow_poset_refused_quickly():
     # the work bound refuses it while the states are built
     grid = product_with_chain(chain(2), 1000)
     start = time.perf_counter()
-    for work in (kernel.count_extensions, lambda p: kernel.descent_histograms(p, [])):
+    for work in (kernel.count_extensions, lambda p: next(kernel.descent_histograms(p, []))):
         with pytest.raises(SizeCapError, match="too large"):
             work(grid)
     assert time.perf_counter() - start < 1
@@ -205,7 +223,24 @@ def test_work_bound_counts_lanes():
     assert sum(map(len, kernel._transitions(grid)[1])) == 326
     start = time.perf_counter()
     with pytest.raises(SizeCapError, match="too large"):
-        kernel.descent_histograms(grid, [labels] * 4720)
+        next(kernel.descent_histograms(grid, [labels] * 4720))
     assert time.perf_counter() - start < 1
-    rows = kernel.descent_histograms(grid, [labels] * 4719)
+    rows = list(kernel.descent_histograms(grid, [labels] * 4719))
     assert rows == [rows[0]] * 4719 and sum(rows[0]) == kernel.count_extensions(grid)
+
+
+def test_refusal_pulls_no_labeling():
+    # the graph is built, and the work bound applied, on the first next,
+    # before the kernel pulls a labeling
+    grid = product_with_chain(chain(2), 13)
+    labels = canon_labeling((1, 2), range(1, 14))
+    pulls = []
+
+    def make():
+        for _ in range(4720):
+            pulls.append(1)
+            yield labels
+
+    with pytest.raises(SizeCapError, match="too large"):
+        next(kernel.descent_histograms(grid, _Sized(4720, make)))
+    assert pulls == []

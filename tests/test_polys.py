@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 from math import comb, factorial
 
@@ -54,6 +55,12 @@ class TestArithmetic:
         assert P(1, 2, 0, 0) == P(1, 2)
         assert P(0, 0).degree == -1
         assert P(1, 2).degree == 1
+
+    def test_trailing_zeros_stripped_in_linear_time(self):
+        # h* of a long chain is 1 and a zero per further element
+        start = time.perf_counter()
+        assert IntPolynomial((1,) + (0,) * 100_000).coefficients == (1,)
+        assert time.perf_counter() - start < 1
 
     def test_payload_round_trip(self):
         p = P(1, 4, 4, 1)
