@@ -19,9 +19,9 @@ that keep a cover share one histogram.  A depth-first walk over those
 patterns counts each class with no sigma listed and hands the kernel one
 sigma per class as it takes the lane, so the kernel's work bound, which
 counts all 2^(kept gaps) lanes, refuses before any class is built.  The
-edge-subset sweep computes one polynomial per orbit of masks
-(``_orbit_key``), fanned out over worker processes, and one row per mask
-from its orbit's polynomial.
+subposet sums are one table, ``dissonant_polynomials``, one sum per orbit
+of masks (``_orbit_key``) over worker processes, which the edge-subset
+sweep and verify's degree, palindromy and fixed-row checks all read.
 """
 
 from __future__ import annotations
@@ -222,6 +222,21 @@ def dissonant_polynomial(spec: AmphibianSpec, w: Sequence[int]) -> IntPolynomial
     return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, mask=spec.mask)
 
 
+def dissonant_polynomials(m: int, n: int, w: Sequence[int], masks: Iterable[int],
+                          jobs: int = 1) -> dict[int, IntPolynomial]:
+    """The dissonant polynomial under ``w`` of each of ``masks``, summed
+    once per orbit under ``_orbit_key``'s maps, for its first mask, over
+    ``jobs`` worker processes.  The maps keep the polynomial when
+    w(m+1-r) = m+1-w(r) for every row r, as the natural and reversed w have."""
+    keys = {mask: _orbit_key(m, n, mask) for mask in masks}
+    firsts: dict[tuple, int] = {}
+    for mask, key in keys.items():
+        firsts.setdefault(key, mask)
+    specs = [AmphibianSpec(m, n, mask) for mask in firsts.values()]
+    polys = dict(zip(firsts, parallel_map(partial(dissonant_polynomial, w=w), specs, jobs)))
+    return {mask: polys[key] for mask, key in keys.items()}
+
+
 def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
     """Weak-descent polynomial of canon permutations: the canon polynomial
     under the reversed row labeling w = (m, ..., 1).
@@ -333,38 +348,26 @@ def _column_blocks(m: int, n: int, mask: int) -> tuple[tuple[tuple[int, ...], ..
 
 def _orbit_key(m: int, n: int, mask: int) -> tuple:
     """A key shared by exactly the masks one gets from ``mask`` by two
-    maps, each of which keeps the summed polynomial under the natural row
-    labeling:
+    maps, each of which keeps the summed polynomial:
 
     * permuting the blocks of columns joined by kept covers: a
       row-preserving isomorphism, and sigma -> sigma o tau^-1 is a
-      bijection of the column labelings;
+      bijection of the column labelings, under any row labeling w;
     * the dual reflection (row, j) -> (m+1-row, n-j), which reverses the
       m(n-1) mask bits: reversing an extension and complementing its
-      labels keeps every descent, and the complement of the natural
-      w x sigma is the natural w x sigma' with sigma'(j) = n+1-sigma(n+1-j).
+      labels keeps every descent, and the complement of w x sigma, moved by
+      the reflection, is w x sigma' with sigma'(j) = n+1-sigma(n+1-j) when
+      w(m+1-r) = m+1-w(r) for every row r, as for the natural and reversed w.
     """
     mirror = int(format(mask, f"0{m * (n - 1)}b")[::-1], 2)
     return min(_column_blocks(m, n, mask), _column_blocks(m, n, mirror))
 
 
 def conjecture_sweep(m: int, n: int, jobs: int = 1) -> tuple[SweepRow, ...]:
-    """Gamma data for every subset of removable inter-copy edges: one row
-    per edge mask, in mask order.
-
-    The dissonant polynomial under the natural row labeling is computed
-    once per orbit of masks under ``_orbit_key``'s two maps, for its
-    smallest mask, and each mask's row is built from its orbit's.
-    """
-    keys = [_orbit_key(m, n, mask) for mask in subposet_masks(m, n)]
-    firsts: dict[tuple, int] = {}
-    for mask, key in enumerate(keys):
-        firsts.setdefault(key, mask)
-    specs = [AmphibianSpec(m, n, mask) for mask in firsts.values()]
-    natural = partial(dissonant_polynomial, w=tuple(range(1, m + 1)))
-    polys = dict(zip(firsts, parallel_map(natural, specs, jobs)))
-    return tuple(_sweep_row(AmphibianSpec(m, n, mask), polys[key])
-                 for mask, key in enumerate(keys))
+    """One gamma row per subset of removable inter-copy edges, in mask
+    order, from its orbit's polynomial under the natural row labeling."""
+    polys = dissonant_polynomials(m, n, tuple(range(1, m + 1)), subposet_masks(m, n), jobs)
+    return tuple(_sweep_row(AmphibianSpec(m, n, mask), poly) for mask, poly in polys.items())
 
 
 def parallel_map(fn, items, jobs: int = 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, permutations, product
 from math import comb, factorial
 from operator import mul
@@ -29,7 +29,7 @@ from canonlab.canon import (
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
-    dissonant_polynomial,
+    dissonant_polynomials,
     gamma_interpretation,
     subposet_masks,
 )
@@ -313,10 +313,11 @@ def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
     return tuple(row + j * m for row in range(m) for j in range(n))
 
 
-def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
-    """Assert deg C = m(n-1) + k, carrying the row-block witness word."""
+def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int],
+                           poly: IntPolynomial) -> IdentityReport:
+    """Assert deg C = m(n-1) + k for the dissonant polynomial ``poly`` of
+    ``spec`` under w, carrying the row-block witness word."""
     k = descent_count(w)
-    poly = dissonant_polynomial(spec, w)
     expected = spec.m * (spec.n - 1) + k
     witness_ext = degree_witness_extension(spec)
     rev = range(spec.n, 0, -1)
@@ -335,10 +336,11 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityRep
     return report._replace(holds=report.holds and valid, witness=witness)
 
 
-def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int]) -> IdentityReport:
-    """Palindromicity of the dissonant polynomial over [0, m(n-1)+2k]."""
+def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int],
+                               poly: IntPolynomial) -> IdentityReport:
+    """Palindromicity of the dissonant polynomial ``poly`` of ``spec``
+    under w over [0, m(n-1)+2k]."""
     k = descent_count(w)
-    poly = dissonant_polynomial(spec, w)
     top = spec.m * (spec.n - 1) + 2 * k
     holds = is_palindromic(poly, top)
     rhs = mirrored(poly, top) if poly.degree <= top else poly
@@ -448,40 +450,34 @@ def _check_generalized_product(
     return [generalized_product_identity(p, w, pprime)]
 
 
-def _amphibian_specs(m: int, n: int) -> list[AmphibianSpec]:
-    """Every subposet of the m x n grid, for a check that lists the n!
-    column labelings on each: refused first past ``MAX_LABELINGS`` of
-    them over all subposets."""
-    masks = subposet_masks(m, n)
-    if len(masks) * len(column_labelings(n)) > MAX_LABELINGS:
-        raise SizeCapError(f"{len(masks)} subposets x {n}! column labelings exceed "
-                           f"the bound {MAX_LABELINGS}")
-    return [AmphibianSpec(m, n, mask) for mask in masks]
-
-
 def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
     # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
     sigmas = column_labelings(n)
     w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
+    masks = subposet_masks(m, n)
+    if len(masks) * len(sigmas) > MAX_LABELINGS:
+        raise SizeCapError(f"{len(masks)} subposets x {n}! column labelings exceed "
+                           f"the bound {MAX_LABELINGS}")
     k = m - 1
     detail = None
     # the full mask first: it has the most transitions, so it is refused first
-    for spec in reversed(_amphibian_specs(m, n)):
-        q = spec.poset()
+    for mask in reversed(masks):
+        q = AmphibianSpec(m, n, mask).poset()
         pairs = zip(canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas), sigmas)
         bad = next((s for a, b, s in pairs if IntPolynomial(a) != IntPolynomial(b).shift(k)), None)
         if bad is not None:
-            detail = f"mask={spec.mask} sigma={bad}"
+            detail = f"mask={mask} sigma={bad}"
             break
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 
 
-def _check_dissonant(
-    cfg: argparse.Namespace, m: int, n: int, law: Callable[..., IdentityReport]
-) -> list[IdentityReport]:
-    # lemma-4.2's degree or thm-4.3's palindromy, on every subposet
-    return [law(spec, _row_labeling(kind, m))
-            for kind in ("natural", "reverse") for spec in _amphibian_specs(m, n)]
+def _check_dissonant(cfg: argparse.Namespace, m: int, n: int,
+                     law: Callable[..., IdentityReport]) -> list[IdentityReport]:
+    # lemma-4.2's degree or thm-4.3's palindromy on every subposet, natural rows first
+    masks = subposet_masks(m, n)
+    labelings = [_row_labeling(kind, m) for kind in ("natural", "reverse")]
+    return [law(AmphibianSpec(m, n, mask), w, poly)
+            for w in labelings for mask, poly in dissonant_polynomials(m, n, w, masks).items()]
 
 
 def _check_gamma_interpretation(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
@@ -500,12 +496,13 @@ def _check_fixed_row_palindromy(cfg: argparse.Namespace, m: int, n: int) -> list
     # fixed-row subposets are palindromic in thm-4.3's windows, m(n-1)
     # under the identity rows and m(n+1)-2 under the reversed ones
     labelings = (_row_labeling("natural", m), _row_labeling("reverse", m))
+    masks = [mask for mask in subposet_masks(m, n) if AmphibianSpec(m, n, mask).mode() != "general"]
+    tables = [(w, dissonant_polynomials(m, n, w, masks)) for w in labelings]
     out = []
-    for spec in _amphibian_specs(m, n):
-        if spec.mode() != "general":
-            ok = all(dissonant_palindromy_check(spec, w).holds for w in labelings)
-            name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
-            out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
+    for spec in map(partial(AmphibianSpec, m, n), masks):
+        ok = all(dissonant_palindromy_check(spec, w, t[spec.mask]).holds for w, t in tables)
+        name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
+        out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
     return out
 
 

@@ -16,6 +16,7 @@ from canonlab.canon import (
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     conjecture_sweep,
+    dissonant_polynomial,
     gamma_class_words,
     gamma_interpretation,
     weak_descent_polynomial,
@@ -136,7 +137,7 @@ def test_criterion_06_palindromy_sweep():
             for mask in range(1 << len(edges)):
                 removed = [e for i, e in enumerate(edges) if mask >> i & 1]
                 spec = AmphibianSpec.from_removed(m, n, removed)
-                report = dissonant_palindromy_check(spec, w)
+                report = dissonant_palindromy_check(spec, w, dissonant_polynomial(spec, w))
                 assert report.holds, report.name
                 total += 1
     elapsed = time.perf_counter() - t0
@@ -152,7 +153,7 @@ def test_criterion_07_degree_law():
             for mask in range(1 << len(edges)):
                 removed = [e for i, e in enumerate(edges) if mask >> i & 1]
                 spec = AmphibianSpec.from_removed(m, n, removed)
-                report = dissonant_degree_check(spec, w)
+                report = dissonant_degree_check(spec, w, dissonant_polynomial(spec, w))
                 assert report.holds, report.witness
                 total += 1
     _report(7, f"{total} dissonant polynomials have degree m(n-1)+k")

@@ -19,6 +19,7 @@ from canonlab.canon import (
     canon_rows,
     conjecture_sweep,
     dissonant_polynomial,
+    dissonant_polynomials,
     gamma_class_words,
     gamma_interpretation,
     parallel_map,
@@ -35,7 +36,7 @@ from canonlab.poset import (
 from canonlab.verify import (
     MAX_LABELINGS,
     IdentityReport,
-    _amphibian_specs,
+    _check_row_shift,
     _weak_descent_lanes,
     antichain,
     checked_product_identity,
@@ -158,18 +159,17 @@ class TestCanonPolynomial:
             assert {"pprime", "subposets"}.isdisjoint(inspect.signature(fn).parameters), name
 
     def test_bound_counts_every_subposet(self):
-        # a sweep is bounded by its 2^(m(n-1)) subposets alone, while a
-        # check that lists the n! labelings on each is refused past 9! of
-        # them over all subposets
+        # a sweep is bounded by its 2^(m(n-1)) subposets alone, while
+        # cor-4.1, which lists the n! labelings on each, is refused past 9!
+        # of them over all subposets
         for m, n in ((2, 4), (2, 5), (3, 4), (4, 3), (5, 3), (2, 6), (1, 11)):
             assert subposet_masks(m, n) == range(1 << m * (n - 1))
         rows = conjecture_sweep(2, 6)
         assert len(rows) == 1024 and all(r.gamma_positive for r in rows)
-        assert len(_amphibian_specs(2, 5)) == 256
         for m, n, what in ((2, 6, "1024 subposets x 6!"), (1, 9, "256 subposets x 9!"),
                            (1, 10, "10!")):
             with pytest.raises(SizeCapError, match=what):
-                _amphibian_specs(m, n)
+                _check_row_shift(None, m, n)
         # more than 2^10 subposets, refused before the shift
         for m, n in ((11, 2), (17, 2), (10**6, 10**5)):
             with pytest.raises(SizeCapError, match="subposets exceed the bound 1024"):
@@ -448,9 +448,9 @@ class TestDegreeLaw:
                 for mask in range(1 << len(edges)):
                     removed = [e for i, e in enumerate(edges) if mask >> i & 1]
                     spec = AmphibianSpec.from_removed(m, n, removed)
-                    report = dissonant_degree_check(spec, w)
-                    assert report.holds, report.witness
                     poly = dissonant_polynomial(spec, w)
+                    report = dissonant_degree_check(spec, w, poly)
+                    assert report.holds, report.witness
                     assert poly.degree == m * (n - 1) + k
 
     def test_witness_extension_always_valid(self):
@@ -469,14 +469,13 @@ class TestPalindromyLaw:
                 for mask in range(1 << len(edges)):
                     removed = [e for i, e in enumerate(edges) if mask >> i & 1]
                     spec = AmphibianSpec.from_removed(m, n, removed)
-                    report = dissonant_palindromy_check(spec, w)
+                    report = dissonant_palindromy_check(spec, w, dissonant_polynomial(spec, w))
                     assert report.holds, report.name
 
     def test_reverse_window(self):
         # reversed rows at (2,2): window reaches m(n-1)+2k = 4
-        report = dissonant_palindromy_check(
-            AmphibianSpec(2, 2, 0), (2, 1)
-        )
+        spec = AmphibianSpec(2, 2, 0)
+        report = dissonant_palindromy_check(spec, (2, 1), dissonant_polynomial(spec, (2, 1)))
         assert report.holds
         assert report.lhs.degree == 3
 
@@ -652,6 +651,22 @@ class TestConjectureSweep:
             assert conjecture_sweep(m, n) == tuple(
                 _sweep_row(spec, dissonant_polynomial(spec, natural)) for spec in specs
             ), (m, n)
+
+    def test_table_is_each_masks_own(self):
+        # under either row labeling the per-orbit table equals one sum per
+        # mask, at every grid with at most 2^6 subposets; given masks get
+        # exactly their own entries
+        for m in range(1, 7):
+            for n in range(2, 6 // m + 2):
+                masks = range(1 << m * (n - 1))
+                for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
+                    assert dissonant_polynomials(m, n, w, masks) == {
+                        mask: dissonant_polynomial(AmphibianSpec(m, n, mask), w)
+                        for mask in masks
+                    }, (m, n, w)
+        every = dissonant_polynomials(2, 4, (2, 1), range(64))
+        some = [5, 17, 40, 63]
+        assert dissonant_polynomials(2, 4, (2, 1), some) == {mask: every[mask] for mask in some}
 
     def test_one_row_per_orbit(self, monkeypatch):
         import canonlab.canon as canon_mod

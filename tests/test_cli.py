@@ -123,7 +123,7 @@ class TestPoly:
             # each refused by a bound before any sum: unbounded, they run
             # for minutes to hours or exhaust memory
             (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6!"),
-            (("verify", "lemma-4.2", "--m", "1", "--n", "9"), "256 subposets x 9!"),
+            (("verify", "cor-4.1", "--m", "1", "--n", "9"), "256 subposets x 9!"),
             (("poly", "canon", "--m", "9", "--n", "8"), "too large"),
             (("verify", "cor-3.4", "--m", "9", "--n", "8"), "too large"),
             (("sweep", "gamma", "--m", "17", "--n", "2"), "2^17 subposets exceed the bound 1024"),
@@ -284,6 +284,24 @@ class TestVerify:
         assert invoke(capsys, "poly", "canon", "--m", "2", "--n", "6")[0] == 0
         assert calls == [32]
 
+    def test_subposet_checks_sum_once_per_orbit(self, capsys, monkeypatch):
+        import canonlab.kernel as kernel_mod
+
+        calls = []
+        real = kernel_mod.descent_histograms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "descent_histograms", counted)
+        # (2,5)'s 256 masks fall in 88 orbits, and its 31 fixed-row masks
+        # in 16, each summed once under either row labeling
+        for statement, sums in (("thm-4.3", 176), ("cor-5.3", 32)):
+            calls.clear()
+            assert invoke(capsys, "verify", statement, "--m", "2", "--n", "5")[0] == 0
+            assert len(calls) == sums, statement
+
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
         # the kernel's work bound counts the n! lanes, or the e(P') words of
         # the second poset, and refuses them before a sigma or a word is
@@ -379,16 +397,16 @@ class TestSweep:
         assert payload["violations"] == []
 
     def test_subposet_bound(self, capsys):
-        # a sweep lists no sigma, so only the 2^10 subposet bound applies:
-        # (2,6)'s 1024 subposets run, while the checks that list 6! sigmas
-        # on each are refused at once
+        # a sweep and lemma-4.2 list no sigma, so only the 2^10 subposet
+        # bound applies: (2,6)'s 1024 subposets run, while cor-4.1, which
+        # lists 6! sigmas on each, is refused at once
         code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6")
         assert code == 0 and "1024 subposets swept, 0 gamma-negative" in out
+        code, out, _ = invoke(capsys, "verify", "lemma-4.2", "--m", "2", "--n", "6")
+        assert code == 0 and "2048/2048 checks hold" in out
         for argv, message in (
             (("sweep", "gamma", "--m", "2", "--n", "7"), "2^12 subposets exceed the bound 1024"),
             (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6! column labelings"),
-            (("verify", "lemma-4.2", "--m", "2", "--n", "6"),
-             "1024 subposets x 6! column labelings"),
         ):
             start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
