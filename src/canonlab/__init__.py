@@ -2,7 +2,9 @@
 labeled-poset descent polynomials.
 
 The statement checks and the definitional oracles are in
-``canonlab.verify``, which only the ``verify`` command loads.
+``canonlab.verify``, the edge-subset sweep in ``canonlab.sweep`` and the
+Cor. 5.1 gamma interpretation in ``canonlab.gamma``.  Only the commands
+that run them load those modules, ``verify`` all three.
 """
 
 from canonlab.kernel import backend as kernel_backend
@@ -30,9 +32,7 @@ from canonlab.canon import (
     AmphibianSpec,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    conjecture_sweep,
     dissonant_polynomial,
-    gamma_interpretation,
     weak_descent_polynomial,
 )
 

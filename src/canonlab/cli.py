@@ -17,13 +17,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from canonlab import poset
 from canonlab.canon import (
     AmphibianSpec,
-    SweepRow,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    conjecture_sweep,
     dissonant_polynomial,
-    gamma_class_words,
-    gamma_interpretation,
     weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
@@ -36,7 +32,6 @@ from canonlab.poset import (
     chain,
     checked_product,
     poset_from_json,
-    poset_to_json,
     product_with_chain,
 )
 
@@ -147,76 +142,11 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 # sweep
 
 
-def _certificate(m: int, n: int, row: SweepRow) -> dict:
-    """The counterexample a sweep row that is not gamma-positive prints:
-    its subposet, polynomial and the coordinate that fails."""
-    spec = AmphibianSpec(m, n, row.mask)
-    if row.gamma is None:
-        violation = "not palindromic over the center window"
-    else:
-        violation = f"gamma-negative at index {next(i for i, g in enumerate(row.gamma) if g < 0)}"
-    return {
-        "spec": {"m": m, "n": n, "removed": [list(e) for e in spec.removed]},
-        "poset": poset_to_json(spec.poset()),
-        "polynomial": poly_to_payload(row.polynomial),
-        "gamma": list(row.gamma or ()),
-        "violation": violation,
-    }
-
-
 def _cmd_sweep(cfg: argparse.Namespace) -> int:
-    rows = conjecture_sweep(cfg.m, cfg.n, jobs=cfg.jobs)
-    violations = [_certificate(cfg.m, cfg.n, r) for r in rows if not r.gamma_positive]
-    if cfg.format == "json":
-        payload = {
-            "m": cfg.m,
-            "n": cfg.n,
-            "rows": [
-                {
-                    "removed_edge_mask": r.mask,
-                    "degree": r.degree,
-                    "palindromic": r.palindromic,
-                    "gamma": list(r.gamma) if r.gamma is not None else None,
-                    "gamma_positive": r.gamma_positive,
-                    "unimodal": r.unimodal,
-                    "mode": r.mode,
-                    "polynomial": poly_to_payload(r.polynomial),
-                }
-                for r in rows
-            ],
-            "violations": violations,
-        }
-        print(json.dumps(payload))
-    elif cfg.format == "csv":
-        _print_csv(
-            ["removed_edge_mask", "degree", "palindromic", "gamma", "gamma_positive", "unimodal", "mode"],
-            (
-                [
-                    r.mask,
-                    r.degree,
-                    str(r.palindromic).lower(),
-                    " ".join(str(g) for g in r.gamma) if r.gamma is not None else "",
-                    str(r.gamma_positive).lower(),
-                    str(r.unimodal).lower(),
-                    r.mode,
-                ]
-                for r in rows
-            ),
-        )
-    else:
-        for r in rows:
-            gamma = ",".join(str(g) for g in (r.gamma or ()))
-            print(
-                f"mask={r.mask} degree={r.degree} palindromic={str(r.palindromic).lower()} "
-                f"gamma=({gamma}) gamma-positive: {str(r.gamma_positive).lower()} "
-                f"unimodal={str(r.unimodal).lower()} mode={r.mode}"
-            )
-        print(
-            f"{len(rows)} subposets swept, {len(violations)} gamma-negative"
-        )
-    for cert in violations:
-        print(json.dumps(cert))
-    return 1 if violations else 0
+    # imported here: only sweep and verify compile the edge-subset sweep
+    from canonlab import sweep
+
+    return sweep.run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +154,10 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(cfg: argparse.Namespace) -> int:
-    gi = gamma_interpretation(cfg.m, cfg.n)
-    if sum(gi.counts) * cfg.m * cfg.n > MAX_LISTED:
-        raise SizeCapError(f"the {sum(gi.counts)} class words would print more than "
-                           f"{MAX_LISTED} letters; pass a smaller --m or --n")
-    words = gamma_class_words(gi)
-    if cfg.format == "json":  # the fields, then the classes
-        print(json.dumps(dict(gi._asdict(), classes=words)))
-    else:
-        print(f"gamma {list(gi.gamma)}")
-        print(f"counts {list(gi.counts)} (shift {gi.shift}, stated {gi.stated_shift})")
-        print(f"matches: {str(gi.matches).lower()}")
-        for i, bucket in enumerate(words):
-            print(f"gamma[{i}] classes: {' '.join(bucket)}")
-    return 0 if gi.matches else 1
+    # imported here: only gamma and verify compile the Cor. 5.1 interpretation
+    from canonlab import gamma
+
+    return gamma.run(cfg)
 
 
 def _cmd_extensions(cfg: argparse.Namespace) -> int:

@@ -17,7 +17,6 @@ pure function, so they are safe to share between worker processes.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 from math import isqrt
@@ -128,8 +127,8 @@ class Poset(Frozen):
 
 
 def _check_size(n: int) -> None:
-    """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``; ``cli``
-    checks a grid's m with it before building anything m long."""
+    """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``; ``cli`` and
+    ``verify`` check a grid's m with it before building anything m long."""
     if n > MAX_ELEMENTS:
         raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
 
@@ -141,15 +140,17 @@ def _topological_order(n, succ) -> list[int]:
     for lst in succ:
         for w in lst:
             indeg[w] += 1
-    ready = sorted(v for v in range(n) if indeg[v] == 0)  # a sorted list is a heap
+    ready = sum(1 << v for v in range(n) if indeg[v] == 0)  # as a bitmask
     order = []
     while ready:
-        v = heapq.heappop(ready)
+        low = ready & -ready  # the least ready vertex
+        ready ^= low
+        v = low.bit_length() - 1
         order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
+                ready |= 1 << w
     return order
 
 

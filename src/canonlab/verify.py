@@ -29,16 +29,15 @@ from canonlab.canon import (
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
-    dissonant_polynomials,
-    gamma_interpretation,
-    subposet_masks,
 )
 from canonlab.cli import MAX_LISTED, _print_csv, _row_labeling
 from canonlab.errors import PosetFormatError, SizeCapError
+from canonlab.gamma import gamma_interpretation
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
+    _check_size,
     canon_labeling,
     chain,
     checked_labeling,
@@ -46,6 +45,7 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
 )
+from canonlab.sweep import MAX_SUBPOSETS, dissonant_polynomials, subposet_masks
 
 
 class IdentityReport(NamedTuple):
@@ -188,7 +188,7 @@ def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int
 
 def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
     """The rho-descent positions of an extension and the double ones
-    among them, given every element's rho parity: the oracle for ``linext.rho_halves``.
+    among them, given every element's rho parity: the oracle for ``gamma.rho_halves``.
 
     Position j is a rho-descent when the pair (parity, label) strictly
     falls from letter j to letter j+1; it is double when j-1 is also one,
@@ -313,6 +313,12 @@ def degree_witness_extension(spec: AmphibianSpec) -> tuple[int, ...]:
     return tuple(row + j * m for row in range(m) for j in range(n))
 
 
+@lru_cache(maxsize=MAX_SUBPOSETS)  # checked once per mask, under both row labelings
+def _witness_valid(spec: AmphibianSpec) -> bool:
+    """Whether the row-block witness is an extension of the subposet."""
+    return is_valid_extension(spec.poset(), degree_witness_extension(spec))
+
+
 def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int],
                            poly: IntPolynomial) -> IdentityReport:
     """Assert deg C = m(n-1) + k for the dissonant polynomial ``poly`` of
@@ -321,8 +327,7 @@ def dissonant_degree_check(spec: AmphibianSpec, w: Sequence[int],
     expected = spec.m * (spec.n - 1) + k
     witness_ext = degree_witness_extension(spec)
     rev = range(spec.n, 0, -1)
-    q = spec.poset()
-    valid = is_valid_extension(q, witness_ext)
+    valid = _witness_valid(spec)
     wdes = descent_count(word(witness_ext, canon_labeling(w, rev)))
     report = IdentityReport.compare(
         f"dissonant-degree m={spec.m} n={spec.n} mask={spec.mask} mode={spec.mode()}",
@@ -450,14 +455,22 @@ def _check_generalized_product(
     return [generalized_product_identity(p, w, pprime)]
 
 
-def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
+def _row_shift_inputs(m: int, n: int) -> tuple[_Sized, range]:
+    """The sigmas and the masks of cor-4.1, which lists every sigma on
+    every subposet, refused first past ``MAX_LABELINGS`` pairs."""
     sigmas = column_labelings(n)
-    w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
+    _check_size(m)  # the poset bound on m comes before the subposet bound
     masks = subposet_masks(m, n)
     if len(masks) * len(sigmas) > MAX_LABELINGS:
         raise SizeCapError(f"{len(masks)} subposets x {n}! column labelings exceed "
                            f"the bound {MAX_LABELINGS}")
+    return sigmas, masks
+
+
+def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+    # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
+    sigmas, masks = _row_shift_inputs(m, n)
+    w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
     k = m - 1
     detail = None
     # the full mask first: it has the most transitions, so it is refused first
@@ -587,20 +600,22 @@ def run(cfg: argparse.Namespace) -> int:
     """Run the checks of ``cfg.statements`` and print their reports;
     returns the exit status, 1 when any check fails."""
     names = cfg.statements
-    reports: list[IdentityReport] = []
+    entries = []  # every name resolved before any case runs
     for name in names:
         if name == "all":
-            entries = dict.fromkeys(VERIFY_CHECKS.values())  # each alias once
+            entries += dict.fromkeys(VERIFY_CHECKS.values())  # each alias once
         elif name in VERIFY_CHECKS:
-            entries = [VERIFY_CHECKS[name]]
+            entries.append(VERIFY_CHECKS[name])
         else:
             raise PosetFormatError(
                 f"unknown statement {name!r}; choose from "
                 f"{', '.join(sorted(VERIFY_CHECKS))} or all"
             )
-        for check, cases in entries:
-            for case in _select(cfg, cases):
-                reports.extend(check(cfg, *case))
+    cases = [(check, case) for check, defaults in entries for case in _select(cfg, defaults)]
+    for check, case in cases:  # cor-4.1's bound, on every selected case first
+        if check is _check_row_shift:
+            _row_shift_inputs(*case)
+    reports = [report for check, case in cases for report in check(cfg, *case)]
     if not reports:
         raise PosetFormatError(
             f"no checks ran for {' '.join(names)}: "

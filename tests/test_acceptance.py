@@ -15,13 +15,11 @@ from canonlab.canon import (
     AmphibianSpec,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    conjecture_sweep,
     dissonant_polynomial,
-    gamma_class_words,
-    gamma_interpretation,
     weak_descent_polynomial,
 )
 from canonlab.cli import main
+from canonlab.gamma import gamma_class_words, gamma_interpretation
 from canonlab.kernel import count_extensions
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import (
@@ -38,6 +36,7 @@ from canonlab.poset import (
     chain,
     product_with_chain,
 )
+from canonlab.sweep import conjecture_sweep
 from canonlab.verify import (
     _weak_descent_lanes,
     checked_product_identity,

@@ -8,30 +8,31 @@ import pytest
 
 from conftest import poly_sum, removable_edges, vee_poset, wedge_poset
 
-from canonlab import canon, cli, kernel, linext, polys, poset, verify
+from canonlab import canon, cli, gamma, kernel, linext, polys, poset, sweep, verify
 from canonlab.canon import (
     AmphibianSpec,
     _descent_classes,
     _row_sum,
-    _sweep_row,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
-    conjecture_sweep,
     dissonant_polynomial,
-    dissonant_polynomials,
-    gamma_class_words,
-    gamma_interpretation,
-    parallel_map,
-    subposet_masks,
     weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, SizeCapError
+from canonlab.gamma import gamma_class_words, gamma_interpretation
 from canonlab.polys import IntPolynomial, eulerian, gamma_expansion, hstar, narayana
 from canonlab.poset import (
     canon_labeling,
     chain,
     product_with_chain,
+)
+from canonlab.sweep import (
+    _sweep_row,
+    conjecture_sweep,
+    dissonant_polynomials,
+    parallel_map,
+    subposet_masks,
 )
 from canonlab.verify import (
     MAX_LABELINGS,
@@ -142,7 +143,7 @@ class TestCanonPolynomial:
         assert canon_polynomial_bruteforce(chain(4), (1, 2, 3, 4), 4) == (
             canon_polynomial_product(chain(4), (1, 2, 3, 4), 4))
         assert not hasattr(canon, "PRODUCT_CAP")
-        for module in (canon, cli, kernel, linext, polys, poset):
+        for module in (canon, cli, gamma, kernel, linext, polys, poset, sweep):
             for name, fn in inspect.getmembers(module, inspect.isfunction):
                 assert "cap" not in inspect.signature(fn).parameters, name
 
@@ -669,16 +670,14 @@ class TestConjectureSweep:
         assert dissonant_polynomials(2, 4, (2, 1), some) == {mask: every[mask] for mask in some}
 
     def test_one_row_per_orbit(self, monkeypatch):
-        import canonlab.canon as canon_mod
-
         computed = []
-        real = canon_mod.dissonant_polynomial
+        real = sweep.dissonant_polynomial
 
         def counted(spec, w):
             computed.append(spec.mask)
             return real(spec, w)
 
-        monkeypatch.setattr(canon_mod, "dissonant_polynomial", counted)
+        monkeypatch.setattr(sweep, "dissonant_polynomial", counted)
         for (m, n), orbits in (((2, 4), 28), ((2, 5), 88)):
             computed.clear()
             assert len(conjecture_sweep(m, n)) == 1 << m * (n - 1)
@@ -727,7 +726,7 @@ class TestConjectureSweep:
         spec = AmphibianSpec.from_removed(2, 2, [(1, 1)])
         row = _sweep_row(spec, P(1, -1, 1))
         assert row.gamma == (1, -3) and not row.gamma_positive
-        payload = cli._certificate(2, 2, row)
+        payload = sweep._certificate(2, 2, row)
         assert list(payload) == ["spec", "poset", "polynomial", "gamma", "violation"]
         assert payload["violation"] == "gamma-negative at index 1"
         assert payload["spec"] == {"m": 2, "n": 2, "removed": [[1, 1]]}
@@ -737,7 +736,7 @@ class TestConjectureSweep:
         # past the center window m(n-1) = 2: no gamma, so not palindromic
         row = _sweep_row(spec, P(1, 1, 0, 1))
         assert (row.palindromic, row.gamma, row.gamma_positive) == (False, None, False)
-        payload = cli._certificate(2, 2, row)
+        payload = sweep._certificate(2, 2, row)
         assert payload["gamma"] == [] and payload["violation"] == (
             "not palindromic over the center window")
 

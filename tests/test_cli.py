@@ -302,6 +302,41 @@ class TestVerify:
             assert invoke(capsys, "verify", statement, "--m", "2", "--n", "5")[0] == 0
             assert len(calls) == sums, statement
 
+    def test_refused_before_any_case_runs(self, capsys, monkeypatch):
+        # every statement name is resolved, and cor-4.1's masks x n! bound
+        # checked on every selected case, before the first case runs: no
+        # kernel call, where cor-3.4 at (1,9) would make one of 9! lanes
+        import canonlab.kernel as kernel_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(kernel_mod, "descent_histograms", refuse)
+        for argv, message in ((("cor-3.4", "nope"), "unknown statement 'nope'"),
+                              (("all",), "256 subposets x 9! column labelings exceed"),
+                              (("cor-3.4", "cor-4.1"), "256 subposets x 9! column labelings")):
+            code, out, err = invoke(capsys, "verify", *argv, "--m", "1", "--n", "9")
+            assert (code, out) == (2, "") and message in err, argv
+
+    def test_degree_check_builds_each_witness_once(self, capsys, monkeypatch):
+        # lemma-4.2 reports every mask under both row labelings, and the
+        # row-block witness is valid or not by the mask alone: one subposet
+        # built per mask, 256 at (2,5), not one per report
+        from canonlab.canon import AmphibianSpec
+
+        built = []
+        real = AmphibianSpec.poset
+
+        def counted(spec):
+            built.append(spec.mask)
+            return real(spec)
+
+        monkeypatch.setattr(AmphibianSpec, "poset", counted)
+        verify_mod._witness_valid.cache_clear()
+        code, out, _ = invoke(capsys, "verify", "lemma-4.2", "--m", "2", "--n", "5")
+        assert code == 0 and "512/512 checks hold" in out
+        assert sorted(built) == list(range(256))
+
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
         # the kernel's work bound counts the n! lanes, or the e(P') words of
         # the second poset, and refuses them before a sigma or a word is
@@ -424,13 +459,15 @@ class TestSweep:
         # no gamma-negative subposet exists at desk scale, so exercise the
         # reporting path with synthetic rows: a gamma-positive one, a
         # gamma-negative one and one that is not palindromic
-        from canonlab.canon import AmphibianSpec, _sweep_row
+        import canonlab.sweep as sweep_mod
+        from canonlab.canon import AmphibianSpec
         from canonlab.polys import IntPolynomial
+        from canonlab.sweep import _sweep_row
 
         polys = ((1, 2, 1), (1, -1, 1), (1, 1, 0, 1))
         rows = tuple(_sweep_row(AmphibianSpec(2, 2, mask), IntPolynomial(coeffs))
                      for mask, coeffs in enumerate(polys))
-        monkeypatch.setattr(cli_mod, "conjecture_sweep", lambda *a, **k: rows)
+        monkeypatch.setattr(sweep_mod, "conjecture_sweep", lambda *a, **k: rows)
         expected = [
             ([[1, 1]], ["1", "-1", "1"], [1, -3], "gamma-negative at index 1"),
             ([[2, 1]], ["1", "1", "0", "1"], [], "not palindromic over the center window"),
@@ -484,15 +521,13 @@ class TestGammaCommand:
         # verify cor-5.1 reads counts, shift and matches only, so it runs
         # past the listing bound from the halves' counts alone, with no
         # extension of either half listed
-        import canonlab.canon as canon_mod
-        import canonlab.linext as linext_mod
+        import canonlab.gamma as gamma_mod
 
         def refuse(*args):
             raise AssertionError("a class word or an extension was listed")
 
-        for module, name in ((canon_mod, "gamma_class_words"), (cli_mod, "gamma_class_words"),
-                             (canon_mod, "rho_orders"), (linext_mod, "rho_orders")):
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("gamma_class_words", "rho_orders"):
+            monkeypatch.setattr(gamma_mod, name, refuse)
         code, out, _ = invoke(capsys, "verify", "cor-5.1")
         assert code == 0 and "4/4 checks hold" in out
         code, out, _ = invoke(capsys, "verify", "cor-5.1", "--m", "2", "--n", "8",
@@ -777,23 +812,30 @@ class TestRunConfig:
     def test_start_up_generates_no_code(self):
         # records are plain classes: building the CLI must not load
         # dataclasses or the inspect module it pulls in.  A command loads
-        # every layer the benchmark's tracer reads, and only verify
-        # compiles the statement checks; only a csv output loads csv
+        # every layer the benchmark's tracer reads; only verify compiles the
+        # statement checks, only sweep and verify the edge-subset sweep, and
+        # only gamma and verify the Cor. 5.1 interpretation; no poset build
+        # loads heapq, and only a csv output loads csv
         src = str(Path(__file__).resolve().parents[1] / "src")
         layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
                                                   "kernel")]
+        lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "heapq", "csv"}
         code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
                 "canonlab.cli.build_parser()\n"
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
                 f"print([name for name in {layers!r} if name not in sys.modules])\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    canonlab.cli.main(sys.argv[1:])\n"
-                "print(sorted({'canonlab.verify', 'csv'} & set(sys.modules)))\n")
+                f"print(sorted({lazy!r} & set(sys.modules)))\n")
+        checks = "['canonlab.gamma', 'canonlab.sweep', 'canonlab.verify'"
         for argv, loaded in ((("poly", "canon", "--m", "2", "--n", "3"), "[]"),
                              (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]"),
-                             (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"), "[]"),
-                             (("verify", "thm-1.1", "--m", "1", "--n", "1"), "['canonlab.verify']"),
-                             (("verify", "thm-1.1", "--format", "csv"), "['canonlab.verify', 'csv']")):
+                             (("extensions", "--m", "2", "--n", "3"), "[]"),
+                             (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"),
+                              "['canonlab.sweep']"),
+                             (("gamma", "--m", "2", "--n", "2"), "['canonlab.gamma']"),
+                             (("verify", "thm-1.1", "--m", "1", "--n", "1"), checks + "]"),
+                             (("verify", "thm-1.1", "--format", "csv"), checks + ", 'csv']")):
             out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                  text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
             assert out.splitlines() == ["[]", "[]", loaded], argv

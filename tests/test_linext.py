@@ -6,8 +6,9 @@ import pytest
 from conftest import dyck_paths, random_poset
 
 from canonlab.kernel import count_extensions
-from canonlab import linext
-from canonlab.linext import enumerate_linear_extensions, rho_halves, rho_orders
+from canonlab import gamma
+from canonlab.gamma import rho_halves, rho_orders
+from canonlab.linext import enumerate_linear_extensions
 from canonlab.poset import (
     Poset,
     canon_labeling,
@@ -227,8 +228,8 @@ class TestRhoDescents:
                 visits.append(len(self))
                 return super().__iter__()
 
-        steps = linext._steps
-        monkeypatch.setattr(linext, "_steps", lambda graph: [Steps(s) for s in steps(graph)])
+        steps = gamma._steps
+        monkeypatch.setattr(gamma, "_steps", lambda graph: [Steps(s) for s in steps(graph)])
         for m in range(1, 16):
             for n in range(1, 16 // (m + 1) + 1):
                 p = checked_product(chain(m), n)

@@ -1,3 +1,4 @@
+import heapq
 import tracemalloc
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import hstar
 from canonlab.poset import (
     MAX_ELEMENTS,
+    _topological_order,
     Poset,
     canon_labeling,
     chain,
@@ -62,6 +64,41 @@ class TestConstruction:
             message = str(info.value)
             assert "cyclic: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]" in message
             assert message.endswith("a cycle of 1500 elements") and len(message) < 120
+
+    def test_topological_order_is_lexicographic(self, rng):
+        # the least ready vertex, read from a bitmask, against a heap of the
+        # ready vertices on seeded random digraphs: the same order on a DAG,
+        # and the same stop on a digraph with a cycle a -> b -> a
+        def by_heap(n, succ):
+            indeg = [0] * n
+            for lst in succ:
+                for w in lst:
+                    indeg[w] += 1
+            ready = [v for v in range(n) if not indeg[v]]
+            heapq.heapify(ready)
+            order = []
+            while ready:
+                v = heapq.heappop(ready)
+                order.append(v)
+                for w in succ[v]:
+                    indeg[w] -= 1
+                    if not indeg[w]:
+                        heapq.heappush(ready, w)
+            return order
+
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            rank = rng.sample(range(n), n)  # every arc climbs this order
+            arcs = [{w for w in range(n) if rank[v] < rank[w] and rng.random() < 0.15}
+                    for v in range(n)]
+            dag = [sorted(s) for s in arcs]
+            assert _topological_order(n, dag) == by_heap(n, dag)
+            assert len(by_heap(n, dag)) == n
+            a, b = sorted(rng.sample(range(n), 2), key=rank.__getitem__)
+            cyclic = [sorted(s | {b} if v == a else s | {a} if v == b else s)
+                      for v, s in enumerate(arcs)]
+            order = _topological_order(n, cyclic)
+            assert order == by_heap(n, cyclic) and a not in order and b not in order
 
     def test_rejects_redundant_cover(self):
         with pytest.raises(PosetFormatError, match="redundant"):

@@ -68,7 +68,7 @@ def test_registry_lists_every_statement():
 
 
 def test_start_up_line_count():
-    # the modules every command but verify compiles, and their lines as wc -l counts them
+    # the modules every command compiles, and their lines as wc -l counts them
     match = re.search(r"compiles\s+the package's\s+(.*?),\s+([\d,]+) lines \(`wc -l`\)",
                       README, re.S)
     assert match, "no start-up line count"

@@ -10,14 +10,12 @@ import pickle
 
 import pytest
 
-from canonlab.canon import (
-    AmphibianSpec,
-    GammaInterpretation,
-    conjecture_sweep,
-)
+from canonlab.canon import AmphibianSpec
 from canonlab.errors import PosetFormatError
+from canonlab.gamma import GammaInterpretation
 from canonlab.polys import IntPolynomial
 from canonlab.poset import Poset, poset_from_json
+from canonlab.sweep import conjecture_sweep
 from canonlab.verify import IdentityReport, is_dyck_path
 
 
