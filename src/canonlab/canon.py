@@ -3,10 +3,12 @@
 The brute-force sums here are the source of truth; the closed forms
 (product formulas, degree and palindromicity laws, gamma
 interpretations) are the things under test, and ``canonlab.verify``
-holds the checks that compare them.  Every sum over column
-labelings sigma, for any labeled P, n and removed covers, is one call of
-``canon_polynomial_bruteforce``, whose rows come from ``canon_rows``: one
-kernel call per poset and row labeling w, one histogram per w x sigma.
+holds the checks that compare them.  Every sum over column words sigma
+is one call: of ``canon_polynomial_bruteforce`` over all n! of them, for
+any labeled P, n and removed covers, and of
+``verify.generalized_product_identity`` over the extension words of a
+second poset P'.  Their rows come from ``canon_rows``: one kernel call
+per poset and row labeling w, one histogram per w x sigma.
 
 The sum is exact, yet it runs one kernel lane per descent class of
 sigma, not one per sigma.  By the theory of (P,w)-partitions, a labeled
@@ -18,10 +20,11 @@ the same descents on the gaps that keep a cover share one histogram.  A
 depth-first walk over those patterns counts each class with no sigma
 listed and hands the kernel one sigma per class as it takes the lane, so
 the kernel's work bound, which counts all 2^(kept gaps) lanes, refuses
-before any class is built.  The edge-subset sweep and its table of
-subposet sums are in ``canonlab.sweep``, and the Cor. 5.1 gamma
-interpretation in ``canonlab.gamma``; only the commands that run them
-load those modules.
+before any class is built.  P''s words are counted on its own state
+graph, not by rank, in a walk whose work is bounded before it starts.
+The edge-subset sweep and its table of subposet sums are in
+``canonlab.sweep``, and the Cor. 5.1 gamma interpretation in
+``canonlab.gamma``; only the commands that run them load those modules.
 """
 
 from __future__ import annotations
@@ -127,30 +130,41 @@ def _row_sum(rows: Iterable[Sequence[int]], weights: Iterable[int] = repeat(1)) 
     return IntPolynomial(total)
 
 
-def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int]) -> Iterator[tuple[int, ...]]:
+def _rank_step(j: int, f: list[int]) -> tuple[list[int], list[int]]:
+    """The permutations' count step: by the rank of the last value, the
+    next value rises to rank r from ranks < r and falls from ranks >= r."""
+    rise = [0, *accumulate(f)]
+    return rise, [rise[-1] - c for c in rise]
+
+
+def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int], step: Callable = _rank_step,
+                     start: Sequence[int] = (1,)) -> Iterator[tuple[int, ...]]:
     """Depth first, one sigma per pattern of descents on ``gaps`` (gap j
     between sigma[j] and sigma[j+1]), rises first at each gap: the identity
     with each run of descents reversed, after appending to ``sizes`` how
-    many permutations of 1..n have its pattern, 2^|gaps| in all.  The walk
-    stops after the last gap: later values take any ranks, and sigma rises."""
+    many words have its pattern; a pattern no word has gets no sigma.
+    ``step(j, f)`` splits the counts f of the prefixes of length j + 1
+    (``start`` for j = 0) into those of length j + 2 that rise and fall at
+    gap j.  The walk stops after the last gap: later values take any ranks,
+    and sigma rises (a second poset's step, in ``canonlab.verify``, keeps
+    every gap, so its words end there)."""
     stop = max(gaps, default=-1) + 1
     kept = set(gaps)
-    # (next gap, sigma's closed runs, its open run's start, prefix counts by
-    # the rank of the last value): the next value rises to rank r from ranks
-    # < r, falls from ranks >= r, or either off the gaps; a rise closes a run
-    todo = [(0, (), 0, [1])]
+    # (next gap, sigma's closed runs, its open run's start, prefix counts):
+    # a rise closes a run, and off the gaps both parts go on together
+    todo = [(0, (), 0, start)]
     while todo:
-        j, runs, start, f = todo.pop()
+        j, runs, first, f = todo.pop()
         if j == stop:
             sizes.append(sum(f) * factorial(n) // factorial(j + 1))
-            yield runs + tuple(range(j + 1, start, -1)) + tuple(range(j + 2, n + 1))
+            yield runs + tuple(range(j + 1, first, -1)) + tuple(range(j + 2, n + 1))
             continue
-        rise = [0, *accumulate(f)]
-        closed = (j + 1, runs + tuple(range(j + 1, start, -1)), j + 1)
+        rise, fall = step(j, f)
+        closed = (j + 1, runs + tuple(range(j + 1, first, -1)), j + 1)
         if j in kept:
-            todo += [(j + 1, runs, start, [rise[-1] - c for c in rise]), (*closed, rise)]
+            todo += [node for node in ((j + 1, runs, first, fall), (*closed, rise)) if any(node[3])]
         else:
-            todo.append((*closed, [rise[-1]] * (j + 2)))
+            todo.append((*closed, [*map(add, rise, fall)]))
 
 
 def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 0) -> IntPolynomial:

@@ -2,10 +2,12 @@
 
 A linear extension is a plain tuple of element indices.  Enumeration
 order is lexicographic on element indices, and streams can be stopped
-early.  ``enumerate_linear_extensions`` streams every extension, and is
-the oracle the kernel is tested against.  The checked-product extensions
-that Cor. 5.1 counts are in ``canonlab.gamma``; label words, the other
-word-level oracles and the Dyck-path correspondence in ``canonlab.verify``.
+early.  ``enumerate_linear_extensions`` streams every extension for the
+``extensions`` command, the ``thm-2.3`` walk and the tests, where it is
+the oracle the kernel is tested against; no sum lists extensions.  The
+checked-product extensions that Cor. 5.1 counts are in
+``canonlab.gamma``; label words, the other word-level oracles and the
+Dyck-path correspondence in ``canonlab.verify``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+from bisect import bisect
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate, permutations, product
+from itertools import accumulate, groupby, permutations, product
 from math import comb, factorial
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -23,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from canonlab import kernel
 from canonlab.canon import (
     AmphibianSpec,
+    _descent_classes,
     _product_form,
     _row_sum,
     _Sized,
@@ -292,14 +294,62 @@ def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityRepo
     return IdentityReport.compare(f"checked-product m={p.element_count} n={n}", lhs, rhs)
 
 
+def _word_classes(pprime: Poset, sizes: list[int]) -> _Sized:
+    """One sigma per descent pattern of the natural label words of
+    ``pprime``'s extensions, walked by ``canon._descent_classes`` with each
+    class's number of words appended to ``sizes``, and sized for
+    min(2^(n-1), e(P')) lanes.
+
+    Its count step counts the prefixes by their state in P''s state graph,
+    built once, whose count is e(P').  A state's sources are the states of
+    the ideal it grows from, and it rises from those whose key, the natural
+    label of the element placed last, is below its own.  So with each
+    ideal's states sorted by key, a step takes one prefix sum per ideal for
+    all the states it grows, as the rank step does for the permutations.
+    The walk's work, min(2^j, e(P')) patterns x transitions x |P'| at
+    each gap j, is refused past the kernel's ``MAX_WORK`` before any class
+    is built."""
+    n, nat = pprime.element_count, natural_labeling(pprime)
+    last, sources, _, count = kernel._transitions(pprime)
+    steps: list[list] = [[] for _ in range(n)]  # by gap: (sources by key, cuts) by ideal
+    start = [1]  # the empty word, when P' is empty
+    lo, hi, j = 0, 1, -1  # the sources' layer is the states lo..hi-1, split at gap j
+    for ends, grown in groupby(range(1, len(last) + 1), lambda s: sources[s - 1]):
+        grown = list(grown)
+        if ends[0] >= hi:  # states are numbered in layer order
+            lo, hi, j = hi, grown[0], j + 1
+        if j < 0:
+            start = [1] * len(grown)  # the first layer, grown from the start state
+            continue
+        keys, order = zip(*sorted((nat[last[s - 1]], s - lo) for s in ends))
+        steps[j].append((order, [bisect(keys, nat[last[s - 1]]) for s in grown]))
+    work = sum(min(1 << j, count) * len(ends) * len(cuts)
+               for j, ideals in enumerate(steps) for ends, cuts in ideals) * n
+    if work > kernel.MAX_WORK:
+        raise SizeCapError(
+            f"the descent-class walk over P' has more than {kernel.MAX_WORK} classes x "
+            f"transitions x elements: the second poset is too large")
+
+    def step(j: int, f: list[int]) -> tuple[list[int], list[int]]:
+        rise, fall = [], []
+        for ends, cuts in steps[j]:
+            below = [0, *accumulate(map(f.__getitem__, ends))]
+            rise += map(below.__getitem__, cuts)
+            fall += [below[-1] - below[c] for c in cuts]
+        return rise, fall
+
+    gaps = range(n - 1)
+    return _Sized(min(1 << len(gaps), count),
+                  lambda: _descent_classes(n, gaps, sizes, step, start))
+
+
 def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> IdentityReport:
     """Sum of product descent polynomials over the extensions of a second
-    poset vs the factored form x^k * h*(P') * h*(P x [n])."""
-    n, nat = pprime.element_count, natural_labeling(pprime)
-    # sized first, so the kernel can refuse before any word is listed
-    words = _Sized(kernel.count_extensions(pprime),
-                   lambda: (word(ext, nat) for ext in enumerate_linear_extensions(pprime)))
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, words))
+    poset vs the factored form x^k * h*(P') * h*(P x [n]).  The left side
+    runs one lane per descent class of P''s words, weighted by its size:
+    w x sigma's row depends only on sigma's descents."""
+    n, sizes = pprime.element_count, []
+    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, _word_classes(pprime, sizes)), sizes)
     rhs = _product_form(p, w, n, lambda: hstar(pprime))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from conftest import poly_sum, removable_edges, vee_poset, wedge_poset
+from conftest import poly_sum, random_poset, removable_edges, vee_poset, wedge_poset
 
 from canonlab import canon, cli, gamma, kernel, linext, polys, poset, sweep, verify
 from canonlab.canon import (
@@ -182,13 +182,13 @@ class TestColumnLabelings:
         assert list(column_labelings(3)) == list(permutations((1, 2, 3)))
 
     def test_extensions_of_second_poset(self):
-        # the words of P' are sized by e(P'): the kernel refuses the 9!
-        # lanes of antichain(9) before any is listed, while the one word of
-        # chain(10) runs
+        # the words of P' run one lane per descent class, not per word: the
+        # 9! words of antichain(9) take 2^8 lanes, and the one word of
+        # chain(10) one lane
         assert pprime_words(chain(3)) == [(1, 2, 3)]
         assert pprime_words(antichain(3)) == list(column_labelings(3))
-        with pytest.raises(SizeCapError, match="lanes x transitions x elements"):
-            generalized_product_identity(chain(2), (1, 2), antichain(9))
+        r = generalized_product_identity(chain(2), (1, 2), antichain(9))
+        assert r.holds and r.rhs == eulerian(9) * narayana(9)
         assert generalized_product_identity(chain(2), (1, 2), chain(10)).holds
 
     def test_rows_match_hstar(self):
@@ -253,6 +253,56 @@ class TestDescentClasses:
             for w in ((1, 2), (2, 1)):
                 report = generalized_product_identity(chain(2), w, pprime)
                 assert report.holds and report.lhs == every_sigma(chain(2), w, 3, 0, pprime)
+
+    def test_second_poset_classes_equal_its_words(self):
+        # the class sum against one lane per extension word, on shuffled
+        # random posets of up to 7 elements, and on two with two components,
+        # for m = 1..3 under both row labelings; each class holds the words
+        # with its descents, and the lanes are at most min(2^(n-1), e(P'))
+        rng = random.Random(20261020)
+        posets = [random_poset(rng, 7) for _ in range(24)]
+        posets += [poset.Poset(5, ((0, 1), (2, 3), (3, 4))),
+                   poset.Poset(6, ((4, 0), (4, 2), (5, 1), (3, 1)))]
+        for pprime in posets:
+            n, words = pprime.element_count, pprime_words(pprime)
+            for m in (1, 2, 3):
+                for w in {tuple(range(1, m + 1)), tuple(range(m, 0, -1))}:
+                    report = generalized_product_identity(chain(m), w, pprime)
+                    assert report.holds, (pprime, m, w)
+                    assert report.lhs == every_sigma(chain(m), w, n, 0, pprime), (pprime, m, w)
+            sizes = []
+            classes = verify._word_classes(pprime, sizes)
+            sigmas = list(classes)
+            gaps = range(n - 1)
+            listed = Counter(descents_on(s, gaps) for s in words)
+            assert dict(zip((descents_on(s, gaps) for s in sigmas), sizes)) == listed, pprime
+            assert sum(sizes) == len(words) == kernel.count_extensions(pprime)
+            assert len(sigmas) == len(listed) <= len(classes) == min(1 << n - 1, len(words))
+
+    def test_both_count_steps_walk_the_antichain_alike(self):
+        # the permutations' rank step and the state graph's step of
+        # antichain(n), whose words are the permutations: the same (sigma,
+        # size) pairs in the same order
+        for n in range(1, 10):
+            sizes = []
+            sigmas = list(verify._word_classes(antichain(n), sizes))
+            assert list(zip(sigmas, sizes)) == descent_classes(n, range(n - 1)), n
+
+    def test_second_poset_walk_bound(self, monkeypatch):
+        # the walk's work is sized from P''s graph before any class: the
+        # 11-antichain runs, the 12-antichain and the 12-star are refused,
+        # and a chain of any length walks its one class
+        walked = []
+        monkeypatch.setattr(verify, "_descent_classes", lambda *args: walked.append(1))
+        for pprime in (antichain(12), verify._star(12)):
+            with pytest.raises(SizeCapError, match="classes x transitions x elements"):
+                verify._word_classes(pprime, [])
+        assert walked == []
+        monkeypatch.undo()
+        assert len(verify._word_classes(antichain(11), [])) == 1 << 10
+        sizes = []
+        assert list(verify._word_classes(chain(40), sizes)) == [tuple(range(1, 41))]
+        assert sizes == [1]
 
     def test_labeled_poset_with_falling_covers(self):
         # vee-k1 of the labeled-product cases: w falls on one cover only

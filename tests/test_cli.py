@@ -338,13 +338,14 @@ class TestVerify:
         assert sorted(built) == list(range(256))
 
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
-        # the kernel's work bound counts the n! lanes, or the e(P') words of
-        # the second poset, and refuses them before a sigma or a word is
-        # listed or a canon labeling is built
+        # the kernel's work bound counts the n! lanes, and the class walk's
+        # bound the classes of the second poset, and each refuses before a
+        # sigma, a class or a word is listed or a canon labeling is built
         import canonlab.canon as canon_mod
 
-        built, listed, extensions = [], [], []
+        built, listed, classes, extensions = [], [], [], []
         real_labeling, real_permutations = canon_mod.canon_labeling, verify_mod.permutations
+        real_classes = verify_mod._descent_classes
         real_extensions = verify_mod.enumerate_linear_extensions
 
         def counted(w, sigma):
@@ -356,6 +357,11 @@ class TestVerify:
                 listed.append(sigma)
                 yield sigma
 
+        def counted_classes(*args):
+            for sigma in real_classes(*args):
+                classes.append(sigma)
+                yield sigma
+
         def counted_extensions(p):
             for ext in real_extensions(p):
                 extensions.append(ext)
@@ -363,15 +369,25 @@ class TestVerify:
 
         monkeypatch.setattr(canon_mod, "canon_labeling", counted)
         monkeypatch.setattr(verify_mod, "permutations", counted_sigmas)
+        monkeypatch.setattr(verify_mod, "_descent_classes", counted_classes)
         monkeypatch.setattr(verify_mod, "enumerate_linear_extensions", counted_extensions)
-        for argv in (("cor-3.4", "--m", "9", "--n", "8"), ("cor-3.4", "--m", "2", "--n", "9"),
-                     ("prop-5.2", "--m", "2", "--n", "9"), ("remark-product", "--n", "9")):
+        for argv, bound in ((("cor-3.4", "--m", "9", "--n", "8"), "lanes"),
+                            (("cor-3.4", "--m", "2", "--n", "9"), "lanes"),
+                            (("prop-5.2", "--m", "2", "--n", "9"), "lanes"),
+                            (("remark-product", "--m", "1", "--n", "12"), "classes"),
+                            (("remark-product", "--m", "3", "--n", "11"), "lanes")):
             code, out, err = invoke(capsys, "verify", *argv)
-            assert (code, out) == (2, "") and "lanes x transitions x elements" in err, argv
-        assert built == listed == extensions == []
+            assert (code, out) == (2, "") and f"{bound} x transitions x elements" in err, argv
+        assert built == listed == classes == extensions == []
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
         # the kernel walks the 6 sigmas, and the check walks them again
         assert (len(built), len(listed)) == (6, 12)
+        # the 9! words of antichain(9) run as 2^8 classes, chain(9)'s one
+        # word as one, and the star's 8! as 2^7, as its first gap rises in
+        # every word: no word is listed
+        code, out, _ = invoke(capsys, "verify", "remark-product", "--n", "9")
+        assert code == 0 and "3/3 checks hold" in out
+        assert len(classes) == 256 + 1 + 128 and extensions == []
 
     def test_shift_checks_under_the_cap(self, capsys):
         # at (2,7), cor-3.4's 5,040 lanes run with no flag, while cor-4.1's
