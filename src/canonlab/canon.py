@@ -3,25 +3,24 @@
 The brute-force sums here are the source of truth; the closed forms
 (product formulas, degree and palindromicity laws, gamma
 interpretations) are the things under test, and ``canonlab.verify``
-holds the checks that compare them.  Every sum over column words sigma
-is one call: of ``canon_polynomial_bruteforce`` over all n! of them, for
-any labeled P, n and removed covers, and of
-``verify.generalized_product_identity`` over the extension words of a
-second poset P'.  Their rows come from ``canon_rows``: one kernel call
-per poset and row labeling w, one histogram per w x sigma.
+holds the checks that compare them.  A sum over column words sigma is
+one kernel call, one lane per w x sigma (``canon_rows``): of
+``canon_polynomial_bruteforce`` over all n! sigma, for any labeled P, n
+and removed covers, and of ``verify.generalized_product_identity`` over
+the extension words of a second poset P'.
 
-The sum is exact, yet it runs one kernel lane per descent class of
-sigma, not one per sigma.  By the theory of (P,w)-partitions, a labeled
-poset's descent polynomial depends only on which of its covers the
-labeling makes strict (w(a) > w(b) for a cover a < b).  Under w x sigma
-a cover inside a column is strict when w falls, and a kept cover
-(x, j) < (x, j+1) exactly when sigma(j) > sigma(j+1), so the sigmas with
-the same descents on the gaps that keep a cover share one histogram.  A
-depth-first walk over those patterns counts each class with no sigma
-listed and hands the kernel one sigma per class as it takes the lane, so
-the kernel's work bound, which counts all 2^(kept gaps) lanes, refuses
-before any class is built.  P''s words are counted on its own state
-graph, not by rank, in a walk whose work is bounded before it starts.
+The sum is exact, yet it runs one lane per descent class of sigma.  By
+the theory of (P,w)-partitions, a labeled poset's descent polynomial
+depends only on which covers the labeling makes strict (w(a) > w(b) for
+a cover a < b).  Under w x sigma a cover inside a column is strict when
+w falls, and a kept cover (x, j) < (x, j+1) exactly when
+sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
+that keep a cover (``_sigma_classes``, which verify's cor-4.1 reads too)
+share one histogram.  A depth-first walk over those patterns counts each
+class with no sigma listed and hands the kernel one sigma per class as
+it takes the lane, so the kernel's work bound, which counts all
+2^(kept gaps) lanes, refuses before any class is built.  P''s words are
+counted on its own state graph, in a walk bounded before it starts.
 The edge-subset sweep and its table of subposet sums are in
 ``canonlab.sweep``, and the Cor. 5.1 gamma interpretation in
 ``canonlab.gamma``; only the commands that run them load those modules.
@@ -167,6 +166,12 @@ def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int], step: Callab
             todo.append((*closed, [*map(add, rise, fall)]))
 
 
+def _sigma_classes(rows: int, n: int, mask: int, sizes: list[int]) -> _Sized:
+    """One sigma per descent class on the gaps where a row keeps its cover, sizes to ``sizes``."""
+    gaps = [j for j in range(n - 1) if any(~mask >> x * (n - 1) + j & 1 for x in range(rows))]
+    return _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps, sizes))
+
+
 def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 0) -> IntPolynomial:
     """Descent polynomial of all canon permutations of (p, w): the sum of
     the descent polynomials of ``product_with_chain(p, n, mask)`` under
@@ -175,11 +180,8 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     class's row counts once per sigma in it, read as the class is walked."""
     q = product_with_chain(p, n, mask)
     _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
-    k = n - 1
-    gaps = [j for j in range(k) if any(~mask >> x * k + j & 1 for x in range(p.element_count))]
     sizes: list[int] = []
-    rows = canon_rows(q, w, _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps, sizes)))
-    return _row_sum(rows, sizes)
+    return _row_sum(canon_rows(q, w, _sigma_classes(p.element_count, n, mask, sizes)), sizes)
 
 
 def _product_form(

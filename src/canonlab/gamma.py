@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
@@ -25,6 +26,7 @@ from canonlab.polys import IntPolynomial, gamma_expansion
 from canonlab.poset import Poset, chain, checked_product, product_with_chain, rho_parities
 
 
+@lru_cache(maxsize=1)  # the counts and the class words read one grid's halves
 def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
     """The extensions of the checked product of ``chain(m)`` and [n] that
     Cor. 5.1 counts (``canonlab.verify._rho_drops``) as g + t: g a way of

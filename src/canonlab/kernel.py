@@ -109,17 +109,19 @@ def descent_histograms(poset, labelings):
     linear extensions of ``poset`` whose label word (integer labels indexed
     by element) has d descents, in max(n, 1) entries packed in bins as wide
     as the graph's e(P).  The first ``next`` builds the graph for
-    ``len(labelings)`` lanes, so both bounds refuse before any is pulled.
+    ``len(labelings)`` lanes, so both bounds refuse before any is pulled."""
+    yield from _lanes(poset.element_count, _transitions(poset, max(len(labelings), 1)), labelings)
 
-    A step placing v from a state whose last element is u is a descent
-    exactly when label[v] < key, the state's key label[u]; the start
-    state's key is the least label, which no label falls below."""
-    n = poset.element_count
-    last, sources, final, count = _transitions(poset, max(len(labelings), 1))
+
+def _lanes(n: int, graph: tuple, labelings):
+    """The rows of ``labelings`` on an n-element poset's state ``graph``: a
+    step placing v after u is a descent exactly when label[v] < key, the
+    state's key label[u]; the start state's key is the least label."""
+    last, sources, final, count = graph
     width = count.bit_length()
-    # flat steps: a lane over grouped sources, mostly of one state, runs slower
-    edges = [(src, dst, v)
-             for dst, (ends, v) in enumerate(zip(sources, last), 1) for src in ends]
+    # flat steps, listed for many lanes (grouped sources run slower), streamed for one
+    steps = ((src, dst, v) for dst, (ends, v) in enumerate(zip(sources, last), 1) for src in ends)
+    edges = list(steps) if len(labelings) > 1 else steps
     bins = (1 << width) - 1
     for labels in labelings:
         keys = [min(labels, default=0)]

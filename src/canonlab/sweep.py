@@ -5,7 +5,8 @@ Only ``sweep`` and ``verify`` load this module (``cli`` imports it on
 first use), so no other command compiles it.  The subposet sums are one
 table, ``dissonant_polynomials``, one sum per orbit of masks
 (``_orbit_key``) over worker processes, which the sweep and verify's
-degree, palindromy and fixed-row checks all read.
+degree, palindromy and fixed-row checks all read; verify's row-shift
+check reads the same orbits (``_orbit_firsts``).
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ def dissonant_polynomials(m: int, n: int, w: Sequence[int], masks: Iterable[int]
     once per orbit under ``_orbit_key``'s maps, for its first mask, over
     ``jobs`` worker processes.  The maps keep the polynomial when
     w(m+1-r) = m+1-w(r) for every row r, as the natural and reversed w have."""
-    keys = {mask: _orbit_key(m, n, mask) for mask in masks}
+    firsts = _orbit_firsts(m, n, masks)
+    specs = {first: AmphibianSpec(m, n, first) for first in firsts.values()}
+    polys = dict(zip(specs, parallel_map(partial(dissonant_polynomial, w=w), specs.values(), jobs)))
+    return {mask: polys[first] for mask, first in firsts.items()}
+
+
+def _orbit_firsts(m: int, n: int, masks: Iterable[int]) -> dict[int, int]:
+    """Each of ``masks`` with the first of them in its orbit (``_orbit_key``)."""
     firsts: dict[tuple, int] = {}
-    for mask, key in keys.items():
-        firsts.setdefault(key, mask)
-    specs = [AmphibianSpec(m, n, mask) for mask in firsts.values()]
-    polys = dict(zip(firsts, parallel_map(partial(dissonant_polynomial, w=w), specs, jobs)))
-    return {mask: polys[key] for mask, key in keys.items()}
+    return {mask: firsts.setdefault(_orbit_key(m, n, mask), mask) for mask in masks}
 
 
 class SweepRow(NamedTuple):

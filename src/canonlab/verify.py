@@ -6,7 +6,9 @@ other command compiles it.  A check runs one case (m, n, *rest) and
 returns its reports, none for a case outside its statement; only
 ``_select`` reads ``--m`` and ``--n``.  ``VERIFY_CHECKS`` lists every
 statement with its default cases, and the README's verification registry
-has one row per entry.
+has one row per entry.  The subposet checks run once per orbit of masks
+and descent class of sigma, and ``run`` checks their subposet bound
+first; only ``cor-3.4`` and ``prop-5.2`` list sigma.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from canonlab.canon import (
     _descent_classes,
     _product_form,
     _row_sum,
+    _sigma_classes,
     _Sized,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
@@ -39,7 +42,6 @@ from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
-    _check_size,
     canon_labeling,
     chain,
     checked_labeling,
@@ -47,7 +49,7 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
 )
-from canonlab.sweep import MAX_SUBPOSETS, dissonant_polynomials, subposet_masks
+from canonlab.sweep import MAX_SUBPOSETS, _orbit_firsts, dissonant_polynomials, subposet_masks
 
 
 class IdentityReport(NamedTuple):
@@ -294,23 +296,23 @@ def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityRepo
     return IdentityReport.compare(f"checked-product m={p.element_count} n={n}", lhs, rhs)
 
 
-def _word_classes(pprime: Poset, sizes: list[int]) -> _Sized:
+def _word_classes(pprime: Poset, graph: tuple, sizes: list[int]) -> _Sized:
     """One sigma per descent pattern of the natural label words of
     ``pprime``'s extensions, walked by ``canon._descent_classes`` with each
     class's number of words appended to ``sizes``, and sized for
     min(2^(n-1), e(P')) lanes.
 
-    Its count step counts the prefixes by their state in P''s state graph,
-    built once, whose count is e(P').  A state's sources are the states of
-    the ideal it grows from, and it rises from those whose key, the natural
-    label of the element placed last, is below its own.  So with each
-    ideal's states sorted by key, a step takes one prefix sum per ideal for
-    all the states it grows, as the rank step does for the permutations.
-    The walk's work, min(2^j, e(P')) patterns x transitions x |P'| at
-    each gap j, is refused past the kernel's ``MAX_WORK`` before any class
-    is built."""
+    Its count step counts the prefixes by their state in ``graph``, P''s
+    state graph from ``kernel._transitions``, whose count is e(P').  A
+    state's sources are the states of the ideal it grows from, and it
+    rises from those whose key, the natural label of the element placed
+    last, is below its own.  So with each ideal's states sorted by key, a
+    step takes one prefix sum per ideal for all the states it grows, as
+    the rank step does for the permutations.  The walk's work, min(2^j,
+    e(P')) patterns x transitions x |P'| at each gap j, is refused past
+    the kernel's ``MAX_WORK`` before any class is built."""
     n, nat = pprime.element_count, natural_labeling(pprime)
-    last, sources, _, count = kernel._transitions(pprime)
+    last, sources, _, count = graph
     steps: list[list] = [[] for _ in range(n)]  # by gap: (sources by key, cuts) by ideal
     start = [1]  # the empty word, when P' is empty
     lo, hi, j = 0, 1, -1  # the sources' layer is the states lo..hi-1, split at gap j
@@ -348,9 +350,11 @@ def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> I
     poset vs the factored form x^k * h*(P') * h*(P x [n]).  The left side
     runs one lane per descent class of P''s words, weighted by its size:
     w x sigma's row depends only on sigma's descents."""
-    n, sizes = pprime.element_count, []
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, _word_classes(pprime, sizes)), sizes)
-    rhs = _product_form(p, w, n, lambda: hstar(pprime))
+    n, sizes, nat = pprime.element_count, [], natural_labeling(pprime)
+    graph = kernel._transitions(pprime)  # built once, for the walk and for h*(P')'s lane
+    classes = _word_classes(pprime, graph, sizes)
+    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, classes), sizes)
+    rhs = _product_form(p, w, n, lambda: IntPolynomial(next(kernel._lanes(n, graph, [nat]))))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
     )
@@ -505,32 +509,23 @@ def _check_generalized_product(
     return [generalized_product_identity(p, w, pprime)]
 
 
-def _row_shift_inputs(m: int, n: int) -> tuple[_Sized, range]:
-    """The sigmas and the masks of cor-4.1, which lists every sigma on
-    every subposet, refused first past ``MAX_LABELINGS`` pairs."""
-    sigmas = column_labelings(n)
-    _check_size(m)  # the poset bound on m comes before the subposet bound
-    masks = subposet_masks(m, n)
-    if len(masks) * len(sigmas) > MAX_LABELINGS:
-        raise SizeCapError(f"{len(masks)} subposets x {n}! column labelings exceed "
-                           f"the bound {MAX_LABELINGS}")
-    return sigmas, masks
-
-
 def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
-    # labeled subposets: h* under (w x sigma) equals x^k h* under (id x sigma)
-    sigmas, masks = _row_shift_inputs(m, n)
+    # h* under (w x sigma) is x^(m-1) h* under (id x sigma), checked per descent
+    # class on each orbit's first mask: a class's sigmas make the same covers
+    # strict (in a column by w alone, a kept (x, j) < (x, j+1) when sigma(j) >
+    # sigma(j+1)), and the orbit maps keep both rows, as w(m+1-r) = m+1-w(r)
     w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
-    k = m - 1
-    detail = None
-    # the full mask first: it has the most transitions, so it is refused first
-    for mask in reversed(masks):
-        q = AmphibianSpec(m, n, mask).poset()
-        pairs = zip(canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas), sigmas)
-        bad = next((s for a, b, s in pairs if IntPolynomial(a) != IntPolynomial(b).shift(k)), None)
-        if bad is not None:
-            detail = f"mask={mask} sigma={bad}"
-            break
+
+    def failures():  # the full mask first: it has the most transitions, so it is refused first
+        for mask in sorted(set(_orbit_firsts(m, n, subposet_masks(m, n)).values()), reverse=True):
+            sigmas = _sigma_classes(m, n, mask, [])
+            lanes = _Sized(2 * len(sigmas),
+                           lambda: (canon_labeling(v, s) for s in sigmas for v in (w, ident)))
+            rows = kernel.descent_histograms(AmphibianSpec(m, n, mask).poset(), lanes)
+            yield from (f"mask={mask} sigma={s}" for s, a, b in zip(sigmas, rows, rows)
+                        if IntPolynomial(a) != IntPolynomial(b).shift(m - 1))
+
+    detail = next(failures(), None)
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 
 
@@ -662,9 +657,9 @@ def run(cfg: argparse.Namespace) -> int:
                 f"{', '.join(sorted(VERIFY_CHECKS))} or all"
             )
     cases = [(check, case) for check, defaults in entries for case in _select(cfg, defaults)]
-    for check, case in cases:  # cor-4.1's bound, on every selected case first
-        if check is _check_row_shift:
-            _row_shift_inputs(*case)
+    for check, case in cases:  # the subposet bound, on every selected case first
+        if check in (_check_row_shift, _check_dissonant, _check_fixed_row_palindromy):
+            subposet_masks(*case[:2])
     reports = [report for check, case in cases for report in check(cfg, *case)]
     if not reports:
         raise PosetFormatError(

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
+from canonlab import kernel
 from canonlab.errors import PosetFormatError
 from canonlab.polys import IntPolynomial
-from canonlab.verify import is_dyck_path
+from canonlab.verify import _word_classes, is_dyck_path
 from canonlab.poset import Poset, transitive_reduction
 
 
@@ -24,6 +25,11 @@ def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Inter-copy covers (row, j) of the m x n grid, 1-based, in the
     row-major order of the mask bits."""
     return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
+
+
+def word_classes(pprime: Poset, sizes: list):
+    """``verify._word_classes`` on P''s own state graph, built here."""
+    return _word_classes(pprime, kernel._transitions(pprime), sizes)
 
 
 def random_poset(rng: random.Random, max_elements: int = 5) -> Poset:

@@ -1,18 +1,27 @@
 import inspect
 import random
+import re
 from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from conftest import poly_sum, random_poset, removable_edges, vee_poset, wedge_poset
+from conftest import (
+    poly_sum,
+    random_poset,
+    removable_edges,
+    vee_poset,
+    wedge_poset,
+    word_classes,
+)
 
 from canonlab import canon, cli, gamma, kernel, linext, polys, poset, sweep, verify
 from canonlab.canon import (
     AmphibianSpec,
     _descent_classes,
     _row_sum,
+    _sigma_classes,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
     canon_rows,
@@ -28,6 +37,7 @@ from canonlab.poset import (
     product_with_chain,
 )
 from canonlab.sweep import (
+    _orbit_firsts,
     _sweep_row,
     conjecture_sweep,
     dissonant_polynomials,
@@ -159,17 +169,18 @@ class TestCanonPolynomial:
         for name, fn in inspect.getmembers(canon, inspect.isfunction):
             assert {"pprime", "subposets"}.isdisjoint(inspect.signature(fn).parameters), name
 
-    def test_bound_counts_every_subposet(self):
-        # a sweep is bounded by its 2^(m(n-1)) subposets alone, while
-        # cor-4.1, which lists the n! labelings on each, is refused past 9!
-        # of them over all subposets
+    def test_bound_counts_every_subposet(self, monkeypatch):
+        # every subposet check, cor-4.1 included, is bounded by its
+        # 2^(m(n-1)) subposets and the kernel's work bound alone: none lists
+        # sigma, so (1,10)'s 10! sigmas run and (2,7) is refused at once
         for m, n in ((2, 4), (2, 5), (3, 4), (4, 3), (5, 3), (2, 6), (1, 11)):
             assert subposet_masks(m, n) == range(1 << m * (n - 1))
         rows = conjecture_sweep(2, 6)
         assert len(rows) == 1024 and all(r.gamma_positive for r in rows)
-        for m, n, what in ((2, 6, "1024 subposets x 6!"), (1, 9, "256 subposets x 9!"),
-                           (1, 10, "10!")):
-            with pytest.raises(SizeCapError, match=what):
+        monkeypatch.setattr(verify, "column_labelings", None)
+        assert _check_row_shift(None, 1, 10)[0].holds
+        for m, n, what in ((2, 7, "2^12"), (1, 12, "2^11")):
+            with pytest.raises(SizeCapError, match=re.escape(f"{what} subposets exceed the bound")):
                 _check_row_shift(None, m, n)
         # more than 2^10 subposets, refused before the shift
         for m, n in ((11, 2), (17, 2), (10**6, 10**5)):
@@ -271,7 +282,7 @@ class TestDescentClasses:
                     assert report.holds, (pprime, m, w)
                     assert report.lhs == every_sigma(chain(m), w, n, 0, pprime), (pprime, m, w)
             sizes = []
-            classes = verify._word_classes(pprime, sizes)
+            classes = word_classes(pprime, sizes)
             sigmas = list(classes)
             gaps = range(n - 1)
             listed = Counter(descents_on(s, gaps) for s in words)
@@ -285,7 +296,7 @@ class TestDescentClasses:
         # size) pairs in the same order
         for n in range(1, 10):
             sizes = []
-            sigmas = list(verify._word_classes(antichain(n), sizes))
+            sigmas = list(word_classes(antichain(n), sizes))
             assert list(zip(sigmas, sizes)) == descent_classes(n, range(n - 1)), n
 
     def test_second_poset_walk_bound(self, monkeypatch):
@@ -296,12 +307,12 @@ class TestDescentClasses:
         monkeypatch.setattr(verify, "_descent_classes", lambda *args: walked.append(1))
         for pprime in (antichain(12), verify._star(12)):
             with pytest.raises(SizeCapError, match="classes x transitions x elements"):
-                verify._word_classes(pprime, [])
+                word_classes(pprime, [])
         assert walked == []
         monkeypatch.undo()
-        assert len(verify._word_classes(antichain(11), [])) == 1 << 10
+        assert len(word_classes(antichain(11), [])) == 1 << 10
         sizes = []
-        assert list(verify._word_classes(chain(40), sizes)) == [tuple(range(1, 41))]
+        assert list(word_classes(chain(40), sizes)) == [tuple(range(1, 41))]
         assert sizes == [1]
 
     def test_labeled_poset_with_falling_covers(self):
@@ -426,6 +437,16 @@ class TestGeneralizedProduct:
     def test_reverse_labeling(self):
         r = generalized_product_identity(chain(2), (2, 1), vee_poset())
         assert r.holds
+
+    def test_second_poset_graph_built_once(self, monkeypatch):
+        # P''s state graph serves the class walk and h*(P')'s one lane
+        built = []
+        real = kernel._transitions
+        monkeypatch.setattr(kernel, "_transitions", lambda *a: built.append(a[0]) or real(*a))
+        for pprime in (antichain(5), chain(5), verify._star(5), vee_poset()):
+            built.clear()
+            assert generalized_product_identity(chain(2), (1, 2), pprime).holds
+            assert built.count(pprime) == 1, pprime
 
 
 class TestDissonant:
@@ -568,6 +589,45 @@ class TestShiftLaw:
                     des = sum(1 for a, b in zip(sig, sig[1:]) if a > b)
                     lhs = hstar(grid, canon_labeling(tuple(range(1, m + 1)), sig))
                     assert lhs == base.shift(des), (m, n, sig)
+
+
+def row_shift_every_sigma(m: int, n: int) -> list[IdentityReport]:
+    """cor-4.1 by its definition, the oracle for the per-orbit route: every
+    sigma's row under the reversed and the natural w on every subposet,
+    two kernel calls of n! lanes per mask, the full mask first, stopping
+    at the first (mask, sigma) whose rows differ by other than x^(m-1)."""
+    sigmas = column_labelings(n)
+    w, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+    detail = None
+    for mask in reversed(subposet_masks(m, n)):
+        q = AmphibianSpec(m, n, mask).poset()
+        pairs = zip(canon_rows(q, w, sigmas), canon_rows(q, ident, sigmas), sigmas)
+        bad = next((s for a, b, s in pairs if P(*a) != P(*b).shift(m - 1)), None)
+        if bad is not None:
+            detail = f"mask={mask} sigma={bad}"
+            break
+    return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
+
+
+class TestRowShift:
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (1, 5)])
+    def test_per_orbit_route_matches_every_sigma(self, m, n):
+        assert _check_row_shift(None, m, n) == row_shift_every_sigma(m, n)
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (1, 6), (4, 3)])
+    def test_class_sigmas_on_orbit_firsts_are_exact(self, m, n):
+        # the (reversed row, natural row) pairs of every mask over all n!
+        # sigma are those of the class sigmas on its orbit's first mask
+        w, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+
+        def pairs(mask, sigmas):
+            q = AmphibianSpec(m, n, mask).poset()
+            return set(zip(map(tuple, canon_rows(q, w, sigmas)),
+                           map(tuple, canon_rows(q, ident, sigmas))))
+
+        sigmas = column_labelings(n)
+        for mask, first in _orbit_firsts(m, n, subposet_masks(m, n)).items():
+            assert pairs(mask, sigmas) == pairs(first, list(_sigma_classes(m, n, first, []))), mask
 
 
 class TestWeakDescents:

@@ -122,8 +122,8 @@ class TestPoly:
             (("verify", "cor-2.4", "--n", "100000"), "exceeds the bound 1000"),
             # each refused by a bound before any sum: unbounded, they run
             # for minutes to hours or exhaust memory
-            (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6!"),
-            (("verify", "cor-4.1", "--m", "1", "--n", "9"), "256 subposets x 9!"),
+            (("verify", "cor-4.1", "--m", "2", "--n", "7"), "2^12 subposets exceed the bound 1024"),
+            (("verify", "cor-4.1", "--m", "1", "--n", "12"), "2^11 subposets exceed the bound"),
             (("poly", "canon", "--m", "9", "--n", "8"), "too large"),
             (("verify", "cor-3.4", "--m", "9", "--n", "8"), "too large"),
             (("sweep", "gamma", "--m", "17", "--n", "2"), "2^17 subposets exceed the bound 1024"),
@@ -275,10 +275,12 @@ class TestVerify:
         # cor-3.4 at (2,3): one grid under every one of its 6 labelings
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
         assert calls == [6]
-        # cor-4.1 at (2,2): 4 subposets under two row labelings, 2 sigmas each
+        # cor-4.1 at (2,2): one call per orbit of its 4 masks, the full mask
+        # first, with a lane under each row labeling per descent class on the
+        # kept gaps: none, then the one gap that the first and the last mask keep
         calls.clear()
         assert invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "2")[0] == 0
-        assert calls == [2] * 8
+        assert calls == [2, 4, 4]
         # a sum runs one lane per descent class: 2^5 of the 720 sigmas at n = 6
         calls.clear()
         assert invoke(capsys, "poly", "canon", "--m", "2", "--n", "6")[0] == 0
@@ -303,9 +305,10 @@ class TestVerify:
             assert len(calls) == sums, statement
 
     def test_refused_before_any_case_runs(self, capsys, monkeypatch):
-        # every statement name is resolved, and cor-4.1's masks x n! bound
-        # checked on every selected case, before the first case runs: no
-        # kernel call, where cor-3.4 at (1,9) would make one of 9! lanes
+        # every statement name is resolved, and the subposet bound checked on
+        # every selected case of the four subposet checks, before the first
+        # case runs: no kernel call, where cor-3.4 at (2,7) would make one of
+        # 7! lanes
         import canonlab.kernel as kernel_mod
 
         def refuse(*args, **kwargs):
@@ -313,9 +316,9 @@ class TestVerify:
 
         monkeypatch.setattr(kernel_mod, "descent_histograms", refuse)
         for argv, message in ((("cor-3.4", "nope"), "unknown statement 'nope'"),
-                              (("all",), "256 subposets x 9! column labelings exceed"),
-                              (("cor-3.4", "cor-4.1"), "256 subposets x 9! column labelings")):
-            code, out, err = invoke(capsys, "verify", *argv, "--m", "1", "--n", "9")
+                              (("all",), "2^12 subposets exceed the bound 1024"),
+                              (("cor-3.4", "cor-4.1"), "2^12 subposets exceed the bound 1024")):
+            code, out, err = invoke(capsys, "verify", *argv, "--m", "2", "--n", "7")
             assert (code, out) == (2, "") and message in err, argv
 
     def test_degree_check_builds_each_witness_once(self, capsys, monkeypatch):
@@ -414,6 +417,26 @@ class TestVerify:
         assert "[FAIL] shift-law m=2 n=3  (failed at sigma=(3, 2, 1))" in out
 
 
+    def test_row_shift_compares_every_lane_pair(self, capsys, monkeypatch):
+        import canonlab.kernel as kernel_mod
+
+        real = kernel_mod.descent_histograms
+        grid = product_with_chain(chain(2), 3)
+
+        def perturbed(poset, labelings):
+            # on the full grid, mask 0, the last lane (the natural row of the
+            # last class sigma) gains one extension as it passes
+            rows = list(real(poset, labelings))
+            if poset == grid:
+                rows[-1] = [rows[-1][0] + 1] + rows[-1][1:]
+            yield from rows
+
+        monkeypatch.setattr(kernel_mod, "descent_histograms", perturbed)
+        code, out, _ = invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "3")
+        assert code == 1
+        assert "[FAIL] row-shift m=2 n=3  (mask=0 sigma=(3, 2, 1))" in out
+
+
 class TestSweep:
     def test_gamma_2x3(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "3")
@@ -448,16 +471,18 @@ class TestSweep:
         assert payload["violations"] == []
 
     def test_subposet_bound(self, capsys):
-        # a sweep and lemma-4.2 list no sigma, so only the 2^10 subposet
-        # bound applies: (2,6)'s 1024 subposets run, while cor-4.1, which
-        # lists 6! sigmas on each, is refused at once
+        # no subposet check lists sigma, so only the 2^10 subposet bound
+        # applies: (2,6)'s 1024 subposets run, and (1,9)'s 256 under cor-4.1,
+        # while (2,7)'s 4096 are refused at once
         code, out, _ = invoke(capsys, "sweep", "gamma", "--m", "2", "--n", "6")
         assert code == 0 and "1024 subposets swept, 0 gamma-negative" in out
         code, out, _ = invoke(capsys, "verify", "lemma-4.2", "--m", "2", "--n", "6")
         assert code == 0 and "2048/2048 checks hold" in out
+        code, out, _ = invoke(capsys, "verify", "cor-4.1", "--m", "1", "--n", "9")
+        assert code == 0 and "1/1 checks hold" in out
         for argv, message in (
             (("sweep", "gamma", "--m", "2", "--n", "7"), "2^12 subposets exceed the bound 1024"),
-            (("verify", "cor-4.1", "--m", "2", "--n", "6"), "1024 subposets x 6! column labelings"),
+            (("verify", "cor-4.1", "--m", "2", "--n", "7"), "2^12 subposets exceed the bound 1024"),
         ):
             start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
@@ -520,6 +545,19 @@ class TestGammaCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["gamma"] == [1, 0] and payload["matches"] is True
+
+    def test_halves_built_once(self, capsys, monkeypatch):
+        # the counts and the class words read one build of each half: three
+        # state graphs at (2,6), the canon sum's grid and the two halves
+        import canonlab.gamma as gamma_mod
+        import canonlab.kernel as kernel_mod
+
+        built = []
+        real = kernel_mod._transitions
+        monkeypatch.setattr(kernel_mod, "_transitions", lambda *a: built.append(a[0]) or real(*a))
+        gamma_mod.rho_halves.cache_clear()
+        assert invoke(capsys, "gamma", "--m", "2", "--n", "6")[0] == 0
+        assert len(built) == 3
 
     def test_listing_bound(self):
         # (2,8) passes both caps with --force-cap 16, but its 924,687 class
