@@ -7,12 +7,13 @@ size-cap errors.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
+import re
 import sys
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from canonlab import poset
 from canonlab.canon import (
@@ -89,12 +90,12 @@ def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
     return tuple(range(1, m + 1))
 
 
-def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, ...]]]:
+def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, Optional[tuple[int, ...]]]:
     """The poset of ``--poset``, or the ``--m`` x ``--n`` grid (the checked
     product with ``--checked``) less its ``--remove`` covers, with its
     labeling."""
     given = [f"--{name}" for name in ("m", "n", "w", "checked", "remove")
-             if getattr(cfg, name, None) is not None]
+             if getattr(cfg, name) is not None]
     if cfg.poset is not None:
         if given:
             raise PosetFormatError(f"--poset does not combine with {', '.join(given)}")
@@ -103,7 +104,7 @@ def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, 
         raise PosetFormatError("give --poset FILE (which --repair needs), or --m and --n")
     mask = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove)).mask
     p = (checked_product if cfg.checked else product_with_chain)(chain(cfg.m), cfg.n, mask)
-    w = _row_labeling(getattr(cfg, "w", None), cfg.m)
+    w = _row_labeling(cfg.w, cfg.m)
     if cfg.checked:
         return p, poset.checked_labeling(w, cfg.n)
     return p, canon_labeling(w, range(1, cfg.n + 1))
@@ -113,7 +114,7 @@ def _resolve_poset(cfg: argparse.Namespace) -> tuple[Poset, Optional[tuple[int, 
 # poly
 
 
-def _cmd_poly(cfg: argparse.Namespace) -> int:
+def _cmd_poly(cfg: SimpleNamespace) -> int:
     p = cfg.make(cfg)
     if cfg.format == "json":
         print(json.dumps(poly_to_payload(p)))
@@ -131,7 +132,7 @@ def _cmd_poly(cfg: argparse.Namespace) -> int:
 # verify
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> int:
+def _cmd_verify(cfg: SimpleNamespace) -> int:
     # imported here: no other command compiles the statement checks
     from canonlab import verify
 
@@ -142,7 +143,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 # sweep
 
 
-def _cmd_sweep(cfg: argparse.Namespace) -> int:
+def _cmd_sweep(cfg: SimpleNamespace) -> int:
     # imported here: only sweep and verify compile the edge-subset sweep
     from canonlab import sweep
 
@@ -153,14 +154,14 @@ def _cmd_sweep(cfg: argparse.Namespace) -> int:
 # gamma / extensions
 
 
-def _cmd_gamma(cfg: argparse.Namespace) -> int:
+def _cmd_gamma(cfg: SimpleNamespace) -> int:
     # imported here: only gamma and verify compile the Cor. 5.1 interpretation
     from canonlab import gamma
 
     return gamma.run(cfg)
 
 
-def _cmd_extensions(cfg: argparse.Namespace) -> int:
+def _cmd_extensions(cfg: SimpleNamespace) -> int:
     p, _ = _resolve_poset(cfg)
     if cfg.count_only:
         print(count_extensions(p))
@@ -184,99 +185,248 @@ def _cmd_extensions(cfg: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# the option table
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than ``low``."""
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
-        return int(text)
-    return integer
+FORMATS = ("json", "csv", "plain")
+# Each option and positional: how it reads its text (``int``, an int N for an
+# integer of at least N, ``str`` or a tuple of choices; None for a flag, True
+# when given), its help and its value when not given.  --format's choices are
+# each route's own.
+OPTIONS = {
+    "--m": (int, "size of the row chain", None),
+    "--n": (int, "number of chain copies / columns", None),
+    "--w": (("natural", "id", "reverse", "u"), "row labeling", None),
+    "--remove": (str, 'inter-copy covers to delete, "row:j,row:j"', None),
+    "--poset": (str, "poset JSON file", None),
+    "--repair": (None, "repair redundant covers by transitive reduction on load", None),
+    "--checked": (None, "use the checked product", None),
+    "--force-cap": (1, "ignored: no option raises the work bounds", None),
+    "--jobs": (1, "worker processes, at most one per CPU and per subposet", 1),
+    "--count-only": (None, "print the number of linear extensions only", None),
+    "--limit": (0, "list at most this many linear extensions", None),
+    "--format": (FORMATS, "output format", "plain"),
+    "statements": (str, "statement ids, as in the README's verification registry, or all", None),
+    "kind": (("gamma",), "the sweep to run", None),
+}
 
 
-def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    return argparse.ArgumentParser(add_help=False, parents=parents)
+class Route(NamedTuple):
+    """A command or ``poly`` kind: its help, the options it takes in usage
+    order, the ones it requires, its ``--format`` choices, what runs it and,
+    for a ``poly`` kind, the polynomial it makes.  ``positional`` names its
+    positional, which takes one or more values when ``many``."""
+
+    help: str
+    options: str
+    required: str = ""
+    formats: tuple = FORMATS
+    run: Callable = _cmd_poly
+    make: Optional[Callable] = None
+    positional: str = ""
+    many: bool = False
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser per command and ``poly`` kind, each taking only the options it reads."""
-    parser = argparse.ArgumentParser(
-        prog="canonlab",
-        description="Enumerate canon permutations and verify descent-polynomial identities",
-    )
-    m_help, n_help = "size of the row chain", "number of chain copies / columns"
-    size = _options()
-    size.add_argument("--n", type=int, required=True, help=n_help)
-    grid = _options(size)
-    grid.add_argument("--m", type=int, required=True, help=m_help)
-    row = _options()
-    row.add_argument("--w", choices=["natural", "id", "reverse", "u"], help="row labeling")
-    remove = _options()
-    remove.add_argument("--remove", help='inter-copy covers to delete, "row:j,row:j"')
-    cap = _options()
-    cap.add_argument("--force-cap", type=_at_least(1),
-                     help="ignored: no option raises the work bounds")
-    fmt = _options()
-    fmt.add_argument("--format", default="plain", choices=["json", "csv", "plain"])
-    no_csv = _options()
-    no_csv.add_argument("--format", default="plain", choices=["json", "plain"])
-    # --poset or the m x n grid, checked at run time: each grid option is None unless given
-    free = _options()
-    free.add_argument("--m", type=int, help=m_help)
-    free.add_argument("--n", type=int, help=n_help)
-    source = _options(free, remove)
-    source.add_argument("--poset", help="poset JSON file")
-    source.add_argument("--repair", action="store_true",
-                        help="repair redundant covers by transitive reduction on load")
-    source.add_argument("--checked", action="store_true", default=None,
-                        help="use the checked product")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    kinds = sub.add_parser("poly", help="compute a named polynomial").add_subparsers(
-        dest="kind", required=True)
-    for kind, parents, make in (
-        ("eulerian", [size, fmt], lambda cfg: eulerian(cfg.n)),
-        ("narayana", [size, fmt], lambda cfg: narayana(cfg.n)),
-        ("canon", [grid, row, cap, fmt], lambda cfg: canon_polynomial_bruteforce(
-            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
-        ("canon-product", [grid, row, fmt], lambda cfg: canon_polynomial_product(
-            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
-        ("dissonant", [grid, row, remove, cap, fmt], lambda cfg: dissonant_polynomial(
-            AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove)),
-            _row_labeling(cfg.w, cfg.m))),
-        ("weak-descent", [grid, cap, fmt], lambda cfg: weak_descent_polynomial(cfg.m, cfg.n)),
-        ("hstar", [source, row, fmt], lambda cfg: hstar(*_resolve_poset(cfg))),
-    ):
-        kinds.add_parser(kind, parents=parents).set_defaults(run=_cmd_poly, make=make)
-
-    verify = sub.add_parser("verify", parents=[free, row, cap, fmt],
-                            help="machine-check identities")
-    verify.add_argument("statements", nargs="+",
-                        help="statement ids, as in the README's verification registry, or all")
-    verify.set_defaults(run=_cmd_verify)
-
-    sweep = sub.add_parser("sweep", parents=[grid, cap, fmt], help="exhaustive subposet sweeps")
-    sweep.add_argument("kind", choices=["gamma"])
-    sweep.add_argument("--jobs", type=_at_least(1), default=1,
-                       help="worker processes, at most one per CPU and per subposet")
-    sweep.set_defaults(run=_cmd_sweep)
-
-    sub.add_parser("gamma", parents=[grid, cap, no_csv],
-                   help="gamma-coefficient interpretation counts").set_defaults(run=_cmd_gamma)
-
-    ext = sub.add_parser("extensions", parents=[source, no_csv],
-                         help="enumerate linear extensions")
-    ext.add_argument("--count-only", action="store_true")
-    ext.add_argument("--limit", type=_at_least(0))
-    ext.set_defaults(run=_cmd_extensions)
-
-    return parser
+GRID = "--n --m"
+SOURCE = "--m --n --remove --poset --repair --checked"  # a file or the grid, checked at run time
+# The top level chooses a command, and poly a kind, by name.
+ROUTES = {
+    "poly": {
+        "eulerian": Route("the Eulerian polynomial", "--n --format", "--n",
+                          make=lambda cfg: eulerian(cfg.n)),
+        "narayana": Route("the Narayana polynomial", "--n --format", "--n",
+                          make=lambda cfg: narayana(cfg.n)),
+        "canon": Route("the canon polynomial, summed over the column labelings",
+                       "--n --m --w --force-cap --format", GRID,
+                       make=lambda cfg: canon_polynomial_bruteforce(
+                           chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
+        "canon-product": Route("the canon polynomial by the product formula",
+                               "--n --m --w --format", GRID,
+                               make=lambda cfg: canon_polynomial_product(
+                                   chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
+        "dissonant": Route("the dissonant polynomial of the grid less some covers",
+                           "--n --m --w --remove --force-cap --format", GRID,
+                           make=lambda cfg: dissonant_polynomial(
+                               AmphibianSpec.from_removed(cfg.m, cfg.n,
+                                                          _parse_removed(cfg.remove)),
+                               _row_labeling(cfg.w, cfg.m))),
+        "weak-descent": Route("the weak-descent polynomial", "--n --m --force-cap --format",
+                              GRID, make=lambda cfg: weak_descent_polynomial(cfg.m, cfg.n)),
+        "hstar": Route("the h* polynomial of a poset file or grid", SOURCE + " --w --format",
+                       make=lambda cfg: hstar(*_resolve_poset(cfg))),
+    },
+    "verify": Route("machine-check identities", "--m --n --w --force-cap --format",
+                    run=_cmd_verify, positional="statements", many=True),
+    "sweep": Route("exhaustive subposet sweeps", "--n --m --force-cap --format --jobs", GRID,
+                   run=_cmd_sweep, positional="kind"),
+    "gamma": Route("gamma-coefficient interpretation counts", "--n --m --force-cap --format",
+                   GRID, ("json", "plain"), _cmd_gamma),
+    "extensions": Route("enumerate linear extensions", SOURCE + " --format --count-only --limit",
+                        formats=("json", "plain"), run=_cmd_extensions),
+}
 
 
-def run(cfg: argparse.Namespace) -> int:
+def route_options(route: Route) -> dict:
+    """A route's options, in usage order, with its own --format choices."""
+    options = {name: OPTIONS[name] for name in route.options.split()}
+    options["--format"] = (route.formats, *OPTIONS["--format"][1:])
+    return options
+
+
+# ---------------------------------------------------------------------------
+# parsing: argparse's syntax, on the table
+
+
+def _fail(level: str, message: str) -> NoReturn:
+    # imported here: only a usage error or a help prints a usage
+    from canonlab import usage
+
+    usage.fail(level, message)
+
+
+def _read(level: str, names, arg: str) -> Optional[tuple]:
+    """How argparse reads one argument before any ``--``: None for a
+    positional, else the option it names (None for an unknown one) and its
+    attached value (None if none).  A long option's unique prefix names it."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    if arg[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            _fail(level, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None  # a negative number or a phrase
+    return None, None
+
+
+def _help(level: str, name: str, value: Optional[str]) -> NoReturn:
+    """Print the level's help for -h or --help (-hh is -h twice) and exit 0."""
+    if value is not None and (name == "--help" or not value or value.strip("h")):
+        _fail(level, f"argument -h/--help: ignored explicit argument {value!r}")
+    from canonlab import usage
+
+    usage.print_help(level)
+
+
+def _convert(level: str, name: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text not in convert:
+            _fail(level, f"argument {name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, convert))})")
+        return text
+    if convert is str:
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        _fail(level, f"argument {name}: invalid int value: {text!r}")
+    if convert is not int and value < convert:
+        _fail(level, f"argument {name}: must be at least {convert}, not {text}")
+    return value
+
+
+def _parse(level: str, route: Route, args: list, extras: list) -> SimpleNamespace:
+    """A route's config, its arguments read left to right as argparse reads
+    them: the first run of positionals fills the positional, the last of a
+    repeated option wins, and what no option takes is an extra."""
+    options = route_options(route)
+    names = ("-h", "--help", *options)
+    reads: list = []
+    for i, arg in enumerate(args):
+        if arg == "--":  # every argument after it is positional
+            reads += ["--"] + [None] * (len(args) - i - 1)
+            break
+        reads.append(_read(level, names, arg))
+    values = {name: option[2] for name, option in options.items()}
+    pending, i = route.positional, 0
+    while i < len(args):
+        if reads[i] in (None, "--"):  # a run of positionals
+            end = i
+            while end < len(args) and reads[end] in (None, "--"):
+                end += 1
+            words = [k for k in range(i, end) if reads[k] is None]
+            taken = i
+            if pending and words:
+                # one word takes a "--" next to it, more take the whole run
+                taken = end if route.many else words[0] + 1 + (reads[words[0] + 1:][:1] == ["--"])
+                words = [_convert(level, pending, OPTIONS[pending][0], args[k])
+                         for k in words if k < taken]
+                values[pending] = words if route.many else words[0]
+                pending = ""
+            extras += args[taken:end]
+            i = end
+            continue
+        name, value = reads[i]
+        i += 1
+        if name is None:
+            extras.append(args[i - 1])
+        elif name in ("-h", "--help"):
+            _help(level, name, value)
+        elif options[name][0] is None:  # a flag
+            if value is not None:
+                _fail(level, f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+        else:
+            if value is None:
+                if i == len(args) or reads[i] is not None:
+                    _fail(level, f"argument {name}: expected one argument")
+                value, i = args[i], i + 1
+            values[name] = _convert(level, name, options[name][0], value)
+    # an option given reads its value, never its default, so None marks one not given
+    missing = [name for name in route.required.split() if values[name] is None]
+    if pending or missing:
+        _fail(level, "the following arguments are required: "
+                     + ", ".join(missing + [pending] * bool(pending)))
+    cfg = SimpleNamespace(run=route.run, make=route.make)
+    for name in OPTIONS:
+        setattr(cfg, name.lstrip("-").replace("-", "_"), values.get(name))
+    return cfg
+
+
+class Parser:
+    """Reads a command line against ``ROUTES``."""
+
+    def parse_args(self, argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+        """The config of one command line, where every option its route does
+        not take reads None.  A usage error exits 2; -h or --help exits 0."""
+        args = list(sys.argv[1:] if argv is None else argv)
+        extras: list = []
+        level, route = "", ROUTES
+        while isinstance(route, dict):  # a command, then poly's kind, by name
+            dest = "kind" if level else "command"
+            for i, arg in enumerate(args):
+                read = None if arg == "--" else _read(level, ("-h", "--help"), arg)
+                if read is None:
+                    name, args = _convert(level, dest, tuple(route), arg), args[i + 1:]
+                    break
+                if read[0] is None:
+                    extras.append(arg)
+                else:
+                    _help(level, *read)
+            else:
+                _fail(level, f"the following arguments are required: {dest}")
+            level, route = f"{level} {name}".lstrip(), route[name]
+        cfg = _parse(level, route, args, extras)
+        if extras:
+            _fail("", f"unrecognized arguments: {' '.join(extras)}")
+        return cfg
+
+
+def build_parser() -> Parser:
+    """The command-line parser: one table of routes, read by one loop."""
+    return Parser()
+
+
+def run(cfg: SimpleNamespace) -> int:
     """Execute one parsed command; returns the process exit status."""
     try:
         return cfg.run(cfg)

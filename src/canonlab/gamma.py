@@ -11,11 +11,11 @@ Cor. 5.1 counts come in two halves on the kernel's state graphs
 
 from __future__ import annotations
 
-import argparse
 import json
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
 from canonlab import kernel
@@ -155,7 +155,7 @@ def gamma_class_words(gi: GammaInterpretation) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(map(spell, sorted(words))) for words in classes)
 
 
-def run(cfg: argparse.Namespace) -> int:
+def run(cfg: SimpleNamespace) -> int:
     """Print the gamma interpretation of the ``--m`` x ``--n`` grid and its
     class words, refused first past ``MAX_LISTED`` letters; returns the
     exit status, 1 when the counts do not match at the stated shift."""

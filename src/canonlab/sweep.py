@@ -11,10 +11,10 @@ check reads the same orbits (``_orbit_firsts``).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 from functools import partial
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from canonlab.canon import AmphibianSpec, dissonant_polynomial
@@ -151,7 +151,7 @@ def _certificate(m: int, n: int, row: SweepRow) -> dict:
     }
 
 
-def run(cfg: argparse.Namespace) -> int:
+def run(cfg: SimpleNamespace) -> int:
     """Sweep the ``--m`` x ``--n`` grid's subposets and print their rows,
     then a certificate per violator; returns the exit status, 1 when any
     row is not gamma-positive."""

@@ -13,7 +13,6 @@ first; only ``cor-3.4`` and ``prop-5.2`` list sigma.
 
 from __future__ import annotations
 
-import argparse
 import json
 from bisect import bisect
 from collections import defaultdict
@@ -21,6 +20,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, groupby, permutations, product
 from math import comb, factorial
 from operator import mul
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
@@ -417,7 +417,7 @@ def dissonant_palindromy_check(spec: AmphibianSpec, w: Sequence[int],
 # statement checks
 
 
-def _select(cfg: argparse.Namespace, cases: Sequence[tuple]) -> list[tuple]:
+def _select(cfg: SimpleNamespace, cases: Sequence[tuple]) -> list[tuple]:
     """The cases a check runs.  A given ``--m`` or ``--n`` keeps the default
     cases with that value.  When m and n are both known (each given, or
     the one value every default case has) and no default case has both,
@@ -430,7 +430,7 @@ def _select(cfg: argparse.Namespace, cases: Sequence[tuple]) -> list[tuple]:
     return [c for c in cases if c[0] in ms and c[1] in ns]
 
 
-def _check_product_formula(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_product_formula(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     kind = cfg.w or "natural"
     w = _row_labeling(kind, m)
     lhs = canon_polynomial_bruteforce(chain(m), w, n)
@@ -439,7 +439,7 @@ def _check_product_formula(cfg: argparse.Namespace, m: int, n: int) -> list[Iden
 
 
 def _check_labeled_product(
-    cfg: argparse.Namespace, m: int, n: int, name: str, covers: tuple, w: tuple[int, ...]
+    cfg: SimpleNamespace, m: int, n: int, name: str, covers: tuple, w: tuple[int, ...]
 ) -> list[IdentityReport]:
     if m != len(w):  # m is |P|
         return []
@@ -449,7 +449,7 @@ def _check_labeled_product(
     return [IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs)]
 
 
-def _check_dyck_bijection(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_dyck_bijection(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     if m != 2:
         return []
     # the walk visits the Catalan(k) extensions of [2]x[k], 2k elements
@@ -475,7 +475,7 @@ def _check_dyck_bijection(cfg: argparse.Namespace, m: int, n: int) -> list[Ident
     return [IdentityReport(f"dyck-bijection n={n}", detail is None, witness=detail)]
 
 
-def _check_narayana_model(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_narayana_model(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     if m != 2:
         return []
     rhs = narayana(n)  # refuses an n past the named-polynomial bound first
@@ -483,7 +483,7 @@ def _check_narayana_model(cfg: argparse.Namespace, m: int, n: int) -> list[Ident
     return [IdentityReport.compare(f"narayana-hstar n={n}", lhs, rhs)]
 
 
-def _check_shift_law(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_shift_law(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     sigmas, grid = column_labelings(n), product_with_chain(chain(m), n)
     # each row comes before its sigma, so a refusal lists no sigma
     rows = zip(canon_rows(grid, _row_labeling("natural", m), sigmas), sigmas)
@@ -493,7 +493,7 @@ def _check_shift_law(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityRe
     return [IdentityReport(f"shift-law m={m} n={n}", bad is None, witness=detail)]
 
 
-def _check_checked_product(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_checked_product(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     return [checked_product_identity(chain(m), _row_labeling("natural", m), n)]
 
 
@@ -503,13 +503,13 @@ def _star(n: int) -> Poset:
 
 
 def _check_generalized_product(
-    cfg: argparse.Namespace, m: int, n: int, second: Callable[[int], Poset]
+    cfg: SimpleNamespace, m: int, n: int, second: Callable[[int], Poset]
 ) -> list[IdentityReport]:
     p, w, pprime = chain(m), _row_labeling("natural", m), second(n)  # n is |P'|
     return [generalized_product_identity(p, w, pprime)]
 
 
-def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_row_shift(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     # h* under (w x sigma) is x^(m-1) h* under (id x sigma), checked per descent
     # class on each orbit's first mask: a class's sigmas make the same covers
     # strict (in a column by w alone, a kept (x, j) < (x, j+1) when sigma(j) >
@@ -529,7 +529,7 @@ def _check_row_shift(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityRe
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 
 
-def _check_dissonant(cfg: argparse.Namespace, m: int, n: int,
+def _check_dissonant(cfg: SimpleNamespace, m: int, n: int,
                      law: Callable[..., IdentityReport]) -> list[IdentityReport]:
     # lemma-4.2's degree or thm-4.3's palindromy on every subposet, natural rows first
     masks = subposet_masks(m, n)
@@ -538,19 +538,19 @@ def _check_dissonant(cfg: argparse.Namespace, m: int, n: int,
             for w in labelings for mask, poly in dissonant_polynomials(m, n, w, masks).items()]
 
 
-def _check_gamma_interpretation(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_gamma_interpretation(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     gi = gamma_interpretation(m, n)
     detail = f"gamma={gi.gamma} counts={gi.counts} shift={gi.shift} stated={gi.stated_shift}"
     return [IdentityReport(f"gamma-interpretation m={m} n={n}", gi.matches, witness=detail)]
 
 
-def _check_weak_descents(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_weak_descents(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     lhs = _weak_descent_lanes(m, n)
     rhs = canon_polynomial_bruteforce(chain(m), _row_labeling("natural", m), n).shift(m - 1)
     return [IdentityReport.compare(f"weak-descents m={m} n={n}", lhs, rhs)]
 
 
-def _check_fixed_row_palindromy(cfg: argparse.Namespace, m: int, n: int) -> list[IdentityReport]:
+def _check_fixed_row_palindromy(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     # fixed-row subposets are palindromic in thm-4.3's windows, m(n-1)
     # under the identity rows and m(n+1)-2 under the reversed ones
     labelings = (_row_labeling("natural", m), _row_labeling("reverse", m))
@@ -619,7 +619,7 @@ def _sides(r: IdentityReport) -> dict:
     return {"lhs": poly_to_payload(r.lhs), "rhs": poly_to_payload(r.rhs)}
 
 
-def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int:
+def _emit_reports(reports: list[IdentityReport], cfg: SimpleNamespace) -> int:
     failed = [r for r in reports if not r.holds]
     if cfg.format == "json":
         payload = [
@@ -641,16 +641,18 @@ def _emit_reports(reports: list[IdentityReport], cfg: argparse.Namespace) -> int
     return 1 if failed else 0
 
 
-def run(cfg: argparse.Namespace) -> int:
+def run(cfg: SimpleNamespace) -> int:
     """Run the checks of ``cfg.statements`` and print their reports;
     returns the exit status, 1 when any check fails."""
     names = cfg.statements
-    entries = []  # every name resolved before any case runs
+    # every name resolved before any case runs; each check once, where it is
+    # first named, however many of its aliases or "all" name it
+    entries: dict = {}
     for name in names:
         if name == "all":
-            entries += dict.fromkeys(VERIFY_CHECKS.values())  # each alias once
+            entries.update(dict.fromkeys(VERIFY_CHECKS.values()))
         elif name in VERIFY_CHECKS:
-            entries.append(VERIFY_CHECKS[name])
+            entries.setdefault(VERIFY_CHECKS[name])
         else:
             raise PosetFormatError(
                 f"unknown statement {name!r}; choose from "

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -110,6 +109,7 @@ class TestPoly:
     def test_constructor_errors_exit_2(self, capsys):
         for argv, message in (
             (("poly", "canon", "--m", "0", "--n", "2"), "chain size"),
+            (("poly", "canon", "--m", "-1", "--n", "2"), "chain size must be >= 1"),
             (("poly", "eulerian", "--n", "0"), "n must be"),
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "5:1"), "out of range"),
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "zz"),
@@ -198,6 +198,20 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "all")
         assert code == 0
         assert "checks hold" in out
+
+    def test_each_check_runs_once(self, capsys):
+        # a check named twice, by an alias or inside "all", runs once, where
+        # it is first named
+        _, every, _ = invoke(capsys, "verify", "all", "--format", "json")
+        for argv, names in (
+            (("all", "all"), [r["name"] for r in json.loads(every)]),
+            (("all", "thm-1.1"), [r["name"] for r in json.loads(every)]),
+            (("thm-1.1", "thm-main", "--m", "2", "--n", "2"), ["product-formula m=2 n=2 w=natural"]),
+            (("cor-3.4", "thm-main", "thm-1.1", "cor-3.4", "--m", "2", "--n", "2"),
+             ["shift-law m=2 n=2", "product-formula m=2 n=2 w=natural"]),
+        ):
+            code, out, _ = invoke(capsys, "verify", *argv, "--format", "json")
+            assert code == 0 and [r["name"] for r in json.loads(out)] == names, argv
 
     def test_unknown_statement(self, capsys):
         code, _, err = invoke(capsys, "verify", "thm-9.9")
@@ -615,21 +629,114 @@ ACCEPTED_OPTIONS = {
     "gamma": "--m --n --force-cap --format",
     "extensions": "--poset --repair --m --n --checked --remove --count-only --limit --format",
 }
+# each route with what it requires, then each option with a value and what
+# the config reads for it; the base --m 1 shows that the last --m given wins
+ROUTE_BASES = {
+    "poly eulerian": "poly eulerian --n 1",
+    "poly narayana": "poly narayana --n 1",
+    "poly canon": "poly canon --n 1 --m 1",
+    "poly canon-product": "poly canon-product --n 1 --m 1",
+    "poly dissonant": "poly dissonant --n 1 --m 1",
+    "poly weak-descent": "poly weak-descent --n 1 --m 1",
+    "poly hstar": "poly hstar",
+    "verify": "verify thm-1.1",
+    "sweep": "sweep gamma --n 1 --m 1",
+    "gamma": "gamma --n 1 --m 1",
+    "extensions": "extensions",
+}
+OPTION_VALUES = {
+    "--m": ("2", 2), "--n": ("3", 3), "--w": ("reverse", "reverse"), "--remove": ("1:1", "1:1"),
+    "--poset": ("grid.json", "grid.json"), "--repair": (None, True), "--checked": (None, True),
+    "--force-cap": ("4", 4), "--jobs": ("2", 2), "--count-only": (None, True),
+    "--limit": ("5", 5), "--format": ("json", "json"),
+}
 
 
-def _accepted_options(parser, prefix=""):
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subparsers:
-        yield prefix, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
-    for action in subparsers:
-        for name, child in action.choices.items():
-            yield from _accepted_options(child, f"{prefix} {name}".strip())
+def parse_or_refuse(capsys, argv):
+    """The config of an argv, or None with the stderr of a usage error."""
+    try:
+        cfg = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        assert (exc.code, captured.out) == (2, ""), argv
+        return None, captured.err
+    return cfg, ""
 
 
-def test_each_command_takes_only_the_options_it_reads():
-    accepted = dict(_accepted_options(build_parser()))
-    assert accepted == {k: set(v.split()) for k, v in ACCEPTED_OPTIONS.items()}
-    assert sum(map(len, accepted.values())) == 54
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    # each of the 54 taken options parses to its value; any other option is
+    # a usage error with one error line
+    assert sum(len(v.split()) for v in ACCEPTED_OPTIONS.values()) == 54
+    for route, accepted in ACCEPTED_OPTIONS.items():
+        for option, (text, value) in OPTION_VALUES.items():
+            argv = ROUTE_BASES[route].split() + [option] + ([text] if text else [])
+            cfg, err = parse_or_refuse(capsys, argv)
+            if option in accepted.split():
+                assert cfg is not None, (argv, err)
+                assert getattr(cfg, option[2:].replace("-", "_")) == value, argv
+            else:
+                assert cfg is None, argv
+                assert err.count("error:") == 1 and "unrecognized arguments" in err, argv
+
+
+@pytest.mark.parametrize("argv, attr, value", [
+    ("poly canon --m=2 --n 3", "m", 2),
+    ("poly canon --m 2 --n=3", "n", 3),
+    ("poly canon --m 2 --n 3 --form json", "format", "json"),
+    ("poly canon --m 2 --n 3 --form=csv", "format", "csv"),
+    ("poly canon --m 2 --n 3 --m 4", "m", 4),
+    ("poly canon --m 2 --n 3 --format json --format plain", "format", "plain"),
+    ("poly canon --m -1 --n 3", "m", -1),
+    ("extensions --m 2 --n 2 --count", "count_only", True),
+    ("verify --m 2 --n 2 thm-1.1", "statements", ["thm-1.1"]),
+    ("verify thm-1.1 cor-3.4 --m 2", "statements", ["thm-1.1", "cor-3.4"]),
+    ("verify --m 2 -- thm-1.1 cor-3.4", "statements", ["thm-1.1", "cor-3.4"]),
+    ("sweep --m 2 gamma --n 2", "kind", "gamma"),
+    ("sweep --m 2 --n 2 --jobs=3 gamma", "jobs", 3),
+    ("poly eulerian --n 3", "format", "plain"),
+])
+def test_argparse_syntax_parses(capsys, argv, attr, value):
+    cfg, err = parse_or_refuse(capsys, argv.split())
+    assert cfg is not None, (argv, err)
+    assert getattr(cfg, attr) == value, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("poly canon", "the following arguments are required: --n, --m"),
+    ("sweep", "the following arguments are required: --n, --m, kind"),
+    ("verify --m 2", "the following arguments are required: statements"),
+    ("poly", "the following arguments are required: kind"),
+    ("", "the following arguments are required: command"),
+    ("poly canon-product --m 2 --n 2 --force-cap 4", "unrecognized arguments: --force-cap 4"),
+    ("verify thm-1.1 --m 2 cor-3.4", "unrecognized arguments: cor-3.4"),
+    ("poly canon --m 2 --n 2 --w up", "argument --w: invalid choice: 'up'"),
+    ("poly canon --m x --n 2", "argument --m: invalid int value: 'x'"),
+    ("poly canon --m= --n 2", "argument --m: invalid int value: ''"),
+    ("sweep gamma --m 2 --n 2 --jobs 0", "argument --jobs: must be at least 1, not 0"),
+    ("extensions --m 2 --n 2 --limit -1", "argument --limit: must be at least 0, not -1"),
+    ("poly canon --m --n 2", "argument --m: expected one argument"),
+    ("poly canon --n 2 --m", "argument --m: expected one argument"),
+    ("extensions --m 2 --n 2 --c", "ambiguous option: --c could match --checked, --count-only"),
+    ("extensions --m 2 --n 2 --count-only=yes",
+     "argument --count-only: ignored explicit argument 'yes'"),
+    ("poly nope", "argument kind: invalid choice: 'nope'"),
+    ("sweep nope --m 2 --n 2", "argument kind: invalid choice: 'nope'"),
+])
+def test_usage_errors_print_one_error_line(capsys, argv, message):
+    err = usage_error(capsys, *argv.split())
+    assert err.count("error:") == 1 and message in err, (argv, err)
+
+
+@pytest.mark.parametrize("route", ["", "poly", *ACCEPTED_OPTIONS])
+def test_help_lists_each_option(capsys, route):
+    # -h and --help print a usage naming every option the route takes, exit 0
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(route.split() + [flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: canonlab"), route
+        for option in ACCEPTED_OPTIONS.get(route, "").split():
+            assert option in out, (route, option)
 
 
 @pytest.mark.parametrize("argv", [
@@ -847,6 +954,14 @@ class TestRunConfig:
         assert run(build_parser().parse_args(["poly", "narayana", "--n", "3"])) == 0
         assert "coeffs [1, 3, 1]" in capsys.readouterr().out
 
+    def test_unset_options_read_none(self):
+        # every option of the table is an attribute; those the route does
+        # not take or that are not given read None
+        cfg = build_parser().parse_args(["poly", "eulerian", "--n", "3"])
+        assert (cfg.n, cfg.format, cfg.jobs) == (3, "plain", None)
+        assert [cfg.m, cfg.w, cfg.poset, cfg.repair, cfg.checked, cfg.count_only,
+                cfg.statements] == [None] * 7
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nope"])
@@ -869,30 +984,43 @@ class TestRunConfig:
         # every layer the benchmark's tracer reads; only verify compiles the
         # statement checks, only sweep and verify the edge-subset sweep, and
         # only gamma and verify the Cor. 5.1 interpretation; no poset build
-        # loads heapq, and only a csv output loads csv
+        # loads heapq, only a csv output loads csv, and only a usage error or
+        # a help the usage text.  The command line is parsed from the option
+        # table, so no command, usage error or help loads argparse, or the
+        # gettext and locale modules that argparse's messages pull in
         src = str(Path(__file__).resolve().parents[1] / "src")
         layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
                                                   "kernel")]
-        lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "heapq", "csv"}
+        lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "canonlab.usage",
+                "heapq", "csv"}
         code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
                 "canonlab.cli.build_parser()\n"
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
                 f"print([name for name in {layers!r} if name not in sys.modules])\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    canonlab.cli.main(sys.argv[1:])\n"
-                f"print(sorted({lazy!r} & set(sys.modules)))\n")
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "    try:\n"
+                "        canonlab.cli.main(sys.argv[1:])\n"
+                "    except SystemExit:\n"
+                "        pass\n"
+                f"print(sorted({lazy!r} & set(sys.modules)))\n"
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
         checks = "['canonlab.gamma', 'canonlab.sweep', 'canonlab.verify'"
         for argv, loaded in ((("poly", "canon", "--m", "2", "--n", "3"), "[]"),
+                             (("poly", "hstar", "--m", "2", "--n", "2", "--format", "json"),
+                              "[]"),
                              (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]"),
                              (("extensions", "--m", "2", "--n", "3"), "[]"),
                              (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"),
                               "['canonlab.sweep']"),
                              (("gamma", "--m", "2", "--n", "2"), "['canonlab.gamma']"),
                              (("verify", "thm-1.1", "--m", "1", "--n", "1"), checks + "]"),
-                             (("verify", "thm-1.1", "--format", "csv"), checks + ", 'csv']")):
+                             (("verify", "thm-1.1", "--format", "csv"), checks + ", 'csv']"),
+                             (("poly", "canon", "--m", "2"), "['canonlab.usage']"),
+                             (("sweep", "--help"), "['canonlab.usage']")):
             out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                  text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-            assert out.splitlines() == ["[]", "[]", loaded], argv
+            assert out.splitlines() == ["[]", "[]", loaded, "[]"], argv
 
 
 # sha256 of stdout for fixed commands: any change to output bytes, in any
