@@ -15,7 +15,7 @@ depends only on which covers the labeling makes strict (w(a) > w(b) for
 a cover a < b).  Under w x sigma a cover inside a column is strict when
 w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
-that keep a cover (``_sigma_classes``, which verify's cor-4.1 reads too)
+that keep a cover (``_sigma_classes``, which verify's checks read too)
 share one histogram.  A depth-first walk over those patterns counts each
 class with no sigma listed and hands the kernel one sigma per class as
 it takes the lane, so the kernel's work bound, which counts all
@@ -28,6 +28,7 @@ The edge-subset sweep and its table of subposet sums are in
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, repeat
 from math import factorial
 from operator import add, mul
@@ -100,10 +101,11 @@ class AmphibianSpec(NamedTuple):
 class _Sized:
     """``length`` items, which ``make()`` yields afresh on every walk: the
     kernel sizes its work bound by the number of labelings, so it can
-    refuse before any is built."""
+    refuse before any is built.  ``len`` reads at most ``sys.maxsize``, the
+    most it can return, which is already far past the kernel's work bound."""
 
     def __init__(self, length: int, make: Callable[[], Iterator]):
-        self._length, self._make = length, make
+        self._length, self._make = min(length, sys.maxsize), make
 
     def __len__(self) -> int:
         return self._length

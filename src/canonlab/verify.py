@@ -6,9 +6,10 @@ other command compiles it.  A check runs one case (m, n, *rest) and
 returns its reports, none for a case outside its statement; only
 ``_select`` reads ``--m`` and ``--n``.  ``VERIFY_CHECKS`` lists every
 statement with its default cases, and the README's verification registry
-has one row per entry.  The subposet checks run once per orbit of masks
-and descent class of sigma, and ``run`` checks their subposet bound
-first; only ``cor-3.4`` and ``prop-5.2`` list sigma.
+has one row per entry.  No check lists sigma: each runs one kernel lane
+per descent class of sigma (``canon._sigma_classes``), the subposet
+checks once per orbit of masks, and ``run`` checks their subposet bound
+first.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import json
 from bisect import bisect
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate, groupby, permutations, product
-from math import comb, factorial
-from operator import mul
+from itertools import accumulate, groupby, product
+from math import comb
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -82,17 +82,6 @@ class IdentityReport(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # definitional oracles
-
-MAX_LABELINGS = 362_880  # 9!
-
-
-def column_labelings(n: int) -> _Sized:
-    """The permutations of 1..n as tuples, refused first past
-    ``MAX_LABELINGS``: a sized view that lists none until it is walked."""
-    # running products of 1..n: a huge n stops early instead of computing n!
-    if any(count > MAX_LABELINGS for count in accumulate(range(1, n + 1), mul)):
-        raise SizeCapError(f"{n}! column labelings exceed the bound {MAX_LABELINGS}")
-    return _Sized(factorial(n), lambda: permutations(range(1, n + 1)))
 
 
 def antichain(n: int) -> Poset:
@@ -206,15 +195,18 @@ def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int]
 
 
 def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
-    """The weak-descent polynomial by its definition, the oracle for
-    ``weak_descent_polynomial``: one kernel lane per sigma, on the multiset
-    letters ceil(label / m) negated, n + 1 - sigma(j) at (x, j), whose
-    descents are the strict ascents, so each row reads backwards."""
-    sigmas = column_labelings(n)
+    """The weak-descent polynomial on the multiset letters, a second route
+    beside ``weak_descent_polynomial``'s reversed rows: the letters
+    ceil(label / m) negated, n + 1 - sigma(j) at (x, j), whose descents are
+    the strict ascents, so each row reads backwards.  A column's tied
+    letters climb with its chain, so the letters rank as the canon labeling
+    of the complement n + 1 - sigma, whose row depends only on sigma's
+    descents: one kernel lane per descent class, weighted by its size."""
+    grid, sizes = product_with_chain(chain(m), n), []  # refuses a huge n first
+    sigmas = _sigma_classes(m, n, 0, sizes)
     letters = _Sized(len(sigmas),
                      lambda: ([n + 1 - s for s in sigma for _ in range(m)] for sigma in sigmas))
-    rows = kernel.descent_histograms(product_with_chain(chain(m), n), letters)
-    return mirrored(_row_sum(rows), m * n - 1)
+    return mirrored(_row_sum(kernel.descent_histograms(grid, letters), sizes), m * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +476,14 @@ def _check_narayana_model(cfg: SimpleNamespace, m: int, n: int) -> list[Identity
 
 
 def _check_shift_law(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
-    sigmas, grid = column_labelings(n), product_with_chain(chain(m), n)
-    # each row comes before its sigma, so a refusal lists no sigma
+    # h* under (id x sigma) is x^des(sigma) h* under the natural labeling,
+    # checked per descent class: a class's sigmas make the same covers strict,
+    # so they share one row, and des(sigma) is the class's descent count
+    grid = product_with_chain(chain(m), n)  # refuses a huge n before the classes
+    sigmas = _sigma_classes(m, n, 0, [])
+    # each row comes before its sigma, so a refusal builds no class
     rows = zip(canon_rows(grid, _row_labeling("natural", m), sigmas), sigmas)
-    base = IntPolynomial(next(rows)[0])  # sigma = the identity
+    base = IntPolynomial(next(rows)[0])  # the first class is the identity's
     bad = next((s for row, s in rows if IntPolynomial(row) != base.shift(descent_count(s))), None)
     detail = None if bad is None else f"failed at sigma={bad}"
     return [IdentityReport(f"shift-law m={m} n={n}", bad is None, witness=detail)]

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -7,8 +7,11 @@ import pytest
 from canonlab import kernel
 from canonlab.errors import PosetFormatError
 from canonlab.polys import IntPolynomial
-from canonlab.verify import _word_classes, is_dyck_path
-from canonlab.poset import Poset, transitive_reduction
+from canonlab.verify import IdentityReport, _word_classes, descent_count, is_dyck_path
+from canonlab.poset import Poset, canon_labeling, chain, product_with_chain, transitive_reduction
+
+# the grids on which the per-sigma oracles check the class routes
+SIGMA_GRIDS = [(m, n) for m in (1, 2) for n in range(1, 7)] + [(3, n) for n in range(1, 6)]
 
 
 def vee_poset() -> Poset:
@@ -30,6 +33,37 @@ def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
 def word_classes(pprime: Poset, sizes: list):
     """``verify._word_classes`` on P''s own state graph, built here."""
     return _word_classes(pprime, kernel._transitions(pprime), sizes)
+
+
+def column_labelings(n: int) -> list[tuple[int, ...]]:
+    """Every permutation of 1..n, in lexicographic order: the n! sigmas
+    that the oracles list, so only for small n."""
+    assert n <= 7, "n! sigmas are listed only for n <= 7"
+    return list(permutations(range(1, n + 1)))
+
+
+def weak_descent_lanes_per_sigma(m: int, n: int) -> IntPolynomial:
+    """prop-5.2's left side by its definition, the oracle for the class
+    route ``verify._weak_descent_lanes``: one kernel lane per sigma on the
+    negated multiset letters n + 1 - sigma(j) at (x, j), whose descents are
+    the strict ascents, each of the m*n-bin rows summed and read backwards."""
+    letters = [[n + 1 - s for s in sigma for _ in range(m)] for sigma in column_labelings(n)]
+    rows = kernel.descent_histograms(product_with_chain(chain(m), n), letters)
+    return IntPolynomial([*map(sum, zip(*rows))][::-1])
+
+
+def shift_law_per_sigma(m: int, n: int) -> list[IdentityReport]:
+    """cor-3.4 by its definition, the oracle for the class route
+    ``verify._check_shift_law``: every sigma's row under the natural rows
+    against x^des(sigma) times the identity's, naming the first sigma that
+    fails."""
+    sigmas = column_labelings(n)
+    labelings = [canon_labeling(tuple(range(1, m + 1)), s) for s in sigmas]
+    grid = product_with_chain(chain(m), n)
+    rows = [IntPolynomial(r) for r in kernel.descent_histograms(grid, labelings)]
+    bad = next((s for s, row in zip(sigmas, rows) if row != rows[0].shift(descent_count(s))), None)
+    detail = None if bad is None else f"failed at sigma={bad}"
+    return [IdentityReport(f"shift-law m={m} n={n}", bad is None, witness=detail)]
 
 
 def random_poset(rng: random.Random, max_elements: int = 5) -> Poset:

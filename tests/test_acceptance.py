@@ -9,7 +9,7 @@ import time
 from itertools import permutations
 from math import comb
 
-from conftest import removable_edges
+from conftest import SIGMA_GRIDS, removable_edges, weak_descent_lanes_per_sigma
 
 from canonlab.canon import (
     AmphibianSpec,
@@ -206,13 +206,14 @@ def test_criterion_09_gamma_interpretation():
 
 
 def test_criterion_10_weak_descents():
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            weak = weak_descent_polynomial(m, n)  # the class route
-            assert weak == _weak_descent_lanes(m, n), (m, n)  # one lane per sigma
-            canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
-            assert weak == canon.shift(m - 1), (m, n)
-    _report(10, "weak-descent polynomial equals x^(m-1) C_n^m for m,n <= 3, both routes")
+    for m, n in SIGMA_GRIDS:
+        weak = weak_descent_polynomial(m, n)  # the class route on the reversed rows
+        assert weak == _weak_descent_lanes(m, n), (m, n)  # on the negated letters
+        assert weak == weak_descent_lanes_per_sigma(m, n), (m, n)  # one lane per sigma
+        canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
+        assert weak == canon.shift(m - 1), (m, n)
+    _report(10, "weak-descent polynomial equals x^(m-1) C_n^m for m <= 2, n <= 6 and "
+                "m = 3, n <= 5, by three routes")
 
 
 def test_criterion_11_property_suite(rng, capsys):

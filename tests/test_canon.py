@@ -8,10 +8,14 @@ from math import factorial
 import pytest
 
 from conftest import (
+    SIGMA_GRIDS,
+    column_labelings,
     poly_sum,
     random_poset,
     removable_edges,
+    shift_law_per_sigma,
     vee_poset,
+    weak_descent_lanes_per_sigma,
     wedge_poset,
     word_classes,
 )
@@ -45,15 +49,15 @@ from canonlab.sweep import (
     subposet_masks,
 )
 from canonlab.verify import (
-    MAX_LABELINGS,
     IdentityReport,
     _check_row_shift,
+    _check_shift_law,
     _weak_descent_lanes,
     antichain,
     checked_product_identity,
-    column_labelings,
     degree_witness_extension,
     descent_count,
+    descent_set,
     dissonant_degree_check,
     dissonant_palindromy_check,
     generalized_product_identity,
@@ -158,18 +162,19 @@ class TestCanonPolynomial:
                 assert "cap" not in inspect.signature(fn).parameters, name
 
     def test_labeling_bound(self):
-        # n! above MAX_LABELINGS is refused where sigma is listed, in
-        # verify's oracles, before any labeling is built; a sum lists none,
-        # and canon holds no labeling bound
-        assert len(column_labelings(9)) == MAX_LABELINGS
-        with pytest.raises(SizeCapError, match="10!"):
-            column_labelings(10)
+        # no module lists sigma or bounds its n! labelings: the sums and the
+        # checks alike run one lane per descent class, 2^9 of the 10! sigmas,
+        # and the kernel's work bound alone refuses
         assert canon_polynomial_bruteforce(chain(1), (1,), 10) == eulerian(10)
-        assert not hasattr(canon, "MAX_LABELINGS") and not hasattr(canon, "column_labelings")
+        assert _weak_descent_lanes(1, 10) == eulerian(10)
+        assert _check_shift_law(None, 1, 10)[0].holds
+        for module in (canon, verify):
+            for name in ("MAX_LABELINGS", "column_labelings", "permutations"):
+                assert not hasattr(module, name), (module, name)
         for name, fn in inspect.getmembers(canon, inspect.isfunction):
             assert {"pprime", "subposets"}.isdisjoint(inspect.signature(fn).parameters), name
 
-    def test_bound_counts_every_subposet(self, monkeypatch):
+    def test_bound_counts_every_subposet(self):
         # every subposet check, cor-4.1 included, is bounded by its
         # 2^(m(n-1)) subposets and the kernel's work bound alone: none lists
         # sigma, so (1,10)'s 10! sigmas run and (2,7) is refused at once
@@ -177,7 +182,6 @@ class TestCanonPolynomial:
             assert subposet_masks(m, n) == range(1 << m * (n - 1))
         rows = conjecture_sweep(2, 6)
         assert len(rows) == 1024 and all(r.gamma_positive for r in rows)
-        monkeypatch.setattr(verify, "column_labelings", None)
         assert _check_row_shift(None, 1, 10)[0].holds
         for m, n, what in ((2, 7, "2^12"), (1, 12, "2^11")):
             with pytest.raises(SizeCapError, match=re.escape(f"{what} subposets exceed the bound")):
@@ -190,7 +194,14 @@ class TestCanonPolynomial:
 
 class TestColumnLabelings:
     def test_permutations_in_lexicographic_order(self):
-        assert list(column_labelings(3)) == list(permutations((1, 2, 3)))
+        # the oracles' listing, and the class walk's sigmas among them: one
+        # per descent set, the identity first, whose row cor-3.4 shifts
+        assert column_labelings(3) == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1),
+                                       (3, 1, 2), (3, 2, 1)]
+        for n in range(1, 8):
+            sigmas = list(_sigma_classes(1, n, 0, []))
+            assert set(sigmas) <= set(column_labelings(n)) and sigmas[0] == tuple(range(1, n + 1))
+            assert len({descent_set(s) for s in sigmas}) == len(sigmas) == 1 << n - 1
 
     def test_extensions_of_second_poset(self):
         # the words of P' run one lane per descent class, not per word: the
@@ -578,6 +589,10 @@ class TestReciprocity:
 
 
 class TestShiftLaw:
+    @pytest.mark.parametrize("m, n", SIGMA_GRIDS)
+    def test_class_route_matches_every_sigma(self, m, n):
+        assert _check_shift_law(None, m, n) == shift_law_per_sigma(m, n)
+
     def test_column_relabel_shifts_hstar(self):
         # h* of the grid under (id x sigma) is x^des(sigma) times the
         # naturally labeled h*, for all m, n <= 3 and all sigma
@@ -639,12 +654,13 @@ class TestWeakDescents:
             assert weak_descent_polynomial(1, n) == eulerian(n)
 
     def test_shifted_canon(self):
-        # the class route against the one-lane-per-sigma definition
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
-                weak = weak_descent_polynomial(m, n)
-                assert weak == _weak_descent_lanes(m, n) == canon.shift(m - 1), (m, n)
+        # both class routes, the reversed rows and the negated letters,
+        # against the one-lane-per-sigma definition
+        for m, n in SIGMA_GRIDS:
+            canon = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
+            weak = weak_descent_polynomial(m, n)
+            assert weak == _weak_descent_lanes(m, n) == canon.shift(m - 1), (m, n)
+            assert weak == weak_descent_lanes_per_sigma(m, n), (m, n)
 
     def test_two_rows_product_form(self):
         assert weak_descent_polynomial(2, 3) == (eulerian(3) * narayana(3)).shift(1)

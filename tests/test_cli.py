@@ -142,6 +142,20 @@ class TestPoly:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and message in err, argv
 
+    @pytest.mark.parametrize("argv", [
+        "poly canon --m 1 --n 64", "poly canon --m 2 --n 70", "poly weak-descent --m 1 --n 70",
+        "poly dissonant --m 1 --n 70", "gamma --m 1 --n 64", "verify thm-1.1 --m 1 --n 70",
+        "verify thm-1.2 --m 3 --n 64", "verify prop-3.6 --m 1 --n 64",
+        "verify cor-5.1 --m 2 --n 64", "verify cor-3.4 --m 1 --n 64",
+        "verify prop-5.2 --m 1 --n 64",
+    ])
+    def test_class_counts_past_the_index_size(self, capsys, argv):
+        # 2^63 and more descent classes, more than len() can return, are
+        # refused by the work bound like any count past it, with no traceback
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err.startswith("error: ") and "lanes x transitions x elements" in err
+
     def test_bad_edge_same_error_in_every_command(self, capsys):
         # one check names an out-of-range cover, whatever the command
         message = "error: removable edge (row=5, j=1) out of range\n"
@@ -166,13 +180,13 @@ class TestPoly:
         assert code == 0 and out.startswith("coeffs [1, ")
 
     def test_labeling_bound(self, capsys):
-        # the oracles that list sigma refuse 10! labelings at once; a sum
-        # lists none, so it runs
+        # no command bounds the n! labelings: the checks, like the sums, run
+        # 2^9 descent classes of the 10! sigmas, in well under a second
         for argv in (("verify", "cor-3.4", "--m", "1", "--n", "10"),
                      ("verify", "prop-5.2", "--m", "1", "--n", "10")):
             start = time.perf_counter()
             code, out, err = invoke(capsys, *argv)
-            assert (code, out) == (2, "") and "10! column labelings" in err, argv
+            assert (code, err) == (0, "") and "1/1 checks hold" in out, argv
             assert time.perf_counter() - start < 1, argv
         for kind in ("canon", "weak-descent"):
             code, out, _ = invoke(capsys, "poly", kind, "--m", "1", "--n", "10")
@@ -286,9 +300,10 @@ class TestVerify:
             return real(poset, labelings, *args, **kwargs)
 
         monkeypatch.setattr(kernel_mod, "descent_histograms", counted)
-        # cor-3.4 at (2,3): one grid under every one of its 6 labelings
+        # cor-3.4 at (2,3): one grid under one labeling per descent class of
+        # its 6 sigmas
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
-        assert calls == [6]
+        assert calls == [4]
         # cor-4.1 at (2,2): one call per orbit of its 4 masks, the full mask
         # first, with a lane under each row labeling per descent class on the
         # kept gaps: none, then the one gap that the first and the last mask keep
@@ -322,7 +337,7 @@ class TestVerify:
         # every statement name is resolved, and the subposet bound checked on
         # every selected case of the four subposet checks, before the first
         # case runs: no kernel call, where cor-3.4 at (2,7) would make one of
-        # 7! lanes
+        # 2^6 lanes
         import canonlab.kernel as kernel_mod
 
         def refuse(*args, **kwargs):
@@ -355,24 +370,19 @@ class TestVerify:
         assert sorted(built) == list(range(256))
 
     def test_shift_law_refused_before_any_labeling(self, capsys, monkeypatch):
-        # the kernel's work bound counts the n! lanes, and the class walk's
-        # bound the classes of the second poset, and each refuses before a
-        # sigma, a class or a word is listed or a canon labeling is built
+        # the kernel's work bound counts the 2^(n-1) classes of sigma as
+        # lanes, and the class walk's bound the classes of the second poset,
+        # and each refuses before a class or a word is listed or a canon
+        # labeling is built
         import canonlab.canon as canon_mod
 
-        built, listed, classes, extensions = [], [], [], []
-        real_labeling, real_permutations = canon_mod.canon_labeling, verify_mod.permutations
-        real_classes = verify_mod._descent_classes
+        built, classes, extensions = [], [], []
+        real_labeling, real_classes = canon_mod.canon_labeling, canon_mod._descent_classes
         real_extensions = verify_mod.enumerate_linear_extensions
 
         def counted(w, sigma):
             built.append(1)
             return real_labeling(w, sigma)
-
-        def counted_sigmas(values):
-            for sigma in real_permutations(values):
-                listed.append(sigma)
-                yield sigma
 
         def counted_classes(*args):
             for sigma in real_classes(*args):
@@ -385,20 +395,25 @@ class TestVerify:
                 yield ext
 
         monkeypatch.setattr(canon_mod, "canon_labeling", counted)
-        monkeypatch.setattr(verify_mod, "permutations", counted_sigmas)
+        # sigma's classes are walked in canon, a second poset's in verify
+        monkeypatch.setattr(canon_mod, "_descent_classes", counted_classes)
         monkeypatch.setattr(verify_mod, "_descent_classes", counted_classes)
         monkeypatch.setattr(verify_mod, "enumerate_linear_extensions", counted_extensions)
         for argv, bound in ((("cor-3.4", "--m", "9", "--n", "8"), "lanes"),
-                            (("cor-3.4", "--m", "2", "--n", "9"), "lanes"),
-                            (("prop-5.2", "--m", "2", "--n", "9"), "lanes"),
+                            (("cor-3.4", "--m", "1", "--n", "18"), "lanes"),
+                            (("cor-3.4", "--m", "2", "--n", "14"), "lanes"),
+                            (("prop-5.2", "--m", "2", "--n", "14"), "lanes"),
+                            (("prop-5.2", "--m", "1", "--n", "64"), "lanes"),
                             (("remark-product", "--m", "1", "--n", "12"), "classes"),
                             (("remark-product", "--m", "3", "--n", "11"), "lanes")):
             code, out, err = invoke(capsys, "verify", *argv)
             assert (code, out) == (2, "") and f"{bound} x transitions x elements" in err, argv
-        assert built == listed == classes == extensions == []
+        assert built == classes == extensions == []
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
-        # the kernel walks the 6 sigmas, and the check walks them again
-        assert (len(built), len(listed)) == (6, 12)
+        # the kernel walks the 4 classes of the 6 sigmas, and the check walks
+        # them again
+        assert (len(built), len(classes)) == (4, 8)
+        classes.clear()
         # the 9! words of antichain(9) run as 2^8 classes, chain(9)'s one
         # word as one, and the star's 8! as 2^7, as its first gap rises in
         # every word: no word is listed
@@ -407,7 +422,7 @@ class TestVerify:
         assert len(classes) == 256 + 1 + 128 and extensions == []
 
     def test_shift_checks_under_the_cap(self, capsys):
-        # at (2,7), cor-3.4's 5,040 lanes run with no flag, while cor-4.1's
+        # at (2,7), cor-3.4's 2^6 class lanes run with no flag, while cor-4.1's
         # 2^12 subposets pass the subposet bound
         code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "7")
         assert code == 0 and "1/1 checks hold" in out
@@ -429,6 +444,25 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")
         assert code == 1
         assert "[FAIL] shift-law m=2 n=3  (failed at sigma=(3, 2, 1))" in out
+
+    def test_shift_law_names_the_failing_class(self, capsys, monkeypatch):
+        # one lane per descent class: when one class's row gains an
+        # extension, the witness names that class's sigma
+        import canonlab.kernel as kernel_mod
+        from canonlab.canon import _sigma_classes
+
+        real = kernel_mod.descent_histograms
+        sigmas = list(_sigma_classes(2, 4, 0, []))
+        assert len(sigmas) == 8 and sigmas[0] == (1, 2, 3, 4)
+        for bad in range(1, 8):
+            def perturbed(poset, labelings):
+                for lane, row in enumerate(real(poset, labelings)):
+                    yield [row[0] + 1] + row[1:] if lane == bad else row
+
+            monkeypatch.setattr(kernel_mod, "descent_histograms", perturbed)
+            code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "4")
+            assert code == 1
+            assert f"[FAIL] shift-law m=2 n=4  (failed at sigma={sigmas[bad]})" in out, bad
 
 
     def test_row_shift_compares_every_lane_pair(self, capsys, monkeypatch):

@@ -195,12 +195,13 @@ def second_poset_sum(n: int) -> bool:
 
 @pytest.mark.parametrize("run", [
     lambda: second_poset_sum(11),
-    lambda: _weak_descent_lanes(1, 8) == eulerian(8),  # no ties at m = 1
+    lambda: _weak_descent_lanes(1, 15) == eulerian(15),  # no ties at m = 1
 ], ids=["remark-product", "weak-descents"])
 def test_row_sums_keep_one_row(run):
     # each row is added to one running row as its lane finishes: a list of
-    # prop-5.2's 40,320 rows alone would take about 8 MB, and the class
-    # walk over antichain(11) keeps its graph's steps, not its 11! words
+    # prop-5.2's 16,384 class rows at (1,15) alone would take about 3.7 MB,
+    # and the class walk over antichain(11) keeps its graph's steps, not its
+    # 11! words
     tracemalloc.start()
     try:
         assert run()
