@@ -4,7 +4,7 @@ The brute-force sums here are the source of truth; the closed forms
 (product formulas, degree and palindromicity laws, gamma
 interpretations) are the things under test, and ``canonlab.verify``
 holds the checks that compare them.  A sum over column words sigma is
-one kernel call, one lane per w x sigma (``canon_rows``): of
+one kernel call over a stream of descent classes (``class_rows``): of
 ``canon_polynomial_bruteforce`` over all n! sigma, for any labeled P, n
 and removed covers, and of ``verify.generalized_product_identity`` over
 the extension words of a second poset P'.
@@ -17,8 +17,8 @@ w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
 that keep a cover (``_sigma_classes``, which verify's checks read too)
 share one histogram.  A depth-first walk over those patterns counts each
-class with no sigma listed and hands the kernel one sigma per class as
-it takes the lane, so the kernel's work bound, which counts all
+class with no sigma listed and yields its (sigma, size) as the kernel
+takes the lane, so the kernel's work bound, which counts all
 2^(kept gaps) lanes, refuses before any class is built.  P''s words are
 counted on its own state graph, in a walk bounded before it starts.
 The edge-subset sweep and its table of subposet sums are in
@@ -29,10 +29,10 @@ The edge-subset sweep and its table of subposet sums are in
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, tee
 from math import factorial
 from operator import add, mul
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError
@@ -114,20 +114,23 @@ class _Sized:
         return self._make()
 
 
-def canon_rows(
-    q: Poset, w: Sequence[int], sigmas: Collection[Sequence[int]]
-) -> Iterator[list[int]]:
-    """The descent histogram of ``q`` under each canon labeling w x sigma,
-    yielded one row per sigma as one kernel call runs its lane."""
-    labelings = _Sized(len(sigmas), lambda: (canon_labeling(w, sigma) for sigma in sigmas))
-    return kernel.descent_histograms(q, labelings)
+def class_rows(q: Poset, classes: _Sized, *labels: Callable) -> Iterator[tuple]:
+    """(sigma, size, *rows) per (sigma, size) of ``classes``, a row per label
+    from one kernel call over ``q`` with lanes ``label(sigma)``.  The one walk
+    gives the kernel each class just before its pair is read, so a refusal
+    walks none, and no more than one class waits between the two."""
+    walk, ahead = tee(classes)
+    lanes = _Sized(len(classes) * len(labels), lambda: (f(s) for s, _ in ahead for f in labels))
+    rows = kernel.descent_histograms(q, lanes)
+    for *class_row, (sigma, size) in zip(*[rows] * len(labels), walk):
+        yield sigma, size, *class_row
 
 
-def _row_sum(rows: Iterable[Sequence[int]], weights: Iterable[int] = repeat(1)) -> IntPolynomial:
-    """The rows, each read before its weight and times it, summed in one running row."""
+def _row_sum(classes: Iterable[tuple]) -> IntPolynomial:
+    """Each (sigma, size, row) class's row times its size, summed in one running row."""
     total = ()
-    for row, weight in zip(rows, weights):
-        total = [*map(add, total or repeat(0), map(mul, row, repeat(weight)))]
+    for _, size, row in classes:
+        total = [*map(add, total or repeat(0), map(mul, row, repeat(size)))]
     return IntPolynomial(total)
 
 
@@ -138,12 +141,12 @@ def _rank_step(j: int, f: list[int]) -> tuple[list[int], list[int]]:
     return rise, [rise[-1] - c for c in rise]
 
 
-def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int], step: Callable = _rank_step,
-                     start: Sequence[int] = (1,)) -> Iterator[tuple[int, ...]]:
-    """Depth first, one sigma per pattern of descents on ``gaps`` (gap j
-    between sigma[j] and sigma[j+1]), rises first at each gap: the identity
-    with each run of descents reversed, after appending to ``sizes`` how
-    many words have its pattern; a pattern no word has gets no sigma.
+def _descent_classes(n: int, gaps: Sequence[int], step: Callable = _rank_step,
+                     start: Sequence[int] = (1,)) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Depth first, one (sigma, size) pair per pattern of descents on
+    ``gaps`` (gap j between sigma[j] and sigma[j+1]), rises first at each
+    gap: sigma is the identity with each run of descents reversed, and size
+    how many words have its pattern; a pattern no word has gets no pair.
     ``step(j, f)`` splits the counts f of the prefixes of length j + 1
     (``start`` for j = 0) into those of length j + 2 that rise and fall at
     gap j.  The walk stops after the last gap: later values take any ranks,
@@ -157,8 +160,8 @@ def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int], step: Callab
     while todo:
         j, runs, first, f = todo.pop()
         if j == stop:
-            sizes.append(sum(f) * factorial(n) // factorial(j + 1))
-            yield runs + tuple(range(j + 1, first, -1)) + tuple(range(j + 2, n + 1))
+            yield (runs + tuple(range(j + 1, first, -1)) + tuple(range(j + 2, n + 1)),
+                   sum(f) * factorial(n) // factorial(j + 1))
             continue
         rise, fall = step(j, f)
         closed = (j + 1, runs + tuple(range(j + 1, first, -1)), j + 1)
@@ -168,10 +171,10 @@ def _descent_classes(n: int, gaps: Sequence[int], sizes: list[int], step: Callab
             todo.append((*closed, [*map(add, rise, fall)]))
 
 
-def _sigma_classes(rows: int, n: int, mask: int, sizes: list[int]) -> _Sized:
-    """One sigma per descent class on the gaps where a row keeps its cover, sizes to ``sizes``."""
+def _sigma_classes(rows: int, n: int, mask: int) -> _Sized:
+    """The (sigma, size) pair of each descent class on the gaps where a row keeps its cover."""
     gaps = [j for j in range(n - 1) if any(~mask >> x * (n - 1) + j & 1 for x in range(rows))]
-    return _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps, sizes))
+    return _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps))
 
 
 def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 0) -> IntPolynomial:
@@ -182,8 +185,8 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     class's row counts once per sigma in it, read as the class is walked."""
     q = product_with_chain(p, n, mask)
     _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
-    sizes: list[int] = []
-    return _row_sum(canon_rows(q, w, _sigma_classes(p.element_count, n, mask, sizes)), sizes)
+    classes = _sigma_classes(p.element_count, n, mask)
+    return _row_sum(class_rows(q, classes, lambda sigma: canon_labeling(w, sigma)))
 
 
 def _product_form(

@@ -52,11 +52,11 @@ class Poset(Frozen):
     reads ``covers`` (so they may come lazily), then validates that the
     cover digraph is acyclic and that no cover is implied by the others.
     Equality, hash and repr use ``element_count`` and ``covers`` only;
-    the rest is derived: adjacency (``below``: lower covers as bitmasks),
-    the topological order and each element's strict up-set as a bitmask.
+    the rest is derived: adjacency (``below``: lower covers as bitmasks)
+    and the topological order.
     """
 
-    __slots__ = ("element_count", "covers", "below", "_succ", "_above", "_topo")
+    __slots__ = ("element_count", "covers", "below", "_succ", "_topo")
 
     def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
         n = element_count
@@ -91,7 +91,6 @@ class Poset(Frozen):
         init(self, "covers", covers)
         init(self, "below", tuple(below))
         init(self, "_succ", tuple(tuple(s) for s in succ))
-        init(self, "_above", tuple(above))
         init(self, "_topo", tuple(topo))
 
     def __eq__(self, other):
@@ -111,10 +110,6 @@ class Poset(Frozen):
     def successors(self, v: int) -> tuple[int, ...]:
         """Elements covering v."""
         return self._succ[v]
-
-    def less(self, a: int, b: int) -> bool:
-        """Strict comparability a < b."""
-        return bool(self._above[a] >> b & 1)
 
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.element_count) if not self.below[v])

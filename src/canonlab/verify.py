@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate, groupby, product
+from itertools import accumulate, groupby
 from math import comb
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -33,7 +32,7 @@ from canonlab.canon import (
     _Sized,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    canon_rows,
+    class_rows,
 )
 from canonlab.cli import MAX_LISTED, _print_csv, _row_labeling
 from canonlab.errors import PosetFormatError, SizeCapError
@@ -102,7 +101,8 @@ def descent_set(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 def descent_count(letters: Sequence[int]) -> int:
-    return len(descent_set(letters))
+    """The number of descents, counted without listing their positions."""
+    return sum(1 for j in range(1, len(letters)) if letters[j] < letters[j - 1])
 
 
 def mirrored(p: IntPolynomial, high: int) -> IntPolynomial:
@@ -119,64 +119,6 @@ def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
         return False
     pos = {v: i for i, v in enumerate(order)}
     return all(pos[a] < pos[b] for a, b in p.covers)
-
-
-def weak_descent_count(letters: Sequence[int]) -> int:
-    """Positions where the word drops or stays level."""
-    return sum(1 for j in range(1, len(letters)) if letters[j] <= letters[j - 1])
-
-
-def multiset_word(order: Sequence[int], canon_label: Sequence[int], m: int) -> tuple[int, ...]:
-    """Collapse a canon-labeled extension to its multiset permutation.
-
-    Letter i is ``ceil(label_i / m)``, i.e. the column value of the copy
-    containing the i-th element.
-    """
-    return tuple((canon_label[v] + m - 1) // m for v in order)
-
-
-def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
-    """True iff all m copy-subsequences of the multiset word are identical.
-
-    The j-th copy subsequence collects the j-th occurrence of every letter
-    in position order.
-    """
-    occ = defaultdict(list)
-    for i, v in enumerate(letters):
-        occ[v].append(i)
-    if any(len(positions) != m for positions in occ.values()):
-        return False
-    patterns = set()
-    for copy in range(m):
-        subseq = tuple(v for _, v in sorted((occ[v][copy], v) for v in occ))
-        patterns.add(subseq)
-    return len(patterns) == 1
-
-
-def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int, ...]:
-    """Values of the labeled order polynomial at 0..j_max, by exhaustive
-    enumeration of maps into {0..j}.
-
-    A map counts when it is weakly order-preserving and strict on every
-    comparable pair whose labels invert.  This is the definitional brute
-    force, independent of the extension-based route.
-    """
-    n = p.element_count
-    pairs = [(a, b) for a in range(n) for b in range(n) if p.less(a, b)]
-    strict = [(a, b) for a, b in pairs if w[a] > w[b]]
-    weak = [(a, b) for a, b in pairs if w[a] <= w[b]]
-    if (j_max + 1) ** n > 50_000_000:
-        raise SizeCapError("order polynomial brute force is too large")
-    out = []
-    for j in range(j_max + 1):
-        count = 0
-        for values in product(range(j + 1), repeat=n):
-            if all(values[a] <= values[b] for a, b in weak) and all(
-                values[a] < values[b] for a, b in strict
-            ):
-                count += 1
-        out.append(count)
-    return tuple(out)
 
 
 def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -202,11 +144,10 @@ def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
     letters climb with its chain, so the letters rank as the canon labeling
     of the complement n + 1 - sigma, whose row depends only on sigma's
     descents: one kernel lane per descent class, weighted by its size."""
-    grid, sizes = product_with_chain(chain(m), n), []  # refuses a huge n first
-    sigmas = _sigma_classes(m, n, 0, sizes)
-    letters = _Sized(len(sigmas),
-                     lambda: ([n + 1 - s for s in sigma for _ in range(m)] for sigma in sigmas))
-    return mirrored(_row_sum(kernel.descent_histograms(grid, letters), sizes), m * n - 1)
+    grid = product_with_chain(chain(m), n)  # refuses a huge n first
+    classes = class_rows(grid, _sigma_classes(m, n, 0),
+                         lambda sigma: [n + 1 - s for s in sigma for _ in range(m)])
+    return mirrored(_row_sum(classes), m * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +229,10 @@ def checked_product_identity(p: Poset, w: Sequence[int], n: int) -> IdentityRepo
     return IdentityReport.compare(f"checked-product m={p.element_count} n={n}", lhs, rhs)
 
 
-def _word_classes(pprime: Poset, graph: tuple, sizes: list[int]) -> _Sized:
-    """One sigma per descent pattern of the natural label words of
-    ``pprime``'s extensions, walked by ``canon._descent_classes`` with each
-    class's number of words appended to ``sizes``, and sized for
-    min(2^(n-1), e(P')) lanes.
+def _word_classes(pprime: Poset, graph: tuple) -> _Sized:
+    """The (sigma, size) pair of each descent pattern of the natural label
+    words of ``pprime``'s extensions, size its number of words, walked by
+    ``canon._descent_classes`` and sized for min(2^(n-1), e(P')) lanes.
 
     Its count step counts the prefixes by their state in ``graph``, P''s
     state graph from ``kernel._transitions``, whose count is e(P').  A
@@ -334,7 +274,7 @@ def _word_classes(pprime: Poset, graph: tuple, sizes: list[int]) -> _Sized:
 
     gaps = range(n - 1)
     return _Sized(min(1 << len(gaps), count),
-                  lambda: _descent_classes(n, gaps, sizes, step, start))
+                  lambda: _descent_classes(n, gaps, step, start))
 
 
 def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> IdentityReport:
@@ -342,10 +282,10 @@ def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> I
     poset vs the factored form x^k * h*(P') * h*(P x [n]).  The left side
     runs one lane per descent class of P''s words, weighted by its size:
     w x sigma's row depends only on sigma's descents."""
-    n, sizes, nat = pprime.element_count, [], natural_labeling(pprime)
+    n, nat = pprime.element_count, natural_labeling(pprime)
     graph = kernel._transitions(pprime)  # built once, for the walk and for h*(P')'s lane
-    classes = _word_classes(pprime, graph, sizes)
-    lhs = _row_sum(canon_rows(product_with_chain(p, n), w, classes), sizes)
+    classes = _word_classes(pprime, graph)
+    lhs = _row_sum(class_rows(product_with_chain(p, n), classes, partial(canon_labeling, w)))
     rhs = _product_form(p, w, n, lambda: IntPolynomial(next(kernel._lanes(n, graph, [nat]))))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
@@ -480,11 +420,11 @@ def _check_shift_law(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityRepor
     # checked per descent class: a class's sigmas make the same covers strict,
     # so they share one row, and des(sigma) is the class's descent count
     grid = product_with_chain(chain(m), n)  # refuses a huge n before the classes
-    sigmas = _sigma_classes(m, n, 0, [])
-    # each row comes before its sigma, so a refusal builds no class
-    rows = zip(canon_rows(grid, _row_labeling("natural", m), sigmas), sigmas)
-    base = IntPolynomial(next(rows)[0])  # the first class is the identity's
-    bad = next((s for row, s in rows if IntPolynomial(row) != base.shift(descent_count(s))), None)
+    natural = partial(canon_labeling, _row_labeling("natural", m))
+    classes = class_rows(grid, _sigma_classes(m, n, 0), natural)
+    base = IntPolynomial(next(classes)[2])  # the first class is the identity's
+    bad = next((s for s, _, row in classes if IntPolynomial(row) != base.shift(descent_count(s))),
+               None)
     detail = None if bad is None else f"failed at sigma={bad}"
     return [IdentityReport(f"shift-law m={m} n={n}", bad is None, witness=detail)]
 
@@ -510,15 +450,13 @@ def _check_row_shift(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityRepor
     # class on each orbit's first mask: a class's sigmas make the same covers
     # strict (in a column by w alone, a kept (x, j) < (x, j+1) when sigma(j) >
     # sigma(j+1)), and the orbit maps keep both rows, as w(m+1-r) = m+1-w(r)
-    w, ident = _row_labeling("reverse", m), _row_labeling("natural", m)
+    labels = [partial(canon_labeling, _row_labeling(kind, m)) for kind in ("reverse", "natural")]
 
     def failures():  # the full mask first: it has the most transitions, so it is refused first
         for mask in sorted(set(_orbit_firsts(m, n, subposet_masks(m, n)).values()), reverse=True):
-            sigmas = _sigma_classes(m, n, mask, [])
-            lanes = _Sized(2 * len(sigmas),
-                           lambda: (canon_labeling(v, s) for s in sigmas for v in (w, ident)))
-            rows = kernel.descent_histograms(AmphibianSpec(m, n, mask).poset(), lanes)
-            yield from (f"mask={mask} sigma={s}" for s, a, b in zip(sigmas, rows, rows)
+            classes = class_rows(AmphibianSpec(m, n, mask).poset(), _sigma_classes(m, n, mask),
+                                 *labels)
+            yield from (f"mask={mask} sigma={s}" for s, _, a, b in classes
                         if IntPolynomial(a) != IntPolynomial(b).shift(m - 1))
 
     detail = next(failures(), None)

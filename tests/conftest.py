@@ -1,11 +1,13 @@
 import random
-from itertools import combinations, permutations
+from collections import defaultdict
+from itertools import combinations, permutations, product
 from math import comb
+from typing import Sequence
 
 import pytest
 
 from canonlab import kernel
-from canonlab.errors import PosetFormatError
+from canonlab.errors import PosetFormatError, SizeCapError
 from canonlab.polys import IntPolynomial
 from canonlab.verify import IdentityReport, _word_classes, descent_count, is_dyck_path
 from canonlab.poset import Poset, canon_labeling, chain, product_with_chain, transitive_reduction
@@ -30,9 +32,89 @@ def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
 
 
-def word_classes(pprime: Poset, sizes: list):
+def word_classes(pprime: Poset):
     """``verify._word_classes`` on P''s own state graph, built here."""
-    return _word_classes(pprime, kernel._transitions(pprime), sizes)
+    return _word_classes(pprime, kernel._transitions(pprime))
+
+
+def canon_rows(q: Poset, w: Sequence[int], sigmas: Sequence[Sequence[int]]):
+    """The descent histogram of ``q`` under each canon labeling w x sigma,
+    one kernel lane per sigma: the oracle for the class stream
+    ``canon.class_rows``, which runs one lane per descent class."""
+    return kernel.descent_histograms(q, [canon_labeling(w, sigma) for sigma in sigmas])
+
+
+# ---------------------------------------------------------------------------
+# oracles that no check runs
+
+
+def less(p: Poset, a: int, b: int) -> bool:
+    """Strict comparability a < b in ``p``: b lies on a walk up the covers from a."""
+    seen, todo = set(), [a]
+    while todo:
+        for c in p.successors(todo.pop()):
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return b in seen
+
+
+def weak_descent_count(letters: Sequence[int]) -> int:
+    """Positions where the word drops or stays level."""
+    return sum(1 for j in range(1, len(letters)) if letters[j] <= letters[j - 1])
+
+
+def multiset_word(order: Sequence[int], canon_label: Sequence[int], m: int) -> tuple[int, ...]:
+    """Collapse a canon-labeled extension to its multiset permutation.
+
+    Letter i is ``ceil(label_i / m)``, i.e. the column value of the copy
+    containing the i-th element.
+    """
+    return tuple((canon_label[v] + m - 1) // m for v in order)
+
+
+def is_canon_permutation(letters: Sequence[int], m: int) -> bool:
+    """True iff all m copy-subsequences of the multiset word are identical.
+
+    The j-th copy subsequence collects the j-th occurrence of every letter
+    in position order.
+    """
+    occ = defaultdict(list)
+    for i, v in enumerate(letters):
+        occ[v].append(i)
+    if any(len(positions) != m for positions in occ.values()):
+        return False
+    patterns = set()
+    for copy in range(m):
+        subseq = tuple(v for _, v in sorted((occ[v][copy], v) for v in occ))
+        patterns.add(subseq)
+    return len(patterns) == 1
+
+
+def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int, ...]:
+    """Values of the labeled order polynomial at 0..j_max, by exhaustive
+    enumeration of maps into {0..j}.
+
+    A map counts when it is weakly order-preserving and strict on every
+    comparable pair whose labels invert.  This is the definitional brute
+    force, independent of the extension-based route.
+    """
+    n = p.element_count
+    pairs = [(a, b) for a in range(n) for b in range(n) if less(p, a, b)]
+    strict = [(a, b) for a, b in pairs if w[a] > w[b]]
+    weak = [(a, b) for a, b in pairs if w[a] <= w[b]]
+    if (j_max + 1) ** n > 50_000_000:
+        raise SizeCapError("order polynomial brute force is too large")
+    out = []
+    for j in range(j_max + 1):
+        count = 0
+        for values in product(range(j + 1), repeat=n):
+            if all(values[a] <= values[b] for a, b in weak) and all(
+                values[a] < values[b] for a, b in strict
+            ):
+                count += 1
+        out.append(count)
+    return tuple(out)
 
 
 def column_labelings(n: int) -> list[tuple[int, ...]]:

@@ -9,7 +9,12 @@ import time
 from itertools import permutations
 from math import comb
 
-from conftest import SIGMA_GRIDS, removable_edges, weak_descent_lanes_per_sigma
+from conftest import (
+    SIGMA_GRIDS,
+    order_polynomial_values,
+    removable_edges,
+    weak_descent_lanes_per_sigma,
+)
 
 from canonlab.canon import (
     AmphibianSpec,
@@ -44,7 +49,6 @@ from canonlab.verify import (
     dissonant_degree_check,
     dissonant_palindromy_check,
     high_peak_positions,
-    order_polynomial_values,
     word,
 )
 

@@ -2,6 +2,7 @@ import inspect
 import random
 import re
 from collections import Counter
+from functools import partial
 from itertools import permutations
 from math import factorial
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import (
     SIGMA_GRIDS,
+    canon_rows,
     column_labelings,
     poly_sum,
     random_poset,
@@ -28,7 +30,7 @@ from canonlab.canon import (
     _sigma_classes,
     canon_polynomial_bruteforce,
     canon_polynomial_product,
-    canon_rows,
+    class_rows,
     dissonant_polynomial,
     weak_descent_polynomial,
 )
@@ -199,7 +201,7 @@ class TestColumnLabelings:
         assert column_labelings(3) == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1),
                                        (3, 1, 2), (3, 2, 1)]
         for n in range(1, 8):
-            sigmas = list(_sigma_classes(1, n, 0, []))
+            sigmas = [sigma for sigma, _ in _sigma_classes(1, n, 0)]
             assert set(sigmas) <= set(column_labelings(n)) and sigmas[0] == tuple(range(1, n + 1))
             assert len({descent_set(s) for s in sigmas}) == len(sigmas) == 1 << n - 1
 
@@ -214,26 +216,35 @@ class TestColumnLabelings:
         assert generalized_product_identity(chain(2), (1, 2), chain(10)).holds
 
     def test_rows_match_hstar(self):
+        # the one-lane-per-sigma oracle, and the class stream with two labels,
+        # whose rows come in label order after each class's (sigma, size)
         grid = product_with_chain(chain(2), 3)
-        w = (2, 1)
+        w, ident = (2, 1), (1, 2)
         sigmas = column_labelings(3)
         rows = canon_rows(grid, w, sigmas)
         assert [IntPolynomial(tuple(r)) for r in rows] == [
             hstar(grid, canon_labeling(w, s)) for s in sigmas
         ]
+        classes = list(class_rows(grid, _sigma_classes(2, 3, 0), partial(canon_labeling, w),
+                                  partial(canon_labeling, ident)))
+        assert [(s, size) for s, size, *_ in classes] == descent_classes(3, [0, 1])
+        for s, _, a, b in classes:
+            assert (P(*a), P(*b)) == (hstar(grid, canon_labeling(w, s)),
+                                      hstar(grid, canon_labeling(ident, s))), s
 
 
 def test_row_sum_weighs_each_row():
-    # one running row against the column-wise weighted sum, rows of one
-    # entry included; the rows and weights come as one-shot iterators
+    # one running row against the column-wise sum of size x row, rows of one
+    # entry included; the (sigma, size, row) classes come as one-shot iterators
     rng = random.Random(20261019)
     for _ in range(200):
         width, count = rng.choice([1, 1, 2, 5, 9]), rng.randint(1, 6)
         rows = [[rng.randint(0, 10**20) for _ in range(width)] for _ in range(count)]
-        weights = [rng.randint(0, 10**6) for _ in range(count)]
-        columns = [sum(w * row[k] for w, row in zip(weights, rows)) for k in range(width)]
-        assert _row_sum(iter(rows), iter(weights)) == IntPolynomial(columns)
-        assert _row_sum(iter(rows)) == IntPolynomial(map(sum, zip(*rows)))
+        sizes = [rng.randint(0, 10**6) for _ in range(count)]
+        columns = [sum(size * row[k] for size, row in zip(sizes, rows)) for k in range(width)]
+        classes = [(None, size, row) for size, row in zip(sizes, rows)]
+        assert _row_sum(iter(classes)) == IntPolynomial(columns)
+        assert _row_sum((None, 1, row) for row in rows) == IntPolynomial(map(sum, zip(*rows)))
     assert _row_sum(iter(())) == IntPolynomial(())
 
 
@@ -248,7 +259,7 @@ def every_sigma(p, w, n, mask=0, pprime=None):
     or per extension word of ``pprime``."""
     q = product_with_chain(p, n, mask)
     sigmas = column_labelings(n) if pprime is None else pprime_words(pprime)
-    return _row_sum(canon_rows(q, w, sigmas))
+    return IntPolynomial([*map(sum, zip(*canon_rows(q, w, sigmas)))])
 
 
 def descents_on(sigma, gaps):
@@ -257,9 +268,7 @@ def descents_on(sigma, gaps):
 
 def descent_classes(n, gaps):
     """The class walk's (sigma, size) pairs, in lane order."""
-    sizes = []
-    sigmas = list(_descent_classes(n, gaps, sizes))
-    return list(zip(sigmas, sizes))
+    return list(_descent_classes(n, gaps))
 
 
 class TestDescentClasses:
@@ -292,23 +301,20 @@ class TestDescentClasses:
                     report = generalized_product_identity(chain(m), w, pprime)
                     assert report.holds, (pprime, m, w)
                     assert report.lhs == every_sigma(chain(m), w, n, 0, pprime), (pprime, m, w)
-            sizes = []
-            classes = word_classes(pprime, sizes)
-            sigmas = list(classes)
+            classes = word_classes(pprime)
+            pairs = list(classes)
             gaps = range(n - 1)
             listed = Counter(descents_on(s, gaps) for s in words)
-            assert dict(zip((descents_on(s, gaps) for s in sigmas), sizes)) == listed, pprime
-            assert sum(sizes) == len(words) == kernel.count_extensions(pprime)
-            assert len(sigmas) == len(listed) <= len(classes) == min(1 << n - 1, len(words))
+            assert {descents_on(s, gaps): size for s, size in pairs} == listed, pprime
+            assert sum(size for _, size in pairs) == len(words) == kernel.count_extensions(pprime)
+            assert len(pairs) == len(listed) <= len(classes) == min(1 << n - 1, len(words))
 
     def test_both_count_steps_walk_the_antichain_alike(self):
         # the permutations' rank step and the state graph's step of
         # antichain(n), whose words are the permutations: the same (sigma,
         # size) pairs in the same order
         for n in range(1, 10):
-            sizes = []
-            sigmas = list(word_classes(antichain(n), sizes))
-            assert list(zip(sigmas, sizes)) == descent_classes(n, range(n - 1)), n
+            assert list(word_classes(antichain(n))) == descent_classes(n, range(n - 1)), n
 
     def test_second_poset_walk_bound(self, monkeypatch):
         # the walk's work is sized from P''s graph before any class: the
@@ -318,13 +324,11 @@ class TestDescentClasses:
         monkeypatch.setattr(verify, "_descent_classes", lambda *args: walked.append(1))
         for pprime in (antichain(12), verify._star(12)):
             with pytest.raises(SizeCapError, match="classes x transitions x elements"):
-                word_classes(pprime, [])
+                word_classes(pprime)
         assert walked == []
         monkeypatch.undo()
-        assert len(word_classes(antichain(11), [])) == 1 << 10
-        sizes = []
-        assert list(word_classes(chain(40), sizes)) == [tuple(range(1, 41))]
-        assert sizes == [1]
+        assert len(word_classes(antichain(11))) == 1 << 10
+        assert list(word_classes(chain(40))) == [(tuple(range(1, 41)), 1)]
 
     def test_labeled_poset_with_falling_covers(self):
         # vee-k1 of the labeled-product cases: w falls on one cover only
@@ -362,10 +366,13 @@ class TestDescentClasses:
                         runs += range(j + 1, start, -1)
                         start = j + 1
                 assert tuple(runs) == sigma
-        # lazily: each class's size is handed back as its sigma is yielded
-        sizes = []
-        for count, _ in enumerate(_descent_classes(6, [0, 2, 3], sizes), start=1):
-            assert len(sizes) == count
+        # lazily, one pair at a time: each sigma comes with the number of
+        # words that share its descents on the gaps
+        walk = _descent_classes(6, [0, 2, 3])
+        assert inspect.isgenerator(walk)
+        words = Counter(descents_on(s, [0, 2, 3]) for s in permutations(range(1, 7)))
+        for sigma, size in walk:
+            assert size == words[descents_on(sigma, [0, 2, 3])], sigma
 
     def test_walk_stops_after_the_last_kept_gap(self, monkeypatch):
         # the values after the last kept gap take any ranks, so the walk
@@ -642,7 +649,8 @@ class TestRowShift:
 
         sigmas = column_labelings(n)
         for mask, first in _orbit_firsts(m, n, subposet_masks(m, n)).items():
-            assert pairs(mask, sigmas) == pairs(first, list(_sigma_classes(m, n, first, []))), mask
+            firsts = [sigma for sigma, _ in _sigma_classes(m, n, first)]
+            assert pairs(mask, sigmas) == pairs(first, firsts), mask
 
 
 class TestWeakDescents:

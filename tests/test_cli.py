@@ -385,16 +385,18 @@ class TestVerify:
             return real_labeling(w, sigma)
 
         def counted_classes(*args):
-            for sigma in real_classes(*args):
-                classes.append(sigma)
-                yield sigma
+            for pair in real_classes(*args):
+                classes.append(pair)
+                yield pair
 
         def counted_extensions(p):
             for ext in real_extensions(p):
                 extensions.append(ext)
                 yield ext
 
+        # the sums label their lanes in canon, the checks in verify
         monkeypatch.setattr(canon_mod, "canon_labeling", counted)
+        monkeypatch.setattr(verify_mod, "canon_labeling", counted)
         # sigma's classes are walked in canon, a second poset's in verify
         monkeypatch.setattr(canon_mod, "_descent_classes", counted_classes)
         monkeypatch.setattr(verify_mod, "_descent_classes", counted_classes)
@@ -410,9 +412,16 @@ class TestVerify:
             assert (code, out) == (2, "") and f"{bound} x transitions x elements" in err, argv
         assert built == classes == extensions == []
         assert invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")[0] == 0
-        # the kernel walks the 4 classes of the 6 sigmas, and the check walks
-        # them again
-        assert (len(built), len(classes)) == (4, 8)
+        # the kernel and the check read the 4 classes of the 6 sigmas from
+        # one walk
+        assert (len(built), len(classes)) == (4, 4)
+        # cor-4.1 walks each orbit's classes once, for two lanes a class
+        built.clear()
+        classes.clear()
+        firsts = set(verify_mod._orbit_firsts(2, 3, verify_mod.subposet_masks(2, 3)).values())
+        assert invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "3")[0] == 0
+        walked = sum(len(canon_mod._sigma_classes(2, 3, mask)) for mask in firsts)
+        assert (len(built), len(classes)) == (2 * walked, walked) and len(firsts) < walked
         classes.clear()
         # the 9! words of antichain(9) run as 2^8 classes, chain(9)'s one
         # word as one, and the star's 8! as 2^7, as its first gap rises in
@@ -430,17 +439,19 @@ class TestVerify:
         assert (code, out) == (2, "") and "2^12 subposets exceed the bound 1024" in err
 
     def test_shift_law_compares_every_row(self, capsys, monkeypatch):
-        real = verify_mod.canon_rows
+        import canonlab.kernel as kernel_mod
 
-        def perturbed(q, w, sigmas):
+        real = kernel_mod.descent_histograms
+
+        def perturbed(poset, labelings):
             # the last row gains one extension as it passes through the stream
-            rows = real(q, w, sigmas)
-            for _ in range(len(sigmas) - 1):
+            rows = real(poset, labelings)
+            for _ in range(len(labelings) - 1):
                 yield next(rows)
             last = next(rows)
             yield [last[0] + 1] + last[1:]
 
-        monkeypatch.setattr(verify_mod, "canon_rows", perturbed)
+        monkeypatch.setattr(kernel_mod, "descent_histograms", perturbed)
         code, out, _ = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")
         assert code == 1
         assert "[FAIL] shift-law m=2 n=3  (failed at sigma=(3, 2, 1))" in out
@@ -452,7 +463,7 @@ class TestVerify:
         from canonlab.canon import _sigma_classes
 
         real = kernel_mod.descent_histograms
-        sigmas = list(_sigma_classes(2, 4, 0, []))
+        sigmas = [sigma for sigma, _ in _sigma_classes(2, 4, 0)]
         assert len(sigmas) == 8 and sigmas[0] == (1, 2, 3, 4)
         for bad in range(1, 8):
             def perturbed(poset, labelings):

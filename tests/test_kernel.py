@@ -3,15 +3,22 @@
 import random
 import time
 import tracemalloc
+from functools import partial
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
-from conftest import random_labeling, random_poset, word_classes
+from conftest import (
+    multiset_word,
+    random_labeling,
+    random_poset,
+    weak_descent_count,
+    word_classes,
+)
 
 from canonlab import kernel
-from canonlab.canon import _row_sum, _Sized, canon_rows
+from canonlab.canon import _row_sum, _Sized, class_rows
 from canonlab.errors import SizeCapError
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, eulerian
@@ -23,11 +30,10 @@ from canonlab.poset import (
     product_with_chain,
 )
 from canonlab.verify import (
+    _check_shift_law,
     _weak_descent_lanes,
     antichain,
     descent_count,
-    multiset_word,
-    weak_descent_count,
     word,
 )
 
@@ -187,21 +193,22 @@ def test_one_lane_lists_no_steps():
 
 def second_poset_sum(n: int) -> bool:
     """remark-product's left side at m = 1 over antichain(n), whose words
-    are the n! permutations: 2^(n-1) class lanes, each weighted by its size."""
-    sizes = []
-    rows = canon_rows(chain(n), (1,), word_classes(antichain(n), sizes))
-    return _row_sum(rows, sizes) == eulerian(n)
+    are the n! permutations: 2^(n-1) class lanes, each row times its class's size."""
+    classes = class_rows(chain(n), word_classes(antichain(n)), partial(canon_labeling, (1,)))
+    return _row_sum(classes) == eulerian(n)
 
 
 @pytest.mark.parametrize("run", [
     lambda: second_poset_sum(11),
     lambda: _weak_descent_lanes(1, 15) == eulerian(15),  # no ties at m = 1
-], ids=["remark-product", "weak-descents"])
+    lambda: _check_shift_law(None, 1, 15)[0].holds,
+], ids=["remark-product", "weak-descents", "shift-law"])
 def test_row_sums_keep_one_row(run):
-    # each row is added to one running row as its lane finishes: a list of
-    # prop-5.2's 16,384 class rows at (1,15) alone would take about 3.7 MB,
-    # and the class walk over antichain(11) keeps its graph's steps, not its
-    # 11! words
+    # each row is read once as its lane finishes, with its class's size from
+    # the one walk that feeds the kernel: a list of prop-5.2's 16,384 class
+    # rows at (1,15) alone would take about 3.7 MB, cor-3.4 there peaks at
+    # 2.6 MB when it walks its classes twice and keeps every size, and the
+    # class walk over antichain(11) keeps its graph's steps, not its 11! words
     tracemalloc.start()
     try:
         assert run()

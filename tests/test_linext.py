@@ -1,9 +1,15 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from conftest import dyck_paths, random_poset
+from conftest import (
+    dyck_paths,
+    is_canon_permutation,
+    multiset_word,
+    random_poset,
+    weak_descent_count,
+)
 
 from canonlab.kernel import count_extensions
 from canonlab import gamma
@@ -26,12 +32,9 @@ from canonlab.verify import (
     descent_set,
     dyck_from_linext,
     high_peak_positions,
-    is_canon_permutation,
     is_dyck_path,
     is_valid_extension,
     linext_from_dyck,
-    multiset_word,
-    weak_descent_count,
     word,
 )
 
@@ -90,6 +93,9 @@ class TestWords:
         assert descent_count((1, 1, 2, 1, 2, 2)) == 1
         assert descent_count((3, 2, 1)) == 2
         assert descent_set((5, 1, 2, 4, 3)) == (1, 4)
+        # the count, which lists no positions, is the size of the set
+        for letters in product(range(3), repeat=5):
+            assert descent_count(letters) == len(descent_set(letters)), letters
 
     def test_weak_descents(self):
         assert weak_descent_count((1, 1, 2, 2)) == 2

@@ -4,7 +4,13 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import dyck_paths, gamma_polynomial, random_labeling, random_poset
+from conftest import (
+    dyck_paths,
+    gamma_polynomial,
+    order_polynomial_values,
+    random_labeling,
+    random_poset,
+)
 
 from canonlab.errors import SizeCapError
 from canonlab.linext import enumerate_linear_extensions
@@ -28,7 +34,6 @@ from canonlab.verify import (
     antichain,
     descent_count,
     high_peak_positions,
-    order_polynomial_values,
     word,
 )
 

@@ -162,4 +162,4 @@ def test_pickle_and_copy_round_trip(name):
 
 def test_unpickled_poset_keeps_its_adjacency():
     p = pickle.loads(pickle.dumps(Poset(3, [(0, 1), (1, 2)])))
-    assert p.less(0, 2) and p.successors(1) == (2,) and p.topological_order() == (0, 1, 2)
+    assert p.below == (0, 1, 2) and p.successors(1) == (2,) and p.topological_order() == (0, 1, 2)

@@ -17,14 +17,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "canonlab"
 
 ALLOWED = {
-    "is_canon_permutation": "oracle: the definition of a canon word, which the tests "
-    "check every canon-labeled extension against",
-    "multiset_word": "oracle: the multiset word of an extension, the other side of "
-    "those tests",
-    "weak_descent_count": "oracle: the definitional weak-descent count the lanes "
-    "over negated letters are tested against",
-    "order_polynomial_values": "oracle: the definitional order-polynomial brute force "
-    "the h* generating-function contract is tested against",
     "backend": "kernel.backend, read by canonbench through canonlab.kernel_backend",
 }
 
