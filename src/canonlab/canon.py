@@ -21,7 +21,7 @@ class with no sigma listed and yields its (sigma, size) as the kernel
 takes the lane, so the kernel's work bound, which counts all
 2^(kept gaps) lanes, refuses before any class is built.  P''s words are
 counted on its own state graph, in a walk bounded before it starts.
-The edge-subset sweep and its table of subposet sums are in
+The edge-subset sweep and its orbits of subposets are in
 ``canonlab.sweep``, and the Cor. 5.1 gamma interpretation in
 ``canonlab.gamma``; only the commands that run them load those modules.
 """
@@ -126,12 +126,13 @@ def class_rows(q: Poset, classes: _Sized, *labels: Callable) -> Iterator[tuple]:
         yield sigma, size, *class_row
 
 
-def _row_sum(classes: Iterable[tuple]) -> IntPolynomial:
-    """Each (sigma, size, row) class's row times its size, summed in one running row."""
-    total = ()
-    for _, size, row in classes:
-        total = [*map(add, total or repeat(0), map(mul, row, repeat(size)))]
-    return IntPolynomial(total)
+def _row_sum(classes: Iterable[tuple]) -> tuple[IntPolynomial, ...]:
+    """Each (sigma, size, *rows) class's rows times its size, one running row per label."""
+    totals: list = []  # before the first class, each running row reads zeros
+    for _, size, *rows in classes:
+        totals = [[*map(add, total, map(mul, row, repeat(size)))]
+                  for total, row in zip(totals or repeat(repeat(0)), rows)]
+    return tuple(map(IntPolynomial, totals))
 
 
 def _rank_step(j: int, f: list[int]) -> tuple[list[int], list[int]]:
@@ -186,7 +187,7 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     q = product_with_chain(p, n, mask)
     _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
     classes = _sigma_classes(p.element_count, n, mask)
-    return _row_sum(class_rows(q, classes, lambda sigma: canon_labeling(w, sigma)))
+    return _row_sum(class_rows(q, classes, lambda sigma: canon_labeling(w, sigma)))[0]
 
 
 def _product_form(

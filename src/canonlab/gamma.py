@@ -29,7 +29,7 @@ from canonlab.poset import Poset, chain, checked_product, product_with_chain, rh
 @lru_cache(maxsize=1)  # the counts and the class words read one grid's halves
 def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
     """The extensions of the checked product of ``chain(m)`` and [n] that
-    Cor. 5.1 counts (``canonlab.verify._rho_drops``) as g + t: g a way of
+    Cor. 5.1 counts (``conftest._rho_drops``, a test oracle) as g + t: g a way of
     the grid [m]x[n] from (1, 1), the least key, so with no (double) fall
     at position 1, and t one of the n tops above (m, n), the grid's
     maximum, with g's falls (rho-descents) plus t's from (m, n) on.  A step

@@ -1,12 +1,11 @@
 """The ``sweep`` command: the edge-subset sweep of gamma-positivity over
-amphibian subposets (Thm. 4.3), and the table of subposet sums it reads.
+amphibian subposets (Thm. 4.3), and the orbits of masks it sums over.
 
 Only ``sweep`` and ``verify`` load this module (``cli`` imports it on
-first use), so no other command compiles it.  The subposet sums are one
-table, ``dissonant_polynomials``, one sum per orbit of masks
-(``_orbit_key``) over worker processes, which the sweep and verify's
-degree, palindromy and fixed-row checks all read; verify's row-shift
-check reads the same orbits (``_orbit_firsts``).
+first use), so no other command compiles it.  The sweep sums once per
+orbit of masks (``_orbit_key``), over worker processes; verify's four
+subposet checks walk the same orbits (``_orbit_firsts``) under the same
+bound (``subposet_masks``).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import os
 from functools import partial
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from canonlab.canon import AmphibianSpec, dissonant_polynomial
 from canonlab.cli import _print_csv
@@ -35,18 +34,6 @@ def subposet_masks(m: int, n: int) -> range:
     if covers >= MAX_SUBPOSETS.bit_length():  # before the shift below
         raise SizeCapError(f"2^{covers} subposets exceed the bound {MAX_SUBPOSETS}")
     return range(1 << covers)
-
-
-def dissonant_polynomials(m: int, n: int, w: Sequence[int], masks: Iterable[int],
-                          jobs: int = 1) -> dict[int, IntPolynomial]:
-    """The dissonant polynomial under ``w`` of each of ``masks``, summed
-    once per orbit under ``_orbit_key``'s maps, for its first mask, over
-    ``jobs`` worker processes.  The maps keep the polynomial when
-    w(m+1-r) = m+1-w(r) for every row r, as the natural and reversed w have."""
-    firsts = _orbit_firsts(m, n, masks)
-    specs = {first: AmphibianSpec(m, n, first) for first in firsts.values()}
-    polys = dict(zip(specs, parallel_map(partial(dissonant_polynomial, w=w), specs.values(), jobs)))
-    return {mask: polys[first] for mask, first in firsts.items()}
 
 
 def _orbit_firsts(m: int, n: int, masks: Iterable[int]) -> dict[int, int]:
@@ -109,10 +96,15 @@ def _orbit_key(m: int, n: int, mask: int) -> tuple:
 
 
 def conjecture_sweep(m: int, n: int, jobs: int = 1) -> tuple[SweepRow, ...]:
-    """One gamma row per subset of removable inter-copy edges, in mask
-    order, from its orbit's polynomial under the natural row labeling."""
-    polys = dissonant_polynomials(m, n, tuple(range(1, m + 1)), subposet_masks(m, n), jobs)
-    return tuple(_sweep_row(AmphibianSpec(m, n, mask), poly) for mask, poly in polys.items())
+    """One gamma row per subset of removable inter-copy edges, in mask order,
+    from its orbit's polynomial under the natural row labeling, summed once
+    per orbit (``_orbit_key``), for its first mask, over ``jobs`` processes."""
+    firsts = _orbit_firsts(m, n, subposet_masks(m, n))
+    specs = {first: AmphibianSpec(m, n, first) for first in firsts.values()}
+    natural = partial(dissonant_polynomial, w=tuple(range(1, m + 1)))
+    polys = dict(zip(specs, parallel_map(natural, specs.values(), jobs)))
+    return tuple(_sweep_row(AmphibianSpec(m, n, mask), polys[first])
+                 for mask, first in firsts.items())
 
 
 def parallel_map(fn, items, jobs: int = 1):

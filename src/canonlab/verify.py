@@ -7,9 +7,9 @@ returns its reports, none for a case outside its statement; only
 ``_select`` reads ``--m`` and ``--n``.  ``VERIFY_CHECKS`` lists every
 statement with its default cases, and the README's verification registry
 has one row per entry.  No check lists sigma: each runs one kernel lane
-per descent class of sigma (``canon._sigma_classes``), the subposet
-checks once per orbit of masks, and ``run`` checks their subposet bound
-first.
+per descent class of sigma (``canon._sigma_classes``), the four subposet
+checks one walk per grid (``_subposet_walk``) that a run keeps until it
+ends, and ``run`` checks their subposet bound first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, groupby
 from math import comb
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.canon import (
@@ -48,7 +48,7 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
 )
-from canonlab.sweep import MAX_SUBPOSETS, _orbit_firsts, dissonant_polynomials, subposet_masks
+from canonlab.sweep import MAX_SUBPOSETS, _orbit_firsts, subposet_masks
 
 
 class IdentityReport(NamedTuple):
@@ -121,21 +121,6 @@ def is_valid_extension(p: Poset, order: Sequence[int]) -> bool:
     return all(pos[a] < pos[b] for a, b in p.covers)
 
 
-def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The rho-descent positions of an extension and the double ones
-    among them, given every element's rho parity: the oracle for ``gamma.rho_halves``.
-
-    Position j is a rho-descent when the pair (parity, label) strictly
-    falls from letter j to letter j+1; it is double when j-1 is also one,
-    or when j = 1.  The pair is compared as the int parity * n + label.
-    """
-    n = len(parities)
-    keys = [parities[v] * n + v for v in order]
-    drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
-    dropset = set(drops)
-    return drops, [j for j in drops if j == 1 or j - 1 in dropset]
-
-
 def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
     """The weak-descent polynomial on the multiset letters, a second route
     beside ``weak_descent_polynomial``'s reversed rows: the letters
@@ -147,7 +132,7 @@ def _weak_descent_lanes(m: int, n: int) -> IntPolynomial:
     grid = product_with_chain(chain(m), n)  # refuses a huge n first
     classes = class_rows(grid, _sigma_classes(m, n, 0),
                          lambda sigma: [n + 1 - s for s in sigma for _ in range(m)])
-    return mirrored(_row_sum(classes), m * n - 1)
+    return mirrored(_row_sum(classes)[0], m * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +270,7 @@ def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> I
     n, nat = pprime.element_count, natural_labeling(pprime)
     graph = kernel._transitions(pprime)  # built once, for the walk and for h*(P')'s lane
     classes = _word_classes(pprime, graph)
-    lhs = _row_sum(class_rows(product_with_chain(p, n), classes, partial(canon_labeling, w)))
+    lhs = _row_sum(class_rows(product_with_chain(p, n), classes, partial(canon_labeling, w)))[0]
     rhs = _product_form(p, w, n, lambda: IntPolynomial(next(kernel._lanes(n, graph, [nat]))))
     return IdentityReport.compare(
         f"generalized-product m={p.element_count} |P'|={n}", lhs, rhs
@@ -445,31 +430,53 @@ def _check_generalized_product(
     return [generalized_product_identity(p, w, pprime)]
 
 
+@lru_cache(maxsize=None)  # each orbit walked once in a run, which clears it as it ends
+def _orbit_walk(m: int, n: int, mask: int) -> tuple[IntPolynomial, IntPolynomial, Optional[str]]:
+    """``mask``'s dissonant polynomials under the reversed and the natural
+    rows, one kernel lane under each per descent class on its kept gaps,
+    and cor-4.1's witness: the first class whose reversed row is not
+    x^(m-1) times its natural one."""
+    labels = [partial(canon_labeling, _row_labeling(kind, m)) for kind in ("reverse", "natural")]
+    witness = []
+
+    def compared(classes):
+        for sigma, size, rev, nat in classes:
+            if not witness and IntPolynomial(rev) != IntPolynomial(nat).shift(m - 1):
+                witness.append(f"mask={mask} sigma={sigma}")
+            yield sigma, size, rev, nat
+
+    grid = product_with_chain(chain(m), n, mask)
+    rev, nat = _row_sum(compared(class_rows(grid, _sigma_classes(m, n, mask), *labels)))
+    return rev, nat, next(iter(witness), None)
+
+
+def _subposet_walk(m: int, n: int, masks: Iterable[int]) -> tuple[dict, Optional[str]]:
+    """Each of ``masks`` with its orbit's first mask's (reversed, natural)
+    polynomials, and the first cor-4.1 witness.  The full mask walks
+    first: it has the most transitions, so the kernel refuses it first."""
+    firsts = _orbit_firsts(m, n, masks)
+    walks = {first: _orbit_walk(m, n, first)
+             for first in sorted(set(firsts.values()), reverse=True)}
+    witness = next((w for *_, w in walks.values() if w is not None), None)
+    return {mask: walks[first][:2] for mask, first in firsts.items()}, witness
+
+
 def _check_row_shift(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     # h* under (w x sigma) is x^(m-1) h* under (id x sigma), checked per descent
     # class on each orbit's first mask: a class's sigmas make the same covers
     # strict (in a column by w alone, a kept (x, j) < (x, j+1) when sigma(j) >
     # sigma(j+1)), and the orbit maps keep both rows, as w(m+1-r) = m+1-w(r)
-    labels = [partial(canon_labeling, _row_labeling(kind, m)) for kind in ("reverse", "natural")]
-
-    def failures():  # the full mask first: it has the most transitions, so it is refused first
-        for mask in sorted(set(_orbit_firsts(m, n, subposet_masks(m, n)).values()), reverse=True):
-            classes = class_rows(AmphibianSpec(m, n, mask).poset(), _sigma_classes(m, n, mask),
-                                 *labels)
-            yield from (f"mask={mask} sigma={s}" for s, _, a, b in classes
-                        if IntPolynomial(a) != IntPolynomial(b).shift(m - 1))
-
-    detail = next(failures(), None)
+    detail = _subposet_walk(m, n, subposet_masks(m, n))[1]
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 
 
 def _check_dissonant(cfg: SimpleNamespace, m: int, n: int,
                      law: Callable[..., IdentityReport]) -> list[IdentityReport]:
-    # lemma-4.2's degree or thm-4.3's palindromy on every subposet, natural rows first
-    masks = subposet_masks(m, n)
-    labelings = [_row_labeling(kind, m) for kind in ("natural", "reverse")]
-    return [law(AmphibianSpec(m, n, mask), w, poly)
-            for w in labelings for mask, poly in dissonant_polynomials(m, n, w, masks).items()]
+    # lemma-4.2's degree or thm-4.3's palindromy on every subposet, natural
+    # rows first, from the walk's (reversed, natural) pair of each mask
+    polys = _subposet_walk(m, n, subposet_masks(m, n))[0]
+    return [law(AmphibianSpec(m, n, mask), _row_labeling(kind, m), pair[k])
+            for k, kind in ((1, "natural"), (0, "reverse")) for mask, pair in polys.items()]
 
 
 def _check_gamma_interpretation(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
@@ -486,14 +493,16 @@ def _check_weak_descents(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityR
 
 def _check_fixed_row_palindromy(cfg: SimpleNamespace, m: int, n: int) -> list[IdentityReport]:
     # fixed-row subposets are palindromic in thm-4.3's windows, m(n-1)
-    # under the identity rows and m(n+1)-2 under the reversed ones
-    labelings = (_row_labeling("natural", m), _row_labeling("reverse", m))
+    # under the identity rows and m(n+1)-2 under the reversed ones; their
+    # masks are a union of orbits, so only those orbits are walked
+    labelings = (_row_labeling("reverse", m), _row_labeling("natural", m))
     masks = [mask for mask in subposet_masks(m, n) if AmphibianSpec(m, n, mask).mode() != "general"]
-    tables = [(w, dissonant_polynomials(m, n, w, masks)) for w in labelings]
     out = []
-    for spec in map(partial(AmphibianSpec, m, n), masks):
-        ok = all(dissonant_palindromy_check(spec, w, t[spec.mask]).holds for w, t in tables)
-        name = f"fixed-row-palindromy m={m} n={n} mask={spec.mask} mode={spec.mode()}"
+    for mask, pair in _subposet_walk(m, n, masks)[0].items():
+        spec = AmphibianSpec(m, n, mask)
+        ok = all(dissonant_palindromy_check(spec, w, poly).holds
+                 for w, poly in zip(labelings, pair))
+        name = f"fixed-row-palindromy m={m} n={n} mask={mask} mode={spec.mode()}"
         out.append(IdentityReport(name, ok, witness=None if ok else "window symmetry failed"))
     return out
 
@@ -596,7 +605,11 @@ def run(cfg: SimpleNamespace) -> int:
     for check, case in cases:  # the subposet bound, on every selected case first
         if check in (_check_row_shift, _check_dissonant, _check_fixed_row_palindromy):
             subposet_masks(*case[:2])
-    reports = [report for check, case in cases for report in check(cfg, *case)]
+    _orbit_walk.cache_clear()  # a run reads only the walks on its own kernel
+    try:
+        reports = [report for check, case in cases for report in check(cfg, *case)]
+    finally:
+        _orbit_walk.cache_clear()
     if not reports:
         raise PosetFormatError(
             f"no checks ran for {' '.join(names)}: "

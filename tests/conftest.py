@@ -117,6 +117,21 @@ def order_polynomial_values(p: Poset, w: Sequence[int], j_max: int) -> tuple[int
     return tuple(out)
 
 
+def _rho_drops(parities: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The rho-descent positions of an extension and the double ones
+    among them, given every element's rho parity: the oracle for ``gamma.rho_halves``.
+
+    Position j is a rho-descent when the pair (parity, label) strictly
+    falls from letter j to letter j+1; it is double when j-1 is also one,
+    or when j = 1.  The pair is compared as the int parity * n + label.
+    """
+    n = len(parities)
+    keys = [parities[v] * n + v for v in order]
+    drops = [j for j in range(1, len(keys)) if keys[j] < keys[j - 1]]
+    dropset = set(drops)
+    return drops, [j for j in drops if j == 1 or j - 1 in dropset]
+
+
 def column_labelings(n: int) -> list[tuple[int, ...]]:
     """Every permutation of 1..n, in lexicographic order: the n! sigmas
     that the oracles list, so only for small n."""

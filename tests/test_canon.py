@@ -46,7 +46,6 @@ from canonlab.sweep import (
     _orbit_firsts,
     _sweep_row,
     conjecture_sweep,
-    dissonant_polynomials,
     parallel_map,
     subposet_masks,
 )
@@ -54,6 +53,7 @@ from canonlab.verify import (
     IdentityReport,
     _check_row_shift,
     _check_shift_law,
+    _subposet_walk,
     _weak_descent_lanes,
     antichain,
     checked_product_identity,
@@ -234,18 +234,28 @@ class TestColumnLabelings:
 
 
 def test_row_sum_weighs_each_row():
-    # one running row against the column-wise sum of size x row, rows of one
-    # entry included; the (sigma, size, row) classes come as one-shot iterators
+    # one running row per label against the column-wise sum of size x row,
+    # rows of one entry and one label included; the (sigma, size, *rows)
+    # classes come as one-shot iterators
     rng = random.Random(20261019)
     for _ in range(200):
         width, count = rng.choice([1, 1, 2, 5, 9]), rng.randint(1, 6)
-        rows = [[rng.randint(0, 10**20) for _ in range(width)] for _ in range(count)]
+        labels = rng.choice([1, 1, 2, 3])
+        lanes = [[[rng.randint(0, 10**20) for _ in range(width)] for _ in range(labels)]
+                 for _ in range(count)]
         sizes = [rng.randint(0, 10**6) for _ in range(count)]
-        columns = [sum(size * row[k] for size, row in zip(sizes, rows)) for k in range(width)]
-        classes = [(None, size, row) for size, row in zip(sizes, rows)]
-        assert _row_sum(iter(classes)) == IntPolynomial(columns)
-        assert _row_sum((None, 1, row) for row in rows) == IntPolynomial(map(sum, zip(*rows)))
-    assert _row_sum(iter(())) == IntPolynomial(())
+        expected = []
+        for label in range(labels):
+            rows = [class_lanes[label] for class_lanes in lanes]
+            columns = [sum(size * row[k] for size, row in zip(sizes, rows)) for k in range(width)]
+            classes = [(None, size, row) for size, row in zip(sizes, rows)]
+            assert _row_sum(iter(classes)) == (IntPolynomial(columns),)
+            assert _row_sum((None, 1, row) for row in rows) == (IntPolynomial(map(sum, zip(*rows))),)
+            expected.append(IntPolynomial(columns))
+        classes = [(None, size, *class_lanes) for size, class_lanes in zip(sizes, lanes)]
+        assert _row_sum(iter(classes)) == tuple(expected)
+    # no class, no row to sum
+    assert _row_sum(iter(())) == ()
 
 
 def pprime_words(pprime):
@@ -788,20 +798,21 @@ class TestConjectureSweep:
             ), (m, n)
 
     def test_table_is_each_masks_own(self):
-        # under either row labeling the per-orbit table equals one sum per
-        # mask, at every grid with at most 2^6 subposets; given masks get
-        # exactly their own entries
+        # verify's per-orbit walk gives each mask the sums of its own spec
+        # under the reversed and the natural rows, at every grid with at
+        # most 2^6 subposets; given masks get exactly their own entries
         for m in range(1, 7):
             for n in range(2, 6 // m + 2):
                 masks = range(1 << m * (n - 1))
-                for w in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
-                    assert dissonant_polynomials(m, n, w, masks) == {
-                        mask: dissonant_polynomial(AmphibianSpec(m, n, mask), w)
-                        for mask in masks
-                    }, (m, n, w)
-        every = dissonant_polynomials(2, 4, (2, 1), range(64))
+                labelings = (tuple(range(m, 0, -1)), tuple(range(1, m + 1)))
+                assert _subposet_walk(m, n, masks)[0] == {
+                    mask: tuple(dissonant_polynomial(AmphibianSpec(m, n, mask), w)
+                                for w in labelings)
+                    for mask in masks
+                }, (m, n)
+        every = _subposet_walk(2, 4, range(64))[0]
         some = [5, 17, 40, 63]
-        assert dissonant_polynomials(2, 4, (2, 1), some) == {mask: every[mask] for mask in some}
+        assert _subposet_walk(2, 4, some)[0] == {mask: every[mask] for mask in some}
 
     def test_one_row_per_orbit(self, monkeypatch):
         computed = []

@@ -318,20 +318,62 @@ class TestVerify:
     def test_subposet_checks_sum_once_per_orbit(self, capsys, monkeypatch):
         import canonlab.kernel as kernel_mod
 
-        calls = []
+        calls = []  # the lanes of each call
         real = kernel_mod.descent_histograms
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(poset, labelings, *args, **kwargs):
+            calls.append(len(labelings))
+            return real(poset, labelings, *args, **kwargs)
 
         monkeypatch.setattr(kernel_mod, "descent_histograms", counted)
         # (2,5)'s 256 masks fall in 88 orbits, and its 31 fixed-row masks
-        # in 16, each summed once under either row labeling
-        for statement, sums in (("thm-4.3", 176), ("cor-5.3", 32)):
+        # in 16: a run walks each orbit once, in one call with a lane under
+        # either row labeling per class, whichever subposet checks read it,
+        # and cor-5.3 alone walks only the orbits of its fixed-row masks
+        for statements, sums in ((("thm-4.3",), 88),
+                                 (("cor-4.1", "lemma-4.2", "thm-4.3"), 88),
+                                 (("cor-5.3", "lemma-4.2", "cor-4.1"), 88),
+                                 (("cor-5.3",), 16)):
             calls.clear()
-            assert invoke(capsys, "verify", statement, "--m", "2", "--n", "5")[0] == 0
-            assert len(calls) == sums, statement
+            assert invoke(capsys, "verify", *statements, "--m", "2", "--n", "5")[0] == 0
+            assert len(calls) == sums and all(lanes % 2 == 0 for lanes in calls), statements
+
+    def test_walks_do_not_outlive_their_run(self, capsys, monkeypatch):
+        # a run reads only its own orbit walks and keeps them until it ends,
+        # also when it exits 2: after a check walks (2,3) outside a run, a
+        # run on a perturbed kernel fails cor-4.1 there, a clean run right
+        # after holds, and no walk is left between the runs
+        import canonlab.kernel as kernel_mod
+        from canonlab.errors import SizeCapError
+
+        real = kernel_mod.descent_histograms
+        orbits = len(set(verify_mod._orbit_firsts(2, 3, verify_mod.subposet_masks(2, 3)).values()))
+        calls = []
+
+        def perturbed(poset, labelings):
+            # the last lane of each orbit's call gains one extension, and a
+            # call past the orbits of cor-4.1 is refused when ``refuse`` is set
+            calls.append(1)
+            if refuse and len(calls) > orbits:
+                raise SizeCapError("refused after the walks")
+            rows = list(real(poset, labelings))
+            rows[-1] = [rows[-1][0] + 1] + rows[-1][1:]
+            yield from rows
+
+        for refuse, argv, code in ((False, ("cor-4.1",), 1),
+                                   (True, ("cor-4.1", "cor-3.4"), 2)):
+            assert verify_mod._check_row_shift(None, 2, 3)[0].holds
+            calls.clear()
+            monkeypatch.setattr(kernel_mod, "descent_histograms", perturbed)
+            got, out, err = invoke(capsys, "verify", *argv, "--m", "2", "--n", "3")
+            assert got == code and verify_mod._orbit_walk.cache_info().currsize == 0, argv
+            if code == 1:
+                assert "[FAIL] row-shift m=2 n=3  (mask=" in out
+            else:
+                assert out == "" and "refused after the walks" in err and len(calls) > orbits
+            monkeypatch.setattr(kernel_mod, "descent_histograms", real)
+            got, out, _ = invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "3")
+            assert got == 0 and "[ok] row-shift m=2 n=3" in out, argv
 
     def test_refused_before_any_case_runs(self, capsys, monkeypatch):
         # every statement name is resolved, and the subposet bound checked on
@@ -353,7 +395,8 @@ class TestVerify:
     def test_degree_check_builds_each_witness_once(self, capsys, monkeypatch):
         # lemma-4.2 reports every mask under both row labelings, and the
         # row-block witness is valid or not by the mask alone: one subposet
-        # built per mask, 256 at (2,5), not one per report
+        # built per mask, 256 at (2,5), not one per report (the orbit walks
+        # build their grids without ``AmphibianSpec.poset``)
         from canonlab.canon import AmphibianSpec
 
         built = []

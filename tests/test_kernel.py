@@ -195,7 +195,7 @@ def second_poset_sum(n: int) -> bool:
     """remark-product's left side at m = 1 over antichain(n), whose words
     are the n! permutations: 2^(n-1) class lanes, each row times its class's size."""
     classes = class_rows(chain(n), word_classes(antichain(n)), partial(canon_labeling, (1,)))
-    return _row_sum(classes) == eulerian(n)
+    return _row_sum(classes) == (eulerian(n),)
 
 
 @pytest.mark.parametrize("run", [

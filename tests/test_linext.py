@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from conftest import (
+    _rho_drops,
     dyck_paths,
     is_canon_permutation,
     multiset_word,
@@ -26,7 +27,6 @@ from canonlab.poset import (
     rho_parities,
 )
 from canonlab.verify import (
-    _rho_drops,
     antichain,
     descent_count,
     descent_set,
