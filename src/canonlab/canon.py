@@ -15,8 +15,8 @@ depends only on which covers the labeling makes strict (w(a) > w(b) for
 a cover a < b).  Under w x sigma a cover inside a column is strict when
 w falls, and a kept cover (x, j) < (x, j+1) exactly when
 sigma(j) > sigma(j+1), so the sigmas with the same descents on the gaps
-that keep a cover (``_sigma_classes``, which verify's checks read too)
-share one histogram.  A depth-first walk over those patterns counts each
+that keep a cover (``_sigma_classes``, on ``poset._gap_bits``) share one
+histogram.  A depth-first walk over those patterns counts each
 class with no sigma listed and yields its (sigma, size) as the kernel
 takes the lane, so the kernel's work bound, which counts all
 2^(kept gaps) lanes, refuses before any class is built.  P''s words are
@@ -40,6 +40,7 @@ from canonlab.polys import IntPolynomial, check_named_n, eulerian, hstar
 from canonlab.poset import (
     Poset,
     _check_size,
+    _gap_bits,
     canon_labeling,
     chain,
     chain_descents,
@@ -51,8 +52,9 @@ class AmphibianSpec(NamedTuple):
     """A chain product with a chosen set of inter-copy covers removed,
     named by its edge mask.
 
-    Bit ``(row-1)(n-1) + j-1`` of ``mask`` removes the cover
-    ``(row, j) < (row, j+1)``; intra-copy covers always stay.
+    Bit ``(row-1)(n-1) + j-1`` of ``mask``, set only by ``from_removed``
+    and read by ``poset._gap_bits``, removes the cover ``(row, j) < (row, j+1)``;
+    intra-copy covers always stay.
     """
 
     m: int
@@ -74,12 +76,11 @@ class AmphibianSpec(NamedTuple):
     @property
     def removed(self) -> tuple[tuple[int, int], ...]:
         """The removed covers as 1-based pairs ``(row, j)``, row-major."""
-        k = self.n - 1
-        return tuple(
-            (i // k + 1, i % k + 1)
-            for i in range(self.mask.bit_length())
-            if self.mask >> i & 1
-        )
+        return tuple(sorted(
+            (x + 1, j + 1)
+            for j, bits in enumerate(_gap_bits(self.m, self.n, self.mask))
+            for x in range(self.m) if bits[x]
+        ))
 
     def poset(self) -> Poset:
         return product_with_chain(chain(self.m), self.n, self.mask)
@@ -89,13 +90,10 @@ class AmphibianSpec(NamedTuple):
         'canon' keeps everything, 'fixed-row' leaves at least one row
         untouched (its copies stay chained, fixing one subsequence), and
         'general' touches every row."""
-        if not self.mask:
+        touched = {row for row, _ in self.removed}
+        if not touched:
             return "canon"
-        k = self.n - 1
-        row_bits = (1 << k) - 1
-        if all(self.mask >> row * k & row_bits for row in range(self.m)):
-            return "general"
-        return "fixed-row"
+        return "general" if len(touched) == self.m else "fixed-row"
 
 
 class _Sized:
@@ -174,7 +172,7 @@ def _descent_classes(n: int, gaps: Sequence[int], step: Callable = _rank_step,
 
 def _sigma_classes(rows: int, n: int, mask: int) -> _Sized:
     """The (sigma, size) pair of each descent class on the gaps where a row keeps its cover."""
-    gaps = [j for j in range(n - 1) if any(~mask >> x * (n - 1) + j & 1 for x in range(rows))]
+    gaps = [j for j, removed in enumerate(_gap_bits(rows, n, mask)) if not all(removed)]
     return _Sized(1 << len(gaps), lambda: _descent_classes(n, gaps))
 
 

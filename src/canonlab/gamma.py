@@ -26,7 +26,7 @@ from canonlab.polys import IntPolynomial, gamma_expansion
 from canonlab.poset import Poset, chain, checked_product, product_with_chain, rho_parities
 
 
-@lru_cache(maxsize=1)  # the counts and the class words read one grid's halves
+@lru_cache(maxsize=1)  # an interpretation's counts and class words read one build
 def rho_halves(m: int, n: int) -> tuple[tuple, tuple]:
     """The extensions of the checked product of ``chain(m)`` and [n] that
     Cor. 5.1 counts (``conftest._rho_drops``, a test oracle) as g + t: g a way of
@@ -123,6 +123,7 @@ def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     gamma = gamma_expansion(poly, center)
     if gamma is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
+    rho_halves.cache_clear()  # each interpretation builds its own halves
     (grid, _), (tops, _) = rho_halves(m, n)
     by_drops = IntPolynomial(grid) * IntPolynomial(tops)
     stated = (m + n - 1) // 2

@@ -3,9 +3,9 @@
 Elements are the integers ``0 .. element_count-1``, at most
 ``MAX_ELEMENTS``.  ``product_with_chain(p, n, mask)`` builds ``P x [n]``
 less the inter-copy covers ``(x, j) < (x, j+1)`` named by the bits
-``x*(n-1) + j-1`` of ``mask``, in a fixed layout: ``(x, j)``, ``j``
-1-based, gets index ``x + (j-1) * |P|``.  That contract makes labelings,
-words and golden values reproducible bit for bit.
+``x*(n-1) + j-1`` of ``mask`` (read only by ``_gap_bits``), in a fixed
+layout: ``(x, j)``, ``j`` 1-based, gets index ``x + (j-1) * |P|``.  That
+contract makes labelings, words and golden values reproducible bit for bit.
 
 A labeling is a plain tuple of ints indexed by element, a bijection onto
 ``1..N``.  The builders here produce bijections by construction, so only
@@ -200,6 +200,13 @@ def chain(m: int) -> Poset:
     return Poset(m, ((i, i + 1) for i in range(m - 1)))
 
 
+def _gap_bits(rows: int, n: int, mask: int) -> Iterator[tuple[int, ...]]:
+    """For each gap j, 0-based, the removed bit of each row x's cover
+    ``(x, j+1) < (x, j+2)``, lazily: every module reads a mask through it."""
+    k = n - 1
+    return (tuple(mask >> x * k + j & 1 for x in range(rows)) for j in range(k))
+
+
 def _product_covers(p: Poset, n: int, mask: int) -> Iterator[tuple[int, int]]:
     """The covers of ``p x [n]`` less those ``mask`` removes, lazily."""
     if n < 1:
@@ -208,8 +215,8 @@ def _product_covers(p: Poset, n: int, mask: int) -> Iterator[tuple[int, int]]:
     if mask < 0 or mask >> m * k:
         raise ValueError(f"mask {mask} is outside [0, 2^{m * k})")
     intra = ((a + j * m, b + j * m) for j in range(n) for a, b in p.covers)
-    inter = ((x + j * m, x + j * m + m)
-             for x in range(m) for j in range(k) if not mask >> x * k + j & 1)
+    inter = ((x + j * m, x + j * m + m) for j, removed in enumerate(_gap_bits(m, n, mask))
+             for x in range(m) if not removed[x])
     return itertools.chain(intra, inter)
 
 

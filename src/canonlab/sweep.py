@@ -2,10 +2,9 @@
 amphibian subposets (Thm. 4.3), and the orbits of masks it sums over.
 
 Only ``sweep`` and ``verify`` load this module (``cli`` imports it on
-first use), so no other command compiles it.  The sweep sums once per
-orbit of masks (``_orbit_key``), over worker processes; verify's four
-subposet checks walk the same orbits (``_orbit_firsts``) under the same
-bound (``subposet_masks``).
+first use), so no other command compiles it.  The sweep sums, and
+verify's four subposet checks walk, once per orbit of masks
+(``orbit_table``, over worker processes) under one bound (``subposet_masks``).
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ import json
 import os
 from functools import partial
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from canonlab.canon import AmphibianSpec, dissonant_polynomial
 from canonlab.cli import _print_csv
 from canonlab.errors import SizeCapError
 from canonlab.polys import IntPolynomial, gamma_expansion, is_unimodal, poly_to_payload
-from canonlab.poset import poset_to_json
+from canonlab.poset import _gap_bits, poset_to_json
 
 MAX_SUBPOSETS = 1024
 
@@ -34,12 +33,6 @@ def subposet_masks(m: int, n: int) -> range:
     if covers >= MAX_SUBPOSETS.bit_length():  # before the shift below
         raise SizeCapError(f"2^{covers} subposets exceed the bound {MAX_SUBPOSETS}")
     return range(1 << covers)
-
-
-def _orbit_firsts(m: int, n: int, masks: Iterable[int]) -> dict[int, int]:
-    """Each of ``masks`` with the first of them in its orbit (``_orbit_key``)."""
-    firsts: dict[tuple, int] = {}
-    return {mask: firsts.setdefault(_orbit_key(m, n, mask), mask) for mask in masks}
 
 
 class SweepRow(NamedTuple):
@@ -61,15 +54,13 @@ def _sweep_row(spec: AmphibianSpec, poly: IntPolynomial) -> SweepRow:
                     gamma is not None and min(gamma) >= 0, is_unimodal(poly), spec.mode())
 
 
-def _column_blocks(m: int, n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The subposet of ``mask`` as its blocks of columns joined by kept
-    covers, sorted: each block lists, gap by gap, the removed bit of
-    every row."""
-    k = n - 1
+def _column_blocks(gaps: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The subposet of the removed bits ``gaps`` (``poset._gap_bits``) as
+    its blocks of columns joined by kept covers, sorted: each block lists,
+    gap by gap, the removed bit of every row."""
     blocks, block = [], []
-    for j in range(k):
-        removed = tuple(mask >> x * k + j & 1 for x in range(m))
-        if all(removed):  # no cover joins columns j+1 and j+2
+    for removed in gaps:
+        if all(removed):  # no cover joins the columns on either side
             blocks.append(tuple(block))
             block = []
         else:
@@ -86,23 +77,37 @@ def _orbit_key(m: int, n: int, mask: int) -> tuple:
       row-preserving isomorphism, and sigma -> sigma o tau^-1 is a
       bijection of the column labelings, under any row labeling w;
     * the dual reflection (row, j) -> (m+1-row, n-j), which reverses the
-      m(n-1) mask bits: reversing an extension and complementing its
-      labels keeps every descent, and the complement of w x sigma, moved by
-      the reflection, is w x sigma' with sigma'(j) = n+1-sigma(n+1-j) when
+      gaps and each gap's rows: reversing an extension and complementing
+      its labels keeps every descent, and the complement of w x sigma, moved
+      by the reflection, is w x sigma' with sigma'(j) = n+1-sigma(n+1-j) when
       w(m+1-r) = m+1-w(r) for every row r, as for the natural and reversed w.
     """
-    mirror = int(format(mask, f"0{m * (n - 1)}b")[::-1], 2)
-    return min(_column_blocks(m, n, mask), _column_blocks(m, n, mirror))
+    gaps = list(_gap_bits(m, n, mask))
+    return min(_column_blocks(gaps), _column_blocks(bits[::-1] for bits in reversed(gaps)))
+
+
+def orbit_table(m: int, n: int, masks: Iterable[int], walk: Callable,
+                jobs: int = 1) -> tuple[dict[int, int], dict[int, Any]]:
+    """Each of ``masks`` with the first of them in its orbit (``_orbit_key``),
+    and each first with ``walk(m, n, first)`` over ``jobs`` processes, walked
+    in descending order: the full mask, its own orbit's first, has the most
+    transitions, so the kernel refuses it first."""
+    keys: dict[tuple, int] = {}
+    firsts = {mask: keys.setdefault(_orbit_key(m, n, mask), mask) for mask in masks}
+    order = sorted(keys.values(), reverse=True)
+    return firsts, dict(zip(order, parallel_map(partial(walk, m, n), order, jobs)))
+
+
+def _natural_sum(m: int, n: int, mask: int) -> IntPolynomial:
+    """The dissonant polynomial of ``mask``'s subposet under the natural rows."""
+    return dissonant_polynomial(AmphibianSpec(m, n, mask), tuple(range(1, m + 1)))
 
 
 def conjecture_sweep(m: int, n: int, jobs: int = 1) -> tuple[SweepRow, ...]:
     """One gamma row per subset of removable inter-copy edges, in mask order,
     from its orbit's polynomial under the natural row labeling, summed once
-    per orbit (``_orbit_key``), for its first mask, over ``jobs`` processes."""
-    firsts = _orbit_firsts(m, n, subposet_masks(m, n))
-    specs = {first: AmphibianSpec(m, n, first) for first in firsts.values()}
-    natural = partial(dissonant_polynomial, w=tuple(range(1, m + 1)))
-    polys = dict(zip(specs, parallel_map(natural, specs.values(), jobs)))
+    per orbit (``orbit_table``), over ``jobs`` processes."""
+    firsts, polys = orbit_table(m, n, subposet_masks(m, n), _natural_sum, jobs)
     return tuple(_sweep_row(AmphibianSpec(m, n, mask), polys[first])
                  for mask, first in firsts.items())
 
@@ -143,6 +148,22 @@ def _certificate(m: int, n: int, row: SweepRow) -> dict:
     }
 
 
+def _fields(r: SweepRow) -> dict:
+    """The fields of a row that the json and the csv output name, in their order."""
+    return {"removed_edge_mask": r.mask, "degree": r.degree, "palindromic": r.palindromic,
+            "gamma": None if r.gamma is None else list(r.gamma),
+            "gamma_positive": r.gamma_positive, "unimodal": r.unimodal, "mode": r.mode}
+
+
+def _csv_cell(value) -> object:
+    """A json field as a csv cell: a bool in lower case, a list space-separated."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return "" if value is None else value
+
+
 def run(cfg: SimpleNamespace) -> int:
     """Sweep the ``--m`` x ``--n`` grid's subposets and print their rows,
     then a certificate per violator; returns the exit status, 1 when any
@@ -153,38 +174,13 @@ def run(cfg: SimpleNamespace) -> int:
         payload = {
             "m": cfg.m,
             "n": cfg.n,
-            "rows": [
-                {
-                    "removed_edge_mask": r.mask,
-                    "degree": r.degree,
-                    "palindromic": r.palindromic,
-                    "gamma": list(r.gamma) if r.gamma is not None else None,
-                    "gamma_positive": r.gamma_positive,
-                    "unimodal": r.unimodal,
-                    "mode": r.mode,
-                    "polynomial": poly_to_payload(r.polynomial),
-                }
-                for r in rows
-            ],
+            "rows": [dict(_fields(r), polynomial=poly_to_payload(r.polynomial)) for r in rows],
             "violations": violations,
         }
         print(json.dumps(payload))
     elif cfg.format == "csv":
-        _print_csv(
-            ["removed_edge_mask", "degree", "palindromic", "gamma", "gamma_positive", "unimodal", "mode"],
-            (
-                [
-                    r.mask,
-                    r.degree,
-                    str(r.palindromic).lower(),
-                    " ".join(str(g) for g in r.gamma) if r.gamma is not None else "",
-                    str(r.gamma_positive).lower(),
-                    str(r.unimodal).lower(),
-                    r.mode,
-                ]
-                for r in rows
-            ),
-        )
+        table = [_fields(r) for r in rows]
+        _print_csv(list(table[0]), ([*map(_csv_cell, fields.values())] for fields in table))
     else:
         for r in rows:
             gamma = ",".join(str(g) for g in (r.gamma or ()))

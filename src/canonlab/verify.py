@@ -8,8 +8,8 @@ returns its reports, none for a case outside its statement; only
 statement with its default cases, and the README's verification registry
 has one row per entry.  No check lists sigma: each runs one kernel lane
 per descent class of sigma (``canon._sigma_classes``), the four subposet
-checks one walk per grid (``_subposet_walk``) that a run keeps until it
-ends, and ``run`` checks their subposet bound first.
+checks one walk per grid and orbit (``_subposet_walk``, ``sweep.orbit_table``)
+that a run keeps until it ends, and ``run`` checks their bound first.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from canonlab.poset import (
     natural_labeling,
     product_with_chain,
 )
-from canonlab.sweep import MAX_SUBPOSETS, _orbit_firsts, subposet_masks
+from canonlab.sweep import MAX_SUBPOSETS, orbit_table, subposet_masks
 
 
 class IdentityReport(NamedTuple):
@@ -452,11 +452,9 @@ def _orbit_walk(m: int, n: int, mask: int) -> tuple[IntPolynomial, IntPolynomial
 
 def _subposet_walk(m: int, n: int, masks: Iterable[int]) -> tuple[dict, Optional[str]]:
     """Each of ``masks`` with its orbit's first mask's (reversed, natural)
-    polynomials, and the first cor-4.1 witness.  The full mask walks
-    first: it has the most transitions, so the kernel refuses it first."""
-    firsts = _orbit_firsts(m, n, masks)
-    walks = {first: _orbit_walk(m, n, first)
-             for first in sorted(set(firsts.values()), reverse=True)}
+    polynomials, and the first cor-4.1 witness in the walk's order
+    (``sweep.orbit_table``), which walks the full mask first."""
+    firsts, walks = orbit_table(m, n, masks, _orbit_walk)
     witness = next((w for *_, w in walks.values() if w is not None), None)
     return {mask: walks[first][:2] for mask, first in firsts.items()}, witness
 

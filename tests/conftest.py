@@ -32,6 +32,30 @@ def removable_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((row, j) for row in range(1, m + 1) for j in range(1, n))
 
 
+# every grid with at most 2^10 subposets: 7,316 masks in all
+MASK_GRIDS = tuple((m, n) for m in range(1, 11) for n in range(1, 12) if m * (n - 1) <= 10)
+
+
+def string_mirror_orbit_key(m: int, n: int, mask: int) -> tuple:
+    """``sweep._orbit_key`` as it read the mask bits itself: each gap's
+    removed bits by shifts, the mirror by reversing the m(n-1)-bit string."""
+    k = n - 1
+
+    def blocks(bits: int) -> tuple:
+        out, block = [], []
+        for j in range(k):
+            removed = tuple(bits >> x * k + j & 1 for x in range(m))
+            if all(removed):
+                out.append(tuple(block))
+                block = []
+            else:
+                block.append(removed)
+        return tuple(sorted([*out, tuple(block)]))
+
+    mirror = int(format(mask, f"0{m * k}b")[::-1], 2)
+    return min(blocks(mask), blocks(mirror))
+
+
 def word_classes(pprime: Poset):
     """``verify._word_classes`` on P''s own state graph, built here."""
     return _word_classes(pprime, kernel._transitions(pprime))

@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 
 from conftest import (
+    MASK_GRIDS,
     SIGMA_GRIDS,
     canon_rows,
     column_labelings,
@@ -16,6 +17,7 @@ from conftest import (
     random_poset,
     removable_edges,
     shift_law_per_sigma,
+    string_mirror_orbit_key,
     vee_poset,
     weak_descent_lanes_per_sigma,
     wedge_poset,
@@ -43,9 +45,10 @@ from canonlab.poset import (
     product_with_chain,
 )
 from canonlab.sweep import (
-    _orbit_firsts,
+    _orbit_key,
     _sweep_row,
     conjecture_sweep,
+    orbit_table,
     parallel_map,
     subposet_masks,
 )
@@ -53,7 +56,7 @@ from canonlab.verify import (
     IdentityReport,
     _check_row_shift,
     _check_shift_law,
-    _subposet_walk,
+    _orbit_walk,
     _weak_descent_lanes,
     antichain,
     checked_product_identity,
@@ -514,7 +517,7 @@ class TestDissonant:
         assert AmphibianSpec.from_removed(2, 2, [(1, 1), (2, 1)]).mode() == "general"
 
     def test_mode_from_bits_follows_the_row_rule(self):
-        for m, n in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)):
+        for m, n in MASK_GRIDS:
             for mask in range(1 << len(removable_edges(m, n))):
                 spec = AmphibianSpec(m, n, mask)
                 touched = {row for row, _ in spec.removed}
@@ -529,15 +532,27 @@ class TestDissonant:
             AmphibianSpec.from_removed(2, 2, [(1, 2)])
 
     def test_from_removed_inverts_removed(self):
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                edges = removable_edges(m, n)
-                for mask in range(1 << len(edges)):
-                    removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-                    spec = AmphibianSpec(m, n, mask)
-                    assert spec.removed == removed
-                    assert AmphibianSpec.from_removed(m, n, removed) == spec
+        masks = 0
+        for m, n in MASK_GRIDS:
+            edges = removable_edges(m, n)
+            for mask in range(1 << len(edges)):
+                removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
+                spec = AmphibianSpec(m, n, mask)
+                assert spec.removed == removed
+                assert AmphibianSpec.from_removed(m, n, removed) == spec
+                masks += 1
+        assert masks == 7316
         assert AmphibianSpec(2, 3, 0b0110).removed == ((1, 2), (2, 1))
+
+    def test_orbit_key_groups_as_the_string_mirror(self):
+        # the gap-by-gap mirror groups every mask of every grid up to 2^10
+        # subposets exactly as reversing the mask's bit string did
+        for m, n in MASK_GRIDS:
+            groups, oracle = {}, {}
+            for mask in range(1 << m * (n - 1)):
+                groups.setdefault(_orbit_key(m, n, mask), []).append(mask)
+                oracle.setdefault(string_mirror_orbit_key(m, n, mask), []).append(mask)
+            assert sorted(groups.values()) == sorted(oracle.values()), (m, n)
 
 
 class TestDegreeLaw:
@@ -641,6 +656,10 @@ def row_shift_every_sigma(m: int, n: int) -> list[IdentityReport]:
     return [IdentityReport(f"row-shift m={m} n={n}", detail is None, witness=detail)]
 
 
+def no_walk(m: int, n: int, first: int) -> None:
+    """An orbit walk that walks nothing: the table's mask to first map alone."""
+
+
 class TestRowShift:
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (1, 5)])
     def test_per_orbit_route_matches_every_sigma(self, m, n):
@@ -658,7 +677,7 @@ class TestRowShift:
                            map(tuple, canon_rows(q, ident, sigmas))))
 
         sigmas = column_labelings(n)
-        for mask, first in _orbit_firsts(m, n, subposet_masks(m, n)).items():
+        for mask, first in orbit_table(m, n, subposet_masks(m, n), no_walk)[0].items():
             firsts = [sigma for sigma, _ in _sigma_classes(m, n, first)]
             assert pairs(mask, sigmas) == pairs(first, firsts), mask
 
@@ -798,21 +817,25 @@ class TestConjectureSweep:
             ), (m, n)
 
     def test_table_is_each_masks_own(self):
-        # verify's per-orbit walk gives each mask the sums of its own spec
-        # under the reversed and the natural rows, at every grid with at
-        # most 2^6 subposets; given masks get exactly their own entries
+        # the orbit table of verify's walk gives each mask the sums of its
+        # own spec under the reversed and the natural rows, at every grid
+        # with at most 2^6 subposets; given masks get exactly their own entries
+        def table(m, n, masks):
+            firsts, walks = orbit_table(m, n, masks, _orbit_walk)
+            return {mask: walks[first][:2] for mask, first in firsts.items()}
+
         for m in range(1, 7):
             for n in range(2, 6 // m + 2):
                 masks = range(1 << m * (n - 1))
                 labelings = (tuple(range(m, 0, -1)), tuple(range(1, m + 1)))
-                assert _subposet_walk(m, n, masks)[0] == {
+                assert table(m, n, masks) == {
                     mask: tuple(dissonant_polynomial(AmphibianSpec(m, n, mask), w)
                                 for w in labelings)
                     for mask in masks
                 }, (m, n)
-        every = _subposet_walk(2, 4, range(64))[0]
+        every = table(2, 4, range(64))
         some = [5, 17, 40, 63]
-        assert _subposet_walk(2, 4, some)[0] == {mask: every[mask] for mask in some}
+        assert table(2, 4, some) == {mask: every[mask] for mask in some}
 
     def test_one_row_per_orbit(self, monkeypatch):
         computed = []
@@ -823,10 +846,13 @@ class TestConjectureSweep:
             return real(spec, w)
 
         monkeypatch.setattr(sweep, "dissonant_polynomial", counted)
-        for (m, n), orbits in (((2, 4), 28), ((2, 5), 88)):
+        # one sum per orbit, the full mask's first, each orbit's first mask
+        # in descending order
+        for (m, n), orbits in (((2, 4), 28), ((2, 5), 88), ((3, 4), 234), ((2, 6), 289)):
             computed.clear()
             assert len(conjecture_sweep(m, n)) == 1 << m * (n - 1)
-            assert len(computed) == orbits and computed == sorted(computed)
+            assert len(computed) == orbits and computed == sorted(computed, reverse=True)
+            assert computed[0] == (1 << m * (n - 1)) - 1
 
     def test_parallel_matches_serial(self):
         serial = conjecture_sweep(2, 3, jobs=1)

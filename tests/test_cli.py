@@ -347,7 +347,8 @@ class TestVerify:
         from canonlab.errors import SizeCapError
 
         real = kernel_mod.descent_histograms
-        orbits = len(set(verify_mod._orbit_firsts(2, 3, verify_mod.subposet_masks(2, 3)).values()))
+        orbits = len(verify_mod.orbit_table(2, 3, verify_mod.subposet_masks(2, 3),
+                                            lambda m, n, first: None)[1])
         calls = []
 
         def perturbed(poset, labelings):
@@ -461,7 +462,8 @@ class TestVerify:
         # cor-4.1 walks each orbit's classes once, for two lanes a class
         built.clear()
         classes.clear()
-        firsts = set(verify_mod._orbit_firsts(2, 3, verify_mod.subposet_masks(2, 3)).values())
+        firsts = verify_mod.orbit_table(2, 3, verify_mod.subposet_masks(2, 3),
+                                        lambda m, n, first: None)[1]
         assert invoke(capsys, "verify", "cor-4.1", "--m", "2", "--n", "3")[0] == 0
         walked = sum(len(canon_mod._sigma_classes(2, 3, mask)) for mask in firsts)
         assert (len(built), len(classes)) == (2 * walked, walked) and len(firsts) < walked
@@ -650,16 +652,17 @@ class TestGammaCommand:
 
     def test_halves_built_once(self, capsys, monkeypatch):
         # the counts and the class words read one build of each half: three
-        # state graphs at (2,6), the canon sum's grid and the two halves
-        import canonlab.gamma as gamma_mod
+        # state graphs at (2,6), the canon sum's grid and the two halves;
+        # a second run in the same process builds its own three
         import canonlab.kernel as kernel_mod
 
         built = []
         real = kernel_mod._transitions
         monkeypatch.setattr(kernel_mod, "_transitions", lambda *a: built.append(a[0]) or real(*a))
-        gamma_mod.rho_halves.cache_clear()
-        assert invoke(capsys, "gamma", "--m", "2", "--n", "6")[0] == 0
-        assert len(built) == 3
+        first = invoke(capsys, "gamma", "--m", "2", "--n", "6")
+        assert first[0] == 0 and len(built) == 3
+        built.clear()
+        assert invoke(capsys, "gamma", "--m", "2", "--n", "6") == first and len(built) == 3
 
     def test_listing_bound(self):
         # (2,8) passes both caps with --force-cap 16, but its 924,687 class
