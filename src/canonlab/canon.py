@@ -54,7 +54,8 @@ class AmphibianSpec(NamedTuple):
 
     Bit ``(row-1)(n-1) + j-1`` of ``mask``, set only by ``from_removed``
     and read by ``poset._gap_bits``, removes the cover ``(row, j) < (row, j+1)``;
-    intra-copy covers always stay.
+    intra-copy covers always stay.  ``removed``, ``mode`` and ``poset``
+    refuse a mask outside ``[0, 2^(m(n-1)))`` alike.
     """
 
     m: int

@@ -3,6 +3,8 @@
 Coefficients are arbitrary-precision Python ints (extension counts
 overflow 64 bits quickly).  A polynomial is a coefficient tuple with
 index = exponent and no trailing zeros; the empty tuple is zero.
+``IntPolynomial`` is a ``poset.Frozen`` value of that one field, which
+its equality, hash, repr and pickling read.
 """
 
 from __future__ import annotations
@@ -17,26 +19,13 @@ from canonlab.poset import Frozen, Poset, natural_labeling
 
 class IntPolynomial(Frozen):
     __slots__ = ("coefficients",)
+    _fields = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int]):
         coeffs = [int(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:  # a pop per zero, no copy
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    def __repr__(self):
-        return f"IntPolynomial(coefficients={self.coefficients!r})"
-
-    def __reduce__(self):
-        return IntPolynomial, (self.coefficients,)
 
     @property
     def degree(self) -> int:
@@ -61,10 +50,10 @@ class IntPolynomial(Frozen):
 
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by x**k."""
-        if not self.coefficients:
-            return self
         if k < 0:
             raise ValueError("shift amount must be non-negative")
+        if not self.coefficients:
+            return self
         return IntPolynomial((0,) * k + self.coefficients)
 
     def __str__(self) -> str:

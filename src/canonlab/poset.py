@@ -3,16 +3,20 @@
 Elements are the integers ``0 .. element_count-1``, at most
 ``MAX_ELEMENTS``.  ``product_with_chain(p, n, mask)`` builds ``P x [n]``
 less the inter-copy covers ``(x, j) < (x, j+1)`` named by the bits
-``x*(n-1) + j-1`` of ``mask`` (read only by ``_gap_bits``), in a fixed
-layout: ``(x, j)``, ``j`` 1-based, gets index ``x + (j-1) * |P|``.  That
-contract makes labelings, words and golden values reproducible bit for bit.
+``x*(n-1) + j-1`` of ``mask`` (read and range-checked only by
+``_gap_bits``), in a fixed layout: ``(x, j)``, ``j`` 1-based, gets index
+``x + (j-1) * |P|``.  That contract makes labelings, words and golden
+values reproducible bit for bit.  ``Poset`` and ``transitive_reduction``
+check relations in one place, ``_relation_lists``.
 
 A labeling is a plain tuple of ints indexed by element, a bijection onto
 ``1..N``.  The builders here produce bijections by construction, so only
 the labels of a poset JSON file are checked, by ``poset_from_json``.
 
-All values here are immutable after construction and every operation is a
-pure function, so they are safe to share between worker processes.
+All values here are immutable after construction (``Frozen``, which also
+gives each value class its equality, hash, repr and pickling from its
+``_fields``) and every operation is a pure function, so they are safe to
+share between worker processes.
 """
 
 from __future__ import annotations
@@ -34,15 +38,35 @@ class Frozen:
     """Base of the value classes: each sets its fields once, in
     ``__init__``, and assigning or deleting one afterwards raises
     ``AttributeError``.  A subclass lists its fields in ``__slots__`` and
-    defines its own equality, hash, repr and ``__reduce__``."""
+    its value, the arguments that rebuild it, in ``_fields``: equality
+    (with its own class only), hash, repr and pickling read those alone."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._value()
 
 
 class Poset(Frozen):
@@ -57,6 +81,7 @@ class Poset(Frozen):
     """
 
     __slots__ = ("element_count", "covers", "below", "_succ", "_topo")
+    _fields = ("element_count", "covers")
 
     def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
         n = element_count
@@ -65,22 +90,10 @@ class Poset(Frozen):
         _check_size(n)
         if not isinstance(covers, frozenset):
             covers = frozenset(tuple(c) for c in covers)
-        for a, b in covers:
-            if not (0 <= a < n and 0 <= b < n):
-                raise PosetFormatError(f"cover ({a}, {b}) out of range for {n} elements")
-            if a == b:
-                raise PosetFormatError(f"cover ({a}, {b}) is a self-loop")
-
-        succ = [[] for _ in range(n)]
+        succ, topo, above = _relation_lists(n, covers, "cover relation")
         below = [0] * n
         for a, b in covers:
-            succ[a].append(b)
             below[b] |= 1 << a
-        for lst in succ:
-            lst.sort()
-
-        topo, above = _order_and_up_sets(n, succ, "cover relation")
-        for a, b in covers:
             if _implied(above, succ[a], b):
                 raise PosetFormatError(
                     f"cover ({a}, {b}) is redundant (implied by transitivity)"
@@ -92,20 +105,6 @@ class Poset(Frozen):
         init(self, "below", tuple(below))
         init(self, "_succ", tuple(tuple(s) for s in succ))
         init(self, "_topo", tuple(topo))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.element_count == other.element_count and self.covers == other.covers
-
-    def __hash__(self):
-        return hash((self.element_count, self.covers))
-
-    def __repr__(self):
-        return f"Poset(element_count={self.element_count!r}, covers={self.covers!r})"
-
-    def __reduce__(self):
-        return Poset, (self.element_count, self.covers)
 
     def successors(self, v: int) -> tuple[int, ...]:
         """Elements covering v."""
@@ -149,10 +148,21 @@ def _topological_order(n, succ) -> list[int]:
     return order
 
 
-def _order_and_up_sets(n, succ, what: str) -> tuple[list[int], list[int]]:
-    """The topological order of an acyclic digraph and each vertex's strict
-    up-set as a bitmask (bit ``w`` set when ``w`` is reachable), built
-    in one pass down the order; a cyclic digraph raises."""
+def _relation_lists(n: int, pairs: Iterable[tuple[int, int]],
+                    what: str) -> tuple[list[list[int]], list[int], list[int]]:
+    """The sorted successor lists, topological order and up-sets (bit ``w``
+    set when ``w`` is reachable) of a relation on ``n`` elements; a pair
+    out of range, a self-loop or a cycle raises, naming the relation by
+    ``what`` ("cover relation" or "relation set") and a pair by its first word."""
+    pair = what.split()[0]
+    targets = [set() for _ in range(n)]
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise PosetFormatError(f"{pair} ({a}, {b}) out of range for {n} elements")
+        if a == b:
+            raise PosetFormatError(f"{pair} ({a}, {b}) is a self-loop")
+        targets[a].add(b)
+    succ = [sorted(s) for s in targets]
     order = _topological_order(n, succ)
     if len(order) < n:
         raise _cyclic(what, order, succ)
@@ -160,7 +170,7 @@ def _order_and_up_sets(n, succ, what: str) -> tuple[list[int], list[int]]:
     for v in reversed(order):
         for w in succ[v]:
             above[v] |= above[w] | 1 << w
-    return order, above
+    return succ, order, above
 
 
 def _implied(above, succ_a, b) -> bool:
@@ -202,20 +212,22 @@ def chain(m: int) -> Poset:
 
 def _gap_bits(rows: int, n: int, mask: int) -> Iterator[tuple[int, ...]]:
     """For each gap j, 0-based, the removed bit of each row x's cover
-    ``(x, j+1) < (x, j+2)``, lazily: every module reads a mask through it."""
+    ``(x, j+1) < (x, j+2)``, lazily: every module reads a mask through it,
+    so a mask naming a cover the ``rows x [n]`` grid lacks raises here."""
+    if n < 1:
+        raise ValueError("chain factor must have size >= 1")
     k = n - 1
+    if mask < 0 or mask >> rows * k:
+        raise ValueError(f"mask {mask} is outside [0, 2^{rows * k})")
     return (tuple(mask >> x * k + j & 1 for x in range(rows)) for j in range(k))
 
 
 def _product_covers(p: Poset, n: int, mask: int) -> Iterator[tuple[int, int]]:
     """The covers of ``p x [n]`` less those ``mask`` removes, lazily."""
-    if n < 1:
-        raise ValueError("chain factor must have size >= 1")
-    m, k = p.element_count, n - 1
-    if mask < 0 or mask >> m * k:
-        raise ValueError(f"mask {mask} is outside [0, 2^{m * k})")
+    m = p.element_count
+    gaps = _gap_bits(m, n, mask)
     intra = ((a + j * m, b + j * m) for j in range(n) for a, b in p.covers)
-    inter = ((x + j * m, x + j * m + m) for j, removed in enumerate(_gap_bits(m, n, mask))
+    inter = ((x + j * m, x + j * m + m) for j, removed in enumerate(gaps)
              for x in range(m) if not removed[x])
     return itertools.chain(intra, inter)
 
@@ -300,13 +312,7 @@ def natural_labeling(p: Poset) -> tuple[int, ...]:
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Covers of the partial order generated by an acyclic relation set."""
     _check_size(n)
-    targets = [set() for _ in range(n)]
-    for a, b in relations:
-        if a == b:
-            raise PosetFormatError(f"relation ({a}, {b}) is a self-loop")
-        targets[a].add(b)
-    succ = [sorted(s) for s in targets]
-    _, above = _order_and_up_sets(n, succ, "relation set")
+    succ, _, above = _relation_lists(n, relations, "relation set")
     # a relation implied by no other one out of its lower end is a cover,
     # and every cover of the closure is one of the given relations
     return frozenset(

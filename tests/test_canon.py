@@ -544,6 +544,26 @@ class TestDissonant:
         assert masks == 7316
         assert AmphibianSpec(2, 3, 0b0110).removed == ((1, 2), (2, 1))
 
+    @pytest.mark.parametrize("m, n, mask, message", [
+        (2, 3, -1, "mask -1 is outside [0, 2^4)"),
+        (2, 3, 1 << 4, "mask 16 is outside [0, 2^4)"),
+        (2, 3, 1 << 10, "mask 1024 is outside [0, 2^4)"),
+        (3, 4, -1, "mask -1 is outside [0, 2^9)"),
+        (3, 4, 1 << 9, "mask 512 is outside [0, 2^9)"),
+        (2, 1, 5, "mask 5 is outside [0, 2^0)"),
+        (2, 0, 0, "chain factor must have size >= 1"),
+    ])
+    def test_every_mask_reader_refuses_a_mask_the_grid_lacks(self, m, n, mask, message):
+        # poset._gap_bits checks the range for every reader of a mask
+        spec = AmphibianSpec(m, n, mask)
+        readers = {"removed": lambda: spec.removed, "mode": spec.mode, "poset": spec.poset,
+                   "_sigma_classes": lambda: _sigma_classes(m, n, mask),
+                   "_orbit_key": lambda: _orbit_key(m, n, mask)}
+        for name, read in readers.items():
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == message, name
+
     def test_orbit_key_groups_as_the_string_mirror(self):
         # the gap-by-gap mirror groups every mask of every grid up to 2^10
         # subposets exactly as reversing the mask's bit string did

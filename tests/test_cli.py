@@ -1151,3 +1151,22 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = invoke(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the raw bytes of a csv on a real stdout: the csv module ends the rows of
+# sweep and verify in \r\n (its default), and poly prints its rows with \n
+CSV_BYTES = [
+    ("sweep gamma --m 1 --n 2 --format csv",
+     b"removed_edge_mask,degree,palindromic,gamma,gamma_positive,unimodal,mode\r\n"
+     b"0,1,true,1,true,true,canon\r\n1,1,true,2,true,true,general\r\n"),
+    ("verify cor-2.4 --n 2 --format csv", b"name,holds,witness\r\nnarayana-hstar n=2,true,\r\n"),
+    ("poly eulerian --n 3 --format csv", b"exponent,coefficient\n0,1\n1,4\n2,1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CSV_BYTES, ids=[a for a, _ in CSV_BYTES])
+def test_csv_line_endings_are_pinned(argv, expected):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "canonlab", *argv.split()], env=env,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")

@@ -56,6 +56,11 @@ class TestArithmetic:
         assert P(1, 1).shift(2) == P(0, 0, 1, 1)
         assert P().shift(3) == P()
 
+    def test_negative_shift_refused_for_zero_too(self):
+        for p in (P(), P(1)):
+            with pytest.raises(ValueError, match="shift amount must be non-negative"):
+                p.shift(-1)
+
     def test_normalization(self):
         assert P(1, 2, 0, 0) == P(1, 2)
         assert P(0, 0).degree == -1

@@ -121,6 +121,20 @@ class TestConstruction:
         with pytest.raises(PosetFormatError, match="self-loop"):
             Poset(2, frozenset({(1, 1)}))
 
+    def test_reduction_checks_relations_as_construction_does(self):
+        # one relation check, naming a pair a relation or a cover
+        for pairs, problem in (([(0, 5)], "(0, 5) out of range for 3 elements"),
+                               ([(-1, 0)], "(-1, 0) out of range for 3 elements"),
+                               ([(0, 1), (1, 1)], "(1, 1) is a self-loop")):
+            for build, noun in ((transitive_reduction, "relation"), (Poset, "cover")):
+                with pytest.raises(PosetFormatError) as info:
+                    build(3, pairs)
+                assert str(info.value) == f"{noun} {problem}"
+        for build, what in ((transitive_reduction, "relation set"), (Poset, "cover relation")):
+            with pytest.raises(PosetFormatError) as info:
+                build(3, [(0, 1), (1, 0)])
+            assert str(info.value) == f"{what} is cyclic: [0, 1, 0]"
+
 
 class TestElementBound:
     def test_bound_is_the_root_of_the_kernel_work_bound(self):

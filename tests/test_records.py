@@ -13,9 +13,9 @@ import pytest
 from canonlab.canon import AmphibianSpec
 from canonlab.errors import PosetFormatError
 from canonlab.gamma import GammaInterpretation
-from canonlab.polys import IntPolynomial
-from canonlab.poset import Poset, poset_from_json
-from canonlab.sweep import conjecture_sweep
+from canonlab.polys import IntPolynomial, eulerian
+from canonlab.poset import Poset, chain, poset_from_json
+from canonlab.sweep import conjecture_sweep, parallel_map
 from canonlab.verify import IdentityReport, is_dyck_path
 
 
@@ -89,6 +89,29 @@ def test_poset_equality_ignores_derived_adjacency():
 def test_reprs():
     assert repr(IntPolynomial((1, 0, 2))) == "IntPolynomial(coefficients=(1, 0, 2))"
     assert repr(AmphibianSpec(2, 2, 1)) == "AmphibianSpec(m=2, n=2, mask=1)"
+
+
+def test_value_identity_reads_the_fields_alone():
+    # both value classes take equality, hash, repr and pickling from
+    # Frozen and their _fields; the goldens pin what each one reads
+    p, q = chain(3), IntPolynomial((1, 2))
+    assert repr(p) == "Poset(element_count=3, covers=frozenset({(0, 1), (1, 2)}))"
+    assert repr(q) == "IntPolynomial(coefficients=(1, 2))"
+    assert hash(p) == hash((p.element_count, p.covers))
+    assert hash(q) == hash((q.coefficients,))
+    for value in (p, q):
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert p.__reduce__() == (Poset, (3, p.covers))
+    assert q.__reduce__() == (IntPolynomial, ((1, 2),))
+    # equality with another class is NotImplemented, so never equal
+    assert IntPolynomial((1,)) != (1,) and q.__eq__((1, 2)) is NotImplemented
+    assert p != (3, p.covers) and p.__eq__(q) is NotImplemented
+
+
+def test_values_cross_worker_processes():
+    one = parallel_map(eulerian, range(1, 7), jobs=1)
+    two = parallel_map(eulerian, range(1, 7), jobs=2)
+    assert two == one and all(type(v) is IntPolynomial for v in two)
 
 
 class TestNormalization:
