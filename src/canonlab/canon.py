@@ -41,6 +41,8 @@ from canonlab.poset import (
     Poset,
     _check_size,
     _gap_bits,
+    _removed_mask,
+    _row_labeling,
     canon_labeling,
     chain,
     chain_descents,
@@ -53,9 +55,10 @@ class AmphibianSpec(NamedTuple):
     named by its edge mask.
 
     Bit ``(row-1)(n-1) + j-1`` of ``mask``, set only by ``from_removed``
-    and read by ``poset._gap_bits``, removes the cover ``(row, j) < (row, j+1)``;
-    intra-copy covers always stay.  ``removed``, ``mode`` and ``poset``
-    refuse a mask outside ``[0, 2^(m(n-1)))`` alike.
+    through ``poset._removed_mask`` and read by ``poset._gap_bits``, removes
+    the cover ``(row, j) < (row, j+1)``; intra-copy covers always stay.
+    ``removed``, ``mode`` and ``poset`` refuse a mask outside
+    ``[0, 2^(m(n-1)))`` alike.
     """
 
     m: int
@@ -66,13 +69,9 @@ class AmphibianSpec(NamedTuple):
     def from_removed(
         cls, m: int, n: int, pairs: Iterable[tuple[int, int]]
     ) -> "AmphibianSpec":
-        """The spec removing the 1-based covers ``(row, j)`` in ``pairs``."""
-        mask = 0
-        for row, j in pairs:
-            if not (1 <= row <= m and 1 <= j <= n - 1):
-                raise ValueError(f"removable edge (row={row}, j={j}) out of range")
-            mask |= 1 << (row - 1) * (n - 1) + j - 1
-        return cls(m, n, mask)
+        """The spec removing the 1-based covers ``(row, j)`` in ``pairs``;
+        a grid past the poset bound is refused before any bit is set."""
+        return cls(m, n, _removed_mask(m, n, pairs))
 
     @property
     def removed(self) -> tuple[tuple[int, int], ...]:
@@ -228,4 +227,4 @@ def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
     labels of different columns compare as their letters do.  So for
     every sigma and extension, the weak descents are the descents of w x
     sigma."""
-    return canon_polynomial_bruteforce(chain(m), tuple(range(m, 0, -1)), n)
+    return canon_polynomial_bruteforce(chain(m), _row_labeling("reverse", m), n)

@@ -29,6 +29,7 @@ from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import eulerian, hstar, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
+    _row_labeling,
     canon_labeling,
     chain,
     checked_product,
@@ -79,15 +80,6 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[i
     except (OSError, UnicodeDecodeError) as exc:
         raise PosetFormatError(f"cannot read {path}: {exc}") from exc
     return poset_from_json(text, repair=repair)
-
-
-def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
-    """The row labeling named by ``--w``; natural when it is not given.
-    An m past the poset bound is refused before the m labels are built."""
-    poset._check_size(m)  # private, so per-layer traces do not count it as a build
-    if kind in ("reverse", "u"):
-        return tuple(range(m, 0, -1))
-    return tuple(range(1, m + 1))
 
 
 def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, Optional[tuple[int, ...]]]:

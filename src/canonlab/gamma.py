@@ -23,7 +23,14 @@ from canonlab.canon import canon_polynomial_bruteforce
 from canonlab.cli import MAX_LISTED
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.polys import IntPolynomial, gamma_expansion
-from canonlab.poset import Poset, chain, checked_product, product_with_chain, rho_parities
+from canonlab.poset import (
+    Poset,
+    _row_labeling,
+    chain,
+    checked_product,
+    product_with_chain,
+    rho_parities,
+)
 
 
 @lru_cache(maxsize=1)  # an interpretation's counts and class words read one build
@@ -118,7 +125,7 @@ def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     rho-descents and an increasing final pair when both parities are odd,
     and compare their counts, the product of two halves' with none
     listed, against the gamma vector of the canon polynomial."""
-    poly = canon_polynomial_bruteforce(chain(m), tuple(range(1, m + 1)), n)
+    poly = canon_polynomial_bruteforce(chain(m), _row_labeling("natural", m), n)
     center = m * (n - 1)
     gamma = gamma_expansion(poly, center)
     if gamma is None:

@@ -3,11 +3,17 @@
 Elements are the integers ``0 .. element_count-1``, at most
 ``MAX_ELEMENTS``.  ``product_with_chain(p, n, mask)`` builds ``P x [n]``
 less the inter-copy covers ``(x, j) < (x, j+1)`` named by the bits
-``x*(n-1) + j-1`` of ``mask`` (read and range-checked only by
-``_gap_bits``), in a fixed layout: ``(x, j)``, ``j`` 1-based, gets index
-``x + (j-1) * |P|``.  That contract makes labelings, words and golden
-values reproducible bit for bit.  ``Poset`` and ``transitive_reduction``
-check relations in one place, ``_relation_lists``.
+``x*(n-1) + j-1`` of ``mask`` (set only by ``_removed_mask``, and read
+and range-checked only by ``_gap_bits``), in a fixed layout: ``(x, j)``,
+``j`` 1-based, gets index ``x + (j-1) * |P|``.  That contract makes
+labelings, words and golden values reproducible bit for bit.  ``Poset``
+and ``transitive_reduction`` check relations in one place,
+``_relation_lists``.
+
+Each size rule of a grid ``[m] x [n]`` has one owner: ``_check_chain``
+holds m >= 1, ``_chain_gaps`` n >= 1, and ``_check_size`` the element
+bound, which every poset, row labeling (``_row_labeling``) and
+removed-cover mask (``_removed_mask``) passes before it is built.
 
 A labeling is a plain tuple of ints indexed by element, a bijection onto
 ``1..N``.  The builders here produce bijections by construction, so only
@@ -85,8 +91,6 @@ class Poset(Frozen):
 
     def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
         n = element_count
-        if n < 0:
-            raise PosetFormatError("element_count must be non-negative")
         _check_size(n)
         if not isinstance(covers, frozenset):
             covers = frozenset(tuple(c) for c in covers)
@@ -121,10 +125,23 @@ class Poset(Frozen):
 
 
 def _check_size(n: int) -> None:
-    """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``; ``cli`` and
-    ``verify`` check a grid's m with it before building anything m long."""
+    """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``: ``Poset``
+    checks its element count, ``_row_labeling`` a grid's m and
+    ``_removed_mask`` its m * n with it, each before building anything
+    that long.  A negative ``n`` passes, for ``_relation_lists`` to name."""
     if n > MAX_ELEMENTS:
         raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
+
+
+def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
+    """The row labeling of ``chain(m)`` that ``--w`` names: (m, ..., 1) for
+    "reverse" or "u", else the natural (1, ..., m).  An m past the poset
+    bound is refused before the m labels are built.  Private, so per-layer
+    traces do not count it as a build."""
+    _check_size(m)
+    if kind in ("reverse", "u"):
+        return tuple(range(m, 0, -1))
+    return tuple(range(1, m + 1))
 
 
 def _topological_order(n, succ) -> list[int]:
@@ -153,7 +170,10 @@ def _relation_lists(n: int, pairs: Iterable[tuple[int, int]],
     """The sorted successor lists, topological order and up-sets (bit ``w``
     set when ``w`` is reachable) of a relation on ``n`` elements; a pair
     out of range, a self-loop or a cycle raises, naming the relation by
-    ``what`` ("cover relation" or "relation set") and a pair by its first word."""
+    ``what`` ("cover relation" or "relation set") and a pair by its first
+    word; so does a negative ``n``."""
+    if n < 0:
+        raise PosetFormatError("element_count must be non-negative")
     pair = what.split()[0]
     targets = [set() for _ in range(n)]
     for a, b in pairs:
@@ -203,20 +223,47 @@ def _cyclic(what: str, order, succ) -> PosetFormatError:
     return PosetFormatError(f"{what} is cyclic: {text}")
 
 
-def chain(m: int) -> Poset:
-    """The m-element chain 0 < 1 < ... < m-1."""
+def _check_chain(m: int) -> None:
+    """Refuse a chain of fewer than one element: ``chain`` and
+    ``sweep.subposet_masks`` check m with it."""
     if m < 1:
         raise ValueError("chain size must be >= 1")
+
+
+def chain(m: int) -> Poset:
+    """The m-element chain 0 < 1 < ... < m-1."""
+    _check_chain(m)
     return Poset(m, ((i, i + 1) for i in range(m - 1)))
+
+
+def _chain_gaps(n: int) -> int:
+    """The n - 1 gaps between the copies of P in ``P x [n]``, refusing an
+    n below 1: ``_gap_bits`` and ``sweep.subposet_masks`` count them with it."""
+    if n < 1:
+        raise ValueError("chain factor must have size >= 1")
+    return n - 1
+
+
+def _removed_mask(rows: int, n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The mask that removes the 1-based covers ``(row, j) < (row, j+1)``
+    of ``pairs`` from the ``rows x [n]`` grid, at bit ``(row-1)(n-1) + j-1``;
+    ``_gap_bits`` reads it.  A pair the grid lacks raises, and a grid past
+    the poset bound is refused before a bit is set, so no pair builds an
+    integer as long as the grid; with no pair, nothing is checked."""
+    mask = 0
+    for row, j in pairs:
+        if not (1 <= row <= rows and 1 <= j <= n - 1):
+            raise ValueError(f"removable edge (row={row}, j={j}) out of range")
+        _check_size(rows * n)
+        mask |= 1 << (row - 1) * (n - 1) + j - 1
+    return mask
 
 
 def _gap_bits(rows: int, n: int, mask: int) -> Iterator[tuple[int, ...]]:
     """For each gap j, 0-based, the removed bit of each row x's cover
     ``(x, j+1) < (x, j+2)``, lazily: every module reads a mask through it,
     so a mask naming a cover the ``rows x [n]`` grid lacks raises here."""
-    if n < 1:
-        raise ValueError("chain factor must have size >= 1")
-    k = n - 1
+    k = _chain_gaps(n)
     if mask < 0 or mask >> rows * k:
         raise ValueError(f"mask {mask} is outside [0, 2^{rows * k})")
     return (tuple(mask >> x * k + j & 1 for x in range(rows)) for j in range(k))

@@ -5,6 +5,9 @@ Only ``sweep`` and ``verify`` load this module (``cli`` imports it on
 first use), so no other command compiles it.  The sweep sums, and
 verify's four subposet checks walk, once per orbit of masks
 (``orbit_table``, over worker processes) under one bound (``subposet_masks``).
+The grid's size rules and its row labels are ``poset``'s, so at n = 1,
+where the subposet bound admits any m, the element bound refuses an m past
+it before the labels are built.
 """
 
 from __future__ import annotations
@@ -19,17 +22,17 @@ from canonlab.canon import AmphibianSpec, dissonant_polynomial
 from canonlab.cli import _print_csv
 from canonlab.errors import SizeCapError
 from canonlab.polys import IntPolynomial, gamma_expansion, is_unimodal, poly_to_payload
-from canonlab.poset import _gap_bits, poset_to_json
+from canonlab.poset import _chain_gaps, _check_chain, _gap_bits, _row_labeling, poset_to_json
 
 MAX_SUBPOSETS = 1024
 
 
 def subposet_masks(m: int, n: int) -> range:
-    """The edge masks of the m x n grid's subposets, refused first past
-    ``MAX_SUBPOSETS``."""
-    if m < 1 or n < 1:
-        raise ValueError("chain factor must have size >= 1")
-    covers = m * (n - 1)
+    """The edge masks of the m x n grid's subposets, refused past
+    ``MAX_SUBPOSETS`` before any is listed; an m or n below 1 is refused
+    first, as ``poset`` refuses it for every command."""
+    _check_chain(m)
+    covers = m * _chain_gaps(n)
     if covers >= MAX_SUBPOSETS.bit_length():  # before the shift below
         raise SizeCapError(f"2^{covers} subposets exceed the bound {MAX_SUBPOSETS}")
     return range(1 << covers)
@@ -100,7 +103,7 @@ def orbit_table(m: int, n: int, masks: Iterable[int], walk: Callable,
 
 def _natural_sum(m: int, n: int, mask: int) -> IntPolynomial:
     """The dissonant polynomial of ``mask``'s subposet under the natural rows."""
-    return dissonant_polynomial(AmphibianSpec(m, n, mask), tuple(range(1, m + 1)))
+    return dissonant_polynomial(AmphibianSpec(m, n, mask), _row_labeling("natural", m))
 
 
 def conjecture_sweep(m: int, n: int, jobs: int = 1) -> tuple[SweepRow, ...]:

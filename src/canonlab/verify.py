@@ -34,13 +34,14 @@ from canonlab.canon import (
     canon_polynomial_product,
     class_rows,
 )
-from canonlab.cli import MAX_LISTED, _print_csv, _row_labeling
+from canonlab.cli import MAX_LISTED, _print_csv
 from canonlab.errors import PosetFormatError, SizeCapError
 from canonlab.gamma import gamma_interpretation
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
+    _row_labeling,
     canon_labeling,
     chain,
     checked_labeling,

@@ -115,6 +115,7 @@ class TestPoly:
             (("poly", "dissonant", "--m", "2", "--n", "3", "--remove", "zz"),
              "bad --remove entry 'zz'"),
             (("sweep", "gamma", "--m", "2", "--n", "0"), "chain factor must have size >= 1"),
+            (("sweep", "gamma", "--m", "0", "--n", "2"), "chain size must be >= 1"),
             (("poly", "eulerian", "--n", "100000"), "exceeds the bound 1000"),
             (("poly", "narayana", "--n", "100000"), "exceeds the bound 1000"),
             (("poly", "canon-product", "--m", "1", "--n", "100000"), "exceeds the bound 1000"),
@@ -889,6 +890,13 @@ HUGE_POSETS = (
     "poly dissonant --m 100000000 --n 1",
     "verify thm-1.1 --m 100000000 --n 1",
     "verify all --m 100000000 --n 1",
+    # the sweep builds its row labels past the subposet bound, which admits
+    # any m at n = 1; a --remove mask is as long as the grid's m(n-1) covers:
+    # each refused before it is built, by the grid's m or its m * n
+    "sweep gamma --m 1000000000 --n 1",
+    "poly dissonant --m 1000000000 --n 1000000000 --remove 1000000000:999999999",
+    "poly hstar --m 100000 --n 100000 --remove 100000:99999",
+    "extensions --m 5000000 --n 5000000 --remove 5000000:4999999 --count-only",
 )
 
 
@@ -907,7 +915,7 @@ def test_huge_posets_exit_2_before_they_are_built(argv):
                           preexec_fn=limit_memory)
     elapsed = time.perf_counter() - start
     assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), argv
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: a poset of "), argv
     assert elapsed < 1, argv
 
 

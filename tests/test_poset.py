@@ -134,6 +134,11 @@ class TestConstruction:
             with pytest.raises(PosetFormatError) as info:
                 build(3, [(0, 1), (1, 0)])
             assert str(info.value) == f"{what} is cyclic: [0, 1, 0]"
+        # and the same count check, so a negative count is refused by both
+        for build in (transitive_reduction, Poset):
+            with pytest.raises(PosetFormatError) as info:
+                build(-1, [])
+            assert str(info.value) == "element_count must be non-negative"
 
 
 class TestElementBound:
