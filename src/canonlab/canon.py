@@ -39,6 +39,8 @@ from canonlab.errors import CanonlabError
 from canonlab.polys import IntPolynomial, check_named_n, eulerian, hstar
 from canonlab.poset import (
     Poset,
+    _check_chain,
+    _check_labeling,
     _check_size,
     _gap_bits,
     _removed_mask,
@@ -57,8 +59,8 @@ class AmphibianSpec(NamedTuple):
     Bit ``(row-1)(n-1) + j-1`` of ``mask``, set only by ``from_removed``
     through ``poset._removed_mask`` and read by ``poset._gap_bits``, removes
     the cover ``(row, j) < (row, j+1)``; intra-copy covers always stay.
-    ``removed``, ``mode`` and ``poset`` refuse a mask outside
-    ``[0, 2^(m(n-1)))`` alike.
+    ``removed``, ``mode`` and ``poset`` refuse an m below 1 and a mask
+    outside ``[0, 2^(m(n-1)))`` alike.
     """
 
     m: int
@@ -76,6 +78,7 @@ class AmphibianSpec(NamedTuple):
     @property
     def removed(self) -> tuple[tuple[int, int], ...]:
         """The removed covers as 1-based pairs ``(row, j)``, row-major."""
+        _check_chain(self.m)
         return tuple(sorted(
             (x + 1, j + 1)
             for j, bits in enumerate(_gap_bits(self.m, self.n, self.mask))
@@ -182,6 +185,7 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     w x sigma over every column labeling sigma.  The kernel runs one lane
     per descent class of sigma on the gaps that keep a cover, and each
     class's row counts once per sigma in it, read as the class is walked."""
+    _check_labeling(p, w)
     q = product_with_chain(p, n, mask)
     _check_size(n)  # an empty P gives the kernel no work, yet its one class takes n!
     classes = _sigma_classes(p.element_count, n, mask)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
-from canonlab.poset import Frozen, Poset, natural_labeling
+from canonlab.poset import Frozen, Poset, _check_labeling, natural_labeling
 
 
 class IntPolynomial(Frozen):
@@ -157,6 +157,7 @@ def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
     """
     if w is None:
         w = natural_labeling(p)
+    _check_labeling(p, w)
     return IntPolynomial(next(kernel.descent_histograms(p, [w])))
 
 

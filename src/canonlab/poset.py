@@ -17,7 +17,9 @@ removed-cover mask (``_removed_mask``) passes before it is built.
 
 A labeling is a plain tuple of ints indexed by element, a bijection onto
 ``1..N``.  The builders here produce bijections by construction, so only
-the labels of a poset JSON file are checked, by ``poset_from_json``.
+the labels of a poset JSON file are checked, by ``poset_from_json``;
+every library call that takes a labeling refuses one of the wrong length
+(``_check_labeling``) before it counts anything.
 
 All values here are immutable after construction (``Frozen``, which also
 gives each value class its equality, hash, repr and pickling from its
@@ -144,6 +146,15 @@ def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
     return tuple(range(1, m + 1))
 
 
+def _check_labeling(p: Poset, w: Sequence[int]) -> None:
+    """Refuse a labeling without exactly one label per element of ``p``:
+    ``hstar``, ``canon_polynomial_bruteforce``, ``chain_descents`` and
+    ``verify.generalized_product_identity`` check theirs first."""
+    if len(w) != p.element_count:
+        raise ValueError(f"a labeling of length {len(w)} does not fit "
+                         f"a poset of {p.element_count} elements")
+
+
 def _topological_order(n, succ) -> list[int]:
     """The vertices in lexicographic topological order; on a cyclic
     digraph it stops short, leaving out every vertex on or after a cycle."""
@@ -224,8 +235,9 @@ def _cyclic(what: str, order, succ) -> PosetFormatError:
 
 
 def _check_chain(m: int) -> None:
-    """Refuse a chain of fewer than one element: ``chain`` and
-    ``sweep.subposet_masks`` check m with it."""
+    """Refuse a chain of fewer than one element: ``chain``,
+    ``sweep.subposet_masks`` and ``canon.AmphibianSpec.removed`` check m
+    with it."""
     if m < 1:
         raise ValueError("chain size must be >= 1")
 
@@ -344,6 +356,7 @@ def rho_parities(pcheck: Poset) -> tuple[int, ...]:
 def chain_descents(p: Poset, w: Sequence[int]) -> Optional[int]:
     """The number k of descents of (p, w) on every maximal chain, or None
     when two maximal chains (or none at all) disagree."""
+    _check_labeling(p, w)
     counts = _chain_sums(p, lambda a, b: w[a] > w[b])[1]
     return counts.pop() if len(counts) == 1 else None
 

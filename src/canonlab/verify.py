@@ -41,6 +41,7 @@ from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
 from canonlab.poset import (
     Poset,
+    _check_labeling,
     _row_labeling,
     canon_labeling,
     chain,
@@ -268,6 +269,7 @@ def generalized_product_identity(p: Poset, w: Sequence[int], pprime: Poset) -> I
     poset vs the factored form x^k * h*(P') * h*(P x [n]).  The left side
     runs one lane per descent class of P''s words, weighted by its size:
     w x sigma's row depends only on sigma's descents."""
+    _check_labeling(p, w)
     n, nat = pprime.element_count, natural_labeling(pprime)
     graph = kernel._transitions(pprime)  # built once, for the walk and for h*(P')'s lane
     classes = _word_classes(pprime, graph)

@@ -564,6 +564,17 @@ class TestDissonant:
                 read()
             assert str(info.value) == message, name
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_every_spec_reader_refuses_a_chain_below_one(self, m):
+        # poset._check_chain holds m >= 1 for removed, and mode through it,
+        # as chain does for poset
+        spec = AmphibianSpec(m, 3, 0)
+        for name, read in {"removed": lambda: spec.removed, "mode": spec.mode,
+                           "poset": spec.poset}.items():
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == "chain size must be >= 1", name
+
     def test_orbit_key_groups_as_the_string_mirror(self):
         # the gap-by-gap mirror groups every mask of every grid up to 2^10
         # subposets exactly as reversing the mask's bit string did
@@ -573,6 +584,37 @@ class TestDissonant:
                 groups.setdefault(_orbit_key(m, n, mask), []).append(mask)
                 oracle.setdefault(string_mirror_orbit_key(m, n, mask), []).append(mask)
             assert sorted(groups.values()) == sorted(oracle.values()), (m, n)
+
+
+# each library call that takes a labeling, with one of the wrong length,
+# and the (labels, elements) its refusal names
+WRONG_LENGTH_LABELINGS = {
+    "hstar-long": (lambda: hstar(product_with_chain(chain(2), 2), (1, 2, 3, 4, 5)), (5, 4)),
+    "hstar-short": (lambda: hstar(chain(3), (1, 2)), (2, 3)),
+    "bruteforce": (lambda: canon_polynomial_bruteforce(chain(2), (3, 1, 2), 2), (3, 2)),
+    "product": (lambda: canon_polynomial_product(chain(2), (3, 1, 2), 2), (3, 2)),
+    "dissonant": (lambda: dissonant_polynomial(AmphibianSpec(2, 3, 1), (1,)), (1, 2)),
+    "chain-descents": (lambda: poset.chain_descents(chain(2), (1,)), (1, 2)),
+    "checked-product": (lambda: verify.checked_product_identity(chain(2), (1,), 2), (1, 2)),
+    "generalized-product": (
+        lambda: verify.generalized_product_identity(chain(2), (1, 2, 3), chain(2)), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_LENGTH_LABELINGS)
+def test_a_labeling_of_the_wrong_length_is_refused(monkeypatch, name):
+    # one ValueError, before any kernel call, where a polynomial or an
+    # IndexError came back
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernel, "descent_histograms", no_kernel)
+    monkeypatch.setattr(kernel, "_transitions", no_kernel)
+    call, (labels, elements) = WRONG_LENGTH_LABELINGS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == (f"a labeling of length {labels} does not fit "
+                               f"a poset of {elements} elements")
 
 
 class TestDegreeLaw:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ except ImportError:  # not on every platform
 
 import canonlab.cli as cli_mod
 import canonlab.verify as verify_mod
-from canonlab.cli import build_parser, load_poset, main, run
+from canonlab.cli import load_poset, main, parse_args, run
 from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
 from canonlab.verify import VERIFY_CHECKS
 
@@ -747,7 +749,7 @@ OPTION_VALUES = {
 def parse_or_refuse(capsys, argv):
     """The config of an argv, or None with the stderr of a usage error."""
     try:
-        cfg = build_parser().parse_args(argv)
+        cfg = parse_args(argv)
     except SystemExit as exc:
         captured = capsys.readouterr()
         assert (exc.code, captured.out) == (2, ""), argv
@@ -919,6 +921,106 @@ def test_huge_posets_exit_2_before_they_are_built(argv):
     assert elapsed < 1, argv
 
 
+# what a random command line is drawn from: a command (or none, or a bad
+# one); then, mostly, what its route requires and options it takes, each
+# with a usual value or, now and then, a bad or huge one; and stray words
+ARGV_HEADS = ((), ("nope",), ("poly",), *(tuple(route.split()) for route in ACCEPTED_OPTIONS))
+ARGV_VALUES = {  # option: (usual values, odd values)
+    "--m": (("1", "2", "3"), ("0", "-1", "x", "2.5", "", "6325", "1000000000")),
+    "--w": (("natural", "reverse", "u"), ("id", "up")),
+    "--remove": (("1:1", "1:2,2:1", "2:2"), ("9:9", "0:1", "1:x", "1000000000:999999999")),
+    "--poset": (("valid", "labeled"), ("cyclic", "missing")),
+    "--force-cap": (("1",), ("0", "x")),
+    "--jobs": (("1", "2"), ("0", "x", "1000000000")),
+    "--limit": (("0", "3"), ("-1", "x", "1000000000")),
+    "--format": (("json", "csv", "plain"), ("xml",)),
+    "statements": (("all", "thm-1.1", "cor-4.1", "cor-5.1"), ("nope",)),
+    "kind": (("gamma",), ("nope",)),
+}
+ARGV_VALUES["--n"] = ARGV_VALUES["--m"]
+ARGV_WORDS = ("gamma", "canon", "nope", "--", "-h", "-hh", "--bogus", "-x")
+
+
+def argv_files(directory: Path) -> dict:
+    """The poset files a random ``--poset`` names, written to ``directory``:
+    the [2]x[3] grid, a cycle, a labeled chain and a file that is not there."""
+    files = {name: directory / f"{name}.json" for name in sum(ARGV_VALUES["--poset"], ())}
+    files["valid"].write_text(poset_to_json(product_with_chain(chain(2), 3)))
+    files["cyclic"].write_text('{"elements": 2, "covers": [[0, 1], [1, 0]]}')
+    files["labeled"].write_text(poset_to_json(chain(3), (3, 1, 2)))
+    return {name: str(path) for name, path in files.items()}
+
+
+def random_argvs(seed: int, count: int, files: dict) -> list:
+    """``count`` command lines drawn by ``random.Random(seed)``: a head from
+    ``ARGV_HEADS``, mostly with what its route requires, then up to four
+    options (now and then without a value, or as ``--option=value``),
+    flags and words; ``--poset`` names a file of ``files``."""
+    rng = random.Random(seed)
+    every = [name for name in cli_mod.OPTIONS if name.startswith("--")]
+
+    def value(name):
+        usual, odd = ARGV_VALUES[name]
+        text = rng.choice(usual if rng.random() < 0.8 else odd)
+        return files.get(text, text) if name == "--poset" else text
+
+    argvs = []
+    for _ in range(count):
+        head = rng.choice(ARGV_HEADS)
+        route = cli_mod.ROUTES
+        for word in head:
+            route = route.get(word, {}) if isinstance(route, dict) else {}
+        argv, taken = list(head), every
+        if isinstance(route, cli_mod.Route):
+            taken = list(cli_mod.route_options(route))
+            for name in (*route.required.split(), route.positional):
+                if name and rng.random() < 0.8:
+                    argv += [name, value(name)] if name.startswith("--") else [value(name)]
+        for _ in range(rng.randint(0, 4)):
+            pick = rng.random()
+            name = rng.choice(taken if pick < 0.7 else every)
+            if pick > 0.9:
+                argv.append(rng.choice(ARGV_WORDS))
+            elif name not in ARGV_VALUES or pick < 0.05:  # a flag, or no value
+                argv.append(name)
+            elif rng.random() < 0.2:
+                argv.append(f"{name}={value(name)}")
+            else:
+                argv += [name, value(name)]
+        argvs.append(argv)
+    return argvs
+
+
+def exit_contract_broken(code, err: str):
+    """What a run with exit ``code`` and stderr ``err`` breaks of the exit
+    contract, or None: it exits 0, 1 or 2, prints no traceback, and an exit
+    2 ends stderr with its one error line."""
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if "Traceback" in err:
+        return "a traceback"
+    if code == 2 and "error:" not in (err.splitlines() or [""])[-1]:
+        return "exit 2 without a last error line"
+    return None
+
+
+def test_random_argvs_keep_the_exit_contract(capsys, tmp_path):
+    # in-process, so 200 command lines take a few seconds; CI runs a sample
+    # of the same draw through fresh interpreters
+    files = argv_files(tmp_path)
+    start = time.perf_counter()
+    for argv in random_argvs(2024, 200, files):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, or a help
+            code = exc.code
+        except Exception as exc:  # a traceback in a real run
+            pytest.fail(f"{shlex.join(argv)} raised {exc!r}")
+        broken = exit_contract_broken(code, capsys.readouterr().err)
+        assert broken is None, (shlex.join(argv), broken)
+    assert time.perf_counter() - start < 5
+
+
 class TestExtensions:
     def test_count_only(self, capsys):
         code, out, _ = invoke(capsys, "extensions", "--m", "2", "--n", "4", "--count-only")
@@ -1050,13 +1152,13 @@ class TestPosetFiles:
 
 class TestRunConfig:
     def test_run_directly(self, capsys):
-        assert run(build_parser().parse_args(["poly", "narayana", "--n", "3"])) == 0
+        assert run(parse_args(["poly", "narayana", "--n", "3"])) == 0
         assert "coeffs [1, 3, 1]" in capsys.readouterr().out
 
     def test_unset_options_read_none(self):
         # every option of the table is an attribute; those the route does
         # not take or that are not given read None
-        cfg = build_parser().parse_args(["poly", "eulerian", "--n", "3"])
+        cfg = parse_args(["poly", "eulerian", "--n", "3"])
         assert (cfg.n, cfg.format, cfg.jobs) == (3, "plain", None)
         assert [cfg.m, cfg.w, cfg.poset, cfg.repair, cfg.checked, cfg.count_only,
                 cfg.statements] == [None] * 7

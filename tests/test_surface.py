@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "canonlab"
 
 ALLOWED = {
     "backend": "kernel.backend, read by canonbench through canonlab.kernel_backend",
+    "build_parser": "cli.build_parser, called by the set-up probe of canonbench/run.py",
 }
 
 
