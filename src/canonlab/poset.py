@@ -8,7 +8,8 @@ and range-checked only by ``_gap_bits``), in a fixed layout: ``(x, j)``,
 ``j`` 1-based, gets index ``x + (j-1) * |P|``.  That contract makes
 labelings, words and golden values reproducible bit for bit.  ``Poset``
 and ``transitive_reduction`` check relations in one place,
-``_relation_lists``.
+``_relation_lists``, and decide redundancy from the two-step reach
+table it returns.
 
 Each size rule of a grid ``[m] x [n]`` has one owner: ``_check_chain``
 holds m >= 1, ``_chain_gaps`` n >= 1, and ``_check_size`` the element
@@ -96,11 +97,11 @@ class Poset(Frozen):
         _check_size(n)
         if not isinstance(covers, frozenset):
             covers = frozenset(tuple(c) for c in covers)
-        succ, topo, above = _relation_lists(n, covers, "cover relation")
+        succ, topo, via = _relation_lists(n, covers, "cover relation")
         below = [0] * n
         for a, b in covers:
             below[b] |= 1 << a
-            if _implied(above, succ[a], b):
+            if via[a] >> b & 1:
                 raise PosetFormatError(
                     f"cover ({a}, {b}) is redundant (implied by transitivity)"
                 )
@@ -178,11 +179,13 @@ def _topological_order(n, succ) -> list[int]:
 
 def _relation_lists(n: int, pairs: Iterable[tuple[int, int]],
                     what: str) -> tuple[list[list[int]], list[int], list[int]]:
-    """The sorted successor lists, topological order and up-sets (bit ``w``
-    set when ``w`` is reachable) of a relation on ``n`` elements; a pair
-    out of range, a self-loop or a cycle raises, naming the relation by
-    ``what`` ("cover relation" or "relation set") and a pair by its first
-    word; so does a negative ``n``."""
+    """The sorted successor lists, topological order and two-step reach
+    table of a relation on ``n`` elements: bit ``w`` of ``via[v]`` is set
+    when ``w`` is reachable from ``v`` through two or more relations, so a
+    relation ``(a, b)`` is implied by the others exactly when bit ``b`` of
+    ``via[a]`` is set.  A pair out of range, a self-loop or a cycle raises,
+    naming the relation by ``what`` ("cover relation" or "relation set")
+    and a pair by its first word; so does a negative ``n``."""
     if n < 0:
         raise PosetFormatError("element_count must be non-negative")
     pair = what.split()[0]
@@ -197,17 +200,13 @@ def _relation_lists(n: int, pairs: Iterable[tuple[int, int]],
     order = _topological_order(n, succ)
     if len(order) < n:
         raise _cyclic(what, order, succ)
-    above = [0] * n
+    above = [0] * n  # bit w set when w is reachable at all
+    via = [0] * n
     for v in reversed(order):
         for w in succ[v]:
+            via[v] |= above[w]
             above[v] |= above[w] | 1 << w
-    return succ, order, above
-
-
-def _implied(above, succ_a, b) -> bool:
-    """Whether ``a < b`` follows from the relations out of ``a`` other
-    than ``(a, b)``; ``succ_a`` lists the targets of those relations."""
-    return any(above[c] >> b & 1 for c in succ_a if c != b)
+    return succ, order, via
 
 
 CYCLE_SHOWN = 10  # elements of a longer cycle that an error message lists
@@ -372,12 +371,11 @@ def natural_labeling(p: Poset) -> tuple[int, ...]:
 def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Covers of the partial order generated by an acyclic relation set."""
     _check_size(n)
-    succ, _, above = _relation_lists(n, relations, "relation set")
-    # a relation implied by no other one out of its lower end is a cover,
-    # and every cover of the closure is one of the given relations
-    return frozenset(
-        (a, b) for a in range(n) for b in succ[a] if not _implied(above, succ[a], b)
-    )
+    succ, _, via = _relation_lists(n, relations, "relation set")
+    # a relation is implied iff its upper end is reachable through two or
+    # more relations, every other one is a cover, and every cover of the
+    # closure is one of the given relations
+    return frozenset((a, b) for a in range(n) for b in succ[a] if not via[a] >> b & 1)
 
 
 def poset_to_json(p: Poset, labeling: Optional[Sequence[int]] = None) -> str:

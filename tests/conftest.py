@@ -1,5 +1,5 @@
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Sequence
@@ -199,6 +199,27 @@ def random_poset(rng: random.Random, max_elements: int = 5) -> Poset:
             if rng.random() < 0.4:
                 relations.add((order[i], order[j]))
     return Poset(n, transitive_reduction(n, relations))
+
+
+def implied_relations(relations) -> set[tuple[int, int]]:
+    """The relations (a, b) of an acyclic relation set that the others
+    imply, by definition: b is reached by a breadth-first search up the
+    relations from some other relation (a, c), c != b.  The oracle for
+    the two-step reach table that ``Poset`` and ``transitive_reduction``
+    read."""
+    succ = defaultdict(set)
+    for a, b in relations:
+        succ[a].add(b)
+
+    def reached(c):
+        seen, queue = {c}, deque([c])
+        while queue:
+            for d in succ[queue.popleft()] - seen:
+                seen.add(d)
+                queue.append(d)
+        return seen
+
+    return {(a, b) for a, b in relations if any(b in reached(c) for c in succ[a] - {b})}
 
 
 def all_posets(n: int) -> list[Poset]:

@@ -230,6 +230,19 @@ class TestVerify:
             code, out, _ = invoke(capsys, "verify", *argv, "--format", "json")
             assert code == 0 and [r["name"] for r in json.loads(out)] == names, argv
 
+    def test_w_reaches_only_the_product_formula(self, capsys):
+        # thm-1.1 (alias thm-main) names its row labeling; every other
+        # check ignores --w and prints what it prints without it
+        for argv, line in ((("--m", "3", "--n", "3", "--w", "reverse"),
+                            "[ok] product-formula m=3 n=3 w=reverse"),
+                           (("--w", "u", "--m", "2", "--n", "2"),
+                            "[ok] product-formula m=2 n=2 w=u")):
+            code, out, _ = invoke(capsys, "verify", "thm-1.1", *argv)
+            assert code == 0 and out.splitlines()[0] == line, argv
+        reversed_rows = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3", "--w", "reverse")
+        natural_rows = invoke(capsys, "verify", "cor-3.4", "--m", "2", "--n", "3")
+        assert reversed_rows[0] == 0 and reversed_rows == natural_rows
+
     def test_unknown_statement(self, capsys):
         code, _, err = invoke(capsys, "verify", "thm-9.9")
         assert code == 2 and "unknown statement" in err

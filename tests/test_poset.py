@@ -1,10 +1,13 @@
 import heapq
+import time
 import tracemalloc
 from itertools import permutations
 
 import pytest
 
-from conftest import less, random_labeling, random_poset, vee_poset, wedge_poset
+from conftest import (
+    all_posets, implied_relations, less, random_labeling, random_poset, vee_poset, wedge_poset,
+)
 
 from canonlab import kernel
 from canonlab.errors import PosetFormatError, SizeCapError
@@ -103,6 +106,53 @@ class TestConstruction:
     def test_rejects_redundant_cover(self):
         with pytest.raises(PosetFormatError, match="redundant"):
             Poset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+
+    def test_redundancy_matches_a_search_oracle(self, rng):
+        # every poset on up to 4 elements as its covers, its full order and
+        # the order less one relation, then seeded random acyclic relation
+        # sets on up to 9 elements: a relation is implied exactly when a
+        # breadth-first search reaches its upper end through another one
+        def check(n, relations):
+            implied = implied_relations(relations)
+            assert transitive_reduction(n, relations) == relations - implied
+            first = next((r for r in relations if r in implied), None)
+            if first is None:
+                assert Poset(n, relations).covers == relations
+                return
+            with pytest.raises(PosetFormatError) as info:
+                Poset(n, relations)
+            assert str(info.value) == f"cover {first} is redundant (implied by transitivity)"
+
+        for n in range(5):
+            for p in all_posets(n):
+                order = frozenset((a, b) for a in range(n) for b in range(n) if less(p, a, b))
+                for relations in (p.covers, order, *(order - {r} for r in order)):
+                    check(n, relations)
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            rank = rng.sample(range(n), n)  # every relation climbs this order
+            density = rng.random()
+            check(n, frozenset((a, b) for a in range(n) for b in range(n)
+                               if rank[a] < rank[b] and rng.random() < density))
+
+    def test_dense_covers_validate_in_one_pass(self):
+        # one reach table decides every cover, with no scan per cover of
+        # its lower end's other covers: K(500, 500) builds in well under 3 s
+        k = 500
+        covers = [(a, k + b) for a in range(k) for b in range(k)]
+        start = time.perf_counter()
+        assert len(Poset(2 * k, covers).covers) == k * k
+        assert time.perf_counter() - start < 3
+
+    def test_dense_relations_reduce_in_one_pass(self):
+        # the complete 3-layer relation set, 300 per layer, reduces to its
+        # 180,000 covers in well under 3 s
+        k = 300
+        layers = ((0, 1), (1, 2), (0, 2))
+        relations = [(i * k + a, j * k + b) for i, j in layers for a in range(k) for b in range(k)]
+        start = time.perf_counter()
+        assert len(transitive_reduction(3 * k, relations)) == 2 * k * k
+        assert time.perf_counter() - start < 3
 
     def test_closure_is_small(self):
         # up-sets are bitmasks: the 2000-chain's closure holds 2 million
