@@ -26,11 +26,13 @@ The states of an ideal grow from the elements minimal outside it, which
 each ideal passes on to the next, so building them costs in proportion
 to the transitions; only a lane pass unrolls the sources into
 transitions, moving |P| bins along every one, and yields its row, so a
-sum keeps one row.  Two bounds raise ``SizeCapError`` while the states
-are built, before any labeling is read: a layer (the states of the
-ideals of one size) above ``MAX_LAYER_STATES`` bounds the memory of a
-wide poset, and lanes times transitions times |P| above ``MAX_WORK`` the
-work of many lanes or of a long, narrow poset, where no layer is large.
+sum keeps one row.  Two bounds raise ``SizeCapError`` before any labeling
+is read, each layer (the states of the ideals of one size) sized before
+it is built: an ideal with k free elements grows k states, each reached
+from all of its own.  A layer above ``MAX_LAYER_STATES`` bounds the
+memory of a wide poset, and lanes times transitions times |P| above
+``MAX_WORK`` the work of many lanes or of a long, narrow poset, where no
+layer is large.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ def backend() -> str:
 
 
 def _transitions(poset, lanes: int = 1) -> tuple[list[int], list[list[int]], list[int], int]:
-    """The state graph (last, sources, final, count), refused past
-    ``MAX_WORK`` for ``lanes`` passes: state s > 0 places ``last[s - 1]``
+    """The state graph (last, sources, final, count).  Each layer is sized
+    from its ideals' free sets before it is built, and refused past
+    ``MAX_LAYER_STATES``, or past ``MAX_WORK`` for ``lanes`` passes, with
+    the prefix length it would reach.  State s > 0 places ``last[s - 1]``
     and is reached from ``sources[s - 1]``, the states of the ideal it grows
     from, one list shared by all the states that ideal grows, which place
     rising elements.  ``final`` lists the full ideal's states; ``count`` is
@@ -65,8 +69,22 @@ def _transitions(poset, lanes: int = 1) -> tuple[list[int], list[list[int]], lis
     sources = []
     steps = 0  # transitions so far
     for size in range(1, n + 1):
+        states = 0  # in this layer, sized from its ideals' free sets
+        for ends, free, _ in layer.values():
+            grows = free.bit_count()
+            states += grows
+            steps += grows * len(ends)
+            if states > MAX_LAYER_STATES:
+                raise SizeCapError(
+                    f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
+                    f"at prefix length {size}: the poset is too wide"
+                )
+            if lanes * steps * n > MAX_WORK:
+                raise SizeCapError(
+                    f"the order-ideal DP has more than {MAX_WORK} lanes x transitions x "
+                    f"elements at prefix length {size}: the poset is too large"
+                )
         grown: dict[int, list] = {}
-        before = len(last)  # states in the layers so far
         for ideal, (ends, free, paths) in layer.items():
             rest = free
             while rest:
@@ -83,17 +101,6 @@ def _transitions(poset, lanes: int = 1) -> tuple[list[int], list[list[int]], lis
                 sources.append(ends)
                 into[0].append(len(last))
                 into[2] += paths
-                steps += len(ends)
-            if len(last) - before > MAX_LAYER_STATES:
-                raise SizeCapError(
-                    f"the order-ideal DP has more than {MAX_LAYER_STATES} states "
-                    f"at prefix length {size}: the poset is too wide"
-                )
-            if lanes * steps * n > MAX_WORK:
-                raise SizeCapError(
-                    f"the order-ideal DP has more than {MAX_WORK} lanes x transitions x "
-                    f"elements at prefix length {size}: the poset is too large"
-                )
         layer = grown
     final, _, count = layer[(1 << n) - 1]
     return last, sources, final, count

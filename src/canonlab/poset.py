@@ -129,7 +129,8 @@ class Poset(Frozen):
 
 def _check_size(n: int) -> None:
     """Refuse a poset of ``n`` elements past ``MAX_ELEMENTS``: ``Poset``
-    checks its element count, ``_row_labeling`` a grid's m and
+    and ``poset_from_json`` check its element count (a file's before its
+    covers are read), ``_row_labeling`` a grid's m and
     ``_removed_mask`` its m * n with it, each before building anything
     that long.  A negative ``n`` passes, for ``_relation_lists`` to name."""
     if n > MAX_ELEMENTS:
@@ -415,6 +416,7 @@ def poset_from_json(
     # JSON true and false parse to bool, which is an int subclass
     if type(n) is not int or n < 0:
         raise PosetFormatError('"elements" must be a non-negative integer')
+    _check_size(n)
     if not isinstance(raw, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
         for c in raw

@@ -218,17 +218,103 @@ def test_row_sums_keep_one_row(run):
     assert peak < 2_000_000
 
 
+WIDE = "the order-ideal DP has more than {} states at prefix length {}: the poset is too wide"
+LARGE = ("the order-ideal DP has more than {} lanes x transitions x elements "
+         "at prefix length {}: the poset is too large")
+
+
+def layer_sizes(p: Poset) -> tuple[list[int], list[int]]:
+    """States and transitions into each layer of ``p``'s state graph, read
+    off its order ideals: ideal J has one state (J, u) per maximal element
+    u, reached from every state of the ideal J - u (the empty ideal has one)."""
+    n = p.element_count
+    ideals = [i for i in range(1 << n)
+              if all(not p.below[x] & ~i for x in range(n) if i >> x & 1)]
+
+    def maximal(i):
+        return [u for u in range(n) if i >> u & 1
+                and not any(i >> w & 1 for w in p.successors(u))]
+
+    states, steps = [0] * n, [0] * n
+    for i in ideals[1:]:
+        size = bin(i).count("1")
+        for u in maximal(i):
+            states[size - 1] += 1
+            steps[size - 1] += len(maximal(i ^ 1 << u)) or 1
+    return states, steps
+
+
+def test_bounds_refuse_the_first_layer_past_either(monkeypatch):
+    # under small bounds, a poset is accepted exactly when every layer stays
+    # within both, and otherwise refused at the first layer past one, naming
+    # a bound that layer passes (the bounds are checked ideal by ideal, so
+    # a layer past both may name either)
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(400):
+        p = random_poset(rng, max_elements=9)
+        n, lanes = p.element_count, rng.randint(1, 3)
+        wide, work = rng.randint(1, 30), rng.randint(1, 6000)
+        monkeypatch.setattr(kernel, "MAX_LAYER_STATES", wide)
+        monkeypatch.setattr(kernel, "MAX_WORK", work)
+        expected, total = None, 0
+        for size, (states, steps) in enumerate(zip(*layer_sizes(p)), 1):
+            total += steps
+            expected = [WIDE.format(wide, size)] * (states > wide)
+            expected += [LARGE.format(work, size)] * (lanes * total * n > work)
+            if expected:
+                break
+        if not expected:
+            assert kernel._transitions(p, lanes)[3] == len(list(enumerate_linear_extensions(p)))
+            seen.add("accepted")
+            continue
+        with pytest.raises(SizeCapError) as err:
+            kernel._transitions(p, lanes)
+        assert str(err.value) in expected
+        seen.add(str(err.value).rsplit(" ", 2)[-1])
+    assert seen == {"accepted", "wide", "large"}
+
+
 def test_wide_poset_refused_quickly():
     start = time.perf_counter()
     for work in (kernel.count_extensions, lambda p: next(kernel.descent_histograms(p, []))):
-        with pytest.raises(SizeCapError, match="too wide"):
+        with pytest.raises(SizeCapError) as err:
             work(antichain(40))
+        assert str(err.value) == WIDE.format(100000, 4)
     assert time.perf_counter() - start < 10
+
+
+def test_refused_layer_is_never_built():
+    # layer 4 of the 30-antichain, 109,620 states, is refused from its
+    # ideals' free sets, after building layer 3's 12,180 states: 1.8 MB
+    # traced, where building most of layer 4 first took 13.8 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError) as err:
+            kernel.count_extensions(antichain(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == WIDE.format(100000, 4)
+    assert peak < 5_000_000
+
+
+def test_dense_poset_refused_before_its_layer_is_built():
+    # K(300, 300): layer 2 would hold 89,700 transitions, past MAX_WORK / 600
+    # after 222 of its 300 ideals; sized first, it is refused in about
+    # 0.01 s, where building those ideals' states first took 1.5 s
+    k = 300
+    p = Poset(2 * k, [(a, k + b) for a in range(k) for b in range(k)])
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError) as err:
+        kernel.count_extensions(p)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == LARGE.format(kernel.MAX_WORK, 2)
 
 
 def test_long_narrow_poset_refused_quickly():
     # no layer of [2]x[1000] is large, but its transitions x elements are:
-    # the work bound refuses it while the states are built
+    # the work bound refuses it before the layer that passes it is built
     grid = product_with_chain(chain(2), 1000)
     start = time.perf_counter()
     for work in (kernel.count_extensions, lambda p: next(kernel.descent_histograms(p, []))):
@@ -241,8 +327,9 @@ def test_longest_two_row_grid_under_the_work_bound():
     # e([2]x[n]) is the Catalan number C(2n, n) / (n + 1); n = 215 is the
     # last n whose transitions x elements stay within MAX_WORK
     assert kernel.count_extensions(product_with_chain(chain(2), 215)) == comb(430, 215) // 216
-    with pytest.raises(SizeCapError, match="too large"):
+    with pytest.raises(SizeCapError) as err:
         kernel.count_extensions(product_with_chain(chain(2), 216))
+    assert str(err.value) == LARGE.format(kernel.MAX_WORK, 410)
 
 
 def test_work_bound_counts_lanes():
@@ -253,8 +340,9 @@ def test_work_bound_counts_lanes():
     assert 4719 * 326 * 26 <= kernel.MAX_WORK < 4720 * 326 * 26
     assert sum(map(len, kernel._transitions(grid)[1])) == 326
     start = time.perf_counter()
-    with pytest.raises(SizeCapError, match="too large"):
+    with pytest.raises(SizeCapError) as err:
         next(kernel.descent_histograms(grid, [labels] * 4720))
+    assert str(err.value) == LARGE.format(kernel.MAX_WORK, 26)
     assert time.perf_counter() - start < 1
     rows = list(kernel.descent_histograms(grid, [labels] * 4719))
     assert rows == [rows[0]] * 4719 and sum(rows[0]) == kernel.count_extensions(grid)

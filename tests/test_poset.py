@@ -206,6 +206,9 @@ class TestElementBound:
             Poset(MAX_ELEMENTS + 1, covers())
         with pytest.raises(SizeCapError):
             transitive_reduction(MAX_ELEMENTS + 1, covers())
+        # a file's element count is checked before its covers' shape
+        with pytest.raises(SizeCapError, match=f"exceeds the bound {MAX_ELEMENTS}"):
+            poset_from_json(f'{{"elements": {MAX_ELEMENTS + 1}, "covers": [[0]]}}')
         assert chain(MAX_ELEMENTS).element_count == MAX_ELEMENTS
 
     def test_builders_refuse_one_element_past_the_bound(self):
