@@ -29,10 +29,11 @@ The edge-subset sweep and its orbits of subposets are in
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, repeat, tee
 from math import factorial
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from canonlab import kernel
 from canonlab.errors import CanonlabError
@@ -52,7 +53,7 @@ from canonlab.poset import (
 )
 
 
-class AmphibianSpec(NamedTuple):
+class AmphibianSpec(namedtuple("AmphibianSpec", "m n mask")):
     """A chain product with a chosen set of inter-copy covers removed,
     named by its edge mask.
 
@@ -63,9 +64,7 @@ class AmphibianSpec(NamedTuple):
     outside ``[0, 2^(m(n-1)))`` alike.
     """
 
-    m: int
-    n: int
-    mask: int
+    __slots__ = ()
 
     @classmethod
     def from_removed(

@@ -4,7 +4,12 @@
 argparse's syntax and messages; ``main`` runs the route it picks.  The
 modules that only some commands need (the statement checks, the sweep,
 the gamma interpretation and the usage text) are imported by one
-loader, ``_load``, when first needed.
+loader, ``_load``, when first needed.  So are the standard modules that
+few commands need: ``json`` only by ``_print_json`` (and by ``poset``'s
+file reader and writer), the csv writer only by ``_print_csv``, and
+``re`` only by ``_read``, for an unknown dash argument.  No module
+imports ``typing``: annotations are strings, their names come from
+``collections.abc``, and records subclass ``collections.namedtuple``.
 
 Exit status: 0 when everything holds, 1 when an identity fails or a
 sweep finds a violator (a certificate is emitted), 2 on usage, file or
@@ -14,13 +19,12 @@ size-cap errors.
 from __future__ import annotations
 
 import io
-import json
-import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from importlib import import_module
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from canonlab import poset
 from canonlab.canon import (
@@ -59,12 +63,22 @@ def _load(name: str):
     return import_module(f"canonlab.{name}")
 
 
+def _print_json(payload) -> None:
+    """Print ``payload`` as one line of JSON; only a JSON output loads the
+    module."""
+    import json
+
+    print(json.dumps(payload))
+
+
 def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a csv table to stdout; only a csv output loads the module."""
-    import csv
+    """Write a csv table to stdout; only a csv output loads the writer.  It
+    is the one ``csv.writer`` names, with the same default (excel) dialect,
+    imported from ``_csv``: the ``csv`` module imports ``re`` for its sniffer."""
+    import _csv
 
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = _csv.writer(out)
     writer.writerow(header)
     writer.writerows(rows)
     sys.stdout.write(out.getvalue())
@@ -88,7 +102,7 @@ def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[int, ...]]]:
+def load_poset(path: str, repair: bool = False) -> tuple[Poset, tuple[int, ...] | None]:
     """Read and validate a poset JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,7 +112,7 @@ def load_poset(path: str, repair: bool = False) -> tuple[Poset, Optional[tuple[i
     return poset_from_json(text, repair=repair)
 
 
-def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, Optional[tuple[int, ...]]]:
+def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, tuple[int, ...] | None]:
     """The poset of ``--poset``, or the ``--m`` x ``--n`` grid (the checked
     product with ``--checked``) less its ``--remove`` covers, with its
     labeling."""
@@ -125,7 +139,7 @@ def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, Optional[tuple[int, ...
 def _cmd_poly(cfg: SimpleNamespace) -> int:
     p = cfg.make(cfg)
     if cfg.format == "json":
-        print(json.dumps(poly_to_payload(p)))
+        _print_json(poly_to_payload(p))
     elif cfg.format == "csv":
         print("exponent,coefficient")
         for k, c in enumerate(p.coefficients):
@@ -156,7 +170,7 @@ def _cmd_extensions(cfg: SimpleNamespace) -> int:
         )
     stream = islice(enumerate_linear_extensions(p), cfg.limit)
     if cfg.format == "json":
-        print(json.dumps([list(order) for order in stream]))
+        _print_json([list(order) for order in stream])
     else:
         for order in stream:
             print(" ".join(map(str, order)))
@@ -190,20 +204,14 @@ OPTIONS = {
 }
 
 
-class Route(NamedTuple):
+class Route(namedtuple("Route", "help options required formats run make positional many",
+                       defaults=("", FORMATS, _cmd_poly, None, "", False))):
     """A command or ``poly`` kind: its help, the options it takes in usage
     order, the ones it requires, its ``--format`` choices, what runs it and,
     for a ``poly`` kind, the polynomial it makes.  ``positional`` names its
     positional, which takes one or more values when ``many``."""
 
-    help: str
-    options: str
-    required: str = ""
-    formats: tuple = FORMATS
-    run: Callable = _cmd_poly
-    make: Optional[Callable] = None
-    positional: str = ""
-    many: bool = False
+    __slots__ = ()
 
 
 GRID = "--n --m"
@@ -256,11 +264,12 @@ def route_options(route: Route) -> dict:
 # parsing: argparse's syntax, on the table
 
 
-def _fail(level: str, message: str) -> NoReturn:
+def _fail(level: str, message: str):
+    """Print the level's usage and ``message`` to stderr and exit 2."""
     _load("usage").fail(level, message)
 
 
-def _read(level: str, names, arg: str) -> Optional[tuple]:
+def _read(level: str, names, arg: str) -> tuple | None:
     """How argparse reads one argument before any ``--``: None for a
     positional, else the option it names (None for an unknown one) and its
     attached value (None if none).  A long option's unique prefix names it."""
@@ -279,12 +288,14 @@ def _read(level: str, names, arg: str) -> Optional[tuple]:
             return matches[0], value if eq else None
     elif arg.startswith("-h"):
         return "-h", arg[2:]
+    import re  # only an unknown dash argument is tested for a negative number
+
     if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
         return None  # a negative number or a phrase
     return None, None
 
 
-def _help(level: str, name: str, value: Optional[str]) -> NoReturn:
+def _help(level: str, name: str, value: str | None):
     """Print the level's help for -h or --help (-hh is -h twice) and exit 0."""
     if value is not None and (name == "--help" or not value or value.strip("h")):
         _fail(level, f"argument -h/--help: ignored explicit argument {value!r}")
@@ -366,7 +377,7 @@ def _parse(level: str, route: Route, args: list, extras: list) -> SimpleNamespac
     return cfg
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace:
     """The config of one command line, where every option its route does
     not take reads None.  A usage error exits 2; -h or --help exits 0."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -410,7 +421,7 @@ def run(cfg: SimpleNamespace) -> int:
         return 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     code = run(parse_args(argv))
     if argv is None:
         sys.exit(code)

@@ -6,21 +6,22 @@ Only ``gamma`` and ``verify`` load this module (``cli`` imports it on
 first use), so no other command compiles it.  The extensions that
 Cor. 5.1 counts come in two halves on the kernel's state graphs
 (``rho_halves``), each counted with none listed and listed by
-``rho_orders``.
+``rho_orders``.  ``gamma_interpretation`` builds both halves before it
+sums the canon polynomial, so a half the kernel refuses costs no sum.
 """
 
 from __future__ import annotations
 
-import json
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Iterator, NamedTuple, Optional
 
 from canonlab import kernel
 from canonlab.canon import canon_polynomial_bruteforce
-from canonlab.cli import MAX_LISTED
+from canonlab.cli import MAX_LISTED, _print_json
 from canonlab.errors import CanonlabError, SizeCapError
 from canonlab.polys import IntPolynomial, gamma_expansion
 from canonlab.poset import (
@@ -101,7 +102,8 @@ def rho_orders(graph: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
                 todo.append((t, drop, falls + drop, order + (v,)))
 
 
-class GammaInterpretation(NamedTuple):
+class GammaInterpretation(namedtuple("GammaInterpretation",
+                                     "m n gamma counts stated_shift shift matches")):
     """Gamma coordinates of the canon polynomial next to the counts of
     filtered checked-product extensions (``rho_halves``).
 
@@ -111,13 +113,7 @@ class GammaInterpretation(NamedTuple):
     holds instead of a silent pass.
     """
 
-    m: int
-    n: int
-    gamma: tuple[int, ...]
-    counts: tuple[int, ...]
-    stated_shift: int
-    shift: Optional[int]
-    matches: bool
+    __slots__ = ()
 
 
 def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
@@ -125,13 +121,13 @@ def gamma_interpretation(m: int, n: int) -> GammaInterpretation:
     rho-descents and an increasing final pair when both parities are odd,
     and compare their counts, the product of two halves' with none
     listed, against the gamma vector of the canon polynomial."""
+    rho_halves.cache_clear()  # each interpretation builds its own halves
+    (grid, _), (tops, _) = rho_halves(m, n)  # before the sum, so a refused half costs none
     poly = canon_polynomial_bruteforce(chain(m), _row_labeling("natural", m), n)
     center = m * (n - 1)
     gamma = gamma_expansion(poly, center)
     if gamma is None:
         raise CanonlabError("canon polynomial is not palindromic over its center")
-    rho_halves.cache_clear()  # each interpretation builds its own halves
-    (grid, _), (tops, _) = rho_halves(m, n)
     by_drops = IntPolynomial(grid) * IntPolynomial(tops)
     stated = (m + n - 1) // 2
     aligned = IntPolynomial(gamma).shift
@@ -173,7 +169,7 @@ def run(cfg: SimpleNamespace) -> int:
                            f"{MAX_LISTED} letters; pass a smaller --m or --n")
     words = gamma_class_words(gi)
     if cfg.format == "json":  # the fields, then the classes
-        print(json.dumps(dict(gi._asdict(), classes=words)))
+        _print_json(dict(gi._asdict(), classes=words))
     else:
         print(f"gamma {list(gi.gamma)}")
         print(f"counts {list(gi.counts)} (shift {gi.shift}, stated {gi.stated_shift})")

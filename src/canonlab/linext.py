@@ -12,7 +12,7 @@ Dyck-path correspondence in ``canonlab.verify``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from canonlab.poset import Poset
 

@@ -9,8 +9,8 @@ its equality, hash, repr and pickling read.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import comb
-from typing import Iterable, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.errors import SizeCapError
@@ -80,7 +80,7 @@ def is_palindromic(p: IntPolynomial, high: int) -> bool:
     return all(p.coefficient(k) == p.coefficient(high - k) for k in range(high + 1))
 
 
-def gamma_expansion(p: IntPolynomial, d: int) -> Optional[tuple[int, ...]]:
+def gamma_expansion(p: IntPolynomial, d: int) -> tuple[int, ...] | None:
     """Gamma coordinates of p over center degree d: the g_i with p the sum
     of g_i x^i (1+x)^(d-2i), 0 <= i <= floor(d/2), by leading-coefficient
     peeling; absent when p is not palindromic over [0, d].
@@ -150,7 +150,7 @@ def narayana(n: int) -> IntPolynomial:
     return IntPolynomial(comb(n, k) * comb(n, k + 1) // n for k in range(n))
 
 
-def hstar(p: Poset, w: Optional[Sequence[int]] = None) -> IntPolynomial:
+def hstar(p: Poset, w: Sequence[int] | None = None) -> IntPolynomial:
     """Descent generating polynomial of the labeled linear extensions.
 
     With no labeling given, a natural labeling is used.

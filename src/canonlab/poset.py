@@ -31,9 +31,8 @@ share between worker processes.
 from __future__ import annotations
 
 import itertools
-import json
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from canonlab.errors import PosetFormatError, SizeCapError
 from canonlab.kernel import MAX_WORK
@@ -137,7 +136,7 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"a poset of {n} elements exceeds the bound {MAX_ELEMENTS}")
 
 
-def _row_labeling(kind: Optional[str], m: int) -> tuple[int, ...]:
+def _row_labeling(kind: str | None, m: int) -> tuple[int, ...]:
     """The row labeling of ``chain(m)`` that ``--w`` names: (m, ..., 1) for
     "reverse" or "u", else the natural (1, ..., m).  An m past the poset
     bound is refused before the m labels are built.  Private, so per-layer
@@ -353,7 +352,7 @@ def rho_parities(pcheck: Poset) -> tuple[int, ...]:
     return tuple(min(d) % 2 for d in depths)
 
 
-def chain_descents(p: Poset, w: Sequence[int]) -> Optional[int]:
+def chain_descents(p: Poset, w: Sequence[int]) -> int | None:
     """The number k of descents of (p, w) on every maximal chain, or None
     when two maximal chains (or none at all) disagree."""
     _check_labeling(p, w)
@@ -379,8 +378,10 @@ def transitive_reduction(n: int, relations: Iterable[tuple[int, int]]) -> frozen
     return frozenset((a, b) for a in range(n) for b in succ[a] if not via[a] >> b & 1)
 
 
-def poset_to_json(p: Poset, labeling: Optional[Sequence[int]] = None) -> str:
+def poset_to_json(p: Poset, labeling: Sequence[int] | None = None) -> str:
     """Serialize to the interchange format, covers in lexicographic order."""
+    import json
+
     payload: dict = {
         "elements": p.element_count,
         "covers": [list(c) for c in sorted(p.covers)],
@@ -392,7 +393,7 @@ def poset_to_json(p: Poset, labeling: Optional[Sequence[int]] = None) -> str:
 
 def poset_from_json(
     text: str, repair: bool = False
-) -> tuple[Poset, Optional[tuple[int, ...]]]:
+) -> tuple[Poset, tuple[int, ...] | None]:
     """Parse and validate the interchange format.  Optional ``"labels"``
     must be a bijection onto 1..N, one integer per element, and come
     back as a tuple; this is the one place labels come from outside the
@@ -401,6 +402,8 @@ def poset_from_json(
     With ``repair=True`` redundant covers are replaced by the transitive
     reduction instead of being rejected.
     """
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

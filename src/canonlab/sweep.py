@@ -12,14 +12,14 @@ it before the labels are built.
 
 from __future__ import annotations
 
-import json
 import os
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import partial
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from canonlab.canon import AmphibianSpec, dissonant_polynomial
-from canonlab.cli import _print_csv
+from canonlab.cli import _print_csv, _print_json
 from canonlab.errors import SizeCapError
 from canonlab.polys import IntPolynomial, gamma_expansion, is_unimodal, poly_to_payload
 from canonlab.poset import _chain_gaps, _check_chain, _gap_bits, _row_labeling, poset_to_json
@@ -38,15 +38,13 @@ def subposet_masks(m: int, n: int) -> range:
     return range(1 << covers)
 
 
-class SweepRow(NamedTuple):
-    mask: int
-    polynomial: IntPolynomial
-    degree: int
-    palindromic: bool
-    gamma: Optional[tuple[int, ...]]
-    gamma_positive: bool
-    unimodal: bool
-    mode: str
+class SweepRow(namedtuple("SweepRow", "mask polynomial degree palindromic gamma "
+                                       "gamma_positive unimodal mode")):
+    """A subposet's row: its mask, polynomial and degree, whether it is
+    palindromic, its gamma vector (None when not palindromic), whether that
+    is nonnegative, whether the polynomial is unimodal, and its mode."""
+
+    __slots__ = ()
 
 
 def _sweep_row(spec: AmphibianSpec, poly: IntPolynomial) -> SweepRow:
@@ -90,7 +88,7 @@ def _orbit_key(m: int, n: int, mask: int) -> tuple:
 
 
 def orbit_table(m: int, n: int, masks: Iterable[int], walk: Callable,
-                jobs: int = 1) -> tuple[dict[int, int], dict[int, Any]]:
+                jobs: int = 1) -> tuple[dict[int, int], dict[int, object]]:
     """Each of ``masks`` with the first of them in its orbit (``_orbit_key``),
     and each first with ``walk(m, n, first)`` over ``jobs`` processes, walked
     in descending order: the full mask, its own orbit's first, has the most
@@ -180,7 +178,7 @@ def run(cfg: SimpleNamespace) -> int:
             "rows": [dict(_fields(r), polynomial=poly_to_payload(r.polynomial)) for r in rows],
             "violations": violations,
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     elif cfg.format == "csv":
         table = [_fields(r) for r in rows]
         _print_csv(list(table[0]), ([*map(_csv_cell, fields.values())] for fields in table))
@@ -196,5 +194,5 @@ def run(cfg: SimpleNamespace) -> int:
             f"{len(rows)} subposets swept, {len(violations)} gamma-negative"
         )
     for cert in violations:
-        print(json.dumps(cert))
+        _print_json(cert)
     return 1 if violations else 0

@@ -8,7 +8,6 @@ or a route such as ``"poly canon"`` or ``"sweep"``.
 from __future__ import annotations
 
 import sys
-from typing import NoReturn
 
 from canonlab.cli import OPTIONS, ROUTES, route_options
 
@@ -54,7 +53,7 @@ def _rows(title: str, rows: list) -> str:
     return f"\n{title}:\n" + "".join(f"  {left.ljust(width)}  {text}\n" for left, text in rows)
 
 
-def print_help(level: str) -> NoReturn:
+def print_help(level: str):
     """Print a level's usage and what it takes, each line from the table,
     then exit 0."""
     text = f"usage: {usage(level)}\n"
@@ -77,7 +76,7 @@ def print_help(level: str) -> NoReturn:
     sys.exit(0)
 
 
-def fail(level: str, message: str) -> NoReturn:
+def fail(level: str, message: str):
     """Print a level's usage and one error line to stderr, then exit 2."""
     prog = " ".join(["canonlab", *level.split()])
     sys.stderr.write(f"usage: {usage(level)}\n{prog}: error: {message}\n")

@@ -14,13 +14,13 @@ that a run keeps until it ends, and ``run`` checks their bound first.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, partial
 from itertools import accumulate, groupby
 from math import comb
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from canonlab import kernel
 from canonlab.canon import (
@@ -34,7 +34,7 @@ from canonlab.canon import (
     canon_polynomial_product,
     class_rows,
 )
-from canonlab.cli import MAX_LISTED, _print_csv
+from canonlab.cli import MAX_LISTED, _print_csv, _print_json
 from canonlab.errors import PosetFormatError, SizeCapError
 from canonlab.gamma import gamma_interpretation
 from canonlab.linext import enumerate_linear_extensions
@@ -53,18 +53,15 @@ from canonlab.poset import (
 from canonlab.sweep import MAX_SUBPOSETS, orbit_table, subposet_masks
 
 
-class IdentityReport(NamedTuple):
+class IdentityReport(namedtuple("IdentityReport", "name holds lhs rhs witness",
+                                defaults=(None, None, None))):
     """Outcome of one check, self-diagnosing on failure.
 
     A polynomial identity carries its two sides in ``lhs`` and ``rhs``; a
     check whose outcome is only yes or no leaves both ``None``.
     """
 
-    name: str
-    holds: bool
-    lhs: Optional[IntPolynomial] = None
-    rhs: Optional[IntPolynomial] = None
-    witness: Optional[str] = None
+    __slots__ = ()
 
     @classmethod
     def compare(cls, name: str, lhs: IntPolynomial, rhs: IntPolynomial) -> "IdentityReport":
@@ -434,7 +431,7 @@ def _check_generalized_product(
 
 
 @lru_cache(maxsize=None)  # each orbit walked once in a run, which clears it as it ends
-def _orbit_walk(m: int, n: int, mask: int) -> tuple[IntPolynomial, IntPolynomial, Optional[str]]:
+def _orbit_walk(m: int, n: int, mask: int) -> tuple[IntPolynomial, IntPolynomial, str | None]:
     """``mask``'s dissonant polynomials under the reversed and the natural
     rows, one kernel lane under each per descent class on its kept gaps,
     and cor-4.1's witness: the first class whose reversed row is not
@@ -453,7 +450,7 @@ def _orbit_walk(m: int, n: int, mask: int) -> tuple[IntPolynomial, IntPolynomial
     return rev, nat, next(iter(witness), None)
 
 
-def _subposet_walk(m: int, n: int, masks: Iterable[int]) -> tuple[dict, Optional[str]]:
+def _subposet_walk(m: int, n: int, masks: Iterable[int]) -> tuple[dict, str | None]:
     """Each of ``masks`` with its orbit's first mask's (reversed, natural)
     polynomials, and the first cor-4.1 witness in the walk's order
     (``sweep.orbit_table``), which walks the full mask first."""
@@ -570,7 +567,7 @@ def _emit_reports(reports: list[IdentityReport], cfg: SimpleNamespace) -> int:
             {"name": r.name, "holds": r.holds, **_sides(r), "witness": r.witness}
             for r in reports
         ]
-        print(json.dumps(payload))
+        _print_json(payload)
     elif cfg.format == "csv":
         _print_csv(["name", "holds", "witness"],
                    ([r.name, str(r.holds).lower(), r.witness or ""] for r in reports))
@@ -581,7 +578,7 @@ def _emit_reports(reports: list[IdentityReport], cfg: SimpleNamespace) -> int:
             print(f"[{mark}] {r.name}{extra}")
         print(f"{len(reports) - len(failed)}/{len(reports)} checks hold")
         for r in failed:
-            print(json.dumps({"name": r.name, **_sides(r), "witness": r.witness}))
+            _print_json({"name": r.name, **_sides(r), "witness": r.witness})
     return 1 if failed else 0
 
 

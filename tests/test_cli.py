@@ -154,10 +154,16 @@ class TestPoly:
     ])
     def test_class_counts_past_the_index_size(self, capsys, argv):
         # 2^63 and more descent classes, more than len() can return, are
-        # refused by the work bound like any count past it, with no traceback
+        # refused by the work bound like any count past it, with no traceback;
+        # Cor. 5.1 builds its halves first, and the layer bound refuses the
+        # 64-antichain of tops before any class is counted
         code, out, err = invoke(capsys, *argv.split())
         assert (code, out) == (2, "") and "Traceback" not in err
-        assert err.startswith("error: ") and "lanes x transitions x elements" in err
+        if argv.startswith(("gamma", "verify cor-5.1")):
+            assert err == ("error: the order-ideal DP has more than 100000 states at prefix "
+                           "length 3: the poset is too wide\n")
+        else:
+            assert err.startswith("error: ") and "lanes x transitions x elements" in err
 
     def test_bad_edge_same_error_in_every_command(self, capsys):
         # one check names an out-of-range cover, whatever the command
@@ -680,6 +686,21 @@ class TestGammaCommand:
         built.clear()
         assert invoke(capsys, "gamma", "--m", "2", "--n", "6") == first and len(built) == 3
 
+    def test_refused_half_costs_no_sum(self, capsys, monkeypatch):
+        # both halves are built before the canon sum: the tops half of
+        # (1,16), a 16-antichain, is refused on the layer bound with no sum
+        import canonlab.gamma as gamma_mod
+
+        def refuse(*args):
+            raise AssertionError("the canon polynomial was summed")
+
+        monkeypatch.setattr(gamma_mod, "canon_polynomial_bruteforce", refuse)
+        for argv in (("gamma",), ("verify", "cor-5.1")):
+            code, out, err = invoke(capsys, *argv, "--m", "1", "--n", "16")
+            assert (code, out) == (2, ""), argv
+            assert err == ("error: the order-ideal DP has more than 100000 states at prefix "
+                           "length 8: the poset is too wide\n"), argv
+
     def test_listing_bound(self):
         # (2,8) passes both caps with --force-cap 16, but its 924,687 class
         # words of 16 letters would print past MAX_LISTED: refused before
@@ -1198,19 +1219,25 @@ class TestRunConfig:
         # every layer the benchmark's tracer reads; only verify compiles the
         # statement checks, only sweep and verify the edge-subset sweep, and
         # only gamma and verify the Cor. 5.1 interpretation; no poset build
-        # loads heapq, only a csv output loads csv, and only a usage error or
-        # a help the usage text.  The command line is parsed from the option
-        # table, so no command, usage error or help loads argparse, or the
-        # gettext and locale modules that argparse's messages pull in
+        # loads heapq, only a csv output loads the csv writer, and only a
+        # usage error or a help the usage text.  The command line is parsed
+        # from the option table, so no command, usage error or help loads
+        # argparse, or the gettext and locale modules that argparse's
+        # messages pull in.  No module loads typing, only a JSON output or
+        # file loads json (which loads re), and only an unknown dash
+        # argument re.  The child runs without site (-S), so a host whose
+        # site imports typing or re cannot hide a module that does
         src = str(Path(__file__).resolve().parents[1] / "src")
         layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
                                                   "kernel")]
         lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "canonlab.usage",
-                "heapq", "csv"}
+                "heapq", "_csv"}
+        stdlib = {"typing", "json", "re"}
         code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
                 "canonlab.cli.build_parser()\n"
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
                 f"print([name for name in {layers!r} if name not in sys.modules])\n"
+                f"print(sorted({stdlib!r} & set(sys.modules)))\n"
                 "with contextlib.redirect_stdout(io.StringIO()), "
                 "contextlib.redirect_stderr(io.StringIO()):\n"
                 "    try:\n"
@@ -1218,23 +1245,28 @@ class TestRunConfig:
                 "    except SystemExit:\n"
                 "        pass\n"
                 f"print(sorted({lazy!r} & set(sys.modules)))\n"
-                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+                f"print(sorted({stdlib!r} & set(sys.modules)))\n")
         checks = "['canonlab.gamma', 'canonlab.sweep', 'canonlab.verify'"
-        for argv, loaded in ((("poly", "canon", "--m", "2", "--n", "3"), "[]"),
-                             (("poly", "hstar", "--m", "2", "--n", "2", "--format", "json"),
-                              "[]"),
-                             (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]"),
-                             (("extensions", "--m", "2", "--n", "3"), "[]"),
-                             (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"),
-                              "['canonlab.sweep']"),
-                             (("gamma", "--m", "2", "--n", "2"), "['canonlab.gamma']"),
-                             (("verify", "thm-1.1", "--m", "1", "--n", "1"), checks + "]"),
-                             (("verify", "thm-1.1", "--format", "csv"), checks + ", 'csv']"),
-                             (("poly", "canon", "--m", "2"), "['canonlab.usage']"),
-                             (("sweep", "--help"), "['canonlab.usage']")):
-            out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+        json_re = "['json', 're']"
+        for argv, loaded, imported in (
+                (("poly", "canon", "--m", "2", "--n", "3"), "[]", "[]"),
+                (("poly", "hstar", "--m", "2", "--n", "2", "--format", "json"), "[]", json_re),
+                (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]", "[]"),
+                (("extensions", "--m", "2", "--n", "3"), "[]", "[]"),
+                (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"),
+                 "['canonlab.sweep']", json_re),
+                (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "csv"),
+                 "['_csv', 'canonlab.sweep']", "[]"),
+                (("gamma", "--m", "2", "--n", "2"), "['canonlab.gamma']", "[]"),
+                (("verify", "thm-1.1", "--m", "1", "--n", "1"), checks + "]", "[]"),
+                (("verify", "thm-1.1", "--format", "csv"), "['_csv', " + checks[1:] + "]", "[]"),
+                (("poly", "canon", "--m", "2"), "['canonlab.usage']", "[]"),
+                (("sweep", "--help"), "['canonlab.usage']", "[]"),
+                (("poly", "canon", "--m", "-2", "--n", "3"), "[]", "['re']")):
+            out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                                  text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-            assert out.splitlines() == ["[]", "[]", loaded, "[]"], argv
+            assert out.splitlines() == ["[]", "[]", "[]", loaded, "[]", imported], argv
 
 
 # sha256 of stdout for fixed commands: any change to output bytes, in any

@@ -1,8 +1,9 @@
 """The contract of the record types: value equality and hash, normalized
 fields, validation, read-only fields and pickling.
 
-Records are plain classes (``NamedTuple`` or ``__slots__``), so this file
-states what each one promises instead of leaning on a code generator.
+Records are plain classes (``collections.namedtuple`` or ``__slots__``),
+so this file states what each one promises instead of leaning on a code
+generator.
 """
 
 import copy
