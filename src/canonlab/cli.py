@@ -22,7 +22,6 @@ import io
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from importlib import import_module
 from itertools import islice
 from types import SimpleNamespace
 
@@ -60,7 +59,8 @@ def _load(name: str):
     verify the edge-subset sweep, only gamma and verify the Cor. 5.1
     interpretation, and only a usage error or a help the usage text.  Each
     caller reads its function off the module when it runs."""
-    return import_module(f"canonlab.{name}")
+    __import__(f"canonlab.{name}")  # importlib would load at every start-up
+    return sys.modules[f"canonlab.{name}"]
 
 
 def _print_json(payload) -> None:

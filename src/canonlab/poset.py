@@ -8,8 +8,9 @@ and range-checked only by ``_gap_bits``), in a fixed layout: ``(x, j)``,
 ``j`` 1-based, gets index ``x + (j-1) * |P|``.  That contract makes
 labelings, words and golden values reproducible bit for bit.  ``Poset``
 and ``transitive_reduction`` check relations in one place,
-``_relation_lists``, and decide redundancy from the two-step reach
-table it returns.
+``_relation_lists``, which reads a relation set once, in the order
+given, names the first bad pair, and returns the two-step reach table
+that decides redundancy.
 
 Each size rule of a grid ``[m] x [n]`` has one owner: ``_check_chain``
 holds m >= 1, ``_chain_gaps`` n >= 1, and ``_check_size`` the element
@@ -81,8 +82,10 @@ class Poset(Frozen):
     """A finite poset stored as its Hasse diagram.
 
     Construction refuses more than ``MAX_ELEMENTS`` elements before it
-    reads ``covers`` (so they may come lazily), then validates that the
-    cover digraph is acyclic and that no cover is implied by the others.
+    reads ``covers`` (so they may come lazily), then reads them once, in
+    the order given, naming the first pair out of range or a self-loop,
+    and validates that the cover digraph is acyclic and that no cover is
+    implied by the others, naming the least one that is.
     Equality, hash and repr use ``element_count`` and ``covers`` only;
     the rest is derived: adjacency (``below``: lower covers as bitmasks)
     and the topological order.
@@ -94,20 +97,19 @@ class Poset(Frozen):
     def __init__(self, element_count: int, covers: Iterable[tuple[int, int]]):
         n = element_count
         _check_size(n)
-        if not isinstance(covers, frozenset):
-            covers = frozenset(tuple(c) for c in covers)
         succ, topo, via = _relation_lists(n, covers, "cover relation")
         below = [0] * n
-        for a, b in covers:
-            below[b] |= 1 << a
-            if via[a] >> b & 1:
-                raise PosetFormatError(
-                    f"cover ({a}, {b}) is redundant (implied by transitivity)"
-                )
+        for a, above in enumerate(succ):
+            for b in above:
+                below[b] |= 1 << a
+                if via[a] >> b & 1:
+                    raise PosetFormatError(
+                        f"cover ({a}, {b}) is redundant (implied by transitivity)"
+                    )
 
         init = object.__setattr__
         init(self, "element_count", n)
-        init(self, "covers", covers)
+        init(self, "covers", frozenset((a, b) for a, above in enumerate(succ) for b in above))
         init(self, "below", tuple(below))
         init(self, "_succ", tuple(tuple(s) for s in succ))
         init(self, "_topo", tuple(topo))
@@ -183,9 +185,10 @@ def _relation_lists(n: int, pairs: Iterable[tuple[int, int]],
     table of a relation on ``n`` elements: bit ``w`` of ``via[v]`` is set
     when ``w`` is reachable from ``v`` through two or more relations, so a
     relation ``(a, b)`` is implied by the others exactly when bit ``b`` of
-    ``via[a]`` is set.  A pair out of range, a self-loop or a cycle raises,
-    naming the relation by ``what`` ("cover relation" or "relation set")
-    and a pair by its first word; so does a negative ``n``."""
+    ``via[a]`` is set.  The first pair out of range or self-loop in
+    ``pairs``, or a cycle, raises, naming the relation by ``what``
+    ("cover relation" or "relation set") and a pair by its first word;
+    so does a negative ``n``."""
     if n < 0:
         raise PosetFormatError("element_count must be non-negative")
     pair = what.split()[0]
@@ -399,8 +402,9 @@ def poset_from_json(
     back as a tuple; this is the one place labels come from outside the
     program, so the one place they are checked.
 
-    With ``repair=True`` redundant covers are replaced by the transitive
-    reduction instead of being rejected.
+    Covers are checked here for shape only, so that no JSON ``true`` or
+    ``1.0`` becomes an index.  With ``repair=True`` redundant covers are
+    replaced by the transitive reduction instead of being rejected.
     """
     import json
 
@@ -425,13 +429,7 @@ def poset_from_json(
         for c in raw
     ):
         raise PosetFormatError('"covers" must be a list of [a, b] integer pairs')
-    for a, b in raw:
-        if not (0 <= a < n and 0 <= b < n):
-            raise PosetFormatError(f"cover ({a}, {b}) out of range for {n} elements")
-    covers = frozenset((a, b) for a, b in raw)
-    if repair:
-        covers = transitive_reduction(n, covers)
-    poset = Poset(n, covers)
+    poset = Poset(n, transitive_reduction(n, raw) if repair else raw)
     labels = payload.get("labels")
     if labels is None:
         return poset, None

@@ -86,7 +86,7 @@ def antichain(n: int) -> Poset:
     """n pairwise-incomparable elements."""
     if n < 1:
         raise ValueError("antichain size must be >= 1")
-    return Poset(n, frozenset())
+    return Poset(n, ())
 
 
 def word(order: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
@@ -360,7 +360,7 @@ def _check_labeled_product(
 ) -> list[IdentityReport]:
     if m != len(w):  # m is |P|
         return []
-    p = Poset(m, frozenset(covers))
+    p = Poset(m, covers)
     lhs = canon_polynomial_bruteforce(p, w, n)
     rhs = canon_polynomial_product(p, w, n)
     return [IdentityReport.compare(f"labeled-product {name} n={n}", lhs, rhs)]
@@ -427,7 +427,8 @@ def _check_generalized_product(
     cfg: SimpleNamespace, m: int, n: int, second: Callable[[int], Poset]
 ) -> list[IdentityReport]:
     p, w, pprime = chain(m), _row_labeling("natural", m), second(n)  # n is |P'|
-    return [generalized_product_identity(p, w, pprime)]
+    report = generalized_product_identity(p, w, pprime)
+    return [report._replace(name=f"{report.name} P'={second.__name__.lstrip('_')}")]
 
 
 @lru_cache(maxsize=None)  # each orbit walked once in a run, which clears it as it ends

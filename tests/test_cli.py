@@ -285,8 +285,10 @@ class TestVerify:
             (("cor-2.4", "--m", "3", "--n", "2"), None),
             (("thm-2.3", "--m", "5"), None),
             (("thm-2.3", "--n", "3"), ["dyck-bijection n=3"]),
-            (("remark-product", "--n", "5"), ["generalized-product m=2 |P'|=5"] * 3),
-            (("remark-product", "--m", "3"), ["generalized-product m=3 |P'|=3"] * 3),
+            (("remark-product", "--n", "5"), [f"generalized-product m=2 |P'|=5 P'={name}"
+                                              for name in ("antichain", "chain", "star")]),
+            (("remark-product", "--m", "3"), [f"generalized-product m=3 |P'|=3 P'={name}"
+                                              for name in ("antichain", "chain", "star")]),
         ):
             code, out, err = invoke(capsys, "verify", *argv)
             if names is None:
@@ -1225,14 +1227,15 @@ class TestRunConfig:
         # argparse, or the gettext and locale modules that argparse's
         # messages pull in.  No module loads typing, only a JSON output or
         # file loads json (which loads re), and only an unknown dash
-        # argument re.  The child runs without site (-S), so a host whose
-        # site imports typing or re cannot hide a module that does
+        # argument re; the lazy layers load without importlib.  The child
+        # runs without site (-S), so a host whose site imports typing or re
+        # cannot hide a module that does
         src = str(Path(__file__).resolve().parents[1] / "src")
         layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
                                                   "kernel")]
         lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "canonlab.usage",
                 "heapq", "_csv"}
-        stdlib = {"typing", "json", "re"}
+        stdlib = {"typing", "json", "re", "importlib"}
         code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
                 "canonlab.cli.build_parser()\n"
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
@@ -1272,11 +1275,11 @@ class TestRunConfig:
 # sha256 of stdout for fixed commands: any change to output bytes, in any
 # format, shows here
 STDOUT_DIGESTS = [
-    ("verify all", "86bd0bc70e69b4d3964726e37cd5734b57c768cd68732b7072eddc66bd17f63f"),
+    ("verify all", "32aade136cd7df37d79e77501aeea14b4c3860b5dd1ab31e5501e760c9abb245"),
     ("verify all --format json",
-     "29d5d3410f000a5f11c3ef85f843c5d8c3b07702e1b0e4c545aafe078a223a34"),
+     "f9cf3e8cf31ee03fe7711914183b33b24abccb6ef9f04a7a3d4b6a8e66c68d55"),
     ("verify all --format csv",
-     "aacb64529b3b557b18bc6015d291a00ca08381aea9b8fac62eed71d84ecc4084"),
+     "ce188d25c44c265456e31216a2509d90455c2c354ccb75a8b1136a6658c3d773"),
     ("sweep gamma --m 2 --n 3",
      "7d6eab920f212937013d0503a9ca5c203104578db20b39b078d941a0581d1783"),
     ("sweep gamma --m 2 --n 3 --format json",

@@ -1,4 +1,5 @@
 import heapq
+import json
 import time
 import tracemalloc
 from itertools import permutations
@@ -111,17 +112,18 @@ class TestConstruction:
         # every poset on up to 4 elements as its covers, its full order and
         # the order less one relation, then seeded random acyclic relation
         # sets on up to 9 elements: a relation is implied exactly when a
-        # breadth-first search reaches its upper end through another one
+        # breadth-first search reaches its upper end through another one,
+        # and construction names the least implied relation
         def check(n, relations):
             implied = implied_relations(relations)
             assert transitive_reduction(n, relations) == relations - implied
-            first = next((r for r in relations if r in implied), None)
-            if first is None:
+            least = min(relations & implied, default=None)
+            if least is None:
                 assert Poset(n, relations).covers == relations
                 return
             with pytest.raises(PosetFormatError) as info:
                 Poset(n, relations)
-            assert str(info.value) == f"cover {first} is redundant (implied by transitivity)"
+            assert str(info.value) == f"cover {least} is redundant (implied by transitivity)"
 
         for n in range(5):
             for p in all_posets(n):
@@ -189,6 +191,34 @@ class TestConstruction:
             with pytest.raises(PosetFormatError) as info:
                 build(-1, [])
             assert str(info.value) == "element_count must be non-negative"
+
+    def test_first_bad_pair_in_input_order_is_named(self, rng):
+        # seeded pair lists holding two or more pairs out of range or
+        # self-loops among good ones: the relations are read once, in the
+        # order given, so every reader names the first bad pair, from a
+        # list, a generator or a file
+        def problem(n, a, b):
+            if not (0 <= a < n and 0 <= b < n):
+                return f"({a}, {b}) out of range for {n} elements"
+            return f"({a}, {b}) is a self-loop" if a == b else None
+
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(2, 4)):
+                v = rng.randrange(n)
+                bad = rng.choice([(v, v), (v, n + rng.randrange(3)), (-1 - rng.randrange(3), v)])
+                pairs.insert(rng.randint(0, len(pairs)), bad)
+            first = next(filter(None, (problem(n, a, b) for a, b in pairs)))
+            text = json.dumps({"elements": n, "covers": pairs})
+            for build, noun in ((lambda: Poset(n, pairs), "cover"),
+                                (lambda: Poset(n, (pair for pair in pairs)), "cover"),
+                                (lambda: transitive_reduction(n, pairs), "relation"),
+                                (lambda: poset_from_json(text), "cover"),
+                                (lambda: poset_from_json(text, repair=True), "relation")):
+                with pytest.raises(PosetFormatError) as info:
+                    build()
+                assert str(info.value) == f"{noun} {first}", pairs
 
 
 class TestElementBound:
@@ -519,6 +549,23 @@ class TestJson:
             poset_from_json(text)
         p, _ = poset_from_json(text, repair=True)
         assert p == chain(3)
+        # until reduced the pairs are a relation set, so a bad pair is a relation
+        with pytest.raises(PosetFormatError) as info:
+            poset_from_json('{"elements": 3, "covers": [[0, 1], [0, 3]]}', repair=True)
+        assert str(info.value) == "relation (0, 3) out of range for 3 elements"
+
+    def test_least_redundant_cover_is_named(self, rng):
+        # the complete 3-layer relation set, 4 per layer, in shuffled file
+        # orders: its 16 relations from the bottom layer to the top one are
+        # all redundant, and the least, (0, 8), is the one named
+        k = 4
+        covers = [[i * k + a, j * k + b] for i, j in ((0, 1), (1, 2), (0, 2))
+                  for a in range(k) for b in range(k)]
+        for _ in range(20):
+            rng.shuffle(covers)
+            with pytest.raises(PosetFormatError) as info:
+                poset_from_json(json.dumps({"elements": 3 * k, "covers": covers}))
+            assert str(info.value) == "cover (0, 8) is redundant (implied by transitivity)"
 
     def test_schema_errors(self):
         for text in ("[]", '{"elements": 2}', '{"elements": -1, "covers": []}',
