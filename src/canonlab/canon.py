@@ -1,10 +1,11 @@
-"""Canon, dissonant and weak-descent polynomials.
+"""Canon and dissonant polynomials.
 
 The brute-force sums here are the source of truth; the closed forms
 (product formulas, degree and palindromicity laws, gamma
-interpretations) are the things under test, and ``canonlab.verify``
-holds the checks that compare them.  A sum over column words sigma is
-one kernel call over a stream of descent classes (``class_rows``): of
+interpretations) are the things under test: ``canonlab.forms`` holds
+the product form and the weak-descent polynomial, and ``canonlab.verify``
+the checks that compare them.  A sum over column words sigma is one
+kernel call over a stream of descent classes (``class_rows``): of
 ``canon_polynomial_bruteforce`` over all n! sigma, for any labeled P, n
 and removed covers, and of ``verify.generalized_product_identity`` over
 the extension words of a second poset P'.
@@ -36,8 +37,7 @@ from math import factorial
 from operator import add, mul
 
 from canonlab import kernel
-from canonlab.errors import CanonlabError
-from canonlab.polys import IntPolynomial, check_named_n, eulerian, hstar
+from canonlab.polys import IntPolynomial
 from canonlab.poset import (
     Poset,
     _check_chain,
@@ -45,10 +45,8 @@ from canonlab.poset import (
     _check_size,
     _gap_bits,
     _removed_mask,
-    _row_labeling,
     canon_labeling,
     chain,
-    chain_descents,
     product_with_chain,
 )
 
@@ -191,43 +189,7 @@ def canon_polynomial_bruteforce(p: Poset, w: Sequence[int], n: int, mask: int = 
     return _row_sum(class_rows(q, classes, lambda sigma: canon_labeling(w, sigma)))[0]
 
 
-def _product_form(
-    p: Poset, w: Sequence[int], n: int, first: Callable[[], IntPolynomial]
-) -> IntPolynomial:
-    """x^k * ``first()`` * h* of the naturally labeled product p x [n],
-    where k is the number of descents on every maximal chain of (p, w).
-    The first factor, A_n or h*(P'), is computed last: a product the
-    kernel refuses costs nothing more."""
-    k = chain_descents(p, w)
-    if k is None:
-        raise CanonlabError("product form needs a labeling with constant chain descents")
-    base = hstar(product_with_chain(p, n))
-    return (first() * base).shift(k)
-
-
-def canon_polynomial_product(p: Poset, w: Sequence[int], n: int) -> IntPolynomial:
-    """Closed product form: x^k * A_n * h* of the naturally labeled product.
-
-    Requires every maximal chain of (p, w) to carry the same number k of
-    descents.
-    """
-    check_named_n(n)
-    return _product_form(p, w, n, lambda: eulerian(n))
-
-
 def dissonant_polynomial(spec: AmphibianSpec, w: Sequence[int]) -> IntPolynomial:
     """Descent polynomial of the subposet's labeled extensions, summed
     over every column labeling."""
     return canon_polynomial_bruteforce(chain(spec.m), w, spec.n, mask=spec.mask)
-
-
-def weak_descent_polynomial(m: int, n: int) -> IntPolynomial:
-    """Weak-descent polynomial of canon permutations: the canon polynomial
-    under the reversed row labeling w = (m, ..., 1).
-
-    A canon word has letter sigma(j) at (x, j), so letters tie only inside
-    a column, which every extension climbs while w x sigma falls there;
-    labels of different columns compare as their letters do.  So for
-    every sigma and extension, the weak descents are the descents of w x
-    sigma."""
-    return canon_polynomial_bruteforce(chain(m), _row_labeling("reverse", m), n)

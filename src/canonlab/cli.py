@@ -2,18 +2,19 @@
 
 ``parse_args`` reads argv against one table, ``ROUTES``, with
 argparse's syntax and messages; ``main`` runs the route it picks.  The
-modules that only some commands need (the statement checks, the sweep,
-the gamma interpretation and the usage text) are imported by one
-loader, ``_load``, when first needed.  So are the standard modules that
-few commands need: ``json`` only by ``_print_json`` (and by ``poset``'s
-file reader and writer), the csv writer only by ``_print_csv``, and
-``re`` only by ``_read``, for an unknown dash argument.  No module
-imports ``typing``: annotations are strings, their names come from
-``collections.abc``, and records subclass ``collections.namedtuple``.
+modules that only some commands need (the closed forms, the poset
+source, the statement checks, the sweep, the gamma interpretation and
+the usage text) are imported by one loader, ``_load``, when first
+needed.  So are the standard modules that few commands need: ``json``
+only by ``_print_json`` (and by ``poset``'s file reader and writer), the
+csv writer only by ``_print_csv``, and ``re`` only by ``_read``, for an
+unknown dash argument.  No module imports ``typing``: annotations are
+strings, their names come from ``collections.abc``, and records subclass
+``collections.namedtuple``.
 
 Exit status: 0 when everything holds, 1 when an identity fails or a
 sweep finds a violator (a certificate is emitted), 2 on usage, file or
-size-cap errors.
+size-cap errors, or an input too large for the process's memory.
 """
 
 from __future__ import annotations
@@ -22,30 +23,12 @@ import io
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from itertools import islice
 from types import SimpleNamespace
 
-from canonlab import poset
-from canonlab.canon import (
-    AmphibianSpec,
-    canon_polynomial_bruteforce,
-    canon_polynomial_product,
-    dissonant_polynomial,
-    weak_descent_polynomial,
-)
-from canonlab.errors import CanonlabError, PosetFormatError, SizeCapError
-from canonlab.kernel import count_extensions
-from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import eulerian, hstar, narayana, poly_to_payload
-from canonlab.poset import (
-    Poset,
-    _row_labeling,
-    canon_labeling,
-    chain,
-    checked_product,
-    poset_from_json,
-    product_with_chain,
-)
+from canonlab.canon import AmphibianSpec, canon_polynomial_bruteforce, dissonant_polynomial
+from canonlab.errors import CanonlabError
+from canonlab.polys import hstar, poly_to_payload
+from canonlab.poset import _row_labeling, chain
 
 # The most element indices one listing prints, or one walk of the
 # thm-2.3 check visits: its extensions times |P|; or letters of `gamma`'s
@@ -57,8 +40,12 @@ def _load(name: str):
     """The module ``canonlab.<name>``, imported the first time a command
     needs it: only verify compiles the statement checks, only sweep and
     verify the edge-subset sweep, only gamma and verify the Cor. 5.1
-    interpretation, and only a usage error or a help the usage text.  Each
-    caller reads its function off the module when it runs."""
+    interpretation, only the routes that read a poset file or a grid less
+    its covers (``extensions``, ``poly hstar`` and ``poly dissonant``) the
+    poset source, only the routes that compare against a closed form (and
+    sweep, gamma and verify) the closed forms, and only a usage error or a
+    help the usage text.  Each caller reads its function off the module
+    when it runs."""
     __import__(f"canonlab.{name}")  # importlib would load at every start-up
     return sys.modules[f"canonlab.{name}"]
 
@@ -84,54 +71,6 @@ def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _parse_removed(text: str) -> tuple[tuple[int, int], ...]:
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            row, j = part.split(":")
-            out.append((int(row), int(j)))
-        except ValueError as exc:
-            raise PosetFormatError(
-                f'bad --remove entry {part!r}, expected "row:j"'
-            ) from exc
-    return tuple(out)
-
-
-def load_poset(path: str, repair: bool = False) -> tuple[Poset, tuple[int, ...] | None]:
-    """Read and validate a poset JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PosetFormatError(f"cannot read {path}: {exc}") from exc
-    return poset_from_json(text, repair=repair)
-
-
-def _resolve_poset(cfg: SimpleNamespace) -> tuple[Poset, tuple[int, ...] | None]:
-    """The poset of ``--poset``, or the ``--m`` x ``--n`` grid (the checked
-    product with ``--checked``) less its ``--remove`` covers, with its
-    labeling."""
-    given = [f"--{name}" for name in ("m", "n", "w", "checked", "remove")
-             if getattr(cfg, name) is not None]
-    if cfg.poset is not None:
-        if given:
-            raise PosetFormatError(f"--poset does not combine with {', '.join(given)}")
-        return load_poset(cfg.poset, repair=cfg.repair)
-    if cfg.repair or cfg.m is None or cfg.n is None:
-        raise PosetFormatError("give --poset FILE (which --repair needs), or --m and --n")
-    mask = AmphibianSpec.from_removed(cfg.m, cfg.n, _parse_removed(cfg.remove)).mask
-    p = (checked_product if cfg.checked else product_with_chain)(chain(cfg.m), cfg.n, mask)
-    w = _row_labeling(cfg.w, cfg.m)
-    if cfg.checked:
-        return p, poset.checked_labeling(w, cfg.n)
-    return p, canon_labeling(w, range(1, cfg.n + 1))
-
-
 # ---------------------------------------------------------------------------
 # poly
 
@@ -147,33 +86,6 @@ def _cmd_poly(cfg: SimpleNamespace) -> int:
     else:
         print(f"coeffs {list(p.coefficients)}")
         print(str(p))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# extensions
-
-
-def _cmd_extensions(cfg: SimpleNamespace) -> int:
-    p, _ = _resolve_poset(cfg)
-    if cfg.count_only:
-        print(count_extensions(p))
-        return 0
-    n = p.element_count
-    # with a small enough --limit, the enumerator stops early: skip the count
-    if (cfg.limit is None or cfg.limit * n > MAX_LISTED) and (
-        count_extensions(p) * n > MAX_LISTED
-    ):
-        raise SizeCapError(
-            f"listing would print more than {MAX_LISTED} element indices; "
-            "pass a smaller --limit or --count-only"
-        )
-    stream = islice(enumerate_linear_extensions(p), cfg.limit)
-    if cfg.format == "json":
-        _print_json([list(order) for order in stream])
-    else:
-        for order in stream:
-            print(" ".join(map(str, order)))
     return 0
 
 
@@ -220,27 +132,28 @@ SOURCE = "--m --n --remove --poset --repair --checked"  # a file or the grid, ch
 ROUTES = {
     "poly": {
         "eulerian": Route("the Eulerian polynomial", "--n --format", "--n",
-                          make=lambda cfg: eulerian(cfg.n)),
+                          make=lambda cfg: _load("forms").eulerian(cfg.n)),
         "narayana": Route("the Narayana polynomial", "--n --format", "--n",
-                          make=lambda cfg: narayana(cfg.n)),
+                          make=lambda cfg: _load("forms").narayana(cfg.n)),
         "canon": Route("the canon polynomial, summed over the column labelings",
                        "--n --m --w --force-cap --format", GRID,
                        make=lambda cfg: canon_polynomial_bruteforce(
                            chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
         "canon-product": Route("the canon polynomial by the product formula",
                                "--n --m --w --format", GRID,
-                               make=lambda cfg: canon_polynomial_product(
+                               make=lambda cfg: _load("forms").canon_polynomial_product(
                                    chain(cfg.m), _row_labeling(cfg.w, cfg.m), cfg.n)),
         "dissonant": Route("the dissonant polynomial of the grid less some covers",
                            "--n --m --w --remove --force-cap --format", GRID,
                            make=lambda cfg: dissonant_polynomial(
-                               AmphibianSpec.from_removed(cfg.m, cfg.n,
-                                                          _parse_removed(cfg.remove)),
+                               AmphibianSpec.from_removed(
+                                   cfg.m, cfg.n, _load("source")._parse_removed(cfg.remove)),
                                _row_labeling(cfg.w, cfg.m))),
         "weak-descent": Route("the weak-descent polynomial", "--n --m --force-cap --format",
-                              GRID, make=lambda cfg: weak_descent_polynomial(cfg.m, cfg.n)),
+                              GRID, make=lambda cfg: _load("forms").weak_descent_polynomial(
+                                  cfg.m, cfg.n)),
         "hstar": Route("the h* polynomial of a poset file or grid", SOURCE + " --w --format",
-                       make=lambda cfg: hstar(*_resolve_poset(cfg))),
+                       make=lambda cfg: hstar(*_load("source")._resolve_poset(cfg))),
     },
     "verify": Route("machine-check identities", "--m --n --w --force-cap --format",
                     run=lambda cfg: _load("verify").run(cfg), positional="statements", many=True),
@@ -249,7 +162,7 @@ ROUTES = {
     "gamma": Route("gamma-coefficient interpretation counts", "--n --m --force-cap --format",
                    GRID, ("json", "plain"), lambda cfg: _load("gamma").run(cfg)),
     "extensions": Route("enumerate linear extensions", SOURCE + " --format --count-only --limit",
-                        formats=("json", "plain"), run=_cmd_extensions),
+                        formats=("json", "plain"), run=lambda cfg: _load("source").run(cfg)),
 }
 
 
@@ -415,6 +328,9 @@ def run(cfg: SimpleNamespace) -> int:
         return cfg.run(cfg)
     except ValueError as exc:  # size caps, malformed files and arguments
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an input past the address space, as a size cap
+        print("error: out of memory", file=sys.stderr)
         return 2
     except CanonlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,15 +23,9 @@ from canonlab import kernel
 from canonlab.canon import canon_polynomial_bruteforce
 from canonlab.cli import MAX_LISTED, _print_json
 from canonlab.errors import CanonlabError, SizeCapError
-from canonlab.polys import IntPolynomial, gamma_expansion
-from canonlab.poset import (
-    Poset,
-    _row_labeling,
-    chain,
-    checked_product,
-    product_with_chain,
-    rho_parities,
-)
+from canonlab.forms import checked_product, gamma_expansion, rho_parities
+from canonlab.polys import IntPolynomial
+from canonlab.poset import Poset, _row_labeling, chain, product_with_chain
 
 
 @lru_cache(maxsize=1)  # an interpretation's counts and class words read one build

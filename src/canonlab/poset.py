@@ -23,6 +23,11 @@ the labels of a poset JSON file are checked, by ``poset_from_json``;
 every library call that takes a labeling refuses one of the wrong length
 (``_check_labeling``) before it counts anything.
 
+The checked product and its labeling, and the sums over saturated
+chains behind ``rho_parities`` and ``chain_descents``, are in
+``canonlab.forms``, which only the commands that use them load; the
+checked product builds its covers with ``_product_covers``.
+
 All values here are immutable after construction (``Frozen``, which also
 gives each value class its equality, hash, repr and pickling from its
 ``_fields``) and every operation is a pure function, so they are safe to
@@ -32,7 +37,7 @@ share between worker processes.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import isqrt
 
 from canonlab.errors import PosetFormatError, SizeCapError
@@ -151,7 +156,7 @@ def _row_labeling(kind: str | None, m: int) -> tuple[int, ...]:
 
 def _check_labeling(p: Poset, w: Sequence[int]) -> None:
     """Refuse a labeling without exactly one label per element of ``p``:
-    ``hstar``, ``canon_polynomial_bruteforce``, ``chain_descents`` and
+    ``hstar``, ``canon_polynomial_bruteforce``, ``forms.chain_descents`` and
     ``verify.generalized_product_identity`` check theirs first."""
     if len(w) != p.element_count:
         raise ValueError(f"a labeling of length {len(w)} does not fit "
@@ -301,16 +306,6 @@ def product_with_chain(p: Poset, n: int, mask: int = 0) -> Poset:
     return Poset(p.element_count * n, _product_covers(p, n, mask))
 
 
-def checked_product(p: Poset, n: int, mask: int = 0) -> Poset:
-    """``product_with_chain(p, n, mask)`` with n new incomparable elements,
-    the highest n indices, above ``(x, n)`` for every maximal ``x`` of
-    ``p``."""
-    mn = p.element_count * n
-    maxima = [mn - p.element_count + x for x in p.maximal_elements()]  # the (x, n)
-    tops = ((x, t) for t in range(mn, mn + n) for x in maxima)
-    return Poset(mn + n, itertools.chain(_product_covers(p, n, mask), tops))
-
-
 def canon_labeling(w: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     """Extend a row labeling to the product: ``(row, j)`` gets
     ``w(row) + (sigma(j)-1)*m``.  For bijections w onto 1..m and sigma
@@ -318,49 +313,6 @@ def canon_labeling(w: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     ``(sigma(j)-1)*m + 1 .. sigma(j)*m``."""
     m = len(w)
     return tuple(label + (s - 1) * m for s in sigma for label in w)
-
-
-def checked_labeling(w: Sequence[int], n: int) -> tuple[int, ...]:
-    """Labeling of the checked product: the product part carries
-    ``canon_labeling(w, id)`` and the top elements get ``mn+1 .. (m+1)n``
-    in index order."""
-    mn = len(w) * n
-    return canon_labeling(w, range(1, n + 1)) + tuple(range(mn + 1, mn + n + 1))
-
-
-def _chain_sums(p: Poset, step: Callable[[int, int], int]) -> tuple[list[set[int]], set[int]]:
-    """For each element, the set of sums of ``step(a, b)`` over the covers
-    ``a < b`` of the saturated chains from a minimal element up to it, in
-    one pass over the topological order; and the sums of the maximal
-    chains, the union of those sets over the maximal elements."""
-    sums: list[set[int]] = [set() for _ in range(p.element_count)]
-    for v in p.topological_order():
-        sums[v] = own = sums[v] or {0}  # a minimal element starts at 0
-        for b in p.successors(v):
-            sums[b].update(s + step(v, b) for s in own)
-    return sums, set().union(*(sums[v] for v in p.maximal_elements()))
-
-
-def rho_parities(pcheck: Poset) -> tuple[int, ...]:
-    """``rho`` of every element: the parity of the length of the maximal
-    chains in its principal ideal, 0 for even and 1 for odd.
-
-    Defined for graded posets (such as checked chain products), where
-    every saturated chain from a minimal element up to an element has the
-    same length.
-    """
-    depths, lengths = _chain_sums(pcheck, lambda a, b: 1)
-    if len(lengths) > 1:
-        raise ValueError("rho requires a graded poset")
-    return tuple(min(d) % 2 for d in depths)
-
-
-def chain_descents(p: Poset, w: Sequence[int]) -> int | None:
-    """The number k of descents of (p, w) on every maximal chain, or None
-    when two maximal chains (or none at all) disagree."""
-    _check_labeling(p, w)
-    counts = _chain_sums(p, lambda a, b: w[a] > w[b])[1]
-    return counts.pop() if len(counts) == 1 else None
 
 
 def natural_labeling(p: Poset) -> tuple[int, ...]:

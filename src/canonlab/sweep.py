@@ -21,7 +21,8 @@ from types import SimpleNamespace
 from canonlab.canon import AmphibianSpec, dissonant_polynomial
 from canonlab.cli import _print_csv, _print_json
 from canonlab.errors import SizeCapError
-from canonlab.polys import IntPolynomial, gamma_expansion, is_unimodal, poly_to_payload
+from canonlab.forms import gamma_expansion, is_unimodal
+from canonlab.polys import IntPolynomial, poly_to_payload
 from canonlab.poset import _chain_gaps, _check_chain, _gap_bits, _row_labeling, poset_to_json
 
 MAX_SUBPOSETS = 1024

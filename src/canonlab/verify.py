@@ -26,27 +26,31 @@ from canonlab import kernel
 from canonlab.canon import (
     AmphibianSpec,
     _descent_classes,
-    _product_form,
     _row_sum,
     _sigma_classes,
     _Sized,
     canon_polynomial_bruteforce,
-    canon_polynomial_product,
     class_rows,
 )
 from canonlab.cli import MAX_LISTED, _print_csv, _print_json
 from canonlab.errors import PosetFormatError, SizeCapError
+from canonlab.forms import (
+    _product_form,
+    canon_polynomial_product,
+    checked_labeling,
+    checked_product,
+    is_palindromic,
+    narayana,
+)
 from canonlab.gamma import gamma_interpretation
 from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import IntPolynomial, hstar, is_palindromic, narayana, poly_to_payload
+from canonlab.polys import IntPolynomial, hstar, poly_to_payload
 from canonlab.poset import (
     Poset,
     _check_labeling,
     _row_labeling,
     canon_labeling,
     chain,
-    checked_labeling,
-    checked_product,
     natural_labeling,
     product_with_chain,
 )

@@ -16,26 +16,21 @@ from conftest import (
     weak_descent_lanes_per_sigma,
 )
 
-from canonlab.canon import (
-    AmphibianSpec,
-    canon_polynomial_bruteforce,
-    canon_polynomial_product,
-    dissonant_polynomial,
-    weak_descent_polynomial,
-)
+from canonlab.canon import AmphibianSpec, canon_polynomial_bruteforce, dissonant_polynomial
 from canonlab.cli import main
-from canonlab.gamma import gamma_class_words, gamma_interpretation
-from canonlab.kernel import count_extensions
-from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import (
-    IntPolynomial,
+from canonlab.forms import (
+    canon_polynomial_product,
     eulerian,
     gamma_expansion,
-    hstar,
     is_palindromic,
     is_unimodal,
     narayana,
+    weak_descent_polynomial,
 )
+from canonlab.gamma import gamma_class_words, gamma_interpretation
+from canonlab.kernel import count_extensions
+from canonlab.linext import enumerate_linear_extensions
+from canonlab.polys import IntPolynomial, hstar
 from canonlab.poset import (
     canon_labeling,
     chain,

@@ -24,21 +24,26 @@ from conftest import (
     word_classes,
 )
 
-from canonlab import canon, cli, gamma, kernel, linext, polys, poset, sweep, verify
+from canonlab import canon, cli, forms, gamma, kernel, linext, polys, poset, sweep, verify
 from canonlab.canon import (
     AmphibianSpec,
     _descent_classes,
     _row_sum,
     _sigma_classes,
     canon_polynomial_bruteforce,
-    canon_polynomial_product,
     class_rows,
     dissonant_polynomial,
-    weak_descent_polynomial,
 )
 from canonlab.errors import CanonlabError, SizeCapError
+from canonlab.forms import (
+    canon_polynomial_product,
+    eulerian,
+    gamma_expansion,
+    narayana,
+    weak_descent_polynomial,
+)
 from canonlab.gamma import gamma_class_words, gamma_interpretation
-from canonlab.polys import IntPolynomial, eulerian, gamma_expansion, hstar, narayana
+from canonlab.polys import IntPolynomial, hstar
 from canonlab.poset import (
     canon_labeling,
     chain,
@@ -594,7 +599,7 @@ WRONG_LENGTH_LABELINGS = {
     "bruteforce": (lambda: canon_polynomial_bruteforce(chain(2), (3, 1, 2), 2), (3, 2)),
     "product": (lambda: canon_polynomial_product(chain(2), (3, 1, 2), 2), (3, 2)),
     "dissonant": (lambda: dissonant_polynomial(AmphibianSpec(2, 3, 1), (1,)), (1, 2)),
-    "chain-descents": (lambda: poset.chain_descents(chain(2), (1,)), (1, 2)),
+    "chain-descents": (lambda: forms.chain_descents(chain(2), (1,)), (1, 2)),
     "checked-product": (lambda: verify.checked_product_identity(chain(2), (1,), 2), (1, 2)),
     "generalized-product": (
         lambda: verify.generalized_product_identity(chain(2), (1, 2, 3), chain(2)), (3, 2)),

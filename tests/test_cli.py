@@ -17,8 +17,9 @@ except ImportError:  # not on every platform
 
 import canonlab.cli as cli_mod
 import canonlab.verify as verify_mod
-from canonlab.cli import load_poset, main, parse_args, run
+from canonlab.cli import main, parse_args, run
 from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
+from canonlab.source import load_poset
 from canonlab.verify import VERIFY_CHECKS
 
 
@@ -957,6 +958,27 @@ def test_huge_posets_exit_2_before_they_are_built(argv):
     assert elapsed < 1, argv
 
 
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_a_poset_file_past_the_memory_exits_2(tmp_path):
+    # K(700, 700): its 490,000 covers, 5 MB of JSON, parse within a 150 MiB
+    # address space, but its poset does not fit there.  The MemoryError ends
+    # as a size cap does, in one error line and exit 2, not in a traceback
+    k = 700
+    path = tmp_path / "k700.json"
+    covers = ",".join(f"[{a},{k + b}]" for a in range(k) for b in range(k))
+    path.write_text(f'{{"elements": {2 * k}, "covers": [{covers}]}}')
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "canonlab", "extensions", "--poset", str(path),
+                           "--count-only"], env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
 # what a random command line is drawn from: a command (or none, or a bad
 # one); then, mostly, what its route requires and options it takes, each
 # with a usual value or, now and then, a bad or huge one; and stray words
@@ -1218,13 +1240,16 @@ class TestRunConfig:
     def test_start_up_generates_no_code(self):
         # records are plain classes: building the CLI must not load
         # dataclasses or the inspect module it pulls in.  A command loads
-        # every layer the benchmark's tracer reads; only verify compiles the
-        # statement checks, only sweep and verify the edge-subset sweep, and
-        # only gamma and verify the Cor. 5.1 interpretation; no poset build
-        # loads heapq, only a csv output loads the csv writer, and only a
-        # usage error or a help the usage text.  The command line is parsed
-        # from the option table, so no command, usage error or help loads
-        # argparse, or the gettext and locale modules that argparse's
+        # every layer the benchmark's tracer reads, and the set-up probe no
+        # lazy module; only verify compiles the statement checks, only sweep
+        # and verify the edge-subset sweep, only gamma and verify the Cor. 5.1
+        # interpretation, only the routes that compare against a closed form
+        # (and sweep, gamma and verify) the closed forms, and only the routes
+        # that read a poset file or a grid less its covers the poset source;
+        # no poset build loads heapq, only a csv output loads the csv writer,
+        # and only a usage error or a help the usage text.  The command line
+        # is parsed from the option table, so no command, usage error or help
+        # loads argparse, or the gettext and locale modules that argparse's
         # messages pull in.  No module loads typing, only a JSON output or
         # file loads json (which loads re), and only an unknown dash
         # argument re; the lazy layers load without importlib.  The child
@@ -1234,13 +1259,14 @@ class TestRunConfig:
         layers = ["canonlab." + name for name in ("cli", "canon", "polys", "linext", "poset",
                                                   "kernel")]
         lazy = {"canonlab.verify", "canonlab.sweep", "canonlab.gamma", "canonlab.usage",
-                "heapq", "_csv"}
+                "canonlab.forms", "canonlab.source", "heapq", "_csv"}
         stdlib = {"typing", "json", "re", "importlib"}
         code = ("import sys, contextlib, io, canonlab, canonlab.cli\n"
                 "canonlab.cli.build_parser()\n"
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
                 f"print([name for name in {layers!r} if name not in sys.modules])\n"
                 f"print(sorted({stdlib!r} & set(sys.modules)))\n"
+                f"print(sorted({lazy!r} & set(sys.modules)))\n"
                 "with contextlib.redirect_stdout(io.StringIO()), "
                 "contextlib.redirect_stderr(io.StringIO()):\n"
                 "    try:\n"
@@ -1250,18 +1276,23 @@ class TestRunConfig:
                 f"print(sorted({lazy!r} & set(sys.modules)))\n"
                 "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
                 f"print(sorted({stdlib!r} & set(sys.modules)))\n")
-        checks = "['canonlab.gamma', 'canonlab.sweep', 'canonlab.verify'"
+        checks = "['canonlab.forms', 'canonlab.gamma', 'canonlab.sweep', 'canonlab.verify'"
         json_re = "['json', 're']"
+        source = "['canonlab.source']"
         for argv, loaded, imported in (
                 (("poly", "canon", "--m", "2", "--n", "3"), "[]", "[]"),
-                (("poly", "hstar", "--m", "2", "--n", "2", "--format", "json"), "[]", json_re),
-                (("extensions", "--m", "2", "--n", "3", "--count-only"), "[]", "[]"),
-                (("extensions", "--m", "2", "--n", "3"), "[]", "[]"),
+                (("poly", "hstar", "--m", "2", "--n", "2", "--format", "json"), source, json_re),
+                (("poly", "hstar", "--m", "2", "--n", "2", "--checked"),
+                 "['canonlab.forms', 'canonlab.source']", "[]"),
+                (("poly", "dissonant", "--m", "2", "--n", "2", "--remove", "1:1"), source, "[]"),
+                (("poly", "eulerian", "--n", "3"), "['canonlab.forms']", "[]"),
+                (("extensions", "--m", "2", "--n", "3", "--count-only"), source, "[]"),
+                (("extensions", "--m", "2", "--n", "3"), source, "[]"),
                 (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "json"),
-                 "['canonlab.sweep']", json_re),
+                 "['canonlab.forms', 'canonlab.sweep']", json_re),
                 (("sweep", "gamma", "--m", "2", "--n", "2", "--format", "csv"),
-                 "['_csv', 'canonlab.sweep']", "[]"),
-                (("gamma", "--m", "2", "--n", "2"), "['canonlab.gamma']", "[]"),
+                 "['_csv', 'canonlab.forms', 'canonlab.sweep']", "[]"),
+                (("gamma", "--m", "2", "--n", "2"), "['canonlab.forms', 'canonlab.gamma']", "[]"),
                 (("verify", "thm-1.1", "--m", "1", "--n", "1"), checks + "]", "[]"),
                 (("verify", "thm-1.1", "--format", "csv"), "['_csv', " + checks[1:] + "]", "[]"),
                 (("poly", "canon", "--m", "2"), "['canonlab.usage']", "[]"),
@@ -1269,7 +1300,42 @@ class TestRunConfig:
                 (("poly", "canon", "--m", "-2", "--n", "3"), "[]", "['re']")):
             out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                                  text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-            assert out.splitlines() == ["[]", "[]", "[]", loaded, "[]", imported], argv
+            assert out.splitlines() == ["[]", "[]", "[]", "[]", loaded, "[]", imported], argv
+
+    def test_package_exports_the_closed_forms_on_first_use(self):
+        # each name moved out of the start-up modules imports from its new
+        # module, and each one the package exported still imports from it,
+        # through a module __getattr__ that loads canonlab.forms only then;
+        # an unknown name raises AttributeError
+        import canonlab
+        from canonlab import forms, source
+
+        moved = {
+            forms: ("is_palindromic", "gamma_expansion", "is_unimodal", "MAX_NAMED_N",
+                    "check_named_n", "eulerian", "narayana", "_product_form",
+                    "canon_polynomial_product", "weak_descent_polynomial", "checked_product",
+                    "checked_labeling", "_chain_sums", "rho_parities", "chain_descents"),
+            source: ("_parse_removed", "load_poset", "_resolve_poset", "run"),
+        }
+        exported = ("is_palindromic", "gamma_expansion", "is_unimodal", "eulerian",
+                    "narayana", "canon_polynomial_product", "weak_descent_polynomial",
+                    "checked_product", "checked_labeling", "chain_descents")
+        for module, names in moved.items():
+            assert [name for name in names if not hasattr(module, name)] == []
+        assert all(getattr(canonlab, name) is getattr(forms, name) for name in exported)
+        star: dict = {}
+        exec("from canonlab import *", star)
+        assert set(exported) <= set(star)
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            canonlab.no_such_name
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, canonlab\n"
+                "print('canonlab.forms' in sys.modules)\n"
+                "from canonlab import eulerian\n"
+                "print('canonlab.forms' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.splitlines() == ["False", "True"]
 
 
 # sha256 of stdout for fixed commands: any change to output bytes, in any

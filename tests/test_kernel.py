@@ -20,13 +20,13 @@ from conftest import (
 from canonlab import kernel
 from canonlab.canon import _row_sum, _Sized, class_rows
 from canonlab.errors import SizeCapError
+from canonlab.forms import checked_product, eulerian
 from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import IntPolynomial, eulerian
+from canonlab.polys import IntPolynomial
 from canonlab.poset import (
     Poset,
     canon_labeling,
     chain,
-    checked_product,
     product_with_chain,
 )
 from canonlab.verify import (

@@ -14,17 +14,15 @@ from conftest import (
 
 from canonlab.kernel import count_extensions
 from canonlab import gamma
+from canonlab.forms import checked_labeling, checked_product, rho_parities
 from canonlab.gamma import rho_halves, rho_orders
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.poset import (
     Poset,
     canon_labeling,
     chain,
-    checked_labeling,
-    checked_product,
     natural_labeling,
     product_with_chain,
-    rho_parities,
 )
 from canonlab.verify import (
     antichain,

@@ -13,18 +13,16 @@ from conftest import (
 )
 
 from canonlab.errors import SizeCapError
-from canonlab.linext import enumerate_linear_extensions
-from canonlab.polys import (
+from canonlab.forms import (
     MAX_NAMED_N,
-    IntPolynomial,
     eulerian,
     gamma_expansion,
-    hstar,
     is_palindromic,
     is_unimodal,
     narayana,
-    poly_to_payload,
 )
+from canonlab.linext import enumerate_linear_extensions
+from canonlab.polys import IntPolynomial, hstar, poly_to_payload
 from canonlab.poset import (
     canon_labeling,
     chain,

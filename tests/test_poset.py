@@ -12,6 +12,7 @@ from conftest import (
 
 from canonlab import kernel
 from canonlab.errors import PosetFormatError, SizeCapError
+from canonlab.forms import chain_descents, checked_labeling, checked_product, rho_parities
 from canonlab.linext import enumerate_linear_extensions
 from canonlab.polys import hstar
 from canonlab.poset import (
@@ -20,14 +21,10 @@ from canonlab.poset import (
     Poset,
     canon_labeling,
     chain,
-    chain_descents,
-    checked_labeling,
-    checked_product,
     natural_labeling,
     poset_from_json,
     poset_to_json,
     product_with_chain,
-    rho_parities,
     transitive_reduction,
 )
 from canonlab.verify import antichain

@@ -13,8 +13,9 @@ import pytest
 
 from canonlab.canon import AmphibianSpec
 from canonlab.errors import PosetFormatError
+from canonlab.forms import eulerian
 from canonlab.gamma import GammaInterpretation
-from canonlab.polys import IntPolynomial, eulerian
+from canonlab.polys import IntPolynomial
 from canonlab.poset import Poset, chain, poset_from_json
 from canonlab.sweep import conjecture_sweep, parallel_map
 from canonlab.verify import IdentityReport, is_dyck_path
