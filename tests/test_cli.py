@@ -18,9 +18,11 @@ except ImportError:  # not on every platform
 import canonlab.cli as cli_mod
 import canonlab.verify as verify_mod
 from canonlab.cli import main, parse_args, run
+from canonlab.errors import CanonlabError
 from canonlab.poset import canon_labeling, chain, poset_to_json, product_with_chain
 from canonlab.source import load_poset
 from canonlab.verify import VERIFY_CHECKS
+from contract import exit_contract_broken
 
 
 def invoke(capsys, *argv):
@@ -63,6 +65,11 @@ class TestPoly:
         code, out, _ = invoke(capsys, "poly", "dissonant", "--m", "2", "--n", "2",
                               "--remove", "2:1")
         assert code == 0 and "coeffs [1, 4, 1]" in out
+        # empty entries are skipped, and a cover named twice is removed once
+        code, out, _ = invoke(capsys, "poly", "dissonant", "--m", "2", "--n", "2",
+                              "--remove", "1:1,,1:1")
+        assert code == 0 and "coeffs [1, 4, 1]" in out
+        assert invoke(capsys, "extensions", "--m", "1", "--n", "1", "--remove", ",") == (0, "0\n", "")
 
     def test_weak_descent(self, capsys):
         code, out, _ = invoke(capsys, "poly", "weak-descent", "--m", "2", "--n", "2")
@@ -1049,19 +1056,6 @@ def random_argvs(seed: int, count: int, files: dict) -> list:
     return argvs
 
 
-def exit_contract_broken(code, err: str):
-    """What a run with exit ``code`` and stderr ``err`` breaks of the exit
-    contract, or None: it exits 0, 1 or 2, prints no traceback, and an exit
-    2 ends stderr with its one error line."""
-    if code not in (0, 1, 2):
-        return f"exit {code}"
-    if "Traceback" in err:
-        return "a traceback"
-    if code == 2 and "error:" not in (err.splitlines() or [""])[-1]:
-        return "exit 2 without a last error line"
-    return None
-
-
 def test_random_argvs_keep_the_exit_contract(capsys, tmp_path):
     # in-process, so 200 command lines take a few seconds; CI runs a sample
     # of the same draw through fresh interpreters
@@ -1077,6 +1071,20 @@ def test_random_argvs_keep_the_exit_contract(capsys, tmp_path):
         broken = exit_contract_broken(code, capsys.readouterr().err)
         assert broken is None, (shlex.join(argv), broken)
     assert time.perf_counter() - start < 5
+
+
+def test_contract_runner_fails_a_broken_expectation():
+    # the runner CI runs each command through: exit 0 when every check
+    # holds, exit 1 when any fails
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    for options, code in ((["--exit", "2", "--stderr", "too large"], 0), (["--exit", "0"], 1),
+                          (["--exit", "2", "--stderr", "too wide"], 1),
+                          (["--exit", "2", "--mb", "1"], 1)):
+        done = subprocess.run([sys.executable, str(tests / "contract.py"), *options,
+                               "--seconds", "60", "--", "poly", "canon", "--m", "9", "--n", "8"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (options, done.stdout, done.stderr)
 
 
 class TestExtensions:
@@ -1196,6 +1204,9 @@ class TestPosetFiles:
              '"covers" must be a list of [a, b] integer pairs'),
             # past the decoder's recursion limit
             ("[" * 100_000, "invalid JSON: nested too deeply"),
+            # a truncated file, and one with data after its object
+            ('{"elements": 1', "invalid JSON: Expecting ',' delimiter: line 1 column 15 (char 14)"),
+            ('{"elements": 2, "covers": []}{}', "invalid JSON: Extra data: line 1 column 30 (char 29)"),
         ):
             path.write_text(text)
             code, out, err = invoke(capsys, "extensions", "--poset", str(path))
@@ -1212,6 +1223,15 @@ class TestRunConfig:
     def test_run_directly(self, capsys):
         assert run(parse_args(["poly", "narayana", "--n", "3"])) == 0
         assert "coeffs [1, 3, 1]" in capsys.readouterr().out
+
+    def test_canonlab_error_exits_1(self, capsys, monkeypatch):
+        # no input reaches this branch; a route that raises one must still
+        # end in one error line and exit 1
+        def fail(cfg):
+            raise CanonlabError("the identity fails")
+
+        monkeypatch.setitem(cli_mod.ROUTES, "gamma", cli_mod.ROUTES["gamma"]._replace(run=fail))
+        assert invoke(capsys, "gamma", "--m", "2", "--n", "3") == (1, "", "error: the identity fails\n")
 
     def test_unset_options_read_none(self):
         # every option of the table is an attribute; those the route does
